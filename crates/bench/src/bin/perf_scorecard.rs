@@ -9,7 +9,9 @@
 //!
 //! `--quick` shrinks every cell's cycle budget 10× (the CI setting);
 //! `--label` names the output file (default `latest`); `--out` picks
-//! the output directory (default `benchmarks/`); `--baseline` compares
+//! the output directory (default `bench-out/`, git-ignored, so a bare
+//! run never overwrites a committed snapshot; pass `--out benchmarks`
+//! to refresh one on purpose); `--baseline` compares
 //! this run's cycles/sec against a previously committed `BENCH_*.json`
 //! (e.g. `benchmarks/BENCH_pre_refactor.json`) and prints per-cell
 //! speedups. `--gate` is the CI regression gate: exit nonzero if any
@@ -31,7 +33,7 @@ fn main() {
             .cloned()
     };
     let label = flag("--label").unwrap_or_else(|| "latest".to_owned());
-    let out_dir = PathBuf::from(flag("--out").unwrap_or_else(|| "benchmarks".to_owned()));
+    let out_dir = PathBuf::from(flag("--out").unwrap_or_else(|| "bench-out".to_owned()));
     let baseline = flag("--baseline")
         .map(|p| std::fs::read_to_string(&p).unwrap_or_else(|e| panic!("read baseline {p}: {e}")));
     let gate = flag("--gate")

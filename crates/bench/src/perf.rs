@@ -139,8 +139,8 @@ pub fn run_scorecard(scale: f64) -> Vec<PerfResult> {
         measures(&r)
     }));
 
-    // 64×64 uniform, the same cell on the serial engine and on the
-    // 4-shard engine: the pair that tracks what row-band sharding buys
+    // 64×64 uniform, the same cell on 1 band and on 4 bands: the pair
+    // that tracks what splitting the engine across row bands buys
     // (or costs) on this host. Results are bit-identical by
     // construction — compare the delivered counts — so the only
     // difference is wall clock.

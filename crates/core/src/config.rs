@@ -32,9 +32,9 @@ pub struct NocConfig {
     pub hop_mm: f64,
     /// Maximum hops traversable in one cycle, from the link model.
     pub hpc_max: usize,
-    /// Row-band shards the cycle engine runs on (1 = serial). Sharding
-    /// is an execution strategy, not a design point: results are
-    /// bit-identical for every value.
+    /// Row bands (threads) the cycle engine runs on; 0 and 1 both mean
+    /// one band stepped inline. An execution strategy, not a design
+    /// point: results are bit-identical for every value.
     pub shards: usize,
 }
 
@@ -68,24 +68,14 @@ impl NocConfig {
         }
     }
 
-    /// This design point with the cycle engine split across `n`
-    /// row-band shards (clamped to the fabric height at build time).
-    /// Purely an execution strategy: results are bit-identical to the
-    /// serial engine.
+    /// This design point with the cycle engine split across `n` row
+    /// bands (clamped to `1..=min(height, 255)` at build time, see
+    /// [`smart_sim::Network::banded`]). Purely an execution strategy:
+    /// results are bit-identical to the single-band engine.
     #[must_use]
     pub fn sharded(mut self, n: usize) -> Self {
         self.shards = n;
         self
-    }
-
-    /// The shard plan derived from this configuration.
-    #[must_use]
-    pub fn shard_plan(&self) -> smart_sim::ShardPlan {
-        if self.shards <= 1 {
-            smart_sim::ShardPlan::serial()
-        } else {
-            smart_sim::ShardPlan::banded(self.shards)
-        }
     }
 
     /// Same design point on a larger `k × k` mesh (for ablations).

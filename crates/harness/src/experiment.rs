@@ -514,18 +514,17 @@ impl Experiment {
     /// attaches after warm-up (alongside the counter reset), so the
     /// series covers exactly the measured + drain cycles. Telemetry is
     /// observation only: latency statistics, counters and goldens are
-    /// bit-identical with or without it, on both the serial and the
-    /// sharded engine.
+    /// bit-identical with or without it, at every band count.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = Some(telemetry);
         self
     }
 
-    /// Run the cycle engine split across `n` row-band shards (threads).
-    /// Purely an execution strategy: reports are bit-identical to the
-    /// serial engine, and compiled-design cache entries are shared with
-    /// serial runs of the same design point.
+    /// Run the cycle engine split across `n` row bands (threads).
+    /// Purely an execution strategy: reports are bit-identical to a
+    /// 1-band run, and compiled-design cache entries are shared across
+    /// band counts of the same design point.
     #[must_use]
     pub fn sharded(mut self, n: usize) -> Self {
         self.cfg.shards = n;

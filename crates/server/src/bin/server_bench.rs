@@ -5,8 +5,12 @@
 //!
 //! ```text
 //! cargo run --release -p smart-server --bin server_bench -- \
-//!     [--quick] [--label server_cache] [--out benchmarks]
+//!     [--quick] [--label server_cache] [--out bench-out]
 //! ```
+//!
+//! `--out` defaults to `bench-out/` (git-ignored), so a bare run never
+//! overwrites the committed `benchmarks/BENCH_server_cache.json`; pass
+//! `--out benchmarks` to refresh it on purpose.
 //!
 //! The request fans the paper's eight applications across all three
 //! designs (24 cells) on a 16×16 mesh (8×8 under `--quick`) with a
@@ -55,7 +59,7 @@ fn main() {
             .cloned()
     };
     let label = flag("--label").unwrap_or_else(|| "server_cache".to_owned());
-    let out_dir = PathBuf::from(flag("--out").unwrap_or_else(|| "benchmarks".to_owned()));
+    let out_dir = PathBuf::from(flag("--out").unwrap_or_else(|| "bench-out".to_owned()));
     // The scale knob grows the *construction* cost (mesh size), not the
     // cycle budget: the cache's value is compilation, so the committed
     // snapshot must keep the request compile-bound.

@@ -281,7 +281,7 @@ fn topology_field(line: &str, line_no: usize) -> Result<TopologySpec, ProtocolEr
     }
 }
 
-/// The `,"shards":…` body-line fragment: empty for the serial engine so
+/// The `,"shards":…` body-line fragment: empty for one band so
 /// pre-sharding documents render byte-identically.
 fn render_shards(shards: usize) -> String {
     if shards <= 1 {

@@ -197,8 +197,7 @@ impl PacketArena {
     ///
     /// Panics if the packet has zero flits.
     pub fn intern(&mut self, packet: &Packet) -> PacketSlot {
-        assert!(packet.num_flits > 0, "a packet needs at least one flit");
-        let meta = PacketMeta {
+        self.intern_meta(PacketMeta {
             id: packet.id,
             flow: packet.flow,
             src: packet.src,
@@ -206,24 +205,13 @@ impl PacketArena {
             gen_cycle: packet.gen_cycle,
             inject_cycle: u64::MAX,
             num_flits: packet.num_flits,
-        };
-        self.live += 1;
-        match self.free.pop() {
-            Some(i) => {
-                self.slots[i as usize] = meta;
-                PacketSlot(i)
-            }
-            None => {
-                self.slots.push(meta);
-                PacketSlot((self.slots.len() - 1) as u32)
-            }
-        }
+        })
     }
 
     /// Intern already-built metadata verbatim (including its
     /// `inject_cycle` stamp), returning its slot. This is how a packet
-    /// crosses between engine shards: the receiving shard re-interns
-    /// the sender's metadata so latency accounting survives the move.
+    /// crosses between row bands: the receiving band re-interns the
+    /// sender's metadata so latency accounting survives the move.
     ///
     /// # Panics
     ///

@@ -34,6 +34,16 @@ pub enum Sender {
     RouterOutput(NodeId, Direction),
 }
 
+impl Sender {
+    /// The node the sender sits at.
+    #[must_use]
+    pub fn node(self) -> NodeId {
+        match self {
+            Sender::Nic(n) | Sender::RouterOutput(n, _) => n,
+        }
+    }
+}
+
 /// Where a leg lands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Endpoint {
@@ -50,6 +60,16 @@ pub enum Endpoint {
         /// Destination node.
         node: NodeId,
     },
+}
+
+impl Endpoint {
+    /// The node the endpoint sits at.
+    #[must_use]
+    pub fn node(self) -> NodeId {
+        match self {
+            Endpoint::Stop { router: n, .. } | Endpoint::Nic { node: n } => n,
+        }
+    }
 }
 
 /// One single-`ST` traversal: from a sender, across `links`, into an

@@ -9,6 +9,13 @@
 //! `smart-core` builds the SMART architecture, the baseline mesh, and
 //! the dedicated-topology yardstick.
 //!
+//! There is one cycle engine, [`Network`], with one step loop. It runs
+//! on any number of row bands: [`Network::new`] is the 1-band case,
+//! stepped inline; [`Network::banded`] steps each band on its own
+//! thread with a per-cycle boundary exchange ([`shard`]) and produces
+//! bit-identical results. Windowed [`telemetry`] and event [`trace`]s
+//! work at every band count — per-band recordings merge on read.
+//!
 //! The central abstraction is the flow plan ([`forward::FlowPlan`]):
 //! a flow's journey decomposed into single-cycle *segments* between
 //! *stop routers*. The baseline mesh is the plan where every router
@@ -65,12 +72,11 @@ pub use network::{Network, SimConfig};
 pub use patterns::Pattern;
 pub use route::{RouteError, SourceRoute};
 pub use router::{CreditRelease, Router, RouterBank, RouterDeparture};
-pub use shard::{Engine, ShardPlan, ShardedNetwork};
 pub use stats::SimStats;
 pub use telemetry::{
     CycleView, MetricsCollector, MetricsParseError, MetricsWindow, NoProbe, Probe, StallCause,
     TelemetryConfig, TelemetrySeries,
 };
 pub use topology::{Coord, Direction, LinkId, Mesh, NodeId, Topology, TopologyOps, Torus, Turn};
-pub use trace::{ReplayCounts, TraceError, TraceKind, TraceRecord, Tracer};
+pub use trace::{ReplayCounts, TraceKind, TraceRecord, Tracer};
 pub use traffic::{mbps_to_packet_rate, BernoulliTraffic, ScriptedTraffic, TrafficSource};

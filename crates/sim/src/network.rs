@@ -1,6 +1,9 @@
-//! The synchronous network engine.
+//! The synchronous network engine: one cycle loop, run over row bands.
 //!
-//! Drives routers and NICs through a deterministic per-cycle schedule:
+//! The fabric is held as one or more `Band`s — contiguous row ranges,
+//! each with its own routers, NICs, packet arena, event rings and
+//! accounting. Every band is driven through the same deterministic
+//! per-cycle schedule:
 //!
 //! 1. apply credit returns scheduled for this cycle;
 //! 2. apply flit arrivals (buffer writes / NIC deliveries);
@@ -9,16 +12,24 @@
 //!    leg (`ST+LT`) and are scheduled to arrive at its end;
 //! 5. accounting (clock gating, cycle counters).
 //!
+//! A [`Network`] built by [`Network::new`] is the 1-band case: the band
+//! owns every node, is stepped inline on the caller's thread, and its
+//! `Seam` (`Solo`) answers "nothing is foreign" as a constant, so
+//! the compiler removes the hand-over paths. [`Network::banded`] runs
+//! the same loop on several bands at once; what they exchange, and why
+//! the result is bit-identical, is [`crate::shard`]'s subject.
+//!
 //! The engine enforces the SMART preset invariant at runtime: **no two
 //! flits may cross the same link in the same cycle** — if a preset
 //! compiler produced plans that violate single-cycle exclusivity, the
 //! engine panics rather than silently time-multiplexing the wire.
 
 use crate::counters::ActivityCounters;
-use crate::flit::{Flit, Packet, PacketArena, VcId};
+use crate::flit::{Flit, Packet, PacketArena, PacketId, PacketMeta, PacketSlot, VcId};
 use crate::forward::{Endpoint, FlowTable, LegLut, Sender};
 use crate::nic::{Nic, RxEvent};
 use crate::router::{CreditRelease, RouterBank, RouterDeparture};
+use crate::shard::Exchange;
 use crate::stats::SimStats;
 use crate::telemetry::{
     CycleView, MetricsCollector, NoProbe, Probe, TelemetryConfig, TelemetrySeries,
@@ -26,6 +37,8 @@ use crate::telemetry::{
 use crate::topology::{Direction, LinkId, NodeId, Topology, PORTS};
 use crate::trace::{TraceKind, TraceRecord, Tracer};
 use crate::traffic::TrafficSource;
+use std::borrow::Cow;
+use std::collections::HashMap;
 
 /// Sizing parameters shared by all designs (Table II defaults via
 /// [`SimConfig::paper_4x4`]).
@@ -72,19 +85,68 @@ impl SimConfig {
 /// Ring-buffer depth for scheduled events (max lookahead is 4 cycles).
 pub(crate) const RING: usize = 16;
 
+/// Most bands a fabric is split into: owner tables store band ids as
+/// `u8`.
+const MAX_BANDS: usize = u8::MAX as usize;
+
 /// The precomputed reverse path of a credit: which sender's free-VC
 /// queue gets the freed VC back, and the leg cost charged to the credit
 /// network.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct CreditPath {
-    pub(crate) sender: Sender,
-    pub(crate) crossbars: u32,
-    pub(crate) mm: f64,
+struct CreditPath {
+    sender: Sender,
+    crossbars: u32,
+    mm: f64,
 }
 
-/// The single-cycle link-exclusivity guard as a two-plane bitset: one
-/// bit per link (indexed `node * 5 + dir`), one plane per ST-cycle
-/// parity.
+/// The link a dense link index (`node * 5 + dir`) names.
+fn link_of(li: usize) -> LinkId {
+    LinkId {
+        from: NodeId((li / PORTS) as u16),
+        dir: Direction::from_index(li % PORTS),
+    }
+}
+
+/// An event whose target lies in another band, handed over at the
+/// per-cycle exchange.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum BoundaryEvent {
+    /// A flit arriving at an endpoint owned by the receiving band.
+    /// `meta` is the full packet metadata from the sending band's
+    /// arena, re-interned (head) or matched (body/tail) on receipt;
+    /// `arrival` is the cycle the flit lands at the endpoint.
+    Arrival {
+        end: Endpoint,
+        flit: Flit,
+        meta: PacketMeta,
+        arrival: u64,
+    },
+    /// A freed VC travelling back to a sender owned by the receiving
+    /// band, usable at `apply`.
+    Credit {
+        sender: Sender,
+        vc: VcId,
+        apply: u64,
+    },
+}
+
+/// The one place the two execution modes differ: how a band claims a
+/// link for a cycle and what happens to an event for a node it may not
+/// own. Monomorphized like [`Probe`], so [`Solo`]'s constant answer
+/// folds the hand-over paths out of the 1-band step.
+pub(crate) trait Seam {
+    /// Claim link `li` for `st_cycle`; `false` means a second flit tried
+    /// to cross the same link in the same cycle.
+    fn try_mark(&mut self, li: usize, st_cycle: u64) -> bool;
+    /// If another band owns `node`, hand it `ev()` at the next exchange
+    /// and return `true`; otherwise leave the event to the caller.
+    fn export(&mut self, node: NodeId, ev: impl FnOnce() -> BoundaryEvent) -> bool;
+}
+
+/// The 1-band seam. The band owns every node, so nothing is ever handed
+/// over and the single-cycle link-exclusivity guard is a plain
+/// two-plane bitset: one bit per link (indexed `node * 5 + dir`), one
+/// plane per ST-cycle parity.
 ///
 /// During `step(c)` launches stamp ST cycles `c` (NIC injections) and
 /// `c + 1` (router departures), so two cycles are in flight at once —
@@ -93,7 +155,7 @@ pub(crate) struct CreditPath {
 /// of the same parity, so steady-state cost scales with links *used*,
 /// not links present.
 #[derive(Debug)]
-struct LinkGuard {
+struct Solo {
     words: [Vec<u64>; 2],
     /// The ST cycle each plane currently describes (`u64::MAX` = none).
     plane_cycle: [u64; 2],
@@ -101,18 +163,19 @@ struct LinkGuard {
     dirty: [Vec<u32>; 2],
 }
 
-impl LinkGuard {
+impl Solo {
     fn new(n_links: usize) -> Self {
         let words = n_links.div_ceil(64);
-        LinkGuard {
+        Solo {
             words: [vec![0; words], vec![0; words]],
             plane_cycle: [u64::MAX, u64::MAX],
             dirty: [Vec::new(), Vec::new()],
         }
     }
+}
 
-    /// Claim link `li` for `st_cycle`; `false` means a second flit tried
-    /// to cross the same link in the same cycle.
+impl Seam for Solo {
+    #[inline]
     fn try_mark(&mut self, li: usize, st_cycle: u64) -> bool {
         let p = (st_cycle & 1) as usize;
         if self.plane_cycle[p] != st_cycle {
@@ -133,58 +196,66 @@ impl LinkGuard {
         *word |= bit;
         true
     }
+
+    #[inline]
+    fn export(&mut self, _node: NodeId, _ev: impl FnOnce() -> BoundaryEvent) -> bool {
+        false
+    }
 }
 
-/// Everything in flight between routers: the arrival/credit event rings
-/// and the dense per-link occupancy arrays. Grouped so the launch path
-/// can borrow it independently of the route tables.
-#[derive(Debug)]
-struct Flight {
-    arrivals: Vec<Vec<(Endpoint, Flit)>>,
-    credit_ring: Vec<Vec<(Sender, VcId)>>,
-    /// Arrivals scheduled but not yet applied (quiescence check).
-    scheduled_arrivals: usize,
-    /// Single-cycle exclusivity bitset.
-    link_guard: LinkGuard,
-    /// Flits carried per link since the last counter reset, indexed
-    /// `node * 5 + dir`.
-    link_flits: Vec<u64>,
+/// What a run advances until.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Goal {
+    /// Exactly this many cycles.
+    Fixed(u64),
+    /// Until quiescent, at most this many cycles.
+    Drain(u64),
 }
 
-/// The simulated network: the router bank + NICs + in-flight events.
+/// One row band: the routers, NICs and in-flight events of a contiguous
+/// node range, plus its own accounting. A band is stepped by exactly
+/// one thread; whatever leaves it goes through the [`Seam`].
 #[derive(Debug)]
-pub struct Network {
-    cfg: SimConfig,
-    flows: FlowTable,
-    /// Dense leg lookup compiled from `flows` at build time.
-    lut: LegLut,
+pub(crate) struct Band {
+    /// First node of the band (rows are contiguous in node numbering).
+    pub(crate) start: u16,
     bank: RouterBank,
     nics: Vec<Nic>,
     /// Metadata of every live packet; flits carry an arena slot instead
     /// of the per-packet fields.
     arena: PacketArena,
+    /// Packets currently traversing this band whose metadata arrived
+    /// with a head flit from another band: stable id → local slot.
+    xfer: HashMap<PacketId, PacketSlot>,
     /// Credit reverse paths for stop endpoints, indexed
-    /// `router * 5 + in_dir`.
+    /// `local_router * 5 + in_dir`.
     stop_credit: Vec<Option<CreditPath>>,
-    /// Credit reverse paths for NIC endpoints, indexed by node.
+    /// Credit reverse paths for NIC endpoints, by local node index.
     nic_credit: Vec<Option<CreditPath>>,
-    flight: Flight,
-    cycle: u64,
-    counters: ActivityCounters,
-    stats: SimStats,
+    arrivals: Vec<Vec<(Endpoint, Flit)>>,
+    credit_ring: Vec<Vec<(Sender, VcId)>>,
+    /// Arrivals scheduled but not yet applied (quiescence check).
+    scheduled_arrivals: usize,
+    /// Flits carried per link since the last counter reset, indexed
+    /// `node * 5 + dir` over the *full* fabric: a SMART leg launched
+    /// here may cross links in any band.
+    pub(crate) link_flits: Vec<u64>,
+    pub(crate) counters: ActivityCounters,
+    pub(crate) stats: SimStats,
     stats_from: u64,
     enabled_ports: u64,
     total_ports: u64,
     tracer: Option<Tracer>,
-    /// Windowed metrics collector; `None` selects the [`NoProbe`] step,
-    /// whose hooks the optimizer deletes (telemetry off is free).
+    /// Windowed metrics collector, sized for the full fabric (probe
+    /// events carry global indices); `None` selects the [`NoProbe`]
+    /// step, whose hooks the optimizer deletes (telemetry off is free).
     telemetry: Option<Box<MetricsCollector>>,
-    /// NICs with a nonzero injection backlog, ascending — the only
-    /// NICs the per-cycle injection scan visits. Kept sorted so the
-    /// scan order (and therefore every downstream event order) matches
-    /// a full 0..n sweep exactly.
+    /// NICs with a nonzero injection backlog by *global* node id,
+    /// ascending — the only NICs the per-cycle injection scan visits.
+    /// Kept sorted so the scan order (and therefore every downstream
+    /// event order) matches a full sweep exactly.
     active_nics: Vec<u32>,
-    /// Membership mask for `active_nics`, indexed by node.
+    /// Membership mask for `active_nics`, by local node index.
     nic_active: Vec<bool>,
     /// Per-cycle scratch, reused so the steady state allocates nothing.
     arrival_scratch: Vec<(Endpoint, Flit)>,
@@ -193,87 +264,33 @@ pub struct Network {
     rel_scratch: Vec<CreditRelease>,
 }
 
-impl Network {
-    /// Build a network for `flows` under `cfg`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration or the flow plans are inconsistent
-    /// (see [`FlowTable::sender_endpoints`]).
-    #[must_use]
-    pub fn new(cfg: SimConfig, flows: FlowTable) -> Self {
-        cfg.validate();
-        let n = cfg.topology.len();
-        let mut bank = RouterBank::new(n, cfg.vcs_per_port, cfg.vc_depth);
-        let nics: Vec<Nic> = cfg
-            .topology
-            .nodes()
-            .map(|id| Nic::new(id, cfg.vcs_per_port))
-            .collect();
-
-        // Preset-driven port enables + credit reverse-path tables. The
-        // sender/endpoint pairing invariant is checked up front.
-        let _ = flows.sender_endpoints();
-        let mut stop_credit = vec![None; n * PORTS];
-        let mut nic_credit = vec![None; n];
-        for plan in flows.iter() {
-            for leg in &plan.legs {
-                if let Sender::RouterOutput(r, d) = leg.sender {
-                    bank.enable_output(r.0 as usize, d);
-                }
-                for link in &leg.links {
-                    bank.enable_output(link.from.0 as usize, link.dir);
-                    let to = cfg
-                        .topology
-                        .neighbor(link.from, link.dir)
-                        .unwrap_or_else(|| panic!("{link} leaves the fabric"));
-                    bank.enable_input(to.0 as usize, link.dir.opposite());
-                }
-                let path = Some(CreditPath {
-                    sender: leg.sender,
-                    crossbars: leg.crossbars(),
-                    mm: leg.link_mm(),
-                });
-                match leg.end {
-                    Endpoint::Stop { router, in_dir } => {
-                        bank.enable_input(router.0 as usize, in_dir);
-                        stop_credit[router.0 as usize * PORTS + in_dir.index()] = path;
-                    }
-                    Endpoint::Nic { node } => nic_credit[node.0 as usize] = path,
-                }
-            }
-        }
-
-        let enabled_ports: u64 = (0..n).map(|r| bank.enabled_ports(r) as u64).sum();
-        let total_ports = (n * 10) as u64; // 5 in + 5 out per router
-        let lut = LegLut::new(&flows);
-
-        Network {
-            cfg,
-            flows,
-            lut,
+impl Band {
+    fn new(cfg: SimConfig, start: usize, len: usize) -> Self {
+        let mut bank = RouterBank::new(len, cfg.vcs_per_port, cfg.vc_depth);
+        bank.set_base_node(NodeId(start as u16));
+        Band {
+            start: start as u16,
             bank,
-            nics,
+            nics: (start..start + len)
+                .map(|i| Nic::new(NodeId(i as u16), cfg.vcs_per_port))
+                .collect(),
             arena: PacketArena::new(),
-            stop_credit,
-            nic_credit,
-            flight: Flight {
-                arrivals: vec![Vec::new(); RING],
-                credit_ring: vec![Vec::new(); RING],
-                scheduled_arrivals: 0,
-                link_guard: LinkGuard::new(n * PORTS),
-                link_flits: vec![0; n * PORTS],
-            },
-            cycle: 0,
+            xfer: HashMap::new(),
+            stop_credit: vec![None; len * PORTS],
+            nic_credit: vec![None; len],
+            arrivals: vec![Vec::new(); RING],
+            credit_ring: vec![Vec::new(); RING],
+            scheduled_arrivals: 0,
+            link_flits: vec![0; cfg.topology.len() * PORTS],
             counters: ActivityCounters::new(),
             stats: SimStats::new(),
             stats_from: 0,
-            enabled_ports,
-            total_ports,
+            enabled_ports: 0,
+            total_ports: (len * 10) as u64, // 5 in + 5 out per router
             tracer: None,
             telemetry: None,
             active_nics: Vec::new(),
-            nic_active: vec![false; n],
+            nic_active: vec![false; len],
             arrival_scratch: Vec::new(),
             credit_scratch: Vec::new(),
             dep_scratch: Vec::new(),
@@ -281,40 +298,559 @@ impl Network {
         }
     }
 
-    /// Record micro-architectural events (up to `capacity` of them) for
-    /// journey logs, VCD dumps and counter cross-validation.
-    pub fn enable_tracing(&mut self, capacity: usize) {
-        self.tracer = Some(Tracer::with_capacity(capacity));
+    fn local(&self, n: NodeId) -> usize {
+        debug_assert!(n.0 >= self.start, "{n} is not in this band");
+        usize::from(n.0 - self.start)
     }
 
-    /// The tracer, if tracing is enabled.
-    #[must_use]
-    pub fn tracer(&self) -> Option<&Tracer> {
-        self.tracer.as_ref()
-    }
-
-    /// Start collecting windowed telemetry (see [`crate::telemetry`]).
-    /// Windows are measured from the current cycle; per-link deltas are
-    /// measured from the current cumulative counts. Replaces any
-    /// collector already attached.
-    pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
-        let n = self.cfg.topology.len();
-        let mut collector = Box::new(MetricsCollector::attach(cfg, n, n * PORTS, self.cycle));
-        collector.seed_links(&self.flight.link_flits);
-        self.telemetry = Some(collector);
-    }
-
-    /// Detach the telemetry collector, flushing the trailing partial
-    /// window. `None` if telemetry was never enabled.
-    pub fn take_telemetry(&mut self) -> Option<TelemetrySeries> {
-        let collector = self.telemetry.take()?;
-        Some(collector.finish(&CycleView {
-            cycle: self.cycle,
+    /// This band's view of the fabric at the end of `cycle`.
+    fn view(&self, cycle: u64) -> CycleView<'_> {
+        CycleView {
+            cycle,
             injected: self.counters.packets_injected,
             delivered: self.counters.packets_delivered,
             buffered: self.bank.total_buffered(),
-            link_flits: &self.flight.link_flits,
-        }))
+            link_flits: &self.link_flits,
+        }
+    }
+
+    /// Queue a generated packet at its source NIC, interning its
+    /// metadata into the packet arena.
+    pub(crate) fn offer(&mut self, packet: Packet, flows: &FlowTable, topo: Topology) {
+        let plan = flows.plan(packet.flow);
+        assert_eq!(packet.src, plan.route.source(), "packet src mismatch");
+        assert_eq!(
+            packet.dst,
+            plan.route.destination(topo),
+            "packet dst mismatch"
+        );
+        let l = self.local(packet.src);
+        let slot = self.arena.intern(&packet);
+        self.nics[l].offer(slot, self.arena.get(slot));
+        if !self.nic_active[l] {
+            self.nic_active[l] = true;
+            let g = u32::from(packet.src.0);
+            let pos = self
+                .active_nics
+                .binary_search(&g)
+                .expect_err("mask says absent");
+            self.active_nics.insert(pos, g);
+        }
+    }
+
+    /// Advance this band through cycle `c`.
+    pub(crate) fn step<S: Seam>(&mut self, c: u64, lut: &LegLut, seam: &mut S) {
+        // Monomorphized probe dispatch: the collector is moved out for
+        // the duration of the step (a pointer move), selecting the
+        // telemetry instantiation; without one the `NoProbe` step runs —
+        // the exact pre-telemetry hot path after const folding.
+        if let Some(mut t) = self.telemetry.take() {
+            self.step_probed(c, lut, &mut *t, seam);
+            self.telemetry = Some(t);
+        } else {
+            self.step_probed(c, lut, &mut NoProbe, seam);
+        }
+    }
+
+    fn step_probed<P: Probe, S: Seam>(
+        &mut self,
+        c: u64,
+        lut: &LegLut,
+        probe: &mut P,
+        seam: &mut S,
+    ) {
+        let slot = (c % RING as u64) as usize;
+
+        // 1. Credits landing this cycle (swapped out through the scratch
+        // buffer so ring-slot capacity is reused, not reallocated).
+        let mut credits = std::mem::take(&mut self.credit_scratch);
+        std::mem::swap(&mut credits, &mut self.credit_ring[slot]);
+        for (sender, vc) in credits.drain(..) {
+            let l = self.local(sender.node());
+            match sender {
+                Sender::Nic(_) => self.nics[l].credit(vc),
+                Sender::RouterOutput(_, d) => self.bank.credit(l, d, vc),
+            }
+        }
+        self.credit_scratch = credits;
+
+        // 2. Flit arrivals (scheduled for end of cycle c-1).
+        let mut arrivals = std::mem::take(&mut self.arrival_scratch);
+        std::mem::swap(&mut arrivals, &mut self.arrivals[slot]);
+        self.scheduled_arrivals -= arrivals.len();
+        for (end, flit) in arrivals.drain(..) {
+            let l = self.local(end.node());
+            match end {
+                Endpoint::Stop { router, in_dir } => {
+                    if let Some(t) = self.tracer.as_mut() {
+                        t.record(TraceRecord {
+                            cycle: c.saturating_sub(1),
+                            flow: flit.flow,
+                            packet: self.arena.get(flit.pkt).id,
+                            kind: TraceKind::BufferWrite { router, in_dir },
+                        });
+                    }
+                    self.bank
+                        .receive(l, in_dir, flit, c.saturating_sub(1), &mut self.counters);
+                }
+                Endpoint::Nic { node } => {
+                    let arrival_cycle = c - 1;
+                    let meta = *self.arena.get(flit.pkt);
+                    if let Some(t) = self.tracer.as_mut() {
+                        t.record(TraceRecord {
+                            cycle: arrival_cycle,
+                            flow: flit.flow,
+                            packet: meta.id,
+                            kind: TraceKind::Deliver {
+                                node,
+                                head: flit.is_head(),
+                                tail: flit.is_tail(),
+                            },
+                        });
+                    }
+                    let events =
+                        self.nics[l].receive(flit, &meta, arrival_cycle, &mut self.counters);
+                    if let Some(RxEvent::Head(flow, lat, srcq)) = events.head {
+                        if meta.gen_cycle >= self.stats_from {
+                            self.stats.record_head(flow, lat, srcq);
+                        }
+                    }
+                    if let Some(RxEvent::Tail(flow, lat, vc)) = events.tail {
+                        if meta.gen_cycle >= self.stats_from {
+                            self.stats.record_tail(flow, lat);
+                        }
+                        // Credit for the freed NIC reception VC.
+                        let path = self.nic_credit[l]
+                            .unwrap_or_else(|| panic!("no sender tracks endpoint {end:?}"));
+                        self.emit_credit(path, vc, c + 1, seam);
+                        // Whole packet delivered: its metadata slot can
+                        // be recycled.
+                        self.arena.release(flit.pkt);
+                    }
+                }
+            }
+        }
+        self.arrival_scratch = arrivals;
+
+        // 3. NIC injection, scanning only the active set (NICs with a
+        // backlog). A NIC whose backlog empties retires from the set in
+        // place; the compaction preserves ascending order, so the event
+        // stream is bit-identical to a full sweep. Skipped idle NICs
+        // would have returned `None` without touching any state.
+        let mut kept = 0;
+        for k in 0..self.active_nics.len() {
+            let g = self.active_nics[k] as usize;
+            let l = g - usize::from(self.start);
+            if let Some(flit) = self.nics[l].try_inject(&mut self.arena, c, &mut self.counters) {
+                let leg = lut.first_leg_idx(flit.flow);
+                debug_assert!(matches!(lut.rec(leg).sender, Sender::Nic(n) if n.0 as usize == g));
+                self.launch(lut, leg, flit, c, probe, seam);
+            }
+            if self.nics[l].backlog() > 0 {
+                self.active_nics[kept] = self.active_nics[k];
+                kept += 1;
+            } else {
+                self.nic_active[l] = false;
+            }
+        }
+        self.active_nics.truncate(kept);
+
+        // 4. Switch allocation; ST happens during c + 1. Routers with
+        // nothing buffered are skipped without touching their state.
+        // The allocation sweep touches only bank state; departures and
+        // credit releases batch across routers into reused scratch
+        // vectors and replay afterwards in the same ascending-router
+        // order the per-router drains used, so each ring receives an
+        // identical push sequence.
+        let mut deps = std::mem::take(&mut self.dep_scratch);
+        let mut rels = std::mem::take(&mut self.rel_scratch);
+        deps.clear();
+        rels.clear();
+        for r in 0..self.bank.len() {
+            if self.bank.is_drained(r) {
+                continue;
+            }
+            let node = NodeId(self.start + r as u16);
+            self.bank.allocate(
+                r,
+                c,
+                |flow| {
+                    let leg = lut.leg_idx_from(flow, node);
+                    (lut.rec(leg).out_dir, leg)
+                },
+                &mut self.counters,
+                &mut deps,
+                &mut rels,
+                probe,
+            );
+        }
+        for dep in deps.drain(..) {
+            assert_eq!(
+                lut.rec(dep.leg).out_dir,
+                dep.out_dir,
+                "plan/grant mismatch on leg {}",
+                dep.leg
+            );
+            self.launch(lut, dep.leg, dep.flit, c + 1, probe, seam);
+        }
+        for rel in rels.drain(..) {
+            // Tail departs the buffer during c+1; the credit crosses
+            // the reverse mesh during c+2 and is usable at c+3.
+            let r = usize::from(rel.router);
+            let path = self.stop_credit[r * PORTS + rel.in_dir.index()].unwrap_or_else(|| {
+                panic!(
+                    "no sender tracks endpoint {}/{}",
+                    NodeId(self.start + rel.router),
+                    rel.in_dir
+                )
+            });
+            self.emit_credit(path, rel.vc, c + 3, seam);
+        }
+        self.dep_scratch = deps;
+        self.rel_scratch = rels;
+
+        // 5. Gating + cycle accounting (band-local port counts).
+        self.counters.active_port_cycles += self.enabled_ports;
+        self.counters.gated_port_cycles += self.total_ports - self.enabled_ports;
+        self.counters.cycles += 1;
+        if P::ENABLED {
+            // Bands advance in lockstep, so every band's windows close
+            // at the same cycles — the merge precondition.
+            probe.on_cycle_end(&self.view(c + 1));
+        }
+    }
+
+    /// Launch `flit` onto `leg`, with ST (and the whole link traversal)
+    /// occurring during `st_cycle`.
+    fn launch<P: Probe, S: Seam>(
+        &mut self,
+        lut: &LegLut,
+        leg: u32,
+        flit: Flit,
+        st_cycle: u64,
+        probe: &mut P,
+        seam: &mut S,
+    ) {
+        let rec = *lut.rec(leg);
+        // Single-cycle link exclusivity (the preset invariant), enforced
+        // through the seam's guard over precomputed dense link indices.
+        for &li in lut.rec_links(&rec) {
+            let li = li as usize;
+            assert!(
+                seam.try_mark(li, st_cycle),
+                "two flits on {} in cycle {st_cycle}: preset violation",
+                link_of(li)
+            );
+            self.link_flits[li] += 1;
+        }
+        self.counters.xbar_flit_traversals += u64::from(rec.crossbars);
+        self.counters.link_flit_mm += rec.mm;
+        if rec.cycles == 2 {
+            self.counters.pipeline_reg_writes += 1;
+        }
+        if P::ENABLED {
+            // Achieved bypass length: links this leg crosses in one cycle.
+            probe.on_launch(rec.n_links);
+        }
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(TraceRecord {
+                cycle: st_cycle,
+                flow: flit.flow,
+                packet: self.arena.get(flit.pkt).id,
+                kind: TraceKind::Launch {
+                    from: rec.sender.node(),
+                    links: rec.n_links,
+                    crossbars: rec.crossbars as u8,
+                    mm: rec.mm,
+                },
+            });
+        }
+        let arrival = st_cycle + u64::from(rec.cycles) - 1;
+        let arena = &self.arena;
+        let exported = seam.export(rec.end.node(), || BoundaryEvent::Arrival {
+            end: rec.end,
+            flit,
+            meta: *arena.get(flit.pkt),
+            arrival,
+        });
+        if !exported {
+            self.schedule_arrival(rec.end, flit, arrival);
+        } else if flit.is_tail() {
+            // Last local reference: flits traverse in order, so every
+            // earlier flit of this packet has already left.
+            self.arena.release(flit.pkt);
+        }
+    }
+
+    fn schedule_arrival(&mut self, end: Endpoint, flit: Flit, arrival: u64) {
+        let slot = ((arrival + 1) % RING as u64) as usize;
+        self.arrivals[slot].push((end, flit));
+        self.scheduled_arrivals += 1;
+    }
+
+    /// Schedule the credit for a freed VC back along `path` to its
+    /// sender, usable at `apply`.
+    fn emit_credit<S: Seam>(&mut self, path: CreditPath, vc: VcId, apply: u64, seam: &mut S) {
+        self.counters.xbar_credit_traversals += u64::from(path.crossbars);
+        self.counters.link_credit_mm += path.mm;
+        if let Some(t) = self.tracer.as_mut() {
+            t.record(TraceRecord {
+                cycle: apply.saturating_sub(2),
+                flow: crate::flit::FlowId(u32::MAX),
+                packet: PacketId(u64::MAX),
+                kind: TraceKind::Credit {
+                    crossbars: path.crossbars as u8,
+                    mm: path.mm,
+                },
+            });
+        }
+        let (sender, ring) = (path.sender, &mut self.credit_ring);
+        if !seam.export(sender.node(), || BoundaryEvent::Credit {
+            sender,
+            vc,
+            apply,
+        }) {
+            ring[(apply % RING as u64) as usize].push((sender, vc));
+        }
+    }
+
+    /// Schedule the events another band sent here. Heads re-intern
+    /// their metadata (preserving the injection timestamp); bodies and
+    /// tails resolve the local slot through the transfer map.
+    pub(crate) fn transfer_in(&mut self, events: &mut Vec<BoundaryEvent>) {
+        for ev in events.drain(..) {
+            match ev {
+                BoundaryEvent::Credit { sender, vc, apply } => {
+                    self.credit_ring[(apply % RING as u64) as usize].push((sender, vc));
+                }
+                BoundaryEvent::Arrival {
+                    end,
+                    mut flit,
+                    meta,
+                    arrival,
+                } => {
+                    flit.pkt = if flit.is_head() {
+                        let slot = self.arena.intern_meta(meta);
+                        if !flit.is_tail() {
+                            let prev = self.xfer.insert(meta.id, slot);
+                            debug_assert!(
+                                prev.is_none(),
+                                "packet {:?} re-entered a band mid-flight",
+                                meta.id
+                            );
+                        }
+                        slot
+                    } else if flit.is_tail() {
+                        self.xfer.remove(&meta.id).unwrap_or_else(|| {
+                            panic!("tail of {:?} crossed a band without its head", meta.id)
+                        })
+                    } else {
+                        *self.xfer.get(&meta.id).unwrap_or_else(|| {
+                            panic!("body of {:?} crossed a band without its head", meta.id)
+                        })
+                    };
+                    self.schedule_arrival(end, flit, arrival);
+                }
+            }
+        }
+    }
+
+    pub(crate) fn is_quiescent(&self) -> bool {
+        self.bank.total_buffered() == 0
+            && self.scheduled_arrivals == 0
+            && self.nics.iter().all(Nic::is_drained)
+    }
+}
+
+/// How the bands of a [`Network`] are coupled.
+#[derive(Debug)]
+enum Coupling {
+    /// One band stepped inline on the caller's thread.
+    Solo(Solo),
+    /// Two or more bands on scoped threads, coupled by a per-cycle
+    /// boundary exchange.
+    Banded(Box<Exchange>),
+}
+
+/// The simulated network: row bands of routers + NICs + in-flight
+/// events, stepped by one cycle loop. [`Network::new`] builds the
+/// single-band engine; [`Network::banded`] splits the same simulation
+/// across threads with bit-identical results (see [`crate::shard`]).
+#[derive(Debug)]
+pub struct Network {
+    cfg: SimConfig,
+    flows: FlowTable,
+    /// Dense leg lookup compiled from `flows` at build time.
+    lut: LegLut,
+    /// Ascending, contiguous, covering every node.
+    bands: Vec<Band>,
+    coupling: Coupling,
+    cycle: u64,
+}
+
+impl Network {
+    /// Build a single-band network for `flows` under `cfg`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration or the flow plans are inconsistent
+    /// (see [`FlowTable::sender_endpoints`]).
+    #[must_use]
+    pub fn new(cfg: SimConfig, flows: FlowTable) -> Self {
+        Network::banded(cfg, flows, 1)
+    }
+
+    /// Build a network split into `bands` horizontal row bands, each
+    /// stepped by its own thread (band `s` of `k` owns rows
+    /// `[s·h/k, (s+1)·h/k)`). Mesh and torus are handled uniformly: a
+    /// torus wrap link is just another link whose endpoint owner is
+    /// looked up per node. `bands` is clamped to `1..=min(height, 255)`
+    /// — every band owns at least one row — so `0` and `1` both mean the
+    /// single-band engine. Purely an execution strategy: results are
+    /// bit-identical at every band count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configuration or the flow plans are inconsistent
+    /// (see [`FlowTable::sender_endpoints`]).
+    #[must_use]
+    pub fn banded(cfg: SimConfig, flows: FlowTable, bands: usize) -> Self {
+        cfg.validate();
+        let topo = cfg.topology;
+        let (w, h) = (topo.width() as usize, topo.height() as usize);
+        let k = bands.clamp(1, h.min(MAX_BANDS));
+        // Rows are contiguous node ranges, so band s is the node range
+        // [row_lo * w, row_hi * w).
+        let band_start = |s: usize| s * h / k * w;
+        let mut bands: Vec<Band> = (0..k)
+            .map(|s| Band::new(cfg, band_start(s), band_start(s + 1) - band_start(s)))
+            .collect();
+
+        // Preset-driven port enables + credit reverse-path tables, each
+        // dispatched to the band owning the touched node. The
+        // sender/endpoint pairing invariant is checked up front.
+        let _ = flows.sender_endpoints();
+        let owning = |bands: &mut [Band], n: NodeId| {
+            let b = bands.partition_point(|b| b.start <= n.0) - 1;
+            (b, bands[b].local(n))
+        };
+        for plan in flows.iter() {
+            for leg in &plan.legs {
+                if let Sender::RouterOutput(r, d) = leg.sender {
+                    let (b, l) = owning(&mut bands, r);
+                    bands[b].bank.enable_output(l, d);
+                }
+                for link in &leg.links {
+                    let (b, l) = owning(&mut bands, link.from);
+                    bands[b].bank.enable_output(l, link.dir);
+                    let to = topo
+                        .neighbor(link.from, link.dir)
+                        .unwrap_or_else(|| panic!("{link} leaves the fabric"));
+                    let (b, l) = owning(&mut bands, to);
+                    bands[b].bank.enable_input(l, link.dir.opposite());
+                }
+                let path = Some(CreditPath {
+                    sender: leg.sender,
+                    crossbars: leg.crossbars(),
+                    mm: leg.link_mm(),
+                });
+                let (b, l) = owning(&mut bands, leg.end.node());
+                match leg.end {
+                    Endpoint::Stop { in_dir, .. } => {
+                        bands[b].bank.enable_input(l, in_dir);
+                        bands[b].stop_credit[l * PORTS + in_dir.index()] = path;
+                    }
+                    Endpoint::Nic { .. } => bands[b].nic_credit[l] = path,
+                }
+            }
+        }
+        for band in &mut bands {
+            band.enabled_ports = (0..band.bank.len())
+                .map(|r| band.bank.enabled_ports(r) as u64)
+                .sum();
+        }
+
+        let coupling = if k == 1 {
+            Coupling::Solo(Solo::new(topo.len() * PORTS))
+        } else {
+            Coupling::Banded(Box::new(Exchange::new(&bands, topo.len())))
+        };
+        Network {
+            lut: LegLut::new(&flows),
+            cfg,
+            flows,
+            bands,
+            coupling,
+            cycle: 0,
+        }
+    }
+
+    /// Number of row bands (1 = stepped inline, no threads).
+    #[must_use]
+    pub fn bands(&self) -> usize {
+        self.bands.len()
+    }
+
+    /// The boundary exchange, when there is more than one band.
+    fn exchange(&self) -> Option<&Exchange> {
+        match &self.coupling {
+            Coupling::Solo(_) => None,
+            Coupling::Banded(x) => Some(x),
+        }
+    }
+
+    /// Record micro-architectural events for journey logs, VCD dumps and
+    /// counter cross-validation. Every band records its own events, so
+    /// `capacity` applies per band.
+    pub fn enable_tracing(&mut self, capacity: usize) {
+        for band in &mut self.bands {
+            band.tracer = Some(Tracer::with_capacity(capacity));
+        }
+    }
+
+    /// The trace, if tracing is enabled. A single band's tracer is
+    /// borrowed as recorded; several bands' tracers are merged on read
+    /// (see [`Tracer::merge`]), so [`Tracer::dropped`] sums over bands.
+    #[must_use]
+    pub fn tracer(&self) -> Option<Cow<'_, Tracer>> {
+        let first = self.bands[0].tracer.as_ref()?;
+        Some(if self.bands.len() == 1 {
+            Cow::Borrowed(first)
+        } else {
+            let parts = self.bands.iter().filter_map(|b| b.tracer.as_ref());
+            Cow::Owned(Tracer::merge(parts))
+        })
+    }
+
+    /// Start collecting windowed telemetry (see [`crate::telemetry`]):
+    /// one full-fabric-sized collector per band, all windowed from the
+    /// current cycle, with per-link deltas measured from the current
+    /// cumulative counts. Probe events carry global indices and each
+    /// fires in exactly one band, so the merged series is the same at
+    /// every band count. Replaces any collector already attached.
+    pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
+        let n = self.cfg.topology.len();
+        for band in &mut self.bands {
+            let mut collector = Box::new(MetricsCollector::attach(cfg, n, n * PORTS, self.cycle));
+            collector.seed_links(&band.link_flits);
+            band.telemetry = Some(collector);
+        }
+    }
+
+    /// Detach the telemetry collector(s), flushing the trailing partial
+    /// window. `None` if telemetry was never enabled.
+    pub fn take_telemetry(&mut self) -> Option<TelemetrySeries> {
+        let cycle = self.cycle;
+        let mut series: Vec<TelemetrySeries> = self
+            .bands
+            .iter_mut()
+            .filter_map(|band| Some(band.telemetry.take()?.finish(&band.view(cycle))))
+            .collect();
+        match series.len() {
+            0 => None,
+            1 => series.pop(),
+            _ => Some(TelemetrySeries::merge(&series)),
+        }
     }
 
     /// The configuration in use.
@@ -344,27 +880,35 @@ impl Network {
     /// Activity counters accumulated since the last reset.
     #[must_use]
     pub fn counters(&self) -> &ActivityCounters {
-        &self.counters
+        self.exchange()
+            .map_or(&self.bands[0].counters, |x| &x.counters)
     }
 
     /// Latency statistics.
     #[must_use]
     pub fn stats(&self) -> &SimStats {
-        &self.stats
+        self.exchange().map_or(&self.bands[0].stats, |x| &x.stats)
     }
 
     /// Only packets *generated* at or after `cycle` contribute to
     /// latency statistics (warm-up exclusion).
     pub fn set_stats_from(&mut self, cycle: u64) {
-        self.stats_from = cycle;
+        for band in &mut self.bands {
+            band.stats_from = cycle;
+        }
     }
 
     /// Zero the activity counters (e.g. at the end of warm-up).
     pub fn reset_counters(&mut self) {
-        self.counters = ActivityCounters::new();
-        self.flight.link_flits.fill(0);
-        if let Some(t) = self.telemetry.as_mut() {
-            t.seed_links(&self.flight.link_flits);
+        for band in &mut self.bands {
+            band.counters = ActivityCounters::new();
+            band.link_flits.fill(0);
+            if let Some(t) = band.telemetry.as_mut() {
+                t.seed_links(&band.link_flits);
+            }
+        }
+        if let Coupling::Banded(x) = &mut self.coupling {
+            x.refresh_merged(&self.bands);
         }
     }
 
@@ -373,416 +917,94 @@ impl Network {
     /// engine's dense per-link array (no per-call allocation); links
     /// that carried nothing are skipped.
     pub fn link_flit_counts(&self) -> impl Iterator<Item = (LinkId, u64)> + '_ {
-        self.flight
-            .link_flits
+        self.exchange()
+            .map_or(&self.bands[0].link_flits, |x| &x.link_flits)
             .iter()
             .enumerate()
             .filter(|(_, n)| **n > 0)
-            .map(|(i, n)| {
-                (
-                    LinkId {
-                        from: NodeId((i / PORTS) as u16),
-                        dir: Direction::from_index(i % PORTS),
-                    },
-                    *n,
-                )
-            })
+            .map(|(i, n)| (link_of(i), *n))
     }
 
-    /// Queue a generated packet at its source NIC, interning its
-    /// metadata into the packet arena.
+    /// Queue a generated packet at its source NIC.
     ///
     /// # Panics
     ///
     /// Panics if the packet's flow is unknown or its src/dst disagree
     /// with the flow's route.
     pub fn offer(&mut self, packet: Packet) {
-        let plan = self.flows.plan(packet.flow);
-        assert_eq!(packet.src, plan.route.source(), "packet src mismatch");
-        assert_eq!(
-            packet.dst,
-            plan.route.destination(self.cfg.topology),
-            "packet dst mismatch"
-        );
-        let src = packet.src.0 as usize;
-        let slot = self.arena.intern(&packet);
-        self.nics[src].offer(slot, self.arena.get(slot));
-        if !self.nic_active[src] {
-            self.nic_active[src] = true;
-            let pos = self
-                .active_nics
-                .binary_search(&(src as u32))
-                .expect_err("mask says absent");
-            self.active_nics.insert(pos, src as u32);
-        }
+        let b = self.exchange().map_or(0, |x| x.owner(packet.src));
+        self.bands[b].offer(packet, &self.flows, self.cfg.topology);
     }
 
-    /// Advance one cycle.
+    /// Advance one cycle. With several bands this is a one-cycle
+    /// threaded session; prefer [`Network::run_with`] or
+    /// [`Network::drain`], which amortize the thread spawn over many
+    /// cycles.
     pub fn step(&mut self) {
-        // Monomorphized probe dispatch: the collector is moved out for
-        // the duration of the step (a pointer move), selecting the
-        // telemetry instantiation; without one the `NoProbe` step runs —
-        // the exact pre-telemetry hot path after const folding.
-        if let Some(mut t) = self.telemetry.take() {
-            self.step_probed(&mut *t);
-            self.telemetry = Some(t);
-        } else {
-            self.step_probed(&mut NoProbe);
-        }
-    }
-
-    fn step_probed<P: Probe>(&mut self, probe: &mut P) {
-        let c = self.cycle;
-        let slot = (c % RING as u64) as usize;
-
-        // 1. Credits landing this cycle (swapped out through the scratch
-        // buffer so ring-slot capacity is reused, not reallocated).
-        let mut credits = std::mem::take(&mut self.credit_scratch);
-        std::mem::swap(&mut credits, &mut self.flight.credit_ring[slot]);
-        for (sender, vc) in credits.drain(..) {
-            match sender {
-                Sender::Nic(n) => self.nics[n.0 as usize].credit(vc),
-                Sender::RouterOutput(r, d) => self.bank.credit(r.0 as usize, d, vc),
-            }
-        }
-        self.credit_scratch = credits;
-
-        // 2. Flit arrivals (scheduled for end of cycle c-1).
-        let mut arrivals = std::mem::take(&mut self.arrival_scratch);
-        std::mem::swap(&mut arrivals, &mut self.flight.arrivals[slot]);
-        self.flight.scheduled_arrivals -= arrivals.len();
-        for (end, flit) in arrivals.drain(..) {
-            match end {
-                Endpoint::Stop { router, in_dir } => {
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(TraceRecord {
-                            cycle: c.saturating_sub(1),
-                            flow: flit.flow,
-                            packet: self.arena.get(flit.pkt).id,
-                            kind: TraceKind::BufferWrite { router, in_dir },
-                        });
-                    }
-                    self.bank.receive(
-                        router.0 as usize,
-                        in_dir,
-                        flit,
-                        c.saturating_sub(1),
-                        &mut self.counters,
-                    );
-                }
-                Endpoint::Nic { node } => {
-                    let arrival_cycle = c - 1;
-                    let meta = *self.arena.get(flit.pkt);
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(TraceRecord {
-                            cycle: arrival_cycle,
-                            flow: flit.flow,
-                            packet: meta.id,
-                            kind: TraceKind::Deliver {
-                                node,
-                                head: flit.is_head(),
-                                tail: flit.is_tail(),
-                            },
-                        });
-                    }
-                    let events = self.nics[node.0 as usize].receive(
-                        flit,
-                        &meta,
-                        arrival_cycle,
-                        &mut self.counters,
-                    );
-                    if let Some(RxEvent::Head(flow, lat, srcq)) = events.head {
-                        if meta.gen_cycle >= self.stats_from {
-                            self.stats.record_head(flow, lat, srcq);
-                        }
-                    }
-                    if let Some(RxEvent::Tail(flow, lat, vc)) = events.tail {
-                        if meta.gen_cycle >= self.stats_from {
-                            self.stats.record_tail(flow, lat);
-                        }
-                        // Credit for the freed NIC reception VC.
-                        let path = self.nic_credit[node.0 as usize]
-                            .unwrap_or_else(|| panic!("no sender tracks endpoint {end:?}"));
-                        emit_credit(
-                            path,
-                            vc,
-                            c + 1,
-                            Sinks {
-                                flight: &mut self.flight,
-                                counters: &mut self.counters,
-                                tracer: &mut self.tracer,
-                            },
-                        );
-                        // Whole packet delivered: its metadata slot can
-                        // be recycled.
-                        self.arena.release(flit.pkt);
-                    }
-                }
-            }
-        }
-        self.arrival_scratch = arrivals;
-
-        // 3. NIC injection, scanning only the active set (NICs with a
-        // backlog). A NIC whose backlog empties retires from the set in
-        // place; the compaction preserves ascending order, so the event
-        // stream is bit-identical to a full 0..n sweep. Skipped idle
-        // NICs would have returned `None` without touching any state.
-        let mut kept = 0;
-        for k in 0..self.active_nics.len() {
-            let i = self.active_nics[k] as usize;
-            if let Some(flit) = self.nics[i].try_inject(&mut self.arena, c, &mut self.counters) {
-                let leg = self.lut.first_leg_idx(flit.flow);
-                debug_assert!(
-                    matches!(self.lut.rec(leg).sender, Sender::Nic(n) if n.0 as usize == i)
-                );
-                launch(
-                    &self.lut,
-                    &self.arena,
-                    leg,
-                    flit,
-                    c,
-                    Sinks {
-                        flight: &mut self.flight,
-                        counters: &mut self.counters,
-                        tracer: &mut self.tracer,
-                    },
-                    probe,
-                );
-            }
-            if self.nics[i].backlog() > 0 {
-                self.active_nics[kept] = self.active_nics[k];
-                kept += 1;
-            } else {
-                self.nic_active[i] = false;
-            }
-        }
-        self.active_nics.truncate(kept);
-
-        // 4. Switch allocation; ST happens during c + 1. Departures and
-        // credit releases land in reused scratch vectors, and routers
-        // with nothing buffered are skipped without touching their
-        // state.
-        // The allocation sweep touches only bank state; departures and
-        // credit releases batch across routers and replay afterwards in
-        // the same ascending-router order the per-router drains used, so
-        // each flight ring receives an identical push sequence.
-        let mut deps = std::mem::take(&mut self.dep_scratch);
-        let mut rels = std::mem::take(&mut self.rel_scratch);
-        deps.clear();
-        rels.clear();
-        for r in 0..self.bank.len() {
-            if self.bank.is_drained(r) {
-                continue;
-            }
-            let node = NodeId(r as u16);
-            let lut = &self.lut;
-            self.bank.allocate(
-                r,
-                c,
-                |flow| {
-                    let leg = lut.leg_idx_from(flow, node);
-                    (lut.rec(leg).out_dir, leg)
-                },
-                &mut self.counters,
-                &mut deps,
-                &mut rels,
-                probe,
-            );
-        }
-        for dep in deps.drain(..) {
-            let rec = self.lut.rec(dep.leg);
-            assert_eq!(
-                rec.out_dir, dep.out_dir,
-                "plan/grant mismatch on leg {}",
-                dep.leg
-            );
-            launch(
-                &self.lut,
-                &self.arena,
-                dep.leg,
-                dep.flit,
-                c + 1,
-                Sinks {
-                    flight: &mut self.flight,
-                    counters: &mut self.counters,
-                    tracer: &mut self.tracer,
-                },
-                probe,
-            );
-        }
-        for rel in rels.drain(..) {
-            // Tail departs the buffer during c+1; the credit crosses
-            // the reverse mesh during c+2 and is usable at c+3.
-            let r = usize::from(rel.router);
-            let path = self.stop_credit[r * PORTS + rel.in_dir.index()].unwrap_or_else(|| {
-                panic!(
-                    "no sender tracks endpoint {}/{}",
-                    NodeId(rel.router),
-                    rel.in_dir
-                )
-            });
-            emit_credit(
-                path,
-                rel.vc,
-                c + 3,
-                Sinks {
-                    flight: &mut self.flight,
-                    counters: &mut self.counters,
-                    tracer: &mut self.tracer,
-                },
-            );
-        }
-        self.dep_scratch = deps;
-        self.rel_scratch = rels;
-
-        // 5. Gating + cycle accounting.
-        self.counters.active_port_cycles += self.enabled_ports;
-        self.counters.gated_port_cycles += self.total_ports - self.enabled_ports;
-        self.counters.cycles += 1;
-        self.cycle += 1;
-        if P::ENABLED {
-            probe.on_cycle_end(&CycleView {
-                cycle: self.cycle,
-                injected: self.counters.packets_injected,
-                delivered: self.counters.packets_delivered,
-                buffered: self.bank.total_buffered(),
-                link_flits: &self.flight.link_flits,
-            });
-        }
+        self.run(None, Goal::Fixed(1));
     }
 
     /// Run `cycles` cycles, pulling packets from `traffic` each cycle.
+    /// Traffic generation stays on the calling thread, so one RNG
+    /// stream is consumed in the same order at every band count.
     pub fn run_with(&mut self, traffic: &mut dyn TrafficSource, cycles: u64) {
-        for _ in 0..cycles {
-            let pkts = traffic.generate(self.cycle);
-            for p in pkts {
-                self.offer(p);
-            }
-            self.step();
-        }
+        self.run(Some(traffic), Goal::Fixed(cycles));
     }
 
     /// `true` when no packet is queued, buffered, or in flight anywhere.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.bank.total_buffered() == 0
-            && self.flight.scheduled_arrivals == 0
-            && self.nics.iter().all(Nic::is_drained)
+        self.bands.iter().all(Band::is_quiescent)
     }
 
     /// Step until quiescent, up to `max_cycles`. Returns `true` if the
     /// network drained (the precondition for reconfiguration, Section V).
     pub fn drain(&mut self, max_cycles: u64) -> bool {
-        for _ in 0..max_cycles {
-            if self.is_quiescent() {
-                return true;
-            }
-            self.step();
-        }
+        self.run(None, Goal::Drain(max_cycles));
         self.is_quiescent()
     }
 
     /// Injection backlog across all NICs.
     #[must_use]
     pub fn total_backlog(&self) -> usize {
-        self.nics.iter().map(Nic::backlog).sum()
+        self.bands
+            .iter()
+            .flat_map(|band| &band.nics)
+            .map(Nic::backlog)
+            .sum()
     }
-}
 
-/// The engine's mutable in-flight sinks — everything a launch or a
-/// credit emission writes into — split from `Network` so callers can
-/// keep borrowing the route tables a `leg` reference lives in.
-struct Sinks<'a> {
-    flight: &'a mut Flight,
-    counters: &'a mut ActivityCounters,
-    tracer: &'a mut Option<Tracer>,
-}
-
-/// Launch `flit` onto `leg`, with ST (and the whole link traversal)
-/// occurring during `st_cycle`.
-fn launch<P: Probe>(
-    lut: &LegLut,
-    arena: &PacketArena,
-    leg: u32,
-    flit: Flit,
-    st_cycle: u64,
-    s: Sinks<'_>,
-    probe: &mut P,
-) {
-    let Sinks {
-        flight,
-        counters,
-        tracer,
-    } = s;
-    let rec = *lut.rec(leg);
-    // Single-cycle link exclusivity (the preset invariant), enforced by
-    // the two-plane guard bitset over precomputed dense link indices.
-    for &li in lut.rec_links(&rec) {
-        let li = li as usize;
-        assert!(
-            flight.link_guard.try_mark(li, st_cycle),
-            "two flits on {} in cycle {st_cycle}: preset violation",
-            LinkId {
-                from: NodeId((li / PORTS) as u16),
-                dir: Direction::from_index(li % PORTS),
+    /// The one driver behind `step`/`run_with`/`drain`: a solo band is
+    /// stepped inline; several bands run as a threaded session.
+    fn run(&mut self, mut traffic: Option<&mut dyn TrafficSource>, goal: Goal) {
+        let topo = self.cfg.topology;
+        let seam = match &mut self.coupling {
+            Coupling::Solo(seam) => seam,
+            Coupling::Banded(x) => {
+                let (bands, cycle) = (&mut self.bands[..], &mut self.cycle);
+                return x.run_session(bands, &self.lut, &self.flows, topo, cycle, traffic, goal);
             }
-        );
-        flight.link_flits[li] += 1;
-    }
-    counters.xbar_flit_traversals += u64::from(rec.crossbars);
-    counters.link_flit_mm += rec.mm;
-    if rec.cycles == 2 {
-        counters.pipeline_reg_writes += 1;
-    }
-    if P::ENABLED {
-        // Achieved bypass length: links this leg crosses in one cycle.
-        probe.on_launch(rec.n_links);
-    }
-    if let Some(t) = tracer.as_mut() {
-        let from = match rec.sender {
-            Sender::Nic(n) | Sender::RouterOutput(n, _) => n,
         };
-        t.record(TraceRecord {
-            cycle: st_cycle,
-            flow: flit.flow,
-            packet: arena.get(flit.pkt).id,
-            kind: TraceKind::Launch {
-                from,
-                links: rec.n_links,
-                crossbars: rec.crossbars as u8,
-                mm: rec.mm,
-            },
-        });
+        let band = &mut self.bands[0];
+        let mut ran = 0;
+        loop {
+            let done = match goal {
+                Goal::Fixed(n) => ran == n,
+                Goal::Drain(max) => ran == max || band.is_quiescent(),
+            };
+            if done {
+                return;
+            }
+            if let Some(t) = traffic.as_deref_mut() {
+                for p in t.generate(self.cycle) {
+                    band.offer(p, &self.flows, topo);
+                }
+            }
+            band.step(self.cycle, &self.lut, seam);
+            self.cycle += 1;
+            ran += 1;
+        }
     }
-    let arrival = st_cycle + u64::from(rec.cycles) - 1;
-    let slot = ((arrival + 1) % RING as u64) as usize;
-    flight.arrivals[slot].push((rec.end, flit));
-    flight.scheduled_arrivals += 1;
-}
-
-/// Schedule the credit for a freed VC back along `path` to its sender,
-/// usable at `apply_cycle`.
-fn emit_credit(path: CreditPath, vc: VcId, apply_cycle: u64, s: Sinks<'_>) {
-    let Sinks {
-        flight,
-        counters,
-        tracer,
-    } = s;
-    counters.xbar_credit_traversals += u64::from(path.crossbars);
-    counters.link_credit_mm += path.mm;
-    if let Some(t) = tracer.as_mut() {
-        t.record(TraceRecord {
-            cycle: apply_cycle.saturating_sub(2),
-            flow: crate::flit::FlowId(u32::MAX),
-            packet: crate::flit::PacketId(u64::MAX),
-            kind: TraceKind::Credit {
-                crossbars: path.crossbars as u8,
-                mm: path.mm,
-            },
-        });
-    }
-    let slot = (apply_cycle % RING as u64) as usize;
-    flight.credit_ring[slot].push((path.sender, vc));
 }
 
 #[cfg(test)]

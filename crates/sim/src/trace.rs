@@ -10,35 +10,7 @@
 
 use crate::flit::{FlowId, PacketId};
 use crate::topology::{Direction, NodeId, Topology};
-use std::fmt;
 use std::fmt::Write as _;
-
-/// Why tracing could not be enabled on an engine.
-///
-/// Flit tracing records a single global event order, which the
-/// row-band-sharded engine cannot produce (each shard appends its own
-/// events concurrently). Callers get this typed error instead of the
-/// former `panic!`, and can either fall back to a serial engine or
-/// surface the message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TraceError {
-    /// Number of row-band shards the refusing engine runs.
-    pub shards: usize,
-}
-
-impl fmt::Display for TraceError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "tracing requires the serial engine: this engine runs {} row-band shards \
-             and cannot record a single global event order; rebuild with shards = 1 \
-             (windowed telemetry works on both engines)",
-            self.shards
-        )
-    }
-}
-
-impl std::error::Error for TraceError {}
 
 /// One traced event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,6 +107,21 @@ impl Tracer {
         self.dropped
     }
 
+    /// One trace from the per-band tracers of a multi-band run:
+    /// records concatenated in the order given (ascending band) and
+    /// stable-sorted by cycle, capacities and drop counts summed.
+    #[must_use]
+    pub fn merge<'a>(bands: impl Iterator<Item = &'a Tracer>) -> Tracer {
+        let mut out = Tracer::default();
+        for t in bands {
+            out.records.extend_from_slice(&t.records);
+            out.capacity += t.capacity;
+            out.dropped += t.dropped;
+        }
+        out.records.sort_by_key(|r| r.cycle);
+        out
+    }
+
     /// Re-aggregate activity counts from the trace (the event-driven
     /// subset: buffer writes, crossbar/link activity, deliveries).
     /// Used to cross-validate the engine's live counters.
@@ -166,46 +153,56 @@ impl Tracer {
         c
     }
 
-    /// Human-readable journey of one packet, one line per event,
-    /// chronologically ordered (records are appended in engine-phase
-    /// order, which can interleave cycles).
+    /// Human-readable journey of one packet, one line per event, in
+    /// pipeline order: by cycle, then launches before buffer writes
+    /// before deliveries, then by node. The order depends only on the
+    /// set of records, not on the order they were appended in (engine
+    /// phases interleave cycles; a multi-band run also interleaves
+    /// bands), so every band count tells the same story.
     #[must_use]
     pub fn journey(&self, packet: PacketId) -> String {
-        let mut s = String::new();
-        let mut recs: Vec<&TraceRecord> =
-            self.records.iter().filter(|r| r.packet == packet).collect();
-        recs.sort_by_key(|r| r.cycle);
-        for r in recs {
-            let line = match r.kind {
-                TraceKind::BufferWrite { router, in_dir } => {
-                    format!(
-                        "cycle {:>4}: buffered at {} input {}",
-                        r.cycle, router, in_dir
-                    )
-                }
-                TraceKind::Launch {
-                    from,
-                    links,
-                    crossbars,
-                    ..
-                } => format!(
-                    "cycle {:>4}: ST from {} — {} links / {} crossbars in this cycle",
-                    r.cycle, from, links, crossbars
-                ),
-                TraceKind::Deliver { node, head, tail } => format!(
-                    "cycle {:>4}: delivered at {}{}{}",
-                    r.cycle,
-                    node,
-                    if head { " [head]" } else { "" },
-                    if tail { " [tail]" } else { "" }
-                ),
-                TraceKind::Credit { .. } => {
-                    format!("cycle {:>4}: credit returned upstream", r.cycle)
-                }
-            };
-            writeln!(s, "{line}").expect("infallible");
-        }
-        s
+        let mut lines: Vec<(u64, u8, u16, String)> = self
+            .records
+            .iter()
+            .filter(|r| r.packet == packet)
+            .map(|r| {
+                let (rank, node, what) = match r.kind {
+                    TraceKind::Launch {
+                        from,
+                        links,
+                        crossbars,
+                        ..
+                    } => (
+                        0,
+                        from,
+                        format!(
+                            "ST from {from} — {links} links / {crossbars} crossbars in this cycle"
+                        ),
+                    ),
+                    TraceKind::BufferWrite { router, in_dir } => {
+                        (1, router, format!("buffered at {router} input {in_dir}"))
+                    }
+                    TraceKind::Deliver { node, head, tail } => (
+                        2,
+                        node,
+                        format!(
+                            "delivered at {node}{}{}",
+                            if head { " [head]" } else { "" },
+                            if tail { " [tail]" } else { "" }
+                        ),
+                    ),
+                    TraceKind::Credit { .. } => {
+                        (3, NodeId(0), "credit returned upstream".to_owned())
+                    }
+                };
+                (r.cycle, rank, node.0, what)
+            })
+            .collect();
+        lines.sort();
+        lines
+            .iter()
+            .map(|(cycle, _, _, what)| format!("cycle {cycle:>4}: {what}\n"))
+            .collect()
     }
 
     /// Dump per-router activity as a VCD waveform (one wire per router,

@@ -1,20 +1,19 @@
-//! Equivalence net for the sharded cycle engine: a row-band sharded run
-//! must be *bit-identical* to the serial engine — same drain cycle,
-//! same per-flow latency statistics, same activity counters (including
-//! the float link-millimeter accumulators), same per-link flit counts —
-//! at every shard count, on the mesh and on the torus (whose wrap links
+//! Equivalence net for the band count: a run split across row bands
+//! must be *bit-identical* to the 1-band run — same drain cycle, same
+//! per-flow latency statistics, same activity counters (including the
+//! float link-millimeter accumulators), same per-link flit counts — at
+//! every band count, on the mesh and on the torus (whose wrap links
 //! carry flits across the outermost band boundary in one hop), from
 //! light load to deep saturation.
 //!
-//! The serial engine is the reference: it predates sharding and is
-//! itself locked against the pre-refactor engine by
-//! `legacy_equivalence.rs`, so this net transitively anchors the
-//! sharded engine to the original semantics.
+//! The 1-band network is the reference: it is itself locked against the
+//! frozen pre-refactor engine by `legacy_equivalence.rs`, so this net
+//! transitively anchors every band count to the original semantics.
 
 use proptest::prelude::*;
 use smart_sim::route::SourceRoute;
 use smart_sim::topology::{LinkId, Mesh, Topology, Torus};
-use smart_sim::{BernoulliTraffic, Engine, FlowId, FlowTable, ShardPlan, SimConfig};
+use smart_sim::{BernoulliTraffic, FlowId, FlowTable, Network, SimConfig, TrafficSource};
 use std::collections::HashMap;
 
 /// Transpose routes + a uniform per-flow rate: `(x, y) → (y, x)` flows
@@ -37,7 +36,7 @@ fn transpose_workload(topo: Topology, rate: f64) -> (FlowTable, Vec<(FlowId, f64
 }
 
 /// Run one engine over a fresh, identically seeded Bernoulli stream.
-fn run(engine: &mut Engine, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64, cycles: u64) {
+fn run(engine: &mut Network, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64, cycles: u64) {
     let mut traffic = BernoulliTraffic::new(
         rates,
         engine.flows(),
@@ -49,9 +48,24 @@ fn run(engine: &mut Engine, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64, 
     assert!(engine.drain(100_000), "engine failed to drain");
 }
 
-/// Drive the serial engine and the sharded engine at every shard count
-/// in {2, 4, 8} over the same traffic, then assert every externally
-/// observable quantity matches bit-for-bit.
+/// Assert every externally observable quantity of two finished runs
+/// matches bit-for-bit.
+fn assert_same_run(a: &Network, b: &Network, what: &str) {
+    // Same wall clock: quiescence was reached on the same cycle.
+    assert_eq!(a.cycle(), b.cycle(), "{what}: drain cycle");
+    // Per-flow latency statistics — the delivered-packet multiset.
+    assert_eq!(a.stats(), b.stats(), "{what}: stats");
+    // Every activity counter, including the float link-millimeter
+    // accumulators (bit-identical accumulation by construction).
+    assert_eq!(a.counters(), b.counters(), "{what}: counters");
+    // Per-link flit counts: the same flits crossed the same wires.
+    let a_links: HashMap<LinkId, u64> = a.link_flit_counts().collect();
+    let b_links: HashMap<LinkId, u64> = b.link_flit_counts().collect();
+    assert_eq!(a_links, b_links, "{what}: link utilization");
+}
+
+/// Drive the 1-band network and the banded one at every band count in
+/// {2, 4, 8} over the same traffic, then compare the finished runs.
 fn assert_shards_agree(topo: Topology, rate: f64, seed: u64, cycles: u64) {
     let cfg = SimConfig {
         topology: topo,
@@ -59,25 +73,14 @@ fn assert_shards_agree(topo: Topology, rate: f64, seed: u64, cycles: u64) {
     };
     let (flows, rates) = transpose_workload(topo, rate);
 
-    let mut serial = Engine::serial(cfg, flows.clone());
+    let mut serial = Network::new(cfg, flows.clone());
     run(&mut serial, cfg, &rates, seed, cycles);
-    let serial_links: HashMap<LinkId, u64> = serial.link_flit_counts().collect();
 
     for k in [2usize, 4, 8] {
-        let mut sharded = Engine::new(cfg, flows.clone(), ShardPlan::banded(k));
-        assert_eq!(sharded.shards(), k.min(usize::from(topo.height())));
+        let mut sharded = Network::banded(cfg, flows.clone(), k);
+        assert_eq!(sharded.bands(), k.min(usize::from(topo.height())));
         run(&mut sharded, cfg, &rates, seed, cycles);
-
-        // Same wall clock: quiescence was reached on the same cycle.
-        assert_eq!(serial.cycle(), sharded.cycle(), "k={k}: drain cycle");
-        // Per-flow latency statistics — the delivered-packet multiset.
-        assert_eq!(serial.stats(), sharded.stats(), "k={k}: stats");
-        // Every activity counter, including the float link-millimeter
-        // accumulators (bit-identical accumulation by construction).
-        assert_eq!(serial.counters(), sharded.counters(), "k={k}: counters");
-        // Per-link flit counts: the same flits crossed the same wires.
-        let sharded_links: HashMap<LinkId, u64> = sharded.link_flit_counts().collect();
-        assert_eq!(serial_links, sharded_links, "k={k}: link utilization");
+        assert_same_run(&serial, &sharded, &format!("k={k}"));
     }
 }
 
@@ -137,4 +140,56 @@ fn deep_saturation_anchor_torus() {
 #[test]
 fn uneven_bands_agree() {
     assert_shards_agree(Mesh::new(6, 6).into(), 0.08, 0xBADBA2D, 1_000);
+}
+
+/// The three ways to ask for the default engine are one engine:
+/// `Network::new`, one band asked for explicitly, and — on the other
+/// side of the clamp — 64 bands asked of a 4-row fabric, which gets 4.
+#[test]
+fn one_band_is_the_default_and_the_clamp_holds() {
+    let topo: Topology = Mesh::new(4, 4).into();
+    let cfg = SimConfig {
+        topology: topo,
+        ..SimConfig::paper_4x4()
+    };
+    let (flows, rates) = transpose_workload(topo, 0.08);
+    let mut default = Network::new(cfg, flows.clone());
+    run(&mut default, cfg, &rates, 0xC1A4, 1_000);
+    for (asked, got) in [(1usize, 1usize), (64, 4)] {
+        let mut net = Network::banded(cfg, flows.clone(), asked);
+        assert_eq!(net.bands(), got, "asked for {asked}");
+        run(&mut net, cfg, &rates, 0xC1A4, 1_000);
+        assert_same_run(&default, &net, &format!("asked for {asked} bands"));
+    }
+}
+
+/// A banded run driven one public `step()` at a time (a threaded
+/// session per cycle) equals the same run driven by `run_with` +
+/// `drain` (one long session each): nothing may live in a session that
+/// the next one needs.
+#[test]
+fn stepping_a_banded_run_equals_one_long_session() {
+    let topo: Topology = Torus::new(6, 6).into();
+    let cfg = SimConfig {
+        topology: topo,
+        ..SimConfig::paper_4x4()
+    };
+    let (flows, rates) = transpose_workload(topo, 0.15);
+    let mut session = Network::banded(cfg, flows.clone(), 3);
+    run(&mut session, cfg, &rates, 0x57E9, 400);
+
+    let mut stepped = Network::banded(cfg, flows, 3);
+    let mut traffic =
+        BernoulliTraffic::new(&rates, stepped.flows(), topo, cfg.flits_per_packet, 0x57E9);
+    for _ in 0..400 {
+        for p in traffic.generate(stepped.cycle()) {
+            stepped.offer(p);
+        }
+        stepped.step();
+    }
+    while !stepped.is_quiescent() {
+        assert!(stepped.cycle() < 100_000, "stepped run failed to drain");
+        stepped.step();
+    }
+    assert_same_run(&session, &stepped, "step() vs run_with");
 }

@@ -97,7 +97,7 @@ fn sharded_battery_is_byte_identical_to_serial() {
     let sharded = golden_lines(&battery(SHARDS));
     assert_eq!(
         serial, sharded,
-        "sharded engine diverged from serial on the 32x32 battery"
+        "the 4-band run diverged from the 1-band run on the 32x32 battery"
     );
 }
 

@@ -18,9 +18,7 @@ fn main() -> std::io::Result<()> {
     let routes: Vec<(FlowId, SourceRoute)> =
         flows.iter().map(|(f, r, _)| (*f, r.clone())).collect();
     let mut noc = SmartNoc::new(&cfg, &routes);
-    noc.network_mut()
-        .enable_tracing(10_000)
-        .expect("serial engine traces");
+    noc.network_mut().enable_tracing(10_000);
 
     // One blue packet (the stop-twice flow of Fig 7).
     let blue = flows[3].0;
