@@ -12,9 +12,9 @@
 //! The layers, transport-independent first:
 //!
 //! * [`protocol`] — the versioned request/response codec
-//!   (`smart-server/req-v1` / `smart-server/resp-v1`): hand-rolled flat
-//!   JSON in the `smart-traffic/trace-v1` idiom, typed errors, never
-//!   panics on arbitrary input.
+//!   (`smart-server/req-v1` / `smart-server/resp-v1`): flat JSON lines
+//!   written and read with `smart_sim::jsonl`, each line kind's fields
+//!   declared once, typed errors, never panics on arbitrary input.
 //! * [`cache`] — [`DesignCache`]: `CompiledDesign` handles keyed by the
 //!   stable config hash, routed workloads shared across the design
 //!   axis, FIFO-bounded.
@@ -54,7 +54,6 @@
 #![warn(missing_docs)]
 
 pub mod cache;
-pub mod json;
 pub mod protocol;
 pub mod search;
 pub mod server;

@@ -8,17 +8,24 @@
 //! self-describing event lines ending in exactly one terminal event
 //! ([`ResponseEvent::Done`] or [`ResponseEvent::Error`]).
 //!
-//! Everything is hand-rolled flat JSON in the `smart-traffic/trace-v1`
-//! idiom: fixed identifier keys, restricted string grammars (job ids,
-//! design labels, workload specs), numeric fields in shortest
-//! round-trip form — see [`crate::json`]. Parsing arbitrary input
+//! Every line is a flat object in the workspace's one line grammar,
+//! written and read with [`smart_sim::jsonl`]: fixed identifier keys,
+//! restricted string grammars (job ids, design labels, workload specs),
+//! numeric fields in shortest round-trip form. Parsing arbitrary input
 //! returns typed [`ProtocolError`]s and never panics (property-tested).
+//!
+//! Each line kind declares its fields **once**, in a `wire_table!` row
+//! naming every field and its codec; the row drives both the private
+//! `Writer` and `Reader`, so rendering and parsing cannot drift
+//! apart. A field's wire key is its Rust field name. To add a field to
+//! an event or request body, add it to the enum variant and to the
+//! variant's row (with `opt_u64` if old documents must keep parsing).
 
-use crate::json;
 use smart_core::noc::DesignKind;
-use smart_harness::{RunPlan, ScheduleDesign, SpatialPattern, Workload};
+use smart_harness::{ExperimentReport, RunPlan, ScheduleDesign, SpatialPattern, Workload};
+use smart_sim::jsonl::{self, Line};
 use smart_traffic::TraceFile;
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// Schema tag of every request header.
 pub const REQUEST_SCHEMA: &str = "smart-server/req-v1";
@@ -29,6 +36,8 @@ pub const RESPONSE_SCHEMA: &str = "smart-server/resp-v1";
 const MAX_ID_LEN: usize = 64;
 /// Largest accepted `k × k` mesh edge.
 const MAX_MESH: u64 = 64;
+/// Most body lines a header may declare.
+const MAX_BODY_LINES: u64 = 1_000_000;
 
 /// A malformed request document.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,6 +74,110 @@ pub fn valid_id(id: &str) -> bool {
         && id
             .chars()
             .all(|c| c.is_ascii_alphanumeric() || c == '_' || c == '-')
+}
+
+/// `a`, `a or b`, `a, b, or c`: the accepted set of an "expected …"
+/// message.
+fn expected<S: AsRef<str>>(names: impl IntoIterator<Item = S>) -> String {
+    let names: Vec<S> = names.into_iter().collect();
+    let mut out = String::new();
+    for (i, name) in names.iter().enumerate() {
+        if i > 0 {
+            out.push_str(if names.len() > 2 { ", " } else { " " });
+            if i + 1 == names.len() {
+                out.push_str("or ");
+            }
+        }
+        out.push_str(name.as_ref());
+    }
+    out
+}
+
+/// A closed set of protocol names: the one table a value's rendering,
+/// its parsing and its "expected …" message all come from.
+struct Names<T: 'static> {
+    what: &'static str,
+    table: &'static [(&'static str, T)],
+}
+
+impl<T: Copy + PartialEq> Names<T> {
+    fn name(&self, value: T) -> &'static str {
+        let entry = self.table.iter().find(|(_, v)| *v == value);
+        entry.expect("every variant is in its name table").0
+    }
+
+    fn parse(&self, name: &str) -> Result<T, String> {
+        let entry = self.table.iter().find(|(n, _)| *n == name);
+        entry.map(|(_, v)| *v).ok_or_else(|| {
+            format!(
+                "unknown {} {name:?} (expected {})",
+                self.what,
+                expected(self.table.iter().map(|(n, _)| n))
+            )
+        })
+    }
+}
+
+const DESIGNS: Names<DesignKind> = Names {
+    what: "design",
+    table: &[
+        ("mesh", DesignKind::Mesh),
+        ("smart", DesignKind::Smart),
+        ("dedicated", DesignKind::Dedicated),
+    ],
+};
+
+const SCHEDULE_DESIGNS: Names<ScheduleDesign> = Names {
+    what: "schedule design",
+    table: &[
+        ("mesh", ScheduleDesign::Mesh),
+        ("smart", ScheduleDesign::Smart),
+        ("dedicated", ScheduleDesign::Dedicated),
+        ("reconfigurable", ScheduleDesign::Reconfigurable),
+    ],
+};
+
+const TOPOLOGIES: Names<TopologySpec> = Names {
+    what: "topology",
+    table: &[("mesh", TopologySpec::Mesh), ("torus", TopologySpec::Torus)],
+};
+
+const STRATEGIES: Names<SearchStrategy> = Names {
+    what: "strategy",
+    table: &[
+        ("exhaustive", SearchStrategy::Exhaustive),
+        ("greedy", SearchStrategy::Greedy),
+    ],
+};
+
+/// The parameterless classic patterns, addressable in a workload spec
+/// by their [`SpatialPattern::label`].
+const PATTERNS: [SpatialPattern; 6] = [
+    SpatialPattern::Transpose,
+    SpatialPattern::BitComplement,
+    SpatialPattern::BitReverse,
+    SpatialPattern::Shuffle,
+    SpatialPattern::Tornado,
+    SpatialPattern::Neighbor,
+];
+
+fn pattern_by_name(name: &str) -> Result<SpatialPattern, String> {
+    let found = PATTERNS.iter().find(|p| p.label() == name);
+    found.cloned().ok_or_else(|| {
+        format!(
+            "unknown pattern {name:?} (expected {})",
+            expected(PATTERNS.iter().map(SpatialPattern::label))
+        )
+    })
+}
+
+/// Parse a lowercase design name (`mesh`, `smart`, `dedicated`).
+///
+/// # Errors
+///
+/// Returns a description naming the accepted set.
+pub fn parse_design(name: &str) -> Result<DesignKind, String> {
+    DESIGNS.parse(name)
 }
 
 /// A workload in the protocol's compact spec grammar (no spaces, no
@@ -159,9 +272,7 @@ impl WorkloadSpec {
                 })
             }
             ("pattern", [name, rate]) => {
-                if pattern_by_name(name).is_none() {
-                    return Err(format!("unknown pattern {name:?} in {spec:?}"));
-                }
+                pattern_by_name(name).map_err(|m| format!("{m} in {spec:?}"))?;
                 Ok(WorkloadSpec::Pattern {
                     name: (*name).to_owned(),
                     rate: rate_of(rate)?,
@@ -193,24 +304,9 @@ impl WorkloadSpec {
                 Ok(Workload::uniform(*flows as usize, *rate, *seed))
             }
             WorkloadSpec::Pattern { name, rate } => {
-                let pattern =
-                    pattern_by_name(name).ok_or_else(|| format!("unknown pattern {name:?}"))?;
-                Ok(Workload::patterned(pattern, *rate))
+                Ok(Workload::patterned(pattern_by_name(name)?, *rate))
             }
         }
-    }
-}
-
-/// The parameterless classic patterns addressable by spec label.
-fn pattern_by_name(name: &str) -> Option<SpatialPattern> {
-    match name {
-        "transpose" => Some(SpatialPattern::Transpose),
-        "bit-complement" => Some(SpatialPattern::BitComplement),
-        "bit-reverse" => Some(SpatialPattern::BitReverse),
-        "shuffle" => Some(SpatialPattern::Shuffle),
-        "tornado" => Some(SpatialPattern::Tornado),
-        "neighbor" => Some(SpatialPattern::Neighbor),
-        _ => None,
     }
 }
 
@@ -233,10 +329,7 @@ impl TopologySpec {
     /// Protocol name.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            TopologySpec::Mesh => "mesh",
-            TopologySpec::Torus => "torus",
-        }
+        TOPOLOGIES.name(self)
     }
 
     /// Parse a protocol name.
@@ -245,13 +338,7 @@ impl TopologySpec {
     ///
     /// Returns a description naming the accepted set.
     pub fn parse(name: &str) -> Result<TopologySpec, String> {
-        match name {
-            "mesh" => Ok(TopologySpec::Mesh),
-            "torus" => Ok(TopologySpec::Torus),
-            _ => Err(format!(
-                "unknown topology {name:?} (expected mesh or torus)"
-            )),
-        }
+        TOPOLOGIES.parse(name)
     }
 
     /// The scaled `k × k` config this spec selects.
@@ -261,102 +348,6 @@ impl TopologySpec {
             TopologySpec::Mesh => smart_core::config::NocConfig::scaled(k),
             TopologySpec::Torus => smart_core::config::NocConfig::scaled_torus(k),
         }
-    }
-
-    /// The `,"topology":…` body-line fragment: empty for the mesh so
-    /// pre-torus documents render byte-identically.
-    fn render_field(self) -> &'static str {
-        match self {
-            TopologySpec::Mesh => "",
-            TopologySpec::Torus => ",\"topology\":\"torus\"",
-        }
-    }
-}
-
-/// Extract the optional `"topology"` field; absent defaults to mesh.
-fn topology_field(line: &str, line_no: usize) -> Result<TopologySpec, ProtocolError> {
-    match json::str_field(line, "topology") {
-        None => Ok(TopologySpec::Mesh),
-        Some(raw) => TopologySpec::parse(raw).map_err(|m| ProtocolError::new(line_no, m)),
-    }
-}
-
-/// The `,"shards":…` body-line fragment: empty for one band so
-/// pre-sharding documents render byte-identically.
-fn render_shards(shards: usize) -> String {
-    if shards <= 1 {
-        String::new()
-    } else {
-        format!(",\"shards\":{shards}")
-    }
-}
-
-/// Extract the optional `"shards"` field; absent defaults to serial (1).
-/// Sharding is an execution strategy with bit-identical results, so a
-/// request without the field is exactly the pre-sharding protocol.
-fn shards_field(line: &str, line_no: usize) -> Result<usize, ProtocolError> {
-    match json::u64_field(line, "shards") {
-        None => Ok(1),
-        Some(0) => Err(ProtocolError::new(line_no, "shards must be at least 1")),
-        Some(n) if n > MAX_MESH => Err(ProtocolError::new(
-            line_no,
-            format!("shards {n} outside 1..={MAX_MESH}"),
-        )),
-        Some(n) => Ok(n as usize),
-    }
-}
-
-/// Render a design kind in the protocol's lowercase grammar.
-#[must_use]
-pub fn design_name(kind: DesignKind) -> &'static str {
-    match kind {
-        DesignKind::Mesh => "mesh",
-        DesignKind::Smart => "smart",
-        DesignKind::Dedicated => "dedicated",
-    }
-}
-
-/// Parse a lowercase design name.
-///
-/// # Errors
-///
-/// Returns a description naming the accepted set.
-pub fn parse_design(name: &str) -> Result<DesignKind, String> {
-    match name {
-        "mesh" => Ok(DesignKind::Mesh),
-        "smart" => Ok(DesignKind::Smart),
-        "dedicated" => Ok(DesignKind::Dedicated),
-        _ => Err(format!(
-            "unknown design {name:?} (expected mesh, smart, or dedicated)"
-        )),
-    }
-}
-
-/// Render a schedule design in the protocol's lowercase grammar.
-#[must_use]
-pub fn schedule_design_name(design: ScheduleDesign) -> &'static str {
-    match design {
-        ScheduleDesign::Mesh => "mesh",
-        ScheduleDesign::Smart => "smart",
-        ScheduleDesign::Dedicated => "dedicated",
-        ScheduleDesign::Reconfigurable => "reconfigurable",
-    }
-}
-
-/// Parse a lowercase schedule-design name.
-///
-/// # Errors
-///
-/// Returns a description naming the accepted set.
-pub fn parse_schedule_design(name: &str) -> Result<ScheduleDesign, String> {
-    match name {
-        "mesh" => Ok(ScheduleDesign::Mesh),
-        "smart" => Ok(ScheduleDesign::Smart),
-        "dedicated" => Ok(ScheduleDesign::Dedicated),
-        "reconfigurable" => Ok(ScheduleDesign::Reconfigurable),
-        _ => Err(format!(
-            "unknown schedule design {name:?} (expected mesh, smart, dedicated, or reconfigurable)"
-        )),
     }
 }
 
@@ -396,28 +387,6 @@ impl PlanSpec {
             seed: self.seed,
         }
     }
-
-    /// Render the four fields (no braces) for embedding in a body line.
-    fn render_fields(self) -> String {
-        format!(
-            "\"warmup\":{},\"measure\":{},\"drain\":{},\"seed\":{}",
-            self.warmup, self.measure, self.drain, self.seed
-        )
-    }
-
-    /// Extract the four fields from a body line.
-    fn from_line(line: &str, line_no: usize) -> Result<PlanSpec, ProtocolError> {
-        let field = |key: &str| {
-            json::u64_field(line, key)
-                .ok_or_else(|| ProtocolError::new(line_no, format!("missing plan field {key:?}")))
-        };
-        Ok(PlanSpec {
-            warmup: field("warmup")?,
-            measure: field("measure")?,
-            drain: field("drain")?,
-            seed: field("seed")?,
-        })
-    }
 }
 
 /// Search strategies the `search` request accepts.
@@ -434,10 +403,7 @@ impl SearchStrategy {
     /// Protocol name.
     #[must_use]
     pub fn name(self) -> &'static str {
-        match self {
-            SearchStrategy::Exhaustive => "exhaustive",
-            SearchStrategy::Greedy => "greedy",
-        }
+        STRATEGIES.name(self)
     }
 
     /// Parse a protocol name.
@@ -446,13 +412,7 @@ impl SearchStrategy {
     ///
     /// Returns a description naming the accepted set.
     pub fn parse(name: &str) -> Result<SearchStrategy, String> {
-        match name {
-            "exhaustive" => Ok(SearchStrategy::Exhaustive),
-            "greedy" => Ok(SearchStrategy::Greedy),
-            _ => Err(format!(
-                "unknown strategy {name:?} (expected exhaustive or greedy)"
-            )),
-        }
+        STRATEGIES.parse(name)
     }
 }
 
@@ -612,177 +572,32 @@ impl Request {
     /// Protocol kind tag.
     #[must_use]
     pub fn kind(&self) -> &'static str {
-        match self {
-            Request::Experiment { .. } => "experiment",
-            Request::Watch { .. } => "watch",
-            Request::Matrix { .. } => "matrix",
-            Request::Schedule { .. } => "schedule",
-            Request::Search { .. } => "search",
-            Request::TraceDiff { .. } => "trace_diff",
-            Request::Cancel { .. } => "cancel",
-            Request::Stats { .. } => "stats",
-            Request::Shutdown { .. } => "shutdown",
-        }
-    }
-
-    /// Body lines following the header.
-    fn body_lines(&self) -> Vec<String> {
-        let specs = |ws: &[WorkloadSpec]| {
-            ws.iter()
-                .map(WorkloadSpec::render)
-                .collect::<Vec<_>>()
-                .join(" ")
-        };
-        match self {
-            Request::Experiment {
-                mesh,
-                topology,
-                shards,
-                design,
-                workload,
-                plan,
-                ..
-            } => vec![format!(
-                "{{\"mesh\":{mesh}{}{},\"design\":\"{}\",\"workload\":\"{}\",{}}}",
-                topology.render_field(),
-                render_shards(*shards),
-                design_name(*design),
-                workload.render(),
-                plan.render_fields()
-            )],
-            Request::Watch {
-                mesh,
-                topology,
-                shards,
-                design,
-                workload,
-                plan,
-                window,
-                ..
-            } => vec![format!(
-                "{{\"mesh\":{mesh}{}{},\"design\":\"{}\",\"workload\":\"{}\",\
-                 \"window\":{window},{}}}",
-                topology.render_field(),
-                render_shards(*shards),
-                design_name(*design),
-                workload.render(),
-                plan.render_fields()
-            )],
-            Request::Matrix {
-                mesh,
-                topology,
-                shards,
-                designs,
-                workloads,
-                plan,
-                ..
-            } => vec![format!(
-                "{{\"mesh\":{mesh}{}{},\"designs\":\"{}\",\"workloads\":\"{}\",{}}}",
-                topology.render_field(),
-                render_shards(*shards),
-                designs
-                    .iter()
-                    .map(|d| design_name(*d))
-                    .collect::<Vec<_>>()
-                    .join(" "),
-                specs(workloads),
-                plan.render_fields()
-            )],
-            Request::Schedule {
-                mesh,
-                topology,
-                designs,
-                drain_budget,
-                phases,
-                ..
-            } => {
-                let mut lines = vec![format!(
-                    "{{\"mesh\":{mesh}{},\"designs\":\"{}\",\"drain_budget\":{drain_budget}}}",
-                    topology.render_field(),
-                    designs
-                        .iter()
-                        .map(|d| schedule_design_name(*d))
-                        .collect::<Vec<_>>()
-                        .join(" "),
-                )];
-                lines.extend(phases.iter().map(|(w, p)| {
-                    format!("{{\"workload\":\"{}\",{}}}", w.render(), p.render_fields())
-                }));
-                lines
-            }
-            Request::Search {
-                mesh,
-                topology,
-                strategy,
-                designs,
-                workloads,
-                hpc,
-                plan,
-                ..
-            } => {
-                vec![format!(
-                "{{\"mesh\":{mesh}{},\"strategy\":\"{}\",\"designs\":\"{}\",\"workloads\":\"{}\",\
-                 \"hpc\":\"{}\",{}}}",
-                topology.render_field(),
-                strategy.name(),
-                designs.iter().map(|d| design_name(*d)).collect::<Vec<_>>().join(" "),
-                specs(workloads),
-                hpc.iter().map(u64::to_string).collect::<Vec<_>>().join(" "),
-                plan.render_fields()
-            )]
-            }
-            Request::TraceDiff {
-                mesh,
-                topology,
-                baseline,
-                candidate,
-                workload,
-                plan,
-                trace,
-                ..
-            } => {
-                let mut lines = vec![format!(
-                    "{{\"mesh\":{mesh}{},\"baseline\":\"{}\",\"candidate\":\"{}\",\
-                     \"workload\":\"{}\",\"flits_per_packet\":{},\"events\":{},{}}}",
-                    topology.render_field(),
-                    design_name(*baseline),
-                    design_name(*candidate),
-                    workload.render(),
-                    trace.flits_per_packet,
-                    trace.events.len(),
-                    plan.render_fields()
-                )];
-                lines.extend(
-                    trace
-                        .events
-                        .iter()
-                        .map(|(cycle, flow)| format!("{{\"cycle\":{cycle},\"flow\":{}}}", flow.0)),
-                );
-                lines
-            }
-            Request::Cancel { target, .. } => {
-                vec![format!("{{\"target\":\"{target}\"}}")]
-            }
-            Request::Stats { .. } | Request::Shutdown { .. } => Vec::new(),
-        }
+        self.tag()
     }
 
     /// Render the full request document: header line + body lines, each
     /// newline-terminated. [`Request::parse`] inverts this exactly.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
-        let body = self.body_lines();
-        let mut s = format!(
-            "{{\"schema\":\"{REQUEST_SCHEMA}\",\"id\":\"{}\",\"kind\":\"{}\",\"lines\":{}}}\n",
-            self.id(),
-            self.kind(),
-            body.len()
-        );
-        for line in body {
-            s.push_str(&line);
-            s.push('\n');
+        let mut body = String::new();
+        if !BODILESS.contains(&self.kind()) {
+            let mut w = Writer::open(&mut body);
+            self.write_fields(&mut w);
+            w.line.close();
+            let tail = w.tail;
+            body.push('\n');
+            body.push_str(&tail);
         }
-        s
+        let mut doc = String::with_capacity(body.len() + 96);
+        Line::open(&mut doc)
+            .str("schema", REQUEST_SCHEMA)
+            .str("id", self.id())
+            .str("kind", self.kind())
+            .u64("lines", body.lines().count() as u64)
+            .close();
+        doc.push('\n');
+        doc.push_str(&body);
+        doc
     }
 
     /// Parse a complete request document (header + declared body).
@@ -792,22 +607,12 @@ impl Request {
     /// Returns a [`ProtocolError`] for a malformed header, a body-line
     /// count mismatch, or any malformed body line.
     pub fn parse(text: &str) -> Result<Request, ProtocolError> {
-        let mut lines = text.lines().filter(|l| !l.trim().is_empty());
+        let mut lines = jsonl::numbered_lines(text).map(|(_, line)| line);
         let header_line = lines
             .next()
             .ok_or_else(|| ProtocolError::new(0, "empty document (missing header)"))?;
         let header = RequestHeader::parse(header_line)?;
         let body: Vec<&str> = lines.collect();
-        if body.len() != header.lines {
-            return Err(ProtocolError::new(
-                1,
-                format!(
-                    "header declares {} body lines, found {}",
-                    header.lines,
-                    body.len()
-                ),
-            ));
-        }
         Request::from_lines(&header, &body)
     }
 
@@ -820,224 +625,31 @@ impl Request {
     /// Returns a [`ProtocolError`] for a wrong body-line count or any
     /// malformed body line.
     pub fn from_lines(header: &RequestHeader, body: &[&str]) -> Result<Request, ProtocolError> {
-        if body.len() != header.lines {
-            return Err(ProtocolError::new(
-                1,
-                format!(
-                    "header declares {} body lines, got {}",
-                    header.lines,
-                    body.len()
-                ),
-            ));
-        }
-        let id = header.id.clone();
-        let one_body = || -> Result<&str, ProtocolError> {
-            body.first()
-                .copied()
-                .ok_or_else(|| ProtocolError::new(1, format!("{} needs a body line", header.kind)))
+        jsonl::check_count(header.lines as u64, body.len(), "body lines")
+            .map_err(|m| ProtocolError::new(1, format!("header {m}")))?;
+        let kind = header.kind.as_str();
+        let reader = Reader {
+            lines: body,
+            line_no: 2,
+            id: &header.id,
+            noun: "field",
         };
-        match header.kind.as_str() {
-            "experiment" => {
-                let line = one_body()?;
-                Ok(Request::Experiment {
-                    id,
-                    mesh: mesh_field(line, 2)?,
-                    topology: topology_field(line, 2)?,
-                    shards: shards_field(line, 2)?,
-                    design: str_then(line, "design", 2, parse_design)?,
-                    workload: str_then(line, "workload", 2, WorkloadSpec::parse)?,
-                    plan: PlanSpec::from_line(line, 2)?,
-                })
-            }
-            "watch" => {
-                let line = one_body()?;
-                let window = json::u64_field(line, "window")
-                    .ok_or_else(|| ProtocolError::new(2, "missing field \"window\""))?;
-                if window == 0 {
-                    return Err(ProtocolError::new(2, "window must be at least 1 cycle"));
-                }
-                Ok(Request::Watch {
-                    id,
-                    mesh: mesh_field(line, 2)?,
-                    topology: topology_field(line, 2)?,
-                    shards: shards_field(line, 2)?,
-                    design: str_then(line, "design", 2, parse_design)?,
-                    workload: str_then(line, "workload", 2, WorkloadSpec::parse)?,
-                    plan: PlanSpec::from_line(line, 2)?,
-                    window,
-                })
-            }
-            "matrix" => {
-                let line = one_body()?;
-                Ok(Request::Matrix {
-                    id,
-                    mesh: mesh_field(line, 2)?,
-                    topology: topology_field(line, 2)?,
-                    shards: shards_field(line, 2)?,
-                    designs: list_then(line, "designs", 2, parse_design)?,
-                    workloads: list_then(line, "workloads", 2, WorkloadSpec::parse)?,
-                    plan: PlanSpec::from_line(line, 2)?,
-                })
-            }
-            "schedule" => {
-                let line = one_body()?;
-                let drain_budget = json::u64_field(line, "drain_budget")
-                    .ok_or_else(|| ProtocolError::new(2, "missing field \"drain_budget\""))?;
-                let designs = list_then(line, "designs", 2, parse_schedule_design)?;
-                let mut phases = Vec::with_capacity(body.len() - 1);
-                for (i, line) in body[1..].iter().enumerate() {
-                    let line_no = i + 3;
-                    phases.push((
-                        str_then(line, "workload", line_no, WorkloadSpec::parse)?,
-                        PlanSpec::from_line(line, line_no)?,
-                    ));
-                }
-                if phases.is_empty() {
-                    return Err(ProtocolError::new(2, "schedule has no phases"));
-                }
-                Ok(Request::Schedule {
-                    id,
-                    mesh: mesh_field(line, 2)?,
-                    topology: topology_field(line, 2)?,
-                    designs,
-                    drain_budget,
-                    phases,
-                })
-            }
-            "search" => {
-                let line = one_body()?;
-                let hpc = list_then(line, "hpc", 2, |tok| {
-                    tok.parse::<u64>()
-                        .map_err(|_| format!("bad hpc value {tok:?}"))
-                })?;
-                if let Some(h) = hpc.iter().find(|h| **h == 0 || **h > MAX_MESH) {
-                    return Err(ProtocolError::new(
-                        2,
-                        format!("hpc {h} outside 1..={MAX_MESH}"),
-                    ));
-                }
-                Ok(Request::Search {
-                    id,
-                    mesh: mesh_field(line, 2)?,
-                    topology: topology_field(line, 2)?,
-                    strategy: str_then(line, "strategy", 2, SearchStrategy::parse)?,
-                    designs: list_then(line, "designs", 2, parse_design)?,
-                    workloads: list_then(line, "workloads", 2, WorkloadSpec::parse)?,
-                    hpc,
-                    plan: PlanSpec::from_line(line, 2)?,
-                })
-            }
-            "trace_diff" => {
-                let line = one_body()?;
-                let fpp = json::u64_field(line, "flits_per_packet")
-                    .ok_or_else(|| ProtocolError::new(2, "missing field \"flits_per_packet\""))?;
-                let fpp = u8::try_from(fpp).map_err(|_| {
-                    ProtocolError::new(2, format!("flits_per_packet {fpp} does not fit a u8"))
-                })?;
-                let declared = json::u64_field(line, "events")
-                    .ok_or_else(|| ProtocolError::new(2, "missing field \"events\""))?;
-                if declared as usize != body.len() - 1 {
-                    return Err(ProtocolError::new(
-                        2,
-                        format!("declares {declared} events, found {}", body.len() - 1),
-                    ));
-                }
-                let mut events = Vec::with_capacity(body.len() - 1);
-                for (i, line) in body[1..].iter().enumerate() {
-                    let line_no = i + 3;
-                    let cycle = json::u64_field(line, "cycle")
-                        .ok_or_else(|| ProtocolError::new(line_no, "event missing \"cycle\""))?;
-                    let flow = json::u64_field(line, "flow")
-                        .ok_or_else(|| ProtocolError::new(line_no, "event missing \"flow\""))?;
-                    let flow = u32::try_from(flow).map_err(|_| {
-                        ProtocolError::new(line_no, format!("flow id {flow} does not fit a u32"))
-                    })?;
-                    events.push((cycle, smart_sim::FlowId(flow)));
-                }
-                Ok(Request::TraceDiff {
-                    id,
-                    mesh: mesh_field(line, 2)?,
-                    topology: topology_field(line, 2)?,
-                    baseline: str_then(line, "baseline", 2, parse_design)?,
-                    candidate: str_then(line, "candidate", 2, parse_design)?,
-                    workload: str_then(line, "workload", 2, WorkloadSpec::parse)?,
-                    plan: PlanSpec::from_line(line, 2)?,
-                    trace: TraceFile {
-                        flits_per_packet: fpp,
-                        events,
-                    },
-                })
-            }
-            "cancel" => {
-                let line = one_body()?;
-                let target = json::str_field(line, "target")
-                    .ok_or_else(|| ProtocolError::new(2, "missing field \"target\""))?;
-                if !valid_id(target) {
-                    return Err(ProtocolError::new(
-                        2,
-                        format!("invalid target id {target:?}"),
-                    ));
-                }
-                Ok(Request::Cancel {
-                    id,
-                    target: target.to_owned(),
-                })
-            }
-            "stats" => Ok(Request::Stats { id }),
-            "shutdown" => Ok(Request::Shutdown { id }),
-            other => Err(ProtocolError::new(
+        match Request::read_fields(kind, &reader) {
+            Ok(Some(request)) => Ok(request),
+            Ok(None) => Err(ProtocolError::new(
                 1,
-                format!("unknown request kind {other:?}"),
+                format!("unknown request kind {kind:?}"),
             )),
+            Err(_) if body.is_empty() => {
+                Err(ProtocolError::new(1, format!("{kind} needs a body line")))
+            }
+            Err(err) => Err(err),
         }
     }
 }
 
-/// Extract and range-check the `"mesh"` field.
-fn mesh_field(line: &str, line_no: usize) -> Result<u16, ProtocolError> {
-    let mesh = json::u64_field(line, "mesh")
-        .ok_or_else(|| ProtocolError::new(line_no, "missing field \"mesh\""))?;
-    if !(2..=MAX_MESH).contains(&mesh) {
-        return Err(ProtocolError::new(
-            line_no,
-            format!("mesh {mesh} outside 2..={MAX_MESH}"),
-        ));
-    }
-    Ok(mesh as u16)
-}
-
-/// Extract a string field and parse it with `f`.
-fn str_then<T>(
-    line: &str,
-    key: &str,
-    line_no: usize,
-    f: impl Fn(&str) -> Result<T, String>,
-) -> Result<T, ProtocolError> {
-    let raw = json::str_field(line, key)
-        .ok_or_else(|| ProtocolError::new(line_no, format!("missing field {key:?}")))?;
-    f(raw).map_err(|m| ProtocolError::new(line_no, m))
-}
-
-/// Extract a space-separated list field, parse every token with `f`,
-/// and require the list to be non-empty.
-fn list_then<T>(
-    line: &str,
-    key: &str,
-    line_no: usize,
-    f: impl Fn(&str) -> Result<T, String>,
-) -> Result<Vec<T>, ProtocolError> {
-    let raw = json::str_field(line, key)
-        .ok_or_else(|| ProtocolError::new(line_no, format!("missing field {key:?}")))?;
-    let items: Result<Vec<T>, ProtocolError> = raw
-        .split_whitespace()
-        .map(|tok| f(tok).map_err(|m| ProtocolError::new(line_no, m)))
-        .collect();
-    let items = items?;
-    if items.is_empty() {
-        return Err(ProtocolError::new(line_no, format!("empty list {key:?}")));
-    }
-    Ok(items)
-}
+/// The request kinds with no body line.
+const BODILESS: [&str; 2] = ["stats", "shutdown"];
 
 /// A parsed request header: what a streaming reader needs to consume
 /// the body before dispatching.
@@ -1059,34 +671,34 @@ impl RequestHeader {
     /// Returns a [`ProtocolError`] for a wrong schema, a bad id, or
     /// missing fields.
     pub fn parse(line: &str) -> Result<RequestHeader, ProtocolError> {
-        let schema = json::str_field(line, "schema")
-            .ok_or_else(|| ProtocolError::new(1, "header has no \"schema\" field"))?;
+        let missing = |key: &str| ProtocolError::new(1, format!("header has no {key:?} field"));
+        let text = |key: &str| jsonl::str_field(line, key).ok_or_else(|| missing(key));
+        let schema = text("schema")?;
         if schema != REQUEST_SCHEMA {
             return Err(ProtocolError::new(
                 1,
                 format!("unsupported schema {schema:?}, expected {REQUEST_SCHEMA:?}"),
             ));
         }
-        let id = json::str_field(line, "id")
-            .ok_or_else(|| ProtocolError::new(1, "header has no \"id\" field"))?;
+        let id = text("id")?;
         if !valid_id(id) {
             return Err(ProtocolError::new(
                 1,
                 format!("invalid id {id:?} (want 1-{MAX_ID_LEN} chars of [A-Za-z0-9_-])"),
             ));
         }
-        let kind = json::str_field(line, "kind")
-            .ok_or_else(|| ProtocolError::new(1, "header has no \"kind\" field"))?;
-        let lines = json::u64_field(line, "lines")
-            .ok_or_else(|| ProtocolError::new(1, "header has no \"lines\" field"))?;
-        let lines = usize::try_from(lines)
-            .ok()
-            .filter(|l| *l <= 1_000_000)
-            .ok_or_else(|| ProtocolError::new(1, format!("unreasonable body size {lines}")))?;
+        let kind = text("kind")?;
+        let lines = jsonl::u64_field(line, "lines").ok_or_else(|| missing("lines"))?;
+        if lines > MAX_BODY_LINES {
+            return Err(ProtocolError::new(
+                1,
+                format!("unreasonable body size {lines}"),
+            ));
+        }
         Ok(RequestHeader {
             id: id.to_owned(),
             kind: kind.to_owned(),
-            lines,
+            lines: lines as usize,
         })
     }
 }
@@ -1266,145 +878,38 @@ pub enum ResponseEvent {
 }
 
 impl ResponseEvent {
+    /// The [`ResponseEvent::Cell`] reporting `report` as cell `index`.
+    #[must_use]
+    pub fn cell(index: u64, report: &ExperimentReport, cached: bool) -> ResponseEvent {
+        ResponseEvent::Cell {
+            index,
+            design: report.design.label().to_owned(),
+            workload: report.workload.clone(),
+            injected: report.packets_injected,
+            delivered: report.packets_delivered,
+            flits: report.flits_delivered,
+            latency: report.avg_network_latency,
+            measured: report.measured_packets,
+            cycles: report.total_cycles,
+            cached,
+        }
+    }
+
     /// Render as one response line (no trailing newline).
     /// [`ResponseEvent::parse`] inverts this exactly (modulo NaN,
     /// which is canonical).
     #[must_use]
     pub fn to_line(&self) -> String {
-        match self {
-            ResponseEvent::Accepted { id, cells } => format!(
-                "{{\"schema\":\"{RESPONSE_SCHEMA}\",\"event\":\"accepted\",\"id\":\"{id}\",\
-                 \"cells\":{cells}}}"
-            ),
-            ResponseEvent::Cell {
-                index,
-                design,
-                workload,
-                injected,
-                delivered,
-                flits,
-                latency,
-                measured,
-                cycles,
-                cached,
-            } => format!(
-                "{{\"event\":\"cell\",\"index\":{index},\"design\":\"{design}\",\
-                 \"workload\":\"{workload}\",\"injected\":{injected},\"delivered\":{delivered},\
-                 \"flits\":{flits},\"latency\":{},\"measured\":{measured},\"cycles\":{cycles},\
-                 \"cached\":{cached}}}",
-                json::fmt_f64(*latency)
-            ),
-            ResponseEvent::Phase {
-                index,
-                phase,
-                design,
-                workload,
-                delivered,
-                latency,
-                drain_cycles,
-                stores,
-            } => format!(
-                "{{\"event\":\"phase\",\"index\":{index},\"phase\":{phase},\
-                 \"design\":\"{design}\",\"workload\":\"{workload}\",\"delivered\":{delivered},\
-                 \"latency\":{},\"drain_cycles\":{drain_cycles},\"stores\":{stores}}}",
-                json::fmt_f64(*latency)
-            ),
-            ResponseEvent::CellError { index, message } => format!(
-                "{{\"event\":\"cell_error\",\"index\":{index},\"message\":\"{}\"}}",
-                json::escape_str(message)
-            ),
-            ResponseEvent::Candidate {
-                index,
-                design,
-                workload,
-                hpc,
-                energy_pj,
-                area_mm2,
-                cycles,
-                score,
-            } => format!(
-                "{{\"event\":\"candidate\",\"index\":{index},\"design\":\"{design}\",\
-                 \"workload\":\"{workload}\",\"hpc\":{hpc},\"energy_pj\":{},\"area_mm2\":{},\
-                 \"cycles\":{},\"score\":{}}}",
-                json::fmt_f64(*energy_pj),
-                json::fmt_f64(*area_mm2),
-                json::fmt_f64(*cycles),
-                json::fmt_f64(*score)
-            ),
-            ResponseEvent::Winner {
-                index,
-                score,
-                evaluated,
-            } => format!(
-                "{{\"event\":\"winner\",\"index\":{index},\"score\":{},\"evaluated\":{evaluated}}}",
-                json::fmt_f64(*score)
-            ),
-            ResponseEvent::FlowDiff {
-                flow,
-                baseline,
-                candidate,
-            } => format!(
-                "{{\"event\":\"flow_diff\",\"flow\":{flow},\"baseline\":{},\"candidate\":{}}}",
-                json::fmt_f64(*baseline),
-                json::fmt_f64(*candidate)
-            ),
-            ResponseEvent::DiffSummary {
-                baseline,
-                candidate,
-                delivered_delta,
-                flit_delta,
-                latency_delta,
-            } => format!(
-                "{{\"event\":\"diff_summary\",\"baseline\":\"{baseline}\",\
-                 \"candidate\":\"{candidate}\",\"delivered_delta\":{delivered_delta},\
-                 \"flit_delta\":{flit_delta},\"latency_delta\":{}}}",
-                json::fmt_f64(*latency_delta)
-            ),
-            ResponseEvent::Metric {
-                index,
-                end,
-                setups,
-                grants,
-                premature,
-                injected,
-                delivered,
-                buffered,
-                bypass,
-            } => format!(
-                "{{\"event\":\"metric\",\"index\":{index},\"end\":{end},\"setups\":{setups},\
-                 \"grants\":{grants},\"premature\":{premature},\"injected\":{injected},\
-                 \"delivered\":{delivered},\"buffered\":{buffered},\"bypass\":\"{}\"}}",
-                json::escape_str(bypass)
-            ),
-            // The queue-depth and wall-time fields render only when
-            // nonzero, so documents from before they existed stay
-            // byte-identical (absent on parse ⇒ 0).
-            ResponseEvent::Stats {
-                jobs,
-                cache_hits,
-                cache_misses,
-                cached_designs,
-                active_jobs,
-                busy_ms,
-            } => format!(
-                "{{\"event\":\"stats\",\"jobs\":{jobs},\"cache_hits\":{cache_hits},\
-                 \"cache_misses\":{cache_misses},\"cached_designs\":{cached_designs}{}{}}}",
-                opt_u64_field("active_jobs", *active_jobs),
-                opt_u64_field("busy_ms", *busy_ms)
-            ),
-            ResponseEvent::Done {
-                id,
-                cells,
-                cache_hits,
-            } => format!(
-                "{{\"event\":\"done\",\"id\":\"{id}\",\"cells\":{cells},\
-                 \"cache_hits\":{cache_hits}}}"
-            ),
-            ResponseEvent::Error { id, message } => format!(
-                "{{\"event\":\"error\",\"id\":\"{id}\",\"message\":\"{}\"}}",
-                json::escape_str(message)
-            ),
+        let mut out = String::with_capacity(192);
+        let mut w = Writer::open(&mut out);
+        // The first event of a stream carries the schema tag.
+        if matches!(self, ResponseEvent::Accepted { .. }) {
+            w.line.str("schema", RESPONSE_SCHEMA);
         }
+        w.line.str("event", self.tag());
+        self.write_fields(&mut w);
+        w.line.close();
+        out
     }
 
     /// `true` for the events that end a response stream.
@@ -1446,145 +951,498 @@ impl ResponseEvent {
     ///
     /// Returns a description of the missing or malformed field.
     pub fn parse(line: &str) -> Result<ResponseEvent, String> {
-        let event = json::str_field(line, "event")
+        let event = jsonl::str_field(line, "event")
             .ok_or_else(|| format!("response line has no \"event\" field: {line}"))?;
-        let s = |key: &str| {
-            json::str_field(line, key)
-                .map(str::to_owned)
-                .ok_or_else(|| format!("{event} event missing {key:?}"))
-        };
-        let u = |key: &str| {
-            json::u64_field(line, key).ok_or_else(|| format!("{event} event missing {key:?}"))
-        };
-        let i = |key: &str| {
-            json::i64_field(line, key).ok_or_else(|| format!("{event} event missing {key:?}"))
-        };
-        let f = |key: &str| {
-            json::f64_field(line, key).ok_or_else(|| format!("{event} event missing {key:?}"))
-        };
-        match event {
-            "accepted" => {
-                let schema = json::str_field(line, "schema")
-                    .ok_or_else(|| "accepted event missing \"schema\"".to_owned())?;
-                if schema != RESPONSE_SCHEMA {
-                    return Err(format!(
-                        "unsupported schema {schema:?}, expected {RESPONSE_SCHEMA:?}"
-                    ));
-                }
-                Ok(ResponseEvent::Accepted {
-                    id: s("id")?,
-                    cells: u("cells")?,
-                })
+        if event == "accepted" {
+            let schema = jsonl::str_field(line, "schema")
+                .ok_or_else(|| "accepted event missing \"schema\"".to_owned())?;
+            if schema != RESPONSE_SCHEMA {
+                return Err(format!(
+                    "unsupported schema {schema:?}, expected {RESPONSE_SCHEMA:?}"
+                ));
             }
-            "cell" => Ok(ResponseEvent::Cell {
-                index: u("index")?,
-                design: s("design")?,
-                workload: s("workload")?,
-                injected: u("injected")?,
-                delivered: u("delivered")?,
-                flits: u("flits")?,
-                latency: f("latency")?,
-                measured: u("measured")?,
-                cycles: u("cycles")?,
-                cached: bool_field(line, "cached")?,
-            }),
-            "phase" => Ok(ResponseEvent::Phase {
-                index: u("index")?,
-                phase: u("phase")?,
-                design: s("design")?,
-                workload: s("workload")?,
-                delivered: u("delivered")?,
-                latency: f("latency")?,
-                drain_cycles: u("drain_cycles")?,
-                stores: u("stores")?,
-            }),
-            "cell_error" => Ok(ResponseEvent::CellError {
-                index: u("index")?,
-                message: json::unescape_str(&s("message")?),
-            }),
-            "candidate" => Ok(ResponseEvent::Candidate {
-                index: u("index")?,
-                design: s("design")?,
-                workload: s("workload")?,
-                hpc: u("hpc")?,
-                energy_pj: f("energy_pj")?,
-                area_mm2: f("area_mm2")?,
-                cycles: f("cycles")?,
-                score: f("score")?,
-            }),
-            "winner" => Ok(ResponseEvent::Winner {
-                index: u("index")?,
-                score: f("score")?,
-                evaluated: u("evaluated")?,
-            }),
-            "flow_diff" => Ok(ResponseEvent::FlowDiff {
-                flow: u("flow")?,
-                baseline: f("baseline")?,
-                candidate: f("candidate")?,
-            }),
-            "diff_summary" => Ok(ResponseEvent::DiffSummary {
-                baseline: s("baseline")?,
-                candidate: s("candidate")?,
-                delivered_delta: i("delivered_delta")?,
-                flit_delta: i("flit_delta")?,
-                latency_delta: f("latency_delta")?,
-            }),
-            "metric" => Ok(ResponseEvent::Metric {
-                index: u("index")?,
-                end: u("end")?,
-                setups: u("setups")?,
-                grants: u("grants")?,
-                premature: u("premature")?,
-                injected: u("injected")?,
-                delivered: u("delivered")?,
-                buffered: u("buffered")?,
-                bypass: json::unescape_str(&s("bypass")?),
-            }),
-            "stats" => Ok(ResponseEvent::Stats {
-                jobs: u("jobs")?,
-                cache_hits: u("cache_hits")?,
-                cache_misses: u("cache_misses")?,
-                cached_designs: u("cached_designs")?,
-                active_jobs: json::u64_field(line, "active_jobs").unwrap_or(0),
-                busy_ms: json::u64_field(line, "busy_ms").unwrap_or(0),
-            }),
-            "done" => Ok(ResponseEvent::Done {
-                id: s("id")?,
-                cells: u("cells")?,
-                cache_hits: u("cache_hits")?,
-            }),
-            "error" => Ok(ResponseEvent::Error {
-                id: s("id")?,
-                message: json::unescape_str(&s("message")?),
-            }),
-            other => Err(format!("unknown response event {other:?}")),
+        }
+        let reader = Reader {
+            lines: &[line],
+            line_no: 1,
+            id: "",
+            noun: "field",
+        };
+        match ResponseEvent::read_fields(event, &reader) {
+            Ok(Some(parsed)) => Ok(parsed),
+            Ok(None) => Err(format!("unknown response event {event:?}")),
+            Err(err) => Err(format!("{event} event: {}", err.message)),
         }
     }
 }
 
-/// Render an optional numeric field: empty when zero (the default), so
-/// documents written before the field existed stay byte-identical.
-fn opt_u64_field(key: &str, value: u64) -> String {
-    if value == 0 {
-        String::new()
-    } else {
-        format!(",\"{key}\":{value}")
+/// What a [`Reader`] codec returns.
+type Parsed<T> = Result<T, ProtocolError>;
+
+/// Declare the fields of a line kind **once**. Each row names a
+/// variant's (or struct's) fields in wire order with the codec that
+/// carries each one — a method both [`Writer`] and [`Reader`] have,
+/// `named`/`named_list` taking their [`Names`] table — and the wire key
+/// is the field name. Expands to the tag lookup, the
+/// render half (`write_fields`) and the parse half (`read_fields`).
+macro_rules! wire_table {
+    (enum $ty:ident { $( $tag:literal => $variant:ident {
+        $( $field:ident: $codec:ident $( ($arg:ident) )? ),* $(,)?
+    } )* }) => {
+        impl $ty {
+            fn tag(&self) -> &'static str {
+                match self { $( $ty::$variant { .. } => $tag, )* }
+            }
+
+            fn write_fields(&self, w: &mut Writer<'_>) {
+                match self {
+                    $( $ty::$variant { $( $field ),* } => {
+                        $( w.$codec(stringify!($field), $field $(, &$arg)?); )*
+                    } )*
+                }
+            }
+
+            /// `None` for a tag no row declares.
+            fn read_fields(tag: &str, r: &Reader<'_>) -> Parsed<Option<$ty>> {
+                Ok(Some(match tag {
+                    $( $tag => $ty::$variant {
+                        $( $field: r.$codec(stringify!($field) $(, &$arg)?)? ),*
+                    }, )*
+                    _ => return Ok(None),
+                }))
+            }
+        }
+    };
+    (struct $ty:ident { $( $field:ident: $codec:ident ),* $(,)? }) => {
+        impl $ty {
+            fn write_fields(&self, w: &mut Writer<'_>) {
+                $( w.$codec(stringify!($field), &self.$field); )*
+            }
+
+            fn read_fields(r: &Reader<'_>) -> Parsed<$ty> {
+                Ok($ty { $( $field: r.$codec(stringify!($field))? ),* })
+            }
+        }
+    };
+}
+
+wire_table!(enum Request {
+    "experiment" => Experiment {
+        id: job_id, mesh: mesh, topology: topology, shards: shards,
+        design: named(DESIGNS), workload: workload, plan: plan,
+    }
+    "watch" => Watch {
+        id: job_id, mesh: mesh, topology: topology, shards: shards,
+        design: named(DESIGNS), workload: workload, window: window, plan: plan,
+    }
+    "matrix" => Matrix {
+        id: job_id, mesh: mesh, topology: topology, shards: shards,
+        designs: named_list(DESIGNS), workloads: workloads, plan: plan,
+    }
+    "schedule" => Schedule {
+        id: job_id, mesh: mesh, topology: topology,
+        designs: named_list(SCHEDULE_DESIGNS), drain_budget: u64, phases: phases,
+    }
+    "search" => Search {
+        id: job_id, mesh: mesh, topology: topology, strategy: named(STRATEGIES),
+        designs: named_list(DESIGNS), workloads: workloads, hpc: hpc, plan: plan,
+    }
+    "trace_diff" => TraceDiff {
+        id: job_id, mesh: mesh, topology: topology, baseline: named(DESIGNS),
+        candidate: named(DESIGNS), workload: workload, trace: trace, plan: plan,
+    }
+    "cancel" => Cancel { id: job_id, target: target }
+    "stats" => Stats { id: job_id }
+    "shutdown" => Shutdown { id: job_id }
+});
+
+wire_table!(
+    struct PlanSpec {
+        warmup: u64,
+        measure: u64,
+        drain: u64,
+        seed: u64,
+    }
+);
+
+/// One `schedule` body line after the first.
+struct PhaseLine {
+    workload: WorkloadSpec,
+    plan: PlanSpec,
+}
+
+wire_table!(
+    struct PhaseLine {
+        workload: workload,
+        plan: plan,
+    }
+);
+
+/// What a `trace_diff` body line says of the trace whose events follow.
+struct TraceHead {
+    flits_per_packet: u64,
+    events: u64,
+}
+
+wire_table!(
+    struct TraceHead {
+        flits_per_packet: u64,
+        events: u64,
+    }
+);
+
+wire_table!(enum ResponseEvent {
+    "accepted" => Accepted { id: text, cells: u64 }
+    "cell" => Cell {
+        index: u64, design: text, workload: text, injected: u64, delivered: u64,
+        flits: u64, latency: f64, measured: u64, cycles: u64, cached: bool,
+    }
+    "phase" => Phase {
+        index: u64, phase: u64, design: text, workload: text, delivered: u64,
+        latency: f64, drain_cycles: u64, stores: u64,
+    }
+    "cell_error" => CellError { index: u64, message: text }
+    "candidate" => Candidate {
+        index: u64, design: text, workload: text, hpc: u64, energy_pj: f64,
+        area_mm2: f64, cycles: f64, score: f64,
+    }
+    "winner" => Winner { index: u64, score: f64, evaluated: u64 }
+    "flow_diff" => FlowDiff { flow: u64, baseline: f64, candidate: f64 }
+    "diff_summary" => DiffSummary {
+        baseline: text, candidate: text, delivered_delta: i64, flit_delta: i64,
+        latency_delta: f64,
+    }
+    "metric" => Metric {
+        index: u64, end: u64, setups: u64, grants: u64, premature: u64,
+        injected: u64, delivered: u64, buffered: u64, bypass: text,
+    }
+    // Absent on the wire at zero, so documents from before the two
+    // fields existed stay byte-identical.
+    "stats" => Stats {
+        jobs: u64, cache_hits: u64, cache_misses: u64, cached_designs: u64,
+        active_jobs: opt_u64, busy_ms: opt_u64,
+    }
+    "done" => Done { id: text, cells: u64, cache_hits: u64 }
+    "error" => Error { id: text, message: text }
+});
+
+/// The render half of the codecs: one method per codec name, each
+/// appending `"key":value` to the line being written. Lines after the
+/// first (schedule phases, trace events) collect in `tail`.
+struct Writer<'a> {
+    line: Line<'a>,
+    tail: String,
+}
+
+impl<'a> Writer<'a> {
+    fn open(out: &'a mut String) -> Self {
+        Writer {
+            line: Line::open(out),
+            tail: String::new(),
+        }
+    }
+
+    fn u64(&mut self, key: &str, v: &u64) {
+        self.line.u64(key, *v);
+    }
+
+    fn opt_u64(&mut self, key: &str, v: &u64) {
+        self.line.u64_or(key, *v, 0);
+    }
+
+    fn i64(&mut self, key: &str, v: &i64) {
+        self.line.i64(key, *v);
+    }
+
+    fn f64(&mut self, key: &str, v: &f64) {
+        self.line.f64(key, *v);
+    }
+
+    fn bool(&mut self, key: &str, v: &bool) {
+        self.line.bool(key, *v);
+    }
+
+    fn text(&mut self, key: &str, v: &str) {
+        self.line.str(key, v);
+    }
+
+    /// A space-separated list in one string field.
+    fn list<S: fmt::Display>(&mut self, key: &str, items: impl Iterator<Item = S>) {
+        self.line.str_with(key, |out| {
+            for (i, item) in items.enumerate() {
+                let _ = write!(out, "{}{item}", if i > 0 { " " } else { "" });
+            }
+        });
+    }
+
+    /// The job id rides in the header, not the body.
+    fn job_id(&mut self, _key: &str, _id: &str) {}
+
+    fn mesh(&mut self, key: &str, v: &u16) {
+        self.line.u64(key, u64::from(*v));
+    }
+
+    fn topology(&mut self, key: &str, v: &TopologySpec) {
+        let shown = (*v != TopologySpec::default()).then(|| v.name());
+        self.line.opt_str(key, shown);
+    }
+
+    fn shards(&mut self, key: &str, v: &usize) {
+        self.line.u64_or(key, (*v).max(1) as u64, 1);
+    }
+
+    fn window(&mut self, key: &str, v: &u64) {
+        self.line.u64(key, *v);
+    }
+
+    fn target(&mut self, key: &str, v: &str) {
+        self.line.str(key, v);
+    }
+
+    fn named<T: Copy + PartialEq>(&mut self, key: &str, v: &T, names: &Names<T>) {
+        self.line.str(key, names.name(*v));
+    }
+
+    fn named_list<T: Copy + PartialEq>(&mut self, key: &str, v: &[T], names: &Names<T>) {
+        self.list(key, v.iter().map(|item| names.name(*item)));
+    }
+
+    fn workload(&mut self, key: &str, v: &WorkloadSpec) {
+        self.line.str(key, &v.render());
+    }
+
+    fn workloads(&mut self, key: &str, v: &[WorkloadSpec]) {
+        self.list(key, v.iter().map(WorkloadSpec::render));
+    }
+
+    fn hpc(&mut self, key: &str, v: &[u64]) {
+        self.list(key, v.iter());
+    }
+
+    /// The four plan fields, flattened into the current line.
+    fn plan(&mut self, _key: &str, v: &PlanSpec) {
+        v.write_fields(self);
+    }
+
+    /// One line per phase, after the first body line.
+    fn phases(&mut self, _key: &str, v: &[(WorkloadSpec, PlanSpec)]) {
+        for (workload, plan) in v {
+            let phase = PhaseLine {
+                workload: workload.clone(),
+                plan: *plan,
+            };
+            let mut w = Writer::open(&mut self.tail);
+            phase.write_fields(&mut w);
+            w.line.close();
+            self.tail.push('\n');
+        }
+    }
+
+    /// The trace's sizing and event count in the current line, its
+    /// event lines (trace-v1's own) after it.
+    fn trace(&mut self, _key: &str, v: &TraceFile) {
+        let head = TraceHead {
+            flits_per_packet: u64::from(v.flits_per_packet),
+            events: v.events.len() as u64,
+        };
+        head.write_fields(self);
+        v.render_events(&mut self.tail);
     }
 }
 
-/// Extract a `"key":true|false` field.
-fn bool_field(line: &str, key: &str) -> Result<bool, String> {
-    let needle = format!("\"{key}\":");
-    let rest = &line[line
-        .find(&needle)
-        .ok_or_else(|| format!("missing field {key:?}"))?
-        + needle.len()..];
-    if rest.starts_with("true") {
-        Ok(true)
-    } else if rest.starts_with("false") {
-        Ok(false)
-    } else {
-        Err(format!("field {key:?} is not a boolean"))
+/// The parse half of the codecs: one method per codec name, each
+/// extracting and validating its key from the first of `lines`.
+#[derive(Clone, Copy)]
+struct Reader<'a> {
+    /// The lines being read; codecs read the first, multi-line codecs
+    /// the rest too.
+    lines: &'a [&'a str],
+    /// 1-based document line of `lines[0]`, for errors.
+    line_no: usize,
+    /// The job id from the request header.
+    id: &'a str,
+    /// How a missing field is reported: `missing <noun> "key"`.
+    noun: &'a str,
+}
+
+impl<'a> Reader<'a> {
+    fn line(&self) -> &'a str {
+        self.lines.first().copied().unwrap_or_default()
+    }
+
+    fn err(&self, message: impl Into<String>) -> ProtocolError {
+        ProtocolError::new(self.line_no, message)
+    }
+
+    fn need<T>(&self, key: &str, found: Option<T>) -> Parsed<T> {
+        found.ok_or_else(|| self.err(format!("missing {} {key:?}", self.noun)))
+    }
+
+    fn u64(&self, key: &str) -> Parsed<u64> {
+        self.need(key, jsonl::u64_field(self.line(), key))
+    }
+
+    fn opt_u64(&self, key: &str) -> Parsed<u64> {
+        Ok(jsonl::u64_field(self.line(), key).unwrap_or(0))
+    }
+
+    fn i64(&self, key: &str) -> Parsed<i64> {
+        self.need(key, jsonl::i64_field(self.line(), key))
+    }
+
+    fn f64(&self, key: &str) -> Parsed<f64> {
+        self.need(key, jsonl::f64_field(self.line(), key))
+    }
+
+    fn bool(&self, key: &str) -> Parsed<bool> {
+        self.need(key, jsonl::bool_field(self.line(), key))
+    }
+
+    fn raw(&self, key: &str) -> Parsed<&'a str> {
+        self.need(key, jsonl::str_field(self.line(), key))
+    }
+
+    fn text(&self, key: &str) -> Parsed<String> {
+        jsonl::unescape(self.raw(key)?)
+            .ok_or_else(|| self.err(format!("malformed escape in {key:?}")))
+    }
+
+    /// A string field parsed by `f`.
+    fn parsed<T>(&self, key: &str, f: impl Fn(&str) -> Result<T, String>) -> Parsed<T> {
+        f(self.raw(key)?).map_err(|m| self.err(m))
+    }
+
+    /// A space-separated list field, every token parsed by `f`; the
+    /// list must be non-empty.
+    fn list<T>(&self, key: &str, f: impl Fn(&str) -> Result<T, String>) -> Parsed<Vec<T>> {
+        let items: Vec<T> = self
+            .raw(key)?
+            .split_whitespace()
+            .map(|token| f(token).map_err(|m| self.err(m)))
+            .collect::<Result<_, _>>()?;
+        if items.is_empty() {
+            return Err(self.err(format!("empty list {key:?}")));
+        }
+        Ok(items)
+    }
+
+    fn job_id(&self, _key: &str) -> Parsed<String> {
+        Ok(self.id.to_owned())
+    }
+
+    fn mesh(&self, key: &str) -> Parsed<u16> {
+        match self.u64(key)? {
+            mesh @ 2..=MAX_MESH => Ok(mesh as u16),
+            mesh => Err(self.err(format!("mesh {mesh} outside 2..={MAX_MESH}"))),
+        }
+    }
+
+    /// Absent ⇒ mesh.
+    fn topology(&self, key: &str) -> Parsed<TopologySpec> {
+        match jsonl::str_field(self.line(), key) {
+            None => Ok(TopologySpec::default()),
+            Some(raw) => TopologySpec::parse(raw).map_err(|m| self.err(m)),
+        }
+    }
+
+    /// Absent ⇒ one band. Band count is an execution strategy with
+    /// bit-identical results, so a request without the field is exactly
+    /// the pre-sharding protocol.
+    fn shards(&self, key: &str) -> Parsed<usize> {
+        match jsonl::u64_field(self.line(), key) {
+            None => Ok(1),
+            Some(0) => Err(self.err("shards must be at least 1")),
+            Some(n @ 1..=MAX_MESH) => Ok(n as usize),
+            Some(n) => Err(self.err(format!("shards {n} outside 1..={MAX_MESH}"))),
+        }
+    }
+
+    fn window(&self, key: &str) -> Parsed<u64> {
+        match self.u64(key)? {
+            0 => Err(self.err("window must be at least 1 cycle")),
+            window => Ok(window),
+        }
+    }
+
+    fn target(&self, key: &str) -> Parsed<String> {
+        let target = self.raw(key)?;
+        if !valid_id(target) {
+            return Err(self.err(format!("invalid target id {target:?}")));
+        }
+        Ok(target.to_owned())
+    }
+
+    fn named<T: Copy + PartialEq>(&self, key: &str, names: &Names<T>) -> Parsed<T> {
+        self.parsed(key, |name| names.parse(name))
+    }
+
+    fn named_list<T: Copy + PartialEq>(&self, key: &str, names: &Names<T>) -> Parsed<Vec<T>> {
+        self.list(key, |name| names.parse(name))
+    }
+
+    fn workload(&self, key: &str) -> Parsed<WorkloadSpec> {
+        self.parsed(key, WorkloadSpec::parse)
+    }
+
+    fn workloads(&self, key: &str) -> Parsed<Vec<WorkloadSpec>> {
+        self.list(key, WorkloadSpec::parse)
+    }
+
+    fn hpc(&self, key: &str) -> Parsed<Vec<u64>> {
+        let hpc = self.list(key, |token| {
+            token
+                .parse::<u64>()
+                .map_err(|_| format!("bad hpc value {token:?}"))
+        })?;
+        if let Some(h) = hpc.iter().find(|h| !(1..=MAX_MESH).contains(*h)) {
+            return Err(self.err(format!("hpc {h} outside 1..={MAX_MESH}")));
+        }
+        Ok(hpc)
+    }
+
+    fn plan(&self, _key: &str) -> Parsed<PlanSpec> {
+        PlanSpec::read_fields(&Reader {
+            noun: "plan field",
+            ..*self
+        })
+    }
+
+    /// The lines after the first, each with its reader.
+    fn rest(&self) -> impl Iterator<Item = Reader<'a>> {
+        let first = *self;
+        (1..first.lines.len()).map(move |i| Reader {
+            lines: &first.lines[i..],
+            line_no: first.line_no + i,
+            ..first
+        })
+    }
+
+    fn phases(&self, _key: &str) -> Parsed<Vec<(WorkloadSpec, PlanSpec)>> {
+        let phases: Vec<_> = self
+            .rest()
+            .map(|r| PhaseLine::read_fields(&r).map(|p| (p.workload, p.plan)))
+            .collect::<Result<_, _>>()?;
+        if phases.is_empty() {
+            return Err(self.err("schedule has no phases"));
+        }
+        Ok(phases)
+    }
+
+    fn trace(&self, _key: &str) -> Parsed<TraceFile> {
+        let head = TraceHead::read_fields(self)?;
+        let fpp = head.flits_per_packet;
+        let flits_per_packet = u8::try_from(fpp)
+            .map_err(|_| self.err(format!("flits_per_packet {fpp} does not fit a u8")))?;
+        let events = jsonl::read_declared(
+            (head.events, "events"),
+            self.rest().map(|r| (r.line_no, r.line())),
+            |line| TraceFile::parse_event(line).map_err(|e| ProtocolError::new(e.line, e.message)),
+            |m| self.err(m),
+        )?;
+        Ok(TraceFile {
+            flits_per_packet,
+            events,
+        })
     }
 }
 
@@ -1776,6 +1634,130 @@ mod tests {
             let err = Request::parse(text).expect_err(text);
             assert_eq!(err.line, line, "{text}");
         }
+    }
+
+    #[test]
+    fn body_errors_keep_their_lines_and_messages() {
+        let doc = |kind: &str, body: &[&str]| {
+            let mut text = format!(
+                "{{\"schema\":\"smart-server/req-v1\",\"id\":\"a\",\"kind\":\"{kind}\",\"lines\":{}}}\n",
+                body.len()
+            );
+            for line in body {
+                text.push_str(line);
+                text.push('\n');
+            }
+            text
+        };
+        let plan = "\"warmup\":0,\"measure\":100,\"drain\":100,\"seed\":1";
+        let cases = [
+            (doc("matrix", &[]), 1, "matrix needs a body line".to_owned()),
+            (
+                doc("nope", &["{}"]),
+                1,
+                "unknown request kind \"nope\"".to_owned(),
+            ),
+            (
+                doc(
+                    "experiment",
+                    &["{\"mesh\":4,\"design\":\"smart\",\"workload\":\"fig7\"}"],
+                ),
+                2,
+                "missing plan field \"warmup\"".to_owned(),
+            ),
+            (
+                doc(
+                    "experiment",
+                    &[&format!("{{\"mesh\":4,\"workload\":\"fig7\",{plan}}}")],
+                ),
+                2,
+                "missing field \"design\"".to_owned(),
+            ),
+            (
+                doc(
+                    "experiment",
+                    &[&format!(
+                        "{{\"mesh\":65,\"design\":\"smart\",\"workload\":\"fig7\",{plan}}}"
+                    )],
+                ),
+                2,
+                "mesh 65 outside 2..=64".to_owned(),
+            ),
+            (
+                doc(
+                    "schedule",
+                    &[
+                        "{\"mesh\":4,\"designs\":\"smart\",\"drain_budget\":9}",
+                        &format!("{{\"workload\":\"fig7\",{plan}}}"),
+                        &format!("{{\"workload\":\"fig8\",{plan}}}"),
+                    ],
+                ),
+                4,
+                WorkloadSpec::parse("fig8").expect_err("no such spec"),
+            ),
+            (
+                doc(
+                    "schedule",
+                    &["{\"mesh\":4,\"designs\":\"smart\",\"drain_budget\":9}"],
+                ),
+                2,
+                "schedule has no phases".to_owned(),
+            ),
+            (
+                doc(
+                    "trace_diff",
+                    &[
+                        &format!(
+                            "{{\"mesh\":4,\"baseline\":\"mesh\",\"candidate\":\"smart\",\
+                             \"workload\":\"fig7\",\"flits_per_packet\":8,\"events\":3,{plan}}}"
+                        ),
+                        "{\"cycle\":0,\"flow\":0}",
+                    ],
+                ),
+                2,
+                "declares 3 events, found 1".to_owned(),
+            ),
+        ];
+        for (text, line, message) in cases {
+            let err = Request::parse(&text).expect_err(&text);
+            assert_eq!(
+                (err.line, err.message.as_str()),
+                (line, message.as_str()),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
+    fn name_tables_round_trip_and_say_what_they_expected() {
+        for design in DesignKind::ALL {
+            assert_eq!(parse_design(DESIGNS.name(design)), Ok(design));
+        }
+        for design in ScheduleDesign::ALL {
+            let name = SCHEDULE_DESIGNS.name(design);
+            assert_eq!(SCHEDULE_DESIGNS.parse(name), Ok(design));
+        }
+        for pattern in &PATTERNS {
+            let spec = format!("pattern:{}:0.1", pattern.label());
+            assert!(WorkloadSpec::parse(&spec).is_ok(), "{spec}");
+        }
+        assert_eq!(
+            parse_design("ring").expect_err("unknown"),
+            "unknown design \"ring\" (expected mesh, smart, or dedicated)"
+        );
+        assert_eq!(
+            SCHEDULE_DESIGNS.parse("ring").expect_err("unknown"),
+            "unknown schedule design \"ring\" (expected mesh, smart, dedicated, or reconfigurable)"
+        );
+        assert_eq!(
+            TopologySpec::parse("ring").expect_err("unknown"),
+            "unknown topology \"ring\" (expected mesh or torus)"
+        );
+        assert_eq!(
+            SearchStrategy::parse("luck").expect_err("unknown"),
+            "unknown strategy \"luck\" (expected exhaustive or greedy)"
+        );
+        assert_eq!(expected(["only"]), "only");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! *header* closes the connection, because nothing downstream can be
 //! trusted to align with line boundaries.
 
-use crate::protocol::{ProtocolError, Request, RequestHeader, ResponseEvent};
+use crate::protocol::{Request, RequestHeader, ResponseEvent};
 use crate::service::{EventSink, Service, ServiceConfig};
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -138,6 +138,38 @@ impl Server {
     }
 }
 
+/// Longest request line the server reads, newline included. A `matrix`
+/// body line naming every application on every design is under 1 KiB;
+/// the cap only has to stop a line that never ends from holding memory.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// How [`read_line_capped`] left the stream.
+enum LineRead {
+    /// A whole line (or the unterminated tail before EOF) was appended.
+    Line,
+    /// The stream ended before any byte of a line.
+    Eof,
+    /// [`MAX_LINE_BYTES`] arrived without a newline.
+    TooLong,
+}
+
+/// Append the next line of `reader` (through its newline) to `buf`,
+/// reading no more than [`MAX_LINE_BYTES`] of it.
+fn read_line_capped(reader: &mut impl BufRead, buf: &mut Vec<u8>) -> io::Result<LineRead> {
+    let start = buf.len();
+    let read = reader
+        .take(MAX_LINE_BYTES as u64 + 1)
+        .read_until(b'\n', buf)?;
+    Ok(if read == 0 {
+        LineRead::Eof
+    } else if read > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+        buf.truncate(start);
+        LineRead::TooLong
+    } else {
+        LineRead::Line
+    })
+}
+
 /// Serve one connection to completion. Returns `true` when a shutdown
 /// request was handled.
 fn serve_connection(stream: &TcpStream, service: &Service) -> bool {
@@ -151,44 +183,58 @@ fn serve_connection(stream: &TcpStream, service: &Service) -> bool {
     let sink = LineSink {
         writer: Mutex::new(BufWriter::new(write_half)),
     };
-    let mut line = String::new();
+    // Ends a request with its terminal error event. The `false` is for
+    // the arms that must also close the connection (the stream can no
+    // longer be trusted to align with line boundaries) to `return`.
+    let error = |id: &str, message: String| {
+        sink.emit(&ResponseEvent::Error {
+            id: id.to_owned(),
+            message,
+        });
+        false
+    };
+    let too_long = || format!("request line exceeds {MAX_LINE_BYTES} bytes");
+    // Both buffers live as long as the connection: a request costs no
+    // allocation per line, and memory follows the bytes that actually
+    // arrived, never the line count a header declared.
+    let mut line = Vec::new();
+    let mut body = Vec::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => return false,
-            Ok(_) => {}
+        match read_line_capped(&mut reader, &mut line) {
+            Ok(LineRead::Line) => {}
+            Ok(LineRead::TooLong) => return error("-", too_long()),
+            Ok(LineRead::Eof) | Err(_) => return false,
         }
-        if line.trim().is_empty() {
+        let Ok(text) = std::str::from_utf8(&line) else {
+            return false;
+        };
+        if text.trim().is_empty() {
             continue;
         }
-        let header = match RequestHeader::parse(line.trim_end()) {
+        let header = match RequestHeader::parse(text.trim_end()) {
             Ok(h) => h,
-            Err(err) => {
-                // With no trusted line count the stream cannot resync.
-                emit_protocol_error(&sink, "-", &err);
-                return false;
-            }
+            // With no trusted line count the stream cannot resync.
+            Err(err) => return error("-", err.to_string()),
         };
-        let mut body = Vec::with_capacity(header.lines);
+        body.clear();
         for _ in 0..header.lines {
-            let mut body_line = String::new();
-            match reader.read_line(&mut body_line) {
-                Ok(0) | Err(_) => {
-                    emit_protocol_error(
-                        &sink,
-                        &header.id,
-                        &ProtocolError {
-                            line: 0,
-                            message: "connection closed mid-request".to_owned(),
-                        },
-                    );
-                    return false;
+            match read_line_capped(&mut reader, &mut body) {
+                Ok(LineRead::Line) => {}
+                Ok(LineRead::TooLong) => return error(&header.id, too_long()),
+                Ok(LineRead::Eof) | Err(_) => {
+                    let closed = "connection closed mid-request".to_owned();
+                    return error(&header.id, closed);
                 }
-                Ok(_) => body.push(body_line.trim_end().to_owned()),
             }
         }
-        let body_refs: Vec<&str> = body.iter().map(String::as_str).collect();
-        match Request::from_lines(&header, &body_refs) {
+        let Ok(body_text) = std::str::from_utf8(&body) else {
+            return false;
+        };
+        // `lines()` would drop a blank trailing line; split on the
+        // newlines the reads appended so the count stays the header's.
+        let body_lines: Vec<&str> = body_text.split_inclusive('\n').map(str::trim_end).collect();
+        match Request::from_lines(&header, &body_lines) {
             Ok(request) => {
                 // The declared body was consumed, so a handler panic
                 // (or error) poisons only this request.
@@ -201,24 +247,17 @@ fn serve_connection(stream: &TcpStream, service: &Service) -> bool {
                             .map(|s| (*s).to_owned())
                             .or_else(|| panic.downcast_ref::<String>().cloned())
                             .unwrap_or_else(|| "request handler panicked".to_owned());
-                        sink.emit(&ResponseEvent::Error {
-                            id: header.id.clone(),
-                            message,
-                        });
+                        error(&header.id, message);
                     }
                 }
             }
-            Err(err) => emit_protocol_error(&sink, &header.id, &err),
+            // The declared body was consumed too, so a malformed one
+            // poisons only its request.
+            Err(err) => {
+                error(&header.id, err.to_string());
+            }
         }
     }
-}
-
-/// Turn a parse failure into the stream's terminal error event.
-fn emit_protocol_error(sink: &dyn EventSink, id: &str, err: &ProtocolError) {
-    sink.emit(&ResponseEvent::Error {
-        id: id.to_owned(),
-        message: err.to_string(),
-    });
 }
 
 /// A blocking client for the JSONL protocol: submit a request, collect

@@ -12,7 +12,7 @@
 //! so re-ordering by index recovers the deterministic result exactly.
 
 use crate::cache::DesignCache;
-use crate::protocol::{PlanSpec, Request, ResponseEvent, WorkloadSpec};
+use crate::protocol::{PlanSpec, Request, ResponseEvent, SearchStrategy, WorkloadSpec};
 use crate::search::{self, SearchSpace};
 use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
@@ -70,7 +70,7 @@ pub struct Service {
 /// a crashed job never wedges its id).
 struct JobGuard<'a> {
     service: &'a Service,
-    id: String,
+    id: &'a str,
 }
 
 impl Drop for JobGuard<'_> {
@@ -79,7 +79,7 @@ impl Drop for JobGuard<'_> {
             .jobs
             .lock()
             .expect("unpoisoned job table")
-            .remove(&self.id);
+            .remove(self.id);
     }
 }
 
@@ -90,6 +90,16 @@ struct Job<'a> {
     id: &'a str,
     cancel: Option<&'a AtomicBool>,
     sink: &'a dyn EventSink,
+}
+
+impl Job<'_> {
+    /// Announce that the job was accepted and will run `cells` cells.
+    fn accepted(&self, cells: u64) {
+        self.sink.emit(&ResponseEvent::Accepted {
+            id: self.id.to_owned(),
+            cells,
+        });
+    }
 }
 
 impl Service {
@@ -125,27 +135,17 @@ impl Service {
     /// front end wraps handlers in `catch_unwind` and turns panics into
     /// [`ResponseEvent::Error`].
     pub fn handle(&self, request: &Request, sink: &dyn EventSink) -> bool {
-        let id = request.id().to_owned();
-        let done = |cells: u64, cache_hits: u64| ResponseEvent::Done {
-            id: id.clone(),
-            cells,
-            cache_hits,
-        };
-        let fail = |message: String| {
-            sink.emit(&ResponseEvent::Error {
-                id: id.clone(),
-                message,
-            });
-            false
+        let id = request.id();
+        let job = Job {
+            id,
+            cancel: None,
+            sink,
         };
         // Run-type jobs (everything that simulates) accumulate into the
         // busy_ms wall-clock the stats event reports.
-        let run_type = !matches!(
-            request,
-            Request::Cancel { .. } | Request::Stats { .. } | Request::Shutdown { .. }
-        );
         let started = std::time::Instant::now();
-        let shutdown = match request {
+        let outcome = match request {
+            // An experiment is the 1 × 1 matrix.
             Request::Experiment {
                 mesh,
                 topology,
@@ -154,31 +154,22 @@ impl Service {
                 workload,
                 plan,
                 ..
-            } => match self.register(&id) {
-                Ok((guard, cancel)) => {
-                    let job = Job {
-                        id: &id,
-                        cancel: Some(&cancel),
-                        sink,
-                    };
-                    let outcome = self.run_matrix(
-                        &job,
-                        topology.config(*mesh).sharded(*shards),
-                        &[*design],
-                        std::slice::from_ref(workload),
-                        *plan,
-                    );
-                    drop(guard);
-                    match outcome {
-                        Ok((cells, hits)) => {
-                            sink.emit(&done(cells, hits));
-                            false
-                        }
-                        Err(m) => fail(m),
-                    }
-                }
-                Err(m) => fail(m),
-            },
+            } => self.run_job(job, true, |job| {
+                let cfg = topology.config(*mesh).sharded(*shards);
+                self.run_matrix(job, cfg, &[*design], std::slice::from_ref(workload), *plan)
+            }),
+            Request::Matrix {
+                mesh,
+                topology,
+                shards,
+                designs,
+                workloads,
+                plan,
+                ..
+            } => self.run_job(job, true, |job| {
+                let cfg = topology.config(*mesh).sharded(*shards);
+                self.run_matrix(job, cfg, designs, workloads, *plan)
+            }),
             Request::Watch {
                 mesh,
                 topology,
@@ -188,65 +179,10 @@ impl Service {
                 plan,
                 window,
                 ..
-            } => match self.register(&id) {
-                Ok((guard, _cancel)) => {
-                    let job = Job {
-                        id: &id,
-                        cancel: None,
-                        sink,
-                    };
-                    let outcome = self.run_watch(
-                        &job,
-                        topology.config(*mesh).sharded(*shards),
-                        *design,
-                        workload,
-                        *plan,
-                        *window,
-                    );
-                    drop(guard);
-                    match outcome {
-                        Ok(hits) => {
-                            sink.emit(&done(1, hits));
-                            false
-                        }
-                        Err(m) => fail(m),
-                    }
-                }
-                Err(m) => fail(m),
-            },
-            Request::Matrix {
-                mesh,
-                topology,
-                shards,
-                designs,
-                workloads,
-                plan,
-                ..
-            } => match self.register(&id) {
-                Ok((guard, cancel)) => {
-                    let job = Job {
-                        id: &id,
-                        cancel: Some(&cancel),
-                        sink,
-                    };
-                    let outcome = self.run_matrix(
-                        &job,
-                        topology.config(*mesh).sharded(*shards),
-                        designs,
-                        workloads,
-                        *plan,
-                    );
-                    drop(guard);
-                    match outcome {
-                        Ok((cells, hits)) => {
-                            sink.emit(&done(cells, hits));
-                            false
-                        }
-                        Err(m) => fail(m),
-                    }
-                }
-                Err(m) => fail(m),
-            },
+            } => self.run_job(job, false, |job| {
+                let cfg = topology.config(*mesh).sharded(*shards);
+                self.run_watch(job, cfg, *design, workload, *plan, *window)
+            }),
             Request::Schedule {
                 mesh,
                 topology,
@@ -254,31 +190,9 @@ impl Service {
                 drain_budget,
                 phases,
                 ..
-            } => match self.register(&id) {
-                Ok((guard, cancel)) => {
-                    let job = Job {
-                        id: &id,
-                        cancel: Some(&cancel),
-                        sink,
-                    };
-                    let outcome = self.run_schedule(
-                        &job,
-                        topology.config(*mesh),
-                        designs,
-                        *drain_budget,
-                        phases,
-                    );
-                    drop(guard);
-                    match outcome {
-                        Ok(cells) => {
-                            sink.emit(&done(cells, 0));
-                            false
-                        }
-                        Err(m) => fail(m),
-                    }
-                }
-                Err(m) => fail(m),
-            },
+            } => self.run_job(job, true, |job| {
+                self.run_schedule(job, topology.config(*mesh), designs, *drain_budget, phases)
+            }),
             Request::Search {
                 mesh,
                 topology,
@@ -298,34 +212,7 @@ impl Service {
                     hpc: hpc.clone(),
                     plan: *plan,
                 };
-                sink.emit(&ResponseEvent::Accepted {
-                    id: id.clone(),
-                    cells: space.len() as u64,
-                });
-                let emit = |c: &search::CandidateScore| {
-                    sink.emit(&ResponseEvent::Candidate {
-                        index: c.index as u64,
-                        design: c.design.label().to_owned(),
-                        workload: c.workload.clone(),
-                        hpc: c.hpc,
-                        energy_pj: c.energy_pj,
-                        area_mm2: c.area_mm2,
-                        cycles: c.cycles,
-                        score: c.score,
-                    });
-                };
-                match search::run(&space, *strategy, self.cfg.threads, &self.cache, &emit) {
-                    Ok(outcome) => {
-                        sink.emit(&ResponseEvent::Winner {
-                            index: outcome.winner_index as u64,
-                            score: outcome.winner_score,
-                            evaluated: outcome.candidates.len() as u64,
-                        });
-                        sink.emit(&done(outcome.candidates.len() as u64, 0));
-                        false
-                    }
-                    Err(m) => fail(m),
-                }
+                self.run_search(&job, &space, *strategy)
             }
             Request::TraceDiff {
                 mesh,
@@ -338,40 +225,24 @@ impl Service {
                 ..
             } => {
                 self.jobs_run.fetch_add(1, Ordering::Relaxed);
-                let job = Job {
-                    id: &id,
-                    cancel: None,
-                    sink,
-                };
-                match self.run_trace_diff(
+                let designs = (*baseline, *candidate);
+                self.run_trace_diff(
                     &job,
                     topology.config(*mesh),
-                    (*baseline, *candidate),
+                    designs,
                     workload,
                     *plan,
                     trace,
-                ) {
-                    Ok(hits) => {
-                        sink.emit(&done(2, hits));
-                        false
-                    }
-                    Err(m) => fail(m),
-                }
+                )
             }
             Request::Cancel { target, .. } => {
-                let flag = self
-                    .jobs
-                    .lock()
-                    .expect("unpoisoned job table")
-                    .get(target)
-                    .cloned();
-                match flag {
+                let jobs = self.jobs.lock().expect("unpoisoned job table");
+                match jobs.get(target) {
                     Some(cancel) => {
                         cancel.store(true, Ordering::Relaxed);
-                        sink.emit(&done(0, 0));
-                        false
+                        Ok((0, 0))
                     }
-                    None => fail(format!("no running job {target:?}")),
+                    None => Err(format!("no running job {target:?}")),
                 }
             }
             Request::Stats { .. } => {
@@ -383,37 +254,92 @@ impl Service {
                     active_jobs: self.jobs.lock().expect("unpoisoned job table").len() as u64,
                     busy_ms: self.busy_ms.load(Ordering::Relaxed),
                 });
-                sink.emit(&done(0, 0));
-                false
+                Ok((0, 0))
             }
-            Request::Shutdown { .. } => {
-                sink.emit(&done(0, 0));
-                true
-            }
+            Request::Shutdown { .. } => Ok((0, 0)),
         };
+        sink.emit(&match outcome {
+            Ok((cells, cache_hits)) => ResponseEvent::Done {
+                id: id.to_owned(),
+                cells,
+                cache_hits,
+            },
+            Err(message) => ResponseEvent::Error {
+                id: id.to_owned(),
+                message,
+            },
+        });
+        let run_type = !matches!(
+            request,
+            Request::Cancel { .. } | Request::Stats { .. } | Request::Shutdown { .. }
+        );
         if run_type {
             let elapsed = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
             self.busy_ms.fetch_add(elapsed, Ordering::Relaxed);
         }
-        shutdown
+        matches!(request, Request::Shutdown { .. })
     }
 
-    /// Register a cancellable job, refusing duplicate live ids.
-    fn register(&self, id: &str) -> Result<(JobGuard<'_>, Arc<AtomicBool>), String> {
-        self.jobs_run.fetch_add(1, Ordering::Relaxed);
+    /// Run `engine` as a registered job: the id enters the live job
+    /// table (a duplicate live id is refused, and does not count as a
+    /// job handled), `engine` sees the job's cancellation flag when
+    /// `cancellable`, and the id leaves the table when `engine` returns
+    /// or panics. `engine` returns `(completed cells, cache hits)`.
+    fn run_job(
+        &self,
+        job: Job<'_>,
+        cancellable: bool,
+        engine: impl FnOnce(&Job<'_>) -> Result<(u64, u64), String>,
+    ) -> Result<(u64, u64), String> {
         let cancel = Arc::new(AtomicBool::new(false));
-        let mut jobs = self.jobs.lock().expect("unpoisoned job table");
-        if jobs.contains_key(id) {
-            return Err(format!("job id {id:?} is already running"));
+        {
+            let mut jobs = self.jobs.lock().expect("unpoisoned job table");
+            if jobs.contains_key(job.id) {
+                return Err(format!("job id {:?} is already running", job.id));
+            }
+            jobs.insert(job.id.to_owned(), Arc::clone(&cancel));
         }
-        jobs.insert(id.to_owned(), Arc::clone(&cancel));
-        Ok((
-            JobGuard {
-                service: self,
-                id: id.to_owned(),
-            },
-            cancel,
-        ))
+        self.jobs_run.fetch_add(1, Ordering::Relaxed);
+        let _guard = JobGuard {
+            service: self,
+            id: job.id,
+        };
+        engine(&Job {
+            cancel: cancellable.then_some(&*cancel),
+            ..job
+        })
+    }
+
+    /// The search engine: score the space with `strategy`, streaming a
+    /// [`ResponseEvent::Candidate`] per scored point and the
+    /// [`ResponseEvent::Winner`] after them.
+    fn run_search(
+        &self,
+        job: &Job<'_>,
+        space: &SearchSpace,
+        strategy: SearchStrategy,
+    ) -> Result<(u64, u64), String> {
+        job.accepted(space.len() as u64);
+        let emit = |c: &search::CandidateScore| {
+            job.sink.emit(&ResponseEvent::Candidate {
+                index: c.index as u64,
+                design: c.design.label().to_owned(),
+                workload: c.workload.clone(),
+                hpc: c.hpc,
+                energy_pj: c.energy_pj,
+                area_mm2: c.area_mm2,
+                cycles: c.cycles,
+                score: c.score,
+            });
+        };
+        let outcome = search::run(space, strategy, self.cfg.threads, &self.cache, &emit)?;
+        let evaluated = outcome.candidates.len() as u64;
+        job.sink.emit(&ResponseEvent::Winner {
+            index: outcome.winner_index as u64,
+            score: outcome.winner_score,
+            evaluated,
+        });
+        Ok((evaluated, 0))
     }
 
     /// The experiment/matrix engine: compile every cell through the
@@ -438,10 +364,7 @@ impl Service {
                 cells.push((*design, workload.clone(), handle, cached));
             }
         }
-        job.sink.emit(&ResponseEvent::Accepted {
-            id: job.id.to_owned(),
-            cells: cells.len() as u64,
-        });
+        job.accepted(cells.len() as u64);
         let run_one = |i: usize| {
             let (design, workload, handle, _) = &cells[i];
             Experiment::new(cfg.clone())
@@ -456,18 +379,8 @@ impl Service {
             job.cancel,
             run_one,
             |i, report| {
-                job.sink.emit(&ResponseEvent::Cell {
-                    index: i as u64,
-                    design: report.design.label().to_owned(),
-                    workload: report.workload.clone(),
-                    injected: report.packets_injected,
-                    delivered: report.packets_delivered,
-                    flits: report.flits_delivered,
-                    latency: report.avg_network_latency,
-                    measured: report.measured_packets,
-                    cycles: report.total_cycles,
-                    cached: cells[i].3,
-                });
+                job.sink
+                    .emit(&ResponseEvent::cell(i as u64, report, cells[i].3));
             },
         );
         let completed = slots.iter().filter(|s| s.is_some()).count();
@@ -482,7 +395,7 @@ impl Service {
     /// The watch engine: one telemetry-enabled experiment cell through
     /// the compiled-design cache, streaming one [`ResponseEvent::Metric`]
     /// per closed window (in window order) before the final
-    /// [`ResponseEvent::Cell`]. Returns the cache hits (0 or 1).
+    /// [`ResponseEvent::Cell`]. Returns `(1, cache hits)`.
     fn run_watch(
         &self,
         job: &Job<'_>,
@@ -491,16 +404,13 @@ impl Service {
         workload: &WorkloadSpec,
         plan: PlanSpec,
         window: u64,
-    ) -> Result<u64, String> {
+    ) -> Result<(u64, u64), String> {
         if window == 0 {
             return Err("watch window must be at least 1 cycle".to_owned());
         }
         let workload = workload.to_workload()?;
         let (handle, cached) = self.cache.design(&cfg, design, &workload);
-        job.sink.emit(&ResponseEvent::Accepted {
-            id: job.id.to_owned(),
-            cells: 1,
-        });
+        job.accepted(1);
         let report = Experiment::new(cfg)
             .design(design)
             .workload(workload)
@@ -523,19 +433,8 @@ impl Service {
                 });
             }
         }
-        job.sink.emit(&ResponseEvent::Cell {
-            index: 0,
-            design: report.design.label().to_owned(),
-            workload: report.workload.clone(),
-            injected: report.packets_injected,
-            delivered: report.packets_delivered,
-            flits: report.flits_delivered,
-            latency: report.avg_network_latency,
-            measured: report.measured_packets,
-            cycles: report.total_cycles,
-            cached,
-        });
-        Ok(u64::from(cached))
+        job.sink.emit(&ResponseEvent::cell(0, &report, cached));
+        Ok((1, u64::from(cached)))
     }
 
     /// The schedule engine: one cell per schedule design, each running
@@ -550,15 +449,12 @@ impl Service {
         designs: &[ScheduleDesign],
         drain_budget: u64,
         phases: &[(WorkloadSpec, PlanSpec)],
-    ) -> Result<u64, String> {
+    ) -> Result<(u64, u64), String> {
         let mut schedule = AppSchedule::new().drain_budget(drain_budget);
         for (spec, plan) in phases {
             schedule = schedule.then(spec.to_workload()?, plan.to_plan());
         }
-        job.sink.emit(&ResponseEvent::Accepted {
-            id: job.id.to_owned(),
-            cells: designs.len() as u64,
-        });
+        job.accepted(designs.len() as u64);
         let run_one = |i: usize| {
             MultiAppExperiment::new(cfg.clone(), schedule.clone())
                 .design(designs[i])
@@ -590,12 +486,12 @@ impl Service {
                 }),
             },
         );
-        Ok(slots.iter().filter(|s| s.is_some()).count() as u64)
+        Ok((slots.iter().filter(|s| s.is_some()).count() as u64, 0))
     }
 
     /// The trace-diff engine: replay one trace on both designs (through
     /// the cache), then stream the per-flow deltas and the summary.
-    /// Returns the number of replays served from cache.
+    /// Returns `(2, replays served from cache)`.
     fn run_trace_diff(
         &self,
         job: &Job<'_>,
@@ -604,12 +500,9 @@ impl Service {
         workload: &WorkloadSpec,
         plan: PlanSpec,
         trace: &TraceFile,
-    ) -> Result<u64, String> {
+    ) -> Result<(u64, u64), String> {
         let workload = workload.to_workload()?;
-        job.sink.emit(&ResponseEvent::Accepted {
-            id: job.id.to_owned(),
-            cells: 2,
-        });
+        job.accepted(2);
         let mut hits = 0u64;
         let mut replay = |design: DesignKind| {
             let (handle, cached) = self.cache.design(&cfg, design, &workload);
@@ -639,14 +532,14 @@ impl Service {
             flit_delta: report.flit_delta,
             latency_delta: report.latency_delta,
         });
-        Ok(hits)
+        Ok((2, hits))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{SearchStrategy, TopologySpec};
+    use crate::protocol::TopologySpec;
     use smart_harness::{ExperimentMatrix, RunPlan};
 
     fn collect(service: &Service, request: &Request) -> Vec<ResponseEvent> {
@@ -903,6 +796,45 @@ mod tests {
             }
             other => panic!("expected stats first: {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_refused_duplicate_id_is_not_a_job_handled() {
+        let service = Service::new(ServiceConfig {
+            threads: 1,
+            cache_capacity: 16,
+        });
+        let jobs_handled = || match collect(&service, &Request::Stats { id: "st".into() }).first() {
+            Some(ResponseEvent::Stats { jobs, .. }) => *jobs,
+            other => panic!("expected stats first: {other:?}"),
+        };
+        // A job with this id is live (as if mid-run on another
+        // connection).
+        let live = Arc::new(AtomicBool::new(false));
+        service
+            .jobs
+            .lock()
+            .expect("unpoisoned job table")
+            .insert("m1".to_owned(), live);
+        let events = collect(&service, &matrix_request("m1"));
+        match events.as_slice() {
+            [ResponseEvent::Error { id, message }] => {
+                assert_eq!(id, "m1");
+                assert!(message.contains("already running"), "{message}");
+            }
+            other => panic!("expected only an error: {other:?}"),
+        }
+        assert_eq!(jobs_handled(), 0, "a refused request ran nothing");
+        // The refusal left the live job registered; once it ends, the
+        // id is free again and the accepted request counts.
+        service
+            .jobs
+            .lock()
+            .expect("unpoisoned job table")
+            .remove("m1");
+        let events = collect(&service, &matrix_request("m1"));
+        assert!(matches!(events.last(), Some(ResponseEvent::Done { .. })));
+        assert_eq!(jobs_handled(), 1);
     }
 
     #[test]

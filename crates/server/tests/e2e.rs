@@ -270,3 +270,88 @@ fn served_requests_are_bit_exact_cached_and_searchable() {
 
     handle.shutdown().expect("shutdown handshake");
 }
+
+/// What a fresh, well-behaved connection sees after a hostile one: a
+/// served request, and a job table the hostile one left nothing in.
+fn assert_serving_normally(addr: std::net::SocketAddr) {
+    let mut client = Client::connect(addr).expect("connect after the hostile peer");
+    let served = client.submit(&matrix_request("after")).expect("matrix");
+    assert_eq!(
+        cells_of(&served).len(),
+        DESIGNS.len() * workload_specs().len()
+    );
+    let stats = client
+        .submit(&Request::Stats {
+            id: "stats".to_owned(),
+        })
+        .expect("stats");
+    match stats.first() {
+        Some(ResponseEvent::Stats { active_jobs, .. }) => assert_eq!(*active_jobs, 0),
+        other => panic!("expected stats first: {other:?}"),
+    }
+}
+
+#[test]
+fn a_line_that_never_ends_is_refused_not_buffered() {
+    use std::io::{Read, Write};
+    let server = Server::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let handle = server.spawn().expect("spawn accept loop");
+
+    // One byte past the cap, no newline, and the socket held open: the
+    // server must answer and hang up on its own rather than wait for a
+    // newline that never comes.
+    let mut hostile = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    hostile
+        .set_read_timeout(Some(std::time::Duration::from_secs(20)))
+        .expect("set timeout");
+    hostile
+        .write_all(&vec![b'a'; smart_server::server::MAX_LINE_BYTES + 1])
+        .expect("send the endless line");
+    let mut reply = String::new();
+    hostile
+        .read_to_string(&mut reply)
+        .expect("error event, then EOF, within the timeout");
+    match ResponseEvent::parse(reply.trim_end()).expect("one event line") {
+        ResponseEvent::Error { id, message } => {
+            assert_eq!(id, "-");
+            assert!(message.contains("exceeds"), "{message}");
+        }
+        other => panic!("expected an error event: {other:?}"),
+    }
+
+    assert_serving_normally(handle.addr());
+    drop(hostile);
+    handle.shutdown().expect("shutdown handshake");
+}
+
+#[test]
+fn a_header_declaring_a_million_lines_reserves_nothing() {
+    use std::io::{Read, Write};
+    let server = Server::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let handle = server.spawn().expect("spawn accept loop");
+
+    // The largest body a header may declare, then one line of it, then
+    // the peer walks away.
+    let mut hostile = std::net::TcpStream::connect(handle.addr()).expect("connect");
+    hostile
+        .write_all(
+            b"{\"schema\":\"smart-server/req-v1\",\"id\":\"big\",\"kind\":\"matrix\",\"lines\":1000000}\n\
+              {\"mesh\":4}\n",
+        )
+        .expect("send header");
+    hostile
+        .shutdown(std::net::Shutdown::Write)
+        .expect("half-close");
+    let mut reply = String::new();
+    hostile.read_to_string(&mut reply).expect("read to EOF");
+    match ResponseEvent::parse(reply.trim_end()).expect("one event line") {
+        ResponseEvent::Error { id, message } => {
+            assert_eq!(id, "big");
+            assert!(message.contains("closed mid-request"), "{message}");
+        }
+        other => panic!("expected an error event: {other:?}"),
+    }
+
+    assert_serving_normally(handle.addr());
+    handle.shutdown().expect("shutdown handshake");
+}

@@ -438,6 +438,20 @@ fn golden_values_survive_the_round_trip() {
 }
 
 #[test]
+fn labels_in_the_retired_escape_alphabet_still_parse() {
+    // metrics-v1 labels were written with two-character escapes before
+    // the codecs merged (this is the header line the golden file held
+    // then); the one decoder reads both alphabets.
+    let retired = "{\"schema\":\"smart-telemetry/metrics-v1\",\"window\":10,\"routers\":2,\
+                   \"links\":4,\"label\":\"phase0:VOPD \\\"live\\\"\\\\n\\n\",\"windows\":2}";
+    let current = series().to_jsonl();
+    let (header, windows) = current.split_once('\n').expect("header line");
+    assert_ne!(header, retired);
+    let parsed = TelemetrySeries::parse(&format!("{retired}\n{windows}"));
+    assert_eq!(parsed, Ok(series()));
+}
+
+#[test]
 fn the_readme_matrix_document_parses() {
     let readme = include_str!("../../../README.md");
     let start = readme

@@ -16,6 +16,11 @@
 //! bit-identical results. Windowed [`telemetry`] and event [`trace`]s
 //! work at every band count — per-band recordings merge on read.
 //!
+//! [`jsonl`] is the flat-JSON line codec (field readers, line writer,
+//! escaping, header-plus-declared-lines framing) that the telemetry
+//! series here, `smart-traffic`'s trace files and `smart-server`'s
+//! request/response protocol are all written and read with.
+//!
 //! The central abstraction is the flow plan ([`forward::FlowPlan`]):
 //! a flow's journey decomposed into single-cycle *segments* between
 //! *stop routers*. The baseline mesh is the plan where every router
@@ -51,6 +56,7 @@ pub mod arbiter;
 pub mod counters;
 pub mod flit;
 pub mod forward;
+pub mod jsonl;
 pub mod network;
 pub mod nic;
 pub mod patterns;

@@ -18,8 +18,8 @@
 //!   and buffer occupancy) and closes a [`MetricsWindow`] every
 //!   `window` cycles.
 //! * [`TelemetrySeries`] is the finished time-series, serialized as the
-//!   versioned JSONL schema `smart-telemetry/metrics-v1` (same
-//!   hand-rolled style as `trace-v1`/`req-v1`). Per-shard collectors
+//!   versioned JSONL schema `smart-telemetry/metrics-v1` (written and
+//!   read with [`crate::jsonl`]). Per-shard collectors
 //!   merge deterministically ([`TelemetrySeries::merge`]): every probe
 //!   event fires in exactly one shard and windows close at identical
 //!   global cycles, so sharded telemetry equals serial telemetry
@@ -32,7 +32,9 @@
 //! a **premature stop**, a flit parked in a buffer where an ideal run
 //! would have bypassed onward.
 
-use std::fmt;
+use crate::jsonl::{self, Line};
+use crate::topology::PORTS;
+use std::fmt::{self, Write};
 
 /// Bypass-length histogram buckets: a leg crosses `0..=64` links in one
 /// cycle (64 is the widest supported fabric dimension; bucket 0 is a
@@ -224,7 +226,9 @@ impl MetricsWindow {
     /// buckets, empty when no flit launched.
     #[must_use]
     pub fn bypass_sparse(&self) -> String {
-        render_sparse(&self.bypass)
+        let mut out = String::new();
+        render_sparse(&mut out, &self.bypass);
+        out
     }
 }
 
@@ -377,6 +381,10 @@ pub struct TelemetrySeries {
 /// The schema tag of the telemetry wire format.
 pub const METRICS_SCHEMA: &str = "smart-telemetry/metrics-v1";
 
+/// Most routers a metrics-v1 header may declare: the widest supported
+/// fabric is 64 × 64.
+const MAX_ROUTERS: u64 = 64 * 64;
+
 impl TelemetrySeries {
     /// Total SSR setups across all windows.
     #[must_use]
@@ -483,29 +491,28 @@ impl TelemetrySeries {
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        out.push_str(&format!(
-            "{{\"schema\":{:?},\"window\":{},\"routers\":{},\"links\":{}",
-            METRICS_SCHEMA, self.window, self.routers, self.links
-        ));
-        if let Some(label) = &self.label {
-            out.push_str(&format!(",\"label\":\"{}\"", escape_str(label)));
-        }
-        out.push_str(&format!(",\"windows\":{}}}\n", self.windows.len()));
+        Line::open(&mut out)
+            .str("schema", METRICS_SCHEMA)
+            .u64("window", self.window)
+            .u64("routers", self.routers as u64)
+            .u64("links", self.links as u64)
+            .opt_str("label", self.label.as_deref())
+            .u64("windows", self.windows.len() as u64)
+            .close();
+        out.push('\n');
         for w in &self.windows {
-            out.push_str(&format!(
-                "{{\"end\":{},\"ssr_setups\":{},\"ssr_grants\":{},\"injected\":{},\
-                 \"delivered\":{},\"buffered\":{},\"bypass\":\"{}\",\"stalls\":\"{}\",\
-                 \"links\":\"{}\"}}\n",
-                w.end,
-                w.ssr_setups,
-                w.ssr_grants,
-                w.injected,
-                w.delivered,
-                w.buffered,
-                render_sparse(&w.bypass),
-                render_stalls(&w.stalls),
-                render_sparse(&w.link_flits),
-            ));
+            Line::open(&mut out)
+                .u64("end", w.end)
+                .u64("ssr_setups", w.ssr_setups)
+                .u64("ssr_grants", w.ssr_grants)
+                .u64("injected", w.injected)
+                .u64("delivered", w.delivered)
+                .u64("buffered", w.buffered)
+                .str_with("bypass", |out| render_sparse(out, &w.bypass))
+                .str_with("stalls", |out| render_stalls(out, &w.stalls))
+                .str_with("links", |out| render_sparse(out, &w.link_flits))
+                .close();
+            out.push('\n');
         }
         out
     }
@@ -514,11 +521,11 @@ impl TelemetrySeries {
     /// malformed input — every defect is a typed [`MetricsParseError`]
     /// naming the offending line.
     pub fn parse(text: &str) -> Result<TelemetrySeries, MetricsParseError> {
-        let mut lines = text.lines().enumerate();
+        let mut lines = jsonl::numbered_lines(text);
         let (_, header) = lines
             .next()
             .ok_or_else(|| MetricsParseError::at(1, "empty document"))?;
-        let schema = str_field(header, "schema")
+        let schema = jsonl::str_field(header, "schema")
             .ok_or_else(|| MetricsParseError::at(1, "missing schema"))?;
         if schema != METRICS_SCHEMA {
             return Err(MetricsParseError::at(
@@ -526,70 +533,59 @@ impl TelemetrySeries {
                 format!("unsupported schema {schema:?} (want {METRICS_SCHEMA:?})"),
             ));
         }
-        let window = u64_field(header, "window")
-            .ok_or_else(|| MetricsParseError::at(1, "missing window"))?;
+        let head = |key: &str, what: &str| {
+            jsonl::u64_field(header, key)
+                .ok_or_else(|| MetricsParseError::at(1, format!("missing {what}")))
+        };
+        let window = head("window", "window")?;
         if window == 0 {
             return Err(MetricsParseError::at(1, "window must be nonzero"));
         }
-        let routers = u64_field(header, "routers")
-            .ok_or_else(|| MetricsParseError::at(1, "missing routers"))?
-            as usize;
-        let links = u64_field(header, "links")
-            .ok_or_else(|| MetricsParseError::at(1, "missing links"))? as usize;
-        let declared = u64_field(header, "windows")
-            .ok_or_else(|| MetricsParseError::at(1, "missing window count"))?;
-        let label = match str_field(header, "label") {
-            Some(raw) => Some(
-                unescape_str(&raw)
-                    .ok_or_else(|| MetricsParseError::at(1, "malformed label escape"))?,
-            ),
-            None => None,
+        // Every window line materializes vectors of the declared shape,
+        // so the shape is held to the largest supported fabric.
+        let shape = |key: &str, max: u64| match head(key, key)? {
+            n if n <= max => Ok(n as usize),
+            n => Err(MetricsParseError::at(
+                1,
+                format!("{key} {n} outside 0..={max}"),
+            )),
         };
-        let mut windows = Vec::new();
-        for (i, line) in lines {
-            let lineno = i + 1;
-            if line.trim().is_empty() {
-                continue;
-            }
+        let routers = shape("routers", MAX_ROUTERS)?;
+        let links = shape("links", MAX_ROUTERS * PORTS as u64)?;
+        let declared = head("windows", "window count")?;
+        let label = jsonl::str_field(header, "label")
+            .map(|raw| {
+                jsonl::unescape(raw)
+                    .ok_or_else(|| MetricsParseError::at(1, "malformed label escape"))
+            })
+            .transpose()?;
+        let window_line = |(lineno, line): (usize, &str)| {
             let field = |key: &str| {
-                u64_field(line, key)
+                jsonl::u64_field(line, key)
                     .ok_or_else(|| MetricsParseError::at(lineno, format!("missing {key}")))
             };
-            let sparse = |key: &str, len: usize| -> Result<Vec<u64>, MetricsParseError> {
-                let raw = str_field(line, key)
+            let vector = |key: &str, parse: &dyn Fn(&str) -> Result<Vec<u64>, String>| {
+                let raw = jsonl::str_field(line, key)
                     .ok_or_else(|| MetricsParseError::at(lineno, format!("missing {key}")))?;
-                parse_sparse(&raw, len).map_err(|m| {
+                parse(raw).map_err(|m| {
                     MetricsParseError::at(lineno, format!("malformed {key} entry: {m}"))
                 })
             };
-            windows.push(MetricsWindow {
+            Ok(MetricsWindow {
                 end: field("end")?,
                 ssr_setups: field("ssr_setups")?,
                 ssr_grants: field("ssr_grants")?,
                 injected: field("injected")?,
                 delivered: field("delivered")?,
                 buffered: field("buffered")?,
-                bypass: sparse("bypass", BYPASS_BUCKETS)?,
-                stalls: {
-                    let raw = str_field(line, "stalls").ok_or_else(|| {
-                        MetricsParseError::at(lineno, "missing stalls".to_owned())
-                    })?;
-                    parse_stalls(&raw, routers).map_err(|m| {
-                        MetricsParseError::at(lineno, format!("malformed stalls entry: {m}"))
-                    })?
-                },
-                link_flits: sparse("links", links)?,
-            });
-        }
-        if windows.len() as u64 != declared {
-            return Err(MetricsParseError::at(
-                1,
-                format!(
-                    "header declares {declared} windows, found {}",
-                    windows.len()
-                ),
-            ));
-        }
+                bypass: vector("bypass", &|raw| parse_sparse(raw, BYPASS_BUCKETS))?,
+                stalls: vector("stalls", &|raw| parse_stalls(raw, routers))?,
+                link_flits: vector("links", &|raw| parse_sparse(raw, links))?,
+            })
+        };
+        let windows = jsonl::read_declared((declared, "windows"), lines, window_line, |m| {
+            MetricsParseError::at(1, format!("header {m}"))
+        })?;
         Ok(TelemetrySeries {
             window,
             routers,
@@ -628,15 +624,14 @@ impl std::error::Error for MetricsParseError {}
 
 /// Sparse vector encoding: ascending `index:value` entries for nonzero
 /// slots, space separated; the empty string is the zero vector.
-fn render_sparse(v: &[u64]) -> String {
-    let mut out = String::new();
+fn render_sparse(out: &mut String, v: &[u64]) {
+    let start = out.len();
     for (i, n) in v.iter().enumerate().filter(|(_, n)| **n > 0) {
-        if !out.is_empty() {
+        if out.len() > start {
             out.push(' ');
         }
-        out.push_str(&format!("{i}:{n}"));
+        let _ = write!(out, "{i}:{n}");
     }
-    out
 }
 
 fn parse_sparse(raw: &str, len: usize) -> Result<Vec<u64>, String> {
@@ -657,21 +652,21 @@ fn parse_sparse(raw: &str, len: usize) -> Result<Vec<u64>, String> {
 
 /// Stall encoding: ascending `router:a:b:c:d` entries (the four
 /// [`StallCause`]s) for routers with any nonzero cause.
-fn render_stalls(stalls: &[u64]) -> String {
-    let mut out = String::new();
+fn render_stalls(out: &mut String, stalls: &[u64]) {
+    let start = out.len();
     for (r, chunk) in stalls.chunks_exact(StallCause::COUNT).enumerate() {
         if chunk.iter().all(|&n| n == 0) {
             continue;
         }
-        if !out.is_empty() {
+        if out.len() > start {
             out.push(' ');
         }
-        out.push_str(&format!(
+        let _ = write!(
+            out,
             "{r}:{}:{}:{}:{}",
             chunk[0], chunk[1], chunk[2], chunk[3]
-        ));
+        );
     }
-    out
 }
 
 fn parse_stalls(raw: &str, routers: usize) -> Result<Vec<u64>, String> {
@@ -696,78 +691,6 @@ fn parse_stalls(raw: &str, routers: usize) -> Result<Vec<u64>, String> {
         }
     }
     Ok(v)
-}
-
-/// Minimal JSON string escaping for labels (quote, backslash, control
-/// chars) — the telemetry layer cannot depend on the server's helpers.
-fn escape_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn unescape_str(s: &str) -> Option<String> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next()? {
-            '"' => out.push('"'),
-            '\\' => out.push('\\'),
-            'n' => out.push('\n'),
-            't' => out.push('\t'),
-            'r' => out.push('\r'),
-            'u' => {
-                let hex: String = (0..4).map(|_| chars.next()).collect::<Option<_>>()?;
-                let code = u32::from_str_radix(&hex, 16).ok()?;
-                out.push(char::from_u32(code)?);
-            }
-            _ => return None,
-        }
-    }
-    Some(out)
-}
-
-/// Extract the raw (still-escaped) value of a `"key":"value"` string
-/// field.
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let pat = format!("\"{key}\":\"");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let mut end = 0;
-    let bytes = rest.as_bytes();
-    while end < bytes.len() {
-        match bytes[end] {
-            b'"' => return Some(rest[..end].to_owned()),
-            b'\\' => end += 2,
-            _ => end += 1,
-        }
-    }
-    None
-}
-
-/// Extract the value of a `"key":123` numeric field.
-fn u64_field(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
 }
 
 #[cfg(test)]
@@ -897,6 +820,23 @@ mod tests {
              \"buffered\":0,\"bypass\":\"99:1\",\"stalls\":\"\",\"links\":\"\"}}"
         );
         assert!(TelemetrySeries::parse(&bad_sparse).is_err(), "oob bucket");
+        // Shapes and counts a header cannot be trusted with: each must
+        // come back as a typed error, not an overflow or a huge vector.
+        for (routers, links, windows) in [
+            (u64::MAX, 2, 1),
+            (1, u64::MAX, 1),
+            (64 * 64 + 1, 2, 0),
+            (1, 2, u64::MAX),
+        ] {
+            let hostile = format!(
+                "{{\"schema\":{METRICS_SCHEMA:?},\"window\":10,\"routers\":{routers},\
+                 \"links\":{links},\"windows\":{windows}}}\n\
+                 {{\"end\":5,\"ssr_setups\":0,\"ssr_grants\":0,\"injected\":0,\"delivered\":0,\
+                 \"buffered\":0,\"bypass\":\"\",\"stalls\":\"\",\"links\":\"\"}}"
+            );
+            let err = TelemetrySeries::parse(&hostile).expect_err("hostile header");
+            assert_eq!(err.line, 1, "{err}");
+        }
     }
 
     #[test]

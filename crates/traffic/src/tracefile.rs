@@ -11,6 +11,7 @@
 //! input.
 
 use smart_sim::forward::FlowTable;
+use smart_sim::jsonl::{self, Line};
 use smart_sim::topology::Topology;
 use smart_sim::{FlowId, Packet, ScriptedTraffic, TrafficSource};
 use std::fmt;
@@ -45,21 +46,62 @@ impl fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
+impl TraceParseError {
+    fn at(line: usize, message: impl Into<String>) -> Self {
+        TraceParseError {
+            line,
+            message: message.into(),
+        }
+    }
+}
+
 impl TraceFile {
-    /// Render as the versioned JSONL document. Hand-rolled: every field
-    /// is numeric or a fixed identifier, so no escaping is needed.
+    /// Render as the versioned JSONL document: a header declaring the
+    /// packet sizing and event count, then one line per event.
     #[must_use]
     pub fn to_jsonl(&self) -> String {
         let mut s = String::with_capacity(32 * (self.events.len() + 1));
-        s.push_str(&format!(
-            "{{\"schema\":\"{TRACE_SCHEMA}\",\"flits_per_packet\":{},\"events\":{}}}\n",
-            self.flits_per_packet,
-            self.events.len()
-        ));
-        for (cycle, flow) in &self.events {
-            s.push_str(&format!("{{\"cycle\":{cycle},\"flow\":{}}}\n", flow.0));
-        }
+        Line::open(&mut s)
+            .str("schema", TRACE_SCHEMA)
+            .u64("flits_per_packet", u64::from(self.flits_per_packet))
+            .u64("events", self.events.len() as u64)
+            .close();
+        s.push('\n');
+        self.render_events(&mut s);
         s
+    }
+
+    /// Append the event lines (`{"cycle":…,"flow":…}`, one per event,
+    /// each newline-terminated) to `out` — the body of a trace-v1
+    /// document, and of any other document that embeds a trace.
+    pub fn render_events(&self, out: &mut String) {
+        for (cycle, flow) in &self.events {
+            Line::open(out)
+                .u64("cycle", *cycle)
+                .u64("flow", u64::from(flow.0))
+                .close();
+            out.push('\n');
+        }
+    }
+
+    /// Parse one event line (`lineno` is its 1-based position, for the
+    /// error) — the inverse of one [`TraceFile::render_events`] line.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TraceParseError`] for a missing field or a flow id
+    /// that does not fit.
+    pub fn parse_event((lineno, line): (usize, &str)) -> Result<(u64, FlowId), TraceParseError> {
+        let field = |key: &str| {
+            jsonl::u64_field(line, key).ok_or_else(|| {
+                TraceParseError::at(lineno, format!("event has no {key:?} field: {line}"))
+            })
+        };
+        let (cycle, flow) = (field("cycle")?, field("flow")?);
+        let flow = u32::try_from(flow).map_err(|_| {
+            TraceParseError::at(lineno, format!("flow id {flow} does not fit a u32"))
+        })?;
+        Ok((cycle, FlowId(flow)))
     }
 
     /// Parse a JSONL trace document.
@@ -69,60 +111,32 @@ impl TraceFile {
     /// Returns a [`TraceParseError`] on a missing or wrong-schema
     /// header, a malformed line, or an event-count mismatch.
     pub fn parse(text: &str) -> Result<TraceFile, TraceParseError> {
-        let mut lines = text
-            .lines()
-            .enumerate()
-            .filter(|(_, l)| !l.trim().is_empty());
-        let (_, header) = lines.next().ok_or_else(|| TraceParseError {
-            line: 0,
-            message: "empty document (missing header)".to_owned(),
-        })?;
-        let schema = json_str_field(header, "schema").ok_or_else(|| TraceParseError {
-            line: 1,
-            message: "header has no \"schema\" field".to_owned(),
-        })?;
+        let mut lines = jsonl::numbered_lines(text);
+        let (_, header) = lines
+            .next()
+            .ok_or_else(|| TraceParseError::at(0, "empty document (missing header)"))?;
+        let schema = jsonl::str_field(header, "schema")
+            .ok_or_else(|| TraceParseError::at(1, "header has no \"schema\" field"))?;
         if schema != TRACE_SCHEMA {
-            return Err(TraceParseError {
-                line: 1,
-                message: format!("unsupported schema {schema:?}, expected {TRACE_SCHEMA:?}"),
-            });
+            return Err(TraceParseError::at(
+                1,
+                format!("unsupported schema {schema:?}, expected {TRACE_SCHEMA:?}"),
+            ));
         }
-        let fpp = json_u64_field(header, "flits_per_packet").ok_or_else(|| TraceParseError {
-            line: 1,
-            message: "header has no \"flits_per_packet\" field".to_owned(),
+        let head = |key: &str| {
+            jsonl::u64_field(header, key)
+                .ok_or_else(|| TraceParseError::at(1, format!("header has no {key:?} field")))
+        };
+        let (fpp, declared) = (head("flits_per_packet")?, head("events")?);
+        let flits_per_packet = u8::try_from(fpp).map_err(|_| {
+            TraceParseError::at(1, format!("flits_per_packet {fpp} does not fit a u8"))
         })?;
-        let declared = json_u64_field(header, "events").ok_or_else(|| TraceParseError {
-            line: 1,
-            message: "header has no \"events\" field".to_owned(),
-        })?;
-        let fpp = u8::try_from(fpp).map_err(|_| TraceParseError {
-            line: 1,
-            message: format!("flits_per_packet {fpp} does not fit a u8"),
-        })?;
-        let mut events = Vec::with_capacity(declared as usize);
-        for (i, line) in lines {
-            let cycle = json_u64_field(line, "cycle").ok_or_else(|| TraceParseError {
-                line: i + 1,
-                message: format!("event has no \"cycle\" field: {line}"),
+        let events =
+            jsonl::read_declared((declared, "events"), lines, TraceFile::parse_event, |m| {
+                TraceParseError::at(1, format!("header {m}"))
             })?;
-            let flow = json_u64_field(line, "flow").ok_or_else(|| TraceParseError {
-                line: i + 1,
-                message: format!("event has no \"flow\" field: {line}"),
-            })?;
-            let flow = u32::try_from(flow).map_err(|_| TraceParseError {
-                line: i + 1,
-                message: format!("flow id {flow} does not fit a u32"),
-            })?;
-            events.push((cycle, FlowId(flow)));
-        }
-        if events.len() as u64 != declared {
-            return Err(TraceParseError {
-                line: 1,
-                message: format!("header declares {declared} events, found {}", events.len()),
-            });
-        }
         Ok(TraceFile {
-            flits_per_packet: fpp,
+            flits_per_packet,
             events,
         })
     }
@@ -153,21 +167,6 @@ impl TraceFile {
     pub fn last_cycle(&self) -> Option<u64> {
         self.events.iter().map(|(c, _)| *c).max()
     }
-}
-
-/// Extract a `"key":"value"` string field from a flat JSON object line.
-fn json_str_field<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let needle = format!("\"{key}\":\"");
-    let rest = &line[line.find(&needle)? + needle.len()..];
-    rest.split('"').next()
-}
-
-/// Extract a `"key":123` numeric field from a flat JSON object line.
-fn json_u64_field(line: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let rest = &line[line.find(&needle)? + needle.len()..];
-    let digits: String = rest.chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 /// A pass-through [`TrafficSource`] that records the `(cycle, flow)` of
@@ -312,6 +311,16 @@ mod tests {
         text.truncate(text.rfind("{\"cycle\"").expect("has events"));
         let err = TraceFile::parse(&text).expect_err("event count mismatch");
         assert!(err.message.contains("declares 3 events, found 2"));
+        assert_eq!(err.line, 1);
+        // A count no document could hold is the same typed error: the
+        // header is never trusted with an allocation.
+        let hostile = text.replace("\"events\":3", "\"events\":18446744073709551615");
+        let err = TraceFile::parse(&hostile).expect_err("hostile event count");
+        assert!(
+            err.message
+                .contains("declares 18446744073709551615 events, found 2"),
+            "{err}"
+        );
     }
 
     #[test]
