@@ -7,43 +7,36 @@
 //! cargo run --release -p smart-bench --bin ablation_load [pattern]
 //! ```
 //!
-//! `pattern` ∈ {transpose, mirror, hotspot} (default transpose).
+//! `pattern` is any structured `SpatialPattern` label (transpose,
+//! bit-complement, bit-reverse, shuffle, tornado, neighbor) or
+//! `hotspot` (every node sends to node 5); default transpose. The
+//! former `mirror` argument is gone: this binary was the only user of
+//! a row-mirror pattern.
 
 use smart_bench::{Experiment, RoutedWorkload, RunPlan};
 use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
-use smart_sim::{FlowId, NodeId, Pattern, SourceRoute};
+use smart_harness::{SpatialPattern, TemporalModel};
+use smart_sim::NodeId;
 
 fn main() {
     let arg = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "transpose".into());
     let pattern = match arg.as_str() {
-        "transpose" => Pattern::Transpose,
-        "mirror" => Pattern::RowMirror,
-        "hotspot" => Pattern::Hotspot(NodeId(5)),
-        other => {
-            eprintln!("unknown pattern {other}; use transpose|mirror|hotspot");
+        "hotspot" => SpatialPattern::hotspot(vec![NodeId(5)], 1.0),
+        label => SpatialPattern::by_label(label).unwrap_or_else(|message| {
+            eprintln!("{message}; `hotspot` is accepted too, `mirror` no longer is");
             std::process::exit(2);
-        }
+        }),
     };
     let cfg = NocConfig::paper_4x4();
-    let pairs = pattern.pairs(cfg.topology);
-    let routes: Vec<(FlowId, SourceRoute)> = pairs
-        .iter()
-        .enumerate()
-        .map(|(i, (s, d))| {
-            (
-                FlowId(i as u32),
-                SourceRoute::xy(cfg.topology, *s, *d).unwrap(),
-            )
-        })
-        .collect();
+    let flows = pattern.flows(cfg.topology).len();
 
     println!(
         "latency vs offered load — pattern {} ({} flows)",
         pattern.label(),
-        routes.len()
+        flows
     );
     println!(
         "{:>22} {:>10} {:>10} {:>12}",
@@ -54,15 +47,9 @@ fn main() {
     for load_pct in [1usize, 2, 4, 6, 8, 12, 16, 20, 28, 36] {
         let per_node_flits = load_pct as f64 / 100.0;
         // Rate per flow: nodes inject on all their outgoing flows evenly.
-        let flows_per_node = routes.len() as f64 / f64::from(cfg.topology.len() as u32);
+        let flows_per_node = flows as f64 / f64::from(cfg.topology.len() as u32);
         let rate = per_node_flits / f64::from(cfg.flits_per_packet()) / flows_per_node;
-        let rates: Vec<(FlowId, f64)> = routes.iter().map(|(f, _)| (*f, rate)).collect();
-        let workload = RoutedWorkload {
-            name: format!("{}@{per_node_flits}", pattern.label()),
-            routes: routes.clone(),
-            rates,
-            temporal: smart_harness::TemporalModel::Steady,
-        };
+        let workload = RoutedWorkload::patterned(&cfg, &pattern, TemporalModel::Steady, rate);
 
         print!("{per_node_flits:>22.2}");
         for kind in DesignKind::ALL {

@@ -118,12 +118,11 @@ impl fmt::Display for AnalysisReport {
 /// Panics if a rate references an unknown flow.
 #[must_use]
 pub fn analyze(
-    topo: impl Into<Topology>,
+    mesh: Topology,
     app: &CompiledApp,
     rates: &[(FlowId, f64)],
     flits_per_packet: u8,
 ) -> AnalysisReport {
-    let mesh = topo.into();
     let mut flows = BTreeMap::new();
     let mut per_link: BTreeMap<LinkId, (Vec<FlowId>, f64)> = BTreeMap::new();
     let rate_of: BTreeMap<FlowId, f64> = rates.iter().copied().collect();
@@ -173,8 +172,8 @@ mod tests {
     use crate::compile::compile;
     use smart_sim::{NodeId, SourceRoute};
 
-    fn mesh() -> smart_sim::Mesh {
-        smart_sim::Mesh::paper_4x4()
+    fn mesh() -> Topology {
+        Topology::paper_4x4()
     }
 
     fn two_flow_app() -> (CompiledApp, Vec<(FlowId, f64)>) {

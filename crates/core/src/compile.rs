@@ -50,8 +50,7 @@ impl CompiledApp {
 
     /// Fraction of (flow, router) visits that are bypassed.
     #[must_use]
-    pub fn bypass_fraction(&self, topo: impl Into<Topology>) -> f64 {
-        let mesh = topo.into();
+    pub fn bypass_fraction(&self, mesh: Topology) -> f64 {
         let mut visits = 0usize;
         let mut stops = 0usize;
         for plan in self.flows.iter() {
@@ -100,12 +99,7 @@ fn flow_use(mesh: Topology, flow: FlowId, route: &SourceRoute) -> FlowUse {
 /// presets would be inconsistent (a compiler bug, not a user error —
 /// the stop rules guarantee consistency for any route set).
 #[must_use]
-pub fn compile(
-    topo: impl Into<Topology>,
-    hpc_max: usize,
-    routes: &[(FlowId, SourceRoute)],
-) -> CompiledApp {
-    let mesh = topo.into();
+pub fn compile(mesh: Topology, hpc_max: usize, routes: &[(FlowId, SourceRoute)]) -> CompiledApp {
     assert!(hpc_max > 0, "HPC_max must be at least 1");
     let uses: Vec<FlowUse> = routes.iter().map(|(f, r)| flow_use(mesh, *f, r)).collect();
 
@@ -335,8 +329,8 @@ fn build_plan(mesh: Topology, u: &FlowUse, route: &SourceRoute, stops: &[usize])
 mod tests {
     use super::*;
 
-    fn mesh() -> smart_sim::Mesh {
-        smart_sim::Mesh::paper_4x4()
+    fn mesh() -> Topology {
+        Topology::paper_4x4()
     }
 
     fn route(path: &[u16]) -> SourceRoute {

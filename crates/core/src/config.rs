@@ -2,7 +2,7 @@
 
 use smart_link::{CalibratedLinkModel, CircuitVariant, Gbps, LinkStyle, WireSpacing};
 use smart_sim::flit::HeaderLayout;
-use smart_sim::{Mesh, SimConfig, Topology, Torus};
+use smart_sim::{SimConfig, Topology};
 
 /// The full design point of Table II, plus the link model that sets
 /// `HPC_max` (the maximum hops a flit may traverse per cycle).
@@ -52,7 +52,7 @@ impl NocConfig {
         );
         let clock_ghz = 2.0;
         NocConfig {
-            topology: Topology::Mesh(Mesh::paper_4x4()),
+            topology: Topology::paper_4x4(),
             vdd: 0.9,
             clock_ghz,
             channel_bits: 32,
@@ -82,7 +82,7 @@ impl NocConfig {
     #[must_use]
     pub fn scaled(k: u16) -> Self {
         NocConfig {
-            topology: Topology::Mesh(Mesh::new(k, k)),
+            topology: Topology::mesh(k, k),
             ..NocConfig::paper_4x4()
         }
     }
@@ -93,16 +93,16 @@ impl NocConfig {
     #[must_use]
     pub fn scaled_torus(k: u16) -> Self {
         NocConfig {
-            topology: Topology::Torus(Torus::new(k, k)),
+            topology: Topology::torus(k, k),
             ..NocConfig::paper_4x4()
         }
     }
 
     /// This design point on an explicit topology (mesh or torus).
     #[must_use]
-    pub fn with_topology(topo: impl Into<Topology>) -> Self {
+    pub fn with_topology(topo: Topology) -> Self {
         NocConfig {
-            topology: topo.into(),
+            topology: topo,
             ..NocConfig::paper_4x4()
         }
     }

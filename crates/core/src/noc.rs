@@ -275,14 +275,14 @@ impl Design {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smart_sim::{Mesh, NodeId, PacketId};
+    use smart_sim::{NodeId, PacketId, Topology};
 
     fn cfg() -> NocConfig {
         NocConfig::paper_4x4()
     }
 
     fn routes() -> Vec<(FlowId, SourceRoute)> {
-        let m = Mesh::paper_4x4();
+        let m = Topology::paper_4x4();
         vec![
             (FlowId(0), SourceRoute::xy(m, NodeId(0), NodeId(3)).unwrap()),
             (

@@ -188,8 +188,7 @@ pub struct MeshPresets {
 impl MeshPresets {
     /// All-idle presets for `mesh`.
     #[must_use]
-    pub fn idle(topo: impl Into<Topology>) -> Self {
-        let mesh = topo.into();
+    pub fn idle(mesh: Topology) -> Self {
         MeshPresets {
             mesh,
             routers: vec![RouterPreset::idle(); mesh.len()],
@@ -242,12 +241,7 @@ impl MeshPresets {
     /// Panics if the sequence does not cover exactly the mesh's
     /// registers at `base_addr`.
     #[must_use]
-    pub fn from_store_sequence(
-        topo: impl Into<Topology>,
-        base_addr: u64,
-        stores: &[StoreOp],
-    ) -> Self {
-        let mesh = topo.into();
+    pub fn from_store_sequence(mesh: Topology, base_addr: u64, stores: &[StoreOp]) -> Self {
         assert_eq!(stores.len(), mesh.len(), "one store per router required");
         let mut routers = vec![RouterPreset::idle(); mesh.len()];
         for s in stores {
@@ -316,7 +310,7 @@ mod tests {
 
     #[test]
     fn store_sequence_is_one_per_router() {
-        let mesh = smart_sim::Mesh::paper_4x4();
+        let mesh = Topology::paper_4x4();
         let mut presets = MeshPresets::idle(mesh);
         *presets.router_mut(NodeId(5)) = sample();
         let stores = presets.store_sequence(0x4000_0000);
@@ -337,7 +331,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "one store per router")]
     fn short_sequence_rejected() {
-        let mesh = smart_sim::Mesh::paper_4x4();
+        let mesh = Topology::paper_4x4();
         let _ = MeshPresets::from_store_sequence(mesh, 0, &[]);
     }
 }

@@ -148,15 +148,15 @@ impl ReconfigurableNoc {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smart_sim::{Mesh, NodeId, Packet, PacketId};
+    use smart_sim::{NodeId, Packet, PacketId, Topology};
 
     fn routes_row() -> Vec<(FlowId, SourceRoute)> {
-        let m = Mesh::paper_4x4();
+        let m = Topology::paper_4x4();
         vec![(FlowId(0), SourceRoute::xy(m, NodeId(0), NodeId(3)).unwrap())]
     }
 
     fn routes_col() -> Vec<(FlowId, SourceRoute)> {
-        let m = Mesh::paper_4x4();
+        let m = Topology::paper_4x4();
         vec![(
             FlowId(0),
             SourceRoute::xy(m, NodeId(0), NodeId(12)).unwrap(),

@@ -1,7 +1,7 @@
 //! Worked scenarios from the paper's figures, reusable by examples,
 //! tests and benches.
 
-use smart_sim::{FlowId, Mesh, NodeId, SourceRoute, Topology};
+use smart_sim::{FlowId, NodeId, SourceRoute, Topology};
 
 /// The four flows of **Fig 7** ("SMART NoC in action"): green and purple
 /// fly source-NIC to destination-NIC in one cycle; red and blue share
@@ -9,8 +9,7 @@ use smart_sim::{FlowId, Mesh, NodeId, SourceRoute, Topology};
 ///
 /// Returns `(flow, route, expected_zero_load_latency)`.
 #[must_use]
-pub fn fig7_flows(topo: impl Into<Topology>) -> Vec<(FlowId, SourceRoute, u64)> {
-    let mesh = topo.into();
+pub fn fig7_flows(mesh: Topology) -> Vec<(FlowId, SourceRoute, u64)> {
     let path = |p: &[u16]| {
         let nodes: Vec<NodeId> = p.iter().map(|n| NodeId(*n)).collect();
         SourceRoute::from_router_path(mesh, &nodes)
@@ -32,7 +31,7 @@ pub fn fig7_flows(topo: impl Into<Topology>) -> Vec<(FlowId, SourceRoute, u64)> 
 /// used by the reconfiguration example. (The full task-graph versions
 /// live in `smart-taskgraph` + `smart-mapping`.)
 #[must_use]
-pub fn fig1_sketch_apps(mesh: Mesh) -> Vec<(&'static str, Vec<(FlowId, SourceRoute)>)> {
+pub fn fig1_sketch_apps(mesh: Topology) -> Vec<(&'static str, Vec<(FlowId, SourceRoute)>)> {
     let xy = |f: u32, s: u16, d: u16| {
         let r = SourceRoute::xy(mesh, NodeId(s), NodeId(d)).expect("distinct endpoints");
         (FlowId(f), r)
@@ -51,7 +50,7 @@ mod tests {
 
     #[test]
     fn fig7_expected_latencies_come_from_the_compiler() {
-        let mesh = Mesh::paper_4x4();
+        let mesh = Topology::paper_4x4();
         let flows = fig7_flows(mesh);
         let routes: Vec<(FlowId, SourceRoute)> =
             flows.iter().map(|(f, r, _)| (*f, r.clone())).collect();
@@ -73,7 +72,7 @@ mod tests {
 
     #[test]
     fn fig1_apps_have_distinct_presets() {
-        let mesh = Mesh::paper_4x4();
+        let mesh = Topology::paper_4x4();
         let apps = fig1_sketch_apps(mesh);
         let encodings: Vec<Vec<u64>> = apps
             .iter()

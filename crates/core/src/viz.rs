@@ -19,8 +19,7 @@ use std::collections::HashSet;
 ///
 /// Rows print north (high y) first, matching the paper's figures.
 #[must_use]
-pub fn render_topology(topo: impl Into<Topology>, app: &CompiledApp) -> String {
-    let mesh = topo.into();
+pub fn render_topology(mesh: Topology, app: &CompiledApp) -> String {
     // Links used by any leg (either direction renders the segment bold).
     let mut used: HashSet<LinkId> = HashSet::new();
     for plan in app.flows.iter() {
@@ -81,8 +80,7 @@ pub fn render_topology(topo: impl Into<Topology>, app: &CompiledApp) -> String {
 /// One-line summary of the virtual topology: bold links, stop routers,
 /// bypass fraction.
 #[must_use]
-pub fn topology_summary(topo: impl Into<Topology>, app: &CompiledApp) -> String {
-    let mesh = topo.into();
+pub fn topology_summary(mesh: Topology, app: &CompiledApp) -> String {
     let mut used: HashSet<LinkId> = HashSet::new();
     for plan in app.flows.iter() {
         for leg in &plan.legs {
@@ -144,9 +142,8 @@ pub fn bypass_histogram(series: &TelemetrySeries, hpc_max: usize) -> String {
 /// router's outgoing-link flits in the window relative to the series
 /// peak (` ` idle through `@` peak).
 #[must_use]
-pub fn link_heatmap_over_time(series: &TelemetrySeries, topo: impl Into<Topology>) -> String {
+pub fn link_heatmap_over_time(series: &TelemetrySeries, mesh: Topology) -> String {
     const SHADES: [char; 6] = [' ', '.', ':', '=', '#', '@'];
-    let mesh = topo.into();
     let n = mesh.len();
     // Outgoing flits per router per window.
     let rows: Vec<Vec<u64>> = series
@@ -183,8 +180,8 @@ mod tests {
     use crate::compile::compile;
     use smart_sim::{FlowId, SourceRoute};
 
-    fn mesh() -> smart_sim::Mesh {
-        smart_sim::Mesh::paper_4x4()
+    fn mesh() -> Topology {
+        Topology::paper_4x4()
     }
 
     #[test]

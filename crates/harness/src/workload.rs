@@ -1,12 +1,10 @@
 //! The workload axis: every traffic family the paper evaluates, behind
 //! one enum, plus the routed form every design can consume.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use smart_core::config::NocConfig;
 use smart_core::scenarios::fig7_flows;
 use smart_mapping::MappedApp;
-use smart_sim::{FlowId, NodeId, SourceRoute};
+use smart_sim::{FlowId, SourceRoute};
 use smart_taskgraph::{apps, TaskGraph};
 use smart_traffic::{SpatialPattern, TemporalModel};
 
@@ -200,30 +198,8 @@ impl RoutedWorkload {
     #[must_use]
     pub fn uniform(cfg: &NocConfig, flows: usize, rate: f64, seed: u64) -> Self {
         assert!(flows > 0, "need at least one flow");
-        let n = cfg.topology.len() as u16;
-        let mut rng = StdRng::seed_from_u64(seed);
-        let mut routes = Vec::with_capacity(flows);
-        for i in 0..flows {
-            let src = NodeId(rng.gen_range(0..n));
-            let dst = loop {
-                let d = NodeId(rng.gen_range(0..n));
-                if d != src {
-                    break d;
-                }
-            };
-            routes.push((
-                FlowId(i as u32),
-                SourceRoute::xy(cfg.topology, src, dst)
-                    .expect("the rejection loop above never draws src == dst"),
-            ));
-        }
-        let rates = routes.iter().map(|(f, _)| (*f, rate)).collect();
-        RoutedWorkload {
-            name: format!("uniform{flows}@{rate}"),
-            routes,
-            rates,
-            temporal: TemporalModel::Steady,
-        }
+        let pattern = SpatialPattern::Uniform { flows, seed };
+        RoutedWorkload::patterned(cfg, &pattern, TemporalModel::Steady, rate)
     }
 
     /// A synthetic [`SpatialPattern`] routed XY at `rate × weight`

@@ -30,8 +30,7 @@ impl DeadlockCheck {
 /// topology: on a torus, wrap-around routes that close a ring show up
 /// as ordinary link-dependency cycles here.
 #[must_use]
-pub fn check(topo: impl Into<Topology>, routes: &[SourceRoute]) -> DeadlockCheck {
-    let mesh = topo.into();
+pub fn check(mesh: Topology, routes: &[SourceRoute]) -> DeadlockCheck {
     // Build adjacency: link -> links that may be waited on next.
     let mut adj: HashMap<LinkId, HashSet<LinkId>> = HashMap::new();
     for r in routes {
@@ -111,8 +110,8 @@ mod tests {
     use super::*;
     use smart_sim::NodeId;
 
-    fn mesh() -> smart_sim::Mesh {
-        smart_sim::Mesh::paper_4x4()
+    fn mesh() -> Topology {
+        Topology::paper_4x4()
     }
 
     #[test]

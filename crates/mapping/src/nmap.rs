@@ -63,8 +63,7 @@ impl Placement {
 ///
 /// Panics if the graph has more tasks than the mesh has cores.
 #[must_use]
-pub fn place(topo: impl Into<Topology>, graph: &TaskGraph) -> Placement {
-    let mesh = topo.into();
+pub fn place(mesh: Topology, graph: &TaskGraph) -> Placement {
     assert!(
         graph.num_tasks() <= mesh.len(),
         "{}: {} tasks exceed {} cores",
@@ -193,8 +192,7 @@ pub fn place(topo: impl Into<Topology>, graph: &TaskGraph) -> Placement {
 ///
 /// Panics if the graph has more tasks than the mesh has cores.
 #[must_use]
-pub fn place_random(topo: impl Into<Topology>, graph: &TaskGraph, seed: u64) -> Placement {
-    let mesh = topo.into();
+pub fn place_random(mesh: Topology, graph: &TaskGraph, seed: u64) -> Placement {
     assert!(
         graph.num_tasks() <= mesh.len(),
         "{}: {} tasks exceed {} cores",
@@ -254,10 +252,9 @@ pub fn routable_flows(graph: &TaskGraph, placement: &Placement) -> Vec<RoutableF
 /// placement.
 #[must_use]
 pub fn place_and_route(
-    topo: impl Into<Topology>,
+    mesh: Topology,
     graph: &TaskGraph,
 ) -> (Placement, Vec<(FlowId, SourceRoute)>) {
-    let mesh = topo.into();
     let placement = place(mesh, graph);
     let flows = routable_flows(graph, &placement);
     let routes = crate::routes::select_routes(mesh, &flows);
@@ -269,8 +266,8 @@ mod tests {
     use super::*;
     use smart_taskgraph::apps;
 
-    fn mesh() -> smart_sim::Mesh {
-        smart_sim::Mesh::paper_4x4()
+    fn mesh() -> Topology {
+        Topology::paper_4x4()
     }
 
     #[test]
@@ -320,7 +317,7 @@ mod tests {
             let flows = routable_flows(&g, &p);
             let avg: f64 = flows
                 .iter()
-                .map(|f| f64::from(mesh().manhattan(f.src, f.dst)))
+                .map(|f| f64::from(mesh().distance(f.src, f.dst)))
                 .sum::<f64>()
                 / flows.len() as f64;
             assert!(
@@ -375,7 +372,7 @@ mod tests {
             let flows = routable_flows(&g, p);
             flows
                 .iter()
-                .map(|f| f64::from(mesh().manhattan(f.src, f.dst)))
+                .map(|f| f64::from(mesh().distance(f.src, f.dst)))
                 .sum::<f64>()
                 / flows.len() as f64
         };

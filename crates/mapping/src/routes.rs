@@ -32,8 +32,7 @@ pub struct RoutableFlow {
 ///
 /// Panics if `src == dst`.
 #[must_use]
-pub fn yx(topo: impl Into<Topology>, src: NodeId, dst: NodeId) -> SourceRoute {
-    let mesh = topo.into();
+pub fn yx(mesh: Topology, src: NodeId, dst: NodeId) -> SourceRoute {
     assert_ne!(src, dst, "no route from a node to itself");
     let (cs, cd) = (mesh.coord(src), mesh.coord(dst));
     let mut routers = vec![src];
@@ -52,8 +51,7 @@ pub fn yx(topo: impl Into<Topology>, src: NodeId, dst: NodeId) -> SourceRoute {
 /// Minimal route candidates between two nodes (XY, plus YX when they
 /// differ).
 #[must_use]
-pub fn candidates(topo: impl Into<Topology>, src: NodeId, dst: NodeId) -> Vec<SourceRoute> {
-    let mesh = topo.into();
+pub fn candidates(mesh: Topology, src: NodeId, dst: NodeId) -> Vec<SourceRoute> {
     let a = SourceRoute::xy(mesh, src, dst).expect("distinct endpoints");
     let b = yx(mesh, src, dst);
     if a == b {
@@ -72,12 +70,11 @@ pub fn candidates(topo: impl Into<Topology>, src: NodeId, dst: NodeId) -> Vec<So
 /// minimal candidates are always included first.
 #[must_use]
 pub fn detour_candidates(
-    topo: impl Into<Topology>,
+    mesh: Topology,
     src: NodeId,
     dst: NodeId,
     max_extra: u16,
 ) -> Vec<SourceRoute> {
-    let mesh = topo.into();
     let mut out = candidates(mesh, src, dst);
     let min_hops = mesh.distance(src, dst);
     for w in mesh.nodes() {
@@ -141,12 +138,11 @@ impl RouteOptions {
 /// bandwidth-weighted sharing dominates; hop count breaks ties.
 #[must_use]
 pub fn route_cost(
-    topo: impl Into<Topology>,
+    mesh: Topology,
     route: &SourceRoute,
     bandwidth: f64,
     link_load: &HashMap<LinkId, f64>,
 ) -> f64 {
-    let mesh = topo.into();
     let mut shared = 0.0;
     for l in route.links(mesh) {
         if let Some(other) = link_load.get(&l) {
@@ -162,21 +158,17 @@ pub fn route_cost(
 /// Greedily route `flows` (descending bandwidth), minimizing sharing.
 /// Returns deadlock-free routes.
 #[must_use]
-pub fn select_routes(
-    topo: impl Into<Topology>,
-    flows: &[RoutableFlow],
-) -> Vec<(FlowId, SourceRoute)> {
+pub fn select_routes(topo: Topology, flows: &[RoutableFlow]) -> Vec<(FlowId, SourceRoute)> {
     select_routes_with(topo, flows, RouteOptions::default())
 }
 
 /// [`select_routes`] with an explicit policy (e.g. non-minimal detours).
 #[must_use]
 pub fn select_routes_with(
-    topo: impl Into<Topology>,
+    mesh: Topology,
     flows: &[RoutableFlow],
     opts: RouteOptions,
 ) -> Vec<(FlowId, SourceRoute)> {
-    let mesh = topo.into();
     let mut order: Vec<&RoutableFlow> = flows.iter().collect();
     order.sort_by(|a, b| {
         b.bandwidth_mbs
@@ -228,8 +220,8 @@ pub fn select_routes_with(
 mod tests {
     use super::*;
 
-    fn mesh() -> smart_sim::Mesh {
-        smart_sim::Mesh::paper_4x4()
+    fn mesh() -> Topology {
+        Topology::paper_4x4()
     }
 
     #[test]
@@ -337,7 +329,7 @@ mod tests {
     #[test]
     fn detour_candidates_include_minimal_and_bounded_detours() {
         let cands = detour_candidates(mesh(), NodeId(0), NodeId(2), 2);
-        let min = mesh().manhattan(NodeId(0), NodeId(2)) as usize;
+        let min = mesh().distance(NodeId(0), NodeId(2)) as usize;
         assert!(cands.iter().any(|r| r.num_hops() == min), "minimal kept");
         assert!(
             cands.iter().any(|r| r.num_hops() == min + 2),

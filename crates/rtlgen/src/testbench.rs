@@ -123,12 +123,12 @@ pub fn router_tb(p: &GenParams, preset: &RouterPreset) -> Testbench {
 mod tests {
     use super::*;
     use smart_core::compile::compile;
-    use smart_sim::{FlowId, Mesh, NodeId, SourceRoute};
+    use smart_sim::{FlowId, NodeId, SourceRoute, Topology};
 
     fn preset_with_bypass() -> RouterPreset {
         // Compile the Fig 7 blue flow and take router 11 (pure bypass
         // W -> S).
-        let mesh = Mesh::paper_4x4();
+        let mesh = Topology::paper_4x4();
         let route = SourceRoute::from_router_path(
             mesh,
             &[

@@ -150,27 +150,6 @@ const STRATEGIES: Names<SearchStrategy> = Names {
     ],
 };
 
-/// The parameterless classic patterns, addressable in a workload spec
-/// by their [`SpatialPattern::label`].
-const PATTERNS: [SpatialPattern; 6] = [
-    SpatialPattern::Transpose,
-    SpatialPattern::BitComplement,
-    SpatialPattern::BitReverse,
-    SpatialPattern::Shuffle,
-    SpatialPattern::Tornado,
-    SpatialPattern::Neighbor,
-];
-
-fn pattern_by_name(name: &str) -> Result<SpatialPattern, String> {
-    let found = PATTERNS.iter().find(|p| p.label() == name);
-    found.cloned().ok_or_else(|| {
-        format!(
-            "unknown pattern {name:?} (expected {})",
-            expected(PATTERNS.iter().map(SpatialPattern::label))
-        )
-    })
-}
-
 /// Parse a lowercase design name (`mesh`, `smart`, `dedicated`).
 ///
 /// # Errors
@@ -272,7 +251,7 @@ impl WorkloadSpec {
                 })
             }
             ("pattern", [name, rate]) => {
-                pattern_by_name(name).map_err(|m| format!("{m} in {spec:?}"))?;
+                SpatialPattern::by_label(name).map_err(|m| format!("{m} in {spec:?}"))?;
                 Ok(WorkloadSpec::Pattern {
                     name: (*name).to_owned(),
                     rate: rate_of(rate)?,
@@ -304,7 +283,7 @@ impl WorkloadSpec {
                 Ok(Workload::uniform(*flows as usize, *rate, *seed))
             }
             WorkloadSpec::Pattern { name, rate } => {
-                Ok(Workload::patterned(pattern_by_name(name)?, *rate))
+                Ok(Workload::patterned(SpatialPattern::by_label(name)?, *rate))
             }
         }
     }
@@ -1737,7 +1716,7 @@ mod tests {
             let name = SCHEDULE_DESIGNS.name(design);
             assert_eq!(SCHEDULE_DESIGNS.parse(name), Ok(design));
         }
-        for pattern in &PATTERNS {
+        for pattern in &SpatialPattern::STRUCTURED {
             let spec = format!("pattern:{}:0.1", pattern.label());
             assert!(WorkloadSpec::parse(&spec).is_ok(), "{spec}");
         }
@@ -1752,6 +1731,11 @@ mod tests {
         assert_eq!(
             TopologySpec::parse("ring").expect_err("unknown"),
             "unknown topology \"ring\" (expected mesh or torus)"
+        );
+        assert_eq!(
+            WorkloadSpec::parse("pattern:ring:0.1").expect_err("unknown"),
+            "unknown pattern \"ring\" (expected transpose, bit-complement, bit-reverse, \
+             shuffle, tornado, or neighbor) in \"pattern:ring:0.1\""
         );
         assert_eq!(
             SearchStrategy::parse("luck").expect_err("unknown"),

@@ -445,10 +445,8 @@ proptest! {
         // Topology: a torus of the same dimensions must key differently
         // from the mesh (the wrap links change every compiled route).
         let mut torus = cfg.clone();
-        torus.topology = smart_sim::Topology::Torus(smart_sim::Torus::new(
-            cfg.topology.width(),
-            cfg.topology.height(),
-        ));
+        torus.topology =
+            smart_sim::Topology::torus(cfg.topology.width(), cfg.topology.height());
         prop_assert_ne!(base, config_key(&torus, design, &w));
     }
 }

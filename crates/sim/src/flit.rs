@@ -288,9 +288,9 @@ impl HeaderLayout {
     ///
     /// Panics if `vcs` is zero.
     #[must_use]
-    pub fn for_config(topo: impl Into<Topology>, vcs: usize) -> Self {
+    pub fn for_config(topo: Topology, vcs: usize) -> Self {
         assert!(vcs > 0, "need at least one virtual channel");
-        let max_hops = topo.into().max_route_hops();
+        let max_hops = topo.max_route_hops();
         HeaderLayout {
             route_bits: SourceRoute::header_bits(max_hops),
             vc_bits: bits_for(vcs),
@@ -391,7 +391,7 @@ mod tests {
     fn paper_header_widths() {
         // Table II: header width 20 bits (head), 4 bits (body, tail) for
         // a 4x4 mesh with 2 VCs.
-        let l = HeaderLayout::for_config(crate::topology::Mesh::paper_4x4(), 2);
+        let l = HeaderLayout::for_config(Topology::paper_4x4(), 2);
         assert_eq!(l.route_bits, 14);
         assert_eq!(l.vc_bits, 1);
         assert_eq!(l.type_bits, 3);

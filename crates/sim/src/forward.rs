@@ -139,7 +139,7 @@ impl FlowPlan {
 
     /// The destination node.
     #[must_use]
-    pub fn destination(&self, topo: impl Into<Topology>) -> NodeId {
+    pub fn destination(&self, topo: Topology) -> NodeId {
         self.route.destination(topo)
     }
 
@@ -150,8 +150,7 @@ impl FlowPlan {
     /// # Panics
     ///
     /// Panics with a description of the first violation found.
-    pub fn validate(&self, topo: impl Into<Topology>) {
-        let mesh = topo.into();
+    pub fn validate(&self, mesh: Topology) {
         assert!(!self.legs.is_empty(), "{}: plan has no legs", self.flow);
         assert_eq!(
             self.legs[0].sender,
@@ -207,8 +206,7 @@ impl FlowTable {
     ///
     /// Panics if the plan is inconsistent or a plan for the flow already
     /// exists.
-    pub fn insert(&mut self, topo: impl Into<Topology>, plan: FlowPlan) {
-        let mesh = topo.into();
+    pub fn insert(&mut self, mesh: Topology, plan: FlowPlan) {
         plan.validate(mesh);
         let flow = plan.flow;
         assert!(!self.plans.contains_key(&flow), "{flow}: duplicate plan");
@@ -309,8 +307,7 @@ impl FlowTable {
     /// router on the route is a stop, `ST` and `LT` are separate cycles
     /// (the paper's 3-cycle router + 1-cycle link).
     #[must_use]
-    pub fn mesh_baseline(topo: impl Into<Topology>, routes: &[(FlowId, SourceRoute)]) -> Self {
-        let mesh = topo.into();
+    pub fn mesh_baseline(mesh: Topology, routes: &[(FlowId, SourceRoute)]) -> Self {
         let mut table = FlowTable::new();
         for (flow, route) in routes {
             table.insert(mesh, mesh_plan_for(mesh, *flow, route.clone()));
@@ -524,8 +521,7 @@ impl LegLut {
 
 /// The baseline plan for one routed flow (every router a stop).
 #[must_use]
-pub fn mesh_plan_for(topo: impl Into<Topology>, flow: FlowId, route: SourceRoute) -> FlowPlan {
-    let mesh = topo.into();
+pub fn mesh_plan_for(mesh: Topology, flow: FlowId, route: SourceRoute) -> FlowPlan {
     let routers = route.routers(mesh);
     let src = route.source();
     let mut legs = Vec::with_capacity(routers.len() + 1);
@@ -571,10 +567,9 @@ pub fn mesh_plan_for(topo: impl Into<Topology>, flow: FlowId, route: SourceRoute
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::Mesh;
 
-    fn mesh() -> Mesh {
-        Mesh::paper_4x4()
+    fn mesh() -> Topology {
+        Topology::paper_4x4()
     }
 
     #[test]

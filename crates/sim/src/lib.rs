@@ -2,8 +2,8 @@
 //! reproduction (DATE 2013).
 //!
 //! This crate provides the generic machinery — the [`topology`] layer
-//! (mesh and torus fabrics), flits
-//! and source [`route`]s, VC buffers and the 3-stage [`router`] pipeline,
+//! (one grid type, [`Topology`]; a torus is the grid with `wrap` set),
+//! flits and source [`route`]s, VC buffers and the 3-stage [`router`] pipeline,
 //! virtual-cut-through credits, [`nic`]s, [`traffic`] generators, the
 //! synchronous [`network`] engine, and activity [`counters`] — on which
 //! `smart-core` builds the SMART architecture, the baseline mesh, and
@@ -59,7 +59,6 @@ pub mod forward;
 pub mod jsonl;
 pub mod network;
 pub mod nic;
-pub mod patterns;
 pub mod route;
 pub mod router;
 pub mod shard;
@@ -75,7 +74,6 @@ pub use flit::{
 };
 pub use forward::{Endpoint, FlowPlan, FlowTable, LegLut, Segment, Sender};
 pub use network::{Network, SimConfig};
-pub use patterns::Pattern;
 pub use route::{RouteError, SourceRoute};
 pub use router::{CreditRelease, Router, RouterBank, RouterDeparture};
 pub use stats::SimStats;
@@ -83,6 +81,6 @@ pub use telemetry::{
     CycleView, MetricsCollector, MetricsParseError, MetricsWindow, NoProbe, Probe, StallCause,
     TelemetryConfig, TelemetrySeries,
 };
-pub use topology::{Coord, Direction, LinkId, Mesh, NodeId, Topology, TopologyOps, Torus, Turn};
+pub use topology::{Coord, Direction, LinkId, NodeId, Topology, Turn};
 pub use trace::{ReplayCounts, TraceKind, TraceRecord, Tracer};
 pub use traffic::{mbps_to_packet_rate, BernoulliTraffic, ScriptedTraffic, TrafficSource};

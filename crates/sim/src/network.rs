@@ -60,7 +60,7 @@ impl SimConfig {
     #[must_use]
     pub fn paper_4x4() -> Self {
         SimConfig {
-            topology: crate::topology::Mesh::paper_4x4().into(),
+            topology: Topology::paper_4x4(),
             vcs_per_port: 2,
             vc_depth: 10,
             flits_per_packet: 8,

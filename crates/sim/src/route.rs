@@ -85,8 +85,7 @@ impl SourceRoute {
     /// Panics if consecutive routers are not neighbours on `topo` or
     /// fewer than two routers are given.
     #[must_use]
-    pub fn from_router_path(topo: impl Into<Topology>, routers: &[NodeId]) -> Self {
-        let topo = topo.into();
+    pub fn from_router_path(topo: Topology, routers: &[NodeId]) -> Self {
         assert!(routers.len() >= 2, "a route needs at least two routers");
         let mut dirs = Vec::with_capacity(routers.len() - 1);
         for w in routers.windows(2) {
@@ -131,37 +130,26 @@ impl SourceRoute {
     /// Returns [`RouteError::SelfRoute`] when `src == dst` — the route
     /// encoding has no zero-hop form, so self-flows must be filtered by
     /// the caller.
-    pub fn dimension_order(
-        topo: impl Into<Topology>,
-        src: NodeId,
-        dst: NodeId,
-    ) -> Result<Self, RouteError> {
-        let topo = topo.into();
+    pub fn dimension_order(topo: Topology, src: NodeId, dst: NodeId) -> Result<Self, RouteError> {
         if src == dst {
             return Err(RouteError::SelfRoute(src));
         }
         let (cs, cd) = (topo.coord(src), topo.coord(dst));
         let mut dirs = Vec::with_capacity(topo.distance(src, dst) as usize);
         let mut axis = |from: u16, to: u16, size: u16, pos: Direction, neg: Direction| {
-            let (dir, hops) = match topo {
-                Topology::Mesh(_) => {
-                    if to >= from {
-                        (pos, to - from)
-                    } else {
-                        (neg, from - to)
-                    }
+            let (dir, hops) = if topo.is_torus() {
+                // On a tie (an even ring crossed half-way) take the
+                // positive direction.
+                let fwd = (to + size - from) % size;
+                if fwd <= size - fwd {
+                    (pos, fwd)
+                } else {
+                    (neg, size - fwd)
                 }
-                Topology::Torus(_) => {
-                    let fwd = (to + size - from) % size;
-                    let bwd = size - fwd;
-                    // fwd == 0 contributes no hops; on a tie take the
-                    // positive direction.
-                    if fwd == 0 || fwd <= bwd {
-                        (pos, fwd)
-                    } else {
-                        (neg, bwd)
-                    }
-                }
+            } else if to >= from {
+                (pos, to - from)
+            } else {
+                (neg, from - to)
             };
             dirs.extend(std::iter::repeat_n(dir, usize::from(hops)));
         };
@@ -182,7 +170,7 @@ impl SourceRoute {
     /// # Errors
     ///
     /// Returns [`RouteError::SelfRoute`] when `src == dst`.
-    pub fn xy(topo: impl Into<Topology>, src: NodeId, dst: NodeId) -> Result<Self, RouteError> {
+    pub fn xy(topo: Topology, src: NodeId, dst: NodeId) -> Result<Self, RouteError> {
         SourceRoute::dimension_order(topo, src, dst)
     }
 
@@ -217,8 +205,7 @@ impl SourceRoute {
     ///
     /// Panics if the route walks off a fabric edge.
     #[must_use]
-    pub fn routers(&self, topo: impl Into<Topology>) -> Vec<NodeId> {
-        let topo = topo.into();
+    pub fn routers(&self, topo: Topology) -> Vec<NodeId> {
         let mut out = vec![self.src];
         let mut travel = self.first;
         let mut at = topo
@@ -237,7 +224,7 @@ impl SourceRoute {
 
     /// The destination node.
     #[must_use]
-    pub fn destination(&self, topo: impl Into<Topology>) -> NodeId {
+    pub fn destination(&self, topo: Topology) -> NodeId {
         *self.routers(topo).last().expect("routes are nonempty")
     }
 
@@ -260,7 +247,7 @@ impl SourceRoute {
 
     /// The directed links traversed, in order.
     #[must_use]
-    pub fn links(&self, topo: impl Into<Topology>) -> Vec<LinkId> {
+    pub fn links(&self, topo: Topology) -> Vec<LinkId> {
         let routers = self.routers(topo);
         let outputs = self.outputs();
         routers
@@ -314,10 +301,9 @@ impl SourceRoute {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::topology::{Mesh, TopologyOps, Torus};
 
-    fn mesh() -> Mesh {
-        Mesh::paper_4x4()
+    fn mesh() -> Topology {
+        Topology::paper_4x4()
     }
 
     #[test]
@@ -405,14 +391,14 @@ mod tests {
         let err = SourceRoute::xy(mesh(), NodeId(3), NodeId(3)).expect_err("self route");
         assert_eq!(err, RouteError::SelfRoute(NodeId(3)));
         assert!(err.to_string().contains("no route from n3 to itself"));
-        let torus_err = SourceRoute::dimension_order(Torus::new(4, 4), NodeId(0), NodeId(0))
+        let torus_err = SourceRoute::dimension_order(Topology::torus(4, 4), NodeId(0), NodeId(0))
             .expect_err("self route");
         assert_eq!(torus_err, RouteError::SelfRoute(NodeId(0)));
     }
 
     #[test]
     fn torus_route_wraps_the_short_way() {
-        let t = Torus::new(4, 4);
+        let t = Topology::torus(4, 4);
         // 0 -> 3: one West wrap hop instead of three East hops.
         let r = SourceRoute::dimension_order(t, NodeId(0), NodeId(3)).unwrap();
         assert_eq!(r.num_hops(), 1);
@@ -430,7 +416,7 @@ mod tests {
 
     #[test]
     fn torus_half_way_tie_breaks_east_and_north() {
-        let t = Torus::new(4, 4);
+        let t = Topology::torus(4, 4);
         // x: 0 -> 2 is 2 hops either way; the tie goes East.
         let r = SourceRoute::dimension_order(t, NodeId(0), NodeId(2)).unwrap();
         assert_eq!(r.first_direction(), Direction::East);
@@ -442,7 +428,7 @@ mod tests {
 
     #[test]
     fn torus_route_length_matches_distance() {
-        let t = Torus::new(4, 4);
+        let t = Topology::torus(4, 4);
         for s in 0..16u16 {
             for d in 0..16u16 {
                 if s == d {
@@ -461,7 +447,7 @@ mod tests {
 
     #[test]
     fn torus_routes_encode_and_decode_like_mesh_routes() {
-        let t = Torus::new(8, 8);
+        let t = Topology::torus(8, 8);
         let r = SourceRoute::dimension_order(t, NodeId(0), NodeId(63)).unwrap();
         let back = SourceRoute::decode(NodeId(0), r.encode(), r.num_hops());
         assert_eq!(back, r);
@@ -472,7 +458,7 @@ mod tests {
         // A mesh route threaded through a same-size torus visits the
         // same routers: non-wrap links are identical in both fabrics.
         let m = mesh();
-        let t = Torus::new(4, 4);
+        let t = Topology::torus(4, 4);
         let r = SourceRoute::dimension_order(m, NodeId(1), NodeId(14)).unwrap();
         assert_eq!(r.routers(m), r.routers(t));
     }

@@ -834,10 +834,10 @@ mod tests {
     use crate::flit::{FlitKind, FlowId, PacketSlot};
     use crate::forward::FlowTable;
     use crate::route::SourceRoute;
-    use crate::topology::Mesh;
+    use crate::topology::Topology;
 
-    fn mesh() -> Mesh {
-        Mesh::paper_4x4()
+    fn mesh() -> Topology {
+        Topology::paper_4x4()
     }
 
     /// A flow table with a single 2-hop flow 0 -> 2 (baseline plan).
@@ -986,7 +986,7 @@ mod tests {
         // crossbar input carries one flit per cycle, so while the stream
         // has flits ready the new head must wait; it proceeds once the
         // stream's tail has passed.
-        let mesh = Mesh::paper_4x4();
+        let mesh = Topology::paper_4x4();
         // Flow 0: 0 -> 2 (East at router 0); flow 1: 0 -> 4 (North).
         let r0 = SourceRoute::xy(mesh, NodeId(0), NodeId(2)).unwrap();
         let r1 = SourceRoute::xy(mesh, NodeId(0), NodeId(4)).unwrap();

@@ -332,12 +332,12 @@ mod tests {
     use crate::forward::FlowTable;
     use crate::network::{Network, SimConfig};
     use crate::route::SourceRoute;
-    use crate::topology::{Mesh, NodeId};
+    use crate::topology::{NodeId, Topology};
     use crate::traffic::BernoulliTraffic;
 
     fn crossing_flows(h: u16) -> (SimConfig, FlowTable, Vec<(FlowId, f64)>) {
         let cfg = SimConfig {
-            topology: Mesh::new(h, h).into(),
+            topology: Topology::mesh(h, h),
             ..SimConfig::paper_4x4()
         };
         // Column flows crossing every band boundary plus row flows
@@ -393,7 +393,7 @@ mod tests {
         // Owner ids are `u8`: a fabric taller than 255 rows still builds
         // when asked for a band per row.
         let tall = SimConfig {
-            topology: Mesh::new(1, 300).into(),
+            topology: Topology::mesh(1, 300),
             ..SimConfig::paper_4x4()
         };
         let none = FlowTable::mesh_baseline(tall.topology, &[]);

@@ -13,15 +13,15 @@
 //! ```
 //!
 //! The engine itself only needs a node set, a `(node, direction) →
-//! neighbour` map and a distance metric, so the concrete [`Mesh`] is one
-//! implementation of the [`TopologyOps`] trait; [`Torus`] adds
-//! per-dimension wraparound links under the same numbering, and the
-//! [`Topology`] enum carries either through configs by value. Every flat
-//! per-port array in the engine stays indexed `node * PORTS + direction`
-//! — wraparound changes which *neighbour* a port reaches, not the port
-//! set, so `PORTS = 5` and the paper's 2-bit turn encoding both carry
-//! over unchanged (crossing a wrap link preserves the travelling
-//! direction: East across the seam is still East).
+//! neighbour` map and a distance metric, and there is one physical
+//! fabric to ask: [`Topology`] is that grid, and a torus is the same
+//! grid with `wrap` set — per-dimension wraparound links under the same
+//! numbering. Every flat per-port array in the engine stays indexed
+//! `node * PORTS + direction` — wraparound changes which *neighbour* a
+//! port reaches, not the port set, so `PORTS = 5` and the paper's 2-bit
+//! turn encoding both carry over unchanged (crossing a wrap link
+//! preserves the travelling direction: East across the seam is still
+//! East).
 
 use std::fmt;
 
@@ -249,38 +249,103 @@ impl fmt::Display for LinkId {
     }
 }
 
-/// A k×k (or rectangular) 2D mesh.
+/// Most nodes a grid may hold: a [`NodeId`] is 16 bits.
+const MAX_NODES: usize = 1 << 16;
+
+/// The router fabric: a `width × height` grid of tiles, numbered
+/// row-major from the bottom-left. `wrap` is the only thing a 2D torus
+/// adds to a 2D mesh — one link per row and per column closing it into
+/// a ring, so every router has all four compass neighbours — and it is
+/// consulted only where a grid edge matters (`neighbor`, `distance`,
+/// `max_route_hops`, `is_wrap_link`). The wrap links are what make the
+/// torus interesting for SMART: a preset bypass path can cross the die
+/// seam in the same single cycle as any other `HPC_max`-bounded leg,
+/// and dimension-order routes shrink to at most `⌊w/2⌋+⌊h/2⌋` hops.
+///
+/// Caveat: the wraparound rings reintroduce cyclic channel
+/// dependencies, so XY dimension-order on a torus is not deadlock-free
+/// under wormhole flow control in general. The evaluated cells stay
+/// live at the traffic levels this repo runs (every conformance cell
+/// asserts full delivery), but a production torus would add a dateline
+/// VC or a bubble scheme on the rings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Mesh {
+pub struct Topology {
     width: u16,
     height: u16,
+    wrap: bool,
 }
 
-impl Mesh {
-    /// A `width × height` mesh.
+impl Topology {
+    fn grid(width: u16, height: u16, wrap: bool) -> Self {
+        assert!(width > 0 && height > 0, "grid dimensions must be nonzero");
+        assert!(
+            !wrap || (width >= 2 && height >= 2),
+            "torus dimensions must be at least 2 (got {width}x{height})"
+        );
+        assert!(
+            usize::from(width) * usize::from(height) <= MAX_NODES,
+            "{width}x{height} grid exceeds the {MAX_NODES} nodes a 16-bit NodeId can name"
+        );
+        Topology {
+            width,
+            height,
+            wrap,
+        }
+    }
+
+    /// A `width × height` 2D mesh (the paper's fabric).
     ///
     /// # Panics
     ///
-    /// Panics if either dimension is zero.
+    /// Panics if either dimension is zero or the grid has more than
+    /// 65,536 nodes.
     #[must_use]
-    pub fn new(width: u16, height: u16) -> Self {
-        assert!(width > 0 && height > 0, "mesh dimensions must be nonzero");
-        Mesh { width, height }
+    pub fn mesh(width: u16, height: u16) -> Self {
+        Topology::grid(width, height, false)
+    }
+
+    /// A `width × height` 2D torus.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either dimension is below 2 (the engine's link tables
+    /// cannot represent a node linked to itself) or the grid has more
+    /// than 65,536 nodes.
+    #[must_use]
+    pub fn torus(width: u16, height: u16) -> Self {
+        Topology::grid(width, height, true)
     }
 
     /// The paper's 4×4 evaluation mesh.
     #[must_use]
     pub fn paper_4x4() -> Self {
-        Mesh::new(4, 4)
+        Topology::mesh(4, 4)
     }
 
-    /// Mesh width (columns).
+    /// Short lowercase label (`mesh` / `torus`), the grammar the server
+    /// protocol and experiment names use.
+    #[must_use]
+    pub fn label(self) -> &'static str {
+        if self.wrap {
+            "torus"
+        } else {
+            "mesh"
+        }
+    }
+
+    /// `true` when the fabric has wraparound links.
+    #[must_use]
+    pub fn is_torus(self) -> bool {
+        self.wrap
+    }
+
+    /// Grid width (columns).
     #[must_use]
     pub fn width(self) -> u16 {
         self.width
     }
 
-    /// Mesh height (rows).
+    /// Grid height (rows).
     #[must_use]
     pub fn height(self) -> u16 {
         self.height
@@ -292,8 +357,8 @@ impl Mesh {
         usize::from(self.width) * usize::from(self.height)
     }
 
-    /// `true` only for the degenerate 0-node mesh (unreachable through
-    /// [`Mesh::new`]); present for API completeness.
+    /// Never `true` (the constructors refuse a 0-node grid); present
+    /// because `len` is.
     #[must_use]
     pub fn is_empty(self) -> bool {
         self.len() == 0
@@ -301,7 +366,8 @@ impl Mesh {
 
     /// Iterate over all node ids, row-major from the bottom-left.
     pub fn nodes(self) -> impl Iterator<Item = NodeId> {
-        (0..self.len() as u16).map(NodeId)
+        // `len() <= MAX_NODES`, so every index fits the id.
+        (0..self.len()).map(|i| NodeId(i as u16))
     }
 
     /// Coordinate of `node`.
@@ -312,8 +378,8 @@ impl Mesh {
     #[must_use]
     pub fn coord(self, node: NodeId) -> Coord {
         assert!(
-            (node.0 as usize) < self.len(),
-            "{node} outside {}x{} mesh",
+            usize::from(node.0) < self.len(),
+            "{node} outside {}x{} grid",
             self.width,
             self.height
         );
@@ -332,288 +398,16 @@ impl Mesh {
     pub fn node_at(self, c: Coord) -> NodeId {
         assert!(
             c.x < self.width && c.y < self.height,
-            "{c} outside {}x{} mesh",
+            "{c} outside {}x{} grid",
             self.width,
             self.height
         );
         NodeId(c.y * self.width + c.x)
     }
 
-    /// Neighbour of `node` in compass direction `dir`, if it exists.
-    ///
-    /// Returns `None` at mesh edges and for `dir == Core`.
-    #[must_use]
-    pub fn neighbor(self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        let c = self.coord(node);
-        let next = match dir {
-            Direction::East if c.x + 1 < self.width => Coord { x: c.x + 1, y: c.y },
-            Direction::West if c.x > 0 => Coord { x: c.x - 1, y: c.y },
-            Direction::North if c.y + 1 < self.height => Coord { x: c.x, y: c.y + 1 },
-            Direction::South if c.y > 0 => Coord { x: c.x, y: c.y - 1 },
-            _ => return None,
-        };
-        Some(self.node_at(next))
-    }
-
-    /// Number of mesh neighbours of `node` (2 at corners, 3 at edges, 4
-    /// inside) — NMAP seeds the highest-traffic task at the node with the
-    /// most neighbours.
-    #[must_use]
-    pub fn degree(self, node: NodeId) -> usize {
-        Direction::MESH
-            .iter()
-            .filter(|d| self.neighbor(node, **d).is_some())
-            .count()
-    }
-
-    /// Manhattan (minimal hop) distance between two nodes.
-    #[must_use]
-    pub fn manhattan(self, a: NodeId, b: NodeId) -> u16 {
-        let ca = self.coord(a);
-        let cb = self.coord(b);
-        ca.x.abs_diff(cb.x) + ca.y.abs_diff(cb.y)
-    }
-
-    /// All directed router-to-router links.
-    pub fn links(self) -> impl Iterator<Item = LinkId> {
-        self.nodes().flat_map(move |n| {
-            Direction::MESH
-                .iter()
-                .filter(move |d| self.neighbor(n, **d).is_some())
-                .map(move |d| LinkId { from: n, dir: *d })
-        })
-    }
-}
-
-/// What the engine, router compiler and routing layer need from a
-/// fabric: a rectangular node grid (the row-major numbering above is
-/// shared by every implementation), a `(node, direction) → neighbour`
-/// map, and a minimal-hop distance metric. Everything else — node
-/// iteration, coordinate mapping, link enumeration — derives from
-/// those, so the provided methods are shared verbatim by [`Mesh`] and
-/// [`Torus`].
-pub trait TopologyOps {
-    /// Grid width (columns).
-    fn width(&self) -> u16;
-
-    /// Grid height (rows).
-    fn height(&self) -> u16;
-
-    /// Neighbour of `node` in compass direction `dir`, if the fabric
-    /// has a link there. `None` for `Core` always; `None` at grid edges
-    /// on a mesh, never `None` for compass directions on a torus.
-    fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId>;
-
-    /// Minimal hop distance between two nodes.
-    fn distance(&self, a: NodeId, b: NodeId) -> u16;
-
-    /// Hop count of the longest minimal route — sizes the head-flit
-    /// route field (`(w-1)+(h-1)` on a mesh, `⌊w/2⌋+⌊h/2⌋` on a torus).
-    fn max_route_hops(&self) -> usize;
-
-    /// `true` if `link` crosses a wraparound seam (always `false` on a
-    /// mesh).
-    fn is_wrap_link(&self, link: LinkId) -> bool;
-
-    /// Total number of nodes.
-    fn len(&self) -> usize {
-        usize::from(self.width()) * usize::from(self.height())
-    }
-
-    /// `true` only for a degenerate 0-node fabric (unreachable through
-    /// the constructors); present for API completeness.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Coordinate of `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is out of range.
-    fn coord(&self, node: NodeId) -> Coord {
-        assert!(
-            (node.0 as usize) < self.len(),
-            "{node} outside {}x{} grid",
-            self.width(),
-            self.height()
-        );
-        Coord {
-            x: node.0 % self.width(),
-            y: node.0 / self.width(),
-        }
-    }
-
-    /// Node at coordinate `c`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `c` is out of range.
-    fn node_at(&self, c: Coord) -> NodeId {
-        assert!(
-            c.x < self.width() && c.y < self.height(),
-            "{c} outside {}x{} grid",
-            self.width(),
-            self.height()
-        );
-        NodeId(c.y * self.width() + c.x)
-    }
-
-    /// Number of compass neighbours of `node`.
-    fn degree(&self, node: NodeId) -> usize {
-        Direction::MESH
-            .iter()
-            .filter(|d| self.neighbor(node, **d).is_some())
-            .count()
-    }
-}
-
-impl TopologyOps for Mesh {
-    fn width(&self) -> u16 {
-        Mesh::width(*self)
-    }
-
-    fn height(&self) -> u16 {
-        Mesh::height(*self)
-    }
-
-    fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        Mesh::neighbor(*self, node, dir)
-    }
-
-    fn distance(&self, a: NodeId, b: NodeId) -> u16 {
-        self.manhattan(a, b)
-    }
-
-    fn max_route_hops(&self) -> usize {
-        usize::from(Mesh::width(*self) - 1 + Mesh::height(*self) - 1)
-    }
-
-    fn is_wrap_link(&self, _link: LinkId) -> bool {
-        false
-    }
-}
-
-/// A `width × height` 2D torus: the same row-major grid as [`Mesh`],
-/// plus one wraparound link per row and per column, so every router has
-/// all four compass neighbours. The wrap links are what make the fabric
-/// interesting for SMART: a preset bypass path can cross the die seam
-/// in the same single cycle as any other `HPC_max`-bounded leg, and
-/// dimension-order routes shrink to at most `⌊w/2⌋+⌊h/2⌋` hops.
-///
-/// Caveat: the wraparound rings reintroduce cyclic channel
-/// dependencies, so XY dimension-order on a torus is not deadlock-free
-/// under wormhole flow control in general. The evaluated cells stay
-/// live at the traffic levels this repo runs (every conformance cell
-/// asserts full delivery), but a production torus would add a dateline
-/// VC or a bubble scheme on the rings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Torus {
-    width: u16,
-    height: u16,
-}
-
-impl Torus {
-    /// A `width × height` torus.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is below 2 (a 1-wide ring would wrap
-    /// a node onto itself, which the engine's link tables cannot
-    /// represent).
-    #[must_use]
-    pub fn new(width: u16, height: u16) -> Self {
-        assert!(
-            width >= 2 && height >= 2,
-            "torus dimensions must be at least 2 (got {width}x{height})"
-        );
-        Torus { width, height }
-    }
-
-    /// Torus width (columns).
-    #[must_use]
-    pub fn width(self) -> u16 {
-        self.width
-    }
-
-    /// Torus height (rows).
-    #[must_use]
-    pub fn height(self) -> u16 {
-        self.height
-    }
-
-    /// The mesh this torus augments: same nodes, same numbering, wrap
-    /// links removed.
-    #[must_use]
-    pub fn unwrapped(self) -> Mesh {
-        Mesh::new(self.width, self.height)
-    }
-
-    /// Iterate over all node ids, row-major from the bottom-left.
-    pub fn nodes(self) -> impl Iterator<Item = NodeId> {
-        (0..TopologyOps::len(&self) as u16).map(NodeId)
-    }
-
-    /// All directed router-to-router links (4 per node; wrap links
-    /// included).
-    pub fn links(self) -> impl Iterator<Item = LinkId> {
-        self.nodes().flat_map(move |n| {
-            Direction::MESH
-                .iter()
-                .map(move |d| LinkId { from: n, dir: *d })
-        })
-    }
-}
-
-impl TopologyOps for Torus {
-    fn width(&self) -> u16 {
-        self.width
-    }
-
-    fn height(&self) -> u16 {
-        self.height
-    }
-
-    fn neighbor(&self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        let c = self.coord(node);
-        let (w, h) = (self.width, self.height);
-        let next = match dir {
-            Direction::East => Coord {
-                x: (c.x + 1) % w,
-                y: c.y,
-            },
-            Direction::West => Coord {
-                x: (c.x + w - 1) % w,
-                y: c.y,
-            },
-            Direction::North => Coord {
-                x: c.x,
-                y: (c.y + 1) % h,
-            },
-            Direction::South => Coord {
-                x: c.x,
-                y: (c.y + h - 1) % h,
-            },
-            Direction::Core => return None,
-        };
-        Some(self.node_at(next))
-    }
-
-    fn distance(&self, a: NodeId, b: NodeId) -> u16 {
-        let ca = self.coord(a);
-        let cb = self.coord(b);
-        let dx = ca.x.abs_diff(cb.x);
-        let dy = ca.y.abs_diff(cb.y);
-        dx.min(self.width - dx) + dy.min(self.height - dy)
-    }
-
-    fn max_route_hops(&self) -> usize {
-        usize::from(self.width / 2 + self.height / 2)
-    }
-
-    fn is_wrap_link(&self, link: LinkId) -> bool {
-        let c = self.coord(link.from);
-        match link.dir {
+    /// `true` if leaving `c` along `dir` steps off the grid edge.
+    fn leaves_grid(self, c: Coord, dir: Direction) -> bool {
+        match dir {
             Direction::East => c.x + 1 == self.width,
             Direction::West => c.x == 0,
             Direction::North => c.y + 1 == self.height,
@@ -621,165 +415,71 @@ impl TopologyOps for Torus {
             Direction::Core => false,
         }
     }
-}
 
-/// A topology choice carried by value through configs: either fabric,
-/// `Copy` like the [`Mesh`] it replaces in `SimConfig`/`NocConfig`.
-/// High-fanout entry points take `impl Into<Topology>`, so call sites
-/// holding a bare [`Mesh`] or [`Torus`] keep working unchanged.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Topology {
-    /// A 2D mesh (the paper's fabric).
-    Mesh(Mesh),
-    /// A 2D torus with per-dimension wraparound links.
-    Torus(Torus),
-}
-
-impl From<Mesh> for Topology {
-    fn from(m: Mesh) -> Self {
-        Topology::Mesh(m)
-    }
-}
-
-impl From<Torus> for Topology {
-    fn from(t: Torus) -> Self {
-        Topology::Torus(t)
-    }
-}
-
-impl Topology {
-    /// Short lowercase label (`mesh` / `torus`), the grammar the server
-    /// protocol and experiment names use.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            Topology::Mesh(_) => "mesh",
-            Topology::Torus(_) => "torus",
-        }
-    }
-
-    /// The mesh, when this is one (lets mesh-only code paths keep their
-    /// exact historical behaviour).
-    #[must_use]
-    pub fn as_mesh(self) -> Option<Mesh> {
-        match self {
-            Topology::Mesh(m) => Some(m),
-            Topology::Torus(_) => None,
-        }
-    }
-
-    /// `true` when the fabric has wraparound links.
-    #[must_use]
-    pub fn is_torus(self) -> bool {
-        matches!(self, Topology::Torus(_))
-    }
-
-    /// Grid width (columns).
-    #[must_use]
-    pub fn width(self) -> u16 {
-        match self {
-            Topology::Mesh(m) => m.width(),
-            Topology::Torus(t) => t.width(),
-        }
-    }
-
-    /// Grid height (rows).
-    #[must_use]
-    pub fn height(self) -> u16 {
-        match self {
-            Topology::Mesh(m) => m.height(),
-            Topology::Torus(t) => t.height(),
-        }
-    }
-
-    /// Total number of nodes.
-    #[must_use]
-    pub fn len(self) -> usize {
-        usize::from(self.width()) * usize::from(self.height())
-    }
-
-    /// `true` only for a degenerate 0-node fabric.
-    #[must_use]
-    pub fn is_empty(self) -> bool {
-        self.len() == 0
-    }
-
-    /// Iterate over all node ids, row-major from the bottom-left.
-    pub fn nodes(self) -> impl Iterator<Item = NodeId> {
-        (0..self.len() as u16).map(NodeId)
-    }
-
-    /// Coordinate of `node` (see [`TopologyOps::coord`]).
-    #[must_use]
-    pub fn coord(self, node: NodeId) -> Coord {
-        match self {
-            Topology::Mesh(m) => m.coord(node),
-            Topology::Torus(t) => TopologyOps::coord(&t, node),
-        }
-    }
-
-    /// Node at coordinate `c` (see [`TopologyOps::node_at`]).
-    #[must_use]
-    pub fn node_at(self, c: Coord) -> NodeId {
-        match self {
-            Topology::Mesh(m) => m.node_at(c),
-            Topology::Torus(t) => TopologyOps::node_at(&t, c),
-        }
-    }
-
-    /// Neighbour of `node` in direction `dir`, if the fabric links one.
+    /// Neighbour of `node` in compass direction `dir`, if the fabric
+    /// has a link there: `None` for `Core` always and at the grid edges
+    /// of a mesh; on a torus an edge wraps to the far side.
     #[must_use]
     pub fn neighbor(self, node: NodeId, dir: Direction) -> Option<NodeId> {
-        match self {
-            Topology::Mesh(m) => m.neighbor(node, dir),
-            Topology::Torus(t) => TopologyOps::neighbor(&t, node, dir),
+        let c = self.coord(node);
+        if !self.wrap && self.leaves_grid(c, dir) {
+            return None;
         }
+        let (w, h) = (self.width, self.height);
+        let (x, y) = match dir {
+            Direction::East => ((c.x + 1) % w, c.y),
+            Direction::West => (c.x.checked_sub(1).unwrap_or(w - 1), c.y),
+            Direction::North => (c.x, (c.y + 1) % h),
+            Direction::South => (c.x, c.y.checked_sub(1).unwrap_or(h - 1)),
+            Direction::Core => return None,
+        };
+        Some(self.node_at(Coord { x, y }))
     }
 
-    /// Number of compass neighbours of `node`.
+    /// Number of compass neighbours of `node` (2 at mesh corners, 3 at
+    /// mesh edges, 4 inside and everywhere on a torus) — NMAP seeds the
+    /// highest-traffic task at the node with the most neighbours.
     #[must_use]
     pub fn degree(self, node: NodeId) -> usize {
-        match self {
-            Topology::Mesh(m) => m.degree(node),
-            Topology::Torus(t) => TopologyOps::degree(&t, node),
-        }
+        Direction::MESH
+            .iter()
+            .filter(|d| self.neighbor(node, **d).is_some())
+            .count()
     }
 
-    /// Minimal hop distance between two nodes (Manhattan on a mesh;
-    /// per-axis shorter-way-around on a torus).
+    /// Minimal hop distance between two nodes: Manhattan on a mesh; on
+    /// a torus each axis takes the shorter way around.
     #[must_use]
     pub fn distance(self, a: NodeId, b: NodeId) -> u16 {
-        match self {
-            Topology::Mesh(m) => m.manhattan(a, b),
-            Topology::Torus(t) => TopologyOps::distance(&t, a, b),
-        }
+        let (ca, cb) = (self.coord(a), self.coord(b));
+        let along = |d: u16, size: u16| if self.wrap { d.min(size - d) } else { d };
+        along(ca.x.abs_diff(cb.x), self.width) + along(ca.y.abs_diff(cb.y), self.height)
     }
 
-    /// Hop count of the longest minimal route (sizes route headers).
+    /// Hop count of the longest minimal route — sizes the head-flit
+    /// route field (`(w-1)+(h-1)` on a mesh, `⌊w/2⌋+⌊h/2⌋` on a torus).
     #[must_use]
     pub fn max_route_hops(self) -> usize {
-        match self {
-            Topology::Mesh(m) => TopologyOps::max_route_hops(&m),
-            Topology::Torus(t) => TopologyOps::max_route_hops(&t),
-        }
+        usize::from(if self.wrap {
+            self.width / 2 + self.height / 2
+        } else {
+            self.width - 1 + self.height - 1
+        })
     }
 
-    /// `true` if `link` crosses a wraparound seam.
+    /// `true` if `link` crosses a wraparound seam (never on a mesh).
     #[must_use]
     pub fn is_wrap_link(self, link: LinkId) -> bool {
-        match self {
-            Topology::Mesh(_) => false,
-            Topology::Torus(t) => TopologyOps::is_wrap_link(&t, link),
-        }
+        self.wrap && self.leaves_grid(self.coord(link.from), link.dir)
     }
 
-    /// All directed router-to-router links.
+    /// All directed router-to-router links, in node then E/S/W/N order.
     #[must_use]
     pub fn links(self) -> Vec<LinkId> {
-        match self {
-            Topology::Mesh(m) => m.links().collect(),
-            Topology::Torus(t) => t.links().collect(),
-        }
+        self.nodes()
+            .flat_map(|from| Direction::MESH.map(|dir| LinkId { from, dir }))
+            .filter(|l| self.neighbor(l.from, l.dir).is_some())
+            .collect()
     }
 }
 
@@ -789,7 +489,7 @@ mod tests {
 
     #[test]
     fn paper_mesh_numbering() {
-        let m = Mesh::paper_4x4();
+        let m = Topology::paper_4x4();
         assert_eq!(m.len(), 16);
         assert_eq!(m.coord(NodeId(0)), Coord { x: 0, y: 0 });
         assert_eq!(m.coord(NodeId(3)), Coord { x: 3, y: 0 });
@@ -799,7 +499,7 @@ mod tests {
 
     #[test]
     fn neighbors_and_edges() {
-        let m = Mesh::paper_4x4();
+        let m = Topology::paper_4x4();
         assert_eq!(m.neighbor(NodeId(5), Direction::East), Some(NodeId(6)));
         assert_eq!(m.neighbor(NodeId(5), Direction::North), Some(NodeId(9)));
         assert_eq!(m.neighbor(NodeId(5), Direction::South), Some(NodeId(1)));
@@ -812,7 +512,7 @@ mod tests {
 
     #[test]
     fn degree_identifies_mesh_center() {
-        let m = Mesh::paper_4x4();
+        let m = Topology::paper_4x4();
         assert_eq!(m.degree(NodeId(0)), 2);
         assert_eq!(m.degree(NodeId(1)), 3);
         assert_eq!(m.degree(NodeId(5)), 4);
@@ -820,17 +520,17 @@ mod tests {
 
     #[test]
     fn manhattan_distance() {
-        let m = Mesh::paper_4x4();
-        assert_eq!(m.manhattan(NodeId(0), NodeId(15)), 6);
-        assert_eq!(m.manhattan(NodeId(9), NodeId(10)), 1);
-        assert_eq!(m.manhattan(NodeId(7), NodeId(7)), 0);
+        let m = Topology::paper_4x4();
+        assert_eq!(m.distance(NodeId(0), NodeId(15)), 6);
+        assert_eq!(m.distance(NodeId(9), NodeId(10)), 1);
+        assert_eq!(m.distance(NodeId(7), NodeId(7)), 0);
     }
 
     #[test]
     fn link_count_is_2_times_internal_edges() {
         // 4x4 mesh: 2 · (3·4 + 3·4) = 48 directed links.
-        let m = Mesh::paper_4x4();
-        assert_eq!(m.links().count(), 48);
+        let m = Topology::paper_4x4();
+        assert_eq!(m.links().len(), 48);
     }
 
     #[test]
@@ -883,13 +583,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside")]
     fn coord_bounds_checked() {
-        let m = Mesh::new(2, 2);
+        let m = Topology::mesh(2, 2);
         let _ = m.coord(NodeId(4));
     }
 
     #[test]
     fn rectangular_meshes_work() {
-        let m = Mesh::new(8, 2);
+        let m = Topology::mesh(8, 2);
         assert_eq!(m.len(), 16);
         assert_eq!(m.coord(NodeId(9)), Coord { x: 1, y: 1 });
         assert_eq!(m.neighbor(NodeId(9), Direction::North), None);
@@ -897,97 +597,72 @@ mod tests {
 
     #[test]
     fn torus_wraps_every_edge() {
-        let t = Torus::new(4, 4);
+        let t = Topology::torus(4, 4);
         // Interior neighbours match the mesh.
-        assert_eq!(
-            TopologyOps::neighbor(&t, NodeId(5), Direction::East),
-            Some(NodeId(6))
-        );
+        assert_eq!(t.neighbor(NodeId(5), Direction::East), Some(NodeId(6)));
         // Edges wrap instead of dropping off.
-        assert_eq!(
-            TopologyOps::neighbor(&t, NodeId(3), Direction::East),
-            Some(NodeId(0))
-        );
-        assert_eq!(
-            TopologyOps::neighbor(&t, NodeId(0), Direction::West),
-            Some(NodeId(3))
-        );
-        assert_eq!(
-            TopologyOps::neighbor(&t, NodeId(12), Direction::North),
-            Some(NodeId(0))
-        );
-        assert_eq!(
-            TopologyOps::neighbor(&t, NodeId(2), Direction::South),
-            Some(NodeId(14))
-        );
-        assert_eq!(TopologyOps::neighbor(&t, NodeId(2), Direction::Core), None);
+        assert_eq!(t.neighbor(NodeId(3), Direction::East), Some(NodeId(0)));
+        assert_eq!(t.neighbor(NodeId(0), Direction::West), Some(NodeId(3)));
+        assert_eq!(t.neighbor(NodeId(12), Direction::North), Some(NodeId(0)));
+        assert_eq!(t.neighbor(NodeId(2), Direction::South), Some(NodeId(14)));
+        assert_eq!(t.neighbor(NodeId(2), Direction::Core), None);
         // Every node has all four compass neighbours.
         for n in t.nodes() {
-            assert_eq!(TopologyOps::degree(&t, n), 4, "{n}");
+            assert_eq!(t.degree(n), 4, "{n}");
         }
     }
 
     #[test]
     fn torus_distance_takes_the_short_way_around() {
-        let t = Torus::new(4, 4);
+        let t = Topology::torus(4, 4);
         // Corner to corner: 1 wrap hop per axis instead of 3.
-        assert_eq!(TopologyOps::distance(&t, NodeId(0), NodeId(15)), 2);
+        assert_eq!(t.distance(NodeId(0), NodeId(15)), 2);
         // Half-way around is the same either way.
-        assert_eq!(TopologyOps::distance(&t, NodeId(0), NodeId(2)), 2);
-        assert_eq!(TopologyOps::distance(&t, NodeId(7), NodeId(7)), 0);
+        assert_eq!(t.distance(NodeId(0), NodeId(2)), 2);
+        assert_eq!(t.distance(NodeId(7), NodeId(7)), 0);
         // Never longer than the mesh distance.
-        let m = Mesh::new(4, 4);
+        let m = Topology::mesh(4, 4);
         for a in t.nodes() {
             for b in t.nodes() {
-                assert!(TopologyOps::distance(&t, a, b) <= m.manhattan(a, b));
+                assert!(t.distance(a, b) <= m.distance(a, b));
             }
         }
     }
 
     #[test]
     fn torus_link_count_and_wrap_detection() {
-        let t = Torus::new(4, 4);
+        let t = Topology::torus(4, 4);
         // 4 out-links per node.
-        assert_eq!(t.links().count(), 64);
+        assert_eq!(t.links().len(), 64);
         // 4 wrap links per row-pair crossing + per column: 2 per row
         // (E at x=3, W at x=0) x 4 rows + 2 per column x 4 columns.
-        let wraps = t
-            .links()
-            .filter(|l| TopologyOps::is_wrap_link(&t, *l))
-            .count();
+        let wraps = t.links().iter().filter(|l| t.is_wrap_link(**l)).count();
         assert_eq!(wraps, 16);
-        assert!(TopologyOps::is_wrap_link(
-            &t,
-            LinkId {
-                from: NodeId(3),
-                dir: Direction::East
-            }
-        ));
-        assert!(!TopologyOps::is_wrap_link(
-            &t,
-            LinkId {
-                from: NodeId(1),
-                dir: Direction::East
-            }
-        ));
+        assert!(t.is_wrap_link(LinkId {
+            from: NodeId(3),
+            dir: Direction::East
+        }));
+        assert!(!t.is_wrap_link(LinkId {
+            from: NodeId(1),
+            dir: Direction::East
+        }));
     }
 
     #[test]
     #[should_panic(expected = "at least 2")]
     fn one_wide_torus_rejected() {
-        let _ = Torus::new(1, 4);
+        let _ = Topology::torus(1, 4);
     }
 
     #[test]
-    fn topology_enum_dispatches_both_fabrics() {
-        let mesh: Topology = Mesh::paper_4x4().into();
-        let torus: Topology = Torus::new(4, 4).into();
+    fn wrap_is_the_only_difference_between_the_fabrics() {
+        let mesh = Topology::paper_4x4();
+        let torus = Topology::torus(4, 4);
         assert_eq!(mesh.label(), "mesh");
         assert_eq!(torus.label(), "torus");
         assert!(!mesh.is_torus());
         assert!(torus.is_torus());
-        assert_eq!(mesh.as_mesh(), Some(Mesh::paper_4x4()));
-        assert_eq!(torus.as_mesh(), None);
+        assert_ne!(mesh, torus);
         assert_eq!(mesh.len(), torus.len());
         assert_eq!(mesh.neighbor(NodeId(3), Direction::East), None);
         assert_eq!(torus.neighbor(NodeId(3), Direction::East), Some(NodeId(0)));
@@ -997,17 +672,36 @@ mod tests {
         assert_eq!(torus.max_route_hops(), 4);
         assert_eq!(mesh.links().len(), 48);
         assert_eq!(torus.links().len(), 64);
-        // Reflexive Into keeps threaded code monomorphic-friendly.
-        let same: Topology = mesh;
-        assert_eq!(same, mesh);
     }
 
     #[test]
-    fn torus_unwrapped_is_the_same_grid() {
-        let t = Torus::new(8, 4);
-        let m = t.unwrapped();
-        assert_eq!(m.width(), 8);
-        assert_eq!(m.height(), 4);
-        assert_eq!(TopologyOps::coord(&t, NodeId(13)), m.coord(NodeId(13)));
+    fn the_largest_grid_names_every_node_id() {
+        let m = Topology::mesh(256, 256);
+        assert_eq!(m.len(), 65_536);
+        let nodes: Vec<NodeId> = m.nodes().collect();
+        assert_eq!(nodes.len(), 65_536);
+        assert!(nodes.windows(2).all(|w| w[0] < w[1]), "distinct, ascending");
+        assert_eq!(nodes.last(), Some(&NodeId(65_535)));
+        assert_eq!(m.node_at(Coord { x: 255, y: 255 }), NodeId(65_535));
+        assert_eq!(m.coord(NodeId(65_535)), Coord { x: 255, y: 255 });
+        // The longest legal row: stepping West never overflows.
+        let row = Topology::mesh(65_535, 1);
+        assert_eq!(
+            row.neighbor(NodeId(65_534), Direction::West),
+            Some(NodeId(65_533))
+        );
+        assert_eq!(row.neighbor(NodeId(65_534), Direction::East), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65536 nodes")]
+    fn a_grid_with_more_nodes_than_ids_is_refused() {
+        let _ = Topology::mesh(257, 256);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the 65536 nodes")]
+    fn an_oversized_torus_is_refused_too() {
+        let _ = Topology::torus(300, 300);
     }
 }

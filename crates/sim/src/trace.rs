@@ -209,8 +209,8 @@ impl Tracer {
     /// high on cycles with any event there), with the cycle as the VCD
     /// timescale unit.
     #[must_use]
-    pub fn to_vcd(&self, topo: impl Into<Topology>, module: &str) -> String {
-        let n = topo.into().len();
+    pub fn to_vcd(&self, topo: Topology, module: &str) -> String {
+        let n = topo.len();
         let mut s = String::new();
         writeln!(s, "$date smart-noc trace $end").expect("infallible");
         writeln!(s, "$timescale 500ps $end").expect("infallible");
@@ -402,7 +402,7 @@ mod tests {
 
     #[test]
     fn vcd_structure() {
-        let mesh = crate::topology::Mesh::paper_4x4();
+        let mesh = Topology::paper_4x4();
         let mut t = Tracer::with_capacity(10);
         t.record(rec(
             0,

@@ -41,11 +41,10 @@ impl BernoulliTraffic {
     pub fn new(
         rates: &[(FlowId, f64)],
         flows: &FlowTable,
-        topo: impl Into<Topology>,
+        topo: Topology,
         flits_per_packet: u8,
         seed: u64,
     ) -> Self {
-        let topo = topo.into();
         let specs = rates
             .iter()
             .map(|(flow, rate)| {
@@ -146,9 +145,8 @@ impl ScriptedTraffic {
         mut events: Vec<(u64, FlowId)>,
         flits_per_packet: u8,
         flows: &FlowTable,
-        topo: impl Into<Topology>,
+        topo: Topology,
     ) -> Self {
-        let topo = topo.into();
         events.sort_by_key(|(c, _)| *c);
         let endpoints = events
             .iter()
@@ -213,10 +211,9 @@ pub fn mbps_to_packet_rate(
 mod tests {
     use super::*;
     use crate::route::SourceRoute;
-    use crate::topology::Mesh;
 
-    fn table() -> (FlowTable, Mesh) {
-        let mesh = Mesh::paper_4x4();
+    fn table() -> (FlowTable, Topology) {
+        let mesh = Topology::paper_4x4();
         let routes = vec![
             (
                 FlowId(0),

@@ -5,9 +5,8 @@
 use smart_sim::flit::{FlowId, Packet, PacketId};
 use smart_sim::forward::FlowTable;
 use smart_sim::network::{Network, SimConfig};
-use smart_sim::patterns::Pattern;
 use smart_sim::route::SourceRoute;
-use smart_sim::topology::{Mesh, NodeId};
+use smart_sim::topology::{Coord, NodeId, Topology};
 use smart_sim::traffic::{BernoulliTraffic, ScriptedTraffic};
 
 fn packet(id: u64, flow: u32, src: u16, dst: u16, gen: u64) -> Packet {
@@ -53,7 +52,7 @@ fn vc_backpressure_stalls_and_recovers() {
 fn round_robin_shares_a_merging_output_fairly() {
     // Two flows merging onto one link, equal offered load: delivered
     // packet counts must match within 10% over a long run.
-    let mesh = Mesh::paper_4x4();
+    let mesh = Topology::paper_4x4();
     let cfg = SimConfig::paper_4x4();
     let routes = vec![
         (
@@ -79,13 +78,16 @@ fn round_robin_shares_a_merging_output_fairly() {
 
 #[test]
 fn transpose_pattern_conserves_packets_on_the_baseline() {
-    let mesh = Mesh::paper_4x4();
+    let mesh = Topology::paper_4x4();
     let cfg = SimConfig::paper_4x4();
-    let pairs = Pattern::Transpose.pairs(mesh);
-    let routes: Vec<(FlowId, SourceRoute)> = pairs
-        .iter()
+    // (x, y) sends to (y, x); the diagonal drops out.
+    let routes: Vec<(FlowId, SourceRoute)> = mesh
+        .nodes()
+        .map(|s| (s, mesh.coord(s)))
+        .map(|(s, c)| (s, mesh.node_at(Coord { x: c.y, y: c.x })))
+        .filter(|(s, d)| s != d)
         .enumerate()
-        .map(|(i, (s, d))| (FlowId(i as u32), SourceRoute::xy(mesh, *s, *d).unwrap()))
+        .map(|(i, (s, d))| (FlowId(i as u32), SourceRoute::xy(mesh, s, d).unwrap()))
         .collect();
     let flows = FlowTable::mesh_baseline(mesh, &routes);
     let mut net = Network::new(cfg, flows);
@@ -107,13 +109,14 @@ fn hotspot_saturates_gracefully_not_fatally() {
     // 15 sources hammer one sink beyond its ejection bandwidth. The
     // network must keep conserving flits (backpressure into source
     // queues), not crash or lose packets.
-    let mesh = Mesh::paper_4x4();
+    let mesh = Topology::paper_4x4();
     let cfg = SimConfig::paper_4x4();
-    let pairs = Pattern::Hotspot(NodeId(5)).pairs(mesh);
-    let routes: Vec<(FlowId, SourceRoute)> = pairs
-        .iter()
+    let sink = NodeId(5);
+    let routes: Vec<(FlowId, SourceRoute)> = mesh
+        .nodes()
+        .filter(|s| *s != sink)
         .enumerate()
-        .map(|(i, (s, d))| (FlowId(i as u32), SourceRoute::xy(mesh, *s, *d).unwrap()))
+        .map(|(i, s)| (FlowId(i as u32), SourceRoute::xy(mesh, s, sink).unwrap()))
         .collect();
     let flows = FlowTable::mesh_baseline(mesh, &routes);
     let mut net = Network::new(cfg, flows);
@@ -137,7 +140,7 @@ fn hotspot_saturates_gracefully_not_fatally() {
 #[test]
 fn single_flit_packets_work() {
     // Head==tail degenerate packets (config with 1 flit/packet).
-    let mesh = Mesh::paper_4x4();
+    let mesh = Topology::paper_4x4();
     let cfg = SimConfig {
         flits_per_packet: 1,
         ..SimConfig::paper_4x4()
@@ -164,9 +167,9 @@ fn single_flit_packets_work() {
 
 #[test]
 fn deep_mesh_16x16_zero_load_formula_still_holds() {
-    let mesh = Mesh::new(16, 16);
+    let mesh = Topology::mesh(16, 16);
     let cfg = SimConfig {
-        topology: mesh.into(),
+        topology: mesh,
         ..SimConfig::paper_4x4()
     };
     // Corner to corner: 30 hops.

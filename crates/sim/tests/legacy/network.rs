@@ -20,7 +20,7 @@ use crate::forward::{Endpoint, FlowTable, LegLut, Segment, Sender};
 use crate::nic::{Nic, RxEvent};
 use crate::router::{CreditRelease, RouterBank, RouterDeparture};
 use crate::stats::SimStats;
-use crate::topology::{Direction, LinkId, Mesh, NodeId, PORTS};
+use crate::topology::{Direction, LinkId, NodeId, Topology, PORTS};
 use crate::trace::{TraceKind, TraceRecord, Tracer};
 use crate::traffic::TrafficSource;
 use std::collections::HashMap;
@@ -30,7 +30,7 @@ use std::collections::HashMap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Mesh dimensions.
-    pub mesh: Mesh,
+    pub mesh: Topology,
     /// Virtual channels per input port.
     pub vcs_per_port: usize,
     /// Flits of buffering per VC.
@@ -45,7 +45,7 @@ impl SimConfig {
     #[must_use]
     pub fn paper_4x4() -> Self {
         SimConfig {
-            mesh: Mesh::paper_4x4(),
+            mesh: Topology::paper_4x4(),
             vcs_per_port: 2,
             vc_depth: 10,
             flits_per_packet: 8,
@@ -238,7 +238,7 @@ impl Network {
 
     /// The mesh being simulated.
     #[must_use]
-    pub fn mesh(&self) -> Mesh {
+    pub fn mesh(&self) -> Topology {
         self.cfg.mesh
     }
 

@@ -33,8 +33,8 @@ pub use smart_sim::{arbiter, counters, forward, route, stats, topology, trace, t
 use proptest::prelude::*;
 use smart_sim::forward::FlowTable;
 use smart_sim::route::SourceRoute;
-use smart_sim::topology::{LinkId, Topology};
-use smart_sim::{BernoulliTraffic, FlowId, Network, Pattern, SimConfig};
+use smart_sim::topology::{Coord, LinkId, Topology};
+use smart_sim::{BernoulliTraffic, FlowId, Network, SimConfig};
 use std::collections::HashMap;
 
 /// Per-flow source routes, as `FlowTable` constructors consume them.
@@ -42,9 +42,11 @@ type Routes = Vec<(FlowId, SourceRoute)>;
 
 /// Transpose routes + a uniform per-flow rate on the 4×4 paper mesh.
 fn transpose_workload(mesh: Topology, rate: f64) -> (Routes, Vec<(FlowId, f64)>) {
-    let routes: Routes = Pattern::Transpose
-        .pairs(mesh)
-        .into_iter()
+    let routes: Routes = mesh
+        .nodes()
+        .map(|s| (s, mesh.coord(s)))
+        .map(|(s, c)| (s, mesh.node_at(Coord { x: c.y, y: c.x })))
+        .filter(|(s, d)| s != d)
         .enumerate()
         .map(|(i, (s, d))| (FlowId(i as u32), SourceRoute::xy(mesh, s, d).unwrap()))
         .collect();
@@ -67,7 +69,7 @@ fn assert_engines_agree(rate: f64, seed: u64, cycles: u64) {
 
     let mut live = Network::new(cfg, flows_new);
     let legacy_cfg = network::SimConfig {
-        mesh: mesh.as_mesh().expect("paper config is a mesh"),
+        mesh,
         vcs_per_port: cfg.vcs_per_port,
         vc_depth: cfg.vc_depth,
         flits_per_packet: cfg.flits_per_packet,

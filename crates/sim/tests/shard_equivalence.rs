@@ -12,7 +12,7 @@
 
 use proptest::prelude::*;
 use smart_sim::route::SourceRoute;
-use smart_sim::topology::{LinkId, Mesh, Topology, Torus};
+use smart_sim::topology::{LinkId, Topology};
 use smart_sim::{BernoulliTraffic, FlowId, FlowTable, Network, SimConfig, TrafficSource};
 use std::collections::HashMap;
 
@@ -96,7 +96,7 @@ proptest! {
         rate_milli in prop::sample::select(vec![10u32, 40, 80, 150, 300]),
     ) {
         assert_shards_agree(
-            Mesh::new(8, 8).into(),
+            Topology::mesh(8, 8),
             f64::from(rate_milli) / 1_000.0,
             seed,
             1_000,
@@ -109,7 +109,7 @@ proptest! {
         rate_milli in prop::sample::select(vec![10u32, 80, 300]),
     ) {
         assert_shards_agree(
-            Torus::new(8, 8).into(),
+            Topology::torus(8, 8),
             f64::from(rate_milli) / 1_000.0,
             seed,
             1_000,
@@ -123,7 +123,7 @@ proptest! {
 /// — the regime where a boundary-exchange ordering bug would surface.
 #[test]
 fn deep_saturation_anchor_mesh() {
-    assert_shards_agree(Mesh::new(8, 8).into(), 0.3, 0xD1E7, 2_000);
+    assert_shards_agree(Topology::mesh(8, 8), 0.3, 0xD1E7, 2_000);
 }
 
 /// The torus twin: wrap routes put band-0 ↔ band-(k−1) traffic on the
@@ -131,7 +131,7 @@ fn deep_saturation_anchor_mesh() {
 /// one adjacency a mesh run never exercises.
 #[test]
 fn deep_saturation_anchor_torus() {
-    assert_shards_agree(Torus::new(8, 8).into(), 0.3, 0x5EA1, 2_000);
+    assert_shards_agree(Topology::torus(8, 8), 0.3, 0x5EA1, 2_000);
 }
 
 /// Shard counts that do not divide the height produce uneven bands;
@@ -139,7 +139,7 @@ fn deep_saturation_anchor_torus() {
 /// gives bands of 1 and 2 rows.
 #[test]
 fn uneven_bands_agree() {
-    assert_shards_agree(Mesh::new(6, 6).into(), 0.08, 0xBADBA2D, 1_000);
+    assert_shards_agree(Topology::mesh(6, 6), 0.08, 0xBADBA2D, 1_000);
 }
 
 /// The three ways to ask for the default engine are one engine:
@@ -147,7 +147,7 @@ fn uneven_bands_agree() {
 /// side of the clamp — 64 bands asked of a 4-row fabric, which gets 4.
 #[test]
 fn one_band_is_the_default_and_the_clamp_holds() {
-    let topo: Topology = Mesh::new(4, 4).into();
+    let topo = Topology::mesh(4, 4);
     let cfg = SimConfig {
         topology: topo,
         ..SimConfig::paper_4x4()
@@ -169,7 +169,7 @@ fn one_band_is_the_default_and_the_clamp_holds() {
 /// the next one needs.
 #[test]
 fn stepping_a_banded_run_equals_one_long_session() {
-    let topo: Topology = Torus::new(6, 6).into();
+    let topo = Topology::torus(6, 6);
     let cfg = SimConfig {
         topology: topo,
         ..SimConfig::paper_4x4()

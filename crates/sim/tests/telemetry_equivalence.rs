@@ -10,7 +10,7 @@
 use proptest::prelude::*;
 use smart_sim::route::SourceRoute;
 use smart_sim::telemetry::BYPASS_BUCKETS;
-use smart_sim::topology::{LinkId, Mesh, Topology, Torus};
+use smart_sim::topology::{LinkId, Topology};
 use smart_sim::{
     BernoulliTraffic, FlowId, FlowTable, MetricsWindow, Network, SimConfig, TelemetryConfig,
     TelemetrySeries,
@@ -119,7 +119,7 @@ proptest! {
         rate_milli in prop::sample::select(vec![10u32, 80, 300]),
     ) {
         assert_probe_is_invisible(
-            Mesh::new(8, 8).into(),
+            Topology::mesh(8, 8),
             f64::from(rate_milli) / 1_000.0,
             seed,
             1_000,
@@ -132,7 +132,7 @@ proptest! {
         rate_milli in prop::sample::select(vec![10u32, 80, 300]),
     ) {
         assert_sharded_series_match(
-            Mesh::new(8, 8).into(),
+            Topology::mesh(8, 8),
             f64::from(rate_milli) / 1_000.0,
             seed,
             1_000,
@@ -146,7 +146,7 @@ proptest! {
         rate_milli in prop::sample::select(vec![10u32, 300]),
     ) {
         assert_sharded_series_match(
-            Torus::new(8, 8).into(),
+            Topology::torus(8, 8),
             f64::from(rate_milli) / 1_000.0,
             seed,
             1_000,

@@ -1,10 +1,12 @@
 //! Property tests for wrap-aware dimension-order routing on the torus:
 //! every route is minimal (each axis independently takes the shorter
 //! way around its ring, ties breaking East/North), terminates at its
-//! destination, and is never longer than the same pair's mesh route.
+//! destination, and is never longer than the same pair's mesh route —
+//! and for the one grid type underneath: a mesh and a torus of equal
+//! dimensions are the same grid and differ exactly on the seam links.
 
 use proptest::prelude::*;
-use smart_sim::{Direction, Mesh, NodeId, SourceRoute, Topology, Torus};
+use smart_sim::{Direction, LinkId, NodeId, SourceRoute, Topology};
 
 /// Per-axis hop counts the shorter-way rule demands, as
 /// `(east, west, north, south)`.
@@ -51,7 +53,7 @@ proptest! {
         src in 0u16..100,
         dst in 0u16..100,
     ) {
-        let topo = Topology::from(Torus::new(w, h));
+        let topo = Topology::torus(w, h);
         let n = topo.len() as u16;
         let (src, dst) = (NodeId(src % n), NodeId(dst % n));
         prop_assume!(src != dst);
@@ -73,8 +75,8 @@ proptest! {
         dst in 0u16..1000,
     ) {
         let edge = 2u16.pow(k);
-        let torus = Topology::from(Torus::new(edge, edge));
-        let mesh = Topology::from(Mesh::new(edge, edge));
+        let torus = Topology::torus(edge, edge);
+        let mesh = Topology::mesh(edge, edge);
         let n = torus.len() as u16;
         let (src, dst) = (NodeId(src % n), NodeId(dst % n));
         prop_assume!(src != dst);
@@ -88,8 +90,45 @@ proptest! {
     #[test]
     fn self_routes_fail_identically_on_mesh_and_torus(node in 0u16..64) {
         let node = NodeId(node);
-        let mesh_err = SourceRoute::dimension_order(Mesh::new(8, 8), node, node);
-        let torus_err = SourceRoute::dimension_order(Torus::new(8, 8), node, node);
+        let mesh_err = SourceRoute::dimension_order(Topology::mesh(8, 8), node, node);
+        let torus_err = SourceRoute::dimension_order(Topology::torus(8, 8), node, node);
         prop_assert_eq!(mesh_err.unwrap_err(), torus_err.unwrap_err());
+    }
+
+    /// `wrap` changes nothing but the seam: same nodes, same numbering,
+    /// same interior links; the torus adds exactly the links the mesh
+    /// lacks, and its distance can only shrink.
+    #[test]
+    fn mesh_and_torus_are_one_grid_differing_only_at_the_seam(
+        w in 2u16..=12,
+        h in 2u16..=12,
+        a in 0u16..144,
+        b in 0u16..144,
+    ) {
+        let (mesh, torus) = (Topology::mesh(w, h), Topology::torus(w, h));
+        prop_assert_eq!(mesh.len(), torus.len());
+        prop_assert_eq!(mesh.nodes().collect::<Vec<_>>(), torus.nodes().collect::<Vec<_>>());
+        for n in mesh.nodes() {
+            let c = mesh.coord(n);
+            prop_assert_eq!(c, torus.coord(n));
+            prop_assert_eq!(mesh.node_at(c), n);
+            prop_assert_eq!(torus.node_at(c), n);
+            for dir in Direction::MESH {
+                let link = LinkId { from: n, dir };
+                let across = torus.neighbor(n, dir).expect("a torus links every compass port");
+                prop_assert_eq!(torus.neighbor(across, dir.opposite()), Some(n));
+                let on_mesh = mesh.neighbor(n, dir);
+                prop_assert!(on_mesh.is_none() || on_mesh == Some(across));
+                prop_assert_eq!(torus.is_wrap_link(link), on_mesh.is_none());
+                prop_assert!(!mesh.is_wrap_link(link));
+            }
+        }
+        let (w, h) = (usize::from(w), usize::from(h));
+        prop_assert_eq!(mesh.links().len(), 2 * (w * (h - 1) + h * (w - 1)));
+        prop_assert_eq!(torus.links().len(), 4 * w * h);
+        let n = mesh.len() as u16;
+        let (a, b) = (NodeId(a % n), NodeId(b % n));
+        prop_assert_eq!(torus.distance(a, b), torus.distance(b, a));
+        prop_assert!(torus.distance(a, b) <= mesh.distance(a, b));
     }
 }

@@ -4,9 +4,8 @@
 use crate::scenario::Scenario;
 use smart_core::compile::CompiledApp;
 use smart_core::config::NocConfig;
-use smart_core::noc::DesignKind;
 use smart_core::reconfig::ReconfigurableNoc;
-use smart_harness::{Experiment, RunPlan};
+use smart_harness::{Experiment, RunPlan, ScheduleDesign};
 use smart_sim::traffic::TrafficSource;
 use smart_sim::{BernoulliTraffic, Direction, FlowId, FlowTable, LinkId, NodeId, SourceRoute};
 use std::collections::BTreeMap;
@@ -14,55 +13,6 @@ use std::collections::BTreeMap;
 /// Base address for the memory-mapped preset registers in
 /// reconfiguration cases (value is arbitrary; Section V).
 const PRESET_BASE_ADDR: u64 = 0x4000_0000;
-
-/// The design axis of the conformance matrix: the paper's three
-/// evaluated designs plus the runtime-reconfigurable SMART wrapper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum DesignUnderTest {
-    /// Baseline mesh (3-cycle router, 1-cycle link).
-    Mesh,
-    /// SMART with preset bypass.
-    Smart,
-    /// Ideal per-flow dedicated links.
-    Dedicated,
-    /// SMART behind [`ReconfigurableNoc`], exercising drain + store
-    /// sequence application switching on top of the Smart invariants.
-    Reconfigurable,
-}
-
-impl DesignUnderTest {
-    /// Every design, in presentation order.
-    pub const ALL: [DesignUnderTest; 4] = [
-        DesignUnderTest::Mesh,
-        DesignUnderTest::Smart,
-        DesignUnderTest::Dedicated,
-        DesignUnderTest::Reconfigurable,
-    ];
-
-    /// Display label.
-    #[must_use]
-    pub fn label(self) -> &'static str {
-        match self {
-            DesignUnderTest::Mesh => "Mesh",
-            DesignUnderTest::Smart => "SMART",
-            DesignUnderTest::Dedicated => "Dedicated",
-            DesignUnderTest::Reconfigurable => "Reconfigurable",
-        }
-    }
-
-    /// The equivalent multi-app schedule design: the conformance matrix
-    /// and [`smart_harness::ScheduleMatrix`] share the same four-design
-    /// axis.
-    #[must_use]
-    pub fn schedule_design(self) -> smart_harness::ScheduleDesign {
-        match self {
-            DesignUnderTest::Mesh => smart_harness::ScheduleDesign::Mesh,
-            DesignUnderTest::Smart => smart_harness::ScheduleDesign::Smart,
-            DesignUnderTest::Dedicated => smart_harness::ScheduleDesign::Dedicated,
-            DesignUnderTest::Reconfigurable => smart_harness::ScheduleDesign::Reconfigurable,
-        }
-    }
-}
 
 /// Everything measured while checking one (design, scenario) cell.
 /// Byte-identical across runs with the same [`Conformance`] settings.
@@ -151,7 +101,7 @@ impl Conformance {
     #[must_use]
     pub fn run_matrix(
         &self,
-        designs: &[DesignUnderTest],
+        designs: &[ScheduleDesign],
         scenarios: &[Scenario],
     ) -> Vec<CaseReport> {
         let mut out = Vec::with_capacity(designs.len() * scenarios.len());
@@ -169,16 +119,16 @@ impl Conformance {
     ///
     /// Panics if any conformance invariant fails — delivery, structural
     /// link exclusivity, zero-load latency, or (for
-    /// [`DesignUnderTest::Reconfigurable`]) the drain + store-sequence
+    /// [`ScheduleDesign::Reconfigurable`]) the drain + store-sequence
     /// contract.
     #[must_use]
-    pub fn run_case(&self, design: DesignUnderTest, scenario: &Scenario) -> CaseReport {
+    pub fn run_case(&self, design: ScheduleDesign, scenario: &Scenario) -> CaseReport {
         let ctx = format!("{}/{}", design.label(), scenario.name);
         let table = FlowTable::mesh_baseline(self.cfg.topology, &scenario.routes);
 
         // --- Invariant 2 (structural): Section IV stop rules. ---
         let compiled = match design {
-            DesignUnderTest::Smart | DesignUnderTest::Reconfigurable => {
+            ScheduleDesign::Smart | ScheduleDesign::Reconfigurable => {
                 let app = smart_core::compile::compile(
                     self.cfg.topology,
                     self.cfg.hpc_max,
@@ -189,13 +139,13 @@ impl Conformance {
             }
             // The mesh stops at every router and the dedicated design
             // has one private link per flow: exclusive by construction.
-            DesignUnderTest::Mesh | DesignUnderTest::Dedicated => None,
+            ScheduleDesign::Mesh | ScheduleDesign::Dedicated => None,
         };
         let shared_links = count_shared_links(&self.cfg, &scenario.routes);
 
         // --- Invariant 1: loaded run must deliver everything. ---
         let (injected, delivered, flits, avg_latency) = match design {
-            DesignUnderTest::Reconfigurable => {
+            ScheduleDesign::Reconfigurable => {
                 // Same Bernoulli source the Experiment path seeds for
                 // the other designs, driven through the wrapper.
                 let mut traffic = BernoulliTraffic::new(
@@ -209,7 +159,7 @@ impl Conformance {
             }
             _ => {
                 let report = Experiment::new(self.cfg.clone())
-                    .design(kind_of(design))
+                    .design(design.kind())
                     .plan(RunPlan::measure_all(
                         self.run_cycles,
                         self.drain_budget,
@@ -305,7 +255,7 @@ impl Conformance {
     fn check_zero_load(
         &self,
         ctx: &str,
-        design: DesignUnderTest,
+        design: ScheduleDesign,
         scenario: &Scenario,
         compiled: Option<&CompiledApp>,
         table: &FlowTable,
@@ -313,8 +263,8 @@ impl Conformance {
         let mut checked = 0;
         for (flow, route) in scenario.routes.iter().take(self.zero_load_flow_cap) {
             let expected = match design {
-                DesignUnderTest::Mesh => 4.0 * route.num_hops() as f64 + 4.0,
-                DesignUnderTest::Dedicated => {
+                ScheduleDesign::Mesh => 4.0 * route.num_hops() as f64 + 4.0,
+                ScheduleDesign::Dedicated => {
                     // Private sink: NIC-to-NIC in one cycle. Shared
                     // sink: the paper serializes flows into the
                     // destination NIC through a stop router (+3).
@@ -329,13 +279,13 @@ impl Conformance {
                         1.0
                     }
                 }
-                DesignUnderTest::Smart | DesignUnderTest::Reconfigurable => {
+                ScheduleDesign::Smart | ScheduleDesign::Reconfigurable => {
                     let app = compiled.expect("compiled for SMART designs");
                     app.flows.plan(*flow).zero_load_latency() as f64
                 }
             };
             let got = match design {
-                DesignUnderTest::Reconfigurable => {
+                ScheduleDesign::Reconfigurable => {
                     let mut traffic = smart_sim::ScriptedTraffic::new(
                         vec![(0, *flow)],
                         self.cfg.flits_per_packet(),
@@ -352,7 +302,7 @@ impl Conformance {
                 }
                 _ => {
                     let report = Experiment::new(self.cfg.clone())
-                        .design(kind_of(design))
+                        .design(design.kind())
                         .scripted(vec![(0, *flow)])
                         .plan(RunPlan::measure_all(8, 1_000, self.seed))
                         .run_routed(scenario);
@@ -367,14 +317,6 @@ impl Conformance {
             checked += 1;
         }
         checked
-    }
-}
-
-fn kind_of(d: DesignUnderTest) -> DesignKind {
-    match d {
-        DesignUnderTest::Mesh => DesignKind::Mesh,
-        DesignUnderTest::Smart | DesignUnderTest::Reconfigurable => DesignKind::Smart,
-        DesignUnderTest::Dedicated => DesignKind::Dedicated,
     }
 }
 
@@ -484,7 +426,7 @@ mod tests {
     fn fig7_smart_case_passes_and_reports() {
         let conf = Conformance::quick();
         let s = Scenario::fig7(&conf.cfg);
-        let r = conf.run_case(DesignUnderTest::Smart, &s);
+        let r = conf.run_case(ScheduleDesign::Smart, &s);
         assert_eq!(r.design, "SMART");
         assert_eq!(r.packets_delivered, r.packets_injected);
         // Red and blue share link 9→10.
@@ -495,7 +437,7 @@ mod tests {
     fn all_designs_pass_fig7() {
         let conf = Conformance::quick();
         let s = Scenario::fig7(&conf.cfg);
-        for d in DesignUnderTest::ALL {
+        for d in ScheduleDesign::ALL {
             let r = conf.run_case(d, &s);
             assert!(r.zero_load_flows_checked > 0, "{}", d.label());
         }
@@ -505,8 +447,8 @@ mod tests {
     fn reports_are_deterministic() {
         let conf = Conformance::quick();
         let s = Scenario::fig7(&conf.cfg);
-        let a = conf.run_case(DesignUnderTest::Smart, &s);
-        let b = conf.run_case(DesignUnderTest::Smart, &s);
+        let a = conf.run_case(ScheduleDesign::Smart, &s);
+        let b = conf.run_case(ScheduleDesign::Smart, &s);
         assert_eq!(a, b);
     }
 

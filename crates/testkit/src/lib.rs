@@ -1,7 +1,7 @@
 //! # smart-testkit — cross-design conformance harness
 //!
 //! Turns the seed's ad-hoc integration checks into a reusable
-//! differential battery: every [`DesignUnderTest`] (the paper's three
+//! differential battery: every [`ScheduleDesign`] (the paper's three
 //! evaluated designs plus the runtime-reconfigurable SMART) is driven
 //! through every [`Scenario`] preset (the Fig 7 walk-through, the eight
 //! Section VI task-graph applications, and uniform-random Bernoulli
@@ -25,24 +25,23 @@
 //! against a golden matrix.
 //!
 //! ```
-//! use smart_testkit::{Conformance, DesignUnderTest, Scenario};
+//! use smart_testkit::{Conformance, Scenario, ScheduleDesign};
 //!
 //! let conf = Conformance::quick();
 //! let scenario = Scenario::fig7(&conf.cfg);
-//! let report = conf.run_case(DesignUnderTest::Smart, &scenario);
+//! let report = conf.run_case(ScheduleDesign::Smart, &scenario);
 //! assert_eq!(report.packets_delivered, report.packets_injected);
 //! ```
 
 pub mod harness;
 pub mod scenario;
 
-pub use harness::{CaseReport, Conformance, DesignUnderTest};
+pub use harness::{CaseReport, Conformance};
 pub use scenario::Scenario;
 
-// The multi-app schedule layer shares the conformance matrix's
-// four-design axis ([`DesignUnderTest::schedule_design`] maps between
-// them); re-export it so schedule-aware conformance consumers need only
-// this crate.
+// The conformance matrix's design axis is the multi-app schedule
+// layer's [`ScheduleDesign`]; re-export that layer so conformance
+// consumers need only this crate.
 pub use smart_harness::{
     AppSchedule, MultiAppExperiment, ScheduleDesign, ScheduleError, ScheduleMatrix, ScheduleReport,
 };

@@ -7,7 +7,7 @@
 //! checked-in golden snapshot (`golden/conformance_matrix.txt`).
 
 use smart_core::config::NocConfig;
-use smart_testkit::{CaseReport, Conformance, DesignUnderTest, Scenario};
+use smart_testkit::{CaseReport, Conformance, Scenario, ScheduleDesign};
 use std::sync::OnceLock;
 
 /// The 44-cell matrix is expensive; run it once and share it between
@@ -17,7 +17,7 @@ fn battery() -> &'static (Conformance, Vec<Scenario>, Vec<CaseReport>) {
     MATRIX.get_or_init(|| {
         let conf = Conformance::default();
         let scenarios = Scenario::presets(&conf.cfg);
-        let reports = conf.run_matrix(&DesignUnderTest::ALL, &scenarios);
+        let reports = conf.run_matrix(&ScheduleDesign::ALL, &scenarios);
         (conf, scenarios, reports)
     })
 }
@@ -40,15 +40,15 @@ fn full_matrix_holds_all_invariants() {
     // The paper's headline ordering, differentially on the same matrix
     // (same seed, same traffic): SMART never loses to Mesh.
     for s in scenarios {
-        let latency_of = |design: DesignUnderTest| {
+        let latency_of = |design: ScheduleDesign| {
             reports
                 .iter()
                 .find(|r| r.scenario == s.name && r.design == design.label())
                 .map(|r| r.avg_network_latency)
                 .unwrap_or_else(|| panic!("missing cell {}/{}", design.label(), s.name))
         };
-        let mesh = latency_of(DesignUnderTest::Mesh);
-        let smart = latency_of(DesignUnderTest::Smart);
+        let mesh = latency_of(ScheduleDesign::Mesh);
+        let smart = latency_of(ScheduleDesign::Smart);
         assert!(
             smart <= mesh + 1e-9,
             "{}: SMART {smart} vs Mesh {mesh}",
@@ -89,7 +89,7 @@ fn matrix_matches_golden_snapshot() {
 #[test]
 fn matrix_is_deterministic_across_runs() {
     let (conf, scenarios, reports) = battery();
-    let subset = [DesignUnderTest::Mesh, DesignUnderTest::Smart];
+    let subset = [ScheduleDesign::Mesh, ScheduleDesign::Smart];
     let again: Vec<CaseReport> = conf.run_matrix(&subset, &scenarios[..3]);
     let first: Vec<&CaseReport> = reports
         .iter()
@@ -114,7 +114,7 @@ fn scaled_mesh_also_conforms() {
         ..Conformance::quick()
     };
     let s = Scenario::uniform(&cfg, 8, 0.01, 0xD1CE);
-    for d in [DesignUnderTest::Mesh, DesignUnderTest::Smart] {
+    for d in [ScheduleDesign::Mesh, ScheduleDesign::Smart] {
         let r = conf.run_case(d, &s);
         assert_eq!(r.packets_delivered, r.packets_injected);
     }

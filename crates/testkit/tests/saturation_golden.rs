@@ -10,7 +10,7 @@
 //! `SMART_UPDATE_GOLDEN=1 cargo test -p smart-testkit`.
 
 use smart_core::config::NocConfig;
-use smart_testkit::{CaseReport, Conformance, DesignUnderTest, Scenario};
+use smart_testkit::{CaseReport, Conformance, Scenario, ScheduleDesign};
 
 #[test]
 fn saturated_8x8_matches_golden_snapshot() {
@@ -25,7 +25,7 @@ fn saturated_8x8_matches_golden_snapshot() {
         ..Conformance::default()
     };
     let scenario = Scenario::uniform(&cfg, 64, 0.05, 0x5EED);
-    let got: String = [DesignUnderTest::Mesh, DesignUnderTest::Smart]
+    let got: String = [ScheduleDesign::Mesh, ScheduleDesign::Smart]
         .into_iter()
         .map(|d| conf.run_case(d, &scenario))
         .map(|r| CaseReport::golden_line(&r))

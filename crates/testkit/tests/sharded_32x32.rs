@@ -14,7 +14,7 @@
 use smart_core::config::NocConfig;
 use smart_harness::{SpatialPattern, Workload};
 use smart_sim::NodeId;
-use smart_testkit::{CaseReport, Conformance, DesignUnderTest, Scenario};
+use smart_testkit::{CaseReport, Conformance, Scenario, ScheduleDesign};
 use std::sync::OnceLock;
 
 /// Row-band shards in the sharded battery (32 rows ⇒ 8-row bands).
@@ -50,7 +50,7 @@ fn scenarios(cfg: &NocConfig) -> Vec<Scenario> {
 fn battery(shards: usize) -> Vec<CaseReport> {
     let conf = conformance(shards);
     let scenarios = scenarios(&conf.cfg);
-    conf.run_matrix(&DesignUnderTest::ALL, &scenarios)
+    conf.run_matrix(&ScheduleDesign::ALL, &scenarios)
 }
 
 fn serial_battery() -> &'static Vec<CaseReport> {

@@ -7,7 +7,7 @@
 
 use smart_core::config::NocConfig;
 use smart_harness::{SpatialPattern, Workload};
-use smart_testkit::{CaseReport, Conformance, DesignUnderTest, Scenario};
+use smart_testkit::{CaseReport, Conformance, Scenario, ScheduleDesign};
 use std::sync::OnceLock;
 
 fn torus_conformance() -> Conformance {
@@ -31,7 +31,7 @@ fn battery() -> &'static Vec<CaseReport> {
     MATRIX.get_or_init(|| {
         let conf = torus_conformance();
         let scenarios = scenarios(&conf.cfg);
-        conf.run_matrix(&DesignUnderTest::ALL, &scenarios)
+        conf.run_matrix(&ScheduleDesign::ALL, &scenarios)
     })
 }
 
@@ -56,15 +56,15 @@ fn torus_8x8_cell_passes_all_designs() {
     }
     // SMART's bypass must not lose to Mesh on wrap links either.
     for scenario in ["tornado@0.005", "uniform8@0.01"] {
-        let latency_of = |design: DesignUnderTest| {
+        let latency_of = |design: ScheduleDesign| {
             reports
                 .iter()
                 .find(|r| r.scenario == scenario && r.design == design.label())
                 .map(|r| r.avg_network_latency)
                 .unwrap_or_else(|| panic!("missing cell {}/{scenario}", design.label()))
         };
-        let mesh = latency_of(DesignUnderTest::Mesh);
-        let smart = latency_of(DesignUnderTest::Smart);
+        let mesh = latency_of(ScheduleDesign::Mesh);
+        let smart = latency_of(ScheduleDesign::Smart);
         assert!(
             smart <= mesh + 1e-9,
             "{scenario}: SMART {smart} vs Mesh {mesh}"

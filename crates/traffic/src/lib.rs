@@ -26,11 +26,11 @@
 //!
 //! ```
 //! use smart_sim::forward::FlowTable;
-//! use smart_sim::{Mesh, TrafficSource};
+//! use smart_sim::{Topology, TrafficSource};
 //! use smart_traffic::{ModulatedTraffic, SpatialPattern, TemporalModel};
 //!
 //! // Transpose pattern, bursty injection, on the paper's 4x4 mesh.
-//! let mesh = Mesh::paper_4x4();
+//! let mesh = Topology::paper_4x4();
 //! let (routes, rates) = SpatialPattern::Transpose.routed(mesh, 0.02);
 //! let flows = FlowTable::mesh_baseline(mesh, &routes);
 //! let mut source = ModulatedTraffic::new(

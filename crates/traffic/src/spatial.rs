@@ -147,8 +147,7 @@ impl SpatialPattern {
     /// structured patterns plus a single-target center hotspot — every
     /// entry valid on any square power-of-two mesh.
     #[must_use]
-    pub fn battery(topo: impl Into<Topology>) -> Vec<SpatialPattern> {
-        let mesh = topo.into();
+    pub fn battery(mesh: Topology) -> Vec<SpatialPattern> {
         let center = mesh.node_at(Coord {
             x: mesh.width() / 2,
             y: mesh.height() / 2,
@@ -162,6 +161,36 @@ impl SpatialPattern {
             SpatialPattern::Neighbor,
             SpatialPattern::hotspot(vec![center], 0.8),
         ]
+    }
+
+    /// The parameterless structured patterns — the ones a
+    /// [`SpatialPattern::label`] alone identifies.
+    pub const STRUCTURED: [SpatialPattern; 6] = [
+        SpatialPattern::Transpose,
+        SpatialPattern::BitComplement,
+        SpatialPattern::BitReverse,
+        SpatialPattern::Shuffle,
+        SpatialPattern::Tornado,
+        SpatialPattern::Neighbor,
+    ];
+
+    /// The structured pattern whose [`SpatialPattern::label`] is
+    /// `label` — the one name lookup behind the server's
+    /// `pattern:<name>:<rate>` workload spec and the bench bins.
+    ///
+    /// # Errors
+    ///
+    /// Returns a message naming the accepted labels.
+    pub fn by_label(label: &str) -> Result<SpatialPattern, String> {
+        let found = Self::STRUCTURED.iter().find(|p| p.label() == label);
+        found.cloned().ok_or_else(|| {
+            let labels = Self::STRUCTURED.each_ref().map(SpatialPattern::label);
+            let (last, rest) = labels.split_last().expect("the table is not empty");
+            format!(
+                "unknown pattern {label:?} (expected {}, or {last})",
+                rest.join(", ")
+            )
+        })
     }
 
     /// Short name for reports (`transpose`, `hotspot1@0.8`, …).
@@ -197,8 +226,7 @@ impl SpatialPattern {
     /// needs a square mesh; the bit patterns need a power-of-two node
     /// count.
     #[must_use]
-    pub fn destination(&self, topo: impl Into<Topology>, node: NodeId) -> Option<NodeId> {
-        let mesh = topo.into();
+    pub fn destination(&self, mesh: Topology, node: NodeId) -> Option<NodeId> {
         let c = mesh.coord(node);
         match self {
             SpatialPattern::Uniform { .. }
@@ -260,8 +288,7 @@ impl SpatialPattern {
     /// Panics if the pattern's structural requirement fails (see
     /// [`SpatialPattern::destination`]) or a hotspot target is off-mesh.
     #[must_use]
-    pub fn flows(&self, topo: impl Into<Topology>) -> Vec<PatternFlow> {
-        let mesh = topo.into();
+    pub fn flows(&self, mesh: Topology) -> Vec<PatternFlow> {
         let mut out = Vec::new();
         match self {
             SpatialPattern::Uniform { flows, seed } => {
@@ -422,8 +449,7 @@ impl SpatialPattern {
     /// Panics if the pattern induces no flows on `mesh` or a structural
     /// requirement fails.
     #[must_use]
-    pub fn routed(&self, topo: impl Into<Topology>, rate: f64) -> RoutedPattern {
-        let mesh = topo.into();
+    pub fn routed(&self, mesh: Topology, rate: f64) -> RoutedPattern {
         let flows = self.flows(mesh);
         assert!(
             !flows.is_empty(),
@@ -479,10 +505,9 @@ fn index_bits(mesh: Topology) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use smart_sim::Mesh;
 
-    fn mesh() -> smart_sim::Mesh {
-        smart_sim::Mesh::paper_4x4()
+    fn mesh() -> Topology {
+        Topology::paper_4x4()
     }
 
     #[test]
@@ -527,7 +552,7 @@ mod tests {
             Some(NodeId(0))
         );
         // W=8: shift 3.
-        let m8 = Mesh::new(8, 8);
+        let m8 = Topology::mesh(8, 8);
         assert_eq!(
             SpatialPattern::Tornado.destination(m8, NodeId(0)),
             Some(NodeId(3))
@@ -569,7 +594,7 @@ mod tests {
         // 2x2 mesh, 3 of 4 nodes are targets: the lone background node
         // has no background destination, so its whole budget goes to
         // the hotspots instead of being silently dropped.
-        let m = Mesh::new(2, 2);
+        let m = Topology::mesh(2, 2);
         let p = SpatialPattern::hotspot(vec![NodeId(0), NodeId(1), NodeId(2)], 0.5);
         let flows = p.flows(m);
         let from3: f64 = flows
@@ -593,7 +618,7 @@ mod tests {
     fn sampled_hotspot_keeps_the_budget_with_few_flows() {
         // 32x32: the full hotspot would emit ~1M background flows; the
         // sampled variant stays linear in the mesh size.
-        let m = Mesh::new(32, 32);
+        let m = Topology::mesh(32, 32);
         let targets = vec![NodeId(100), NodeId(200)];
         let p = SpatialPattern::hotspot_sampled(targets.clone(), 0.6, 8, 7);
         let flows = p.flows(m);
@@ -622,7 +647,7 @@ mod tests {
 
     #[test]
     fn sampled_hotspot_is_deterministic_per_seed() {
-        let m = Mesh::new(8, 8);
+        let m = Topology::mesh(8, 8);
         let p = |seed| SpatialPattern::hotspot_sampled(vec![NodeId(0)], 0.5, 4, seed);
         assert_eq!(p(1).flows(m), p(1).flows(m));
         assert_ne!(p(1).flows(m), p(2).flows(m));
@@ -680,7 +705,7 @@ mod tests {
     fn sampled_hotspot_clamps_to_available_background() {
         // 2x2 with one target: each source has at most 2 background
         // candidates (3 non-target nodes minus itself).
-        let m = Mesh::new(2, 2);
+        let m = Topology::mesh(2, 2);
         let p = SpatialPattern::hotspot_sampled(vec![NodeId(0)], 0.5, 10, 3);
         let flows = p.flows(m);
         for src in m.nodes() {
@@ -730,13 +755,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "square mesh")]
     fn transpose_rejects_rectangles() {
-        let _ = SpatialPattern::Transpose.destination(Mesh::new(4, 2), NodeId(0));
+        let _ = SpatialPattern::Transpose.destination(Topology::mesh(4, 2), NodeId(0));
     }
 
     #[test]
     #[should_panic(expected = "power-of-two")]
     fn bit_reverse_rejects_non_power_of_two() {
-        let _ = SpatialPattern::BitReverse.destination(Mesh::new(3, 3), NodeId(0));
+        let _ = SpatialPattern::BitReverse.destination(Topology::mesh(3, 3), NodeId(0));
     }
 
     #[test]

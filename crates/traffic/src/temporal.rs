@@ -174,12 +174,11 @@ impl ModulatedTraffic {
         model: TemporalModel,
         rates: &[(FlowId, f64)],
         flows: &FlowTable,
-        topo: impl Into<Topology>,
+        topo: Topology,
         flits_per_packet: u8,
         seed: u64,
     ) -> Self {
         model.validate();
-        let topo = topo.into();
         let specs = rates
             .iter()
             .map(|(flow, rate)| {
@@ -278,8 +277,8 @@ mod tests {
     use smart_sim::route::SourceRoute;
     use smart_sim::BernoulliTraffic;
 
-    fn table() -> (FlowTable, smart_sim::Mesh) {
-        let mesh = smart_sim::Mesh::paper_4x4();
+    fn table() -> (FlowTable, smart_sim::Topology) {
+        let mesh = Topology::paper_4x4();
         let routes = vec![
             (
                 FlowId(0),

@@ -239,7 +239,7 @@ impl TraceTraffic {
     ///
     /// Panics if the trace references a flow the table does not know.
     #[must_use]
-    pub fn new(trace: &TraceFile, flows: &FlowTable, topo: impl Into<Topology>) -> Self {
+    pub fn new(trace: &TraceFile, flows: &FlowTable, topo: Topology) -> Self {
         TraceTraffic {
             inner: ScriptedTraffic::new(trace.events.clone(), trace.flits_per_packet, flows, topo),
         }
@@ -265,8 +265,8 @@ mod tests {
     use smart_sim::route::SourceRoute;
     use smart_sim::topology::NodeId;
 
-    fn table() -> (FlowTable, smart_sim::Mesh) {
-        let mesh = smart_sim::Mesh::paper_4x4();
+    fn table() -> (FlowTable, smart_sim::Topology) {
+        let mesh = Topology::paper_4x4();
         let routes = vec![
             (
                 FlowId(0),
@@ -385,7 +385,7 @@ mod tests {
         // Two flows sharing one source NIC, rates listed in descending
         // flow-id order: the recorded per-cycle order (1 before 0)
         // dictates NIC queue order, and replay must preserve it.
-        let mesh = smart_sim::Mesh::paper_4x4();
+        let mesh = Topology::paper_4x4();
         let routes = vec![
             (
                 FlowId(0),

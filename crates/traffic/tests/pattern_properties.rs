@@ -6,19 +6,19 @@
 use proptest::prelude::*;
 use smart_sim::forward::FlowTable;
 use smart_sim::route::SourceRoute;
-use smart_sim::topology::{Mesh, NodeId};
+use smart_sim::topology::{NodeId, Topology};
 use smart_sim::{FlowId, TrafficSource};
 use smart_traffic::{
     ModulatedTraffic, SpatialPattern, TemporalModel, TraceFile, TraceRecorder, TraceTraffic,
 };
 
 /// The square power-of-two meshes the bit patterns are defined on.
-fn pow2_meshes() -> Vec<Mesh> {
+fn pow2_meshes() -> Vec<Topology> {
     vec![
-        Mesh::new(2, 2),
-        Mesh::new(4, 4),
-        Mesh::new(8, 8),
-        Mesh::new(16, 16),
+        Topology::mesh(2, 2),
+        Topology::mesh(4, 4),
+        Topology::mesh(8, 8),
+        Topology::mesh(16, 16),
     ]
 }
 
@@ -147,7 +147,7 @@ proptest! {
             TemporalModel::Ramp { from: 0.0, to: 1.0, cycles: 500 },
         ]),
     ) {
-        let mesh = Mesh::paper_4x4();
+        let mesh = Topology::paper_4x4();
         let (routes, rates) = SpatialPattern::Transpose.routed(mesh, rate);
         let flows = FlowTable::mesh_baseline(mesh, &routes);
         let inner = ModulatedTraffic::new(burst, &rates, &flows, mesh, 8, seed);
@@ -174,32 +174,11 @@ proptest! {
     }
 }
 
-/// Non-property anchor: the permutation patterns agree with the legacy
-/// `smart_sim::Pattern` pairs where both are defined.
-#[test]
-fn agrees_with_legacy_sim_patterns() {
-    let mesh = Mesh::paper_4x4();
-    let legacy: Vec<(NodeId, NodeId)> = smart_sim::Pattern::Transpose.pairs(mesh);
-    let new: Vec<(NodeId, NodeId)> = SpatialPattern::Transpose
-        .flows(mesh)
-        .into_iter()
-        .map(|f| (f.src, f.dst))
-        .collect();
-    assert_eq!(legacy, new);
-    let legacy: Vec<(NodeId, NodeId)> = smart_sim::Pattern::BitComplement.pairs(mesh);
-    let new: Vec<(NodeId, NodeId)> = SpatialPattern::BitComplement
-        .flows(mesh)
-        .into_iter()
-        .map(|f| (f.src, f.dst))
-        .collect();
-    assert_eq!(legacy, new);
-}
-
 /// XY source-routing anchor used by every pattern: routes exist for
 /// every induced flow on a 16x16 mesh under the densest battery entry.
 #[test]
 fn battery_routes_on_large_meshes() {
-    let mesh = Mesh::new(16, 16);
+    let mesh = Topology::mesh(16, 16);
     for pattern in SpatialPattern::battery(mesh) {
         let (routes, _) = pattern.routed(mesh, 0.01);
         assert!(!routes.is_empty(), "{}", pattern.label());

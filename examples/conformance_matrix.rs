@@ -8,7 +8,7 @@
 //! link-exclusivity and zero-load-latency invariants — a panic names
 //! the failing (design, scenario) pair instead.
 
-use smart_testkit::{Conformance, DesignUnderTest, Scenario};
+use smart_testkit::{Conformance, Scenario, ScheduleDesign};
 
 fn main() {
     let conf = Conformance::default();
@@ -19,7 +19,7 @@ fn main() {
         "{:<14} {:<14} {:>8} {:>10} {:>8} {:>7}",
         "scenario", "design", "packets", "latency", "0-load✓", "shared"
     );
-    for report in conf.run_matrix(&DesignUnderTest::ALL, &scenarios) {
+    for report in conf.run_matrix(&ScheduleDesign::ALL, &scenarios) {
         println!(
             "{:<14} {:<14} {:>8} {:>10.2} {:>8} {:>7}",
             report.scenario,

@@ -61,8 +61,8 @@ pub mod prelude {
     pub use smart_mapping::MappedApp;
     pub use smart_power::{breakdown, EnergyModel, GatingPolicy};
     pub use smart_sim::{
-        BernoulliTraffic, FlowId, FlowTable, Mesh, NodeId, Packet, PacketId, ScriptedTraffic,
-        SourceRoute, TelemetryConfig, TelemetrySeries,
+        BernoulliTraffic, FlowId, FlowTable, NodeId, Packet, PacketId, ScriptedTraffic,
+        SourceRoute, TelemetryConfig, TelemetrySeries, Topology,
     };
     pub use smart_taskgraph::apps;
     pub use smart_traffic::{

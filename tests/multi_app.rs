@@ -161,13 +161,3 @@ fn drain_failure_surfaces_as_err_not_panic() {
         }
     }
 }
-
-#[test]
-fn conformance_design_axis_maps_onto_schedule_designs() {
-    use smart_testkit::DesignUnderTest;
-    let mapped: Vec<ScheduleDesign> = DesignUnderTest::ALL
-        .iter()
-        .map(|d| d.schedule_design())
-        .collect();
-    assert_eq!(mapped, ScheduleDesign::ALL.to_vec());
-}

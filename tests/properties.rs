@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use smart_noc::arch::compile::compile;
 use smart_noc::arch::config::NocConfig;
 use smart_noc::arch::noc::{Design, DesignKind};
-use smart_noc::sim::{FlowId, Mesh, NodeId, ScriptedTraffic, SourceRoute};
+use smart_noc::sim::{FlowId, NodeId, ScriptedTraffic, SourceRoute, Topology};
 
 /// Strategy: up to `n` random (src, dst) pairs on the 4x4 mesh, routed
 /// XY (always deadlock-free) — the preset compiler must handle ANY such
@@ -20,7 +20,7 @@ fn arb_flows(n: usize) -> impl Strategy<Value = Vec<(u16, u16)>> {
 }
 
 fn routed(pairs: &[(u16, u16)]) -> Vec<(FlowId, SourceRoute)> {
-    let mesh = Mesh::paper_4x4();
+    let mesh = Topology::paper_4x4();
     pairs
         .iter()
         .enumerate()
@@ -39,11 +39,11 @@ proptest! {
     #[test]
     fn compiler_accepts_any_flow_set(pairs in arb_flows(12)) {
         let routes = routed(&pairs);
-        let app = compile(Mesh::paper_4x4(), 8, &routes);
+        let app = compile(Topology::paper_4x4(), 8, &routes);
         // Every flow got a plan covering its route (validated inside),
         // and stop fractions are sane.
         prop_assert_eq!(app.flows.len(), routes.len());
-        let frac = app.bypass_fraction(Mesh::paper_4x4());
+        let frac = app.bypass_fraction(Topology::paper_4x4());
         prop_assert!((0.0..=1.0).contains(&frac));
     }
 
@@ -104,7 +104,7 @@ proptest! {
         let got = design.stats().avg_network_latency();
         let expected = match kind {
             DesignKind::Mesh => {
-                let hops = Mesh::paper_4x4().manhattan(NodeId(src), NodeId(dst));
+                let hops = Topology::paper_4x4().distance(NodeId(src), NodeId(dst));
                 f64::from(4 * hops + 4)
             }
             DesignKind::Smart => {
@@ -133,7 +133,7 @@ proptest! {
     #[test]
     fn route_encoding_round_trips(src in 0u16..16, dst in 0u16..16) {
         prop_assume!(src != dst);
-        let mesh = Mesh::paper_4x4();
+        let mesh = Topology::paper_4x4();
         let r = SourceRoute::xy(mesh, NodeId(src), NodeId(dst)).unwrap();
         let bits = r.encode();
         let back = SourceRoute::decode(NodeId(src), bits, r.num_hops());
