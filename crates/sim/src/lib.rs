@@ -14,7 +14,9 @@
 //! stepped inline; [`Network::banded`] steps each band on its own
 //! thread with a per-cycle boundary exchange ([`shard`]) and produces
 //! bit-identical results. Windowed [`telemetry`] and event [`trace`]s
-//! work at every band count — per-band recordings merge on read.
+//! work at every band count — per-band recordings merge on read. A
+//! cycle visits only the routers holding flits and the NICs with a
+//! backlog (one [`ActiveSet`] each), so idle fabric costs nothing.
 //!
 //! [`jsonl`] is the flat-JSON line codec (field readers, line writer,
 //! escaping, header-plus-declared-lines framing) that the telemetry
@@ -52,6 +54,7 @@
 //! ```
 #![warn(missing_docs)]
 
+pub mod active;
 pub mod arbiter;
 pub mod counters;
 pub mod flit;
@@ -68,6 +71,7 @@ pub mod topology;
 pub mod trace;
 pub mod traffic;
 
+pub use active::ActiveSet;
 pub use counters::ActivityCounters;
 pub use flit::{
     Flit, FlitKind, FlowId, Packet, PacketArena, PacketId, PacketMeta, PacketSlot, VcId,

@@ -7,10 +7,16 @@
 //!
 //! 1. apply credit returns scheduled for this cycle;
 //! 2. apply flit arrivals (buffer writes / NIC deliveries);
-//! 3. NIC injection (one flit per NIC per cycle);
-//! 4. switch allocation at every router; granted flits traverse their
-//!    leg (`ST+LT`) and are scheduled to arrive at its end;
+//! 3. NIC injection (one flit per NIC per cycle), at the NICs with a
+//!    backlog;
+//! 4. switch allocation at the routers holding flits; granted flits
+//!    traverse their leg (`ST+LT`) and are scheduled to arrive at its
+//!    end;
 //! 5. accounting (clock gating, cycle counters).
+//!
+//! Stages 1–2 drain event rings and stages 3–4 walk an
+//! [`ActiveSet`] each, so a cycle costs what it moves: a router or NIC
+//! that holds nothing is not looked at.
 //!
 //! A [`Network`] built by [`Network::new`] is the 1-band case: the band
 //! owns every node, is stepped inline on the caller's thread, and its
@@ -24,11 +30,12 @@
 //! compiler produced plans that violate single-cycle exclusivity, the
 //! engine panics rather than silently time-multiplexing the wire.
 
+use crate::active::ActiveSet;
 use crate::counters::ActivityCounters;
 use crate::flit::{Flit, Packet, PacketArena, PacketId, PacketMeta, PacketSlot, VcId};
 use crate::forward::{Endpoint, FlowTable, LegLut, Sender};
 use crate::nic::{Nic, RxEvent};
-use crate::router::{CreditRelease, RouterBank, RouterDeparture};
+use crate::router::{CreditRelease, RouterBank, RouterDeparture, MAX_VCS_PER_PORT, MAX_VC_DEPTH};
 use crate::shard::Exchange;
 use crate::stats::SimStats;
 use crate::telemetry::{
@@ -67,18 +74,34 @@ impl SimConfig {
         }
     }
 
-    /// Validate invariants (virtual cut-through needs whole packets to
-    /// fit in one VC).
+    /// Validate invariants: every limit the engine's packed state relies
+    /// on, stated here so a bad configuration is refused by name before
+    /// any construction starts.
     ///
     /// # Panics
     ///
-    /// Panics if a packet cannot fit in a VC buffer.
+    /// Panics if `vcs_per_port` is outside `1..=`[`MAX_VCS_PER_PORT`],
+    /// `vc_depth` exceeds [`MAX_VC_DEPTH`], or `flits_per_packet` is
+    /// outside `1..=vc_depth` (virtual cut-through needs a whole packet
+    /// to fit in one VC).
     pub fn validate(&self) {
         assert!(
-            usize::from(self.flits_per_packet) <= self.vc_depth,
-            "virtual cut-through requires vc_depth >= flits_per_packet"
+            (1..=MAX_VCS_PER_PORT).contains(&self.vcs_per_port),
+            "SimConfig.vcs_per_port = {}: must be in 1..={MAX_VCS_PER_PORT}",
+            self.vcs_per_port
         );
-        assert!(self.vcs_per_port > 0 && self.flits_per_packet > 0);
+        assert!(
+            self.vc_depth <= MAX_VC_DEPTH,
+            "SimConfig.vc_depth = {}: must be at most {MAX_VC_DEPTH}",
+            self.vc_depth
+        );
+        assert!(
+            (1..=self.vc_depth).contains(&usize::from(self.flits_per_packet)),
+            "SimConfig.flits_per_packet = {}: must be in 1..=vc_depth ({}): \
+             virtual cut-through buffers a whole packet in one VC",
+            self.flits_per_packet,
+            self.vc_depth
+        );
     }
 }
 
@@ -250,13 +273,12 @@ pub(crate) struct Band {
     /// events carry global indices); `None` selects the [`NoProbe`]
     /// step, whose hooks the optimizer deletes (telemetry off is free).
     telemetry: Option<Box<MetricsCollector>>,
-    /// NICs with a nonzero injection backlog by *global* node id,
-    /// ascending — the only NICs the per-cycle injection scan visits.
-    /// Kept sorted so the scan order (and therefore every downstream
-    /// event order) matches a full sweep exactly.
-    active_nics: Vec<u32>,
-    /// Membership mask for `active_nics`, by local node index.
-    nic_active: Vec<bool>,
+    /// NICs with a nonzero injection backlog, by local node index — the
+    /// only NICs the per-cycle injection scan visits.
+    backlogged: ActiveSet,
+    /// Packets mid-reception at this band's NICs (head delivered, tail
+    /// not yet).
+    rx_open: usize,
     /// Per-cycle scratch, reused so the steady state allocates nothing.
     arrival_scratch: Vec<(Endpoint, Flit)>,
     credit_scratch: Vec<(Sender, VcId)>,
@@ -289,8 +311,8 @@ impl Band {
             total_ports: (len * 10) as u64, // 5 in + 5 out per router
             tracer: None,
             telemetry: None,
-            active_nics: Vec::new(),
-            nic_active: vec![false; len],
+            backlogged: ActiveSet::new(len),
+            rx_open: 0,
             arrival_scratch: Vec::new(),
             credit_scratch: Vec::new(),
             dep_scratch: Vec::new(),
@@ -327,15 +349,7 @@ impl Band {
         let l = self.local(packet.src);
         let slot = self.arena.intern(&packet);
         self.nics[l].offer(slot, self.arena.get(slot));
-        if !self.nic_active[l] {
-            self.nic_active[l] = true;
-            let g = u32::from(packet.src.0);
-            let pos = self
-                .active_nics
-                .binary_search(&g)
-                .expect_err("mask says absent");
-            self.active_nics.insert(pos, g);
-        }
+        self.backlogged.insert(l);
     }
 
     /// Advance this band through cycle `c`.
@@ -410,6 +424,8 @@ impl Band {
                     }
                     let events =
                         self.nics[l].receive(flit, &meta, arrival_cycle, &mut self.counters);
+                    self.rx_open += usize::from(flit.is_head());
+                    self.rx_open -= usize::from(flit.is_tail());
                     if let Some(RxEvent::Head(flow, lat, srcq)) = events.head {
                         if meta.gen_cycle >= self.stats_from {
                             self.stats.record_head(flow, lat, srcq);
@@ -432,57 +448,55 @@ impl Band {
         }
         self.arrival_scratch = arrivals;
 
-        // 3. NIC injection, scanning only the active set (NICs with a
-        // backlog). A NIC whose backlog empties retires from the set in
-        // place; the compaction preserves ascending order, so the event
-        // stream is bit-identical to a full sweep. Skipped idle NICs
-        // would have returned `None` without touching any state.
-        let mut kept = 0;
-        for k in 0..self.active_nics.len() {
-            let g = self.active_nics[k] as usize;
-            let l = g - usize::from(self.start);
-            if let Some(flit) = self.nics[l].try_inject(&mut self.arena, c, &mut self.counters) {
-                let leg = lut.first_leg_idx(flit.flow);
-                debug_assert!(matches!(lut.rec(leg).sender, Sender::Nic(n) if n.0 as usize == g));
-                self.launch(lut, leg, flit, c, probe, seam);
-            }
-            if self.nics[l].backlog() > 0 {
-                self.active_nics[kept] = self.active_nics[k];
-                kept += 1;
-            } else {
-                self.nic_active[l] = false;
+        // 3. NIC injection at the NICs with a backlog, ascending. An
+        // idle NIC would have returned `None` without touching any
+        // state, so the event stream is bit-identical to a full sweep. A
+        // NIC whose backlog empties leaves the set as it is visited.
+        for w in 0..self.backlogged.num_words() {
+            for l in self.backlogged.word(w) {
+                if let Some(flit) = self.nics[l].try_inject(&mut self.arena, c, &mut self.counters)
+                {
+                    let leg = lut.first_leg_idx(flit.flow);
+                    debug_assert!(matches!(
+                        lut.rec(leg).sender,
+                        Sender::Nic(n) if usize::from(n.0 - self.start) == l
+                    ));
+                    self.launch(lut, leg, flit, c, probe, seam);
+                }
+                if self.nics[l].backlog() == 0 {
+                    self.backlogged.remove(l);
+                }
             }
         }
-        self.active_nics.truncate(kept);
 
-        // 4. Switch allocation; ST happens during c + 1. Routers with
-        // nothing buffered are skipped without touching their state.
-        // The allocation sweep touches only bank state; departures and
-        // credit releases batch across routers into reused scratch
-        // vectors and replay afterwards in the same ascending-router
-        // order the per-router drains used, so each ring receives an
-        // identical push sequence.
+        // 4. Switch allocation at the routers holding flits, ascending;
+        // ST happens during c + 1. An empty router requests nothing and
+        // its arbiters do not rotate, so not visiting it is
+        // behavior-identical. Allocation touches only bank state;
+        // departures and credit releases batch across routers into
+        // reused scratch vectors and replay afterwards in the same
+        // ascending-router order, so each ring receives an identical
+        // push sequence.
         let mut deps = std::mem::take(&mut self.dep_scratch);
         let mut rels = std::mem::take(&mut self.rel_scratch);
         deps.clear();
         rels.clear();
-        for r in 0..self.bank.len() {
-            if self.bank.is_drained(r) {
-                continue;
+        for w in 0..self.bank.active().num_words() {
+            for r in self.bank.active().word(w) {
+                let node = NodeId(self.start + r as u16);
+                self.bank.allocate(
+                    r,
+                    c,
+                    |flow| {
+                        let leg = lut.leg_idx_from(flow, node);
+                        (lut.rec(leg).out_dir, leg)
+                    },
+                    &mut self.counters,
+                    &mut deps,
+                    &mut rels,
+                    probe,
+                );
             }
-            let node = NodeId(self.start + r as u16);
-            self.bank.allocate(
-                r,
-                c,
-                |flow| {
-                    let leg = lut.leg_idx_from(flow, node);
-                    (lut.rec(leg).out_dir, leg)
-                },
-                &mut self.counters,
-                &mut deps,
-                &mut rels,
-                probe,
-            );
         }
         for dep in deps.drain(..) {
             assert_eq!(
@@ -655,10 +669,21 @@ impl Band {
         }
     }
 
+    /// `true` when nothing is buffered, in flight, queued at a NIC or
+    /// half-received — four counters, no walk. Credits still in flight
+    /// carry no packet and do not count.
     pub(crate) fn is_quiescent(&self) -> bool {
+        // The definition the two NIC counters summarize — every NIC
+        // drained — walked in debug builds only.
+        debug_assert_eq!(
+            self.backlogged.is_empty() && self.rx_open == 0,
+            self.nics.iter().all(Nic::is_drained),
+            "backlogged/rx_open bookkeeping diverged from the NICs"
+        );
         self.bank.total_buffered() == 0
             && self.scheduled_arrivals == 0
-            && self.nics.iter().all(Nic::is_drained)
+            && self.backlogged.is_empty()
+            && self.rx_open == 0
     }
 }
 
@@ -1031,6 +1056,60 @@ mod tests {
             gen_cycle: gen,
             num_flits: n,
         }
+    }
+
+    // Each packed-state limit is refused by `validate` itself (nothing
+    // else is called), by field name and limit.
+    #[test]
+    #[should_panic(expected = "SimConfig.vcs_per_port = 13: must be in 1..=12")]
+    fn validate_refuses_13_vcs() {
+        SimConfig {
+            vcs_per_port: 13,
+            ..SimConfig::paper_4x4()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "SimConfig.vc_depth = 256: must be at most 255")]
+    fn validate_refuses_depth_256() {
+        SimConfig {
+            vc_depth: 256,
+            ..SimConfig::paper_4x4()
+        }
+        .validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "SimConfig.flits_per_packet = 11: must be in 1..=vc_depth (10)")]
+    fn validate_refuses_a_packet_longer_than_a_vc() {
+        SimConfig {
+            flits_per_packet: 11,
+            ..SimConfig::paper_4x4()
+        }
+        .validate();
+    }
+
+    #[test]
+    fn validate_accepts_the_limits_themselves() {
+        SimConfig {
+            vcs_per_port: 12,
+            vc_depth: 255,
+            flits_per_packet: 255,
+            ..SimConfig::paper_4x4()
+        }
+        .validate();
+    }
+
+    /// `Network::banded` reaches `validate` before it builds anything.
+    #[test]
+    #[should_panic(expected = "SimConfig.vcs_per_port = 13")]
+    fn construction_refuses_an_oversized_config_at_the_front_door() {
+        let cfg = SimConfig {
+            vcs_per_port: 13,
+            ..SimConfig::paper_4x4()
+        };
+        let _ = Network::new(cfg, FlowTable::mesh_baseline(cfg.topology, &[]));
     }
 
     #[test]

@@ -11,9 +11,16 @@
 //! and a sequence counter and mints each [`Flit`] the cycle it launches,
 //! so the injection hot path performs no allocation (the PR-4
 //! zero-steady-state-allocation invariant).
+//!
+//! A NIC is plain inline state — the free-VC queue is the routers'
+//! nibble-packed `VcFifo`, reception occupancy a `u16` mask — so
+//! building one allocates nothing; only a NIC that is actually offered a
+//! packet grows an injection queue. A fabric's idle nodes cost their
+//! `size_of::<Nic>()` and no more.
 
 use crate::counters::ActivityCounters;
 use crate::flit::{Flit, FlowId, PacketArena, PacketMeta, PacketSlot, VcId};
+use crate::router::{VcFifo, MAX_VCS_PER_PORT};
 use crate::topology::NodeId;
 use std::collections::VecDeque;
 
@@ -65,12 +72,11 @@ pub struct Nic {
     current: Option<CurrentTx>,
     /// Free VCs at this NIC's injection-leg endpoint (only meaningful if
     /// the node sources at least one flow).
-    free_vcs: VecDeque<VcId>,
-    /// Reception VCs: `true` while occupied by an in-flight packet.
-    rx_occupied: Vec<bool>,
-    /// Head send cycle per rx VC, for packet-latency computation.
-    rx_head_send: Vec<u64>,
-    num_vcs: usize,
+    free_vcs: VcFifo,
+    /// Reception VCs: bit `v` is set while VC `v` is occupied by an
+    /// in-flight packet (head received, tail not yet).
+    rx_occupied: u16,
+    num_vcs: u8,
 }
 
 impl Nic {
@@ -78,18 +84,21 @@ impl Nic {
     ///
     /// # Panics
     ///
-    /// Panics if `num_vcs` is zero.
+    /// Panics if `num_vcs` is zero or exceeds [`MAX_VCS_PER_PORT`].
     #[must_use]
     pub fn new(node: NodeId, num_vcs: usize) -> Self {
         assert!(num_vcs > 0, "need at least one VC");
+        assert!(
+            num_vcs <= MAX_VCS_PER_PORT,
+            "a NIC supports at most {MAX_VCS_PER_PORT} VCs"
+        );
         Nic {
             node,
             inject_queue: VecDeque::new(),
             current: None,
-            free_vcs: (0..num_vcs as u8).map(VcId).collect(),
-            rx_occupied: vec![false; num_vcs],
-            rx_head_send: vec![0; num_vcs],
-            num_vcs,
+            free_vcs: VcFifo::seed(num_vcs),
+            rx_occupied: 0,
+            num_vcs: num_vcs as u8,
         }
     }
 
@@ -126,12 +135,16 @@ impl Nic {
     /// Panics on double-free.
     pub fn credit(&mut self, vc: VcId) {
         assert!(
-            !self.free_vcs.contains(&vc),
+            !self.free_vcs.contains(vc),
             "{}: double credit for {vc} at NIC",
             self.node
         );
-        self.free_vcs.push_back(vc);
-        assert!(self.free_vcs.len() <= self.num_vcs);
+        self.free_vcs.push(vc);
+        assert!(
+            self.free_vcs.len() <= usize::from(self.num_vcs),
+            "{}: more credits than VCs at NIC",
+            self.node
+        );
     }
 
     /// Try to send one flit during `cycle`. Returns the flit to launch
@@ -149,7 +162,7 @@ impl Nic {
     ) -> Option<Flit> {
         if self.current.is_none() {
             let queued = *self.inject_queue.front()?;
-            let vc = self.free_vcs.pop_front()?;
+            let vc = self.free_vcs.pop()?;
             self.inject_queue.pop_front();
             arena.mark_injected(queued.slot, cycle);
             counters.packets_injected += 1;
@@ -188,29 +201,35 @@ impl Nic {
         let vc = flit
             .vc
             .unwrap_or_else(|| panic!("{}: flit without VC at NIC", self.node));
-        let slot = vc.0 as usize;
+        assert!(
+            vc.0 < self.num_vcs,
+            "{}: {vc} is not a reception VC",
+            self.node
+        );
+        let bit = 1u16 << vc.0;
         counters.flits_delivered += 1;
         let mut events = RxEvents::default();
         if flit.is_head() {
             assert!(
-                !self.rx_occupied[slot],
+                self.rx_occupied & bit == 0,
                 "{}: head arrived into occupied rx {vc}",
                 self.node
             );
-            self.rx_occupied[slot] = true;
-            self.rx_head_send[slot] = meta.inject_cycle;
+            self.rx_occupied |= bit;
             let head_latency = cycle - meta.inject_cycle + 1;
             let src_q = meta.inject_cycle - meta.gen_cycle;
             events.head = Some(RxEvent::Head(flit.flow, head_latency, src_q));
         }
         if flit.is_tail() {
             assert!(
-                self.rx_occupied[slot],
+                self.rx_occupied & bit != 0,
                 "{}: tail arrived into idle rx {vc}",
                 self.node
             );
-            self.rx_occupied[slot] = false;
-            let packet_latency = cycle - self.rx_head_send[slot] + 1;
+            self.rx_occupied &= !bit;
+            // A VC carries one packet from head to tail, so the tail's
+            // metadata names the send cycle its head was stamped with.
+            let packet_latency = cycle - meta.inject_cycle + 1;
             counters.packets_delivered += 1;
             events.tail = Some(RxEvent::Tail(flit.flow, packet_latency, vc));
         }
@@ -220,9 +239,7 @@ impl Nic {
     /// `true` when nothing is queued, in flight, or half-received.
     #[must_use]
     pub fn is_drained(&self) -> bool {
-        self.inject_queue.is_empty()
-            && self.current.is_none()
-            && self.rx_occupied.iter().all(|o| !o)
+        self.inject_queue.is_empty() && self.current.is_none() && self.rx_occupied == 0
     }
 }
 

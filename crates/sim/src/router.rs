@@ -24,9 +24,13 @@
 //! occupied VCs; body flits find their captured output through a
 //! reverse hold map instead of scanning the output ports; and each
 //! output's free-VC queue is a nibble-packed u64 FIFO, bit-exact with
-//! the `VecDeque` it replaced. [`Router`] wraps a 1-router bank for
-//! standalone protocol tests.
+//! the `VecDeque` it replaced. The bank also owns the [`ActiveSet`] of
+//! routers with at least one buffered flit — `receive` adds a router,
+//! the `allocate` that pops its last flit removes it — which is what
+//! the engine walks instead of the whole bank. [`Router`] wraps a
+//! 1-router bank for standalone protocol tests.
 
+use crate::active::ActiveSet;
 use crate::counters::ActivityCounters;
 use crate::flit::{Flit, FlowId, VcId};
 use crate::forward::FlowTable;
@@ -36,6 +40,14 @@ use crate::topology::{Direction, NodeId, PORTS};
 /// Sentinel in the reverse hold map: this input VC holds no output.
 const HOLD_NONE: u8 = 0xFF;
 
+/// Most VCs per port: a router's occupancy bitset packs `5 * vcs` input
+/// VCs into a `u64`, free-VC queues pack VC ids into nibbles, and a
+/// NIC's reception mask is a `u16`.
+pub const MAX_VCS_PER_PORT: usize = 12;
+
+/// Most flits of buffering per VC: ring cursors are `u8`.
+pub const MAX_VC_DEPTH: usize = 255;
+
 /// A free-VC queue packed into one u64, one nibble per entry.
 ///
 /// Semantically identical to the `VecDeque<VcId>` it replaced — pops
@@ -43,14 +55,14 @@ const HOLD_NONE: u8 = 0xFF;
 /// return order (and therefore VC allocation order and every downstream
 /// arbitration decision) is preserved exactly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-struct VcFifo {
+pub(crate) struct VcFifo {
     bits: u64,
     len: u8,
 }
 
 impl VcFifo {
     /// FIFO seeded with VCs `0..n` in ascending order.
-    fn seed(n: usize) -> Self {
+    pub(crate) fn seed(n: usize) -> Self {
         let mut f = VcFifo::default();
         for v in 0..n as u8 {
             f.push(VcId(v));
@@ -58,7 +70,7 @@ impl VcFifo {
         f
     }
 
-    fn len(self) -> usize {
+    pub(crate) fn len(self) -> usize {
         usize::from(self.len)
     }
 
@@ -72,14 +84,14 @@ impl VcFifo {
         self.len = 0;
     }
 
-    fn push(&mut self, vc: VcId) {
+    pub(crate) fn push(&mut self, vc: VcId) {
         debug_assert!(vc.0 < 16, "VC id exceeds nibble packing");
         debug_assert!(self.len < 16, "VcFifo overflow");
         self.bits |= u64::from(vc.0) << (4 * self.len);
         self.len += 1;
     }
 
-    fn pop(&mut self) -> Option<VcId> {
+    pub(crate) fn pop(&mut self) -> Option<VcId> {
         if self.len == 0 {
             return None;
         }
@@ -89,7 +101,7 @@ impl VcFifo {
         Some(VcId(v))
     }
 
-    fn contains(self, vc: VcId) -> bool {
+    pub(crate) fn contains(self, vc: VcId) -> bool {
         let mut bits = self.bits;
         for _ in 0..self.len {
             if (bits & 0xF) as u8 == vc.0 {
@@ -134,8 +146,10 @@ pub struct CreditRelease {
 ///
 /// Input-side arrays are indexed by `(router * 5 + port) * num_vcs + vc`,
 /// output-side arrays by `router * 5 + port`. The per-cycle sweep walks
-/// the set bits of the per-router [`occupancy bitset`](RouterBank::receive)
-/// to find SA-eligible VCs without touching idle ports, and
+/// the bank's [`active set`](RouterBank::active) to find routers holding
+/// flits, then the set bits of the per-router [`occupancy
+/// bitset`](RouterBank::receive) to find SA-eligible VCs without touching
+/// idle ports, and
 /// [`RouterBank::allocate`] appends into caller-owned scratch vectors so
 /// steady-state simulation performs no heap allocation.
 #[derive(Debug, Clone)]
@@ -161,8 +175,11 @@ pub struct RouterBank {
     /// Per-router occupancy bitset: bit `port * num_vcs + vc` is set
     /// while that input VC buffers at least one flit.
     nonempty: Vec<u64>,
-    /// Flits buffered per router (drives the idle-router skip).
+    /// Flits buffered per router.
     buffered: Vec<u32>,
+    /// Routers with `buffered > 0` — the only ones allocation can do
+    /// anything at.
+    active: ActiveSet,
     /// Flits buffered across the whole bank.
     total_buffered: u64,
     /// Hot per-output state, one packed record per `(router, port)`.
@@ -241,18 +258,17 @@ impl RouterBank {
     ///
     /// # Panics
     ///
-    /// Panics if `num_vcs` or `depth` is zero, or if `num_vcs` exceeds
-    /// 12 (the per-router occupancy bitset packs `5 * num_vcs` input
-    /// VCs into a u64, and free-VC FIFOs pack VC ids into nibbles).
+    /// Panics if `num_vcs` or `depth` is zero, or exceeds
+    /// [`MAX_VCS_PER_PORT`] / [`MAX_VC_DEPTH`].
     #[must_use]
     pub fn new(n: usize, num_vcs: usize, depth: usize) -> Self {
         assert!(num_vcs > 0, "need at least one VC");
         assert!(
-            num_vcs <= 12,
-            "bitset router state supports at most 12 VCs per port"
+            num_vcs <= MAX_VCS_PER_PORT,
+            "bitset router state supports at most {MAX_VCS_PER_PORT} VCs per port"
         );
         assert!(depth > 0, "need at least one buffer slot");
-        assert!(depth <= 255, "ring cursors are u8");
+        assert!(depth <= MAX_VC_DEPTH, "ring cursors are u8");
         let nq = n * PORTS * num_vcs;
         let np = n * PORTS;
         const EMPTY: (Flit, u32) = (
@@ -274,6 +290,7 @@ impl RouterBank {
             vcs: vec![VcState::IDLE; nq],
             nonempty: vec![0; n],
             buffered: vec![0; n],
+            active: ActiveSet::new(n),
             total_buffered: 0,
             outs: vec![OutState::IDLE; np],
             in_enabled: vec![false; np],
@@ -341,6 +358,15 @@ impl RouterBank {
     #[must_use]
     pub fn is_drained(&self, r: usize) -> bool {
         self.buffered[r] == 0
+    }
+
+    /// The routers holding at least one buffered flit, i.e. exactly
+    /// those [`RouterBank::allocate`] does not return from at once.
+    /// Visiting them in ascending order is the same walk as `0..len()`
+    /// with the drained ones skipped.
+    #[must_use]
+    pub fn active(&self) -> &ActiveSet {
+        &self.active
     }
 
     /// Mark input port `dir` of router `r` as used by some flow
@@ -460,6 +486,7 @@ impl RouterBank {
         self.q_push(qi, (flit, cycle as u32));
         self.nonempty[r] |= 1 << pv;
         self.buffered[r] += 1;
+        self.active.insert(r);
         self.total_buffered += 1;
         counters.buffer_writes += 1;
     }
@@ -669,6 +696,9 @@ impl RouterBank {
                 self.vcs[qi].front_ready = self.q_front(qi).1 + 2;
             }
             self.buffered[r] -= 1;
+            if self.buffered[r] == 0 {
+                self.active.remove(r);
+            }
             self.total_buffered -= 1;
             counters.buffer_reads += 1;
             counters.sa_grants += 1;
@@ -1055,6 +1085,118 @@ mod tests {
         for (i, mut f) in packet_flits(1, FlowId(0), 3).into_iter().enumerate() {
             f.vc = Some(VcId(0));
             r.receive(Direction::Core, f, i as u64, &mut c);
+        }
+    }
+
+    proptest::proptest! {
+        /// Drive two clones of a multi-router bank through the same legal
+        /// `receive` / `credit` stream; allocate one over `0..n` (the
+        /// `buffered == 0` early return skipping the drained routers) and
+        /// the other over its active set. Both must produce the same
+        /// departures and credits, and the set must be exactly the
+        /// routers holding flits after every step.
+        #[test]
+        fn active_set_is_exactly_the_routers_holding_flits(seed in 1u64..u64::MAX) {
+            const N: usize = 70; // two set words
+            const NV: usize = 2;
+            const DEPTH: usize = 4;
+            let mut rng = seed;
+            let mut draw = |n: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % n as u64) as usize
+            };
+            let mut swept = RouterBank::new(N, NV, DEPTH);
+            for r in 0..N {
+                for d in 0..PORTS {
+                    swept.enable_input(r, Direction::from_index(d));
+                    swept.enable_output(r, Direction::from_index(d));
+                }
+            }
+            let mut walked = swept.clone();
+            // One flit stream per input VC, indexed like the bank's
+            // queues; `flit.pkt` carries the stream index back out.
+            #[derive(Clone, Copy, Default)]
+            struct Stream { sent: u8, len: u8, buffered: usize, occupied: bool, flow: u32 }
+            let mut streams = vec![Stream::default(); N * PORTS * NV];
+            // Endpoint VCs taken by departed tails, to hand back later.
+            let mut owed: Vec<(usize, Direction, VcId)> = Vec::new();
+            let mut c = ActivityCounters::new();
+            // Most traffic lands on a few routers either side of the
+            // word boundary, so the rest of the bank stays drained.
+            let hot = [0, 1, 62, 63, 64, 69];
+
+            for cycle in 0..300u64 {
+                owed.retain(|&(r, dir, vc)| {
+                    let back = draw(3) == 0;
+                    if back {
+                        swept.credit(r, dir, vc);
+                        walked.credit(r, dir, vc);
+                    }
+                    !back
+                });
+                for _ in 0..4 {
+                    let r = if draw(8) == 0 { draw(N) } else { hot[draw(hot.len())] };
+                    let (port, vc) = (draw(PORTS), draw(NV));
+                    let si = (r * PORTS + port) * NV + vc;
+                    let st = &mut streams[si];
+                    if st.sent == st.len {
+                        if st.occupied {
+                            continue; // the previous packet's tail has not left
+                        }
+                        *st = Stream {
+                            sent: 0,
+                            len: 1 + draw(3) as u8,
+                            flow: draw(PORTS) as u32,
+                            occupied: true,
+                            ..*st
+                        };
+                    }
+                    if st.buffered == DEPTH {
+                        continue;
+                    }
+                    let mut flit = Flit::new(PacketSlot(si as u32), FlowId(st.flow), st.sent, st.len);
+                    flit.vc = Some(VcId(vc as u8));
+                    st.sent += 1;
+                    st.buffered += 1;
+                    let in_dir = Direction::from_index(port);
+                    swept.receive(r, in_dir, flit, cycle, &mut c);
+                    walked.receive(r, in_dir, flit, cycle, &mut c);
+                }
+
+                let head_out = |f: FlowId| (Direction::from_index(f.0 as usize), f.0);
+                let (mut deps, mut rels) = (Vec::new(), Vec::new());
+                for r in 0..N {
+                    let before = deps.len();
+                    swept.allocate(r, cycle, head_out, &mut c, &mut deps, &mut rels, &mut NoProbe);
+                    for dep in &deps[before..] {
+                        streams[dep.flit.pkt.0 as usize].buffered -= 1;
+                        if dep.flit.is_tail() {
+                            owed.push((r, dep.out_dir, dep.flit.vc.expect("granted a VC")));
+                        }
+                    }
+                }
+                for rel in &rels {
+                    let si = (usize::from(rel.router) * PORTS + rel.in_dir.index()) * NV;
+                    streams[si + usize::from(rel.vc.0)].occupied = false;
+                }
+                let (mut deps_w, mut rels_w) = (Vec::new(), Vec::new());
+                for w in 0..walked.active().num_words() {
+                    for r in walked.active().word(w) {
+                        walked.allocate(
+                            r, cycle, head_out, &mut c, &mut deps_w, &mut rels_w, &mut NoProbe,
+                        );
+                    }
+                }
+                proptest::prop_assert_eq!(format!("{deps:?}"), format!("{deps_w:?}"));
+                proptest::prop_assert_eq!(format!("{rels:?}"), format!("{rels_w:?}"));
+                for bank in [&swept, &walked] {
+                    let holding = (0..N).filter(|&r| bank.buffered[r] > 0);
+                    proptest::prop_assert!(bank.active().iter().eq(holding), "cycle {cycle}");
+                }
+            }
+            proptest::prop_assert!(c.sa_grants > 100, "the script must move flits: {c:?}");
         }
     }
 
