@@ -137,10 +137,12 @@ pub(crate) enum BoundaryEvent {
     /// A flit arriving at an endpoint owned by the receiving band.
     /// `meta` is the full packet metadata from the sending band's
     /// arena, re-interned (head) or matched (body/tail) on receipt;
-    /// `arrival` is the cycle the flit lands at the endpoint.
+    /// `arrival` is the cycle the flit lands at the endpoint, `leg`
+    /// the leg it travelled.
     Arrival {
         end: Endpoint,
         flit: Flit,
+        leg: u32,
         meta: PacketMeta,
         arrival: u64,
     },
@@ -255,7 +257,10 @@ pub(crate) struct Band {
     stop_credit: Vec<Option<CreditPath>>,
     /// Credit reverse paths for NIC endpoints, by local node index.
     nic_credit: Vec<Option<CreditPath>>,
-    arrivals: Vec<Vec<(Endpoint, Flit)>>,
+    /// Flits in flight by arrival slot: where each lands, and the leg
+    /// it travelled — at a stop router a head's next leg is the one
+    /// after it.
+    arrivals: Vec<Vec<(Endpoint, Flit, u32)>>,
     credit_ring: Vec<Vec<(Sender, VcId)>>,
     /// Arrivals scheduled but not yet applied (quiescence check).
     scheduled_arrivals: usize,
@@ -280,7 +285,7 @@ pub(crate) struct Band {
     /// not yet).
     rx_open: usize,
     /// Per-cycle scratch, reused so the steady state allocates nothing.
-    arrival_scratch: Vec<(Endpoint, Flit)>,
+    arrival_scratch: Vec<(Endpoint, Flit, u32)>,
     credit_scratch: Vec<(Sender, VcId)>,
     dep_scratch: Vec<RouterDeparture>,
     rel_scratch: Vec<CreditRelease>,
@@ -392,7 +397,7 @@ impl Band {
         let mut arrivals = std::mem::take(&mut self.arrival_scratch);
         std::mem::swap(&mut arrivals, &mut self.arrivals[slot]);
         self.scheduled_arrivals -= arrivals.len();
-        for (end, flit) in arrivals.drain(..) {
+        for (end, flit, leg) in arrivals.drain(..) {
             let l = self.local(end.node());
             match end {
                 Endpoint::Stop { router, in_dir } => {
@@ -404,8 +409,23 @@ impl Band {
                             kind: TraceKind::BufferWrite { router, in_dir },
                         });
                     }
-                    self.bank
-                        .receive(l, in_dir, flit, c.saturating_sub(1), &mut self.counters);
+                    // The route is carried, not searched: a plan's legs
+                    // are consecutive in the lut and each ends where the
+                    // next starts (`LegLut::new` asserts it), so the leg
+                    // out of this stop is the one after the leg in.
+                    let route = || {
+                        let next = leg + 1;
+                        debug_assert_eq!(lut.leg_idx_from(flit.flow, router), next);
+                        (lut.rec(next).out_dir, next)
+                    };
+                    self.bank.receive(
+                        l,
+                        in_dir,
+                        flit,
+                        c.saturating_sub(1),
+                        route,
+                        &mut self.counters,
+                    );
                 }
                 Endpoint::Nic { node } => {
                     let arrival_cycle = c - 1;
@@ -483,19 +503,8 @@ impl Band {
         rels.clear();
         for w in 0..self.bank.active().num_words() {
             for r in self.bank.active().word(w) {
-                let node = NodeId(self.start + r as u16);
-                self.bank.allocate(
-                    r,
-                    c,
-                    |flow| {
-                        let leg = lut.leg_idx_from(flow, node);
-                        (lut.rec(leg).out_dir, leg)
-                    },
-                    &mut self.counters,
-                    &mut deps,
-                    &mut rels,
-                    probe,
-                );
+                self.bank
+                    .allocate(r, c, &mut self.counters, &mut deps, &mut rels, probe);
             }
         }
         for dep in deps.drain(..) {
@@ -584,11 +593,12 @@ impl Band {
         let exported = seam.export(rec.end.node(), || BoundaryEvent::Arrival {
             end: rec.end,
             flit,
+            leg,
             meta: *arena.get(flit.pkt),
             arrival,
         });
         if !exported {
-            self.schedule_arrival(rec.end, flit, arrival);
+            self.schedule_arrival(rec.end, flit, leg, arrival);
         } else if flit.is_tail() {
             // Last local reference: flits traverse in order, so every
             // earlier flit of this packet has already left.
@@ -596,9 +606,9 @@ impl Band {
         }
     }
 
-    fn schedule_arrival(&mut self, end: Endpoint, flit: Flit, arrival: u64) {
+    fn schedule_arrival(&mut self, end: Endpoint, flit: Flit, leg: u32, arrival: u64) {
         let slot = ((arrival + 1) % RING as u64) as usize;
-        self.arrivals[slot].push((end, flit));
+        self.arrivals[slot].push((end, flit, leg));
         self.scheduled_arrivals += 1;
     }
 
@@ -640,6 +650,7 @@ impl Band {
                 BoundaryEvent::Arrival {
                     end,
                     mut flit,
+                    leg,
                     meta,
                     arrival,
                 } => {
@@ -663,7 +674,7 @@ impl Band {
                             panic!("body of {:?} crossed a band without its head", meta.id)
                         })
                     };
-                    self.schedule_arrival(end, flit, arrival);
+                    self.schedule_arrival(end, flit, leg, arrival);
                 }
             }
         }

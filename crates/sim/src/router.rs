@@ -1,4 +1,4 @@
-//! The router: input-port VC buffers, switch allocation with
+//! The router: input-port VCs, switch allocation with
 //! virtual-cut-through switch hold, and preset-aware output ports.
 //!
 //! The pipeline is the paper's 3-stage organization (Fig 6):
@@ -15,37 +15,59 @@
 //! releases the hold and triggers the credit that frees this router's
 //! input VC back at the upstream sender.
 //!
+//! # A VC holds a packet, not its flits
+//!
+//! Under virtual cut-through a VC is occupied by exactly one packet from
+//! the arrival of its head to the departure of its tail — which is why
+//! Table II's body and tail flits carry a 4-bit header (type + VC) and
+//! nothing else: everything more there is to know about a buffered flit
+//! is a fact of the VC it sits in. The bank stores it that way. One
+//! packed record per input VC holds the occupying packet's arena slot,
+//! flow and length, the sequence number of the flit at the front, and
+//! the packet's way out of this router — the output it requests and the
+//! leg that output starts — all written **once**, when the head is
+//! buffer-written. `receive` of a body or tail writes no flit anywhere:
+//! it checks that the flit is the next one of the occupying packet and
+//! bumps a count. `allocate` rebuilds a departing [`Flit`] from the
+//! record.
+//!
+//! The one per-flit fact is *when* each flit was buffer-written. A
+//! packet's flits need not arrive on consecutive cycles (the upstream
+//! stream loses input-port conflicts, or waits at its own stop), and
+//! each flit may arbitrate only two cycles after its own arrival, so
+//! when a flit departs the allocator must learn the readiness of the
+//! one behind it. That is the bank's only per-slot storage: a `u32`
+//! buffer-write stamp per flit of buffering, zero-initialised, in fixed
+//! rings indexed by sequence number.
+//!
+//! # Everything else
+//!
 //! The state of *all* routers lives in one [`RouterBank`]: flat
 //! structure-of-arrays storage indexed by `(router, port, vc)`, so the
-//! engine's per-cycle sweep walks dense arrays instead of chasing
+//! engine's per-cycle walk reads dense arrays instead of chasing
 //! per-router collections, and switch allocation reuses scratch buffers
 //! instead of allocating per call. Per-router occupancy is mirrored in a
 //! u64 bitset (one bit per `(port, vc)`), so allocation touches only the
-//! occupied VCs; body flits find their captured output through a
-//! reverse hold map instead of scanning the output ports; and each
-//! output's free-VC queue is a nibble-packed u64 FIFO, bit-exact with
-//! the `VecDeque` it replaced. The bank also owns the [`ActiveSet`] of
-//! routers with at least one buffered flit — `receive` adds a router,
-//! the `allocate` that pops its last flit removes it — which is what
-//! the engine walks instead of the whole bank. [`Router`] wraps a
-//! 1-router bank for standalone protocol tests.
+//! occupied VCs, and each output's free-VC queue is a nibble-packed u64
+//! FIFO, bit-exact with the `VecDeque` it replaced. The bank also owns
+//! the [`ActiveSet`] of routers with at least one buffered flit —
+//! `receive` adds a router, the `allocate` that pops its last flit
+//! removes it — which is what the engine walks instead of the whole
+//! bank. [`Router`] wraps a 1-router bank for standalone protocol tests.
 
 use crate::active::ActiveSet;
 use crate::counters::ActivityCounters;
-use crate::flit::{Flit, FlowId, VcId};
+use crate::flit::{Flit, FlowId, PacketSlot, VcId};
 use crate::forward::FlowTable;
 use crate::telemetry::{NoProbe, Probe, StallCause};
 use crate::topology::{Direction, NodeId, PORTS};
-
-/// Sentinel in the reverse hold map: this input VC holds no output.
-const HOLD_NONE: u8 = 0xFF;
 
 /// Most VCs per port: a router's occupancy bitset packs `5 * vcs` input
 /// VCs into a `u64`, free-VC queues pack VC ids into nibbles, and a
 /// NIC's reception mask is a `u16`.
 pub const MAX_VCS_PER_PORT: usize = 12;
 
-/// Most flits of buffering per VC: ring cursors are `u8`.
+/// Most flits of buffering per VC: a VC's flit count is a `u8`.
 pub const MAX_VC_DEPTH: usize = 255;
 
 /// A free-VC queue packed into one u64, one nibble per entry.
@@ -121,10 +143,9 @@ pub struct RouterDeparture {
     pub flit: Flit,
     /// Output direction granted.
     pub out_dir: Direction,
-    /// Opaque route token from the allocator's `head_out` lookup: heads
-    /// carry the token returned for them, body flits the one their
-    /// head's grant captured. The engine passes leg indices through
-    /// here so the launch path never re-resolves the route.
+    /// Opaque route token handed to [`RouterBank::receive`] with the
+    /// packet's head. The engine passes leg indices through here so the
+    /// launch path never re-resolves the route.
     pub leg: u32,
 }
 
@@ -161,16 +182,16 @@ pub struct RouterBank {
     /// slot `r` to node `r`, while a standalone [`Router`] pins its own
     /// node id here so protocol panics name the right router.
     base_node: u16,
-    /// Buffered `(flit, buffer-write cycle)` pairs: all input VC queues
-    /// in one contiguous slab of fixed `depth`-slot rings (`buf[qi *
-    /// depth ..]` with the [`VcState`] cursors), so the hot front-flit
-    /// reads and push/pop walk one dense allocation instead of chasing
-    /// per-queue heap buffers. Write cycles are stored as `u32` (16-byte
-    /// slots instead of 24); `receive` checks the range.
-    buf: Vec<(Flit, u32)>,
-    /// Hot per-input-VC state, one packed record per `(router, port,
-    /// vc)` — a busy router's allocation touches a couple of cache
-    /// lines here instead of one line per field-array.
+    /// Buffer-write cycle of every buffered flit: one fixed ring of
+    /// `depth` stamps per input VC (`buf[qi * depth ..]`), flit `seq`
+    /// of the occupying packet at slot `seq % depth`. Read only when a
+    /// flit departs, to learn when the one behind it may arbitrate;
+    /// zero-initialised, so an idle fabric's slab is never touched.
+    /// Stamps are `u32`; `receive` checks the range.
+    buf: Vec<u32>,
+    /// The packet occupying each input VC, one packed record per
+    /// `(router, port, vc)` — a busy router's allocation touches a
+    /// couple of cache lines here and nothing per flit.
     vcs: Vec<VcState>,
     /// Per-router occupancy bitset: bit `port * num_vcs + vc` is set
     /// while that input VC buffers at least one flit.
@@ -188,29 +209,30 @@ pub struct RouterBank {
     in_enabled: Vec<bool>,
 }
 
-/// Hot state of one input VC, packed into a single record.
+/// One input VC: the packet occupying it and how much of it is here.
+/// Everything but `len`, `seq` and `front_ready` is written once, when
+/// the head is buffer-written, and is stale while `occupied` is false.
 #[derive(Debug, Clone, Copy)]
 struct VcState {
-    /// Ring cursor: index of the front slot in this VC's slab ring.
-    head: u8,
-    /// Buffered flits.
+    /// Buffered flits: sequence numbers `seq .. seq + len`.
     len: u8,
-    /// Cached output index requested by the current front flit, or
-    /// [`HOLD_NONE`] when not yet computed. A head's route lookup is
-    /// pure in `(flow, router)`, so while the same flit waits at the
-    /// front the allocator reuses this instead of re-resolving the
-    /// route every cycle; any push-to-empty or pop invalidates it.
-    front_out: u8,
-    /// Reverse hold map: the output index this VC currently holds, or
-    /// [`HOLD_NONE`] — O(1) lookup for body flits following their
-    /// head's grant.
-    hold_in: u8,
+    /// Sequence number of the front flit — with nothing buffered, of
+    /// the flit that must arrive next.
+    seq: u8,
+    /// Flits in the occupying packet.
+    num_flits: u8,
+    /// Output index the packet requests, then holds until its tail
+    /// passes.
+    out: u8,
     /// `true` while a packet occupies the VC (head arrived, tail not
     /// yet departed).
     occupied: bool,
-    /// Route token returned by `head_out` alongside `front_out`; valid
-    /// exactly when `front_out` is.
-    front_leg: u32,
+    /// Arena slot of the occupying packet.
+    pkt: PacketSlot,
+    /// Its flow.
+    flow: FlowId,
+    /// Route token handed in with the head; carried on every departure.
+    leg: u32,
     /// Cycle at which the front flit becomes SA-eligible (its arrival
     /// + 2 pipeline cycles); `u32::MAX` when the queue is empty.
     front_ready: u32,
@@ -218,12 +240,14 @@ struct VcState {
 
 impl VcState {
     const IDLE: VcState = VcState {
-        head: 0,
         len: 0,
-        front_out: HOLD_NONE,
-        hold_in: HOLD_NONE,
+        seq: 0,
+        num_flits: 0,
+        out: 0,
         occupied: false,
-        front_leg: 0,
+        pkt: PacketSlot(0),
+        flow: FlowId(0),
+        leg: 0,
         front_ready: u32::MAX,
     };
 }
@@ -233,9 +257,9 @@ impl VcState {
 struct OutState {
     /// Free VCs at the output's leg endpoint.
     free_vcs: VcFifo,
-    /// `(input port, input vc, endpoint vc, route token)` holding the
-    /// switch until the tail passes.
-    held: Option<(u8, u8, VcId, u32)>,
+    /// `(input port, input vc, endpoint vc)` holding the switch until
+    /// the tail passes.
+    held: Option<(u8, u8, VcId)>,
     /// Round-robin pointer of the output's arbiter over `ports × vcs`
     /// requesters: the index with highest priority next grant.
     arb_next: u8,
@@ -268,25 +292,15 @@ impl RouterBank {
             "bitset router state supports at most {MAX_VCS_PER_PORT} VCs per port"
         );
         assert!(depth > 0, "need at least one buffer slot");
-        assert!(depth <= MAX_VC_DEPTH, "ring cursors are u8");
+        assert!(depth <= MAX_VC_DEPTH, "a VC's flit count is a u8");
         let nq = n * PORTS * num_vcs;
         let np = n * PORTS;
-        const EMPTY: (Flit, u32) = (
-            Flit {
-                pkt: crate::flit::PacketSlot(0),
-                flow: FlowId(0),
-                seq: 0,
-                num_flits: 1,
-                vc: None,
-            },
-            0,
-        );
         RouterBank {
             n,
             num_vcs,
             depth,
             base_node: 0,
-            buf: vec![EMPTY; nq * depth],
+            buf: vec![0; nq * depth],
             vcs: vec![VcState::IDLE; nq],
             nonempty: vec![0; n],
             buffered: vec![0; n],
@@ -307,31 +321,6 @@ impl RouterBank {
     /// router instead of a region-relative index.
     pub fn set_base_node(&mut self, base: NodeId) {
         self.base_node = base.0;
-    }
-
-    /// Front entry of input-VC ring `qi` (caller checks non-empty).
-    #[inline]
-    fn q_front(&self, qi: usize) -> &(Flit, u32) {
-        &self.buf[qi * self.depth + self.vcs[qi].head as usize]
-    }
-
-    /// Append to input-VC ring `qi` (caller checks capacity).
-    #[inline]
-    fn q_push(&mut self, qi: usize, entry: (Flit, u32)) {
-        let vc = &mut self.vcs[qi];
-        let pos = (vc.head as usize + vc.len as usize) % self.depth;
-        vc.len += 1;
-        self.buf[qi * self.depth + pos] = entry;
-    }
-
-    /// Pop the front of input-VC ring `qi` (caller checks non-empty).
-    #[inline]
-    fn q_pop(&mut self, qi: usize) -> (Flit, u32) {
-        let vc = &mut self.vcs[qi];
-        let head = vc.head as usize;
-        vc.head = ((head + 1) % self.depth) as u8;
-        vc.len -= 1;
-        self.buf[qi * self.depth + head]
     }
 
     /// Number of routers in the bank.
@@ -435,55 +424,85 @@ impl RouterBank {
     /// Buffer-write a flit arriving at router `r` (end-of-cycle `cycle`
     /// arrival) into input `in_dir`, VC `flit.vc`.
     ///
+    /// A head claims the VC for its packet and fixes the packet's way
+    /// out of this router: `route` is called for heads only and returns
+    /// the output direction the packet requests here plus an opaque
+    /// route token carried on its departures (the engine passes the
+    /// index of the leg that leaves this router, the standalone
+    /// [`Router`] a [`FlowTable`] lookup). A body or tail stores
+    /// nothing but its buffer-write stamp.
+    ///
     /// # Panics
     ///
     /// Panics on protocol violations: missing VC allocation, overflow,
-    /// a head arriving into an occupied VC, or a body arriving into an
-    /// idle one.
+    /// a head arriving into an occupied VC, a body arriving into an
+    /// idle one, or a body that is not the next flit of the packet
+    /// occupying the VC.
     pub fn receive(
         &mut self,
         r: usize,
         in_dir: Direction,
         flit: Flit,
         cycle: u64,
+        route: impl FnOnce() -> (Direction, u32),
         counters: &mut ActivityCounters,
     ) {
+        let node = self.node_of(r);
         let vc = flit
             .vc
-            .unwrap_or_else(|| panic!("{}: flit arrived without a VC", self.node_of(r)));
+            .unwrap_or_else(|| panic!("{node}: flit arrived without a VC"));
         let pv = in_dir.index() * self.num_vcs + vc.0 as usize;
         let qi = r * PORTS * self.num_vcs + pv;
+        let st = &mut self.vcs[qi];
         if flit.is_head() {
             assert!(
-                !self.vcs[qi].occupied && self.vcs[qi].len == 0,
-                "{}: head of {:?} arrived into occupied {vc} at input {in_dir}",
-                self.node_of(r),
+                !st.occupied && st.len == 0,
+                "{node}: head of {:?} arrived into occupied {vc} at input {in_dir}",
                 flit.pkt
             );
-            self.vcs[qi].occupied = true;
+            let (out, leg) = route();
+            *st = VcState {
+                len: 0,
+                seq: 0,
+                num_flits: flit.num_flits,
+                out: out.index() as u8,
+                occupied: true,
+                pkt: flit.pkt,
+                flow: flit.flow,
+                leg,
+                front_ready: u32::MAX,
+            };
         } else {
             assert!(
-                self.vcs[qi].occupied,
-                "{}: body/tail arrived into idle {vc} at input {in_dir}",
-                self.node_of(r)
+                st.occupied,
+                "{node}: body/tail arrived into idle {vc} at input {in_dir}"
             );
+            assert!(
+                flit.pkt == st.pkt && u16::from(flit.seq) == u16::from(st.seq) + u16::from(st.len),
+                "{node}: flit {} of {:?} arrived out of order into {vc} at input {in_dir}, \
+                 which holds {:?} and expects flit {}",
+                flit.seq,
+                flit.pkt,
+                st.pkt,
+                u16::from(st.seq) + u16::from(st.len)
+            );
+            debug_assert_eq!((flit.flow, flit.num_flits), (st.flow, st.num_flits));
         }
         assert!(
-            usize::from(self.vcs[qi].len) < self.depth,
-            "{}: buffer overflow at input {in_dir} {vc}",
-            self.node_of(r)
+            usize::from(st.len) < self.depth,
+            "{node}: buffer overflow at input {in_dir} {vc}"
         );
-        // Ready stamps are u32 so buffer slots stay 16 bytes; a run
-        // would need ~4 billion cycles to reach this.
+        // Ready stamps are u32 so a slot is 4 bytes; a run would need
+        // ~4 billion cycles to reach this.
         assert!(
             cycle < u64::from(u32::MAX) - 2,
             "cycle count exceeds the u32 buffer-stamp range"
         );
-        if self.vcs[qi].len == 0 {
-            self.vcs[qi].front_ready = cycle as u32 + 2;
-            self.vcs[qi].front_out = HOLD_NONE;
+        if st.len == 0 {
+            st.front_ready = cycle as u32 + 2;
         }
-        self.q_push(qi, (flit, cycle as u32));
+        st.len += 1;
+        self.buf[qi * self.depth + usize::from(flit.seq) % self.depth] = cycle as u32;
         self.nonempty[r] |= 1 << pv;
         self.buffered[r] += 1;
         self.active.insert(r);
@@ -495,11 +514,9 @@ impl RouterBank {
     /// departures (flits entering ST in cycle `cycle + 1`) and credits
     /// released by departing tails into the caller's scratch vectors.
     ///
-    /// `head_out` resolves the output direction an SA-eligible head flit
-    /// requests at this router, plus an opaque route token carried on
-    /// the resulting departures (the engine passes a [`LegLut`] lookup
-    /// returning the leg index, the standalone [`Router`] a
-    /// [`FlowTable`] one).
+    /// Nothing is resolved here: every VC record already names the
+    /// output its packet wants (see [`RouterBank::receive`]), and a
+    /// departing flit is rebuilt from that record.
     ///
     /// The probe observes SSR traffic (Section III): every head flit
     /// presenting a request is a *setup*; a setup that wins its output,
@@ -508,14 +525,10 @@ impl RouterBank {
     /// setup is a *deny* with a [`StallCause`] — a premature stop.
     /// Streaming body/tail flits ride an established hold and are not
     /// SSR traffic. Per window, `setups == grants + stalls` exactly.
-    ///
-    /// [`LegLut`]: crate::forward::LegLut
-    #[allow(clippy::too_many_arguments)]
     pub fn allocate<P: Probe>(
         &mut self,
         r: usize,
         cycle: u64,
-        head_out: impl Fn(FlowId) -> (Direction, u32),
         counters: &mut ActivityCounters,
         departures: &mut Vec<RouterDeparture>,
         credits: &mut Vec<CreditRelease>,
@@ -543,26 +556,21 @@ impl RouterBank {
         while occ != 0 {
             let pv = occ.trailing_zeros() as usize;
             occ &= occ - 1;
-            let st = self.vcs[base_q + pv];
+            let st = &self.vcs[base_q + pv];
             if u64::from(st.front_ready) > cycle {
                 continue; // still in BW or just arrived
             }
-            let out = if st.hold_in != HOLD_NONE {
-                // Body/tail follow the hold their head captured.
-                st.hold_in
-            } else if st.front_out != HOLD_NONE {
-                st.front_out
-            } else {
-                let (flit, _) = self.q_front(base_q + pv);
-                if !flit.is_head() {
-                    continue; // head not granted yet
-                }
-                let (dir, leg) = head_out(flit.flow);
-                let o = dir.index() as u8;
-                self.vcs[base_q + pv].front_out = o;
-                self.vcs[base_q + pv].front_leg = leg;
-                o
-            };
+            // A head requests its packet's output; body and tail follow
+            // the hold the head captured on that same output.
+            let out = st.out;
+            debug_assert!(
+                st.seq == 0
+                    || self.outs[base_p + usize::from(out)]
+                        .held
+                        .is_some_and(|(p, v, _)| usize::from(p) * nv + usize::from(v) == pv),
+                "{}: a body flit is at the front of a VC that holds no output",
+                self.node_of(r)
+            );
             out_req[usize::from(out)] |= 1 << pv;
             out_mask |= 1 << out;
         }
@@ -588,7 +596,7 @@ impl RouterBank {
             if !ost.enabled {
                 continue;
             }
-            if let Some((hp, hv, _, _)) = ost.held {
+            if let Some((hp, hv, _)) = ost.held {
                 let pvh = hp as usize * nv + hv as usize;
                 if out_req[o] & (1 << pvh) != 0 {
                     winners[o] = (hp, hv, false);
@@ -687,13 +695,50 @@ impl RouterBank {
             let oi = base_p + o;
             let pv = p as usize * nv + v as usize;
             let qi = base_q + pv;
-            let (mut flit, _) = self.q_pop(qi);
-            self.vcs[qi].front_out = HOLD_NONE;
-            if self.vcs[qi].len == 0 {
-                self.vcs[qi].front_ready = u32::MAX;
+            let endpoint_vc = if is_new {
+                if P::ENABLED {
+                    probe.on_ssr_grant();
+                }
+                let vc = self.outs[oi]
+                    .free_vcs
+                    .pop()
+                    .expect("head grant requires a free VC");
+                self.outs[oi].held = Some((p, v, vc));
+                vc
+            } else {
+                self.outs[oi].held.expect("streaming under a hold").2
+            };
+            // The departing flit is the VC record plus its position.
+            let st = &mut self.vcs[qi];
+            let flit = Flit {
+                pkt: st.pkt,
+                flow: st.flow,
+                seq: st.seq,
+                num_flits: st.num_flits,
+                vc: Some(endpoint_vc),
+            };
+            let leg = st.leg;
+            st.seq += 1;
+            st.len -= 1;
+            if st.len == 0 {
+                st.front_ready = u32::MAX;
                 self.nonempty[r] &= !(1 << pv);
             } else {
-                self.vcs[qi].front_ready = self.q_front(qi).1 + 2;
+                st.front_ready = self.buf[qi * self.depth + usize::from(st.seq) % self.depth] + 2;
+            }
+            if flit.is_tail() {
+                assert!(
+                    self.vcs[qi].len == 0,
+                    "{}: tail departed but flits remain behind it",
+                    self.node_of(r)
+                );
+                self.vcs[qi].occupied = false;
+                self.outs[oi].held = None;
+                credits.push(CreditRelease {
+                    router: r as u16,
+                    in_dir: Direction::from_index(p as usize),
+                    vc: VcId(v),
+                });
             }
             self.buffered[r] -= 1;
             if self.buffered[r] == 0 {
@@ -702,38 +747,6 @@ impl RouterBank {
             self.total_buffered -= 1;
             counters.buffer_reads += 1;
             counters.sa_grants += 1;
-            let (endpoint_vc, leg) = if is_new {
-                if P::ENABLED {
-                    probe.on_ssr_grant();
-                }
-                let vc = self.outs[oi]
-                    .free_vcs
-                    .pop()
-                    .expect("head grant requires a free VC");
-                let leg = self.vcs[qi].front_leg;
-                self.outs[oi].held = Some((p, v, vc, leg));
-                self.vcs[qi].hold_in = o as u8;
-                (vc, leg)
-            } else {
-                let (_, _, vc, leg) = self.outs[oi].held.expect("streaming under a hold");
-                (vc, leg)
-            };
-            flit.vc = Some(endpoint_vc);
-            if flit.is_tail() {
-                self.outs[oi].held = None;
-                self.vcs[qi].hold_in = HOLD_NONE;
-                assert!(
-                    self.vcs[qi].len == 0,
-                    "{}: tail departed but flits remain behind it",
-                    self.node_of(r)
-                );
-                self.vcs[qi].occupied = false;
-                credits.push(CreditRelease {
-                    router: r as u16,
-                    in_dir: Direction::from_index(p as usize),
-                    vc: VcId(v),
-                });
-            }
             departures.push(RouterDeparture {
                 flit,
                 out_dir: Direction::from_index(o),
@@ -816,21 +829,26 @@ impl Router {
     }
 
     /// Buffer-write an arriving flit (end-of-cycle `cycle` arrival) into
-    /// input `in_dir`, VC `flit.vc`.
+    /// input `in_dir`, VC `flit.vc`. A head's output is looked up in
+    /// `flows` here, once for the whole packet.
     ///
     /// # Panics
     ///
     /// Panics on protocol violations: missing VC allocation, overflow,
-    /// a head arriving into an occupied VC, or a body arriving into an
-    /// idle one.
+    /// a head arriving into an occupied VC, a body arriving into an
+    /// idle one, or a body that is not the next flit of the packet
+    /// occupying the VC.
     pub fn receive(
         &mut self,
         in_dir: Direction,
         flit: Flit,
         cycle: u64,
+        flows: &FlowTable,
         counters: &mut ActivityCounters,
     ) {
-        self.bank.receive(0, in_dir, flit, cycle, counters);
+        let node = self.node();
+        let route = || (flows.leg_from(flit.flow, node).out_dir, 0);
+        self.bank.receive(0, in_dir, flit, cycle, route, counters);
     }
 
     /// Run switch allocation for `cycle` and return departures (flits
@@ -839,16 +857,13 @@ impl Router {
     pub fn allocate(
         &mut self,
         cycle: u64,
-        flows: &FlowTable,
         counters: &mut ActivityCounters,
     ) -> (Vec<RouterDeparture>, Vec<CreditRelease>) {
         let mut departures = Vec::new();
         let mut credits = Vec::new();
-        let node = self.node();
         self.bank.allocate(
             0,
             cycle,
-            |flow| (flows.leg_from(flow, node).out_dir, 0),
             counters,
             &mut departures,
             &mut credits,
@@ -913,12 +928,12 @@ mod tests {
         let mut c = ActivityCounters::new();
         let mut head = packet_flits(1, FlowId(0), 2).remove(0);
         head.vc = Some(VcId(0));
-        r.receive(Direction::Core, head, 5, &mut c);
+        r.receive(Direction::Core, head, 5, &flows, &mut c);
         // SA at cycle 6 is too early (BW happens during 6).
-        let (d, _) = r.allocate(6, &flows, &mut c);
+        let (d, _) = r.allocate(6, &mut c);
         assert!(d.is_empty());
         // SA at cycle 7 grants.
-        let (d, _) = r.allocate(7, &flows, &mut c);
+        let (d, _) = r.allocate(7, &mut c);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].out_dir, Direction::East);
         assert_eq!(c.sa_grants, 1);
@@ -934,12 +949,12 @@ mod tests {
         // 4-flit packet arrives on consecutive cycles.
         for (i, mut f) in packet_flits(1, FlowId(0), 4).into_iter().enumerate() {
             f.vc = Some(VcId(0));
-            r.receive(Direction::Core, f, 10 + i as u64, &mut c);
+            r.receive(Direction::Core, f, 10 + i as u64, &flows, &mut c);
         }
         let mut sent = Vec::new();
         let mut credits = Vec::new();
         for cycle in 12..=15 {
-            let (d, cr) = r.allocate(cycle, &flows, &mut c);
+            let (d, cr) = r.allocate(cycle, &mut c);
             sent.extend(d);
             credits.extend(cr);
         }
@@ -967,12 +982,12 @@ mod tests {
         r.bank.outs[Direction::East.index()].free_vcs.clear();
         let mut head = packet_flits(1, FlowId(0), 1).remove(0);
         head.vc = Some(VcId(0));
-        r.receive(Direction::Core, head, 0, &mut c);
-        let (d, _) = r.allocate(10, &flows, &mut c);
+        r.receive(Direction::Core, head, 0, &flows, &mut c);
+        let (d, _) = r.allocate(10, &mut c);
         assert!(d.is_empty(), "head must wait for a credit");
         // A credit arrives; now it goes.
         r.credit(Direction::East, VcId(1));
-        let (d, _) = r.allocate(11, &flows, &mut c);
+        let (d, _) = r.allocate(11, &mut c);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].flit.vc, Some(VcId(1)));
     }
@@ -991,12 +1006,12 @@ mod tests {
         for (flow, vc, slot) in [(FlowId(0), VcId(0), 10), (FlowId(1), VcId(1), 11)] {
             for (i, mut f) in packet_flits(slot, flow, 3).into_iter().enumerate() {
                 f.vc = Some(vc);
-                r.receive(Direction::Core, f, i as u64, &mut c);
+                r.receive(Direction::Core, f, i as u64, &flows, &mut c);
             }
         }
         let mut order = Vec::new();
         for cycle in 5..14 {
-            let (d, _) = r.allocate(cycle, &flows, &mut c);
+            let (d, _) = r.allocate(cycle, &mut c);
             for dep in d {
                 order.push((dep.flit.pkt, dep.flit.kind()));
             }
@@ -1029,16 +1044,16 @@ mod tests {
         // Packet A (flow 0, 3 flits) into vc0 at cycles 0..2.
         for (i, mut f) in packet_flits(1, FlowId(0), 3).into_iter().enumerate() {
             f.vc = Some(VcId(0));
-            r.receive(Direction::Core, f, i as u64, &mut c);
+            r.receive(Direction::Core, f, i as u64, &flows, &mut c);
         }
         // Packet B (flow 1, 1 flit) into vc1 at cycle 0 as well.
         let mut head_b = packet_flits(2, FlowId(1), 1).remove(0);
         head_b.vc = Some(VcId(1));
-        r.receive(Direction::Core, head_b, 0, &mut c);
+        r.receive(Direction::Core, head_b, 0, &flows, &mut c);
 
         let mut order = Vec::new();
         for cycle in 2..10 {
-            let (d, _) = r.allocate(cycle, &flows, &mut c);
+            let (d, _) = r.allocate(cycle, &mut c);
             for dep in d {
                 order.push((cycle, dep.out_dir, dep.flit.pkt));
             }
@@ -1081,10 +1096,11 @@ mod tests {
     fn overflow_panics() {
         let mut r = Router::new(NodeId(0), 1, 2);
         r.enable_input(Direction::Core);
+        let flows = table();
         let mut c = ActivityCounters::new();
         for (i, mut f) in packet_flits(1, FlowId(0), 3).into_iter().enumerate() {
             f.vc = Some(VcId(0));
-            r.receive(Direction::Core, f, i as u64, &mut c);
+            r.receive(Direction::Core, f, i as u64, &flows, &mut c);
         }
     }
 
@@ -1161,15 +1177,15 @@ mod tests {
                     st.sent += 1;
                     st.buffered += 1;
                     let in_dir = Direction::from_index(port);
-                    swept.receive(r, in_dir, flit, cycle, &mut c);
-                    walked.receive(r, in_dir, flit, cycle, &mut c);
+                    let route = || (Direction::from_index(flit.flow.0 as usize), flit.flow.0);
+                    swept.receive(r, in_dir, flit, cycle, route, &mut c);
+                    walked.receive(r, in_dir, flit, cycle, route, &mut c);
                 }
 
-                let head_out = |f: FlowId| (Direction::from_index(f.0 as usize), f.0);
                 let (mut deps, mut rels) = (Vec::new(), Vec::new());
                 for r in 0..N {
                     let before = deps.len();
-                    swept.allocate(r, cycle, head_out, &mut c, &mut deps, &mut rels, &mut NoProbe);
+                    swept.allocate(r, cycle, &mut c, &mut deps, &mut rels, &mut NoProbe);
                     for dep in &deps[before..] {
                         streams[dep.flit.pkt.0 as usize].buffered -= 1;
                         if dep.flit.is_tail() {
@@ -1184,9 +1200,7 @@ mod tests {
                 let (mut deps_w, mut rels_w) = (Vec::new(), Vec::new());
                 for w in 0..walked.active().num_words() {
                     for r in walked.active().word(w) {
-                        walked.allocate(
-                            r, cycle, head_out, &mut c, &mut deps_w, &mut rels_w, &mut NoProbe,
-                        );
+                        walked.allocate(r, cycle, &mut c, &mut deps_w, &mut rels_w, &mut NoProbe);
                     }
                 }
                 proptest::prop_assert_eq!(format!("{deps:?}"), format!("{deps_w:?}"));
