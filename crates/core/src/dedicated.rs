@@ -87,8 +87,12 @@ pub struct DedicatedNoc {
     counters: ActivityCounters,
     stats: SimStats,
     stats_from: u64,
-    /// In-flight arrivals to shared sinks / NICs: (apply_cycle, flow, flit).
+    /// In-flight arrivals to shared sinks / NICs by apply slot:
+    /// (flow index, flit).
     arrivals: Vec<Vec<(usize, DFlit)>>,
+    /// Per-cycle scratch, reused so the steady state allocates nothing.
+    arrival_scratch: Vec<(usize, DFlit)>,
+    eligible_scratch: Vec<bool>,
 }
 
 const RING: usize = 8;
@@ -147,6 +151,8 @@ impl DedicatedNoc {
             stats: SimStats::new(),
             stats_from: 0,
             arrivals: vec![Vec::new(); RING],
+            arrival_scratch: Vec::new(),
+            eligible_scratch: Vec::new(),
         }
     }
 
@@ -196,9 +202,11 @@ impl DedicatedNoc {
         let c = self.cycle;
         let slot = (c % RING as u64) as usize;
 
-        // 1. Arrivals scheduled for end of cycle c-1.
-        let arrivals = std::mem::take(&mut self.arrivals[slot]);
-        for (fi, flit) in arrivals {
+        // 1. Arrivals scheduled for end of cycle c-1 (swapped out through
+        // the scratch buffer so ring-slot capacity is reused).
+        let mut arrivals = std::mem::take(&mut self.arrival_scratch);
+        std::mem::swap(&mut arrivals, &mut self.arrivals[slot]);
+        for (fi, flit) in arrivals.drain(..) {
             if self.shared_sink[fi] {
                 let dst = self.flows[fi].dst;
                 let sink = self.sinks.get_mut(&dst).expect("shared sink exists");
@@ -209,9 +217,10 @@ impl DedicatedNoc {
                     .expect("flow registered at its sink");
                 sink.queues[qi].push_back((flit, c - 1));
             } else {
-                self.deliver(fi, flit, c - 1);
+                self.deliver(flit, c - 1);
             }
         }
+        self.arrival_scratch = arrivals;
 
         // 2. Injection: every flow's private wire can carry one flit per
         // cycle (no source serialization across flows).
@@ -242,13 +251,15 @@ impl DedicatedNoc {
 
         // 3. Shared sinks: BW (cycle after arrival), SA, then ST into the
         // NIC — one flit per cycle per destination, packet-granular hold.
-        let mut deliveries: Vec<(usize, DFlit, u64)> = Vec::new();
-        for sink in self.sinks.values_mut() {
-            let eligible: Vec<bool> = sink
-                .queues
-                .iter()
-                .map(|q| q.front().is_some_and(|(_, arr)| arr + 2 <= c))
-                .collect();
+        let mut sinks = std::mem::take(&mut self.sinks);
+        let mut eligible = std::mem::take(&mut self.eligible_scratch);
+        for sink in sinks.values_mut() {
+            eligible.clear();
+            eligible.extend(
+                sink.queues
+                    .iter()
+                    .map(|q| q.front().is_some_and(|(_, arr)| arr + 2 <= c)),
+            );
             let winner = match sink.held {
                 Some(h) if eligible[h] => Some(h),
                 Some(_) => None,
@@ -257,13 +268,11 @@ impl DedicatedNoc {
             let Some(w) = winner else { continue };
             let (flit, _) = sink.queues[w].pop_front().expect("eligible has front");
             sink.held = if flit.is_tail { None } else { Some(w) };
-            let fi = self.flow_index[&sink.flows[w]];
             // ST during c+1; NIC arrival end of c+1.
-            deliveries.push((fi, flit, c + 1));
+            self.deliver(flit, c + 1);
         }
-        for (fi, flit, when) in deliveries {
-            self.deliver(fi, flit, when);
-        }
+        self.sinks = sinks;
+        self.eligible_scratch = eligible;
 
         self.counters.cycles += 1;
         self.cycle += 1;
@@ -271,7 +280,7 @@ impl DedicatedNoc {
 
     /// Record a flit reaching its destination NIC at the end of
     /// `arrival_cycle`.
-    fn deliver(&mut self, fi: usize, flit: DFlit, arrival_cycle: u64) {
+    fn deliver(&mut self, flit: DFlit, arrival_cycle: u64) {
         self.counters.flits_delivered += 1;
         let measured = flit.gen_cycle >= self.stats_from;
         if flit.is_head && measured {
@@ -286,7 +295,6 @@ impl DedicatedNoc {
                 self.stats.record_tail(flit.flow, lat);
             }
         }
-        let _ = fi;
     }
 
     /// Run `cycles` cycles pulling from `traffic`.

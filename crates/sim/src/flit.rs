@@ -4,13 +4,23 @@
 //! head flit carries a 20-bit header (route + VC + type) and whose body
 //! and tail flits carry 4-bit headers (type + VC).
 //!
-//! The simulation mirrors the hardware's economy: the per-packet fields
-//! (source, destination, generation/injection cycles, original
-//! [`PacketId`]) are interned **once** into a [`PacketArena`] when the
-//! packet enters its source NIC, and the [`Flit`] that moves through
-//! queues, crossbars and links is a small fixed-size `Copy` record — an
-//! arena slot plus the per-flit header (flow, sequence, VC) — instead of
-//! a ~64-byte struct cloned on every hop.
+//! The simulation mirrors the hardware's economy at both levels:
+//!
+//! * **Per packet.** The fields that never change (source, destination,
+//!   generation/injection cycles, original [`PacketId`]) are interned
+//!   **once** into a [`PacketArena`] when the packet enters its source
+//!   NIC and reached through an arena slot.
+//! * **Per flit.** A [`Flit`] is the small fixed-size `Copy` record that
+//!   *moves* — out of a NIC, through the arrival rings, across a band
+//!   boundary, into a NIC — and it names its packet, flow, position and
+//!   VC so each of those places can check what it was handed. It is
+//!   **not** what a router buffers. A body flit's 4-bit header is
+//!   enough in hardware because under virtual cut-through the VC it
+//!   sits in belongs to one packet from head to tail; the
+//!   [`RouterBank`](crate::router::RouterBank) keeps the same books: a
+//!   VC records its packet when the head arrives, a body or tail
+//!   arriving behind it is checked against that record and counted, and
+//!   the `Flit` that departs is rebuilt from the record.
 
 use crate::route::SourceRoute;
 use crate::topology::{NodeId, Topology};
@@ -61,15 +71,15 @@ pub enum FlitKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct PacketSlot(pub u32);
 
-/// One flit in flight: the small fixed-size record moved through VC
-/// queues and links every cycle. Per-packet fields live in the
-/// [`PacketArena`], reached through `pkt`.
+/// One flit in flight: the small fixed-size record moved through NIC
+/// queues, links and arrival rings every cycle. Per-packet fields live
+/// in the [`PacketArena`], reached through `pkt`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Arena slot of the packet this flit belongs to.
     pub pkt: PacketSlot,
-    /// Flow this packet belongs to (kept inline: switch allocation
-    /// resolves the output port from it every cycle).
+    /// Flow this packet belongs to (kept inline: injection finds the
+    /// first leg from it, traces and statistics are keyed by it).
     pub flow: FlowId,
     /// Index within the packet (0 = head).
     pub seq: u8,

@@ -316,29 +316,22 @@ impl FlowTable {
     }
 }
 
-/// Dense per-cycle leg lookup compiled once from a [`FlowTable`].
+/// Dense per-cycle leg records compiled once from a [`FlowTable`].
 ///
 /// [`FlowTable`] is the mutable, validated source of truth; its lookups
 /// hash `(FlowId, NodeId)` keys, which is fine at build time but not in
 /// the engine's per-cycle hot path. `LegLut` flattens every plan's legs
-/// into one dense array and resolves `(flow, router)` through a direct
-/// flow index plus a tiny sorted per-flow table, so switch allocation
-/// and link launches never touch a `HashMap`.
+/// into one dense array **in travel order**, so the engine never looks
+/// a route up: an injected head starts on its flow's first leg, and a
+/// head that arrived on leg `i` leaves its stop router on leg `i + 1`.
+/// [`LegLut::new`] asserts the chain that makes this true.
 #[derive(Debug, Clone)]
 pub struct LegLut {
     index: FlowIndex,
-    /// Every leg of every plan, flattened in dense-flow order.
-    legs: Vec<Segment>,
-    /// Dense flow → index of its injection leg in `legs`.
+    /// Dense flow → index of its injection leg in `recs`.
     first: Vec<u32>,
-    /// `(stop router, leg index)` pairs for all flows in one flat CSR
-    /// array: flow `d`'s pairs, sorted by router, live at
-    /// `per[per_start[d] .. per_start[d + 1]]`. One contiguous
-    /// allocation keeps the allocator's per-head route lookup off
-    /// scattered per-flow heap buffers.
-    per_start: Vec<u32>,
-    per: Vec<(u16, u32)>,
-    /// Hot launch-path facts per leg, parallel to `legs`.
+    /// Hot launch-path facts of every leg of every plan, each plan's
+    /// legs consecutive and in travel order.
     recs: Vec<LegRec>,
     /// Precomputed dense link indices (`node * 5 + dir`) of every leg's
     /// links, flattened; a leg's slice starts at its `links_start`.
@@ -380,47 +373,48 @@ enum FlowIndex {
 }
 
 impl LegLut {
-    /// Compile the lookup tables for `flows`.
+    /// Compile the leg records for `flows`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if some leg of a plan does not start at the router the
+    /// leg before it ends at. [`FlowTable::insert`] already refuses
+    /// such a plan; the chain is restated here because this layout is
+    /// what turns it into the engine's route.
     #[must_use]
     pub fn new(flows: &FlowTable) -> Self {
         let mut plans: Vec<&FlowPlan> = flows.iter().collect();
         plans.sort_by_key(|p| p.flow);
-        let mut legs = Vec::new();
         let mut first = Vec::with_capacity(plans.len());
-        let mut per_start = Vec::with_capacity(plans.len() + 1);
-        let mut per: Vec<(u16, u32)> = Vec::new();
-        for plan in &plans {
-            first.push(legs.len() as u32);
-            per_start.push(per.len() as u32);
-            let row = per.len();
-            for (i, leg) in plan.legs.iter().enumerate() {
-                if i > 0 {
-                    if let Sender::RouterOutput(r, _) = leg.sender {
-                        per.push((r.0, legs.len() as u32));
-                    }
-                }
-                legs.push(leg.clone());
-            }
-            per[row..].sort_unstable_by_key(|(r, _)| *r);
-        }
-        per_start.push(per.len() as u32);
+        let mut recs: Vec<LegRec> = Vec::new();
         let mut link_idx = Vec::new();
-        let mut recs = Vec::with_capacity(legs.len());
-        for leg in &legs {
-            let links_start = link_idx.len() as u32;
-            for link in &leg.links {
-                link_idx.push(link.from.0 as u32 * PORTS as u32 + link.dir.index() as u32);
+        for plan in &plans {
+            first.push(recs.len() as u32);
+            for (i, leg) in plan.legs.iter().enumerate() {
+                // What the engine's `leg + 1` relies on.
+                assert!(
+                    i == 0 || recs[recs.len() - 1].end.node() == leg.sender.node(),
+                    "{}: leg {i} starts at {} but leg {} ends at {}",
+                    plan.flow,
+                    leg.sender.node(),
+                    i - 1,
+                    recs[recs.len() - 1].end.node()
+                );
+                let links_start = link_idx.len() as u32;
+                for link in &leg.links {
+                    link_idx.push(link.from.0 as u32 * PORTS as u32 + link.dir.index() as u32);
+                }
+                recs.push(LegRec {
+                    links_start,
+                    n_links: leg.links.len() as u8,
+                    cycles: leg.cycles,
+                    out_dir: leg.out_dir,
+                    sender: leg.sender,
+                    crossbars: leg.crossbars(),
+                    mm: leg.link_mm(),
+                    end: leg.end,
+                });
             }
-            recs.push(LegRec {
-                links_start,
-                n_links: leg.links.len() as u8,
-                cycles: leg.cycles,
-                out_dir: leg.out_dir,
-                sender: leg.sender,
-                crossbars: leg.crossbars(),
-                mm: leg.link_mm(),
-                end: leg.end,
-            });
         }
         let max_id = plans.iter().map(|p| p.flow.0 as usize).max().unwrap_or(0);
         let index = if max_id <= 8 * plans.len() + 1024 {
@@ -440,65 +434,31 @@ impl LegLut {
         };
         LegLut {
             index,
-            legs,
             first,
-            per_start,
-            per,
             recs,
             link_idx,
         }
     }
 
-    /// Dense index of `flow`.
-    fn dense(&self, flow: FlowId) -> usize {
+    /// Index of the injection leg of `flow`, for [`LegLut::rec`]; the
+    /// flow's later legs follow it consecutively.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flow is unknown.
+    #[must_use]
+    pub fn first_leg_idx(&self, flow: FlowId) -> u32 {
         let d = match &self.index {
             FlowIndex::Direct(ids) => ids.get(flow.0 as usize).copied().unwrap_or(u32::MAX),
             FlowIndex::Hashed(map) => map.get(&flow).copied().unwrap_or(u32::MAX),
         };
         assert!(d != u32::MAX, "no plan for {flow}");
-        d as usize
+        self.first[d as usize]
     }
 
-    /// The injection leg of `flow` (starts at the source NIC).
-    #[must_use]
-    pub fn first_leg(&self, flow: FlowId) -> &Segment {
-        &self.legs[self.first_leg_idx(flow) as usize]
-    }
-
-    /// Index of the injection leg of `flow`, for [`LegLut::rec`].
-    #[must_use]
-    pub fn first_leg_idx(&self, flow: FlowId) -> u32 {
-        self.first[self.dense(flow)]
-    }
-
-    /// The leg departing stop router `router` for `flow`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flow is unknown or does not stop at that router.
-    #[must_use]
-    pub fn leg_from(&self, flow: FlowId, router: NodeId) -> &Segment {
-        &self.legs[self.leg_idx_from(flow, router) as usize]
-    }
-
-    /// Index of the leg departing stop router `router` for `flow`, for
-    /// [`LegLut::rec`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flow is unknown or does not stop at that router.
-    #[must_use]
-    pub fn leg_idx_from(&self, flow: FlowId, router: NodeId) -> u32 {
-        let d = self.dense(flow);
-        let per = &self.per[self.per_start[d] as usize..self.per_start[d + 1] as usize];
-        match per.binary_search_by_key(&router.0, |(r, _)| *r) {
-            Ok(i) => per[i].1,
-            Err(_) => panic!("{flow} does not stop at {router}"),
-        }
-    }
-
-    /// The launch-path record of leg `leg` (an index from
-    /// [`LegLut::first_leg_idx`] or [`LegLut::leg_idx_from`]).
+    /// The launch-path record of leg `leg`: an index from
+    /// [`LegLut::first_leg_idx`], or the successor of the leg a head
+    /// arrived on.
     #[must_use]
     pub fn rec(&self, leg: u32) -> &LegRec {
         &self.recs[leg as usize]
@@ -509,13 +469,6 @@ impl LegLut {
     pub fn rec_links(&self, rec: &LegRec) -> &[u32] {
         let s = rec.links_start as usize;
         &self.link_idx[s..s + rec.n_links as usize]
-    }
-
-    /// Output direction of the leg departing `router` for `flow` — the
-    /// switch allocator's per-head route lookup.
-    #[must_use]
-    pub fn out_dir_from(&self, flow: FlowId, router: NodeId) -> Direction {
-        self.leg_from(flow, router).out_dir
     }
 }
 
@@ -649,45 +602,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn leg_lut_agrees_with_flow_table() {
-        // Sparse, shuffled flow ids exercise both the direct index and
-        // the per-flow router tables.
-        let flows = vec![
-            (
-                FlowId(7),
-                SourceRoute::xy(mesh(), NodeId(0), NodeId(3)).unwrap(),
-            ),
-            (
-                FlowId(0),
-                SourceRoute::xy(mesh(), NodeId(4), NodeId(6)).unwrap(),
-            ),
-            (
-                FlowId(3),
-                SourceRoute::xy(mesh(), NodeId(12), NodeId(0)).unwrap(),
-            ),
-        ];
-        let table = FlowTable::mesh_baseline(mesh(), &flows);
-        let lut = LegLut::new(&table);
-        for (flow, _) in &flows {
-            let plan = table.plan(*flow);
-            assert_eq!(lut.first_leg(*flow), &plan.legs[0]);
-            for leg in plan.legs.iter().skip(1) {
-                if let Sender::RouterOutput(r, _) = leg.sender {
-                    assert_eq!(lut.leg_from(*flow, r), leg, "{flow} at {r}");
-                    assert_eq!(lut.out_dir_from(*flow, r), leg.out_dir);
+    /// Every plan's legs sit consecutively in the lut, in travel order,
+    /// record for record, and each starts where the one before ended.
+    fn assert_lut_follows_plans(table: &FlowTable) {
+        let lut = LegLut::new(table);
+        for plan in table.iter() {
+            let first = lut.first_leg_idx(plan.flow);
+            for (j, leg) in plan.legs.iter().enumerate() {
+                let rec = lut.rec(first + j as u32);
+                assert_eq!(
+                    (rec.sender, rec.out_dir, rec.end, rec.cycles),
+                    (leg.sender, leg.out_dir, leg.end, leg.cycles),
+                    "{} leg {j}",
+                    plan.flow
+                );
+                assert_eq!(rec.crossbars, leg.crossbars());
+                let links: Vec<u32> = leg
+                    .links
+                    .iter()
+                    .map(|l| u32::from(l.from.0) * PORTS as u32 + l.dir.index() as u32)
+                    .collect();
+                assert_eq!(lut.rec_links(rec), links, "{} leg {j}", plan.flow);
+                if j > 0 {
+                    let prev = lut.rec(first + j as u32 - 1);
+                    assert_eq!(prev.end.node(), rec.sender.node(), "{} leg {j}", plan.flow);
+                    assert!(matches!(prev.end, Endpoint::Stop { .. }));
                 }
             }
         }
+        let legs: usize = table.iter().map(|p| p.legs.len()).sum();
+        assert_eq!(lut.recs.len(), legs, "plans share no lut entries");
     }
 
     #[test]
-    #[should_panic(expected = "does not stop at")]
-    fn leg_lut_rejects_non_stop_router() {
+    fn leg_lut_lays_plans_out_in_travel_order() {
+        // Sparse, shuffled flow ids exercise the direct index.
+        let sparse = [(7, 0, 3), (0, 4, 6), (3, 12, 0)].map(|(f, s, d)| {
+            let route = SourceRoute::xy(mesh(), NodeId(s), NodeId(d)).unwrap();
+            (FlowId(f), route)
+        });
+        assert_lut_follows_plans(&FlowTable::mesh_baseline(mesh(), &sparse));
+        // Ids far apart take the hashed index.
+        let far = [(5_000_000, 1, 14), (9, 2, 8)].map(|(f, s, d)| {
+            let route = SourceRoute::xy(mesh(), NodeId(s), NodeId(d)).unwrap();
+            (FlowId(f), route)
+        });
+        assert_lut_follows_plans(&FlowTable::mesh_baseline(mesh(), &far));
+        // Every pair of a 6x6 torus: routes that cross the wrap seam.
+        let torus = Topology::torus(6, 6);
+        let mut all = Vec::new();
+        for s in torus.nodes() {
+            for d in torus.nodes().filter(|d| *d != s) {
+                let route = SourceRoute::xy(torus, s, d).unwrap();
+                all.push((FlowId(all.len() as u32), route));
+            }
+        }
+        assert_lut_follows_plans(&FlowTable::mesh_baseline(torus, &all));
+    }
+
+    #[test]
+    #[should_panic(expected = "f0: leg 2 starts at n2 but leg 1 ends at n1")]
+    fn leg_lut_refuses_a_plan_whose_legs_do_not_chain() {
         let route = SourceRoute::xy(mesh(), NodeId(0), NodeId(3)).unwrap();
-        let table = FlowTable::mesh_baseline(mesh(), &[(FlowId(0), route)]);
-        let lut = LegLut::new(&table);
-        let _ = lut.leg_from(FlowId(0), NodeId(12));
+        let mut table = FlowTable::mesh_baseline(mesh(), &[(FlowId(0), route)]);
+        // Legs: inject, 0→1, 1→2, 2→3, eject. Swapped, leg 2 leaves
+        // router 2 although leg 1 ended at router 1.
+        table.plans.get_mut(&FlowId(0)).unwrap().legs.swap(2, 3);
+        let _ = LegLut::new(&table);
     }
 
     #[test]
@@ -696,7 +677,7 @@ mod tests {
         let route = SourceRoute::xy(mesh(), NodeId(0), NodeId(3)).unwrap();
         let table = FlowTable::mesh_baseline(mesh(), &[(FlowId(0), route)]);
         let lut = LegLut::new(&table);
-        let _ = lut.first_leg(FlowId(99));
+        let _ = lut.first_leg_idx(FlowId(99));
     }
 
     #[test]

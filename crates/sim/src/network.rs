@@ -414,9 +414,9 @@ impl Band {
                     // next starts (`LegLut::new` asserts it), so the leg
                     // out of this stop is the one after the leg in.
                     let route = || {
-                        let next = leg + 1;
-                        debug_assert_eq!(lut.leg_idx_from(flit.flow, router), next);
-                        (lut.rec(next).out_dir, next)
+                        let next = lut.rec(leg + 1);
+                        debug_assert_eq!(next.sender.node(), router);
+                        (next.out_dir, leg + 1)
                     };
                     self.bank.receive(
                         l,

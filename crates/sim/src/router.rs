@@ -191,7 +191,7 @@ pub struct RouterBank {
     buf: Vec<u32>,
     /// The packet occupying each input VC, one packed record per
     /// `(router, port, vc)` — a busy router's allocation touches a
-    /// couple of cache lines here and nothing per flit.
+    /// couple of cache lines here, plus one stamp per departing flit.
     vcs: Vec<VcState>,
     /// Per-router occupancy bitset: bit `port * num_vcs + vc` is set
     /// while that input VC buffers at least one flit.
@@ -1104,98 +1104,420 @@ mod tests {
         }
     }
 
+    /// The refusals the packet-granular record adds: with no flit
+    /// stored, `receive` itself must notice a body that is not the next
+    /// flit of the packet occupying the VC. Each case feeds the same
+    /// flits to a standalone [`Router`] (`bank == false`) or straight to
+    /// a [`RouterBank`].
+    fn receive_all(bank: bool, flits: &[Flit]) {
+        let flows = table();
+        let mut c = ActivityCounters::new();
+        let mut router = prepared_router();
+        let mut bare = RouterBank::new(1, 2, 10);
+        for (i, f) in flits.iter().enumerate() {
+            let flit = Flit {
+                vc: Some(VcId(0)),
+                ..*f
+            };
+            if bank {
+                let route = || (Direction::East, 0);
+                bare.receive(0, Direction::Core, flit, i as u64, route, &mut c);
+            } else {
+                router.receive(Direction::Core, flit, i as u64, &flows, &mut c);
+            }
+        }
+    }
+
+    /// Head and first body of packet 1, then flit `seq` of packet `pkt`.
+    fn two_flits_then(pkt: u32, seq: u8) -> Vec<Flit> {
+        let mut flits = packet_flits(1, FlowId(0), 4);
+        flits.truncate(2);
+        flits.push(Flit::new(PacketSlot(pkt), FlowId(0), seq, 4));
+        flits
+    }
+
+    #[test]
+    #[should_panic(expected = "flit 2 of PacketSlot(9) arrived out of order")]
+    fn bank_refuses_a_body_of_another_packet() {
+        receive_all(true, &two_flits_then(9, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "flit 2 of PacketSlot(9) arrived out of order")]
+    fn router_refuses_a_body_of_another_packet() {
+        receive_all(false, &two_flits_then(9, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "holds PacketSlot(1) and expects flit 2")]
+    fn bank_refuses_a_skipped_seq() {
+        receive_all(true, &two_flits_then(1, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "holds PacketSlot(1) and expects flit 2")]
+    fn router_refuses_a_skipped_seq() {
+        receive_all(false, &two_flits_then(1, 3));
+    }
+
+    #[test]
+    #[should_panic(expected = "holds PacketSlot(1) and expects flit 2")]
+    fn bank_refuses_a_repeated_seq() {
+        receive_all(true, &two_flits_then(1, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "holds PacketSlot(1) and expects flit 2")]
+    fn router_refuses_a_repeated_seq() {
+        receive_all(false, &two_flits_then(1, 1));
+    }
+
+    /// A random but legal load for a bank with every port enabled: one
+    /// stream of packets per input VC, each flit offered in order while
+    /// its VC has room, a head only once the previous tail has left,
+    /// and every endpoint VC a departing tail took handed back a few
+    /// cycles later. Most traffic lands on a few routers either side of
+    /// a 64-router set-word boundary, so the rest of the bank stays
+    /// drained.
+    struct Load {
+        rng: u64,
+        n: usize,
+        nv: usize,
+        depth: usize,
+        /// Indexed like the bank's input VCs.
+        streams: Vec<Stream>,
+        /// Endpoint VCs taken by departed tails, to hand back later.
+        owed: Vec<(usize, Direction, VcId)>,
+    }
+
+    #[derive(Clone, Copy, Default)]
+    struct Stream {
+        packets: u32,
+        sent: u8,
+        len: u8,
+        buffered: usize,
+        occupied: bool,
+        flow: u32,
+    }
+
+    /// The route a load's head takes: output and token both follow from
+    /// the flow id.
+    fn load_route(flow: FlowId) -> (Direction, u32) {
+        (Direction::from_index(flow.0 as usize % PORTS), flow.0)
+    }
+
+    impl Load {
+        fn new(seed: u64, n: usize, nv: usize, depth: usize) -> Load {
+            Load {
+                rng: seed,
+                n,
+                nv,
+                depth,
+                streams: vec![Stream::default(); n * PORTS * nv],
+                owed: Vec::new(),
+            }
+        }
+
+        fn draw(&mut self, n: usize) -> usize {
+            self.rng ^= self.rng << 13;
+            self.rng ^= self.rng >> 7;
+            self.rng ^= self.rng << 17;
+            (self.rng % n as u64) as usize
+        }
+
+        fn bank(&self) -> RouterBank {
+            let mut bank = RouterBank::new(self.n, self.nv, self.depth);
+            for r in 0..self.n {
+                for d in 0..PORTS {
+                    bank.enable_input(r, Direction::from_index(d));
+                    bank.enable_output(r, Direction::from_index(d));
+                }
+            }
+            bank
+        }
+
+        /// The credits that come back this cycle.
+        fn credits(&mut self) -> Vec<(usize, Direction, VcId)> {
+            let owed = std::mem::take(&mut self.owed);
+            let (back, kept) = owed.into_iter().partition(|_| self.draw(3) == 0);
+            self.owed = kept;
+            back
+        }
+
+        /// The flits that arrive this cycle: `(router, input, flit)`.
+        fn arrivals(&mut self) -> Vec<(usize, Direction, Flit)> {
+            let hot = [0, 1, 62, 63, 64, self.n - 1];
+            let mut out = Vec::new();
+            for _ in 0..6 {
+                let r = if self.draw(8) == 0 {
+                    self.draw(self.n)
+                } else {
+                    hot[self.draw(hot.len())]
+                };
+                let (port, vc) = (self.draw(PORTS), self.draw(self.nv));
+                let si = (r * PORTS + port) * self.nv + vc;
+                if self.streams[si].sent == self.streams[si].len {
+                    if self.streams[si].occupied {
+                        continue; // the previous packet's tail has not left
+                    }
+                    // Some packets are longer than the VC is deep.
+                    let len = 1 + self.draw(self.depth.min(6) + 3) as u8;
+                    let flow = self.draw(50) as u32;
+                    let st = &mut self.streams[si];
+                    *st = Stream {
+                        packets: st.packets + 1,
+                        sent: 0,
+                        len,
+                        flow,
+                        occupied: true,
+                        ..*st
+                    };
+                }
+                let st = &mut self.streams[si];
+                if st.buffered == self.depth {
+                    continue;
+                }
+                // The slot names the stream (low bits) and the packet.
+                let slot = PacketSlot(st.packets << 16 | si as u32);
+                let mut flit = Flit::new(slot, FlowId(st.flow), st.sent, st.len);
+                flit.vc = Some(VcId(vc as u8));
+                st.sent += 1;
+                st.buffered += 1;
+                out.push((r, Direction::from_index(port), flit));
+            }
+            out
+        }
+
+        /// Account for one cycle's departures and credit releases.
+        fn departed(&mut self, deps: &[RouterDeparture], rels: &[CreditRelease]) {
+            for dep in deps {
+                let si = (dep.flit.pkt.0 & 0xFFFF) as usize;
+                self.streams[si].buffered -= 1;
+                if dep.flit.is_tail() {
+                    let r = si / (PORTS * self.nv);
+                    self.owed
+                        .push((r, dep.out_dir, dep.flit.vc.expect("granted a VC")));
+                }
+            }
+            for rel in rels {
+                let si = (usize::from(rel.router) * PORTS + rel.in_dir.index()) * self.nv;
+                self.streams[si + usize::from(rel.vc.0)].occupied = false;
+            }
+        }
+    }
+
+    /// What the bank does, restated the slow way: every input VC a
+    /// `VecDeque` of whole flits with their arrival cycles, the route
+    /// resolved from the front flit when it arbitrates, one
+    /// [`RoundRobin`](crate::arbiter::RoundRobin) per output.
+    struct RefBank {
+        nv: usize,
+        vcs: Vec<RefVc>,
+        outs: Vec<RefOut>,
+    }
+
+    #[derive(Clone, Default)]
+    struct RefVc {
+        q: std::collections::VecDeque<(Flit, u64)>,
+        /// Output this VC's packet holds.
+        hold: Option<usize>,
+    }
+
+    #[derive(Clone)]
+    struct RefOut {
+        free: std::collections::VecDeque<VcId>,
+        /// `(input vc index within the router, endpoint vc, token)`.
+        held: Option<(usize, VcId, u32)>,
+        arb: crate::arbiter::RoundRobin,
+    }
+
+    impl RefBank {
+        fn new(n: usize, nv: usize) -> RefBank {
+            let out = RefOut {
+                free: (0..nv as u8).map(VcId).collect(),
+                held: None,
+                arb: crate::arbiter::RoundRobin::new(PORTS * nv),
+            };
+            RefBank {
+                nv,
+                vcs: vec![RefVc::default(); n * PORTS * nv],
+                outs: vec![out; n * PORTS],
+            }
+        }
+
+        fn credit(&mut self, r: usize, dir: Direction, vc: VcId) {
+            self.outs[r * PORTS + dir.index()].free.push_back(vc);
+        }
+
+        fn receive(
+            &mut self,
+            r: usize,
+            in_dir: Direction,
+            flit: Flit,
+            cycle: u64,
+            c: &mut ActivityCounters,
+        ) {
+            let vc = usize::from(flit.vc.expect("has a VC").0);
+            let qi = (r * PORTS + in_dir.index()) * self.nv + vc;
+            self.vcs[qi].q.push_back((flit, cycle));
+            c.buffer_writes += 1;
+        }
+
+        fn allocate(
+            &mut self,
+            r: usize,
+            cycle: u64,
+            c: &mut ActivityCounters,
+            deps: &mut Vec<RouterDeparture>,
+            rels: &mut Vec<CreditRelease>,
+        ) {
+            let nv = self.nv;
+            let vcs = &mut self.vcs[r * PORTS * nv..(r + 1) * PORTS * nv];
+            let outs = &mut self.outs[r * PORTS..(r + 1) * PORTS];
+            if vcs.iter().all(|vc| vc.q.is_empty()) {
+                return;
+            }
+            // Who wants which output, and the token a new head brings.
+            let mut want = vec![vec![false; PORTS * nv]; PORTS];
+            let mut token = vec![0; PORTS * nv];
+            for (pv, vc) in vcs.iter().enumerate() {
+                let Some((front, arrived)) = vc.q.front() else {
+                    continue;
+                };
+                if arrived + 2 > cycle {
+                    continue;
+                }
+                let out = match vc.hold {
+                    Some(o) => o,
+                    None => {
+                        assert!(front.is_head(), "a body at the front holds no output");
+                        let (dir, tok) = load_route(front.flow);
+                        token[pv] = tok;
+                        dir.index()
+                    }
+                };
+                want[out][pv] = true;
+            }
+            // (output, input vc, new head?) in ascending output order.
+            let mut winners: Vec<(usize, usize, bool)> = Vec::new();
+            for (o, out) in outs.iter_mut().enumerate() {
+                if !want[o].contains(&true) {
+                    continue;
+                }
+                if let Some((pv, _, _)) = out.held {
+                    if want[o][pv] {
+                        winners.push((o, pv, false));
+                    }
+                } else if !out.free.is_empty() {
+                    c.sa_requests += want[o].iter().filter(|w| **w).count() as u64;
+                    winners.push((o, out.arb.grant(&want[o]).expect("someone asked"), true));
+                }
+            }
+            // One flit per input port; streams before new heads.
+            let mut taken = [false; PORTS];
+            let mut lost = Vec::new();
+            for new_head in [false, true] {
+                for &(o, pv, is_new) in winners.iter().filter(|w| w.2 == new_head) {
+                    if std::mem::replace(&mut taken[pv / nv], true) {
+                        lost.push((o, pv, is_new));
+                    }
+                }
+            }
+            winners.retain(|w| !lost.contains(w));
+            for (o, pv, is_new) in winners {
+                let (mut flit, _) = vcs[pv].q.pop_front().expect("winner has a front");
+                c.buffer_reads += 1;
+                c.sa_grants += 1;
+                if is_new {
+                    let vc = outs[o].free.pop_front().expect("checked non-empty");
+                    outs[o].held = Some((pv, vc, token[pv]));
+                    vcs[pv].hold = Some(o);
+                }
+                let (_, vc, leg) = outs[o].held.expect("held by the winner");
+                flit.vc = Some(vc);
+                if flit.is_tail() {
+                    outs[o].held = None;
+                    vcs[pv].hold = None;
+                    rels.push(CreditRelease {
+                        router: r as u16,
+                        in_dir: Direction::from_index(pv / nv),
+                        vc: VcId((pv % nv) as u8),
+                    });
+                }
+                deps.push(RouterDeparture {
+                    flit,
+                    out_dir: Direction::from_index(o),
+                    leg,
+                });
+            }
+        }
+    }
+
     proptest::proptest! {
+        /// The packet-granular bank against [`RefBank`] over the same
+        /// legal load: the same departures — every field of every
+        /// rebuilt flit, its output and its route token — the same
+        /// credit releases and the same counters after every cycle.
+        #[test]
+        fn bank_departs_what_a_whole_flit_model_departs(
+            seed in 1u64..u64::MAX,
+            nv in 1usize..=MAX_VCS_PER_PORT,
+            depth in 1usize..=MAX_VC_DEPTH,
+        ) {
+            const N: usize = 70;
+            let mut load = Load::new(seed, N, nv, depth);
+            let mut bank = load.bank();
+            let mut model = RefBank::new(N, nv);
+            let (mut c, mut c_ref) = (ActivityCounters::new(), ActivityCounters::new());
+            for cycle in 0..300u64 {
+                for (r, dir, vc) in load.credits() {
+                    bank.credit(r, dir, vc);
+                    model.credit(r, dir, vc);
+                }
+                for (r, in_dir, flit) in load.arrivals() {
+                    bank.receive(r, in_dir, flit, cycle, || load_route(flit.flow), &mut c);
+                    model.receive(r, in_dir, flit, cycle, &mut c_ref);
+                }
+                let (mut deps, mut rels) = (Vec::new(), Vec::new());
+                let (mut deps_ref, mut rels_ref) = (Vec::new(), Vec::new());
+                for r in 0..N {
+                    bank.allocate(r, cycle, &mut c, &mut deps, &mut rels, &mut NoProbe);
+                    model.allocate(r, cycle, &mut c_ref, &mut deps_ref, &mut rels_ref);
+                }
+                proptest::prop_assert_eq!(format!("{deps:?}"), format!("{deps_ref:?}"));
+                proptest::prop_assert_eq!(format!("{rels:?}"), format!("{rels_ref:?}"));
+                proptest::prop_assert_eq!(c, c_ref, "cycle {}", cycle);
+                load.departed(&deps, &rels);
+            }
+            proptest::prop_assert!(c.sa_grants > 100, "the script must move flits: {c:?}");
+        }
+
         /// Drive two clones of a multi-router bank through the same legal
-        /// `receive` / `credit` stream; allocate one over `0..n` (the
-        /// `buffered == 0` early return skipping the drained routers) and
-        /// the other over its active set. Both must produce the same
-        /// departures and credits, and the set must be exactly the
-        /// routers holding flits after every step.
+        /// load; allocate one over `0..n` (the `buffered == 0` early
+        /// return skipping the drained routers) and the other over its
+        /// active set. Both must produce the same departures and
+        /// credits, and the set must be exactly the routers holding
+        /// flits after every step.
         #[test]
         fn active_set_is_exactly_the_routers_holding_flits(seed in 1u64..u64::MAX) {
             const N: usize = 70; // two set words
-            const NV: usize = 2;
-            const DEPTH: usize = 4;
-            let mut rng = seed;
-            let mut draw = |n: usize| {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                (rng % n as u64) as usize
-            };
-            let mut swept = RouterBank::new(N, NV, DEPTH);
-            for r in 0..N {
-                for d in 0..PORTS {
-                    swept.enable_input(r, Direction::from_index(d));
-                    swept.enable_output(r, Direction::from_index(d));
-                }
-            }
+            let mut load = Load::new(seed, N, 2, 4);
+            let mut swept = load.bank();
             let mut walked = swept.clone();
-            // One flit stream per input VC, indexed like the bank's
-            // queues; `flit.pkt` carries the stream index back out.
-            #[derive(Clone, Copy, Default)]
-            struct Stream { sent: u8, len: u8, buffered: usize, occupied: bool, flow: u32 }
-            let mut streams = vec![Stream::default(); N * PORTS * NV];
-            // Endpoint VCs taken by departed tails, to hand back later.
-            let mut owed: Vec<(usize, Direction, VcId)> = Vec::new();
             let mut c = ActivityCounters::new();
-            // Most traffic lands on a few routers either side of the
-            // word boundary, so the rest of the bank stays drained.
-            let hot = [0, 1, 62, 63, 64, 69];
-
             for cycle in 0..300u64 {
-                owed.retain(|&(r, dir, vc)| {
-                    let back = draw(3) == 0;
-                    if back {
-                        swept.credit(r, dir, vc);
-                        walked.credit(r, dir, vc);
-                    }
-                    !back
-                });
-                for _ in 0..4 {
-                    let r = if draw(8) == 0 { draw(N) } else { hot[draw(hot.len())] };
-                    let (port, vc) = (draw(PORTS), draw(NV));
-                    let si = (r * PORTS + port) * NV + vc;
-                    let st = &mut streams[si];
-                    if st.sent == st.len {
-                        if st.occupied {
-                            continue; // the previous packet's tail has not left
-                        }
-                        *st = Stream {
-                            sent: 0,
-                            len: 1 + draw(3) as u8,
-                            flow: draw(PORTS) as u32,
-                            occupied: true,
-                            ..*st
-                        };
-                    }
-                    if st.buffered == DEPTH {
-                        continue;
-                    }
-                    let mut flit = Flit::new(PacketSlot(si as u32), FlowId(st.flow), st.sent, st.len);
-                    flit.vc = Some(VcId(vc as u8));
-                    st.sent += 1;
-                    st.buffered += 1;
-                    let in_dir = Direction::from_index(port);
-                    let route = || (Direction::from_index(flit.flow.0 as usize), flit.flow.0);
+                for (r, dir, vc) in load.credits() {
+                    swept.credit(r, dir, vc);
+                    walked.credit(r, dir, vc);
+                }
+                for (r, in_dir, flit) in load.arrivals() {
+                    let route = || load_route(flit.flow);
                     swept.receive(r, in_dir, flit, cycle, route, &mut c);
                     walked.receive(r, in_dir, flit, cycle, route, &mut c);
                 }
-
                 let (mut deps, mut rels) = (Vec::new(), Vec::new());
                 for r in 0..N {
-                    let before = deps.len();
                     swept.allocate(r, cycle, &mut c, &mut deps, &mut rels, &mut NoProbe);
-                    for dep in &deps[before..] {
-                        streams[dep.flit.pkt.0 as usize].buffered -= 1;
-                        if dep.flit.is_tail() {
-                            owed.push((r, dep.out_dir, dep.flit.vc.expect("granted a VC")));
-                        }
-                    }
-                }
-                for rel in &rels {
-                    let si = (usize::from(rel.router) * PORTS + rel.in_dir.index()) * NV;
-                    streams[si + usize::from(rel.vc.0)].occupied = false;
                 }
                 let (mut deps_w, mut rels_w) = (Vec::new(), Vec::new());
                 for w in 0..walked.active().num_words() {
@@ -1209,6 +1531,7 @@ mod tests {
                     let holding = (0..N).filter(|&r| bank.buffered[r] > 0);
                     proptest::prop_assert!(bank.active().iter().eq(holding), "cycle {cycle}");
                 }
+                load.departed(&deps, &rels);
             }
             proptest::prop_assert!(c.sa_grants > 100, "the script must move flits: {c:?}");
         }

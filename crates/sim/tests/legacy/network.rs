@@ -16,7 +16,7 @@
 
 use crate::counters::ActivityCounters;
 use crate::flit::{Flit, Packet, VcId};
-use crate::forward::{Endpoint, FlowTable, LegLut, Segment, Sender};
+use crate::forward::{Endpoint, FlowTable, Segment, Sender};
 use crate::nic::{Nic, RxEvent};
 use crate::router::{CreditRelease, RouterBank, RouterDeparture};
 use crate::stats::SimStats;
@@ -101,8 +101,6 @@ struct Flight {
 pub struct Network {
     cfg: SimConfig,
     flows: FlowTable,
-    /// Dense leg lookup compiled from `flows` at build time.
-    lut: LegLut,
     bank: RouterBank,
     nics: Vec<Nic>,
     /// Credit reverse paths for stop endpoints, indexed
@@ -185,12 +183,10 @@ impl Network {
 
         let enabled_ports: u64 = (0..n).map(|r| bank.enabled_ports(r) as u64).sum();
         let total_ports = (n * 10) as u64; // 5 in + 5 out per router
-        let lut = LegLut::new(&flows);
 
         Network {
             cfg,
             flows,
-            lut,
             bank,
             nics,
             stop_credit,
@@ -426,7 +422,7 @@ impl Network {
         for k in 0..self.active_nics.len() {
             let i = self.active_nics[k] as usize;
             if let Some(flit) = self.nics[i].try_inject(c, &mut self.counters) {
-                let leg = self.lut.first_leg(flit.flow);
+                let leg = &self.flows.plan(flit.flow).legs[0];
                 debug_assert!(matches!(leg.sender, Sender::Nic(n) if n.0 as usize == i));
                 launch(
                     leg,
@@ -457,19 +453,19 @@ impl Network {
                 continue;
             }
             let node = NodeId(r as u16);
-            let lut = &self.lut;
+            let flows = &self.flows;
             deps.clear();
             rels.clear();
             self.bank.allocate(
                 r,
                 c,
-                |flow| lut.out_dir_from(flow, node),
+                |flow| flows.leg_from(flow, node).out_dir,
                 &mut self.counters,
                 &mut deps,
                 &mut rels,
             );
             for dep in deps.drain(..) {
-                let leg = self.lut.leg_from(dep.flit.flow, node);
+                let leg = self.flows.leg_from(dep.flit.flow, node);
                 assert_eq!(leg.out_dir, dep.out_dir, "plan/grant mismatch at {node}");
                 launch(
                     leg,
