@@ -211,22 +211,20 @@ pub struct RouterBank {
 
 /// One input VC: the packet occupying it and how much of it is here.
 /// Everything but `len`, `seq` and `front_ready` is written once, when
-/// the head is buffer-written, and is stale while `occupied` is false.
+/// the head is buffer-written, and is stale once the tail has left.
 #[derive(Debug, Clone, Copy)]
 struct VcState {
     /// Buffered flits: sequence numbers `seq .. seq + len`.
     len: u8,
     /// Sequence number of the front flit — with nothing buffered, of
-    /// the flit that must arrive next.
+    /// the flit that must arrive next. Reaches `num_flits` when the
+    /// tail departs, which is what frees the VC.
     seq: u8,
-    /// Flits in the occupying packet.
+    /// Flits in the occupying packet (0 before the first).
     num_flits: u8,
     /// Output index the packet requests, then holds until its tail
     /// passes.
     out: u8,
-    /// `true` while a packet occupies the VC (head arrived, tail not
-    /// yet departed).
-    occupied: bool,
     /// Arena slot of the occupying packet.
     pkt: PacketSlot,
     /// Its flow.
@@ -244,12 +242,17 @@ impl VcState {
         seq: 0,
         num_flits: 0,
         out: 0,
-        occupied: false,
         pkt: PacketSlot(0),
         flow: FlowId(0),
         leg: 0,
         front_ready: u32::MAX,
     };
+
+    /// `true` while a packet occupies the VC (head arrived, tail not
+    /// yet departed).
+    fn occupied(&self) -> bool {
+        self.seq < self.num_flits
+    }
 }
 
 /// Hot state of one output port, packed into a single record.
@@ -321,6 +324,12 @@ impl RouterBank {
     /// router instead of a region-relative index.
     pub fn set_base_node(&mut self, base: NodeId) {
         self.base_node = base.0;
+    }
+
+    /// Index in `buf` of the stamp of flit `seq` in input VC `qi`.
+    #[inline]
+    fn stamp_slot(&self, qi: usize, seq: u8) -> usize {
+        qi * self.depth + usize::from(seq) % self.depth
     }
 
     /// Number of routers in the bank.
@@ -456,7 +465,7 @@ impl RouterBank {
         let st = &mut self.vcs[qi];
         if flit.is_head() {
             assert!(
-                !st.occupied && st.len == 0,
+                !st.occupied() && st.len == 0,
                 "{node}: head of {:?} arrived into occupied {vc} at input {in_dir}",
                 flit.pkt
             );
@@ -466,7 +475,6 @@ impl RouterBank {
                 seq: 0,
                 num_flits: flit.num_flits,
                 out: out.index() as u8,
-                occupied: true,
                 pkt: flit.pkt,
                 flow: flit.flow,
                 leg,
@@ -474,7 +482,7 @@ impl RouterBank {
             };
         } else {
             assert!(
-                st.occupied,
+                st.occupied(),
                 "{node}: body/tail arrived into idle {vc} at input {in_dir}"
             );
             assert!(
@@ -502,7 +510,8 @@ impl RouterBank {
             st.front_ready = cycle as u32 + 2;
         }
         st.len += 1;
-        self.buf[qi * self.depth + usize::from(flit.seq) % self.depth] = cycle as u32;
+        let slot = self.stamp_slot(qi, flit.seq);
+        self.buf[slot] = cycle as u32;
         self.nonempty[r] |= 1 << pv;
         self.buffered[r] += 1;
         self.active.insert(r);
@@ -720,19 +729,19 @@ impl RouterBank {
             let leg = st.leg;
             st.seq += 1;
             st.len -= 1;
-            if st.len == 0 {
-                st.front_ready = u32::MAX;
+            let (behind, emptied) = (st.seq, st.len == 0);
+            self.vcs[qi].front_ready = if emptied {
                 self.nonempty[r] &= !(1 << pv);
+                u32::MAX
             } else {
-                st.front_ready = self.buf[qi * self.depth + usize::from(st.seq) % self.depth] + 2;
-            }
+                self.buf[self.stamp_slot(qi, behind)] + 2
+            };
             if flit.is_tail() {
                 assert!(
                     self.vcs[qi].len == 0,
                     "{}: tail departed but flits remain behind it",
                     self.node_of(r)
                 );
-                self.vcs[qi].occupied = false;
                 self.outs[oi].held = None;
                 credits.push(CreditRelease {
                     router: r as u16,
@@ -919,6 +928,13 @@ mod tests {
         assert_eq!(f.pop(), Some(VcId(0)));
         assert_eq!(f.pop(), None);
         assert!(f.is_empty());
+    }
+
+    #[test]
+    fn a_vc_record_is_twenty_bytes() {
+        // What the 64x64 cell pays per input VC instead of 160 bytes of
+        // flit slots (plus a 4-byte stamp per slot).
+        assert_eq!(std::mem::size_of::<VcState>(), 20);
     }
 
     #[test]
