@@ -1,13 +1,18 @@
-//! Shared helpers for regenerating the paper's tables and figures.
+//! Regenerates the paper's tables and figures.
 //!
-//! Each binary in `src/bin/` reproduces one artifact (Table I, Fig 3,
-//! Fig 10a, Fig 10b, …). The experiment runner itself — configure, map,
-//! build, drive, measure — is the `smart-harness` crate's [`Experiment`]
-//! API, re-exported here; this crate adds the paper-suite fan-out
+//! Each artifact (Table I, Fig 3, Fig 10a, Fig 10b, …) is one function
+//! registered in [`ARTIFACTS`], and the `repro` binary is that table's
+//! command line; the headline numbers are also assertions, [`claims`].
+//! The experiment runner itself — configure, map, build, drive,
+//! measure — is the `smart-harness` crate's [`Experiment`] API,
+//! re-exported here; this crate adds the paper-suite fan-out
 //! ([`run_suite`]) and small numeric helpers.
 
-pub mod perf;
+mod artifacts;
+mod claims;
 
+pub use artifacts::ARTIFACTS;
+pub use claims::{claims, Claim};
 pub use smart_harness::{
     AppPhase, AppSchedule, CompileMetrics, Drive, Experiment, ExperimentMatrix, ExperimentReport,
     MatrixOutcome, MultiAppExperiment, PhaseTransition, RoutedWorkload, RunPlan, ScheduleDesign,
@@ -16,6 +21,7 @@ pub use smart_harness::{
 
 use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
+use std::collections::BTreeMap;
 
 /// Run all three designs for every application in the paper's suite,
 /// power breakdown attached. Reports come back application-major in
@@ -34,6 +40,15 @@ pub fn run_suite(cfg: &NocConfig, plan: &RunPlan) -> Vec<ExperimentReport> {
         .plan(*plan)
         .measure_power()
         .run()
+}
+
+/// [`run_suite`]'s reports by application, sorted by name; each
+/// application's three are in [`DesignKind::ALL`] order.
+fn by_app(results: &[ExperimentReport]) -> BTreeMap<&str, &[ExperimentReport]> {
+    results
+        .chunks(DesignKind::ALL.len())
+        .map(|cell| (cell[0].workload.as_str(), cell))
+        .collect()
 }
 
 /// Geometric-mean helper for ratio summaries.

@@ -60,12 +60,6 @@ impl AnalysisReport {
         sum as f64 / self.flows.len() as f64
     }
 
-    /// The most loaded link, if any flow crosses a link.
-    #[must_use]
-    pub fn hottest_link(&self) -> Option<&LinkUtilization> {
-        self.links.first()
-    }
-
     /// Links offered more than one flit per cycle — infeasible load the
     /// open-loop traffic model would backlog indefinitely.
     #[must_use]
@@ -211,7 +205,7 @@ mod tests {
         let rep = analyze(mesh(), &app, &rates, 8);
         // Flow 1 at 0.02 packets/cycle × 8 flits = 0.16 flits/cycle on
         // each of its 3 links.
-        let hot = rep.hottest_link().expect("links exist");
+        let hot = rep.links.first().expect("links exist");
         assert!((hot.flits_per_cycle - 0.16).abs() < 1e-12);
         assert_eq!(hot.flows, vec![FlowId(1)]);
         assert!(rep.oversubscribed().is_empty());

@@ -140,12 +140,6 @@ impl NocConfig {
         HeaderLayout::for_config(self.topology, self.vcs_per_port)
     }
 
-    /// Per-wire data rate at one bit per cycle.
-    #[must_use]
-    pub fn wire_rate(&self) -> Gbps {
-        Gbps(self.clock_ghz)
-    }
-
     /// Convert a flow bandwidth in MB/s to packets per cycle at this
     /// design point.
     #[must_use]

@@ -26,23 +26,6 @@ pub fn fig7_flows(mesh: Topology) -> Vec<(FlowId, SourceRoute, u64)> {
     ]
 }
 
-/// Route sets sketching **Fig 1**'s three applications (WLAN, H264,
-/// VOPD) as simple distinct communication patterns on the 4×4 mesh —
-/// used by the reconfiguration example. (The full task-graph versions
-/// live in `smart-taskgraph` + `smart-mapping`.)
-#[must_use]
-pub fn fig1_sketch_apps(mesh: Topology) -> Vec<(&'static str, Vec<(FlowId, SourceRoute)>)> {
-    let xy = |f: u32, s: u16, d: u16| {
-        let r = SourceRoute::xy(mesh, NodeId(s), NodeId(d)).expect("distinct endpoints");
-        (FlowId(f), r)
-    };
-    vec![
-        ("WLAN", vec![xy(0, 0, 3), xy(1, 4, 7), xy(2, 8, 11)]),
-        ("H264", vec![xy(0, 0, 15), xy(1, 3, 12), xy(2, 5, 10)]),
-        ("VOPD", vec![xy(0, 12, 15), xy(1, 13, 1), xy(2, 2, 14)]),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -68,23 +51,5 @@ mod tests {
         // Green and purple never stop.
         assert!(app.stops[&FlowId(0)].is_empty());
         assert!(app.stops[&FlowId(1)].is_empty());
-    }
-
-    #[test]
-    fn fig1_apps_have_distinct_presets() {
-        let mesh = Topology::paper_4x4();
-        let apps = fig1_sketch_apps(mesh);
-        let encodings: Vec<Vec<u64>> = apps
-            .iter()
-            .map(|(_, routes)| {
-                let app = compile(mesh, 8, routes);
-                mesh.nodes()
-                    .map(|n| app.presets.router(n).encode())
-                    .collect()
-            })
-            .collect();
-        assert_ne!(encodings[0], encodings[1]);
-        assert_ne!(encodings[1], encodings[2]);
-        assert_ne!(encodings[0], encodings[2]);
     }
 }

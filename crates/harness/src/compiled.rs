@@ -6,43 +6,35 @@
 //! (and its dense `LegLut`) is built, and — for SMART designs — the
 //! preset compiler runs to fixpoint. All three are pure functions of
 //! `(config, design, workload)`, so a [`CompiledDesign`] freezes them
-//! once and [`Experiment::run_compiled`] replays them for free: the
-//! `smart-server` cache keys handles by [`config_key`] and serves
-//! repeat requests without recompiling anything, bit-identical to a
-//! cold run.
+//! once. It is the only bring-up path: a cold [`Experiment::run`]
+//! compiles a handle and runs it, the `smart-server` cache keys handles
+//! by [`config_key`] and serves repeat requests without recompiling, and
+//! the two are bit-identical because they are the same code.
+//!
+//! [`Experiment`]: crate::Experiment
+//! [`Experiment::run`]: crate::Experiment::run
 
-use crate::experiment::Experiment;
 use crate::workload::{RoutedWorkload, Workload};
 use smart_core::compile::{compile, CompiledApp};
 use smart_core::config::NocConfig;
 use smart_core::noc::{Design, DesignKind, MeshNoc, SmartNoc};
-use smart_core::{DedicatedFlow, DedicatedNoc};
 use smart_sim::FlowTable;
+use std::sync::Arc;
 
-/// The per-design compiled artifact a [`CompiledDesign`] carries on top
-/// of the routed workload and baseline flow table.
-#[derive(Debug, Clone)]
-enum DesignArtifact {
-    /// The baseline mesh needs only the flow table.
-    Mesh,
-    /// SMART: the preset compiler's output (stops, presets, flow plans).
-    Smart(CompiledApp),
-    /// Dedicated: the endpoint wiring list.
-    Dedicated(Vec<DedicatedFlow>),
-}
-
-/// Everything [`Experiment`] constructs before simulating, frozen for
-/// reuse: the routed workload, the baseline flow table, and the
-/// design-specific compiled artifact. Instantiating a network from a
-/// handle is bit-identical to building it from scratch — the cache
-/// trades memory for compilation, never accuracy.
+/// Everything an experiment constructs before simulating, frozen for
+/// reuse: the routed workload (shared, not copied, across the design
+/// axis), the baseline flow table, and — for SMART — the preset
+/// compiler's output. Instantiating a network from a handle is
+/// bit-identical to building it from scratch — the cache trades memory
+/// for compilation, never accuracy.
 #[derive(Debug, Clone)]
 pub struct CompiledDesign {
     cfg: NocConfig,
     kind: DesignKind,
-    routed: RoutedWorkload,
+    routed: Arc<RoutedWorkload>,
     table: FlowTable,
-    artifact: DesignArtifact,
+    /// Stops, presets and flow plans; `Some` exactly for SMART.
+    app: Option<CompiledApp>,
 }
 
 impl CompiledDesign {
@@ -54,61 +46,46 @@ impl CompiledDesign {
     /// Panics under the same conditions as [`Workload::materialize`].
     #[must_use]
     pub fn compile(cfg: &NocConfig, kind: DesignKind, workload: &Workload) -> Self {
-        CompiledDesign::from_routed(cfg, kind, workload.materialize(cfg))
+        CompiledDesign::from_routed(cfg, kind, Arc::new(workload.materialize(cfg)))
     }
 
     /// Compile an already-routed workload for `kind` (lets callers that
     /// share one routed form across designs skip re-materialization).
     #[must_use]
-    pub fn from_routed(cfg: &NocConfig, kind: DesignKind, routed: RoutedWorkload) -> Self {
+    pub fn from_routed(cfg: &NocConfig, kind: DesignKind, routed: Arc<RoutedWorkload>) -> Self {
         let table = FlowTable::mesh_baseline(cfg.topology, &routed.routes);
-        let artifact = match kind {
-            DesignKind::Mesh => DesignArtifact::Mesh,
-            DesignKind::Smart => {
-                DesignArtifact::Smart(compile(cfg.topology, cfg.hpc_max, &routed.routes))
-            }
-            DesignKind::Dedicated => DesignArtifact::Dedicated(
-                routed
-                    .routes
-                    .iter()
-                    .map(|(f, r)| DedicatedFlow {
-                        flow: *f,
-                        src: r.source(),
-                        dst: r.destination(cfg.topology),
-                    })
-                    .collect(),
-            ),
-        };
+        let app =
+            (kind == DesignKind::Smart).then(|| compile(cfg.topology, cfg.hpc_max, &routed.routes));
         CompiledDesign {
             cfg: cfg.clone(),
             kind,
             routed,
             table,
-            artifact,
+            app,
         }
     }
 
     /// Bring up a fresh network from the cached artifacts — no routing,
-    /// no preset compilation, no flow-table construction. The result is
-    /// indistinguishable from [`Design::build`] on the same inputs.
-    #[must_use]
-    pub fn instantiate(&self) -> Design {
-        self.instantiate_sharded(self.cfg.shards)
-    }
-
-    /// Like [`CompiledDesign::instantiate`], but with the cycle engine
-    /// split across `shards` row bands. The compiled artifact is
-    /// shard-agnostic (serial and sharded runs share cache entries), so
-    /// the shard count of the *requesting* run — not of whichever run
-    /// compiled the handle first — picks the engine.
+    /// no preset compilation, no flow-table construction — with the
+    /// cycle engine split across `shards` row bands. The result is
+    /// indistinguishable from [`Design::build`] on the same inputs. The
+    /// compiled artifact is shard-agnostic (serial and sharded runs
+    /// share cache entries), so the shard count of the *requesting* run
+    /// — not of whichever run compiled the handle first — picks the
+    /// engine.
     #[must_use]
     pub fn instantiate_sharded(&self, shards: usize) -> Design {
         let mut cfg = self.cfg.clone();
         cfg.shards = shards;
-        match &self.artifact {
-            DesignArtifact::Mesh => Design::Mesh(MeshNoc::from_table(&cfg, self.table.clone())),
-            DesignArtifact::Smart(app) => Design::Smart(SmartNoc::from_compiled(&cfg, app.clone())),
-            DesignArtifact::Dedicated(flows) => Design::Dedicated(DedicatedNoc::new(&cfg, flows)),
+        match self.kind {
+            DesignKind::Mesh => Design::Mesh(MeshNoc::from_table(&cfg, self.table.clone())),
+            DesignKind::Smart => {
+                let app = self.app.clone().expect("compiled for SMART");
+                Design::Smart(SmartNoc::from_compiled(&cfg, app))
+            }
+            // Dedicated wires endpoints directly: nothing to cache
+            // beyond the routes themselves.
+            DesignKind::Dedicated => Design::build(self.kind, &cfg, &self.routed.routes),
         }
     }
 
@@ -140,25 +117,7 @@ impl CompiledDesign {
     /// The compiled SMART application, for designs that have one.
     #[must_use]
     pub fn compiled_app(&self) -> Option<&CompiledApp> {
-        match &self.artifact {
-            DesignArtifact::Smart(app) => Some(app),
-            _ => None,
-        }
-    }
-}
-
-impl Experiment {
-    /// Freeze this experiment's construction work (materialization,
-    /// flow table, preset compilation) into a reusable handle —
-    /// [`Experiment::run_compiled`] then replays runs without paying it
-    /// again.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`Workload::materialize`].
-    #[must_use]
-    pub fn compile_design(&self) -> CompiledDesign {
-        CompiledDesign::compile(self.config(), self.design_kind(), self.workload_ref())
+        self.app.as_ref()
     }
 }
 
@@ -213,7 +172,7 @@ pub fn workload_key(cfg: &NocConfig, workload: &Workload) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{ExperimentReport, RunPlan};
+    use crate::experiment::{Experiment, ExperimentReport, RunPlan};
 
     #[test]
     fn compiled_run_matches_cold_run_bit_exactly() {

@@ -1,9 +1,10 @@
 //! One experiment cell: configure → map → build → drive → measure.
 
+use crate::compiled::CompiledDesign;
 use crate::workload::{RoutedWorkload, Workload};
 use smart_core::compile::CompiledApp;
 use smart_core::config::NocConfig;
-use smart_core::noc::{Design, DesignKind};
+use smart_core::noc::DesignKind;
 use smart_power::{breakdown, EnergyModel, GatingPolicy, PowerBreakdown};
 use smart_sim::counters::ActivityCounters;
 use smart_sim::stats::SimStats;
@@ -254,8 +255,8 @@ pub struct ExperimentReport {
     /// `true` if the network went quiescent within the drain budget.
     pub drained: bool,
     /// Total cycles the simulated network had advanced when the report
-    /// was taken (warm-up + measurement + actual drain) — the
-    /// denominator of the `perf_scorecard` cycles/sec metric.
+    /// was taken (warm-up + measurement + actual drain) — what a
+    /// cycles-per-second figure divides by the run's wall time.
     pub total_cycles: u64,
     /// Packets offered after warm-up (activity counters).
     pub packets_injected: u64,
@@ -531,22 +532,17 @@ impl Experiment {
         self
     }
 
-    /// The design point this experiment runs at.
+    /// Freeze this experiment's construction work (materialization,
+    /// flow table, preset compilation) into a reusable handle —
+    /// [`Experiment::run_compiled`] then replays runs without paying it
+    /// again.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Workload::materialize`].
     #[must_use]
-    pub fn config(&self) -> &NocConfig {
-        &self.cfg
-    }
-
-    /// Which design this experiment builds.
-    #[must_use]
-    pub fn design_kind(&self) -> DesignKind {
-        self.design
-    }
-
-    /// The workload this experiment offers.
-    #[must_use]
-    pub fn workload_ref(&self) -> &Workload {
-        &self.workload
+    pub fn compile_design(&self) -> CompiledDesign {
+        CompiledDesign::compile(&self.cfg, self.design, &self.workload)
     }
 
     /// Map, build, drive and measure.
@@ -557,31 +553,29 @@ impl Experiment {
     /// or the flow set is inconsistent with the design point.
     #[must_use]
     pub fn run(&self) -> ExperimentReport {
-        let routed = self.workload.materialize(&self.cfg);
-        self.run_routed(&routed)
+        self.run_compiled(&self.compile_design())
     }
 
     /// Run against an already-routed workload (lets matrix runs
-    /// materialize each workload once across designs).
+    /// materialize each workload once and share it across designs).
     #[must_use]
-    pub fn run_routed(&self, routed: &RoutedWorkload) -> ExperimentReport {
-        let table = FlowTable::mesh_baseline(self.cfg.topology, &routed.routes);
-        let mut traffic = self.drive.build(&self.traffic_ctx(routed, &table));
-        let mut design = Design::build(self.design, &self.cfg, &routed.routes);
-        self.execute(&mut design, routed, traffic.as_mut())
+    pub fn run_routed(&self, routed: &Arc<RoutedWorkload>) -> ExperimentReport {
+        let compiled = CompiledDesign::from_routed(&self.cfg, self.design, Arc::clone(routed));
+        self.run_compiled(&compiled)
     }
 
     /// Run against a pre-compiled design handle, skipping workload
     /// materialization, flow-table construction and preset compilation
-    /// entirely — bit-identical to [`Experiment::run_routed`] on the
-    /// same inputs (the `smart-server` cache's fast path).
+    /// entirely (the `smart-server` cache's fast path). Every other run
+    /// flavor compiles its own handle and comes through here, so a
+    /// cached run and a cold one differ only in who paid for the handle.
     ///
     /// # Panics
     ///
     /// Panics if the handle was compiled for a different design kind or
     /// mesh than this experiment's.
     #[must_use]
-    pub fn run_compiled(&self, compiled: &crate::compiled::CompiledDesign) -> ExperimentReport {
+    pub fn run_compiled(&self, compiled: &CompiledDesign) -> ExperimentReport {
         assert_eq!(
             compiled.kind(),
             self.design,
@@ -592,12 +586,7 @@ impl Experiment {
             self.cfg.topology,
             "compiled handle serves a different topology"
         );
-        let routed = compiled.routed();
-        let mut traffic = self
-            .drive
-            .build(&self.traffic_ctx(routed, compiled.flow_table()));
-        let mut design = compiled.instantiate_sharded(self.cfg.shards);
-        self.execute(&mut design, routed, traffic.as_mut())
+        self.execute(compiled, self.traffic_for(compiled).as_mut())
     }
 
     /// Run like [`Experiment::run`], additionally recording every
@@ -610,41 +599,36 @@ impl Experiment {
     /// Panics under the same conditions as [`Experiment::run`].
     #[must_use]
     pub fn run_recorded(&self) -> (ExperimentReport, TraceFile) {
-        let routed = self.workload.materialize(&self.cfg);
-        let table = FlowTable::mesh_baseline(self.cfg.topology, &routed.routes);
-        let inner = self.drive.build(&self.traffic_ctx(&routed, &table));
-        let mut recorder = TraceRecorder::new(inner, self.cfg.flits_per_packet());
-        let mut design = Design::build(self.design, &self.cfg, &routed.routes);
-        let report = self.execute(&mut design, &routed, &mut recorder);
+        let compiled = self.compile_design();
+        let mut recorder =
+            TraceRecorder::new(self.traffic_for(&compiled), self.cfg.flits_per_packet());
+        let report = self.execute(&compiled, &mut recorder);
         (report, recorder.into_trace())
     }
 
-    /// The traffic build context of one run against `routed`.
-    fn traffic_ctx<'a>(
-        &self,
-        routed: &'a RoutedWorkload,
-        table: &'a FlowTable,
-    ) -> TrafficContext<'a> {
-        TrafficContext {
+    /// This experiment's traffic source for one run on `compiled`.
+    fn traffic_for(&self, compiled: &CompiledDesign) -> Box<dyn TrafficSource> {
+        let routed = compiled.routed();
+        self.drive.build(&TrafficContext {
             rates: &routed.rates,
-            flows: table,
+            flows: compiled.flow_table(),
             topology: self.cfg.topology,
             flits_per_packet: self.cfg.flits_per_packet(),
             seed: self.plan.seed,
             temporal: routed.temporal,
-        }
+        })
     }
 
-    /// Drive an already-built design with `traffic` through the plan
-    /// and assemble the report — the shared tail of every run flavor
-    /// (cold [`Design::build`] and cached
-    /// [`crate::compiled::CompiledDesign::instantiate`] alike).
+    /// Bring up a network from `compiled`, drive it with `traffic`
+    /// through the plan and assemble the report — the one tail of every
+    /// run flavor.
     fn execute(
         &self,
-        design: &mut Design,
-        routed: &RoutedWorkload,
+        compiled: &CompiledDesign,
         traffic: &mut dyn TrafficSource,
     ) -> ExperimentReport {
+        let routed = compiled.routed();
+        let mut design = compiled.instantiate_sharded(self.cfg.shards);
         let cfg = &self.cfg;
         design.set_stats_from(self.plan.warmup);
         design.run_with(traffic, self.plan.warmup);
@@ -655,14 +639,9 @@ impl Experiment {
         design.run_with(traffic, self.plan.measure);
         let drained = design.drain(self.plan.drain);
 
-        let compile = match &*design {
-            Design::Smart(smart) => Some(CompileMetrics::from_compiled(
-                smart.compiled(),
-                routed,
-                cfg.topology,
-            )),
-            _ => None,
-        };
+        let compile = compiled
+            .compiled_app()
+            .map(|app| CompileMetrics::from_compiled(app, routed, cfg.topology));
         let mut report = ExperimentReport::assemble(
             self.design,
             cfg,

@@ -6,6 +6,7 @@ use crate::runner::run_cells;
 use crate::workload::{RoutedWorkload, Workload};
 use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
+use std::sync::Arc;
 
 /// A design × workload matrix: every cell is one [`Experiment`], cells
 /// run in parallel on scoped threads, and reports come back in
@@ -108,10 +109,10 @@ impl ExperimentMatrix {
     pub fn run_instrumented(&self) -> MatrixOutcome {
         // Materialize each workload once, serially — NMAP placement is
         // deterministic, and every design cell shares the routed form.
-        let routed: Vec<RoutedWorkload> = self
+        let routed: Vec<Arc<RoutedWorkload>> = self
             .workloads
             .iter()
-            .map(|w| w.materialize(&self.cfg))
+            .map(|w| Arc::new(w.materialize(&self.cfg)))
             .collect();
         let cells: Vec<(usize, DesignKind)> = routed
             .iter()

@@ -28,6 +28,7 @@ use smart_core::reconfig::{ReconfigError, ReconfigurableNoc};
 use smart_sim::{TelemetryConfig, TelemetrySeries};
 use smart_taskgraph::apps;
 use std::fmt;
+use std::sync::Arc;
 
 /// Default drain budget for the transition between two phases.
 const DEFAULT_DRAIN_BUDGET: u64 = 50_000;
@@ -440,11 +441,11 @@ impl MultiAppExperiment {
     /// live [`ScheduleDesign::Reconfigurable`] design drains a shared
     /// network; the rebuilt designs cannot fail).
     pub fn run(&self) -> Result<ScheduleReport, ScheduleError> {
-        let routed: Vec<RoutedWorkload> = self
+        let routed: Vec<Arc<RoutedWorkload>> = self
             .schedule
             .phases
             .iter()
-            .map(|p| p.workload.materialize(&self.cfg))
+            .map(|p| Arc::new(p.workload.materialize(&self.cfg)))
             .collect();
         self.run_routed(&routed)
     }
@@ -453,7 +454,7 @@ impl MultiAppExperiment {
     /// matrix materialize each phase once across designs).
     pub(crate) fn run_routed(
         &self,
-        routed: &[RoutedWorkload],
+        routed: &[Arc<RoutedWorkload>],
     ) -> Result<ScheduleReport, ScheduleError> {
         match self.design {
             ScheduleDesign::Reconfigurable => self.run_live(routed),
@@ -468,7 +469,7 @@ impl MultiAppExperiment {
     /// finds a quiescent network) so packets delivered while emptying
     /// the network are credited to the phase that injected them — each
     /// phase's report is assembled only after its transition drain.
-    fn run_live(&self, routed: &[RoutedWorkload]) -> Result<ScheduleReport, ScheduleError> {
+    fn run_live(&self, routed: &[Arc<RoutedWorkload>]) -> Result<ScheduleReport, ScheduleError> {
         let cfg = &self.cfg;
         let mut rnoc = ReconfigurableNoc::new(cfg.clone(), self.schedule.base_addr);
         let mut phases = Vec::with_capacity(routed.len());
@@ -587,7 +588,7 @@ impl MultiAppExperiment {
     /// design, so transitions never drain; only the SMART design pays
     /// preset stores, counted from the built design's actual store
     /// sequence (one per router on today's hardware model).
-    fn run_rebuilt(&self, routed: &[RoutedWorkload]) -> ScheduleReport {
+    fn run_rebuilt(&self, routed: &[Arc<RoutedWorkload>]) -> ScheduleReport {
         let kind = self.design.kind();
         let mut phases = Vec::with_capacity(routed.len());
         let mut transitions = Vec::with_capacity(routed.len());
@@ -706,11 +707,11 @@ impl ScheduleMatrix {
     pub fn run_instrumented(&self) -> ScheduleOutcome {
         // Materialize each phase once, serially — NMAP placement is
         // deterministic, and every design cell shares the routed form.
-        let routed: Vec<RoutedWorkload> = self
+        let routed: Vec<Arc<RoutedWorkload>> = self
             .schedule
             .phases
             .iter()
-            .map(|p| p.workload.materialize(&self.cfg))
+            .map(|p| Arc::new(p.workload.materialize(&self.cfg)))
             .collect();
         let (reports, worker_threads) = run_cells(self.designs.len(), self.threads, |i| {
             let mut e = MultiAppExperiment::new(self.cfg.clone(), self.schedule.clone())

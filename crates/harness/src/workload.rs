@@ -225,20 +225,6 @@ impl RoutedWorkload {
         }
     }
 
-    /// The same routed flows driven through a different temporal model.
-    /// Any previous temporal suffix in the name (they start with `+`)
-    /// is replaced by the new model's, so reports stay truthful about
-    /// the injection process.
-    #[must_use]
-    pub fn with_temporal(mut self, temporal: TemporalModel) -> Self {
-        if let Some(base) = self.name.find('+') {
-            self.name.truncate(base);
-        }
-        self.name.push_str(&temporal.suffix());
-        self.temporal = temporal;
-        self
-    }
-
     /// Adopt a mapped application's name, routes and rates.
     #[must_use]
     pub fn from_mapped(mapped: &MappedApp) -> Self {
@@ -293,19 +279,6 @@ mod tests {
                 assert_ne!(r.source(), r.destination(cfg.topology));
             }
         }
-    }
-
-    #[test]
-    fn with_temporal_rewrites_the_name_suffix() {
-        let cfg = NocConfig::paper_4x4();
-        let bursty = TemporalModel::on_off(0.01, 0.01);
-        let w = RoutedWorkload::patterned(&cfg, &SpatialPattern::Transpose, bursty, 0.02);
-        assert_eq!(w.name, "transpose@0.02+onoff(0.01,0.01)");
-        let steady = w.with_temporal(TemporalModel::Steady);
-        assert_eq!(steady.name, "transpose@0.02");
-        assert_eq!(steady.temporal, TemporalModel::Steady);
-        let ramped = steady.with_temporal(TemporalModel::ramp(0.0, 1.0, 100));
-        assert_eq!(ramped.name, "transpose@0.02+ramp(0..1/100)");
     }
 
     #[test]

@@ -95,12 +95,6 @@ impl MappedApp {
         }
     }
 
-    /// Aggregate offered load, packets per cycle.
-    #[must_use]
-    pub fn offered_load(&self) -> f64 {
-        self.rates.iter().map(|(_, r)| r).sum()
-    }
-
     /// Average route length in hops.
     #[must_use]
     pub fn avg_hops(&self) -> f64 {
@@ -123,7 +117,8 @@ mod tests {
         for g in apps::all() {
             let app = MappedApp::from_graph(&cfg, &g);
             assert_eq!(app.routes.len(), g.flows().len(), "{}", g.name());
-            assert!(app.offered_load() > 0.0 && app.offered_load() < 0.5);
+            let offered: f64 = app.rates.iter().map(|(_, r)| r).sum();
+            assert!(offered > 0.0 && offered < 0.5);
             assert!(app.avg_hops() >= 1.0);
             // Routes are deadlock-free by construction.
             let rs: Vec<SourceRoute> = app.routes.iter().map(|(_, r)| r.clone()).collect();

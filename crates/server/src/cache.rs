@@ -80,7 +80,7 @@ impl DesignCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         // Compile outside the lock; share the routed form across kinds.
         let routed = self.routed(cfg, workload);
-        let compiled = Arc::new(CompiledDesign::from_routed(cfg, kind, (*routed).clone()));
+        let compiled = Arc::new(CompiledDesign::from_routed(cfg, kind, routed));
         let mut state = self.state.lock().expect("unpoisoned cache");
         let state = &mut *state;
         if let std::collections::hash_map::Entry::Vacant(slot) = state.designs.entry(key) {

@@ -268,12 +268,6 @@ impl PacketArena {
     pub fn live(&self) -> usize {
         self.live
     }
-
-    /// High-water mark of simultaneously live packets.
-    #[must_use]
-    pub fn high_water(&self) -> usize {
-        self.slots.len()
-    }
 }
 
 /// Bit-level header layout for a given topology / VC configuration,
@@ -394,7 +388,6 @@ mod tests {
         let c = arena.intern(&packet(11, 8));
         assert_eq!(c, a, "freed slot is reused");
         assert_eq!(arena.get(c).id, PacketId(11));
-        assert_eq!(arena.high_water(), 2);
     }
 
     #[test]

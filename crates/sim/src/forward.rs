@@ -246,12 +246,6 @@ impl FlowTable {
         &self.plan(flow).legs[*idx]
     }
 
-    /// Index of the leg departing `router` for `flow`, if it stops there.
-    #[must_use]
-    pub fn leg_index_from(&self, flow: FlowId, router: NodeId) -> Option<usize> {
-        self.leg_from.get(&(flow, router)).copied()
-    }
-
     /// Iterate over all plans.
     pub fn iter(&self) -> impl Iterator<Item = &FlowPlan> {
         self.plans.values()
@@ -571,7 +565,6 @@ mod tests {
                 in_dir: Direction::West
             }
         );
-        assert!(table.leg_index_from(FlowId(7), NodeId(5)).is_none());
     }
 
     #[test]

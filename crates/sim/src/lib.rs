@@ -79,7 +79,7 @@ pub use flit::{
 pub use forward::{Endpoint, FlowPlan, FlowTable, LegLut, Segment, Sender};
 pub use network::{Network, SimConfig};
 pub use route::{RouteError, SourceRoute};
-pub use router::{CreditRelease, Router, RouterBank, RouterDeparture};
+pub use router::{CreditRelease, RouterBank, RouterDeparture};
 pub use stats::SimStats;
 pub use telemetry::{
     CycleView, MetricsCollector, MetricsParseError, MetricsWindow, NoProbe, Probe, StallCause,

@@ -180,12 +180,6 @@ impl SourceRoute {
         self.src
     }
 
-    /// Output direction taken at the source router.
-    #[must_use]
-    pub fn first_direction(&self) -> Direction {
-        self.first
-    }
-
     /// The relative turns at routers after the source.
     #[must_use]
     pub fn turns(&self) -> &[Turn] {
@@ -402,7 +396,6 @@ mod tests {
         // 0 -> 3: one West wrap hop instead of three East hops.
         let r = SourceRoute::dimension_order(t, NodeId(0), NodeId(3)).unwrap();
         assert_eq!(r.num_hops(), 1);
-        assert_eq!(r.first_direction(), Direction::West);
         assert_eq!(r.routers(t), vec![NodeId(0), NodeId(3)]);
         // 0 -> 15: West wrap then South wrap, 2 hops total.
         let r = SourceRoute::dimension_order(t, NodeId(0), NodeId(15)).unwrap();
@@ -419,11 +412,10 @@ mod tests {
         let t = Topology::torus(4, 4);
         // x: 0 -> 2 is 2 hops either way; the tie goes East.
         let r = SourceRoute::dimension_order(t, NodeId(0), NodeId(2)).unwrap();
-        assert_eq!(r.first_direction(), Direction::East);
-        assert_eq!(r.num_hops(), 2);
+        assert_eq!(r.routers(t), vec![NodeId(0), NodeId(1), NodeId(2)]);
         // y: 0 -> 8 is 2 hops either way; the tie goes North.
         let r = SourceRoute::dimension_order(t, NodeId(0), NodeId(8)).unwrap();
-        assert_eq!(r.first_direction(), Direction::North);
+        assert_eq!(r.routers(t), vec![NodeId(0), NodeId(4), NodeId(8)]);
     }
 
     #[test]

@@ -53,13 +53,12 @@
 //! the [`ActiveSet`] of routers with at least one buffered flit —
 //! `receive` adds a router, the `allocate` that pops its last flit
 //! removes it — which is what the engine walks instead of the whole
-//! bank. [`Router`] wraps a 1-router bank for standalone protocol tests.
+//! bank.
 
 use crate::active::ActiveSet;
 use crate::counters::ActivityCounters;
 use crate::flit::{Flit, FlowId, PacketSlot, VcId};
-use crate::forward::FlowTable;
-use crate::telemetry::{NoProbe, Probe, StallCause};
+use crate::telemetry::{Probe, StallCause};
 use crate::topology::{Direction, NodeId, PORTS};
 
 /// Most VCs per port: a router's occupancy bitset packs `5 * vcs` input
@@ -178,9 +177,8 @@ pub struct RouterBank {
     n: usize,
     num_vcs: usize,
     depth: usize,
-    /// Node id of bank slot 0, for diagnostics: the engine's bank maps
-    /// slot `r` to node `r`, while a standalone [`Router`] pins its own
-    /// node id here so protocol panics name the right router.
+    /// Node id of bank slot 0, so protocol panics name the right router:
+    /// a band's bank holds the routers from its first row on.
     base_node: u16,
     /// Buffer-write cycle of every buffered flit: one fixed ring of
     /// `depth` stamps per input VC (`buf[qi * depth ..]`), flit `seq`
@@ -352,12 +350,6 @@ impl RouterBank {
         self.total_buffered
     }
 
-    /// `true` when no flit is buffered anywhere in router `r`.
-    #[must_use]
-    pub fn is_drained(&self, r: usize) -> bool {
-        self.buffered[r] == 0
-    }
-
     /// The routers holding at least one buffered flit, i.e. exactly
     /// those [`RouterBank::allocate`] does not return from at once.
     /// Visiting them in ascending order is the same walk as `0..len()`
@@ -393,22 +385,6 @@ impl RouterBank {
             + self.outs[range].iter().filter(|o| o.enabled).count()
     }
 
-    /// Occupancy of router `r`'s input port `dir`.
-    #[must_use]
-    pub fn input_occupancy(&self, r: usize, dir: Direction) -> usize {
-        let base = (r * PORTS + dir.index()) * self.num_vcs;
-        self.vcs[base..base + self.num_vcs]
-            .iter()
-            .map(|v| usize::from(v.len))
-            .sum()
-    }
-
-    /// Free-VC count at router `r`'s output `dir` endpoint.
-    #[must_use]
-    pub fn output_free_vcs(&self, r: usize, dir: Direction) -> usize {
-        self.outs[r * PORTS + dir.index()].free_vcs.len()
-    }
-
     /// Return a credit (freed endpoint VC) to output `dir` of router
     /// `r`.
     ///
@@ -437,8 +413,7 @@ impl RouterBank {
     /// out of this router: `route` is called for heads only and returns
     /// the output direction the packet requests here plus an opaque
     /// route token carried on its departures (the engine passes the
-    /// index of the leg that leaves this router, the standalone
-    /// [`Router`] a [`FlowTable`] lookup). A body or tail stores
+    /// index of the leg that leaves this router). A body or tail stores
     /// nothing but its buffer-write stamp.
     ///
     /// # Panics
@@ -765,130 +740,63 @@ impl RouterBank {
     }
 }
 
-/// A standalone router: a 1-router [`RouterBank`] with the bank index
-/// pinned, for protocol-level unit tests and external experimentation.
-/// The engine itself drives the bank directly.
-#[derive(Debug, Clone)]
-pub struct Router {
-    bank: RouterBank,
-}
-
-impl Router {
-    /// A 5-port router with `num_vcs` VCs of `depth` flits per input.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `num_vcs` or `depth` is zero.
-    #[must_use]
-    pub fn new(node: NodeId, num_vcs: usize, depth: usize) -> Self {
-        let mut bank = RouterBank::new(1, num_vcs, depth);
-        bank.base_node = node.0;
-        Router { bank }
-    }
-
-    /// This router's node id.
-    #[must_use]
-    pub fn node(&self) -> NodeId {
-        self.bank.node_of(0)
-    }
-
-    /// Mark an input port as used by some flow (ungated), per presets.
-    pub fn enable_input(&mut self, dir: Direction) {
-        self.bank.enable_input(0, dir);
-    }
-
-    /// Mark an output port as used and seed its free-VC queue with the
-    /// endpoint's `num_vcs` VCs.
-    pub fn enable_output(&mut self, dir: Direction) {
-        self.bank.enable_output(0, dir);
-    }
-
-    /// Number of clock-enabled ports (inputs + outputs) for gating
-    /// accounting.
-    #[must_use]
-    pub fn enabled_ports(&self) -> usize {
-        self.bank.enabled_ports(0)
-    }
-
-    /// Occupancy of input port `dir`.
-    #[must_use]
-    pub fn input_occupancy(&self, dir: Direction) -> usize {
-        self.bank.input_occupancy(0, dir)
-    }
-
-    /// Free-VC count at output `dir`'s endpoint.
-    #[must_use]
-    pub fn output_free_vcs(&self, dir: Direction) -> usize {
-        self.bank.output_free_vcs(0, dir)
-    }
-
-    /// `true` when no flit is buffered anywhere in this router.
-    #[must_use]
-    pub fn is_drained(&self) -> bool {
-        self.bank.is_drained(0)
-    }
-
-    /// Return a credit (freed endpoint VC) to output port `dir`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the VC is already in the free queue (double-free).
-    pub fn credit(&mut self, dir: Direction, vc: VcId) {
-        self.bank.credit(0, dir, vc);
-    }
-
-    /// Buffer-write an arriving flit (end-of-cycle `cycle` arrival) into
-    /// input `in_dir`, VC `flit.vc`. A head's output is looked up in
-    /// `flows` here, once for the whole packet.
-    ///
-    /// # Panics
-    ///
-    /// Panics on protocol violations: missing VC allocation, overflow,
-    /// a head arriving into an occupied VC, a body arriving into an
-    /// idle one, or a body that is not the next flit of the packet
-    /// occupying the VC.
-    pub fn receive(
-        &mut self,
-        in_dir: Direction,
-        flit: Flit,
-        cycle: u64,
-        flows: &FlowTable,
-        counters: &mut ActivityCounters,
-    ) {
-        let node = self.node();
-        let route = || (flows.leg_from(flit.flow, node).out_dir, 0);
-        self.bank.receive(0, in_dir, flit, cycle, route, counters);
-    }
-
-    /// Run switch allocation for `cycle` and return departures (flits
-    /// entering ST in cycle `cycle + 1`) plus any credits released by
-    /// departing tails.
-    pub fn allocate(
-        &mut self,
-        cycle: u64,
-        counters: &mut ActivityCounters,
-    ) -> (Vec<RouterDeparture>, Vec<CreditRelease>) {
-        let mut departures = Vec::new();
-        let mut credits = Vec::new();
-        self.bank.allocate(
-            0,
-            cycle,
-            counters,
-            &mut departures,
-            &mut credits,
-            &mut NoProbe,
-        );
-        (departures, credits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::flit::{FlitKind, FlowId, PacketSlot};
     use crate::forward::FlowTable;
     use crate::route::SourceRoute;
+    use crate::telemetry::NoProbe;
     use crate::topology::Topology;
+
+    /// A standalone router: a 1-router [`RouterBank`] with the bank index
+    /// pinned, so the protocol tests below drive the engine's own code.
+    struct Router {
+        bank: RouterBank,
+    }
+
+    impl Router {
+        fn new(node: NodeId, num_vcs: usize, depth: usize) -> Self {
+            let mut bank = RouterBank::new(1, num_vcs, depth);
+            bank.base_node = node.0;
+            Router { bank }
+        }
+
+        /// [`RouterBank::receive`], with a head's output looked up in
+        /// `flows` as the engine's flow table would.
+        fn receive(
+            &mut self,
+            in_dir: Direction,
+            flit: Flit,
+            cycle: u64,
+            flows: &FlowTable,
+            counters: &mut ActivityCounters,
+        ) {
+            let node = self.bank.node_of(0);
+            let route = || (flows.leg_from(flit.flow, node).out_dir, 0);
+            self.bank.receive(0, in_dir, flit, cycle, route, counters);
+        }
+
+        /// [`RouterBank::allocate`] into fresh vectors: departures and
+        /// the credits released by departing tails.
+        fn allocate(
+            &mut self,
+            cycle: u64,
+            counters: &mut ActivityCounters,
+        ) -> (Vec<RouterDeparture>, Vec<CreditRelease>) {
+            let mut departures = Vec::new();
+            let mut credits = Vec::new();
+            self.bank.allocate(
+                0,
+                cycle,
+                counters,
+                &mut departures,
+                &mut credits,
+                &mut NoProbe,
+            );
+            (departures, credits)
+        }
+    }
 
     fn mesh() -> Topology {
         Topology::paper_4x4()
@@ -908,8 +816,8 @@ mod tests {
 
     fn prepared_router() -> Router {
         let mut r = Router::new(NodeId(0), 2, 10);
-        r.enable_input(Direction::Core);
-        r.enable_output(Direction::East);
+        r.bank.enable_input(0, Direction::Core);
+        r.bank.enable_output(0, Direction::East);
         r
     }
 
@@ -984,9 +892,9 @@ mod tests {
         assert_eq!(credits.len(), 1);
         assert_eq!(credits[0].in_dir, Direction::Core);
         assert_eq!(credits[0].vc, VcId(0));
-        assert!(r.is_drained());
+        assert_eq!(r.bank.buffered[0], 0);
         // Output free VCs: started 2, head took 1, none returned yet.
-        assert_eq!(r.output_free_vcs(Direction::East), 1);
+        assert_eq!(r.bank.outs[Direction::East.index()].free_vcs.len(), 1);
     }
 
     #[test]
@@ -1002,7 +910,7 @@ mod tests {
         let (d, _) = r.allocate(10, &mut c);
         assert!(d.is_empty(), "head must wait for a credit");
         // A credit arrives; now it goes.
-        r.credit(Direction::East, VcId(1));
+        r.bank.credit(0, Direction::East, VcId(1));
         let (d, _) = r.allocate(11, &mut c);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].flit.vc, Some(VcId(1)));
@@ -1053,9 +961,9 @@ mod tests {
         let r1 = SourceRoute::xy(mesh, NodeId(0), NodeId(4)).unwrap();
         let flows = FlowTable::mesh_baseline(mesh, &[(FlowId(0), r0), (FlowId(1), r1)]);
         let mut r = Router::new(NodeId(0), 2, 10);
-        r.enable_input(Direction::Core);
-        r.enable_output(Direction::East);
-        r.enable_output(Direction::North);
+        r.bank.enable_input(0, Direction::Core);
+        r.bank.enable_output(0, Direction::East);
+        r.bank.enable_output(0, Direction::North);
         let mut c = ActivityCounters::new();
         // Packet A (flow 0, 3 flits) into vc0 at cycles 0..2.
         for (i, mut f) in packet_flits(1, FlowId(0), 3).into_iter().enumerate() {
@@ -1103,7 +1011,7 @@ mod tests {
     #[should_panic(expected = "double credit")]
     fn double_credit_panics() {
         let mut r = prepared_router();
-        r.credit(Direction::East, VcId(0));
+        r.bank.credit(0, Direction::East, VcId(0));
         // VC 0 is already free (enable_output seeded it).
     }
 
@@ -1111,7 +1019,7 @@ mod tests {
     #[should_panic(expected = "buffer overflow")]
     fn overflow_panics() {
         let mut r = Router::new(NodeId(0), 1, 2);
-        r.enable_input(Direction::Core);
+        r.bank.enable_input(0, Direction::Core);
         let flows = table();
         let mut c = ActivityCounters::new();
         for (i, mut f) in packet_flits(1, FlowId(0), 3).into_iter().enumerate() {
@@ -1562,10 +1470,10 @@ mod tests {
     #[test]
     fn gating_counts_enabled_ports() {
         let mut r = Router::new(NodeId(3), 2, 10);
-        assert_eq!(r.enabled_ports(), 0);
-        r.enable_input(Direction::West);
-        r.enable_output(Direction::Core);
-        r.enable_output(Direction::East);
-        assert_eq!(r.enabled_ports(), 3);
+        assert_eq!(r.bank.enabled_ports(0), 0);
+        r.bank.enable_input(0, Direction::West);
+        r.bank.enable_output(0, Direction::Core);
+        r.bank.enable_output(0, Direction::East);
+        assert_eq!(r.bank.enabled_ports(0), 3);
     }
 }

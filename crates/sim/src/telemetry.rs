@@ -9,9 +9,8 @@
 //! * [`Probe`] is a **monomorphized** hook trait. The engine's step is
 //!   generic over it and instantiated twice: once with [`NoProbe`]
 //!   (every hook an empty inline body behind `P::ENABLED = false`, so
-//!   the optimizer deletes the calls — telemetry off is provably free,
-//!   gated by `perf_scorecard --gate`) and once with
-//!   [`MetricsCollector`].
+//!   the optimizer deletes the calls — the build every benchmark
+//!   workload measures) and once with [`MetricsCollector`].
 //! * [`MetricsCollector`] accumulates per-window counters (SSR
 //!   setup/grant/deny with per-router stall causes, achieved
 //!   bypass-length histogram, per-link flit deltas, injection/ejection
@@ -424,20 +423,6 @@ impl TelemetrySeries {
     #[must_use]
     pub fn max_bypass(&self) -> Option<usize> {
         self.bypass_totals().iter().rposition(|&n| n > 0)
-    }
-
-    /// Per-router premature-stop totals summed across windows and
-    /// causes, indexed by router.
-    #[must_use]
-    pub fn stalls_by_router(&self) -> Vec<u64> {
-        let mut totals = vec![0u64; self.routers];
-        for w in &self.windows {
-            for (r, t) in totals.iter_mut().enumerate() {
-                let base = r * StallCause::COUNT;
-                *t += w.stalls[base..base + StallCause::COUNT].iter().sum::<u64>();
-            }
-        }
-        totals
     }
 
     /// Merge per-shard series into the global series, summing every

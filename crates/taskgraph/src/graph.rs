@@ -4,7 +4,6 @@
 //! tasks get mapped to physical cores (NMAP, `smart-mapping`), flows to
 //! static routes, and routes to presets (`smart-core`).
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A task (IP core workload) within an application.
@@ -233,18 +232,6 @@ impl TaskGraph {
         s.push_str("}\n");
         s
     }
-
-    /// Histogram of per-flow bandwidths, bucketed to powers of two —
-    /// handy in reports.
-    #[must_use]
-    pub fn bandwidth_histogram(&self) -> BTreeMap<u64, usize> {
-        let mut h = BTreeMap::new();
-        for f in &self.flows {
-            let bucket = (f.bandwidth_mbs.max(1.0)).log2().floor() as u64;
-            *h.entry(1u64 << bucket).or_insert(0) += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -312,13 +299,5 @@ mod tests {
         assert!(dot.contains("t0 -> t1"));
         assert!(dot.contains("digraph"));
         assert_eq!(dot.matches("->").count(), 3);
-    }
-
-    #[test]
-    fn histogram_buckets_by_power_of_two() {
-        let h = sample().bandwidth_histogram();
-        assert_eq!(h.get(&64), Some(&1)); // 100 MB/s
-        assert_eq!(h.get(&32), Some(&1)); // 50
-        assert_eq!(h.get(&16), Some(&1)); // 25
     }
 }

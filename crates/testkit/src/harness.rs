@@ -9,6 +9,7 @@ use smart_harness::{Experiment, RunPlan, ScheduleDesign};
 use smart_sim::traffic::TrafficSource;
 use smart_sim::{BernoulliTraffic, Direction, FlowId, FlowTable, LinkId, NodeId, SourceRoute};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// Base address for the memory-mapped preset registers in
 /// reconfiguration cases (value is arbitrary; Section V).
@@ -123,6 +124,8 @@ impl Conformance {
     /// contract.
     #[must_use]
     pub fn run_case(&self, design: ScheduleDesign, scenario: &Scenario) -> CaseReport {
+        // `Experiment::run_routed` shares the routed form, not a copy.
+        let scenario = &Arc::new(scenario.clone());
         let ctx = format!("{}/{}", design.label(), scenario.name);
         let table = FlowTable::mesh_baseline(self.cfg.topology, &scenario.routes);
 
@@ -256,7 +259,7 @@ impl Conformance {
         &self,
         ctx: &str,
         design: ScheduleDesign,
-        scenario: &Scenario,
+        scenario: &Arc<Scenario>,
         compiled: Option<&CompiledApp>,
         table: &FlowTable,
     ) -> usize {

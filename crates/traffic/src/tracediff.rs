@@ -114,31 +114,6 @@ impl TraceDiffReport {
             flows,
         }
     }
-
-    /// Flows the candidate slowed down by more than `threshold` cycles.
-    #[must_use]
-    pub fn regressed_flows(&self, threshold: f64) -> Vec<&FlowDelta> {
-        self.flows
-            .iter()
-            .filter(|d| d.delta().is_some_and(|x| x > threshold))
-            .collect()
-    }
-
-    /// Flows the candidate sped up by more than `threshold` cycles.
-    #[must_use]
-    pub fn improved_flows(&self, threshold: f64) -> Vec<&FlowDelta> {
-        self.flows
-            .iter()
-            .filter(|d| d.delta().is_some_and(|x| x < -threshold))
-            .collect()
-    }
-
-    /// `true` when both designs delivered the same packet and flit
-    /// counts (the traffic-conservation sanity bar for a replay).
-    #[must_use]
-    pub fn delivery_matches(&self) -> bool {
-        self.delivered_delta == 0 && self.flit_delta == 0
-    }
 }
 
 impl fmt::Display for TraceDiffReport {
@@ -191,10 +166,9 @@ mod tests {
     fn identical_outcomes_diff_to_zero() {
         let a = outcome("Mesh", &[(0, 16.0), (1, 20.0)]);
         let d = TraceDiffReport::between(&a, &a);
-        assert!(d.delivery_matches());
+        assert_eq!((d.delivered_delta, d.flit_delta), (0, 0));
         assert_eq!(d.latency_delta, 0.0);
-        assert!(d.regressed_flows(0.0).is_empty());
-        assert!(d.improved_flows(0.0).is_empty());
+        assert!(d.flows.iter().all(|f| f.delta() == Some(0.0)));
     }
 
     #[test]
@@ -207,7 +181,6 @@ mod tests {
         assert_eq!(d.flows[0].delta(), Some(-15.0));
         assert_eq!(d.flows[1].candidate, None);
         assert_eq!(d.flows[2].baseline, None);
-        assert_eq!(d.improved_flows(1.0).len(), 1);
     }
 
     #[test]
@@ -216,7 +189,6 @@ mod tests {
         cand.packets_delivered += 1;
         let base = outcome("Mesh", &[(0, 16.0)]);
         let d = TraceDiffReport::between(&base, &cand);
-        assert!(!d.delivery_matches());
         assert_eq!(d.delivered_delta, 1);
     }
 
