@@ -130,6 +130,78 @@ fn deep_saturation_anchor() {
     assert_engines_agree(0.3, 0xD1E7, 4_000);
 }
 
+/// The cases pinned as text for the reference that replaces `legacy/`:
+/// the deep-saturation anchor plus ten fixed `(rate, seed)` pairs from
+/// light load to ~3× saturation, as `(rate in milli, seed, cycles)`.
+const PINNED: [(u32, u64, u64); 11] = [
+    (300, 0xD1E7, 4_000),
+    (10, 11, 2_000),
+    (20, 12, 2_000),
+    (40, 13, 2_000),
+    (60, 14, 2_000),
+    (80, 15, 2_000),
+    (100, 16, 2_000),
+    (150, 17, 2_000),
+    (200, 18, 2_000),
+    (250, 19, 2_000),
+    (300, 20, 2_000),
+];
+
+/// One pinned case as one line: the drain cycle, `SimStats`, every
+/// counter and the per-link flit counts the legacy engine produces.
+fn legacy_line(rate_milli: u32, seed: u64, cycles: u64) -> String {
+    let cfg = SimConfig::paper_4x4();
+    let mesh = cfg.topology;
+    let (routes, rates) = transpose_workload(mesh, f64::from(rate_milli) / 1_000.0);
+    let flows = FlowTable::mesh_baseline(mesh, &routes);
+    let mut src = BernoulliTraffic::new(&rates, &flows, mesh, cfg.flits_per_packet, seed);
+    let legacy_cfg = network::SimConfig {
+        mesh,
+        vcs_per_port: cfg.vcs_per_port,
+        vc_depth: cfg.vc_depth,
+        flits_per_packet: cfg.flits_per_packet,
+    };
+    let mut old = network::Network::new(legacy_cfg, flows);
+    old.run_with(&mut src, cycles);
+    assert!(old.drain(50_000), "legacy engine failed to drain");
+    let links: std::collections::BTreeMap<LinkId, u64> =
+        old.link_flit_counts().into_iter().collect();
+    let links: Vec<String> = links.iter().map(|(l, n)| format!("{l}:{n}")).collect();
+    format!(
+        "rate={rate_milli}/1000 seed={seed} cycles={cycles} drained_at={} | stats {:?} | counters {:?} | links {}",
+        old.cycle(),
+        old.stats(),
+        old.counters(),
+        links.join(",")
+    )
+}
+
+/// Pin what this replay establishes as text, for the reference engine
+/// that replaces it. Written with
+/// `SMART_UPDATE_GOLDEN=1 cargo test --release -p smart-sim --test legacy_equivalence pins_the_legacy_replay_as_text`.
+#[test]
+fn pins_the_legacy_replay_as_text() {
+    for &(rate_milli, seed, cycles) in &PINNED {
+        assert_engines_agree(f64::from(rate_milli) / 1_000.0, seed, cycles);
+    }
+    let got: String = PINNED
+        .iter()
+        .map(|&(r, s, c)| legacy_line(r, s, c) + "\n")
+        .collect();
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../testkit/tests/golden/reference_4x4.txt"
+    );
+    if std::env::var_os("SMART_UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &got).expect("write the pinned reference");
+    }
+    let expected = std::fs::read_to_string(path).expect("pinned reference exists");
+    assert_eq!(
+        got, expected,
+        "the legacy replay drifted from its pinned text"
+    );
+}
+
 /// The legacy serializer and the live incremental NIC mint the same
 /// flit sequence for the same packet.
 #[test]
