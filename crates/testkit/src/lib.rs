@@ -6,7 +6,8 @@
 //! through every [`Scenario`] preset (the Fig 7 walk-through, the eight
 //! Section VI task-graph applications, and uniform-random Bernoulli
 //! traffic) under a **fixed RNG seed**, and three invariant families are
-//! asserted on each combination:
+//! asserted on each combination (a fourth holds the engine itself to an
+//! independent reference):
 //!
 //! 1. **Delivery** — every injected packet (and every flit of it) is
 //!    delivered once the network drains; the network *does* drain.
@@ -19,6 +20,14 @@
 //! 3. **Zero-load latency** — a lone packet's measured latency equals
 //!    the analytical prediction: `1 + 3·stops` on SMART, `4·hops + 4`
 //!    on the baseline mesh, `1` on the dedicated yardstick.
+//! 4. **Engine == reference** — [`RefNetwork`] restates the paper's
+//!    BW/SA/ST pipeline and Section IV flow control with whole flits in
+//!    plain queues; on the same flow plans and traffic, `smart_sim`'s
+//!    `Network` (any band count) must produce the same statistics,
+//!    counters, per-link counts and drain cycle
+//!    (`tests/reference_equivalence.rs`, `tests/reference_exhaustive.rs`,
+//!    and `tests/golden/reference_4x4.txt`, pinned from the engine copy it
+//!    replaced).
 //!
 //! Runs are deterministic: the same [`Conformance`] settings produce
 //! byte-identical [`CaseReport`]s, which future scale/perf PRs can diff
@@ -34,9 +43,11 @@
 //! ```
 
 pub mod harness;
+pub mod reference;
 pub mod scenario;
 
 pub use harness::{CaseReport, Conformance};
+pub use reference::RefNetwork;
 pub use scenario::Scenario;
 
 // The conformance matrix's design axis is the multi-app schedule
