@@ -18,7 +18,7 @@
 
 /// A bitset over `0..n` that knows in O(1) whether it is empty.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ActiveSet {
+pub(crate) struct ActiveSet {
     words: Vec<u64>,
     len: usize,
 }
@@ -81,6 +81,7 @@ impl ActiveSet {
     }
 
     /// All members, ascending.
+    #[cfg(test)]
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         (0..self.words.len()).flat_map(|w| self.word(w))
     }
@@ -88,7 +89,7 @@ impl ActiveSet {
 
 /// The members of one [`ActiveSet`] word, ascending.
 #[derive(Debug, Clone, Copy)]
-pub struct Bits {
+pub(crate) struct Bits {
     word: u64,
     base: usize,
 }

@@ -8,16 +8,16 @@
 //!
 //! * **Per packet.** The fields that never change (source, destination,
 //!   generation/injection cycles, original [`PacketId`]) are interned
-//!   **once** into a [`PacketArena`] when the packet enters its source
-//!   NIC and reached through an arena slot.
-//! * **Per flit.** A [`Flit`] is the small fixed-size `Copy` record that
+//!   **once** into a packet arena when the packet enters its source NIC
+//!   and reached through an arena slot.
+//! * **Per flit.** A flit is the small fixed-size `Copy` record that
 //!   *moves* — out of a NIC, through the arrival rings, across a band
 //!   boundary, into a NIC — and it names its packet, flow, position and
 //!   VC so each of those places can check what it was handed. It is
 //!   **not** what a router buffers. A body flit's 4-bit header is
 //!   enough in hardware because under virtual cut-through the VC it
-//!   sits in belongs to one packet from head to tail; the
-//!   [`RouterBank`](crate::router::RouterBank) keeps the same books: a
+//!   sits in belongs to one packet from head to tail; the router bank
+//!   keeps the same books: a
 //!   VC records its packet when the head arrives, a body or tail
 //!   arriving behind it is checked against that record and counted, and
 //!   the `Flit` that departs is rebuilt from the record.
@@ -51,17 +51,6 @@ impl fmt::Display for VcId {
     }
 }
 
-/// Position of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum FlitKind {
-    /// First flit: carries the route and allocates VCs.
-    Head,
-    /// Middle flits.
-    Body,
-    /// Last flit: frees the VC behind it.
-    Tail,
-}
-
 /// Index of a live packet's metadata in the engine's [`PacketArena`].
 ///
 /// Slots are recycled once the packet's tail reaches its destination
@@ -69,13 +58,13 @@ pub enum FlitKind {
 /// the stable [`PacketId`] lives in the [`PacketMeta`] the slot points
 /// at.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
-pub struct PacketSlot(pub u32);
+pub(crate) struct PacketSlot(pub(crate) u32);
 
 /// One flit in flight: the small fixed-size record moved through NIC
 /// queues, links and arrival rings every cycle. Per-packet fields live
 /// in the [`PacketArena`], reached through `pkt`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Flit {
+pub(crate) struct Flit {
     /// Arena slot of the packet this flit belongs to.
     pub pkt: PacketSlot,
     /// Flow this packet belongs to (kept inline: injection finds the
@@ -127,18 +116,6 @@ impl Flit {
     pub fn is_tail(&self) -> bool {
         self.seq + 1 == self.num_flits
     }
-
-    /// Head / body / tail, derived from the sequence number.
-    #[must_use]
-    pub fn kind(&self) -> FlitKind {
-        if self.is_head() {
-            FlitKind::Head
-        } else if self.is_tail() {
-            FlitKind::Tail
-        } else {
-            FlitKind::Body
-        }
-    }
 }
 
 /// A whole packet, as produced by a traffic source before the NIC
@@ -162,7 +139,7 @@ pub struct Packet {
 /// Interned per-packet metadata: everything the old inline flit carried
 /// on every hop but that is constant for the packet's lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PacketMeta {
+pub(crate) struct PacketMeta {
     /// The packet's stable identity (traces, goldens, diagnostics).
     pub id: PacketId,
     /// The flow it belongs to.
@@ -188,10 +165,9 @@ pub struct PacketMeta {
 /// packets simultaneously in flight (queued included), not the total
 /// injected — steady-state simulation performs no arena allocation.
 #[derive(Debug, Clone, Default)]
-pub struct PacketArena {
+pub(crate) struct PacketArena {
     slots: Vec<PacketMeta>,
     free: Vec<u32>,
-    live: usize,
 }
 
 impl PacketArena {
@@ -228,7 +204,6 @@ impl PacketArena {
     /// Panics if the metadata has zero flits.
     pub fn intern_meta(&mut self, meta: PacketMeta) -> PacketSlot {
         assert!(meta.num_flits > 0, "a packet needs at least one flit");
-        self.live += 1;
         match self.free.pop() {
             Some(i) => {
                 self.slots[i as usize] = meta;
@@ -260,13 +235,6 @@ impl PacketArena {
     pub fn release(&mut self, slot: PacketSlot) {
         debug_assert!(!self.free.contains(&slot.0), "double release of {slot:?}");
         self.free.push(slot.0);
-        self.live -= 1;
-    }
-
-    /// Packets currently interned (queued or in flight).
-    #[must_use]
-    pub fn live(&self) -> usize {
-        self.live
     }
 }
 
@@ -346,10 +314,8 @@ mod tests {
             .map(|s| Flit::new(PacketSlot(7), FlowId(1), s, 8))
             .collect();
         assert!(flits[0].is_head());
-        assert_eq!(flits[0].kind(), FlitKind::Head);
         assert!(flits[7].is_tail());
-        assert_eq!(flits[7].kind(), FlitKind::Tail);
-        assert!(flits[1..7].iter().all(|f| f.kind() == FlitKind::Body));
+        assert!(flits[1..7].iter().all(|f| !f.is_head() && !f.is_tail()));
         assert!(flits.iter().enumerate().all(|(i, f)| f.seq as usize == i));
     }
 
@@ -359,7 +325,6 @@ mod tests {
         let f = Flit::new(PacketSlot(0), FlowId(0), 0, 1);
         assert!(f.is_head());
         assert!(f.is_tail());
-        assert_eq!(f.kind(), FlitKind::Head);
     }
 
     #[test]
@@ -375,7 +340,6 @@ mod tests {
         let a = arena.intern(&packet(7, 8));
         let b = arena.intern(&packet(9, 4));
         assert_ne!(a, b);
-        assert_eq!(arena.live(), 2);
         assert_eq!(arena.get(a).id, PacketId(7));
         assert_eq!(arena.get(a).inject_cycle, u64::MAX);
         arena.mark_injected(a, 110);
@@ -384,7 +348,6 @@ mod tests {
 
         // Releasing recycles the slot without growing the slab.
         arena.release(a);
-        assert_eq!(arena.live(), 1);
         let c = arena.intern(&packet(11, 8));
         assert_eq!(c, a, "freed slot is reused");
         assert_eq!(arena.get(c).id, PacketId(11));

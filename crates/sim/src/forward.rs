@@ -22,7 +22,7 @@
 use crate::flit::FlowId;
 use crate::route::SourceRoute;
 use crate::topology::{Direction, LinkId, NodeId, Topology, PORTS};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The party that launches flits onto a leg (and owns the free-VC queue
 /// for the leg's endpoint).
@@ -144,8 +144,9 @@ impl FlowPlan {
     }
 
     /// Validate internal consistency: legs chain (each leg's endpoint is
-    /// the next leg's sender router), the first leg starts at the source
-    /// NIC, and the last leg ends at the destination NIC.
+    /// the next leg's sender router), no router is left twice, the first
+    /// leg starts at the source NIC, and the last leg ends at the
+    /// destination NIC.
     ///
     /// # Panics
     ///
@@ -173,6 +174,12 @@ impl FlowPlan {
                 (e, s) => panic!("{}: leg ends {e:?} but next starts {s:?}", self.flow),
             }
         }
+        let mut left = HashSet::new();
+        for leg in &self.legs[1..] {
+            if let Sender::RouterOutput(r, _) = leg.sender {
+                assert!(left.insert(r), "{}: revisits router {r}", self.flow);
+            }
+        }
         // The union of leg links must equal the route's links, in order.
         let from_legs: Vec<LinkId> = self.legs.iter().flat_map(|l| l.links.clone()).collect();
         assert_eq!(
@@ -184,13 +191,10 @@ impl FlowPlan {
     }
 }
 
-/// All flow plans of an application, with lookup indices used by the
-/// engine every cycle.
+/// All flow plans of an application, by flow.
 #[derive(Debug, Clone, Default)]
 pub struct FlowTable {
     plans: HashMap<FlowId, FlowPlan>,
-    /// (flow, stop router) → leg index departing that router.
-    leg_from: HashMap<(FlowId, NodeId), usize>,
 }
 
 impl FlowTable {
@@ -209,13 +213,6 @@ impl FlowTable {
     pub fn insert(&mut self, mesh: Topology, plan: FlowPlan) {
         plan.validate(mesh);
         let flow = plan.flow;
-        assert!(!self.plans.contains_key(&flow), "{flow}: duplicate plan");
-        for (i, leg) in plan.legs.iter().enumerate().skip(1) {
-            if let Sender::RouterOutput(r, _) = leg.sender {
-                let prev = self.leg_from.insert((flow, r), i);
-                assert!(prev.is_none(), "{flow}: revisits router {r}");
-            }
-        }
         let prev = self.plans.insert(flow, plan);
         assert!(prev.is_none(), "{flow}: duplicate plan");
     }
@@ -230,20 +227,6 @@ impl FlowTable {
         self.plans
             .get(&flow)
             .unwrap_or_else(|| panic!("no plan for {flow}"))
-    }
-
-    /// The leg that departs stop router `router` for `flow`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flow does not stop at that router.
-    #[must_use]
-    pub fn leg_from(&self, flow: FlowId, router: NodeId) -> &Segment {
-        let idx = self
-            .leg_from
-            .get(&(flow, router))
-            .unwrap_or_else(|| panic!("{flow} does not stop at {router}"));
-        &self.plan(flow).legs[*idx]
     }
 
     /// Iterate over all plans.
@@ -313,8 +296,8 @@ impl FlowTable {
 /// Dense per-cycle leg records compiled once from a [`FlowTable`].
 ///
 /// [`FlowTable`] is the mutable, validated source of truth; its lookups
-/// hash `(FlowId, NodeId)` keys, which is fine at build time but not in
-/// the engine's per-cycle hot path. `LegLut` flattens every plan's legs
+/// hash a [`FlowId`], which is fine at build time but not in the
+/// engine's per-cycle hot path. `LegLut` flattens every plan's legs
 /// into one dense array **in travel order**, so the engine never looks
 /// a route up: an injected head starts on its flow's first leg, and a
 /// head that arrived on leg `i` leaves its stop router on leg `i + 1`.
@@ -553,18 +536,28 @@ mod tests {
     }
 
     #[test]
-    fn flow_table_leg_lookup() {
-        let r0 = SourceRoute::xy(mesh(), NodeId(0), NodeId(3)).unwrap();
-        let table = FlowTable::mesh_baseline(mesh(), &[(FlowId(7), r0)]);
-        let leg = table.leg_from(FlowId(7), NodeId(1));
-        assert_eq!(leg.sender, Sender::RouterOutput(NodeId(1), Direction::East));
-        assert_eq!(
-            leg.end,
-            Endpoint::Stop {
-                router: NodeId(2),
-                in_dir: Direction::West
-            }
-        );
+    #[should_panic(expected = "f7: revisits router n1")]
+    fn a_plan_that_leaves_a_router_twice_is_refused() {
+        let route = SourceRoute::xy(mesh(), NodeId(0), NodeId(3)).unwrap();
+        let mut plan = mesh_plan_for(mesh(), FlowId(7), route);
+        // Legs: inject, 0→1, 1→2, 2→3, eject. Detour 1→2→1 after the
+        // first hop: the legs still chain, but router 1 is left twice.
+        let back = Segment {
+            sender: Sender::RouterOutput(NodeId(2), Direction::West),
+            out_dir: Direction::West,
+            links: vec![LinkId {
+                from: NodeId(2),
+                dir: Direction::West,
+            }],
+            end: Endpoint::Stop {
+                router: NodeId(1),
+                in_dir: Direction::East,
+            },
+            cycles: 2,
+        };
+        let out = plan.legs[2].clone();
+        plan.legs.splice(2..2, [out, back]);
+        plan.validate(mesh());
     }
 
     #[test]

@@ -12,11 +12,11 @@
 //! There is one cycle engine, [`Network`], with one step loop. It runs
 //! on any number of row bands: [`Network::new`] is the 1-band case,
 //! stepped inline; [`Network::banded`] steps each band on its own
-//! thread with a per-cycle boundary exchange ([`shard`]) and produces
-//! bit-identical results. Windowed [`telemetry`] and event [`trace`]s
-//! work at every band count — per-band recordings merge on read. A
-//! cycle visits only the routers holding flits and the NICs with a
-//! backlog (one [`ActiveSet`] each), so idle fabric costs nothing.
+//! thread with a per-cycle boundary exchange and produces bit-identical
+//! results. Windowed [`telemetry`] and event [`trace`]s work at every
+//! band count — per-band recordings merge on read. A cycle visits only
+//! the routers holding flits and the NICs with a backlog (one bitset of
+//! each per band), so idle fabric costs nothing.
 //!
 //! [`jsonl`] is the flat-JSON line codec (field readers, line writer,
 //! escaping, header-plus-declared-lines framing) that the telemetry
@@ -54,7 +54,7 @@
 //! ```
 #![warn(missing_docs)]
 
-pub mod active;
+mod active;
 pub mod arbiter;
 pub mod counters;
 pub mod flit;
@@ -64,22 +64,18 @@ pub mod network;
 pub mod nic;
 pub mod route;
 pub mod router;
-pub mod shard;
+mod shard;
 pub mod stats;
 pub mod telemetry;
 pub mod topology;
 pub mod trace;
 pub mod traffic;
 
-pub use active::ActiveSet;
 pub use counters::ActivityCounters;
-pub use flit::{
-    Flit, FlitKind, FlowId, Packet, PacketArena, PacketId, PacketMeta, PacketSlot, VcId,
-};
+pub use flit::{FlowId, Packet, PacketId, VcId};
 pub use forward::{Endpoint, FlowPlan, FlowTable, LegLut, Segment, Sender};
 pub use network::{Network, SimConfig};
 pub use route::{RouteError, SourceRoute};
-pub use router::{CreditRelease, RouterBank, RouterDeparture};
 pub use stats::SimStats;
 pub use telemetry::{
     CycleView, MetricsCollector, MetricsParseError, MetricsWindow, NoProbe, Probe, StallCause,

@@ -14,8 +14,8 @@
 //!    end;
 //! 5. accounting (clock gating, cycle counters).
 //!
-//! Stages 1–2 drain event rings and stages 3–4 walk an
-//! [`ActiveSet`] each, so a cycle costs what it moves: a router or NIC
+//! Stages 1–2 drain event rings and stages 3–4 walk an active set
+//! each, so a cycle costs what it moves: a router or NIC
 //! that holds nothing is not looked at.
 //!
 //! A [`Network`] built by [`Network::new`] is the 1-band case: the band
@@ -23,7 +23,7 @@
 //! `Seam` (`Solo`) answers "nothing is foreign" as a constant, so
 //! the compiler removes the hand-over paths. [`Network::banded`] runs
 //! the same loop on several bands at once; what they exchange, and why
-//! the result is bit-identical, is [`crate::shard`]'s subject.
+//! the result is bit-identical, is the `shard` module's subject.
 //!
 //! The engine enforces the SMART preset invariant at runtime: **no two
 //! flits may cross the same link in the same cycle** — if a preset
@@ -711,7 +711,7 @@ enum Coupling {
 /// The simulated network: row bands of routers + NICs + in-flight
 /// events, stepped by one cycle loop. [`Network::new`] builds the
 /// single-band engine; [`Network::banded`] splits the same simulation
-/// across threads with bit-identical results (see [`crate::shard`]).
+/// across threads with bit-identical results (the `shard` module).
 #[derive(Debug)]
 pub struct Network {
     cfg: SimConfig,

@@ -8,7 +8,7 @@
 //! and returns a credit to whichever sender tracks this NIC.
 //!
 //! Serialization is incremental: the NIC holds the packet's arena slot
-//! and a sequence counter and mints each [`Flit`] the cycle it launches,
+//! and a sequence counter and mints each flit the cycle it launches,
 //! so the injection hot path performs no allocation (the PR-4
 //! zero-steady-state-allocation invariant).
 //!
@@ -27,7 +27,7 @@ use std::collections::VecDeque;
 /// A packet-latency sample produced when flits arrive at their
 /// destination NIC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RxEvent {
+pub(crate) enum RxEvent {
     /// A head flit arrived: `(flow, head_latency, source_queue_delay)`.
     Head(FlowId, u64, u64),
     /// A tail arrived: `(flow, packet_latency, freed_vc)`.
@@ -38,7 +38,7 @@ pub enum RxEvent {
 /// fixed-size return so reception allocates nothing per flit. A
 /// single-flit packet yields both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RxEvents {
+pub(crate) struct RxEvents {
     /// Set when the flit was a head.
     pub head: Option<RxEvent>,
     /// Set when the flit was a tail.
@@ -113,7 +113,7 @@ impl Nic {
     /// # Panics
     ///
     /// Panics if the packet's source is not this node.
-    pub fn offer(&mut self, slot: PacketSlot, meta: &PacketMeta) {
+    pub(crate) fn offer(&mut self, slot: PacketSlot, meta: &PacketMeta) {
         assert_eq!(meta.src, self.node, "packet offered to the wrong NIC");
         self.inject_queue.push_back(QueuedTx {
             slot,
@@ -154,7 +154,7 @@ impl Nic {
     /// (virtual cut-through); once started, a packet streams one flit
     /// per cycle without stalling. The head's launch cycle is stamped
     /// into the arena as the packet's injection cycle.
-    pub fn try_inject(
+    pub(crate) fn try_inject(
         &mut self,
         arena: &mut PacketArena,
         cycle: u64,
@@ -191,7 +191,7 @@ impl Nic {
     /// # Panics
     ///
     /// Panics on reception-VC protocol violations.
-    pub fn receive(
+    pub(crate) fn receive(
         &mut self,
         flit: Flit,
         meta: &PacketMeta,

@@ -28,7 +28,7 @@
 //! leg that output starts — all written **once**, when the head is
 //! buffer-written. `receive` of a body or tail writes no flit anywhere:
 //! it checks that the flit is the next one of the occupying packet and
-//! bumps a count. `allocate` rebuilds a departing [`Flit`] from the
+//! bumps a count. `allocate` rebuilds a departing flit from the
 //! record.
 //!
 //! The one per-flit fact is *when* each flit was buffer-written. A
@@ -42,7 +42,7 @@
 //!
 //! # Everything else
 //!
-//! The state of *all* routers lives in one [`RouterBank`]: flat
+//! The state of *all* routers lives in one `RouterBank`: flat
 //! structure-of-arrays storage indexed by `(router, port, vc)`, so the
 //! engine's per-cycle walk reads dense arrays instead of chasing
 //! per-router collections, and switch allocation reuses scratch buffers
@@ -50,7 +50,7 @@
 //! u64 bitset (one bit per `(port, vc)`), so allocation touches only the
 //! occupied VCs, and each output's free-VC queue is a nibble-packed u64
 //! FIFO, bit-exact with the `VecDeque` it replaced. The bank also owns
-//! the [`ActiveSet`] of routers with at least one buffered flit —
+//! the active set of routers with at least one buffered flit —
 //! `receive` adds a router, the `allocate` that pops its last flit
 //! removes it — which is what the engine walks instead of the whole
 //! bank.
@@ -137,7 +137,7 @@ impl VcFifo {
 /// A flit leaving this router, with the context the engine needs to
 /// schedule its arrival.
 #[derive(Debug, Clone)]
-pub struct RouterDeparture {
+pub(crate) struct RouterDeparture {
     /// The flit (its `vc` field already set to the endpoint VC).
     pub flit: Flit,
     /// Output direction granted.
@@ -151,7 +151,7 @@ pub struct RouterDeparture {
 /// A credit released by a departing tail: the upstream sender of
 /// `in_dir` gets VC `vc` back.
 #[derive(Debug, Clone, Copy)]
-pub struct CreditRelease {
+pub(crate) struct CreditRelease {
     /// Bank index of the router whose input VC was freed (releases from
     /// several routers may share one batch).
     pub router: u16,
@@ -173,7 +173,7 @@ pub struct CreditRelease {
 /// [`RouterBank::allocate`] appends into caller-owned scratch vectors so
 /// steady-state simulation performs no heap allocation.
 #[derive(Debug, Clone)]
-pub struct RouterBank {
+pub(crate) struct RouterBank {
     n: usize,
     num_vcs: usize,
     depth: usize,
@@ -334,12 +334,6 @@ impl RouterBank {
     #[must_use]
     pub fn len(&self) -> usize {
         self.n
-    }
-
-    /// `true` for a bank of zero routers.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.n == 0
     }
 
     /// Flits buffered across all routers — `0` means every router is
@@ -743,8 +737,8 @@ impl RouterBank {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, FlowId, PacketSlot};
-    use crate::forward::FlowTable;
+    use crate::flit::{FlowId, PacketSlot};
+    use crate::forward::{FlowTable, Sender};
     use crate::route::SourceRoute;
     use crate::telemetry::NoProbe;
     use crate::topology::Topology;
@@ -762,8 +756,8 @@ mod tests {
             Router { bank }
         }
 
-        /// [`RouterBank::receive`], with a head's output looked up in
-        /// `flows` as the engine's flow table would.
+        /// [`RouterBank::receive`], with a head's output read off the
+        /// leg of its flow's plan that leaves this router.
         fn receive(
             &mut self,
             in_dir: Direction,
@@ -773,7 +767,14 @@ mod tests {
             counters: &mut ActivityCounters,
         ) {
             let node = self.bank.node_of(0);
-            let route = || (flows.leg_from(flit.flow, node).out_dir, 0);
+            let route = || {
+                let legs = &flows.plan(flit.flow).legs;
+                let out = legs.iter().find_map(|leg| match leg.sender {
+                    Sender::RouterOutput(r, d) if r == node => Some(d),
+                    _ => None,
+                });
+                (out.expect("the flow stops here"), 0)
+            };
             self.bank.receive(0, in_dir, flit, cycle, route, counters);
         }
 
@@ -937,7 +938,7 @@ mod tests {
         for cycle in 5..14 {
             let (d, _) = r.allocate(cycle, &mut c);
             for dep in d {
-                order.push((dep.flit.pkt, dep.flit.kind()));
+                order.push((dep.flit.pkt, dep.flit.is_tail()));
             }
         }
         assert_eq!(order.len(), 6);
@@ -945,7 +946,7 @@ mod tests {
         let first = order[0].0;
         assert!(order[..3].iter().all(|(p, _)| *p == first));
         assert!(order[3..].iter().all(|(p, _)| *p != first));
-        assert_eq!(order[2].1, FlitKind::Tail);
+        assert!(order[2].1, "the third flit is the first packet's tail");
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! carry flits across the outermost band boundary in one hop), from
 //! light load to deep saturation.
 //!
-//! The 1-band network is the reference: it is itself locked against the
-//! frozen pre-refactor engine by `legacy_equivalence.rs`, so this net
-//! transitively anchors every band count to the original semantics.
+//! The 1-band network is the reference: it is itself held equal to the
+//! independent `smart_testkit::RefNetwork` by smart-testkit's
+//! `reference_equivalence.rs` (which also runs 2 bands against it
+//! directly), so this net anchors every band count to the paper's
+//! pipeline as that reference states it.
 
 use proptest::prelude::*;
 use smart_sim::route::SourceRoute;
