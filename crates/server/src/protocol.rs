@@ -222,8 +222,9 @@ impl WorkloadSpec {
             let rate: f64 = s
                 .parse()
                 .map_err(|_| format!("bad rate {s:?} in {spec:?}"))?;
-            if !rate.is_finite() || rate < 0.0 {
-                return Err(format!("rate {rate} out of range in {spec:?}"));
+            // A rate is a per-cycle injection probability.
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(format!("rate {rate} outside [0, 1] in {spec:?}"));
             }
             Ok(rate)
         };
@@ -1759,7 +1760,13 @@ mod tests {
         ] {
             assert!(WorkloadSpec::parse(spec).is_err(), "{spec:?}");
         }
+        // A rate is a per-cycle probability: above 1 is refused by name.
+        for spec in ["uniform:4:1.5:7", "pattern:tornado:2"] {
+            let err = WorkloadSpec::parse(spec).expect_err(spec);
+            assert!(err.contains("outside [0, 1]"), "{spec:?}: {err}");
+        }
         assert!(WorkloadSpec::parse("uniform:4:0.1:5").is_ok());
+        assert!(WorkloadSpec::parse("pattern:tornado:1").is_ok());
     }
 
     #[test]

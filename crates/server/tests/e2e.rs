@@ -271,6 +271,38 @@ fn served_requests_are_bit_exact_cached_and_searchable() {
     handle.shutdown().expect("shutdown handshake");
 }
 
+/// A rate is a per-cycle injection probability. One above 1 used to
+/// parse, be accepted, and panic the cell worker that built its traffic;
+/// it is refused with one `error` event before anything is accepted,
+/// and the connection goes on serving.
+#[test]
+fn a_rate_above_one_is_refused_before_it_is_accepted() {
+    let server = Server::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let handle = server.spawn().expect("spawn accept loop");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let mut hot = matrix_request("hot");
+    if let Request::Matrix { workloads, .. } = &mut hot {
+        *workloads = vec![WorkloadSpec::Uniform {
+            flows: 4,
+            rate: 1.5,
+            seed: 7,
+        }];
+    }
+    let events = client.submit(&hot).expect("an error event, not a hang-up");
+    match events.as_slice() {
+        [ResponseEvent::Error { message, .. }] => {
+            assert!(message.contains("outside [0, 1]"), "{message}");
+        }
+        other => panic!("expected exactly one error event: {other:?}"),
+    }
+    let after = client.submit(&matrix_request("after")).expect("matrix");
+    assert_eq!(
+        cells_of(&after).len(),
+        DESIGNS.len() * workload_specs().len()
+    );
+    handle.shutdown().expect("shutdown handshake");
+}
+
 /// What a fresh, well-behaved connection sees after a hostile one: a
 /// served request, and a job table the hostile one left nothing in.
 fn assert_serving_normally(addr: std::net::SocketAddr) {
