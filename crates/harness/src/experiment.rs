@@ -10,8 +10,7 @@ use smart_sim::counters::ActivityCounters;
 use smart_sim::stats::SimStats;
 use smart_sim::traffic::TrafficSource;
 use smart_sim::{
-    BernoulliTraffic, FlowId, FlowTable, NodeId, ScriptedTraffic, TelemetryConfig, TelemetrySeries,
-    Topology,
+    FlowId, FlowTable, NodeId, ScriptedTraffic, TelemetryConfig, TelemetrySeries, Topology,
 };
 use smart_traffic::{
     ModulatedTraffic, PhaseOutcome, TemporalModel, TraceFile, TraceRecorder, TraceTraffic,
@@ -122,8 +121,7 @@ pub enum Drive {
     /// Rate-driven injection at the workload's rates through the
     /// workload's [`TemporalModel`] — for steady workloads this is the
     /// paper's "uniform random injection rate to meet the specified
-    /// bandwidth for each flow", bit-exact with the historical
-    /// [`BernoulliTraffic`] path.
+    /// bandwidth for each flow".
     Bernoulli,
     /// Deterministic `(cycle, flow)` events — the Fig 7 walk-through
     /// and zero-load probes. The workload's rates are ignored.
@@ -160,10 +158,9 @@ impl Drive {
         Drive::Custom(Arc::new(factory))
     }
 
-    /// Build the concrete traffic source for one run. The
-    /// [`Drive::Bernoulli`] + [`TemporalModel::Steady`] combination
-    /// constructs exactly the historical [`BernoulliTraffic`], keeping
-    /// every pre-existing workload's packet stream byte-identical.
+    /// Build the concrete traffic source for one run: every rate-driven
+    /// drive is one [`ModulatedTraffic`], through the workload's model or
+    /// the drive's own.
     #[must_use]
     pub fn build(&self, ctx: &TrafficContext<'_>) -> Box<dyn TrafficSource> {
         let modulated = |model: TemporalModel| -> Box<dyn TrafficSource> {
@@ -177,16 +174,7 @@ impl Drive {
             ))
         };
         match self {
-            Drive::Bernoulli => match ctx.temporal {
-                TemporalModel::Steady => Box::new(BernoulliTraffic::new(
-                    ctx.rates,
-                    ctx.flows,
-                    ctx.topology,
-                    ctx.flits_per_packet,
-                    ctx.seed,
-                )),
-                model => modulated(model),
-            },
+            Drive::Bernoulli => modulated(ctx.temporal),
             Drive::Temporal(model) => modulated(*model),
             Drive::Scripted(events) => Box::new(ScriptedTraffic::new(
                 events.clone(),

@@ -510,9 +510,8 @@ impl MultiAppExperiment {
 
             let noc = rnoc.noc_mut().expect("app just loaded");
             let plan = phase.plan;
-            // Per-phase drive plumbing: Bernoulli phases construct the
-            // exact historical BernoulliTraffic (schedule goldens stay
-            // byte-identical); any other drive rides the same path.
+            // Per-phase drive plumbing: every drive builds its source
+            // from the phase's rates, flow table and seed.
             let mut traffic = phase.drive.build(&TrafficContext {
                 rates: &r.rates,
                 flows: noc.network().flows(),

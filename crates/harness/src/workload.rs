@@ -153,8 +153,7 @@ pub struct RoutedWorkload {
     /// Packets-per-cycle injection rate per flow.
     pub rates: Vec<(FlowId, f64)>,
     /// Injection process layered on the rates by rate-driven drives
-    /// ([`TemporalModel::Steady`] reproduces the historical Bernoulli
-    /// stream bit-exactly).
+    /// ([`TemporalModel::Steady`] is plain per-flow Bernoulli).
     pub temporal: TemporalModel,
 }
 

@@ -89,15 +89,6 @@ impl BernoulliTraffic {
         }
         out
     }
-
-    /// Aggregate offered load in flits per cycle across all flows.
-    #[must_use]
-    pub fn offered_flits_per_cycle(&self) -> f64 {
-        self.flows
-            .iter()
-            .map(|(_, _, _, r)| r * f64::from(self.flits_per_packet))
-            .sum()
-    }
 }
 
 impl TrafficSource for BernoulliTraffic {
@@ -293,13 +284,6 @@ mod tests {
         assert_eq!(burst.len(), 6);
         assert!(burst.iter().all(|p| p.gen_cycle == 42));
         assert_eq!(burst.iter().filter(|p| p.flow == FlowId(0)).count(), 3);
-    }
-
-    #[test]
-    fn offered_load_sums_flows() {
-        let (flows, mesh) = table();
-        let t = BernoulliTraffic::new(&[(FlowId(0), 0.05), (FlowId(1), 0.1)], &flows, mesh, 8, 0);
-        assert!((t.offered_flits_per_cycle() - 1.2).abs() < 1e-12);
     }
 
     #[test]
