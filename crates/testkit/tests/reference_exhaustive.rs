@@ -15,7 +15,9 @@
 //! Plans are built for the distinct flows a schedule injects, so a
 //! SMART flow alone on the fabric bypasses every router between its
 //! ends, and two or three flows force the stops Section IV prescribes
-//! where they share links.
+//! where they share links. Packets are three flits (head, body, tail)
+//! on the paper's 2 VCs: short enough that a NIC sending its third
+//! packet waits on the credit loop, so credit timing is observable.
 
 use smart_core::compile::compile;
 use smart_sim::{
@@ -26,9 +28,9 @@ use smart_testkit::RefNetwork;
 use std::collections::HashMap;
 
 /// Packets are injected in cycles `0..K`: the largest `K` that keeps
-/// this file within 10 s in release on 2 vCPUs (5.9 s; `K = 6` took
-/// 9.6–10.1 s).
-const K: u64 = 5;
+/// this file within 10 s in release on 2 vCPUs (6.0 s; `K = 7` took
+/// 9.9 s, no margin, and would cost ~80 s in CI's debug step).
+const K: u64 = 6;
 /// Every schedule is quiescent this many cycles after `K`.
 const QUIET_WITHIN: u64 = 200;
 
@@ -127,6 +129,7 @@ fn exhaust(fabric: &Fabric) {
     let topo = fabric.topology;
     let cfg = SimConfig {
         topology: topo,
+        flits_per_packet: 3,
         ..SimConfig::paper_4x4()
     };
     let pairs: Vec<SourceRoute> = fabric
