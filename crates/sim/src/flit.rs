@@ -17,10 +17,10 @@
 //!   **not** what a router buffers. A body flit's 4-bit header is
 //!   enough in hardware because under virtual cut-through the VC it
 //!   sits in belongs to one packet from head to tail; the router bank
-//!   keeps the same books: a
-//!   VC records its packet when the head arrives, a body or tail
-//!   arriving behind it is checked against that record and counted, and
-//!   the `Flit` that departs is rebuilt from the record.
+//!   keeps the same books: a VC records its packet when the head
+//!   arrives, a body or tail arriving behind it is checked against that
+//!   record and counted, and the flit that departs is rebuilt from the
+//!   record.
 
 use crate::route::SourceRoute;
 use crate::topology::{NodeId, Topology};

@@ -37,7 +37,10 @@
 //!    output with a free VC at its endpoint grants one head round-robin.
 //!    An input port sends at most one flit, held streams first. Granted
 //!    flits cross their leg (**ST**, and for SMART the whole multi-hop
-//!    link stretch) during `c + 1`.
+//!    link stretch) during `c + 1`. A granted head is also SMART's
+//!    setup request (**SSR**): the bypassed routers' crossbars are preset
+//!    per application, so the grant alone claims the whole stretch, and
+//!    a head that loses stops prematurely in its buffer.
 //! 5. **Accounting.** Clock-gated and active port-cycles, the cycle count.
 //!
 //! # Flow control (Section IV)

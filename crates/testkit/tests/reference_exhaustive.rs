@@ -37,33 +37,9 @@ const QUIET_WITHIN: u64 = 200;
 /// SMART's `HPC_max` here: enough to cross any of these fabrics.
 const HPC_MAX: usize = 8;
 
-struct Fabric {
-    name: &'static str,
-    topology: Topology,
-    /// Every ordered pair of these nodes is a flow.
-    nodes: Vec<NodeId>,
-}
-
-fn fabrics() -> [Fabric; 3] {
-    let nodes = |n: u16| (0..n).map(NodeId).collect();
-    [
-        Fabric {
-            name: "2x2 mesh",
-            topology: Topology::mesh(2, 2),
-            nodes: nodes(4),
-        },
-        Fabric {
-            name: "1x4 mesh",
-            topology: Topology::mesh(4, 1),
-            nodes: nodes(4),
-        },
-        Fabric {
-            name: "1x4 torus",
-            topology: Topology::torus(4, 2),
-            nodes: nodes(4),
-        },
-    ]
-}
+/// Flows run between every ordered pair of nodes 0..4: the whole of
+/// the two meshes, and the ring in row 0 of the 4×2 torus.
+const NODES: u16 = 4;
 
 /// Every multiset of at most three `(cycle, flow)` injections with
 /// `cycle < K`, in a fixed order.
@@ -124,18 +100,15 @@ fn assert_schedule(cfg: SimConfig, flows: &FlowTable, schedule: &[(u64, FlowId)]
     );
 }
 
-/// Every schedule on `fabric`, Mesh and SMART.
-fn exhaust(fabric: &Fabric) {
-    let topo = fabric.topology;
+/// Every schedule on the fabric `name`, Mesh and SMART.
+fn exhaust(name: &str, topo: Topology) {
     let cfg = SimConfig {
         topology: topo,
         flits_per_packet: 3,
         ..SimConfig::paper_4x4()
     };
-    let pairs: Vec<SourceRoute> = fabric
-        .nodes
-        .iter()
-        .flat_map(|&s| fabric.nodes.iter().map(move |&d| (s, d)))
+    let pairs: Vec<SourceRoute> = (0..NODES)
+        .flat_map(|s| (0..NODES).map(move |d| (NodeId(s), NodeId(d))))
         .filter(|(s, d)| s != d)
         .map(|(s, d)| SourceRoute::xy(topo, s, d).expect("distinct nodes"))
         .collect();
@@ -158,44 +131,35 @@ fn exhaust(fabric: &Fabric) {
                 }
             });
             let design = if smart { "SMART" } else { "Mesh" };
-            let ctx = format!("{} / {design} / {schedule:?}", fabric.name);
+            let ctx = format!("{name} / {design} / {schedule:?}");
             assert_schedule(cfg, flows, schedule, &ctx);
         }
     }
     let n = pairs.len() * K as usize;
     let multisets = n + n * (n + 1) / 2 + n * (n + 1) * (n + 2) / 6;
-    assert_eq!(all.len(), multisets, "{}", fabric.name);
+    assert_eq!(all.len(), multisets, "{name}");
     // The SMART half crossed bypass legs, and on the ring the seam.
     let smart_legs: Vec<_> = plans
         .iter()
         .filter(|((smart, _), _)| *smart)
         .flat_map(|(_, table)| table.iter().flat_map(|plan| plan.legs.clone()))
         .collect();
-    assert!(
-        smart_legs.iter().any(|leg| leg.links.len() > 1),
-        "{}",
-        fabric.name
-    );
+    assert!(smart_legs.iter().any(|leg| leg.links.len() > 1), "{name}");
     let wraps = |leg: &Segment| leg.links.iter().any(|l| topo.is_wrap_link(*l));
-    assert_eq!(
-        smart_legs.iter().any(wraps),
-        topo.is_torus(),
-        "{}",
-        fabric.name
-    );
+    assert_eq!(smart_legs.iter().any(wraps), topo.is_torus(), "{name}");
 }
 
 #[test]
 fn every_schedule_on_a_2x2_mesh() {
-    exhaust(&fabrics()[0]);
+    exhaust("2x2 mesh", Topology::mesh(2, 2));
 }
 
 #[test]
 fn every_schedule_on_a_1x4_mesh() {
-    exhaust(&fabrics()[1]);
+    exhaust("1x4 mesh", Topology::mesh(4, 1));
 }
 
 #[test]
 fn every_schedule_on_a_1x4_torus() {
-    exhaust(&fabrics()[2]);
+    exhaust("1x4 torus", Topology::torus(4, 2));
 }
