@@ -221,41 +221,18 @@ impl ModulatedTraffic {
             .map(|f| effective(f.rate) * f64::from(self.flits_per_packet))
             .sum()
     }
-}
 
-impl TrafficSource for ModulatedTraffic {
-    fn generate(&mut self, cycle: u64) -> Vec<Packet> {
+    /// One injection draw per flow, in rate order, at the probability
+    /// `rate` gives that flow (after whatever `rate` itself draws).
+    fn draw(
+        &mut self,
+        cycle: u64,
+        mut rate: impl FnMut(&mut FlowState, &mut StdRng) -> f64,
+    ) -> Vec<Packet> {
         let mut out = Vec::new();
         for f in &mut self.flows {
-            let rate = match self.model {
-                TemporalModel::Steady => f.rate,
-                TemporalModel::OnOff {
-                    on_to_off,
-                    off_to_on,
-                } => {
-                    // One transition draw per flow per cycle keeps the
-                    // stream deterministic regardless of outcomes.
-                    let u = self.rng.gen::<f64>();
-                    if f.on {
-                        if u < on_to_off {
-                            f.on = false;
-                        }
-                    } else if u < off_to_on {
-                        f.on = true;
-                    }
-                    if f.on {
-                        let duty = off_to_on / (on_to_off + off_to_on);
-                        (f.rate / duty).min(1.0)
-                    } else {
-                        0.0
-                    }
-                }
-                TemporalModel::Ramp { from, to, cycles } => {
-                    let t = (cycle.min(cycles)) as f64 / cycles as f64;
-                    (f.rate * (from + (to - from) * t)).min(1.0)
-                }
-            };
-            if self.rng.gen::<f64>() < rate {
+            let p = rate(f, &mut self.rng);
+            if self.rng.gen::<f64>() < p {
                 out.push(Packet {
                     id: PacketId(self.next_id),
                     flow: f.flow,
@@ -268,6 +245,46 @@ impl TrafficSource for ModulatedTraffic {
             }
         }
         out
+    }
+}
+
+impl TrafficSource for ModulatedTraffic {
+    fn generate(&mut self, cycle: u64) -> Vec<Packet> {
+        // One loop per model. A loop shared by all three lets the
+        // compiler hoist the on/off and ramp divisions out of it and run
+        // them every cycle for a `Steady` model too, on whatever bytes
+        // fill its unused fields — slow when they read as subnormals.
+        match self.model {
+            TemporalModel::Steady => self.draw(cycle, |f, _| f.rate),
+            TemporalModel::OnOff {
+                on_to_off,
+                off_to_on,
+            } => {
+                let duty = off_to_on / (on_to_off + off_to_on);
+                self.draw(cycle, |f, rng| {
+                    // One transition draw per flow per cycle keeps the
+                    // stream deterministic regardless of outcomes.
+                    let u = rng.gen::<f64>();
+                    if f.on {
+                        if u < on_to_off {
+                            f.on = false;
+                        }
+                    } else if u < off_to_on {
+                        f.on = true;
+                    }
+                    if f.on {
+                        (f.rate / duty).min(1.0)
+                    } else {
+                        0.0
+                    }
+                })
+            }
+            TemporalModel::Ramp { from, to, cycles } => {
+                let t = (cycle.min(cycles)) as f64 / cycles as f64;
+                let scale = from + (to - from) * t;
+                self.draw(cycle, |f, _| (f.rate * scale).min(1.0))
+            }
+        }
     }
 }
 
