@@ -169,32 +169,26 @@ pub(crate) trait Seam {
 }
 
 /// The 1-band seam. The band owns every node, so nothing is ever handed
-/// over and the single-cycle link-exclusivity guard is a plain
-/// two-plane bitset: one bit per link (indexed `node * 5 + dir`), one
-/// plane per ST-cycle parity.
+/// over, and the single-cycle link-exclusivity guard is one stamp per
+/// link (indexed `node * 5 + dir`): the last `ST` cycle it carried a
+/// flit.
 ///
-/// During `step(c)` launches stamp ST cycles `c` (NIC injections) and
-/// `c + 1` (router departures), so two cycles are in flight at once —
-/// each gets its own plane. A plane is reset lazily: the first mark for
-/// a new cycle clears only the words dirtied under the previous cycle
-/// of the same parity, so steady-state cost scales with links *used*,
-/// not links present.
+/// One stamp sees every duplicate because a link's marks never go back
+/// in time. The marks for `ST` cycle *s* come from stage 4 of the step
+/// of *s − 1* (router departures) and stage 3 of the step of *s* (NIC
+/// injections), and the first mark for *s + 1* comes from stage 4 of
+/// the step of *s*, after both. So a second flit on a link in cycle *s*
+/// finds the link's stamp still at *s*.
 #[derive(Debug)]
 struct Solo {
-    words: [Vec<u64>; 2],
-    /// The ST cycle each plane currently describes (`u64::MAX` = none).
-    plane_cycle: [u64; 2],
-    /// Indices of nonzero words per plane, for lazy clearing.
-    dirty: [Vec<u32>; 2],
+    /// Per link, the last `ST` cycle marked (`u64::MAX` = none).
+    last: Vec<u64>,
 }
 
 impl Solo {
     fn new(n_links: usize) -> Self {
-        let words = n_links.div_ceil(64);
         Solo {
-            words: [vec![0; words], vec![0; words]],
-            plane_cycle: [u64::MAX, u64::MAX],
-            dirty: [Vec::new(), Vec::new()],
+            last: vec![u64::MAX; n_links],
         }
     }
 }
@@ -202,23 +196,11 @@ impl Solo {
 impl Seam for Solo {
     #[inline]
     fn try_mark(&mut self, li: usize, st_cycle: u64) -> bool {
-        let p = (st_cycle & 1) as usize;
-        if self.plane_cycle[p] != st_cycle {
-            for &w in &self.dirty[p] {
-                self.words[p][w as usize] = 0;
-            }
-            self.dirty[p].clear();
-            self.plane_cycle[p] = st_cycle;
-        }
-        let (w, bit) = (li / 64, 1u64 << (li % 64));
-        let word = &mut self.words[p][w];
-        if *word & bit != 0 {
+        let last = &mut self.last[li];
+        if *last == st_cycle {
             return false;
         }
-        if *word == 0 {
-            self.dirty[p].push(w as u32);
-        }
-        *word |= bit;
+        *last = st_cycle;
         true
     }
 
@@ -343,12 +325,14 @@ impl Band {
 
     /// Queue a generated packet at its source NIC, interning its
     /// metadata into the packet arena.
-    pub(crate) fn offer(&mut self, packet: Packet, flows: &FlowTable, topo: Topology) {
+    pub(crate) fn offer(&mut self, packet: Packet, flows: &FlowTable) {
         let plan = flows.plan(packet.flow);
         assert_eq!(packet.src, plan.route.source(), "packet src mismatch");
+        // `FlowPlan::validate` pins the last leg to the route's
+        // destination NIC; walking the route would allocate per packet.
         assert_eq!(
-            packet.dst,
-            plan.route.destination(topo),
+            Endpoint::Nic { node: packet.dst },
+            plan.legs.last().expect("validated plans have legs").end,
             "packet dst mismatch"
         );
         let l = self.local(packet.src);
@@ -393,7 +377,9 @@ impl Band {
         }
         self.credit_scratch = credits;
 
-        // 2. Flit arrivals (scheduled for end of cycle c-1).
+        // 2. Flit arrivals (scheduled for end of cycle c-1), all buffered
+        // before stage 4 allocates: the order the router's `fresh` bit
+        // relies on.
         let mut arrivals = std::mem::take(&mut self.arrival_scratch);
         std::mem::swap(&mut arrivals, &mut self.arrivals[slot]);
         self.scheduled_arrivals -= arrivals.len();
@@ -418,14 +404,8 @@ impl Band {
                         debug_assert_eq!(next.sender.node(), router);
                         (next.out_dir, leg + 1)
                     };
-                    self.bank.receive(
-                        l,
-                        in_dir,
-                        flit,
-                        c.saturating_sub(1),
-                        route,
-                        &mut self.counters,
-                    );
+                    self.bank
+                        .receive(l, in_dir, flit, route, &mut self.counters);
                 }
                 Endpoint::Nic { node } => {
                     let arrival_cycle = c - 1;
@@ -504,7 +484,7 @@ impl Band {
         for w in 0..self.bank.active().num_words() {
             for r in self.bank.active().word(w) {
                 self.bank
-                    .allocate(r, c, &mut self.counters, &mut deps, &mut rels, probe);
+                    .allocate(r, &mut self.counters, &mut deps, &mut rels, probe);
             }
         }
         for dep in deps.drain(..) {
@@ -969,7 +949,7 @@ impl Network {
     /// with the flow's route.
     pub fn offer(&mut self, packet: Packet) {
         let b = self.exchange().map_or(0, |x| x.owner(packet.src));
-        self.bands[b].offer(packet, &self.flows, self.cfg.topology);
+        self.bands[b].offer(packet, &self.flows);
     }
 
     /// Advance one cycle. With several bands this is a one-cycle
@@ -1013,12 +993,11 @@ impl Network {
     /// The one driver behind `step`/`run_with`/`drain`: a solo band is
     /// stepped inline; several bands run as a threaded session.
     fn run(&mut self, mut traffic: Option<&mut dyn TrafficSource>, goal: Goal) {
-        let topo = self.cfg.topology;
         let seam = match &mut self.coupling {
             Coupling::Solo(seam) => seam,
             Coupling::Banded(x) => {
                 let (bands, cycle) = (&mut self.bands[..], &mut self.cycle);
-                return x.run_session(bands, &self.lut, &self.flows, topo, cycle, traffic, goal);
+                return x.run_session(bands, &self.lut, &self.flows, cycle, traffic, goal);
             }
         };
         let band = &mut self.bands[0];
@@ -1033,7 +1012,7 @@ impl Network {
             }
             if let Some(t) = traffic.as_deref_mut() {
                 for p in t.generate(self.cycle) {
-                    band.offer(p, &self.flows, topo);
+                    band.offer(p, &self.flows);
                 }
             }
             band.step(self.cycle, &self.lut, seam);

@@ -15,44 +15,63 @@
 //! releases the hold and triggers the credit that frees this router's
 //! input VC back at the upstream sender.
 //!
-//! # A VC holds a packet, not its flits
+//! # One header per router, one record per VC
 //!
-//! Under virtual cut-through a VC is occupied by exactly one packet from
-//! the arrival of its head to the departure of its tail — which is why
-//! Table II's body and tail flits carry a 4-bit header (type + VC) and
-//! nothing else: everything more there is to know about a buffered flit
-//! is a fact of the VC it sits in. The bank stores it that way. One
-//! packed record per input VC holds the occupying packet's arena slot,
-//! flow and length, the sequence number of the flit at the front, and
-//! the packet's way out of this router — the output it requests and the
-//! leg that output starts — all written **once**, when the head is
-//! buffer-written. `receive` of a body or tail writes no flit anywhere:
-//! it checks that the flit is the next one of the occupying packet and
-//! bumps a count. `allocate` rebuilds a departing flit from the
-//! record.
+//! The state of *all* routers lives in one `RouterBank`. Everything
+//! switch allocation reads about a router sits in one 128-byte,
+//! cache-line-aligned `RouterHdr`:
 //!
-//! The one per-flit fact is *when* each flit was buffer-written. A
-//! packet's flits need not arrive on consecutive cycles (the upstream
-//! stream loses input-port conflicts, or waits at its own stop), and
-//! each flit may arbitrate only two cycles after its own arrival, so
-//! when a flit departs the allocator must learn the readiness of the
-//! one behind it. That is the bank's only per-slot storage: a `u32`
-//! buffer-write stamp per flit of buffering, zero-initialised, in fixed
-//! rings indexed by sequence number.
+//! * `nonempty` — the input VCs buffering at least one flit, one bit per
+//!   `(port, vc)`;
+//! * `fresh` — the VCs `receive` took from empty to non-empty in this
+//!   step, whose front flit is still in BW;
+//! * `want[o]` — the VCs whose packet requests or holds output *o*, set
+//!   when the head is buffer-written and cleared when the tail departs;
+//! * per output, the free-VC FIFO of its leg endpoint packed into one
+//!   `u64`, the input VC holding it, the endpoint VC it holds and its
+//!   round-robin pointer; and the clock-enable masks.
 //!
-//! # Everything else
+//! An output's requesters are `want[o] & nonempty & !fresh` — three
+//! words, no walk over VCs — and only a winner's VC record is read.
 //!
-//! The state of *all* routers lives in one `RouterBank`: flat
-//! structure-of-arrays storage indexed by `(router, port, vc)`, so the
-//! engine's per-cycle walk reads dense arrays instead of chasing
-//! per-router collections, and switch allocation reuses scratch buffers
-//! instead of allocating per call. Per-router occupancy is mirrored in a
-//! u64 bitset (one bit per `(port, vc)`), so allocation touches only the
-//! occupied VCs, and each output's free-VC queue is a nibble-packed u64
-//! FIFO, bit-exact with the `VecDeque` it replaced. The bank also owns
-//! the active set of routers with at least one buffered flit —
-//! `receive` adds a router, the `allocate` that pops its last flit
-//! removes it — which is what the engine walks instead of the whole
+//! That record is the packet, not its flits. Under virtual cut-through
+//! a VC is occupied by exactly one packet from the arrival of its head
+//! to the departure of its tail — which is why Table II's body and tail
+//! flits carry a 4-bit header (type + VC) and nothing else. One 16-byte
+//! `VcState` per input VC holds the occupying packet's arena slot, flow
+//! and length, the sequence number of the flit at the front, the number
+//! buffered, and the packet's way out of this router — the output it
+//! requests and the leg that output starts — all written **once**, when
+//! the head is buffer-written. `receive` of a body or tail checks that
+//! the flit is the next one of the occupying packet and bumps a count;
+//! `allocate` rebuilds a departing flit from the record.
+//!
+//! # Why no flit carries a buffer-write stamp
+//!
+//! Each flit may arbitrate only two cycles after its own arrival, and a
+//! packet's flits need not arrive on consecutive cycles. Yet in the
+//! engine's schedule that rule binds only for the first flit into an
+//! empty VC. In the step of cycle *c*, every `receive` is of a flit
+//! that arrived at the end of *a = c − 1*, and all of them run before
+//! `allocate(c)`. So:
+//!
+//! * a flit landing in an **empty** VC is the front flit and must sit
+//!   out `allocate(c)` — that is its `fresh` bit, which that same
+//!   allocation clears — and is eligible from `allocate(c + 1)`, cycle
+//!   *a + 2*;
+//! * a flit landing **behind** a predecessor reaches the front when the
+//!   predecessor departs, at some `allocate(g)` with *g ≥ c*. Its
+//!   *a + 2 = c + 1* is at most *g + 1*, so it is eligible at the first
+//!   allocation after its predecessor left, without looking.
+//!
+//! The link guard in `network.rs` rests on the same schedule: a link's
+//! marks never go back in time, so one stamp per link is enough.
+//!
+//! # The active set
+//!
+//! The bank also owns the set of routers with at least one buffered
+//! flit — `receive` adds a router, the `allocate` that empties its last
+//! VC removes it — which is what the engine walks instead of the whole
 //! bank.
 
 use crate::active::ActiveSet;
@@ -61,27 +80,30 @@ use crate::flit::{Flit, FlowId, PacketSlot, VcId};
 use crate::telemetry::{Probe, StallCause};
 use crate::topology::{Direction, NodeId, PORTS};
 
-/// Most VCs per port: a router's occupancy bitset packs `5 * vcs` input
-/// VCs into a `u64`, free-VC queues pack VC ids into nibbles, and a
+/// Most VCs per port: a router's VC masks pack `5 * vcs` input VCs into
+/// a `u64`, a free-VC queue packs its VC ids into 12 nibbles, and a
 /// NIC's reception mask is a `u16`.
 pub const MAX_VCS_PER_PORT: usize = 12;
 
 /// Most flits of buffering per VC: a VC's flit count is a `u8`.
 pub const MAX_VC_DEPTH: usize = 255;
 
-/// A free-VC queue packed into one u64, one nibble per entry.
+/// A free-VC queue packed into one u64: up to [`MAX_VCS_PER_PORT`] VC
+/// ids in the low nibbles, front first, and the length in the top byte.
 ///
-/// Semantically identical to the `VecDeque<VcId>` it replaced — pops
-/// come from the low nibble, pushes append after the last — so credit
-/// return order (and therefore VC allocation order and every downstream
-/// arbitration decision) is preserved exactly.
+/// Semantically identical to a `VecDeque<VcId>` — pops come from the
+/// low nibble, pushes append after the last — so credit return order
+/// (and therefore VC allocation order and every downstream arbitration
+/// decision) is that of the queue it stands for.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct VcFifo {
-    bits: u64,
-    len: u8,
-}
+pub(crate) struct VcFifo(u64);
 
 impl VcFifo {
+    /// Where the length byte starts.
+    const LEN_SHIFT: u32 = 56;
+    /// The nibbles that hold VC ids.
+    const IDS: u64 = (1 << (4 * MAX_VCS_PER_PORT)) - 1;
+
     /// FIFO seeded with VCs `0..n` in ascending order.
     pub(crate) fn seed(n: usize) -> Self {
         let mut f = VcFifo::default();
@@ -92,45 +114,31 @@ impl VcFifo {
     }
 
     pub(crate) fn len(self) -> usize {
-        usize::from(self.len)
+        (self.0 >> Self::LEN_SHIFT) as usize
     }
 
     fn is_empty(self) -> bool {
-        self.len == 0
-    }
-
-    #[cfg(test)]
-    fn clear(&mut self) {
-        self.bits = 0;
-        self.len = 0;
+        self.len() == 0
     }
 
     pub(crate) fn push(&mut self, vc: VcId) {
         debug_assert!(vc.0 < 16, "VC id exceeds nibble packing");
-        debug_assert!(self.len < 16, "VcFifo overflow");
-        self.bits |= u64::from(vc.0) << (4 * self.len);
-        self.len += 1;
+        let len = self.len();
+        debug_assert!(len < MAX_VCS_PER_PORT, "VcFifo overflow");
+        self.0 += (u64::from(vc.0) << (4 * len)) + (1 << Self::LEN_SHIFT);
     }
 
     pub(crate) fn pop(&mut self) -> Option<VcId> {
-        if self.len == 0 {
+        if self.is_empty() {
             return None;
         }
-        let v = (self.bits & 0xF) as u8;
-        self.bits >>= 4;
-        self.len -= 1;
+        let v = (self.0 & 0xF) as u8;
+        self.0 = (((self.0 & Self::IDS) >> 4) | (self.0 & !Self::IDS)) - (1 << Self::LEN_SHIFT);
         Some(VcId(v))
     }
 
     pub(crate) fn contains(self, vc: VcId) -> bool {
-        let mut bits = self.bits;
-        for _ in 0..self.len {
-            if (bits & 0xF) as u8 == vc.0 {
-                return true;
-            }
-            bits >>= 4;
-        }
-        false
+        (0..self.len()).any(|i| (self.0 >> (4 * i)) & 0xF == u64::from(vc.0))
     }
 }
 
@@ -161,55 +169,82 @@ pub(crate) struct CreditRelease {
     pub vc: VcId,
 }
 
-/// The hot state of every router in the mesh, stored as flat
-/// structure-of-arrays buffers.
+/// The hot state of every router in the mesh: one [`RouterHdr`] per
+/// router and one [`VcState`] per input VC, indexed
+/// `(router * 5 + port) * num_vcs + vc`.
 ///
-/// Input-side arrays are indexed by `(router * 5 + port) * num_vcs + vc`,
-/// output-side arrays by `router * 5 + port`. The per-cycle sweep walks
-/// the bank's [`active set`](RouterBank::active) to find routers holding
-/// flits, then the set bits of the per-router [`occupancy
-/// bitset`](RouterBank::receive) to find SA-eligible VCs without touching
-/// idle ports, and
-/// [`RouterBank::allocate`] appends into caller-owned scratch vectors so
-/// steady-state simulation performs no heap allocation.
+/// The engine walks the bank's [`active set`](RouterBank::active) to
+/// find routers holding flits, and [`RouterBank::allocate`] appends into
+/// caller-owned scratch vectors so steady-state simulation performs no
+/// heap allocation.
 #[derive(Debug, Clone)]
 pub(crate) struct RouterBank {
-    n: usize,
     num_vcs: usize,
     depth: usize,
     /// Node id of bank slot 0, so protocol panics name the right router:
     /// a band's bank holds the routers from its first row on.
     base_node: u16,
-    /// Buffer-write cycle of every buffered flit: one fixed ring of
-    /// `depth` stamps per input VC (`buf[qi * depth ..]`), flit `seq`
-    /// of the occupying packet at slot `seq % depth`. Read only when a
-    /// flit departs, to learn when the one behind it may arbitrate;
-    /// zero-initialised, so an idle fabric's slab is never touched.
-    /// Stamps are `u32`; `receive` checks the range.
-    buf: Vec<u32>,
-    /// The packet occupying each input VC, one packed record per
-    /// `(router, port, vc)` — a busy router's allocation touches a
-    /// couple of cache lines here, plus one stamp per departing flit.
+    /// Everything allocation reads about each router.
+    hdrs: Vec<RouterHdr>,
+    /// The packet occupying each input VC.
     vcs: Vec<VcState>,
-    /// Per-router occupancy bitset: bit `port * num_vcs + vc` is set
-    /// while that input VC buffers at least one flit.
-    nonempty: Vec<u64>,
-    /// Flits buffered per router.
-    buffered: Vec<u32>,
-    /// Routers with `buffered > 0` — the only ones allocation can do
+    /// Routers with a non-empty VC — the only ones allocation can do
     /// anything at.
     active: ActiveSet,
     /// Flits buffered across the whole bank.
     total_buffered: u64,
-    /// Hot per-output state, one packed record per `(router, port)`.
-    outs: Vec<OutState>,
-    /// Preset clock gating: whether any flow uses each input port.
-    in_enabled: Vec<bool>,
+}
+
+/// No input VC holds the output (see [`RouterHdr::holder`]).
+const NO_HOLDER: u8 = u8::MAX;
+
+/// Everything switch allocation reads about one router, on two cache
+/// lines. VC masks have bit `port * num_vcs + vc`; per-output arrays are
+/// indexed by output direction.
+#[derive(Debug, Clone, Copy)]
+#[repr(C, align(64))]
+struct RouterHdr {
+    /// Input VCs buffering at least one flit.
+    nonempty: u64,
+    /// Input VCs `receive` took from empty to non-empty in this step;
+    /// the same step's `allocate` of the router clears them.
+    fresh: u64,
+    /// Input VCs whose packet requests or holds each output.
+    want: [u64; PORTS],
+    /// Free VCs at each output's leg endpoint.
+    free: [VcFifo; PORTS],
+    /// The input VC holding each output until its tail passes, or
+    /// [`NO_HOLDER`].
+    holder: [u8; PORTS],
+    /// The endpoint VC the holder was granted.
+    evc: [u8; PORTS],
+    /// Round-robin pointer of each output's arbiter over `ports × vcs`
+    /// requesters: the index with highest priority next grant.
+    arb_next: [u8; PORTS],
+    /// Preset clock gating: bit `dir` set when some flow uses output
+    /// `dir`.
+    out_enabled: u8,
+    /// The same for the inputs.
+    in_enabled: u8,
+}
+
+impl RouterHdr {
+    const IDLE: RouterHdr = RouterHdr {
+        nonempty: 0,
+        fresh: 0,
+        want: [0; PORTS],
+        free: [VcFifo(0); PORTS],
+        holder: [NO_HOLDER; PORTS],
+        evc: [0; PORTS],
+        arb_next: [0; PORTS],
+        out_enabled: 0,
+        in_enabled: 0,
+    };
 }
 
 /// One input VC: the packet occupying it and how much of it is here.
-/// Everything but `len`, `seq` and `front_ready` is written once, when
-/// the head is buffer-written, and is stale once the tail has left.
+/// Everything but `len` and `seq` is written once, when the head is
+/// buffer-written, and is stale once the tail has left.
 #[derive(Debug, Clone, Copy)]
 struct VcState {
     /// Buffered flits: sequence numbers `seq .. seq + len`.
@@ -229,9 +264,6 @@ struct VcState {
     flow: FlowId,
     /// Route token handed in with the head; carried on every departure.
     leg: u32,
-    /// Cycle at which the front flit becomes SA-eligible (its arrival
-    /// + 2 pipeline cycles); `u32::MAX` when the queue is empty.
-    front_ready: u32,
 }
 
 impl VcState {
@@ -243,7 +275,6 @@ impl VcState {
         pkt: PacketSlot(0),
         flow: FlowId(0),
         leg: 0,
-        front_ready: u32::MAX,
     };
 
     /// `true` while a packet occupies the VC (head arrived, tail not
@@ -251,30 +282,6 @@ impl VcState {
     fn occupied(&self) -> bool {
         self.seq < self.num_flits
     }
-}
-
-/// Hot state of one output port, packed into a single record.
-#[derive(Debug, Clone, Copy)]
-struct OutState {
-    /// Free VCs at the output's leg endpoint.
-    free_vcs: VcFifo,
-    /// `(input port, input vc, endpoint vc)` holding the switch until
-    /// the tail passes.
-    held: Option<(u8, u8, VcId)>,
-    /// Round-robin pointer of the output's arbiter over `ports × vcs`
-    /// requesters: the index with highest priority next grant.
-    arb_next: u8,
-    /// Preset clock gating: whether any flow uses the port.
-    enabled: bool,
-}
-
-impl OutState {
-    const IDLE: OutState = OutState {
-        free_vcs: VcFifo { bits: 0, len: 0 },
-        held: None,
-        arb_next: 0,
-        enabled: false,
-    };
 }
 
 impl RouterBank {
@@ -294,21 +301,14 @@ impl RouterBank {
         );
         assert!(depth > 0, "need at least one buffer slot");
         assert!(depth <= MAX_VC_DEPTH, "a VC's flit count is a u8");
-        let nq = n * PORTS * num_vcs;
-        let np = n * PORTS;
         RouterBank {
-            n,
             num_vcs,
             depth,
             base_node: 0,
-            buf: vec![0; nq * depth],
-            vcs: vec![VcState::IDLE; nq],
-            nonempty: vec![0; n],
-            buffered: vec![0; n],
+            hdrs: vec![RouterHdr::IDLE; n],
+            vcs: vec![VcState::IDLE; n * PORTS * num_vcs],
             active: ActiveSet::new(n),
             total_buffered: 0,
-            outs: vec![OutState::IDLE; np],
-            in_enabled: vec![false; np],
         }
     }
 
@@ -324,16 +324,10 @@ impl RouterBank {
         self.base_node = base.0;
     }
 
-    /// Index in `buf` of the stamp of flit `seq` in input VC `qi`.
-    #[inline]
-    fn stamp_slot(&self, qi: usize, seq: u8) -> usize {
-        qi * self.depth + usize::from(seq) % self.depth
-    }
-
     /// Number of routers in the bank.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.n
+        self.hdrs.len()
     }
 
     /// Flits buffered across all routers — `0` means every router is
@@ -356,27 +350,23 @@ impl RouterBank {
     /// Mark input port `dir` of router `r` as used by some flow
     /// (ungated), per presets.
     pub fn enable_input(&mut self, r: usize, dir: Direction) {
-        self.in_enabled[r * PORTS + dir.index()] = true;
+        self.hdrs[r].in_enabled |= 1 << dir.index();
     }
 
     /// Mark output port `dir` of router `r` as used and seed its
     /// free-VC queue with the endpoint's `num_vcs` VCs.
     pub fn enable_output(&mut self, r: usize, dir: Direction) {
-        let oi = r * PORTS + dir.index();
-        self.outs[oi].enabled = true;
-        self.outs[oi].free_vcs = VcFifo::seed(self.num_vcs);
+        let h = &mut self.hdrs[r];
+        h.out_enabled |= 1 << dir.index();
+        h.free[dir.index()] = VcFifo::seed(self.num_vcs);
     }
 
     /// Number of clock-enabled ports (inputs + outputs) of router `r`
     /// for gating accounting.
     #[must_use]
     pub fn enabled_ports(&self, r: usize) -> usize {
-        let range = r * PORTS..(r + 1) * PORTS;
-        self.in_enabled[range.clone()]
-            .iter()
-            .filter(|e| **e)
-            .count()
-            + self.outs[range].iter().filter(|o| o.enabled).count()
+        let h = &self.hdrs[r];
+        (h.in_enabled.count_ones() + h.out_enabled.count_ones()) as usize
     }
 
     /// Return a credit (freed endpoint VC) to output `dir` of router
@@ -386,29 +376,30 @@ impl RouterBank {
     ///
     /// Panics if the VC is already in the free queue (double-free).
     pub fn credit(&mut self, r: usize, dir: Direction, vc: VcId) {
-        let q = &mut self.outs[r * PORTS + dir.index()].free_vcs;
+        let node = self.node_of(r);
+        let q = &mut self.hdrs[r].free[dir.index()];
         assert!(
             !q.contains(vc),
-            "{}: double credit for {vc} at output {dir}",
-            self.node_of(r)
+            "{node}: double credit for {vc} at output {dir}"
         );
         q.push(vc);
         assert!(
             q.len() <= self.num_vcs,
-            "{}: more credits than VCs at output {dir}",
-            self.node_of(r)
+            "{node}: more credits than VCs at output {dir}"
         );
     }
 
-    /// Buffer-write a flit arriving at router `r` (end-of-cycle `cycle`
-    /// arrival) into input `in_dir`, VC `flit.vc`.
+    /// Buffer-write a flit arriving at router `r` into input `in_dir`,
+    /// VC `flit.vc`. The flit arrived at the end of the previous cycle,
+    /// and this step's [`RouterBank::allocate`] of `r` is still to come
+    /// (see the module docs).
     ///
     /// A head claims the VC for its packet and fixes the packet's way
     /// out of this router: `route` is called for heads only and returns
     /// the output direction the packet requests here plus an opaque
     /// route token carried on its departures (the engine passes the
     /// index of the leg that leaves this router). A body or tail stores
-    /// nothing but its buffer-write stamp.
+    /// nothing: it is counted.
     ///
     /// # Panics
     ///
@@ -421,7 +412,6 @@ impl RouterBank {
         r: usize,
         in_dir: Direction,
         flit: Flit,
-        cycle: u64,
         route: impl FnOnce() -> (Direction, u32),
         counters: &mut ActivityCounters,
     ) {
@@ -429,9 +419,10 @@ impl RouterBank {
         let vc = flit
             .vc
             .unwrap_or_else(|| panic!("{node}: flit arrived without a VC"));
-        let pv = in_dir.index() * self.num_vcs + vc.0 as usize;
-        let qi = r * PORTS * self.num_vcs + pv;
-        let st = &mut self.vcs[qi];
+        let pv = in_dir.index() * self.num_vcs + usize::from(vc.0);
+        let bit = 1u64 << pv;
+        let h = &mut self.hdrs[r];
+        let st = &mut self.vcs[r * PORTS * self.num_vcs + pv];
         if flit.is_head() {
             assert!(
                 !st.occupied() && st.len == 0,
@@ -447,8 +438,8 @@ impl RouterBank {
                 pkt: flit.pkt,
                 flow: flit.flow,
                 leg,
-                front_ready: u32::MAX,
             };
+            h.want[out.index()] |= bit;
         } else {
             assert!(
                 st.occupied(),
@@ -469,32 +460,24 @@ impl RouterBank {
             usize::from(st.len) < self.depth,
             "{node}: buffer overflow at input {in_dir} {vc}"
         );
-        // Ready stamps are u32 so a slot is 4 bytes; a run would need
-        // ~4 billion cycles to reach this.
-        assert!(
-            cycle < u64::from(u32::MAX) - 2,
-            "cycle count exceeds the u32 buffer-stamp range"
-        );
         if st.len == 0 {
-            st.front_ready = cycle as u32 + 2;
+            // The front flit: in BW now, eligible from the next step.
+            h.nonempty |= bit;
+            h.fresh |= bit;
         }
         st.len += 1;
-        let slot = self.stamp_slot(qi, flit.seq);
-        self.buf[slot] = cycle as u32;
-        self.nonempty[r] |= 1 << pv;
-        self.buffered[r] += 1;
         self.active.insert(r);
         self.total_buffered += 1;
         counters.buffer_writes += 1;
     }
 
-    /// Run switch allocation for router `r` at `cycle`, appending
-    /// departures (flits entering ST in cycle `cycle + 1`) and credits
+    /// Run switch allocation for router `r` in this step, appending
+    /// departures (flits entering ST in the next cycle) and credits
     /// released by departing tails into the caller's scratch vectors.
     ///
-    /// Nothing is resolved here: every VC record already names the
+    /// Nothing is resolved here: every VC's `want` bit already names the
     /// output its packet wants (see [`RouterBank::receive`]), and a
-    /// departing flit is rebuilt from that record.
+    /// departing flit is rebuilt from its VC record.
     ///
     /// The probe observes SSR traffic (Section III): every head flit
     /// presenting a request is a *setup*; a setup that wins its output,
@@ -506,53 +489,24 @@ impl RouterBank {
     pub fn allocate<P: Probe>(
         &mut self,
         r: usize,
-        cycle: u64,
         counters: &mut ActivityCounters,
         departures: &mut Vec<RouterDeparture>,
         credits: &mut Vec<CreditRelease>,
         probe: &mut P,
     ) {
-        // An empty router requests nothing and streams nothing, and a
-        // granted-nothing arbiter does not rotate: skipping is
-        // behavior-identical and makes idle routers ~free.
-        if self.buffered[r] == 0 {
-            return;
+        if cfg!(debug_assertions) {
+            self.check_header(r);
         }
         let nv = self.num_vcs;
-        let base_q = r * PORTS * nv;
-        let base_p = r * PORTS;
-
-        // Which (input, vc) is SA-eligible this cycle, and toward which
-        // output does its front flit point? Walking the set bits of the
-        // occupancy word visits exactly the non-empty VCs in the same
-        // ascending (port, vc) order as a full scan; `front_ready`
-        // answers the eligibility question without touching the queue.
-        // Eligible wanters land directly in their output's request mask.
-        let mut out_req: [u64; PORTS] = [0; PORTS];
-        let mut out_mask: u8 = 0;
-        let mut occ = self.nonempty[r];
-        while occ != 0 {
-            let pv = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            let st = &self.vcs[base_q + pv];
-            if u64::from(st.front_ready) > cycle {
-                continue; // still in BW or just arrived
-            }
-            // A head requests its packet's output; body and tail follow
-            // the hold the head captured on that same output.
-            let out = st.out;
-            debug_assert!(
-                st.seq == 0
-                    || self.outs[base_p + usize::from(out)]
-                        .held
-                        .is_some_and(|(p, v, _)| usize::from(p) * nv + usize::from(v) == pv),
-                "{}: a body flit is at the front of a VC that holds no output",
-                self.node_of(r)
-            );
-            out_req[usize::from(out)] |= 1 << pv;
-            out_mask |= 1 << out;
-        }
-        if out_mask == 0 {
+        let node = self.node_of(r);
+        let h = &mut self.hdrs[r];
+        // A VC is SA-eligible when it has a front flit that is not
+        // still in BW. An empty router requests nothing and a
+        // granted-nothing arbiter does not rotate, so returning early
+        // is behavior-identical.
+        let ready = h.nonempty & !h.fresh;
+        h.fresh = 0;
+        if ready == 0 {
             return;
         }
 
@@ -561,51 +515,45 @@ impl RouterBank {
         // Only outputs somebody wants are visited — an unwanted output
         // can have no winner and its granted-nothing arbiter would not
         // rotate, so skipping it is behavior-identical.
-        // winners[o] = (input, vc, is_new_head), valid where `win_mask`
+        // winners[o] = (input vc, is_new_head), valid where `win_mask`
         // has bit `o`.
-        let mut winners: [(u8, u8, bool); PORTS] = [(0, 0, false); PORTS];
+        let mut winners: [(u8, bool); PORTS] = [(0, false); PORTS];
         let mut win_mask: u8 = 0;
-        let mut outs = out_mask;
-        while outs != 0 {
-            let o = outs.trailing_zeros() as usize;
-            outs &= outs - 1;
-            let oi = base_p + o;
-            let ost = self.outs[oi];
-            if !ost.enabled {
+        for (o, winner) in winners.iter_mut().enumerate() {
+            let req = h.want[o] & ready;
+            if req == 0 || h.out_enabled & (1 << o) == 0 {
                 continue;
             }
-            if let Some((hp, hv, _)) = ost.held {
-                let pvh = hp as usize * nv + hv as usize;
-                if out_req[o] & (1 << pvh) != 0 {
-                    winners[o] = (hp, hv, false);
+            let holder = h.holder[o];
+            if holder != NO_HOLDER {
+                let held = 1u64 << holder;
+                if req & held != 0 {
+                    *winner = (holder, false);
                     win_mask |= 1 << o;
                 }
                 if P::ENABLED {
                     // Heads wanting a held output presented setups that
                     // are denied outright (the holder itself streams —
                     // not SSR traffic).
-                    let denied = (out_req[o] & !(1u64 << pvh)).count_ones();
+                    let denied = (req & !held).count_ones();
                     if denied > 0 {
-                        let gr = u32::from(self.base_node) + r as u32;
                         probe.on_ssr_setups(denied);
-                        probe.on_stall(gr, StallCause::HeldOutput, denied);
+                        probe.on_stall(u32::from(node.0), StallCause::HeldOutput, denied);
                     }
                 }
                 continue;
             }
-            if ost.free_vcs.is_empty() {
+            if h.free[o].is_empty() {
                 if P::ENABLED {
-                    let denied = out_req[o].count_ones();
-                    let gr = u32::from(self.base_node) + r as u32;
+                    let denied = req.count_ones();
                     probe.on_ssr_setups(denied);
-                    probe.on_stall(gr, StallCause::NoFreeVc, denied);
+                    probe.on_stall(u32::from(node.0), StallCause::NoFreeVc, denied);
                 }
                 continue; // heads need a free endpoint VC to request
             }
             // Only heads can want a non-held output (bodies follow
             // their hold), so every requester here is a head, and each
             // presented request is charged to the allocator.
-            let req = out_req[o];
             counters.sa_requests += u64::from(req.count_ones());
             if P::ENABLED {
                 // Every requester is a head presenting an SSR setup;
@@ -613,23 +561,22 @@ impl RouterBank {
                 let n = req.count_ones();
                 probe.on_ssr_setups(n);
                 if n > 1 {
-                    let gr = u32::from(self.base_node) + r as u32;
-                    probe.on_stall(gr, StallCause::OutputArb, n - 1);
+                    probe.on_stall(u32::from(node.0), StallCause::OutputArb, n - 1);
                 }
             }
             // Round-robin grant, bit-compatible with
             // [`RoundRobin::grant_mask`]: first requester at or after
             // the rotating pointer wins and becomes lowest priority (a
             // granted-nothing arbiter does not rotate).
-            let next = usize::from(ost.arb_next);
+            let next = usize::from(h.arb_next[o]);
             let above = req >> next;
             let g = if above != 0 {
                 next + above.trailing_zeros() as usize
             } else {
                 req.trailing_zeros() as usize
             };
-            self.outs[oi].arb_next = ((g + 1) % (PORTS * nv)) as u8;
-            winners[o] = ((g / nv) as u8, (g % nv) as u8, true);
+            h.arb_next[o] = ((g + 1) % (PORTS * nv)) as u8;
+            *winner = (g as u8, true);
             win_mask |= 1 << o;
         }
 
@@ -645,19 +592,19 @@ impl RouterBank {
                     let ob = m & m.wrapping_neg();
                     let o = m.trailing_zeros() as usize;
                     m &= m - 1;
-                    let (p, _, is_new) = winners[o];
+                    let (pv, is_new) = winners[o];
                     if is_new == new_head {
-                        if port_taken & (1 << p) != 0 {
+                        let port = 1 << (usize::from(pv) / nv);
+                        if port_taken & port != 0 {
                             win_mask &= !ob;
                             if P::ENABLED && is_new {
                                 // A setup that won arbitration but lost
                                 // the input port (a streaming loser is
                                 // not SSR traffic and stays uncounted).
-                                let gr = u32::from(self.base_node) + r as u32;
-                                probe.on_stall(gr, StallCause::PortConflict, 1);
+                                probe.on_stall(u32::from(node.0), StallCause::PortConflict, 1);
                             }
                         } else {
-                            port_taken |= 1 << p;
+                            port_taken |= port;
                         }
                     }
                 }
@@ -665,29 +612,25 @@ impl RouterBank {
         }
 
         // Execute grants.
+        let recs = &mut self.vcs[r * PORTS * nv..][..PORTS * nv];
         let mut m = win_mask;
         while m != 0 {
             let o = m.trailing_zeros() as usize;
             m &= m - 1;
-            let (p, v, is_new) = winners[o];
-            let oi = base_p + o;
-            let pv = p as usize * nv + v as usize;
-            let qi = base_q + pv;
+            let (pv, is_new) = winners[o];
             let endpoint_vc = if is_new {
                 if P::ENABLED {
                     probe.on_ssr_grant();
                 }
-                let vc = self.outs[oi]
-                    .free_vcs
-                    .pop()
-                    .expect("head grant requires a free VC");
-                self.outs[oi].held = Some((p, v, vc));
+                let vc = h.free[o].pop().expect("head grant requires a free VC");
+                (h.holder[o], h.evc[o]) = (pv, vc.0);
                 vc
             } else {
-                self.outs[oi].held.expect("streaming under a hold").2
+                VcId(h.evc[o])
             };
             // The departing flit is the VC record plus its position.
-            let st = &mut self.vcs[qi];
+            let pv = usize::from(pv);
+            let st = &mut recs[pv];
             let flit = Flit {
                 pkt: st.pkt,
                 flow: st.flow,
@@ -695,42 +638,65 @@ impl RouterBank {
                 num_flits: st.num_flits,
                 vc: Some(endpoint_vc),
             };
-            let leg = st.leg;
             st.seq += 1;
             st.len -= 1;
-            let (behind, emptied) = (st.seq, st.len == 0);
-            self.vcs[qi].front_ready = if emptied {
-                self.nonempty[r] &= !(1 << pv);
-                u32::MAX
-            } else {
-                self.buf[self.stamp_slot(qi, behind)] + 2
-            };
+            if st.len == 0 {
+                h.nonempty &= !(1 << pv);
+            }
             if flit.is_tail() {
                 assert!(
-                    self.vcs[qi].len == 0,
-                    "{}: tail departed but flits remain behind it",
-                    self.node_of(r)
+                    st.len == 0,
+                    "{node}: tail departed but flits remain behind it"
                 );
-                self.outs[oi].held = None;
+                h.holder[o] = NO_HOLDER;
+                h.want[o] &= !(1 << pv);
                 credits.push(CreditRelease {
                     router: r as u16,
-                    in_dir: Direction::from_index(p as usize),
-                    vc: VcId(v),
+                    in_dir: Direction::from_index(pv / nv),
+                    vc: VcId((pv % nv) as u8),
                 });
             }
-            self.buffered[r] -= 1;
-            if self.buffered[r] == 0 {
-                self.active.remove(r);
-            }
-            self.total_buffered -= 1;
             counters.buffer_reads += 1;
             counters.sa_grants += 1;
             departures.push(RouterDeparture {
                 flit,
                 out_dir: Direction::from_index(o),
-                leg,
+                leg: st.leg,
             });
         }
+        self.total_buffered -= u64::from(win_mask.count_ones());
+        if h.nonempty == 0 {
+            self.active.remove(r);
+        }
+    }
+
+    /// The debug-build cross-check of router `r`'s header against its VC
+    /// records: `want[o]` is exactly the occupied VCs whose packet names
+    /// output `o`, and a VC with a body flit at its front holds that
+    /// output.
+    fn check_header(&self, r: usize) {
+        let nv = self.num_vcs;
+        let h = &self.hdrs[r];
+        let mut named = [0u64; PORTS];
+        for (pv, st) in self.vcs[r * PORTS * nv..][..PORTS * nv].iter().enumerate() {
+            if st.occupied() {
+                named[usize::from(st.out)] |= 1 << pv;
+            }
+            if h.nonempty & (1 << pv) != 0 && st.seq != 0 {
+                assert_eq!(
+                    usize::from(h.holder[usize::from(st.out)]),
+                    pv,
+                    "{}: a body flit is at the front of a VC that holds no output",
+                    self.node_of(r)
+                );
+            }
+        }
+        assert_eq!(
+            h.want,
+            named,
+            "{}: want[o] disagrees with the VC records",
+            self.node_of(r)
+        );
     }
 }
 
@@ -742,6 +708,7 @@ mod tests {
     use crate::route::SourceRoute;
     use crate::telemetry::NoProbe;
     use crate::topology::Topology;
+    use std::collections::VecDeque;
 
     /// A standalone router: a 1-router [`RouterBank`] with the bank index
     /// pinned, so the protocol tests below drive the engine's own code.
@@ -762,7 +729,6 @@ mod tests {
             &mut self,
             in_dir: Direction,
             flit: Flit,
-            cycle: u64,
             flows: &FlowTable,
             counters: &mut ActivityCounters,
         ) {
@@ -775,27 +741,34 @@ mod tests {
                 });
                 (out.expect("the flow stops here"), 0)
             };
-            self.bank.receive(0, in_dir, flit, cycle, route, counters);
+            self.bank.receive(0, in_dir, flit, route, counters);
         }
 
         /// [`RouterBank::allocate`] into fresh vectors: departures and
         /// the credits released by departing tails.
         fn allocate(
             &mut self,
-            cycle: u64,
             counters: &mut ActivityCounters,
         ) -> (Vec<RouterDeparture>, Vec<CreditRelease>) {
             let mut departures = Vec::new();
             let mut credits = Vec::new();
-            self.bank.allocate(
-                0,
-                cycle,
-                counters,
-                &mut departures,
-                &mut credits,
-                &mut NoProbe,
-            );
+            self.bank
+                .allocate(0, counters, &mut departures, &mut credits, &mut NoProbe);
             (departures, credits)
+        }
+
+        /// One engine step: buffer `arrivals` (each on its input, with
+        /// its VC set), then allocate.
+        fn step(
+            &mut self,
+            arrivals: &[(Direction, Flit)],
+            flows: &FlowTable,
+            counters: &mut ActivityCounters,
+        ) -> Vec<RouterDeparture> {
+            for &(in_dir, flit) in arrivals {
+                self.receive(in_dir, flit, flows, counters);
+            }
+            self.allocate(counters).0
         }
     }
 
@@ -809,9 +782,13 @@ mod tests {
         FlowTable::mesh_baseline(mesh(), &[(FlowId(0), route)])
     }
 
-    fn packet_flits(slot: u32, flow: FlowId, n: u8) -> Vec<Flit> {
+    /// The flits of a packet, all on VC `vc`.
+    fn packet_flits(slot: u32, flow: FlowId, n: u8, vc: u8) -> Vec<Flit> {
         (0..n)
-            .map(|s| Flit::new(PacketSlot(slot), flow, s, n))
+            .map(|s| Flit {
+                vc: Some(VcId(vc)),
+                ..Flit::new(PacketSlot(slot), flow, s, n)
+            })
             .collect()
     }
 
@@ -840,25 +817,27 @@ mod tests {
     }
 
     #[test]
-    fn a_vc_record_is_twenty_bytes() {
-        // What the 64x64 cell pays per input VC instead of 160 bytes of
-        // flit slots (plus a 4-byte stamp per slot).
-        assert_eq!(std::mem::size_of::<VcState>(), 20);
+    fn packed_records_have_their_sizes() {
+        // A router visit touches the header's two cache lines and, for
+        // each winner, one VC record.
+        assert_eq!(std::mem::size_of::<RouterHdr>(), 128);
+        assert_eq!(std::mem::align_of::<RouterHdr>(), 64);
+        assert_eq!(std::mem::size_of::<VcState>(), 16);
+        assert_eq!(std::mem::size_of::<VcFifo>(), 8);
     }
 
     #[test]
-    fn head_waits_two_cycles_before_sa() {
+    fn a_head_sits_out_the_allocation_of_its_own_step() {
         let mut r = prepared_router();
         let flows = table();
         let mut c = ActivityCounters::new();
-        let mut head = packet_flits(1, FlowId(0), 2).remove(0);
-        head.vc = Some(VcId(0));
-        r.receive(Direction::Core, head, 5, &flows, &mut c);
-        // SA at cycle 6 is too early (BW happens during 6).
-        let (d, _) = r.allocate(6, &mut c);
+        let head = packet_flits(1, FlowId(0), 2, 0)[0];
+        // Arrived at the end of a; buffer-written in a + 1, whose
+        // allocation it sits out.
+        let d = r.step(&[(Direction::Core, head)], &flows, &mut c);
         assert!(d.is_empty());
-        // SA at cycle 7 grants.
-        let (d, _) = r.allocate(7, &mut c);
+        // SA in a + 2 grants.
+        let d = r.step(&[], &flows, &mut c);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].out_dir, Direction::East);
         assert_eq!(c.sa_grants, 1);
@@ -871,15 +850,18 @@ mod tests {
         let mut r = prepared_router();
         let flows = table();
         let mut c = ActivityCounters::new();
-        // 4-flit packet arrives on consecutive cycles.
-        for (i, mut f) in packet_flits(1, FlowId(0), 4).into_iter().enumerate() {
-            f.vc = Some(VcId(0));
-            r.receive(Direction::Core, f, 10 + i as u64, &flows, &mut c);
-        }
+        // 4-flit packet arriving on consecutive cycles.
+        let flits = packet_flits(1, FlowId(0), 4, 0);
         let mut sent = Vec::new();
         let mut credits = Vec::new();
-        for cycle in 12..=15 {
-            let (d, cr) = r.allocate(cycle, &mut c);
+        for step in 0..6 {
+            if let Some(&f) = flits.get(step) {
+                r.receive(Direction::Core, f, &flows, &mut c);
+            }
+            let (d, cr) = r.allocate(&mut c);
+            if step == 0 {
+                assert!(d.is_empty(), "the head is still in BW");
+            }
             sent.extend(d);
             credits.extend(cr);
         }
@@ -893,9 +875,11 @@ mod tests {
         assert_eq!(credits.len(), 1);
         assert_eq!(credits[0].in_dir, Direction::Core);
         assert_eq!(credits[0].vc, VcId(0));
-        assert_eq!(r.bank.buffered[0], 0);
+        assert_eq!(r.bank.hdrs[0].nonempty, 0);
+        assert_eq!(r.bank.hdrs[0].want, [0; PORTS]);
+        assert_eq!(r.bank.hdrs[0].holder, [NO_HOLDER; PORTS]);
         // Output free VCs: started 2, head took 1, none returned yet.
-        assert_eq!(r.bank.outs[Direction::East.index()].free_vcs.len(), 1);
+        assert_eq!(r.bank.hdrs[0].free[Direction::East.index()].len(), 1);
     }
 
     #[test]
@@ -904,15 +888,14 @@ mod tests {
         let flows = table();
         let mut c = ActivityCounters::new();
         // Exhaust both endpoint VCs.
-        r.bank.outs[Direction::East.index()].free_vcs.clear();
-        let mut head = packet_flits(1, FlowId(0), 1).remove(0);
-        head.vc = Some(VcId(0));
-        r.receive(Direction::Core, head, 0, &flows, &mut c);
-        let (d, _) = r.allocate(10, &mut c);
+        r.bank.hdrs[0].free[Direction::East.index()] = VcFifo::default();
+        let head = packet_flits(1, FlowId(0), 1, 0)[0];
+        r.step(&[(Direction::Core, head)], &flows, &mut c);
+        let d = r.step(&[], &flows, &mut c);
         assert!(d.is_empty(), "head must wait for a credit");
         // A credit arrives; now it goes.
         r.bank.credit(0, Direction::East, VcId(1));
-        let (d, _) = r.allocate(11, &mut c);
+        let d = r.step(&[], &flows, &mut c);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].flit.vc, Some(VcId(1)));
     }
@@ -927,17 +910,18 @@ mod tests {
         let flows = FlowTable::mesh_baseline(mesh, &[(FlowId(0), r0), (FlowId(1), r1)]);
         let mut r = prepared_router();
         let mut c = ActivityCounters::new();
-        // Packet A (flow 0) into vc0, packet B (flow 1) into vc1, same cycle.
-        for (flow, vc, slot) in [(FlowId(0), VcId(0), 10), (FlowId(1), VcId(1), 11)] {
-            for (i, mut f) in packet_flits(slot, flow, 3).into_iter().enumerate() {
-                f.vc = Some(vc);
-                r.receive(Direction::Core, f, i as u64, &flows, &mut c);
-            }
-        }
+        // Packet A (flow 0) into vc0, packet B (flow 1) into vc1, their
+        // flits arriving side by side.
+        let a = packet_flits(10, FlowId(0), 3, 0);
+        let b = packet_flits(11, FlowId(1), 3, 1);
         let mut order = Vec::new();
-        for cycle in 5..14 {
-            let (d, _) = r.allocate(cycle, &mut c);
-            for dep in d {
+        for step in 0..12 {
+            let arrivals: Vec<_> = [a.get(step), b.get(step)]
+                .into_iter()
+                .flatten()
+                .map(|f| (Direction::Core, *f))
+                .collect();
+            for dep in r.step(&arrivals, &flows, &mut c) {
                 order.push((dep.flit.pkt, dep.flit.is_tail()));
             }
         }
@@ -966,21 +950,20 @@ mod tests {
         r.bank.enable_output(0, Direction::East);
         r.bank.enable_output(0, Direction::North);
         let mut c = ActivityCounters::new();
-        // Packet A (flow 0, 3 flits) into vc0 at cycles 0..2.
-        for (i, mut f) in packet_flits(1, FlowId(0), 3).into_iter().enumerate() {
-            f.vc = Some(VcId(0));
-            r.receive(Direction::Core, f, i as u64, &flows, &mut c);
-        }
-        // Packet B (flow 1, 1 flit) into vc1 at cycle 0 as well.
-        let mut head_b = packet_flits(2, FlowId(1), 1).remove(0);
-        head_b.vc = Some(VcId(1));
-        r.receive(Direction::Core, head_b, 0, &flows, &mut c);
-
+        // Packet A (flow 0, 3 flits) into vc0, one flit a cycle; packet
+        // B (flow 1, 1 flit) into vc1 beside A's head.
+        let a = packet_flits(1, FlowId(0), 3, 0);
+        let b = packet_flits(2, FlowId(1), 1, 1);
         let mut order = Vec::new();
-        for cycle in 2..10 {
-            let (d, _) = r.allocate(cycle, &mut c);
-            for dep in d {
-                order.push((cycle, dep.out_dir, dep.flit.pkt));
+        for step in 0..10u64 {
+            let i = step as usize;
+            let arrivals: Vec<_> = [a.get(i), b.get(i)]
+                .into_iter()
+                .flatten()
+                .map(|f| (Direction::Core, *f))
+                .collect();
+            for dep in r.step(&arrivals, &flows, &mut c) {
+                order.push((step, dep.out_dir, dep.flit.pkt));
             }
         }
         // One flit per cycle from the shared Core input.
@@ -989,9 +972,9 @@ mod tests {
         dedup.dedup();
         assert_eq!(cycles, dedup, "one flit per input port per cycle");
         assert_eq!(order.len(), 4, "all four flits depart");
-        // A's first grant happens at cycle 2 (round-robin may admit B's
-        // head first or defer it, but once A's stream holds East it may
-        // not be interleaved with B on the input port).
+        // Round-robin may admit B's head first or defer it, but once A's
+        // stream holds East it may not be interleaved with B on the
+        // input port.
         let a_cycles: Vec<u64> = order
             .iter()
             .filter(|(_, _, p)| *p == PacketSlot(1))
@@ -1023,9 +1006,8 @@ mod tests {
         r.bank.enable_input(0, Direction::Core);
         let flows = table();
         let mut c = ActivityCounters::new();
-        for (i, mut f) in packet_flits(1, FlowId(0), 3).into_iter().enumerate() {
-            f.vc = Some(VcId(0));
-            r.receive(Direction::Core, f, i as u64, &flows, &mut c);
+        for f in packet_flits(1, FlowId(0), 3, 0) {
+            r.receive(Direction::Core, f, &flows, &mut c);
         }
     }
 
@@ -1039,23 +1021,23 @@ mod tests {
         let mut c = ActivityCounters::new();
         let mut router = prepared_router();
         let mut bare = RouterBank::new(1, 2, 10);
-        for (i, f) in flits.iter().enumerate() {
+        for f in flits {
             let flit = Flit {
                 vc: Some(VcId(0)),
                 ..*f
             };
             if bank {
                 let route = || (Direction::East, 0);
-                bare.receive(0, Direction::Core, flit, i as u64, route, &mut c);
+                bare.receive(0, Direction::Core, flit, route, &mut c);
             } else {
-                router.receive(Direction::Core, flit, i as u64, &flows, &mut c);
+                router.receive(Direction::Core, flit, &flows, &mut c);
             }
         }
     }
 
     /// Head and first body of packet 1, then flit `seq` of packet `pkt`.
     fn two_flits_then(pkt: u32, seq: u8) -> Vec<Flit> {
-        let mut flits = packet_flits(1, FlowId(0), 4);
+        let mut flits = packet_flits(1, FlowId(0), 4, 0);
         flits.truncate(2);
         flits.push(Flit::new(PacketSlot(pkt), FlowId(0), seq, 4));
         flits
@@ -1243,14 +1225,14 @@ mod tests {
 
     #[derive(Clone, Default)]
     struct RefVc {
-        q: std::collections::VecDeque<(Flit, u64)>,
+        q: VecDeque<(Flit, u64)>,
         /// Output this VC's packet holds.
         hold: Option<usize>,
     }
 
     #[derive(Clone)]
     struct RefOut {
-        free: std::collections::VecDeque<VcId>,
+        free: VecDeque<VcId>,
         /// `(input vc index within the router, endpoint vc, token)`.
         held: Option<(usize, VcId, u32)>,
         arb: crate::arbiter::RoundRobin,
@@ -1380,9 +1362,11 @@ mod tests {
 
     proptest::proptest! {
         /// The packet-granular bank against [`RefBank`] over the same
-        /// legal load: the same departures — every field of every
-        /// rebuilt flit, its output and its route token — the same
-        /// credit releases and the same counters after every cycle.
+        /// legal load, in the engine's schedule — the flits that arrived
+        /// at the end of cycle `c - 1` are buffered before `allocate(c)`:
+        /// the same departures — every field of every rebuilt flit, its
+        /// output and its route token — the same credit releases and the
+        /// same counters after every cycle.
         #[test]
         fn bank_departs_what_a_whole_flit_model_departs(
             seed in 1u64..u64::MAX,
@@ -1394,19 +1378,19 @@ mod tests {
             let mut bank = load.bank();
             let mut model = RefBank::new(N, nv);
             let (mut c, mut c_ref) = (ActivityCounters::new(), ActivityCounters::new());
-            for cycle in 0..300u64 {
+            for cycle in 1..=300u64 {
                 for (r, dir, vc) in load.credits() {
                     bank.credit(r, dir, vc);
                     model.credit(r, dir, vc);
                 }
                 for (r, in_dir, flit) in load.arrivals() {
-                    bank.receive(r, in_dir, flit, cycle, || load_route(flit.flow), &mut c);
-                    model.receive(r, in_dir, flit, cycle, &mut c_ref);
+                    bank.receive(r, in_dir, flit, || load_route(flit.flow), &mut c);
+                    model.receive(r, in_dir, flit, cycle - 1, &mut c_ref);
                 }
                 let (mut deps, mut rels) = (Vec::new(), Vec::new());
                 let (mut deps_ref, mut rels_ref) = (Vec::new(), Vec::new());
                 for r in 0..N {
-                    bank.allocate(r, cycle, &mut c, &mut deps, &mut rels, &mut NoProbe);
+                    bank.allocate(r, &mut c, &mut deps, &mut rels, &mut NoProbe);
                     model.allocate(r, cycle, &mut c_ref, &mut deps_ref, &mut rels_ref);
                 }
                 proptest::prop_assert_eq!(format!("{deps:?}"), format!("{deps_ref:?}"));
@@ -1418,11 +1402,10 @@ mod tests {
         }
 
         /// Drive two clones of a multi-router bank through the same legal
-        /// load; allocate one over `0..n` (the `buffered == 0` early
-        /// return skipping the drained routers) and the other over its
-        /// active set. Both must produce the same departures and
-        /// credits, and the set must be exactly the routers holding
-        /// flits after every step.
+        /// load; allocate one over `0..n` (the early return skipping the
+        /// drained routers) and the other over its active set. Both must
+        /// produce the same departures and credits, and the set must be
+        /// exactly the routers holding flits after every step.
         #[test]
         fn active_set_is_exactly_the_routers_holding_flits(seed in 1u64..u64::MAX) {
             const N: usize = 70; // two set words
@@ -1430,35 +1413,78 @@ mod tests {
             let mut swept = load.bank();
             let mut walked = swept.clone();
             let mut c = ActivityCounters::new();
-            for cycle in 0..300u64 {
+            for _ in 0..300 {
                 for (r, dir, vc) in load.credits() {
                     swept.credit(r, dir, vc);
                     walked.credit(r, dir, vc);
                 }
                 for (r, in_dir, flit) in load.arrivals() {
                     let route = || load_route(flit.flow);
-                    swept.receive(r, in_dir, flit, cycle, route, &mut c);
-                    walked.receive(r, in_dir, flit, cycle, route, &mut c);
+                    swept.receive(r, in_dir, flit, route, &mut c);
+                    walked.receive(r, in_dir, flit, route, &mut c);
                 }
                 let (mut deps, mut rels) = (Vec::new(), Vec::new());
                 for r in 0..N {
-                    swept.allocate(r, cycle, &mut c, &mut deps, &mut rels, &mut NoProbe);
+                    swept.allocate(r, &mut c, &mut deps, &mut rels, &mut NoProbe);
                 }
                 let (mut deps_w, mut rels_w) = (Vec::new(), Vec::new());
                 for w in 0..walked.active().num_words() {
                     for r in walked.active().word(w) {
-                        walked.allocate(r, cycle, &mut c, &mut deps_w, &mut rels_w, &mut NoProbe);
+                        walked.allocate(r, &mut c, &mut deps_w, &mut rels_w, &mut NoProbe);
                     }
                 }
                 proptest::prop_assert_eq!(format!("{deps:?}"), format!("{deps_w:?}"));
                 proptest::prop_assert_eq!(format!("{rels:?}"), format!("{rels_w:?}"));
                 for bank in [&swept, &walked] {
-                    let holding = (0..N).filter(|&r| bank.buffered[r] > 0);
-                    proptest::prop_assert!(bank.active().iter().eq(holding), "cycle {cycle}");
+                    let holding = (0..N).filter(|&r| bank.hdrs[r].nonempty != 0);
+                    proptest::prop_assert!(bank.active().iter().eq(holding));
+                    let total: u64 = bank.vcs.iter().map(|st| u64::from(st.len)).sum();
+                    proptest::prop_assert_eq!(bank.total_buffered(), total);
                 }
                 load.departed(&deps, &rels);
             }
             proptest::prop_assert!(c.sa_grants > 100, "the script must move flits: {c:?}");
+        }
+
+        /// The one-`u64` FIFO against the `VecDeque` it stands for, over
+        /// 1..=12 VCs: start full, then pop to empty and push back to
+        /// full with credits returning in a random order, interleaved at
+        /// random; `len`, `pop` and `contains` agree at every step.
+        #[test]
+        fn vc_fifo_is_a_deque(seed in 1u64..u64::MAX, nv in 1usize..=MAX_VCS_PER_PORT) {
+            let mut rng = seed;
+            let mut draw = |n: usize| {
+                rng ^= rng << 13;
+                rng ^= rng >> 7;
+                rng ^= rng << 17;
+                (rng % n as u64) as usize
+            };
+            let mut fifo = VcFifo::seed(nv);
+            let mut deque: VecDeque<VcId> = (0..nv as u8).map(VcId).collect();
+            let mut out: Vec<VcId> = Vec::new();
+            for step in 0..400 {
+                // Drain to empty and refill to full once each, then mix.
+                let pop = match step {
+                    0..=11 => true,
+                    12..=23 => false,
+                    _ => draw(2) == 0,
+                };
+                if pop {
+                    let got = fifo.pop();
+                    proptest::prop_assert_eq!(got, deque.pop_front());
+                    out.extend(got);
+                } else if !out.is_empty() {
+                    let vc = out.swap_remove(draw(out.len()));
+                    fifo.push(vc);
+                    deque.push_back(vc);
+                }
+                proptest::prop_assert_eq!(fifo.len(), deque.len());
+                proptest::prop_assert_eq!(fifo.is_empty(), deque.is_empty());
+                for v in 0..16 {
+                    let vc = VcId(v);
+                    proptest::prop_assert_eq!(fifo.contains(vc), deque.contains(&vc));
+                }
+            }
         }
     }
 

@@ -29,11 +29,12 @@
 //!   per-leg link counts times the configured hop pitch; at the paper's
 //!   integral 1 mm pitch these sums are exact in any order.)
 //! * **Link exclusivity is checked globally.** SMART legs may cross many
-//!   bands in one cycle, so the two-plane link guard becomes a pair of
-//!   shared atomic bitsets: the launching band marks every link of the
-//!   leg with `fetch_or`, and a second mark of the same link in the same
-//!   `ST` cycle panics exactly like the 1-band guard. The coordinator
-//!   re-zeroes a plane only between cycles, when no worker is stepping.
+//!   bands in one cycle, so the 1-band guard's stamp per link becomes a
+//!   pair of shared atomic bitsets, one per `ST`-cycle parity: the
+//!   launching band marks every link of the leg with `fetch_or`, and a
+//!   second mark of the same link in the same `ST` cycle panics exactly
+//!   like the 1-band guard. The coordinator re-zeroes a plane only
+//!   between cycles, when no worker is stepping.
 //!
 //! Packets crossing a band boundary are re-interned: the head flit
 //! carries its `PacketMeta` (including the injection timestamp) into the
@@ -46,7 +47,7 @@ use crate::flit::Packet;
 use crate::forward::{FlowTable, LegLut};
 use crate::network::{Band, BoundaryEvent, Goal, Seam};
 use crate::stats::SimStats;
-use crate::topology::{NodeId, Topology, PORTS};
+use crate::topology::{NodeId, PORTS};
 use crate::traffic::TrafficSource;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -63,7 +64,7 @@ pub(crate) struct Exchange {
     planes: [Vec<AtomicU64>; 2],
     /// The `ST` cycle each plane currently describes (`u64::MAX` =
     /// none); maintained by the coordinator between cycles.
-    plane_cycle: [u64; 2],
+    plane_st: [u64; 2],
     /// `k × k` outboxes, `src * k + dst`; each cell is written by one
     /// worker and drained by one worker, never concurrently.
     outbox: Vec<Mutex<Vec<BoundaryEvent>>>,
@@ -102,7 +103,7 @@ impl Seam for Banded<'_> {
 /// that panics mid-cycle (e.g. a preset violation) never reaches the
 /// barrier, so waiters watch the flag instead of deadlocking. `wait`
 /// returns `false` when a peer panicked; callers bail out quietly and
-/// the scope join re-raises the original panic.
+/// the coordinator's join re-raises the original panic.
 struct CycleBarrier<'a> {
     count: AtomicUsize,
     generation: AtomicU64,
@@ -181,7 +182,7 @@ impl Exchange {
         Exchange {
             owner,
             planes: [plane(), plane()],
-            plane_cycle: [u64::MAX, u64::MAX],
+            plane_st: [u64::MAX, u64::MAX],
             outbox: (0..k * k).map(|_| Mutex::new(Vec::new())).collect(),
             offer_box: (0..k).map(|_| Mutex::new(Vec::new())).collect(),
             counters: ActivityCounters::new(),
@@ -228,7 +229,6 @@ impl Exchange {
         bands: &mut [Band],
         lut: &LegLut,
         flows: &FlowTable,
-        topo: Topology,
         cycle: &mut u64,
         mut traffic: Option<&mut dyn TrafficSource>,
         goal: Goal,
@@ -246,16 +246,17 @@ impl Exchange {
         let stop = AtomicBool::new(false);
         let quiet: Vec<AtomicBool> = (0..k).map(|_| AtomicBool::new(false)).collect();
         let barrier = CycleBarrier::new(k + 1, &panicked);
-        // The coordinator alone touches `plane_cycle` (between barriers C
+        // The coordinator alone touches `plane_st` (between barriers C
         // and A); everything else is shared read-only with the workers.
-        let mut plane_cycle = self.plane_cycle;
+        let mut plane_st = self.plane_st;
         let x = &*self;
         let mut ran: u64 = 0;
 
         std::thread::scope(|scope| {
+            let mut workers = Vec::with_capacity(k);
             for (i, band) in bands.iter_mut().enumerate() {
                 let (barrier, stop, quiet, panicked) = (&barrier, &stop, &quiet, &panicked);
-                scope.spawn(move || {
+                workers.push(scope.spawn(move || {
                     let _sentinel = PanicSentinel(panicked);
                     let mut seam = Banded { me: i, x };
                     let mut c = start_cycle;
@@ -265,7 +266,7 @@ impl Exchange {
                         }
                         drain_box(&x.offer_box[i], |offers| {
                             for p in offers.drain(..) {
-                                band.offer(p, flows, topo);
+                                band.offer(p, flows);
                             }
                         });
                         band.step(c, lut, &mut seam);
@@ -281,7 +282,7 @@ impl Exchange {
                         }
                         c += 1;
                     }
-                });
+                }));
             }
 
             // Coordinator.
@@ -298,11 +299,11 @@ impl Exchange {
                 } else {
                     for cyc in [c, c + 1] {
                         let p = (cyc & 1) as usize;
-                        if plane_cycle[p] != cyc {
+                        if plane_st[p] != cyc {
                             for w in &x.planes[p] {
                                 w.store(0, Ordering::SeqCst);
                             }
-                            plane_cycle[p] = cyc;
+                            plane_st[p] = cyc;
                         }
                     }
                     if let Some(t) = traffic.as_deref_mut() {
@@ -318,9 +319,17 @@ impl Exchange {
                 all_quiet = quiet.iter().all(|q| q.load(Ordering::SeqCst));
                 ran += 1;
             }
+            // Re-raise a worker's own panic (e.g. a preset violation):
+            // left to the scope, it would become a generic "a scoped
+            // thread panicked".
+            for worker in workers {
+                if let Err(payload) = worker.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
         });
 
-        self.plane_cycle = plane_cycle;
+        self.plane_st = plane_st;
         *cycle = start_cycle + ran;
         self.refresh_merged(bands);
     }

@@ -5,7 +5,7 @@
 //! the same flow plans, the same cycle, bit for bit the same statistics,
 //! counters and per-link counts — with none of the engine's machinery:
 //! no packet arena, no dense leg table, no active sets, no bands, no
-//! stamp slab, no tracer. Everything is a whole value in a plain
+//! packed router headers, no tracer. Everything is a whole value in a plain
 //! collection, so each rule of the paper is one short passage below.
 //!
 //! # What a flow plan says
