@@ -28,8 +28,6 @@ pub struct NocConfig {
     pub packet_bits: u32,
     /// Flit size in bits (= channel width, 32).
     pub flit_bits: u32,
-    /// Hop pitch in mm (1 mm cores).
-    pub hop_mm: f64,
     /// Maximum hops traversable in one cycle, from the link model.
     pub hpc_max: usize,
     /// Row bands (threads) the cycle engine runs on; 0 and 1 both mean
@@ -62,7 +60,6 @@ impl NocConfig {
             vc_depth: 10,
             packet_bits: 256,
             flit_bits: 32,
-            hop_mm: 1.0,
             hpc_max: link.max_hops_per_cycle(Gbps(clock_ghz)) as usize,
             shards: 1,
         }

@@ -1,43 +1,44 @@
-//! The *Dedicated* baseline: an ideal NoC with 1-cycle dedicated links
-//! between all communicating cores (Section VI).
-//!
-//! The paper uses this as the yardstick SMART chases: every flow gets a
-//! private single-cycle wire, so there is no path contention and no
-//! bandwidth limit at sources. The only serialization the paper retains
-//! is at destinations: "if there are multiple traffic flows to the same
+//! The *Dedicated* baseline (Section VI): the ideal NoC SMART chases,
+//! with a private 1-cycle wire per flow, so no path contention and no
+//! source bandwidth limit. The only serialization the paper keeps is at
+//! destinations: "if there are multiple traffic flows to the same
 //! destination, they need to stop at a router at the destination to go
-//! up serially into the NIC". We model exactly that — a flow whose sink
-//! is private flies NIC-to-NIC in one cycle; flows sharing a sink stop
-//! at the destination router (BW/SA/ST, +3 cycles at zero load) and are
-//! round-robin-serialized into the NIC one flit per cycle.
+//! up serially into the NIC". The model is that definition, one record
+//! per piece:
 //!
-//! Power-wise the paper plots **only link power** for Dedicated (the
-//! high-radix sink routers, source muxes and pipeline registers are
-//! acknowledged but ignored); the activity counters here do the same:
-//! flits accumulate `link_flit_mm` over the Manhattan distance of their
-//! dedicated wire, and no buffer/crossbar activity is charged.
+//! * a `Wire` per flow launches one flit a cycle from its packet queue;
+//!   a flit launched in cycle *c* arrives at the end of *c*, and a
+//!   private destination takes it NIC to NIC in that one cycle;
+//! * flows sharing a destination arrive into their own FIFO lane of its
+//!   `Sink`, which buffers (BW), arbitrates round-robin with the switch
+//!   held per packet (SA) and ejects one flit a cycle (ST): +3 cycles at
+//!   zero load.
+//!
+//! A held wire costs a copy per flit, the rule the SDM circuit-switching
+//! paper (PAPERS.md) applies to held paths. Power: the paper plots only
+//! link power for Dedicated, so flits charge `link_flit_mm` over their
+//! wire's Manhattan length and no buffer or crossbar activity.
+//!
+//! The cycle engine ([`smart_sim::Network`]) does not host this model as
+//! one leg per flow, because each of these would be a Dedicated-only
+//! branch in its `launch`/`receive` hot path:
+//!
+//! 1. no source serialization: a NIC injects one flit per cycle, and a
+//!    flow table refuses one sender feeding two endpoints;
+//! 2. a shared sink's lanes are unbounded and credit-free, where a
+//!    router has five inputs of finite, credited VCs;
+//! 3. only link millimetres are charged, where an engine leg also
+//!    charges crossbars, credits and port gating.
 
 use crate::config::NocConfig;
 use smart_sim::arbiter::RoundRobin;
 use smart_sim::counters::ActivityCounters;
 use smart_sim::stats::SimStats;
 use smart_sim::traffic::TrafficSource;
-use smart_sim::{FlowId, NodeId, Packet, Topology};
-use std::collections::{HashMap, VecDeque};
+use smart_sim::{FlowId, NodeId, Packet, SourceRoute, HOP_MM};
+use std::collections::{BTreeMap, VecDeque};
 
-/// One flow over a dedicated link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct DedicatedFlow {
-    /// Flow id.
-    pub flow: FlowId,
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
-}
-
-/// A flit in flight inside the dedicated model (we only need packet
-/// bookkeeping, not routing state).
+/// A flit on a wire or in a sink lane: packet bookkeeping only.
 #[derive(Debug, Clone, Copy)]
 struct DFlit {
     flow: FlowId,
@@ -47,112 +48,105 @@ struct DFlit {
     inject_cycle: u64,
 }
 
-/// Per-flow injection state: packets queue at the source end of their
-/// private wire (one wire per flow — no source serialization).
-#[derive(Debug, Clone, Default)]
-struct FlowTx {
+/// One flow's private single-cycle wire.
+#[derive(Debug)]
+struct Wire {
+    flow: FlowId,
+    /// The route's endpoints, which every offered packet must name.
+    src: NodeId,
+    dst: NodeId,
+    /// Packets waiting at the source end.
     queue: VecDeque<Packet>,
-    /// Remaining flits of the packet being serialized.
-    in_progress: VecDeque<DFlit>,
+    /// The packet being sent, its inject cycle and next flit's sequence.
+    sending: Option<(Packet, u64, u8)>,
+    /// The flit launched last cycle; it lands at the start of this one,
+    /// so a flit never crosses a `reset_counters` in its launch cycle.
+    landing: Option<DFlit>,
+    /// Wire length: Manhattan distance × [`HOP_MM`].
+    mm: f64,
+    /// `(sink, lane)` when the destination is shared.
+    lane: Option<(usize, usize)>,
 }
 
-/// Per-destination sink state for shared sinks: per-flow reorder-free
-/// queues plus a round-robin arbiter into the NIC.
+/// A destination shared by several flows: one FIFO lane of `(flit,
+/// arrival cycle)` per flow, in route order, arbitrated into the NIC.
 #[derive(Debug)]
 struct Sink {
-    /// Flows sinking here, fixed order.
-    flows: Vec<FlowId>,
-    /// Buffered flits per flow with their arrival cycles.
-    queues: Vec<VecDeque<(DFlit, u64)>>,
+    lanes: Vec<VecDeque<(DFlit, u64)>>,
     arb: RoundRobin,
-    /// Switch held by a packet until its tail passes (VCT semantics).
+    /// The lane holding the switch until its packet's tail passes.
     held: Option<usize>,
 }
 
 /// The ideal dedicated-topology NoC.
 #[derive(Debug)]
 pub struct DedicatedNoc {
-    mesh: Topology,
-    flits_per_packet: u8,
-    flows: Vec<DedicatedFlow>,
-    flow_index: HashMap<FlowId, usize>,
-    /// Manhattan wire length per flow (for link power).
-    wire_mm: Vec<f64>,
-    tx: Vec<FlowTx>,
-    /// Shared sinks by destination node.
-    sinks: HashMap<NodeId, Sink>,
-    /// Whether each flow's sink is shared.
-    shared_sink: Vec<bool>,
+    /// Sorted by flow id: [`DedicatedNoc::offer`] binary-searches it.
+    wires: Vec<Wire>,
+    sinks: Vec<Sink>,
+    /// Per-sink scratch: which lanes may arbitrate this cycle.
+    eligible: Vec<bool>,
     cycle: u64,
     counters: ActivityCounters,
     stats: SimStats,
     stats_from: u64,
-    /// In-flight arrivals to shared sinks / NICs by apply slot:
-    /// (flow index, flit).
-    arrivals: Vec<Vec<(usize, DFlit)>>,
-    /// Per-cycle scratch, reused so the steady state allocates nothing.
-    arrival_scratch: Vec<(usize, DFlit)>,
-    eligible_scratch: Vec<bool>,
 }
 
-const RING: usize = 8;
-
 impl DedicatedNoc {
-    /// Build the dedicated network for `flows` on the physical `cfg`
-    /// floorplan (wire lengths are Manhattan distances between tiles).
+    /// One wire per routed flow on the `cfg` floorplan, as long as the
+    /// Manhattan distance between the route's endpoints.
     ///
     /// # Panics
     ///
     /// Panics on duplicate flow ids or a flow from a node to itself.
     #[must_use]
-    pub fn new(cfg: &NocConfig, flows: &[DedicatedFlow]) -> Self {
-        let mesh = cfg.topology;
-        let mut flow_index = HashMap::new();
-        let mut by_dst: HashMap<NodeId, Vec<FlowId>> = HashMap::new();
-        for (i, f) in flows.iter().enumerate() {
-            assert_ne!(f.src, f.dst, "{}: src == dst", f.flow);
-            let prev = flow_index.insert(f.flow, i);
-            assert!(prev.is_none(), "{}: duplicate flow", f.flow);
-            by_dst.entry(f.dst).or_default().push(f.flow);
-        }
-        let mut sinks = HashMap::new();
-        let mut shared_sink = vec![false; flows.len()];
-        for (dst, fs) in &by_dst {
-            if fs.len() > 1 {
-                for f in fs {
-                    shared_sink[flow_index[f]] = true;
-                }
-                sinks.insert(
-                    *dst,
-                    Sink {
-                        flows: fs.clone(),
-                        queues: vec![VecDeque::new(); fs.len()],
-                        arb: RoundRobin::new(fs.len()),
-                        held: None,
-                    },
-                );
-            }
-        }
-        let wire_mm = flows
+    pub fn new(cfg: &NocConfig, routes: &[(FlowId, SourceRoute)]) -> Self {
+        let topo = cfg.topology;
+        let mut wires: Vec<Wire> = routes
             .iter()
-            .map(|f| f64::from(mesh.distance(f.src, f.dst)) * cfg.hop_mm)
+            .map(|(flow, r)| {
+                let (src, dst) = (r.source(), r.destination(topo));
+                assert_ne!(src, dst, "{flow}: src == dst");
+                Wire {
+                    flow: *flow,
+                    src,
+                    dst,
+                    queue: VecDeque::new(),
+                    sending: None,
+                    landing: None,
+                    mm: f64::from(topo.distance(src, dst)) * HOP_MM,
+                    lane: None,
+                }
+            })
             .collect();
+        // Flows sharing a destination get a sink, laned in route order.
+        let mut by_dst: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        for (i, w) in wires.iter().enumerate() {
+            by_dst.entry(w.dst).or_default().push(i);
+        }
+        let mut sinks = Vec::new();
+        for flows in by_dst.into_values().filter(|f| f.len() > 1) {
+            for (lane, &i) in flows.iter().enumerate() {
+                wires[i].lane = Some((sinks.len(), lane));
+            }
+            sinks.push(Sink {
+                lanes: vec![VecDeque::new(); flows.len()],
+                arb: RoundRobin::new(flows.len()),
+                held: None,
+            });
+        }
+        wires.sort_by_key(|w| w.flow);
+        if let Some(p) = wires.windows(2).find(|p| p[0].flow == p[1].flow) {
+            panic!("{}: duplicate flow", p[0].flow);
+        }
         DedicatedNoc {
-            mesh,
-            flits_per_packet: cfg.flits_per_packet(),
-            flows: flows.to_vec(),
-            flow_index,
-            wire_mm,
-            tx: vec![FlowTx::default(); flows.len()],
+            wires,
             sinks,
-            shared_sink,
+            eligible: Vec::new(),
             cycle: 0,
             counters: ActivityCounters::new(),
             stats: SimStats::new(),
             stats_from: 0,
-            arrivals: vec![Vec::new(); RING],
-            arrival_scratch: Vec::new(),
-            eligible_scratch: Vec::new(),
         }
     }
 
@@ -188,113 +182,78 @@ impl DedicatedNoc {
     ///
     /// # Panics
     ///
-    /// Panics if the flow is unknown.
+    /// Panics on an unknown flow, a packet of no flits, or one whose
+    /// source or destination differs from its flow's route.
     pub fn offer(&mut self, packet: Packet) {
-        let idx = *self
-            .flow_index
-            .get(&packet.flow)
-            .unwrap_or_else(|| panic!("unknown flow {}", packet.flow));
-        self.tx[idx].queue.push_back(packet);
+        assert!(packet.num_flits > 0, "a packet needs at least one flit");
+        let i = self
+            .wires
+            .binary_search_by_key(&packet.flow, |w| w.flow)
+            .unwrap_or_else(|_| panic!("unknown flow {}", packet.flow));
+        let wire = &mut self.wires[i];
+        assert_eq!(packet.src, wire.src, "packet src mismatch");
+        assert_eq!(packet.dst, wire.dst, "packet dst mismatch");
+        wire.queue.push_back(packet);
     }
 
-    /// Advance one cycle.
+    /// Advance one cycle: every wire lands last cycle's flit and launches
+    /// one, then every shared sink ejects at most one flit.
     pub fn step(&mut self) {
         let c = self.cycle;
-        let slot = (c % RING as u64) as usize;
-
-        // 1. Arrivals scheduled for end of cycle c-1 (swapped out through
-        // the scratch buffer so ring-slot capacity is reused).
-        let mut arrivals = std::mem::take(&mut self.arrival_scratch);
-        std::mem::swap(&mut arrivals, &mut self.arrivals[slot]);
-        for (fi, flit) in arrivals.drain(..) {
-            if self.shared_sink[fi] {
-                let dst = self.flows[fi].dst;
-                let sink = self.sinks.get_mut(&dst).expect("shared sink exists");
-                let qi = sink
-                    .flows
-                    .iter()
-                    .position(|f| *f == self.flows[fi].flow)
-                    .expect("flow registered at its sink");
-                sink.queues[qi].push_back((flit, c - 1));
-            } else {
-                self.deliver(flit, c - 1);
-            }
-        }
-        self.arrival_scratch = arrivals;
-
-        // 2. Injection: every flow's private wire can carry one flit per
-        // cycle (no source serialization across flows).
-        for fi in 0..self.flows.len() {
-            let tx = &mut self.tx[fi];
-            if tx.in_progress.is_empty() {
-                if let Some(p) = tx.queue.pop_front() {
-                    self.counters.packets_injected += 1;
-                    let n = p.num_flits;
-                    for s in 0..n {
-                        tx.in_progress.push_back(DFlit {
-                            flow: p.flow,
-                            is_head: s == 0,
-                            is_tail: s == n - 1,
-                            gen_cycle: p.gen_cycle,
-                            inject_cycle: c,
-                        });
-                    }
+        for i in 0..self.wires.len() {
+            if let Some(flit) = self.wires[i].landing.take() {
+                match self.wires[i].lane {
+                    Some((s, l)) => self.sinks[s].lanes[l].push_back((flit, c - 1)),
+                    None => self.deliver(flit, c - 1),
                 }
             }
-            if let Some(flit) = self.tx[fi].in_progress.pop_front() {
-                // The dedicated wire: arrival at the end of this cycle.
-                self.counters.link_flit_mm += self.wire_mm[fi];
-                let apply = ((c + 1) % RING as u64) as usize;
-                self.arrivals[apply].push((fi, flit));
+            let w = &mut self.wires[i];
+            if w.sending.is_none() {
+                if let Some(p) = w.queue.pop_front() {
+                    self.counters.packets_injected += 1;
+                    w.sending = Some((p, c, 0));
+                }
+            }
+            if let Some((p, inject_cycle, seq)) = &mut w.sending {
+                let flit = DFlit {
+                    flow: p.flow,
+                    is_head: *seq == 0,
+                    is_tail: *seq + 1 == p.num_flits,
+                    gen_cycle: p.gen_cycle,
+                    inject_cycle: *inject_cycle,
+                };
+                *seq += 1;
+                self.counters.link_flit_mm += w.mm;
+                w.landing = Some(flit);
+                if flit.is_tail {
+                    w.sending = None;
+                }
             }
         }
 
-        // 3. Shared sinks: BW (cycle after arrival), SA, then ST into the
-        // NIC — one flit per cycle per destination, packet-granular hold.
-        let mut sinks = std::mem::take(&mut self.sinks);
-        let mut eligible = std::mem::take(&mut self.eligible_scratch);
-        for sink in sinks.values_mut() {
-            eligible.clear();
-            eligible.extend(
-                sink.queues
+        // Shared sinks: BW the cycle after arrival, SA, then ST in c+1.
+        for s in 0..self.sinks.len() {
+            let sink = &mut self.sinks[s];
+            self.eligible.clear();
+            self.eligible.extend(
+                sink.lanes
                     .iter()
-                    .map(|q| q.front().is_some_and(|(_, arr)| arr + 2 <= c)),
+                    .map(|q| q.front().is_some_and(|&(_, arrival)| arrival + 2 <= c)),
             );
             let winner = match sink.held {
-                Some(h) if eligible[h] => Some(h),
-                Some(_) => None,
-                None => sink.arb.grant(&eligible),
+                Some(h) => self.eligible[h].then_some(h),
+                None => sink.arb.grant(&self.eligible),
             };
             let Some(w) = winner else { continue };
-            let (flit, _) = sink.queues[w].pop_front().expect("eligible has front");
-            sink.held = if flit.is_tail { None } else { Some(w) };
-            // ST during c+1; NIC arrival end of c+1.
+            let (flit, _) = sink.lanes[w]
+                .pop_front()
+                .expect("eligible lane has a front");
+            sink.held = (!flit.is_tail).then_some(w);
             self.deliver(flit, c + 1);
         }
-        self.sinks = sinks;
-        self.eligible_scratch = eligible;
 
         self.counters.cycles += 1;
         self.cycle += 1;
-    }
-
-    /// Record a flit reaching its destination NIC at the end of
-    /// `arrival_cycle`.
-    fn deliver(&mut self, flit: DFlit, arrival_cycle: u64) {
-        self.counters.flits_delivered += 1;
-        let measured = flit.gen_cycle >= self.stats_from;
-        if flit.is_head && measured {
-            let lat = arrival_cycle - flit.inject_cycle + 1;
-            self.stats
-                .record_head(flit.flow, lat, flit.inject_cycle - flit.gen_cycle);
-        }
-        if flit.is_tail {
-            self.counters.packets_delivered += 1;
-            if measured {
-                let lat = arrival_cycle - flit.inject_cycle + 1;
-                self.stats.record_tail(flit.flow, lat);
-            }
-        }
     }
 
     /// Run `cycles` cycles pulling from `traffic`.
@@ -307,17 +266,16 @@ impl DedicatedNoc {
         }
     }
 
-    /// `true` when nothing is queued or in flight.
+    /// `true` when nothing is queued, on a wire or in a sink.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.tx
+        self.wires
             .iter()
-            .all(|t| t.queue.is_empty() && t.in_progress.is_empty())
-            && self.arrivals.iter().all(Vec::is_empty)
+            .all(|w| w.queue.is_empty() && w.sending.is_none() && w.landing.is_none())
             && self
                 .sinks
-                .values()
-                .all(|s| s.queues.iter().all(VecDeque::is_empty))
+                .iter()
+                .all(|s| s.lanes.iter().all(VecDeque::is_empty))
     }
 
     /// Step until quiescent (up to `max_cycles`); `true` on success.
@@ -331,16 +289,22 @@ impl DedicatedNoc {
         self.is_quiescent()
     }
 
-    /// The topology/floorplan underneath (for reporting).
-    #[must_use]
-    pub fn mesh(&self) -> Topology {
-        self.mesh
-    }
-
-    /// Flits per packet.
-    #[must_use]
-    pub fn flits_per_packet(&self) -> u8 {
-        self.flits_per_packet
+    /// Record `flit` reaching its destination NIC at the end of
+    /// `arrival`.
+    fn deliver(&mut self, flit: DFlit, arrival: u64) {
+        self.counters.flits_delivered += 1;
+        let measured = flit.gen_cycle >= self.stats_from;
+        let latency = arrival - flit.inject_cycle + 1;
+        if flit.is_head && measured {
+            let queued = flit.inject_cycle - flit.gen_cycle;
+            self.stats.record_head(flit.flow, latency, queued);
+        }
+        if flit.is_tail {
+            self.counters.packets_delivered += 1;
+            if measured {
+                self.stats.record_tail(flit.flow, latency);
+            }
+        }
     }
 }
 
@@ -349,8 +313,19 @@ mod tests {
     use super::*;
     use smart_sim::PacketId;
 
-    fn cfg() -> NocConfig {
-        NocConfig::paper_4x4()
+    /// A Dedicated NoC on the paper's 4×4 with one XY-routed flow per
+    /// `(src, dst)` pair, flow ids in order.
+    fn noc(pairs: &[(u16, u16)]) -> DedicatedNoc {
+        let cfg = NocConfig::paper_4x4();
+        let routes: Vec<(FlowId, SourceRoute)> = pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(s, d))| {
+                let r = SourceRoute::xy(cfg.topology, NodeId(s), NodeId(d)).expect("route");
+                (FlowId(i as u32), r)
+            })
+            .collect();
+        DedicatedNoc::new(&cfg, &routes)
     }
 
     fn packet(flow: u32, src: u16, dst: u16, gen: u64) -> Packet {
@@ -364,80 +339,43 @@ mod tests {
         }
     }
 
+    fn head_latency(noc: &DedicatedNoc, flow: u32) -> f64 {
+        noc.stats()
+            .flow(FlowId(flow))
+            .expect("delivered")
+            .avg_head_latency()
+    }
+
     #[test]
     fn private_sink_is_single_cycle() {
-        let flows = [DedicatedFlow {
-            flow: FlowId(0),
-            src: NodeId(0),
-            dst: NodeId(15),
-        }];
-        let mut noc = DedicatedNoc::new(&cfg(), &flows);
+        let mut noc = noc(&[(0, 15)]);
         noc.offer(packet(0, 0, 15, 0));
         noc.drain(100);
-        let s = noc.stats().flow(FlowId(0)).expect("delivered");
-        assert_eq!(s.avg_head_latency(), 1.0, "dedicated wire = 1 cycle");
+        assert_eq!(head_latency(&noc, 0), 1.0, "dedicated wire = 1 cycle");
         // Tail follows 7 cycles later.
+        let s = noc.stats().flow(FlowId(0)).expect("delivered");
         assert_eq!(s.avg_packet_latency(), 8.0);
     }
 
     #[test]
     fn shared_sink_costs_a_stop() {
-        let flows = [
-            DedicatedFlow {
-                flow: FlowId(0),
-                src: NodeId(0),
-                dst: NodeId(5),
-            },
-            DedicatedFlow {
-                flow: FlowId(1),
-                src: NodeId(10),
-                dst: NodeId(5),
-            },
-        ];
-        let mut noc = DedicatedNoc::new(&cfg(), &flows);
+        let mut noc = noc(&[(0, 5), (10, 5)]);
         // Only one packet in the system: still pays the sink pipeline.
         noc.offer(packet(0, 0, 5, 0));
         noc.drain(100);
-        let s = noc.stats().flow(FlowId(0)).expect("delivered");
-        assert_eq!(
-            s.avg_head_latency(),
-            4.0,
-            "sink stop adds BW+SA+ST = 3 cycles"
-        );
+        assert_eq!(head_latency(&noc, 0), 4.0, "sink stop adds BW+SA+ST");
     }
 
     #[test]
     fn contending_sinks_serialize() {
-        let flows = [
-            DedicatedFlow {
-                flow: FlowId(0),
-                src: NodeId(0),
-                dst: NodeId(5),
-            },
-            DedicatedFlow {
-                flow: FlowId(1),
-                src: NodeId(10),
-                dst: NodeId(5),
-            },
-        ];
-        let mut noc = DedicatedNoc::new(&cfg(), &flows);
+        let mut noc = noc(&[(0, 5), (10, 5)]);
         noc.offer(packet(0, 0, 5, 0));
         noc.offer(packet(1, 10, 5, 0));
         noc.drain(200);
-        let s0 = noc.stats().flow(FlowId(0)).expect("f0");
-        let s1 = noc.stats().flow(FlowId(1)).expect("f1");
-        // One of the packets waits for the other's 8 flits to clear.
-        let (fast, slow) = if s0.avg_head_latency() < s1.avg_head_latency() {
-            (s0, s1)
-        } else {
-            (s1, s0)
-        };
-        assert_eq!(fast.avg_head_latency(), 4.0);
-        assert!(
-            slow.avg_head_latency() >= 11.0,
-            "loser head waits out the winner's packet, got {}",
-            slow.avg_head_latency()
-        );
+        // Lane 0 wins the first grant; lane 1's head waits out its
+        // 8 flits.
+        assert_eq!(head_latency(&noc, 0), 4.0);
+        assert_eq!(head_latency(&noc, 1), 12.0);
         assert_eq!(noc.counters().packets_delivered, 2);
     }
 
@@ -445,40 +383,17 @@ mod tests {
     fn no_source_serialization_across_flows() {
         // Two flows from the SAME source to private sinks: both heads
         // arrive in 1 cycle (parallel dedicated wires).
-        let flows = [
-            DedicatedFlow {
-                flow: FlowId(0),
-                src: NodeId(0),
-                dst: NodeId(3),
-            },
-            DedicatedFlow {
-                flow: FlowId(1),
-                src: NodeId(0),
-                dst: NodeId(12),
-            },
-        ];
-        let mut noc = DedicatedNoc::new(&cfg(), &flows);
+        let mut noc = noc(&[(0, 3), (0, 12)]);
         noc.offer(packet(0, 0, 3, 0));
         noc.offer(packet(1, 0, 12, 0));
         noc.drain(100);
-        assert_eq!(
-            noc.stats().flow(FlowId(0)).expect("f0").avg_head_latency(),
-            1.0
-        );
-        assert_eq!(
-            noc.stats().flow(FlowId(1)).expect("f1").avg_head_latency(),
-            1.0
-        );
+        assert_eq!(head_latency(&noc, 0), 1.0);
+        assert_eq!(head_latency(&noc, 1), 1.0);
     }
 
     #[test]
     fn only_link_activity_is_counted() {
-        let flows = [DedicatedFlow {
-            flow: FlowId(0),
-            src: NodeId(0),
-            dst: NodeId(15),
-        }];
-        let mut noc = DedicatedNoc::new(&cfg(), &flows);
+        let mut noc = noc(&[(0, 15)]);
         noc.offer(packet(0, 0, 15, 0));
         noc.drain(100);
         let c = noc.counters();
@@ -491,19 +406,7 @@ mod tests {
 
     #[test]
     fn flit_conservation() {
-        let flows = [
-            DedicatedFlow {
-                flow: FlowId(0),
-                src: NodeId(1),
-                dst: NodeId(14),
-            },
-            DedicatedFlow {
-                flow: FlowId(1),
-                src: NodeId(2),
-                dst: NodeId(14),
-            },
-        ];
-        let mut noc = DedicatedNoc::new(&cfg(), &flows);
+        let mut noc = noc(&[(1, 14), (2, 14)]);
         for g in 0..10 {
             noc.offer(packet(0, 1, 14, g));
             noc.offer(packet(1, 2, 14, g));
@@ -511,5 +414,11 @@ mod tests {
         assert!(noc.drain(5000));
         assert_eq!(noc.counters().packets_delivered, 20);
         assert_eq!(noc.counters().flits_delivered, 160);
+    }
+
+    #[test]
+    #[should_panic(expected = "packet src mismatch")]
+    fn a_packet_from_the_wrong_source_is_refused() {
+        noc(&[(0, 15)]).offer(packet(0, 1, 15, 0));
     }
 }

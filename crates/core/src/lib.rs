@@ -51,7 +51,7 @@ pub mod viz;
 pub use analysis::{analyze, AnalysisReport, FlowFigures, LinkUtilization};
 pub use compile::{compile, CompiledApp};
 pub use config::NocConfig;
-pub use dedicated::{DedicatedFlow, DedicatedNoc};
+pub use dedicated::DedicatedNoc;
 pub use noc::{Design, DesignKind, MeshNoc, SmartNoc};
 pub use preset::{InputMux, MeshPresets, RouterPreset, StoreOp, XbarSelect};
 pub use reconfig::{ReconfigReport, ReconfigurableNoc};

@@ -1,11 +1,14 @@
 //! The three evaluated designs behind one interface: **Mesh** (3-cycle
 //! router + 1-cycle link, no reconfiguration), **SMART** (preset
-//! single-cycle multi-hop bypass), and **Dedicated** (ideal per-flow
-//! 1-cycle links).
+//! single-cycle multi-hop bypass), and **Dedicated** (one private
+//! 1-cycle wire per flow, plus a round-robin sink arbiter where flows
+//! share a destination). Mesh and SMART are two configurations of the
+//! one cycle engine, [`Network`]; Dedicated is the flow-level model in
+//! [`crate::dedicated`], which says why the engine does not host it.
 
 use crate::compile::{compile, CompiledApp};
 use crate::config::NocConfig;
-use crate::dedicated::{DedicatedFlow, DedicatedNoc};
+use crate::dedicated::DedicatedNoc;
 use crate::preset::MeshPresets;
 use smart_sim::counters::ActivityCounters;
 use smart_sim::stats::SimStats;
@@ -142,17 +145,7 @@ impl Design {
         match kind {
             DesignKind::Mesh => Design::Mesh(MeshNoc::new(cfg, routes)),
             DesignKind::Smart => Design::Smart(SmartNoc::new(cfg, routes)),
-            DesignKind::Dedicated => {
-                let flows: Vec<DedicatedFlow> = routes
-                    .iter()
-                    .map(|(f, r)| DedicatedFlow {
-                        flow: *f,
-                        src: r.source(),
-                        dst: r.destination(cfg.topology),
-                    })
-                    .collect();
-                Design::Dedicated(DedicatedNoc::new(cfg, &flows))
-            }
+            DesignKind::Dedicated => Design::Dedicated(DedicatedNoc::new(cfg, routes)),
         }
     }
 
@@ -332,6 +325,57 @@ mod tests {
         assert_eq!(st.avg_packet_latency(), 8.0);
         // The compiled app reports full bypass.
         assert_eq!(s.compiled().avg_stops(), 0.0);
+    }
+
+    #[test]
+    fn every_design_refuses_a_malformed_packet() {
+        // Caught per design: one `should_panic` over the loop would pass
+        // on the first design alone.
+        let cfg = cfg();
+        let no_flits = Packet {
+            num_flits: 0,
+            ..one_packet(0, 0, 3)
+        };
+        let cases = [
+            (one_packet(0, 0, 2), "packet dst mismatch"),
+            (no_flits, "a packet needs at least one flit"),
+        ];
+        for kind in DesignKind::ALL {
+            for (packet, refusal) in &cases {
+                let mut d = Design::build(kind, &cfg, &routes());
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    d.offer(packet.clone());
+                }));
+                let payload = caught.expect_err(refusal);
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| payload.downcast_ref::<&str>().copied())
+                    .unwrap_or_default();
+                assert!(msg.contains(refusal), "{kind:?}: {msg}");
+            }
+        }
+    }
+
+    #[test]
+    fn smart_and_dedicated_charge_a_bypassed_route_alike() {
+        // Fig 7's green flow, 0 → 1 → 2: SMART compiles it as one
+        // NIC-to-NIC leg over two links, Dedicated wires it over the
+        // same two tiles, so a lone packet crosses equal millimetres.
+        let cfg = cfg();
+        let routes: Vec<(FlowId, SourceRoute)> = crate::scenarios::fig7_flows(cfg.topology)
+            .into_iter()
+            .map(|(f, r, _)| (f, r))
+            .collect();
+        let mm = |kind| {
+            let mut d = Design::build(kind, &cfg, &routes);
+            d.offer(one_packet(0, 0, 2));
+            assert!(d.drain(100));
+            d.counters().link_flit_mm
+        };
+        let smart = mm(DesignKind::Smart);
+        assert_eq!(smart, 8.0 * 2.0 * smart_sim::HOP_MM);
+        assert_eq!(mm(DesignKind::Dedicated), smart);
     }
 
     #[test]

@@ -1,12 +1,13 @@
-//! `DedicatedNoc::step` performs no heap allocation once warm: arrival
-//! slots, sink eligibility and queues all reuse their capacity, so the
-//! third design of every served matrix pays for flits, not for malloc.
+//! `DedicatedNoc::step` performs no heap allocation once warm: wire
+//! queues, sink lanes and sink eligibility all reuse their capacity, so
+//! the third design of every served matrix pays for flits, not for
+//! malloc.
 //! (The allocator is the one `crates/sim/tests/nic_alloc.rs` counts
 //! with.)
 
 use smart_core::config::NocConfig;
-use smart_core::{DedicatedFlow, DedicatedNoc};
-use smart_sim::{FlowId, NodeId, Packet, PacketId};
+use smart_core::DedicatedNoc;
+use smart_sim::{FlowId, NodeId, Packet, PacketId, SourceRoute};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -64,17 +65,17 @@ fn drive(noc: &mut DedicatedNoc, cycles: u64) {
 
 #[test]
 fn a_warm_step_allocates_nothing() {
-    let flows: Vec<DedicatedFlow> = PAIRS
+    let cfg = NocConfig::paper_4x4();
+    let routes: Vec<(FlowId, SourceRoute)> = PAIRS
         .iter()
         .enumerate()
-        .map(|(i, (src, dst))| DedicatedFlow {
-            flow: FlowId(i as u32),
-            src: NodeId(*src),
-            dst: NodeId(*dst),
+        .map(|(i, (src, dst))| {
+            let r = SourceRoute::xy(cfg.topology, NodeId(*src), NodeId(*dst)).expect("route");
+            (FlowId(i as u32), r)
         })
         .collect();
-    let mut noc = DedicatedNoc::new(&NocConfig::paper_4x4(), &flows);
-    // Warm-up: every ring slot, queue and statistics bucket reaches the
+    let mut noc = DedicatedNoc::new(&cfg, &routes);
+    // Warm-up: every queue, lane and statistics bucket reaches the
     // size this periodic load needs.
     drive(&mut noc, 64 * PERIOD);
     let before = ALLOCS.with(Cell::get);

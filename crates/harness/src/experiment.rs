@@ -97,24 +97,6 @@ pub struct TrafficContext<'a> {
     pub temporal: TemporalModel,
 }
 
-/// Builds a boxed [`TrafficSource`] for a run — the extension point
-/// behind [`Drive::Custom`], letting experiments and schedule phases
-/// inject *any* source through the same plumbing as the built-ins.
-pub trait TrafficFactory: Send + Sync {
-    /// Construct the source for one run. Must be a pure function of
-    /// `ctx` so matrix cells stay deterministic.
-    fn build(&self, ctx: &TrafficContext<'_>) -> Box<dyn TrafficSource>;
-}
-
-impl<F> TrafficFactory for F
-where
-    F: Fn(&TrafficContext<'_>) -> Box<dyn TrafficSource> + Send + Sync,
-{
-    fn build(&self, ctx: &TrafficContext<'_>) -> Box<dyn TrafficSource> {
-        self(ctx)
-    }
-}
-
 /// How the workload's flows are offered to the network.
 #[derive(Clone)]
 pub enum Drive {
@@ -132,8 +114,6 @@ pub enum Drive {
     /// Deterministic replay of a recorded [`TraceFile`]. The workload's
     /// rates are ignored.
     Trace(TraceFile),
-    /// Any boxed source, built per run by a shared [`TrafficFactory`].
-    Custom(Arc<dyn TrafficFactory>),
 }
 
 impl fmt::Debug for Drive {
@@ -146,18 +126,11 @@ impl fmt::Debug for Drive {
                 .debug_struct("Trace")
                 .field("events", &trace.events.len())
                 .finish(),
-            Drive::Custom(_) => write!(f, "Custom(..)"),
         }
     }
 }
 
 impl Drive {
-    /// A [`Drive::Custom`] from any factory closure or value.
-    #[must_use]
-    pub fn custom(factory: impl TrafficFactory + 'static) -> Self {
-        Drive::Custom(Arc::new(factory))
-    }
-
     /// Build the concrete traffic source for one run: every rate-driven
     /// drive is one [`ModulatedTraffic`], through the workload's model or
     /// the drive's own.
@@ -183,7 +156,6 @@ impl Drive {
                 ctx.topology,
             )),
             Drive::Trace(trace) => Box::new(TraceTraffic::new(trace, ctx.flows, ctx.topology)),
-            Drive::Custom(factory) => factory.build(ctx),
         }
     }
 }
@@ -482,8 +454,7 @@ impl Experiment {
     }
 
     /// How to offer the workload's flows (any [`Drive`]: Bernoulli,
-    /// scripted events, a temporal burst model, trace replay, or a
-    /// custom boxed source).
+    /// scripted events, a temporal burst model or trace replay).
     #[must_use]
     pub fn drive(mut self, drive: Drive) -> Self {
         self.drive = drive;

@@ -14,8 +14,7 @@
 //!   sets.
 //! * [`Drive`] — how the flows are offered: Bernoulli (honoring the
 //!   workload's [`TemporalModel`]), scripted events, an explicit
-//!   temporal model, [`TraceFile`] replay, or any custom boxed source
-//!   via a [`TrafficFactory`].
+//!   temporal model, or [`TraceFile`] replay.
 //! * [`RunPlan`] — the warm-up / measure / drain schedule plus the
 //!   traffic seed (deterministic by construction).
 //! * [`Experiment`] — one (config, design, workload, plan) cell;
@@ -57,7 +56,7 @@ pub mod workload;
 
 pub use compiled::{config_encoding, config_key, stable_hash64, workload_key, CompiledDesign};
 pub use experiment::{
-    CompileMetrics, Drive, Experiment, ExperimentReport, RunPlan, TrafficContext, TrafficFactory,
+    CompileMetrics, Drive, Experiment, ExperimentReport, RunPlan, TrafficContext,
 };
 pub use matrix::{ExperimentMatrix, MatrixOutcome};
 pub use runner::{run_cells, run_cells_observed};

@@ -96,9 +96,7 @@ impl ScheduleDesign {
 
 /// One phase of a schedule: a workload driven under its own plan by its
 /// own [`Drive`] (Bernoulli by default — any drive the single-cell
-/// [`Experiment`] accepts works per phase, closing the roadmap's
-/// "custom `TrafficSource`s threaded deeper into `Workload` for
-/// schedules" item).
+/// [`Experiment`] accepts works per phase).
 #[derive(Debug, Clone)]
 pub struct AppPhase {
     /// What traffic this phase offers.
@@ -155,8 +153,8 @@ impl AppSchedule {
         self.then_driven(workload, plan, Drive::Bernoulli)
     }
 
-    /// Append a phase with an explicit [`Drive`] (bursty, trace replay,
-    /// scripted, or custom).
+    /// Append a phase with an explicit [`Drive`] (bursty, trace replay
+    /// or scripted).
     #[must_use]
     pub fn then_driven(
         mut self,

@@ -34,6 +34,7 @@ pub use verilog::{generate_all, Module};
 pub use views::{lef, liberty};
 
 use smart_core::config::NocConfig;
+use smart_sim::HOP_MM;
 
 /// Generation parameters (the tool's command line in the paper).
 #[derive(Debug, Clone, PartialEq)]
@@ -74,7 +75,7 @@ impl GenParams {
             num_vcs: cfg.vcs_per_port,
             vc_depth: cfg.vc_depth,
             hpc_max: cfg.hpc_max,
-            hop_mm: cfg.hop_mm,
+            hop_mm: HOP_MM,
         }
     }
 }

@@ -21,6 +21,7 @@ use crate::protocol::{PlanSpec, SearchStrategy, TopologySpec, WorkloadSpec};
 use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
 use smart_harness::{run_cells_observed, CompiledDesign, Experiment, Workload};
+use smart_sim::HOP_MM;
 use std::collections::HashMap;
 
 /// Input buffer cell area, µm² per bit (45 nm SRAM-cell scale).
@@ -361,8 +362,7 @@ pub fn area_mm2(cfg: &NocConfig, design: DesignKind, handle: &CompiledDesign) ->
     let xbar_um2 = ports * ports * flit_bits * XBAR_UM2_PER_BIT;
     // Directed inter-router channels of a w × h mesh.
     let links = 2.0 * (w * (h - 1.0) + h * (w - 1.0));
-    let link_mm2 =
-        links * cfg.hop_mm * f64::from(cfg.channel_bits + cfg.credit_bits) * WIRE_PITCH_MM;
+    let link_mm2 = links * HOP_MM * f64::from(cfg.channel_bits + cfg.credit_bits) * WIRE_PITCH_MM;
     match design {
         DesignKind::Mesh => n * (buffer_um2 + xbar_um2) * 1e-6 + link_mm2,
         DesignKind::Smart => {
@@ -371,7 +371,7 @@ pub fn area_mm2(cfg: &NocConfig, design: DesignKind, handle: &CompiledDesign) ->
             // HPC_max hops ahead.
             let smart_xbar = xbar_um2 * (1.0 + SMART_XBAR_PER_HOP * cfg.hpc_max as f64);
             let ssr_bits = (usize::BITS - cfg.hpc_max.leading_zeros()) as f64;
-            let ssr_mm2 = links * cfg.hop_mm * ssr_bits * WIRE_PITCH_MM;
+            let ssr_mm2 = links * HOP_MM * ssr_bits * WIRE_PITCH_MM;
             n * (buffer_um2 + smart_xbar) * 1e-6 + link_mm2 + ssr_mm2
         }
         DesignKind::Dedicated => {
@@ -382,7 +382,7 @@ pub fn area_mm2(cfg: &NocConfig, design: DesignKind, handle: &CompiledDesign) ->
             let wire_mm2: f64 = routes
                 .iter()
                 .map(|(_, r)| {
-                    r.num_hops() as f64 * cfg.hop_mm * f64::from(cfg.channel_bits) * WIRE_PITCH_MM
+                    r.num_hops() as f64 * HOP_MM * f64::from(cfg.channel_bits) * WIRE_PITCH_MM
                 })
                 .sum();
             let fifo_um2 =

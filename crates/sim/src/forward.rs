@@ -21,7 +21,7 @@
 
 use crate::flit::FlowId;
 use crate::route::SourceRoute;
-use crate::topology::{Direction, LinkId, NodeId, Topology, PORTS};
+use crate::topology::{Direction, LinkId, NodeId, Topology, HOP_MM, PORTS};
 use std::collections::{HashMap, HashSet};
 
 /// The party that launches flits onto a leg (and owns the free-VC queue
@@ -101,10 +101,10 @@ impl Segment {
         self.links.len() as u32 + u32::from(eject)
     }
 
-    /// Millimetres of link wire crossed (1 mm per hop).
+    /// Millimetres of link wire crossed ([`HOP_MM`] per hop).
     #[must_use]
     pub fn link_mm(&self) -> f64 {
-        self.links.len() as f64
+        self.links.len() as f64 * HOP_MM
     }
 }
 

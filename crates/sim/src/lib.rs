@@ -81,6 +81,6 @@ pub use telemetry::{
     CycleView, MetricsCollector, MetricsParseError, MetricsWindow, NoProbe, Probe, StallCause,
     TelemetryConfig, TelemetrySeries,
 };
-pub use topology::{Coord, Direction, LinkId, NodeId, Topology, Turn};
+pub use topology::{Coord, Direction, LinkId, NodeId, Topology, Turn, HOP_MM};
 pub use trace::{ReplayCounts, TraceKind, TraceRecord, Tracer};
 pub use traffic::{mbps_to_packet_rate, BernoulliTraffic, ScriptedTraffic, TrafficSource};

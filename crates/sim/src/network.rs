@@ -267,7 +267,7 @@ pub(crate) struct Band {
     /// not yet).
     rx_open: usize,
     /// Per-cycle scratch, reused so the steady state allocates nothing.
-    arrival_scratch: Vec<(Endpoint, Flit, u32)>,
+    arr_scratch: Vec<(Endpoint, Flit, u32)>,
     credit_scratch: Vec<(Sender, VcId)>,
     dep_scratch: Vec<RouterDeparture>,
     rel_scratch: Vec<CreditRelease>,
@@ -300,7 +300,7 @@ impl Band {
             telemetry: None,
             backlogged: ActiveSet::new(len),
             rx_open: 0,
-            arrival_scratch: Vec::new(),
+            arr_scratch: Vec::new(),
             credit_scratch: Vec::new(),
             dep_scratch: Vec::new(),
             rel_scratch: Vec::new(),
@@ -380,7 +380,7 @@ impl Band {
         // 2. Flit arrivals (scheduled for end of cycle c-1), all buffered
         // before stage 4 allocates: the order the router's `fresh` bit
         // relies on.
-        let mut arrivals = std::mem::take(&mut self.arrival_scratch);
+        let mut arrivals = std::mem::take(&mut self.arr_scratch);
         std::mem::swap(&mut arrivals, &mut self.arrivals[slot]);
         self.scheduled_arrivals -= arrivals.len();
         for (end, flit, leg) in arrivals.drain(..) {
@@ -446,7 +446,7 @@ impl Band {
                 }
             }
         }
-        self.arrival_scratch = arrivals;
+        self.arr_scratch = arrivals;
 
         // 3. NIC injection at the NICs with a backlog, ascending. An
         // idle NIC would have returned `None` without touching any

@@ -56,6 +56,11 @@ impl fmt::Display for Coord {
 /// to [`Direction`] as the single source of truth.
 pub const PORTS: usize = 5;
 
+/// Tile pitch, and so the length of every link, in mm (Table II: 1 mm
+/// cores). Each design's link energy is counted in millimetres at this
+/// one pitch.
+pub const HOP_MM: f64 = 1.0;
+
 /// A router port direction. `Core` is the local NIC port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Direction {

@@ -56,7 +56,7 @@ pub mod prelude {
         AppPhase, AppSchedule, Drive, Experiment, ExperimentMatrix, ExperimentReport,
         MatrixOutcome, MultiAppExperiment, PhaseTransition, RoutedWorkload, RunPlan,
         ScheduleDesign, ScheduleError, ScheduleMatrix, ScheduleOutcome, ScheduleReport,
-        TrafficContext, TrafficFactory, Workload,
+        TrafficContext, Workload,
     };
     pub use smart_mapping::MappedApp;
     pub use smart_power::{breakdown, EnergyModel, GatingPolicy};

@@ -4,7 +4,6 @@
 //! and record→replay reproduces a live run bit-exactly.
 
 use smart_noc::prelude::*;
-use smart_noc::sim::TrafficSource;
 
 /// Six structured spatial patterns valid on the paper's 4×4 mesh.
 fn six_patterns() -> Vec<SpatialPattern> {
@@ -168,27 +167,4 @@ fn recorded_trace_replays_bit_exactly_through_experiment_and_schedule() {
             .expect("label + rest")
             .1
     );
-}
-
-#[test]
-fn custom_drive_plugs_any_boxed_source() {
-    // The Drive::Custom factory path: a caller-supplied closure builds
-    // an arbitrary boxed TrafficSource from the run context.
-    let custom = Drive::custom(|ctx: &TrafficContext<'_>| -> Box<dyn TrafficSource> {
-        Box::new(ModulatedTraffic::new(
-            TemporalModel::Steady,
-            ctx.rates,
-            ctx.flows,
-            ctx.topology,
-            ctx.flits_per_packet,
-            ctx.seed,
-        ))
-    });
-    let base = Experiment::new(NocConfig::paper_4x4())
-        .workload(Workload::patterned(SpatialPattern::Shuffle, 0.02))
-        .plan(RunPlan::smoke());
-    let via_custom = base.clone().drive(custom).run();
-    let via_bernoulli = base.run();
-    // ModulatedTraffic(Steady) is bit-exact with BernoulliTraffic.
-    assert_eq!(via_custom.snapshot_line(), via_bernoulli.snapshot_line());
 }
