@@ -19,11 +19,15 @@
 //! a stop-input. The compiler computes this to fixpoint (HPC splits can
 //! create new stop-inputs), then emits [`FlowPlan`]s with merged
 //! `ST+LT` single-cycle legs and [`MeshPresets`] for every router.
+//!
+//! A router has five ports, so each predicate is a `u8` bit mask (bit
+//! `Direction::index`) in a dense array indexed `node * PORTS + dir`.
 
 use crate::preset::{InputMux, MeshPresets, XbarSelect};
 use smart_sim::forward::{Endpoint, FlowPlan, Segment, Sender};
+use smart_sim::topology::PORTS;
 use smart_sim::{Direction, FlowId, FlowTable, LinkId, NodeId, SourceRoute, Topology};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 /// Result of compiling one application onto the SMART mesh.
 #[derive(Debug, Clone)]
@@ -64,31 +68,45 @@ impl CompiledApp {
     }
 }
 
-/// Per-flow port usage at each visited router.
-#[derive(Debug, Clone)]
+/// Per-flow port usage: the route walked once.
 struct FlowUse {
     flow: FlowId,
-    routers: Vec<NodeId>,
-    /// Input direction at each router (`Core` at the source).
-    inputs: Vec<Direction>,
-    /// Output direction at each router (`Core` at the destination).
-    outputs: Vec<Direction>,
+    /// `(router, output)` at each visited router, ending with
+    /// `(destination, Core)`; all but the last are the route's links.
+    hops: Vec<LinkId>,
 }
 
-fn flow_use(mesh: Topology, flow: FlowId, route: &SourceRoute) -> FlowUse {
-    let routers = route.routers(mesh);
-    let outputs = route.outputs();
-    let mut inputs = Vec::with_capacity(routers.len());
-    inputs.push(Direction::Core);
-    for o in &outputs[..outputs.len() - 1] {
-        inputs.push(o.opposite());
+impl FlowUse {
+    fn new(mesh: Topology, flow: FlowId, route: &SourceRoute) -> Self {
+        let hops = route
+            .hops(mesh)
+            .map(|(from, dir)| LinkId { from, dir })
+            .collect();
+        FlowUse { flow, hops }
     }
-    FlowUse {
-        flow,
-        routers,
-        inputs,
-        outputs,
+
+    /// Input direction at hop `i` (`Core` at the source).
+    fn input(&self, i: usize) -> Direction {
+        match i {
+            0 => Direction::Core,
+            _ => self.hops[i - 1].dir.opposite(),
+        }
     }
+
+    /// `true` if the flow stops at hop `i`: it enters a stop-input there.
+    fn stops_at(&self, stop_in: &[u8], i: usize) -> bool {
+        stop_in[usize::from(self.hops[i].from.0)] & bit(self.input(i)) != 0
+    }
+}
+
+/// Dense index of port `dir` of router `node`.
+fn port(node: NodeId, dir: Direction) -> usize {
+    usize::from(node.0) * PORTS + dir.index()
+}
+
+/// `dir`'s bit in a per-router port mask.
+fn bit(dir: Direction) -> u8 {
+    1 << dir.index()
 }
 
 /// Compile `routes` for a mesh with single-cycle reach `hpc_max`.
@@ -101,65 +119,50 @@ fn flow_use(mesh: Topology, flow: FlowId, route: &SourceRoute) -> FlowUse {
 #[must_use]
 pub fn compile(mesh: Topology, hpc_max: usize, routes: &[(FlowId, SourceRoute)]) -> CompiledApp {
     assert!(hpc_max > 0, "HPC_max must be at least 1");
-    let uses: Vec<FlowUse> = routes.iter().map(|(f, r)| flow_use(mesh, *f, r)).collect();
+    let uses: Vec<FlowUse> = routes
+        .iter()
+        .map(|(f, r)| FlowUse::new(mesh, *f, r))
+        .collect();
 
     // --- Conflict-driven stop inputs. ---
-    // (router, input) -> set of outputs used through it.
-    let mut in_outs: HashMap<(NodeId, Direction), BTreeSet<Direction>> = HashMap::new();
-    // (router, output) -> set of inputs feeding it.
-    let mut out_ins: HashMap<(NodeId, Direction), BTreeSet<Direction>> = HashMap::new();
+    // Per (router, input): the outputs used through it. Per (router,
+    // output): the inputs feeding it.
+    let mut in_outs = vec![0u8; mesh.len() * PORTS];
+    let mut out_ins = vec![0u8; mesh.len() * PORTS];
     for u in &uses {
-        for i in 0..u.routers.len() {
-            let r = u.routers[i];
-            in_outs
-                .entry((r, u.inputs[i]))
-                .or_default()
-                .insert(u.outputs[i]);
-            out_ins
-                .entry((r, u.outputs[i]))
-                .or_default()
-                .insert(u.inputs[i]);
+        for (i, hop) in u.hops.iter().enumerate() {
+            let input = u.input(i);
+            in_outs[port(hop.from, input)] |= bit(hop.dir);
+            out_ins[port(hop.from, hop.dir)] |= bit(input);
         }
     }
-    let mut stop_inputs: HashMap<NodeId, BTreeSet<Direction>> = HashMap::new();
-    for ((r, input), outs) in &in_outs {
-        if outs.len() > 1 {
-            stop_inputs.entry(*r).or_default().insert(*input);
+    // Per router: its stop-inputs.
+    let mut stop_in = vec![0u8; mesh.len()];
+    for (p, (outs, ins)) in in_outs.iter().zip(&out_ins).enumerate() {
+        if outs.count_ones() > 1 {
+            stop_in[p / PORTS] |= 1 << (p % PORTS);
         }
-    }
-    for ((r, _out), ins) in &out_ins {
-        if ins.len() > 1 {
-            for i in ins {
-                stop_inputs.entry(*r).or_default().insert(*i);
-            }
+        if ins.count_ones() > 1 {
+            stop_in[p / PORTS] |= ins;
         }
     }
 
     // --- HPC_max splitting, to fixpoint. ---
+    let mut stops = Vec::new();
     loop {
         let mut changed = false;
         for u in &uses {
-            let stops = stop_indices(u, &stop_inputs);
+            stop_indices(u, &stop_in, &mut stops);
+            // The destination closes the last gap.
+            stops.push(u.hops.len() - 1);
             let mut prev = 0usize; // links consumed up to the last boundary
             for &s in &stops {
                 if s - prev > hpc_max {
                     let split = prev + hpc_max;
-                    stop_inputs
-                        .entry(u.routers[split])
-                        .or_default()
-                        .insert(u.inputs[split]);
+                    stop_in[usize::from(u.hops[split].from.0)] |= bit(u.input(split));
                     changed = true;
                 }
                 prev = s;
-            }
-            let last = u.routers.len() - 1;
-            if last - prev > hpc_max {
-                let split = prev + hpc_max;
-                stop_inputs
-                    .entry(u.routers[split])
-                    .or_default()
-                    .insert(u.inputs[split]);
-                changed = true;
             }
         }
         if !changed {
@@ -170,59 +173,56 @@ pub fn compile(mesh: Topology, hpc_max: usize, routes: &[(FlowId, SourceRoute)])
     // --- Plans. ---
     let mut flows = FlowTable::new();
     let mut stops_by_flow = BTreeMap::new();
-    for ((_, route), u) in routes.iter().zip(uses.iter()) {
-        let stops = stop_indices(u, &stop_inputs);
-        stops_by_flow.insert(u.flow, stops.iter().map(|&i| u.routers[i]).collect());
-        let plan = build_plan(mesh, u, route, &stops);
-        flows.insert(mesh, plan);
+    for ((_, route), u) in routes.iter().zip(&uses) {
+        stop_indices(u, &stop_in, &mut stops);
+        stops_by_flow.insert(u.flow, stops.iter().map(|&i| u.hops[i].from).collect());
+        flows.insert(mesh, build_plan(u, route, &stops));
     }
 
     // --- Presets. ---
     let mut presets = MeshPresets::idle(mesh);
     for u in &uses {
-        for i in 0..u.routers.len() {
-            let r = u.routers[i];
-            let is_stop = stop_inputs
-                .get(&r)
-                .is_some_and(|s| s.contains(&u.inputs[i]));
+        for (i, &LinkId { from: r, dir: out }) in u.hops.iter().enumerate() {
+            let input = u.input(i);
+            let is_stop = u.stops_at(&stop_in, i);
             let p = presets.router_mut(r);
             let mux = if is_stop {
                 InputMux::Buffer
             } else {
                 InputMux::Bypass
             };
-            let slot = &mut p.input_mux[u.inputs[i].index()];
+            let slot = &mut p.input_mux[input.index()];
             match slot {
                 None => *slot = Some(mux),
                 Some(existing) => assert_eq!(
                     *existing, mux,
-                    "{}: input mux conflict at {r} {}",
-                    u.flow, u.inputs[i]
+                    "{}: input mux conflict at {r} {input}",
+                    u.flow
                 ),
             }
             let want = if is_stop {
                 XbarSelect::Arbitrated
             } else {
-                XbarSelect::FromInput(u.inputs[i])
+                XbarSelect::FromInput(input)
             };
-            let xslot = &mut p.xbar[u.outputs[i].index()];
+            let xslot = &mut p.xbar[out.index()];
             match xslot {
                 XbarSelect::Unused => *xslot = want,
                 other => assert_eq!(
                     *other, want,
-                    "{}: crossbar select conflict at {r} {}",
-                    u.flow, u.outputs[i]
+                    "{}: crossbar select conflict at {r} {out}",
+                    u.flow
                 ),
             }
             if !is_stop {
                 // Pass-through credit crossbar: credits for this flow
                 // enter on the data-output side and leave on the
                 // data-input side.
-                let cslot = &mut p.credit_xbar[u.inputs[i].index()];
+                let cslot = &mut p.credit_xbar[input.index()];
                 match cslot {
-                    None => *cslot = Some(u.outputs[i]),
+                    None => *cslot = Some(out),
                     Some(existing) => assert_eq!(
-                        *existing, u.outputs[i],
+                        *existing, out,
                         "{}: credit crossbar conflict at {r}",
                         u.flow
                     ),
@@ -233,11 +233,11 @@ pub fn compile(mesh: Topology, hpc_max: usize, routes: &[(FlowId, SourceRoute)])
 
     // --- Single-cycle link exclusivity: every link belongs to one leg
     // sender. ---
-    let mut link_owner: HashMap<LinkId, Sender> = HashMap::new();
+    let mut link_owner: Vec<Option<Sender>> = vec![None; mesh.len() * PORTS];
     for plan in flows.iter() {
         for leg in &plan.legs {
             for link in &leg.links {
-                if let Some(prev) = link_owner.insert(*link, leg.sender) {
+                if let Some(prev) = link_owner[port(link.from, link.dir)].replace(leg.sender) {
                     assert_eq!(
                         prev, leg.sender,
                         "link {link} shared across senders: preset compiler bug"
@@ -254,70 +254,56 @@ pub fn compile(mesh: Topology, hpc_max: usize, routes: &[(FlowId, SourceRoute)])
     }
 }
 
-/// Indices (into the flow's router list) where the flow stops.
-fn stop_indices(u: &FlowUse, stop_inputs: &HashMap<NodeId, BTreeSet<Direction>>) -> Vec<usize> {
-    (0..u.routers.len())
-        .filter(|&i| {
-            stop_inputs
-                .get(&u.routers[i])
-                .is_some_and(|s| s.contains(&u.inputs[i]))
-        })
-        .collect()
+/// Indices (into the flow's hops) where the flow stops, into `out`.
+fn stop_indices(u: &FlowUse, stop_in: &[u8], out: &mut Vec<usize>) {
+    out.clear();
+    out.extend((0..u.hops.len()).filter(|&i| u.stops_at(stop_in, i)));
 }
 
 /// Build the flow plan given its stop indices.
-fn build_plan(mesh: Topology, u: &FlowUse, route: &SourceRoute, stops: &[usize]) -> FlowPlan {
-    let links = route.links(mesh);
-    let last = u.routers.len() - 1;
-    let mut legs = Vec::new();
-
-    // Boundaries: source NIC, each stop, destination NIC.
-    let mut from: Option<usize> = None; // None = source NIC
-    let mut remaining: Vec<usize> = stops.to_vec();
-    remaining.push(usize::MAX); // sentinel for the final leg to the NIC
-    for &to in &remaining {
-        let (sender, out_dir, start_link) = match from {
+fn build_plan(u: &FlowUse, route: &SourceRoute, stops: &[usize]) -> FlowPlan {
+    // The leg from boundary `from` (`None` = source NIC) to hop `to`.
+    let leg = |from: Option<usize>, to: usize, end: Endpoint| {
+        let (sender, out_dir, start) = match from {
             None => (
-                Sender::Nic(u.routers[0]),
+                Sender::Nic(u.hops[0].from),
                 if to == 0 {
                     Direction::Core
                 } else {
-                    u.outputs[0]
+                    u.hops[0].dir
                 },
-                0usize,
+                0,
             ),
             Some(j) => (
-                Sender::RouterOutput(u.routers[j], u.outputs[j]),
-                u.outputs[j],
+                Sender::RouterOutput(u.hops[j].from, u.hops[j].dir),
+                u.hops[j].dir,
                 j,
             ),
         };
-        if to == usize::MAX {
-            // Final leg to the destination NIC.
-            let start = from.map_or(0, |j| j);
-            legs.push(Segment {
-                sender,
-                out_dir,
-                links: links[start..].to_vec(),
-                end: Endpoint::Nic {
-                    node: u.routers[last],
-                },
-                cycles: 1,
-            });
-            break;
-        }
-        legs.push(Segment {
+        Segment {
             sender,
             out_dir,
-            links: links[start_link..to].to_vec(),
-            end: Endpoint::Stop {
-                router: u.routers[to],
-                in_dir: u.inputs[to],
-            },
+            links: u.hops[start..to].to_vec(),
+            end,
             cycles: 1,
-        });
+        }
+    };
+    // Boundaries: source NIC, each stop, destination NIC.
+    let mut legs = Vec::with_capacity(stops.len() + 1);
+    let mut from = None;
+    for &to in stops {
+        let end = Endpoint::Stop {
+            router: u.hops[to].from,
+            in_dir: u.input(to),
+        };
+        legs.push(leg(from, to, end));
         from = Some(to);
     }
+    let last = u.hops.len() - 1;
+    let end = Endpoint::Nic {
+        node: u.hops[last].from,
+    };
+    legs.push(leg(from, last, end));
     FlowPlan {
         flow: u.flow,
         route: route.clone(),

@@ -23,8 +23,8 @@
 //! one leg per flow, because each of these would be a Dedicated-only
 //! branch in its `launch`/`receive` hot path:
 //!
-//! 1. no source serialization: a NIC injects one flit per cycle, and a
-//!    flow table refuses one sender feeding two endpoints;
+//! 1. no source serialization: a NIC injects one flit per cycle, and
+//!    the engine refuses one sender feeding two endpoints;
 //! 2. a shared sink's lanes are unbounded and credit-free, where a
 //!    router has five inputs of finite, credited VCs;
 //! 3. only link millimetres are charged, where an engine leg also

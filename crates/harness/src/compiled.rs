@@ -1,15 +1,15 @@
 //! Compiled-design artifacts behind one reusable handle.
 //!
-//! Every [`Experiment`] run pays three construction costs before the
-//! first simulated cycle: the workload is **materialized** (NMAP
-//! placement + contention-aware routing), the baseline [`FlowTable`]
-//! (and its dense `LegLut`) is built, and — for SMART designs — the
-//! preset compiler runs to fixpoint. All three are pure functions of
-//! `(config, design, workload)`, so a [`CompiledDesign`] freezes them
-//! once. It is the only bring-up path: a cold [`Experiment::run`]
-//! compiles a handle and runs it, the `smart-server` cache keys handles
-//! by [`config_key`] and serves repeat requests without recompiling, and
-//! the two are bit-identical because they are the same code.
+//! Every [`Experiment`] run pays two construction costs before the first
+//! simulated cycle: the workload is **materialized** (NMAP placement +
+//! contention-aware routing), and its flow plans are built — the
+//! baseline [`FlowTable`] for Mesh and Dedicated, the preset compiler's
+//! output for SMART. Both are pure functions of `(config, design,
+//! workload)`, so a [`CompiledDesign`] freezes them once. It is the only
+//! bring-up path: a cold [`Experiment::run`] compiles a handle and runs
+//! it, the `smart-server` cache keys handles by [`config_key`] and
+//! serves repeat requests without recompiling, and the two are
+//! bit-identical because they are the same code.
 //!
 //! [`Experiment`]: crate::Experiment
 //! [`Experiment::run`]: crate::Experiment::run
@@ -23,18 +23,24 @@ use std::sync::Arc;
 
 /// Everything an experiment constructs before simulating, frozen for
 /// reuse: the routed workload (shared, not copied, across the design
-/// axis), the baseline flow table, and — for SMART — the preset
-/// compiler's output. Instantiating a network from a handle is
-/// bit-identical to building it from scratch — the cache trades memory
-/// for compilation, never accuracy.
+/// axis) and the one artifact its design simulates. Instantiating a
+/// network from a handle is bit-identical to building it from scratch —
+/// the cache trades memory for compilation, never accuracy.
 #[derive(Debug, Clone)]
 pub struct CompiledDesign {
     cfg: NocConfig,
     kind: DesignKind,
     routed: Arc<RoutedWorkload>,
-    table: FlowTable,
-    /// Stops, presets and flow plans; `Some` exactly for SMART.
-    app: Option<CompiledApp>,
+    artifact: Artifact,
+}
+
+/// What one design kind needs built before it simulates.
+#[derive(Debug, Clone)]
+enum Artifact {
+    /// Mesh and Dedicated: the baseline flow table.
+    Baseline(FlowTable),
+    /// SMART: stops, presets and flow plans.
+    Smart(CompiledApp),
 }
 
 impl CompiledDesign {
@@ -53,15 +59,18 @@ impl CompiledDesign {
     /// share one routed form across designs skip re-materialization).
     #[must_use]
     pub fn from_routed(cfg: &NocConfig, kind: DesignKind, routed: Arc<RoutedWorkload>) -> Self {
-        let table = FlowTable::mesh_baseline(cfg.topology, &routed.routes);
-        let app =
-            (kind == DesignKind::Smart).then(|| compile(cfg.topology, cfg.hpc_max, &routed.routes));
+        let (topo, routes) = (cfg.topology, &routed.routes);
+        let artifact = match kind {
+            DesignKind::Smart => Artifact::Smart(compile(topo, cfg.hpc_max, routes)),
+            DesignKind::Mesh | DesignKind::Dedicated => {
+                Artifact::Baseline(FlowTable::mesh_baseline(topo, routes))
+            }
+        };
         CompiledDesign {
             cfg: cfg.clone(),
             kind,
             routed,
-            table,
-            app,
+            artifact,
         }
     }
 
@@ -77,15 +86,14 @@ impl CompiledDesign {
     pub fn instantiate_sharded(&self, shards: usize) -> Design {
         let mut cfg = self.cfg.clone();
         cfg.shards = shards;
-        match self.kind {
-            DesignKind::Mesh => Design::Mesh(MeshNoc::from_table(&cfg, self.table.clone())),
-            DesignKind::Smart => {
-                let app = self.app.clone().expect("compiled for SMART");
-                Design::Smart(SmartNoc::from_compiled(&cfg, app))
+        match &self.artifact {
+            Artifact::Smart(app) => Design::Smart(SmartNoc::from_compiled(&cfg, app.clone())),
+            Artifact::Baseline(table) if self.kind == DesignKind::Mesh => {
+                Design::Mesh(MeshNoc::from_table(&cfg, table.clone()))
             }
-            // Dedicated wires endpoints directly: nothing to cache
-            // beyond the routes themselves.
-            DesignKind::Dedicated => Design::build(self.kind, &cfg, &self.routed.routes),
+            // Dedicated wires endpoints directly: its table only
+            // resolves traffic endpoints.
+            Artifact::Baseline(_) => Design::build(self.kind, &cfg, &self.routed.routes),
         }
     }
 
@@ -107,17 +115,24 @@ impl CompiledDesign {
         &self.routed
     }
 
-    /// The baseline flow table traffic sources resolve endpoints
-    /// against.
+    /// The flow table traffic sources resolve endpoints against: the
+    /// compiled plans for SMART, the baseline table otherwise. Sources
+    /// read only each plan's route, which is the same route either way.
     #[must_use]
     pub fn flow_table(&self) -> &FlowTable {
-        &self.table
+        match &self.artifact {
+            Artifact::Baseline(table) => table,
+            Artifact::Smart(app) => &app.flows,
+        }
     }
 
     /// The compiled SMART application, for designs that have one.
     #[must_use]
     pub fn compiled_app(&self) -> Option<&CompiledApp> {
-        self.app.as_ref()
+        match &self.artifact {
+            Artifact::Smart(app) => Some(app),
+            Artifact::Baseline(_) => None,
+        }
     }
 }
 
@@ -202,7 +217,9 @@ mod tests {
     fn compiled_smart_exposes_the_app() {
         let cfg = NocConfig::paper_4x4();
         let smart = CompiledDesign::compile(&cfg, DesignKind::Smart, &Workload::fig7());
-        assert!(smart.compiled_app().is_some());
+        let app = smart.compiled_app().expect("SMART compiles an app");
+        // No baseline table beside it: traffic resolves against the plans.
+        assert!(std::ptr::eq(smart.flow_table(), &app.flows));
         assert_eq!(smart.kind(), DesignKind::Smart);
         assert_eq!(smart.routed().name, "fig7");
         let mesh = CompiledDesign::compile(&cfg, DesignKind::Mesh, &Workload::fig7());

@@ -7,7 +7,8 @@
 //! different keys compile in parallel; concurrent requests for the same
 //! key may compile twice, and the second insert wins harmlessly because
 //! compilation is a pure function of the key. Eviction is FIFO by first
-//! insertion, bounded by `capacity`.
+//! insertion, bounded by `capacity`; a routed workload is evicted with
+//! the last cached design built from it.
 
 use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
@@ -22,8 +23,9 @@ struct CacheState {
     routed: HashMap<u64, Arc<RoutedWorkload>>,
     /// Compiled designs by [`config_key`].
     designs: HashMap<u64, Arc<CompiledDesign>>,
-    /// Design keys in first-insertion order (FIFO eviction queue).
-    order: VecDeque<u64>,
+    /// `(design key, workload key)` in first-insertion order (FIFO
+    /// eviction queue).
+    order: VecDeque<(u64, u64)>,
 }
 
 /// A bounded, thread-safe cache of compiled design handles.
@@ -35,9 +37,10 @@ pub struct DesignCache {
 }
 
 impl DesignCache {
-    /// An empty cache holding at most `capacity` compiled designs
-    /// (routed workloads ride along uncapped — they are shared by the
-    /// cached designs and small in comparison).
+    /// An empty cache holding at most `capacity` compiled designs, and
+    /// the routed workloads they were built from: a routed form stays
+    /// exactly as long as some cached design uses it, so there are never
+    /// more than `capacity` of them either.
     #[must_use]
     pub fn new(capacity: usize) -> Self {
         DesignCache {
@@ -79,30 +82,35 @@ impl DesignCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         // Compile outside the lock; share the routed form across kinds.
-        let routed = self.routed(cfg, workload);
+        let wkey = workload_key(cfg, workload);
+        let routed = self.routed(wkey, cfg, workload);
         let compiled = Arc::new(CompiledDesign::from_routed(cfg, kind, routed));
         let mut state = self.state.lock().expect("unpoisoned cache");
         let state = &mut *state;
         if let std::collections::hash_map::Entry::Vacant(slot) = state.designs.entry(key) {
             slot.insert(Arc::clone(&compiled));
-            state.order.push_back(key);
+            state.order.push_back((key, wkey));
             while state.designs.len() > self.capacity {
-                if let Some(evicted) = state.order.pop_front() {
-                    state.designs.remove(&evicted);
+                let Some((evicted, wkey)) = state.order.pop_front() else {
+                    break;
+                };
+                state.designs.remove(&evicted);
+                if state.order.iter().all(|&(_, w)| w != wkey) {
+                    state.routed.remove(&wkey);
                 }
             }
         }
         (compiled, false)
     }
 
-    /// The routed (placed + routed) form of `workload` on `cfg`,
-    /// materializing on a miss. Shared across the design axis.
+    /// The routed (placed + routed) form of `workload` on `cfg`, under
+    /// its [`workload_key`], materializing on a miss. Shared across the
+    /// design axis.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as `Workload::materialize`.
-    pub fn routed(&self, cfg: &NocConfig, workload: &Workload) -> Arc<RoutedWorkload> {
-        let key = workload_key(cfg, workload);
+    fn routed(&self, key: u64, cfg: &NocConfig, workload: &Workload) -> Arc<RoutedWorkload> {
         if let Some(found) = self
             .state
             .lock()
@@ -177,11 +185,32 @@ mod tests {
         let cache = DesignCache::new(8);
         let cfg = NocConfig::paper_4x4();
         let w = Workload::app("PIP");
+        let (mesh, _) = cache.design(&cfg, DesignKind::Mesh, &w);
+        let (smart, _) = cache.design(&cfg, DesignKind::Smart, &w);
+        assert_eq!(mesh.routed().name, "PIP");
+        assert!(std::ptr::eq(mesh.routed(), smart.routed()));
+        assert_eq!(cache.len(), 2);
+    }
+
+    #[test]
+    fn routed_forms_leave_with_the_last_design_using_them() {
+        let cache = DesignCache::new(8);
+        let cfg = NocConfig::paper_4x4();
+        let routed = |cache: &DesignCache| cache.state.lock().unwrap().routed.len();
+        for seed in 0..2_000 {
+            cache.design(&cfg, DesignKind::Mesh, &Workload::uniform(6, 0.02, seed));
+        }
+        assert_eq!(cache.len(), 8);
+        assert!(routed(&cache) <= 8, "{} routed forms", routed(&cache));
+        // A routed form shared by two kinds outlives the first eviction.
+        let cache = DesignCache::new(2);
+        let w = Workload::app("PIP");
         cache.design(&cfg, DesignKind::Mesh, &w);
         cache.design(&cfg, DesignKind::Smart, &w);
-        let routed = cache.routed(&cfg, &w);
-        assert_eq!(routed.name, "PIP");
-        assert_eq!(cache.len(), 2);
+        cache.design(&cfg, DesignKind::Mesh, &Workload::fig7());
+        assert_eq!(routed(&cache), 2, "PIP still serves the cached SMART");
+        cache.design(&cfg, DesignKind::Smart, &Workload::fig7());
+        assert_eq!(routed(&cache), 1, "only fig7 is left");
     }
 
     #[test]

@@ -22,7 +22,7 @@
 use crate::flit::FlowId;
 use crate::route::SourceRoute;
 use crate::topology::{Direction, LinkId, NodeId, Topology, HOP_MM, PORTS};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 /// The party that launches flits onto a leg (and owns the free-VC queue
 /// for the leg's endpoint).
@@ -159,7 +159,22 @@ impl FlowPlan {
             "{}: first leg must start at the source NIC",
             self.flow
         );
-        let dst = self.route.destination(mesh);
+        // One walk of the route: its links against the legs', and its
+        // destination (the walk's last router, even past a mismatch).
+        let mut hops = self.route.hops(mesh);
+        let mut dst = self.route.source();
+        let covered = self
+            .legs
+            .iter()
+            .flat_map(|l| l.links.iter().copied())
+            .eq(hops
+                .by_ref()
+                .inspect(|&(r, _)| dst = r)
+                .filter(|&(_, d)| d != Direction::Core)
+                .map(|(from, dir)| LinkId { from, dir }));
+        if let Some((r, _)) = hops.last() {
+            dst = r;
+        }
         assert_eq!(
             self.legs.last().expect("nonempty").end,
             Endpoint::Nic { node: dst },
@@ -174,20 +189,15 @@ impl FlowPlan {
                 (e, s) => panic!("{}: leg ends {e:?} but next starts {s:?}", self.flow),
             }
         }
-        let mut left = HashSet::new();
+        let mut left: Vec<NodeId> = Vec::with_capacity(self.legs.len() - 1);
         for leg in &self.legs[1..] {
             if let Sender::RouterOutput(r, _) = leg.sender {
-                assert!(left.insert(r), "{}: revisits router {r}", self.flow);
+                assert!(!left.contains(&r), "{}: revisits router {r}", self.flow);
+                left.push(r);
             }
         }
         // The union of leg links must equal the route's links, in order.
-        let from_legs: Vec<LinkId> = self.legs.iter().flat_map(|l| l.links.clone()).collect();
-        assert_eq!(
-            from_legs,
-            self.route.links(mesh),
-            "{}: leg links do not cover the route",
-            self.flow
-        );
+        assert!(covered, "{}: leg links do not cover the route", self.flow);
     }
 }
 
@@ -244,40 +254,6 @@ impl FlowTable {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.plans.is_empty()
-    }
-
-    /// Every (sender, endpoint) pair in the table. Used to size
-    /// sender-side free-VC queues and to check the paper's invariant
-    /// that each endpoint is fed by exactly one sender.
-    ///
-    /// # Panics
-    ///
-    /// Panics if two different senders feed the same endpoint, or one
-    /// sender feeds two different endpoints — either would break the
-    /// output-port free-VC-queue design of Section IV.
-    #[must_use]
-    pub fn sender_endpoints(&self) -> HashMap<Sender, Endpoint> {
-        let mut by_sender: HashMap<Sender, Endpoint> = HashMap::new();
-        let mut by_endpoint: HashMap<Endpoint, Sender> = HashMap::new();
-        for plan in self.plans.values() {
-            for leg in &plan.legs {
-                if let Some(prev) = by_sender.insert(leg.sender, leg.end) {
-                    assert_eq!(
-                        prev, leg.end,
-                        "sender {:?} would track two endpoints",
-                        leg.sender
-                    );
-                }
-                if let Some(prev) = by_endpoint.insert(leg.end, leg.sender) {
-                    assert_eq!(
-                        prev, leg.sender,
-                        "endpoint {:?} would be fed by two senders",
-                        leg.end
-                    );
-                }
-            }
-        }
-        by_sender
     }
 
     /// Build the baseline **Mesh** plan for a set of routed flows: every
@@ -453,9 +429,8 @@ impl LegLut {
 /// The baseline plan for one routed flow (every router a stop).
 #[must_use]
 pub fn mesh_plan_for(mesh: Topology, flow: FlowId, route: SourceRoute) -> FlowPlan {
-    let routers = route.routers(mesh);
     let src = route.source();
-    let mut legs = Vec::with_capacity(routers.len() + 1);
+    let mut legs = Vec::with_capacity(route.num_hops() + 2);
     // Injection: NIC into the source router's Core input buffer.
     legs.push(Segment {
         sender: Sender::Nic(src),
@@ -467,20 +442,10 @@ pub fn mesh_plan_for(mesh: Topology, flow: FlowId, route: SourceRoute) -> FlowPl
         },
         cycles: 1,
     });
-    let outputs = route.outputs();
-    for (i, (&r, &out)) in routers.iter().zip(outputs.iter()).enumerate() {
-        if out == Direction::Core {
-            // Ejection from the destination router.
-            legs.push(Segment {
-                sender: Sender::RouterOutput(r, Direction::Core),
-                out_dir: Direction::Core,
-                links: Vec::new(),
-                end: Endpoint::Nic { node: r },
-                cycles: 1,
-            });
-        } else {
-            let next = routers[i + 1];
-            legs.push(Segment {
+    let mut hops = route.hops(mesh).peekable();
+    while let Some((r, out)) = hops.next() {
+        legs.push(match hops.peek() {
+            Some(&(next, _)) => Segment {
                 sender: Sender::RouterOutput(r, out),
                 out_dir: out,
                 links: vec![LinkId { from: r, dir: out }],
@@ -489,9 +454,18 @@ pub fn mesh_plan_for(mesh: Topology, flow: FlowId, route: SourceRoute) -> FlowPl
                     in_dir: out.opposite(),
                 },
                 cycles: 2,
-            });
-        }
+            },
+            // Ejection from the destination router.
+            None => Segment {
+                sender: Sender::RouterOutput(r, Direction::Core),
+                out_dir: Direction::Core,
+                links: Vec::new(),
+                end: Endpoint::Nic { node: r },
+                cycles: 1,
+            },
+        });
     }
+    drop(hops); // it borrows `route`
     FlowPlan { flow, route, legs }
 }
 
@@ -561,32 +535,31 @@ mod tests {
     }
 
     #[test]
-    fn sender_endpoint_map_is_consistent_for_mesh() {
-        let flows = vec![
-            (
-                FlowId(0),
-                SourceRoute::xy(mesh(), NodeId(0), NodeId(3)).unwrap(),
-            ),
-            (
-                FlowId(1),
-                SourceRoute::xy(mesh(), NodeId(4), NodeId(3)).unwrap(),
-            ),
-            (
-                FlowId(2),
-                SourceRoute::xy(mesh(), NodeId(0), NodeId(12)).unwrap(),
-            ),
-        ];
+    fn mesh_legs_pair_each_sender_with_its_neighbour() {
+        let flows = [(0, 3), (4, 3), (0, 12)].map(|(s, d)| {
+            let route = SourceRoute::xy(mesh(), NodeId(s), NodeId(d)).unwrap();
+            (FlowId(u32::from(s * 16 + d)), route)
+        });
         let table = FlowTable::mesh_baseline(mesh(), &flows);
-        let map = table.sender_endpoints();
-        // Every mesh sender's endpoint is its physical neighbour.
-        for (s, e) in &map {
-            if let (Sender::RouterOutput(r, d), Endpoint::Stop { router, in_dir }) = (s, e) {
-                if *d != Direction::Core {
-                    assert_eq!(mesh().neighbor(*r, *d), Some(*router));
-                    assert_eq!(*in_dir, d.opposite());
+        let mut link_legs = 0;
+        for leg in table.iter().flat_map(|p| &p.legs) {
+            match (leg.sender, leg.end) {
+                (Sender::RouterOutput(r, d), Endpoint::Stop { router, in_dir }) => {
+                    // Every mesh link leg ends at its sender's neighbour.
+                    assert_eq!(mesh().neighbor(r, d), Some(router));
+                    assert_eq!(in_dir, d.opposite());
+                    link_legs += 1;
                 }
+                (Sender::Nic(n), Endpoint::Stop { router, in_dir }) => {
+                    assert_eq!((n, in_dir), (router, Direction::Core), "injection");
+                }
+                (Sender::RouterOutput(r, d), Endpoint::Nic { node }) => {
+                    assert_eq!((r, d), (node, Direction::Core), "ejection");
+                }
+                (s, e) => panic!("a mesh leg from {s:?} to {e:?}"),
             }
         }
+        assert_eq!(link_legs, 3 + 4 + 3, "one leg per hop");
     }
 
     /// Every plan's legs sit consecutively in the lut, in travel order,

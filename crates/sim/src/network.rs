@@ -678,6 +678,40 @@ impl Band {
     }
 }
 
+/// Check the pairing Section IV's free-VC queues rely on: every sender
+/// feeds one endpoint, and every endpoint is fed by one sender. Both
+/// sides index one dense slot per router port (`node * PORTS + dir`),
+/// then one per NIC after the ports.
+fn check_pairing(topo: Topology, flows: &FlowTable) {
+    let nics = topo.len() * PORTS;
+    let sender_slot = |s: Sender| match s {
+        Sender::RouterOutput(r, d) => usize::from(r.0) * PORTS + d.index(),
+        Sender::Nic(n) => nics + usize::from(n.0),
+    };
+    let endpoint_slot = |e: Endpoint| match e {
+        Endpoint::Stop { router, in_dir } => usize::from(router.0) * PORTS + in_dir.index(),
+        Endpoint::Nic { node } => nics + usize::from(node.0),
+    };
+    let mut by_sender: Vec<Option<Endpoint>> = vec![None; nics + topo.len()];
+    let mut by_endpoint: Vec<Option<Sender>> = vec![None; nics + topo.len()];
+    for leg in flows.iter().flat_map(|plan| &plan.legs) {
+        if let Some(prev) = by_sender[sender_slot(leg.sender)].replace(leg.end) {
+            assert_eq!(
+                prev, leg.end,
+                "sender {:?} would track two endpoints",
+                leg.sender
+            );
+        }
+        if let Some(prev) = by_endpoint[endpoint_slot(leg.end)].replace(leg.sender) {
+            assert_eq!(
+                prev, leg.sender,
+                "endpoint {:?} would be fed by two senders",
+                leg.end
+            );
+        }
+    }
+}
+
 /// How the bands of a [`Network`] are coupled.
 #[derive(Debug)]
 enum Coupling {
@@ -710,7 +744,7 @@ impl Network {
     /// # Panics
     ///
     /// Panics if the configuration or the flow plans are inconsistent
-    /// (see [`FlowTable::sender_endpoints`]).
+    /// (see [`Network::banded`]).
     #[must_use]
     pub fn new(cfg: SimConfig, flows: FlowTable) -> Self {
         Network::banded(cfg, flows, 1)
@@ -727,8 +761,10 @@ impl Network {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration or the flow plans are inconsistent
-    /// (see [`FlowTable::sender_endpoints`]).
+    /// Panics if the configuration is invalid, or if the flow plans
+    /// break the output-port free-VC-queue design of Section IV: one
+    /// sender feeding two different endpoints, or two different senders
+    /// feeding one endpoint.
     #[must_use]
     pub fn banded(cfg: SimConfig, flows: FlowTable, bands: usize) -> Self {
         cfg.validate();
@@ -745,7 +781,7 @@ impl Network {
         // Preset-driven port enables + credit reverse-path tables, each
         // dispatched to the band owning the touched node. The
         // sender/endpoint pairing invariant is checked up front.
-        let _ = flows.sender_endpoints();
+        check_pairing(topo, &flows);
         let owning = |bands: &mut [Band], n: NodeId| {
             let b = bands.partition_point(|b| b.start <= n.0) - 1;
             (b, bands[b].local(n))
@@ -1026,6 +1062,7 @@ impl Network {
 mod tests {
     use super::*;
     use crate::flit::{FlowId, PacketId};
+    use crate::forward::{FlowPlan, Segment};
     use crate::route::SourceRoute;
     use crate::traffic::ScriptedTraffic;
 
@@ -1100,6 +1137,45 @@ mod tests {
             ..SimConfig::paper_4x4()
         };
         let _ = Network::new(cfg, FlowTable::mesh_baseline(cfg.topology, &[]));
+    }
+
+    /// Flows whose one leg flies NIC to NIC along the router `paths`.
+    fn nic_to_nic(paths: &[&[u16]]) -> Network {
+        let cfg = SimConfig::paper_4x4();
+        let mut table = FlowTable::new();
+        for (f, path) in paths.iter().enumerate() {
+            let nodes: Vec<NodeId> = path.iter().map(|&n| NodeId(n)).collect();
+            let route = SourceRoute::from_router_path(cfg.topology, &nodes);
+            let leg = Segment {
+                sender: Sender::Nic(nodes[0]),
+                out_dir: route.outputs()[0],
+                links: route.links(cfg.topology),
+                end: Endpoint::Nic {
+                    node: nodes[nodes.len() - 1],
+                },
+                cycles: 1,
+            };
+            let flow = FlowId(f as u32);
+            let plan = FlowPlan {
+                flow,
+                route,
+                legs: vec![leg],
+            };
+            table.insert(cfg.topology, plan);
+        }
+        Network::new(cfg, table)
+    }
+
+    #[test]
+    #[should_panic(expected = "sender Nic(NodeId(0)) would track two endpoints")]
+    fn construction_refuses_a_sender_feeding_two_endpoints() {
+        let _ = nic_to_nic(&[&[0, 1], &[0, 4]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "endpoint Nic { node: NodeId(2) } would be fed by two senders")]
+    fn construction_refuses_an_endpoint_fed_by_two_senders() {
+        let _ = nic_to_nic(&[&[0, 1, 2], &[1, 2]]);
     }
 
     #[test]

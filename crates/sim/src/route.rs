@@ -192,6 +192,42 @@ impl SourceRoute {
         self.turns.len()
     }
 
+    /// Output direction at each visited router, source first, ending
+    /// with `Core`: the one place the relative turns are followed.
+    fn directions(&self) -> impl Iterator<Item = Direction> + '_ {
+        let mut travel = self.first;
+        std::iter::once(self.first).chain(self.turns.iter().map(move |t| {
+            travel = travel.apply_turn(*t);
+            travel
+        }))
+    }
+
+    /// The route walked once: `(router, output)` at every visited router
+    /// in travel order, source first, ending with `(destination, Core)`
+    /// (`num_hops() + 1` items). Allocates nothing; [`routers`],
+    /// [`outputs`], [`links`] and [`destination`] are views of it.
+    ///
+    /// [`routers`]: SourceRoute::routers
+    /// [`outputs`]: SourceRoute::outputs
+    /// [`links`]: SourceRoute::links
+    /// [`destination`]: SourceRoute::destination
+    ///
+    /// # Panics
+    ///
+    /// Panics (as the walk reaches it) if the route leaves the fabric.
+    pub fn hops(&self, topo: Topology) -> impl Iterator<Item = (NodeId, Direction)> + '_ {
+        let mut next = self.src;
+        self.directions().map(move |out| {
+            let here = next;
+            if out != Direction::Core {
+                next = topo
+                    .neighbor(here, out)
+                    .unwrap_or_else(|| panic!("route leaves the fabric at {here}"));
+            }
+            (here, out)
+        })
+    }
+
     /// The routers visited, source first, destination last
     /// (`num_hops() + 1` entries).
     ///
@@ -200,55 +236,28 @@ impl SourceRoute {
     /// Panics if the route walks off a fabric edge.
     #[must_use]
     pub fn routers(&self, topo: Topology) -> Vec<NodeId> {
-        let mut out = vec![self.src];
-        let mut travel = self.first;
-        let mut at = topo
-            .neighbor(self.src, travel)
-            .unwrap_or_else(|| panic!("route leaves the fabric at {}", self.src));
-        out.push(at);
-        for t in &self.turns[..self.turns.len() - 1] {
-            travel = travel.apply_turn(*t);
-            at = topo
-                .neighbor(at, travel)
-                .unwrap_or_else(|| panic!("route leaves the fabric at {at}"));
-            out.push(at);
-        }
-        out
+        self.hops(topo).map(|(r, _)| r).collect()
     }
 
     /// The destination node.
     #[must_use]
     pub fn destination(&self, topo: Topology) -> NodeId {
-        *self.routers(topo).last().expect("routes are nonempty")
+        self.hops(topo).last().expect("routes are nonempty").0
     }
 
     /// Output direction at each visited router, ending with `Core`
     /// (`num_hops() + 1` entries, aligned with [`SourceRoute::routers`]).
     #[must_use]
     pub fn outputs(&self) -> Vec<Direction> {
-        let mut out = vec![self.first];
-        let mut travel = self.first;
-        for t in &self.turns {
-            if *t == Turn::Core {
-                out.push(Direction::Core);
-            } else {
-                travel = travel.apply_turn(*t);
-                out.push(travel);
-            }
-        }
-        out
+        self.directions().collect()
     }
 
     /// The directed links traversed, in order.
     #[must_use]
     pub fn links(&self, topo: Topology) -> Vec<LinkId> {
-        let routers = self.routers(topo);
-        let outputs = self.outputs();
-        routers
-            .iter()
-            .zip(outputs.iter())
-            .filter(|(_, d)| **d != Direction::Core)
-            .map(|(r, d)| LinkId { from: *r, dir: *d })
+        self.hops(topo)
+            .filter(|(_, d)| *d != Direction::Core)
+            .map(|(from, dir)| LinkId { from, dir })
             .collect()
     }
 
@@ -336,6 +345,29 @@ mod tests {
                 dir: Direction::East
             }
         );
+    }
+
+    #[test]
+    fn hops_pair_each_router_with_its_output() {
+        let r = SourceRoute::xy(mesh(), NodeId(4), NodeId(9)).unwrap();
+        let hops: Vec<_> = r.hops(mesh()).collect();
+        assert_eq!(
+            hops,
+            vec![
+                (NodeId(4), Direction::East),
+                (NodeId(5), Direction::North),
+                (NodeId(9), Direction::Core)
+            ]
+        );
+        let (routers, outputs): (Vec<_>, Vec<_>) = hops.into_iter().unzip();
+        assert_eq!((routers, outputs), (r.routers(mesh()), r.outputs()));
+    }
+
+    #[test]
+    #[should_panic(expected = "route leaves the fabric at n3")]
+    fn a_route_off_the_edge_panics_where_it_leaves() {
+        let r = SourceRoute::from_directions(NodeId(2), &[Direction::East, Direction::East]);
+        let _ = r.destination(mesh());
     }
 
     #[test]

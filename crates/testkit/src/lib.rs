@@ -29,6 +29,11 @@
 //!    and `tests/golden/reference_4x4.txt`, pinned from the engine copy it
 //!    replaced).
 //!
+//! [`reference_compile()`] does for the preset compiler what `RefNetwork`
+//! does for the engine: it states Section IV's stop rules over sets and
+//! maps, and `tests/compile_reference.rs` holds the dense product
+//! compiler equal to it.
+//!
 //! Runs are deterministic: the same [`Conformance`] settings produce
 //! byte-identical [`CaseReport`]s, which future scale/perf PRs can diff
 //! against a golden matrix.
@@ -44,10 +49,12 @@
 
 pub mod harness;
 pub mod reference;
+pub mod reference_compile;
 pub mod scenario;
 
 pub use harness::{CaseReport, Conformance};
 pub use reference::RefNetwork;
+pub use reference_compile::reference_compile;
 pub use scenario::Scenario;
 
 // The conformance matrix's design axis is the multi-app schedule
