@@ -13,11 +13,24 @@
 //! compiler would see it: a candidate placement is scored by the
 //! bandwidth-weighted link sharing the new task's flows would incur
 //! against the routes committed so far (plus hop count to break ties).
+//!
+//! A candidate is scored without building a route. For every free core
+//! and every flow the task exchanges with placed tasks, the XY route
+//! ([`SourceRoute::dimension_order_legs`]) and then the YX route are
+//! walked as a sequence of output-port indices by stepping (x, y)
+//! coordinates, and each port is looked up in the dense load of the
+//! routes committed so far ([`crate::routes`]). A flow costs the cheaper
+//! of its two routes, and the core the sum of its flows' costs in flow
+//! order; the first cheapest core wins, and each flow then commits its
+//! cheaper route (XY on a tie). The YX walk steps the same legs
+//! [`crate::routes::yx`] is built from, so it crosses the same ports,
+//! quirk included: on a torus 2 wide every x-hop is East, on a torus 2
+//! high every y-hop is South.
 
-use crate::routes::{candidates, route_cost, RoutableFlow};
-use smart_sim::{FlowId, LinkId, NodeId, SourceRoute, Topology};
+use crate::routes::{leg_ports, yx_legs, LinkLoad, RoutableFlow};
+use smart_sim::{Coord, FlowId, NodeId, SourceRoute, Topology};
 use smart_taskgraph::{TaskGraph, TaskId};
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// A task-to-core placement.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,9 +85,12 @@ pub fn place(mesh: Topology, graph: &TaskGraph) -> Placement {
         mesh.len()
     );
 
-    let mut assignment: BTreeMap<TaskId, NodeId> = BTreeMap::new();
-    let mut free_cores: HashSet<NodeId> = mesh.nodes().collect();
-    let mut link_load: HashMap<LinkId, f64> = HashMap::new();
+    let tasks = graph.num_tasks();
+    let mut core_of: Vec<Option<NodeId>> = vec![None; tasks];
+    let mut free = vec![true; mesh.len()];
+    let mut load = LinkLoad::new(mesh);
+    // The placed task's flows to placed peers: outgoing?, peer, MB/s.
+    let mut pending: Vec<(bool, Coord, f64)> = Vec::new();
 
     // Seed: highest-demand task onto the most-connected core (ties:
     // lowest node id — deterministic).
@@ -92,95 +108,102 @@ pub fn place(mesh: Topology, graph: &TaskGraph) -> Placement {
         .nodes()
         .max_by_key(|n| (mesh.degree(*n), std::cmp::Reverse(n.0)))
         .expect("mesh has nodes");
-    assignment.insert(seed_task, seed_core);
-    free_cores.remove(&seed_core);
+    core_of[usize::from(seed_task.0)] = Some(seed_core);
+    free[usize::from(seed_core.0)] = false;
 
-    while assignment.len() < graph.num_tasks() {
-        // Most-communicating unmapped task w.r.t. the mapped set.
+    for _ in 1..tasks {
+        // Most-communicating unmapped task w.r.t. the mapped set: the
+        // bandwidth of its flows to placed tasks, summed in flow order.
+        let mapped_demand =
+            |t: TaskId| -> f64 { placed_flows(graph, &core_of, t).map(|(.., bw)| bw).sum() };
         let next_task = graph
             .task_ids()
-            .filter(|t| !assignment.contains_key(t))
+            .filter(|t| core_of[usize::from(t.0)].is_none())
             .max_by(|a, b| {
-                let da = mapped_demand(graph, &assignment, *a);
-                let db = mapped_demand(graph, &assignment, *b);
-                da.partial_cmp(&db)
+                mapped_demand(*a)
+                    .partial_cmp(&mapped_demand(*b))
                     .expect("finite demand")
                     .then(b.0.cmp(&a.0))
             })
             .expect("unmapped tasks remain");
 
-        // The flows this task exchanges with already-placed tasks.
-        let pending: Vec<(bool, TaskId, f64)> = graph
-            .flows()
-            .iter()
-            .filter_map(|f| {
-                if f.src == next_task && assignment.contains_key(&f.dst) {
-                    Some((true, f.dst, f.bandwidth_mbs))
-                } else if f.dst == next_task && assignment.contains_key(&f.src) {
-                    Some((false, f.src, f.bandwidth_mbs))
-                } else {
-                    None
-                }
-            })
-            .collect();
+        pending.clear();
+        pending.extend(
+            placed_flows(graph, &core_of, next_task)
+                .map(|(outgoing, core, bw)| (outgoing, mesh.coord(core), bw)),
+        );
 
-        // Score every free core by the buffering chance of those flows.
+        // Score every free core, in node order, by the buffering chance
+        // of those flows; the first cheapest wins.
         let mut best: Option<(f64, NodeId)> = None;
-        let mut cores: Vec<NodeId> = free_cores.iter().copied().collect();
-        cores.sort_unstable();
-        for core in cores {
+        for (i, _) in free.iter().enumerate().filter(|(_, f)| **f) {
+            let core = NodeId(i as u16);
+            let here = mesh.coord(core);
             let mut cost = 0.0;
-            for (outgoing, peer, bw) in &pending {
-                let peer_core = assignment[peer];
-                let (s, d) = if *outgoing {
-                    (core, peer_core)
-                } else {
-                    (peer_core, core)
-                };
-                if s == d {
-                    // Placing both endpoints on one tile is not allowed
-                    // (one task per core); candidates exclude it anyway.
-                    cost += 1e12;
-                    continue;
-                }
-                let route_best = candidates(mesh, s, d)
-                    .into_iter()
-                    .map(|r| route_cost(mesh, &r, *bw, &link_load))
-                    .fold(f64::INFINITY, f64::min);
-                cost += route_best;
+            for &(outgoing, peer, bw) in &pending {
+                let (s, d) = if outgoing { (here, peer) } else { (peer, here) };
+                // A free core never hosts a placed peer.
+                debug_assert_ne!(s, d);
+                let (xy, yx) = route_costs(mesh, &load, s, d, bw);
+                cost += xy.min(yx);
             }
             if best.is_none_or(|(c, _)| cost < c) {
                 best = Some((cost, core));
             }
         }
         let (_, core) = best.expect("free cores remain");
-        assignment.insert(next_task, core);
-        free_cores.remove(&core);
+        core_of[usize::from(next_task.0)] = Some(core);
+        free[usize::from(core.0)] = false;
 
         // Commit routes for the newly-connected flows so later
         // placements see their load.
-        for (outgoing, peer, bw) in &pending {
-            let peer_core = assignment[peer];
-            let (s, d) = if *outgoing {
-                (core, peer_core)
+        let here = mesh.coord(core);
+        for &(outgoing, peer, bw) in &pending {
+            let (s, d) = if outgoing { (here, peer) } else { (peer, here) };
+            let (xy, yx) = route_costs(mesh, &load, s, d, bw);
+            let legs = if yx < xy {
+                yx_legs(mesh, s, d)
             } else {
-                (peer_core, core)
+                SourceRoute::dimension_order_legs(mesh, s, d)
             };
-            let route = candidates(mesh, s, d)
-                .into_iter()
-                .min_by(|a, b| {
-                    route_cost(mesh, a, *bw, &link_load)
-                        .partial_cmp(&route_cost(mesh, b, *bw, &link_load))
-                        .expect("finite cost")
-                })
-                .expect("at least one candidate");
-            for l in route.links(mesh) {
-                *link_load.entry(l).or_insert(0.0) += bw;
-            }
+            load.commit(leg_ports(mesh, s, legs), bw);
         }
     }
 
+    let assignment = graph
+        .task_ids()
+        .zip(core_of)
+        .map(|(t, core)| (t, core.expect("every task placed")))
+        .collect();
     Placement { assignment }
+}
+
+/// Costs of the XY and the YX route from `s` to `d` over `load`.
+fn route_costs(mesh: Topology, load: &LinkLoad, s: Coord, d: Coord, bw: f64) -> (f64, f64) {
+    let xy = SourceRoute::dimension_order_legs(mesh, s, d);
+    (
+        load.cost(leg_ports(mesh, s, xy), bw),
+        load.cost(leg_ports(mesh, s, yx_legs(mesh, s, d)), bw),
+    )
+}
+
+/// Task `t`'s flows to placed peers, in flow order: outgoing?, the
+/// peer's core, MB/s.
+fn placed_flows<'a>(
+    graph: &'a TaskGraph,
+    core_of: &'a [Option<NodeId>],
+    t: TaskId,
+) -> impl Iterator<Item = (bool, NodeId, f64)> + 'a {
+    graph.flows().iter().filter_map(move |f| {
+        let (outgoing, peer) = if f.src == t {
+            (true, f.dst)
+        } else if f.dst == t {
+            (false, f.src)
+        } else {
+            return None;
+        };
+        core_of[usize::from(peer.0)].map(|core| (outgoing, core, f.bandwidth_mbs))
+    })
 }
 
 /// A seeded random placement — the paper's "heterogeneous SoC" remark:
@@ -218,19 +241,6 @@ pub fn place_random(mesh: Topology, graph: &TaskGraph, seed: u64) -> Placement {
     Placement { assignment }
 }
 
-/// Bandwidth `t` exchanges with already-mapped tasks.
-fn mapped_demand(graph: &TaskGraph, assignment: &BTreeMap<TaskId, NodeId>, t: TaskId) -> f64 {
-    graph
-        .flows()
-        .iter()
-        .filter(|f| {
-            (f.src == t && assignment.contains_key(&f.dst))
-                || (f.dst == t && assignment.contains_key(&f.src))
-        })
-        .map(|f| f.bandwidth_mbs)
-        .sum()
-}
-
 /// Turn a placement into routable flows (`FlowId` = index into
 /// `graph.flows()`).
 #[must_use]
@@ -265,6 +275,7 @@ pub fn place_and_route(
 mod tests {
     use super::*;
     use smart_taskgraph::apps;
+    use std::collections::HashSet;
 
     fn mesh() -> Topology {
         Topology::paper_4x4()

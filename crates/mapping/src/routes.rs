@@ -6,10 +6,17 @@
 //! dimension-ordered minimal routes (XY and YX); the selected set is
 //! verified deadlock-free ([`crate::deadlock`]) and falls back to
 //! all-XY (provably acyclic) if the mix ever creates a cycle.
+//!
+//! The routes committed so far live in one dense `LinkLoad`: a slot
+//! per router output port, indexed `node * PORTS + dir` like the preset
+//! compiler's port masks, holding the bandwidth committed across that
+//! port. Route selection here and NMAP's placement ([`crate::nmap`])
+//! score and commit over the same type, so a candidate is costed by
+//! indexing, not hashing.
 
 use crate::deadlock::{check, DeadlockCheck};
-use smart_sim::{FlowId, LinkId, NodeId, SourceRoute, Topology};
-use std::collections::HashMap;
+use smart_sim::topology::PORTS;
+use smart_sim::{Coord, Direction, FlowId, NodeId, SourceRoute, Topology};
 
 /// A flow to be routed: `(flow, src node, dst node, bandwidth MB/s)`.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,24 +35,73 @@ pub struct RoutableFlow {
 /// On a torus this is the non-wrapping alternative candidate; the
 /// wrap-aware shortest routes come from [`SourceRoute::xy`].
 ///
+/// Each step is named the way [`SourceRoute::from_router_path`] names
+/// it: the *first* of East, South, West, North that reaches the next
+/// router. On a torus 2 wide, East and West reach the same neighbour,
+/// so every x-hop is East; on a torus 2 high, every y-hop is South.
+///
 /// # Panics
 ///
 /// Panics if `src == dst`.
 #[must_use]
 pub fn yx(mesh: Topology, src: NodeId, dst: NodeId) -> SourceRoute {
     assert_ne!(src, dst, "no route from a node to itself");
-    let (cs, cd) = (mesh.coord(src), mesh.coord(dst));
-    let mut routers = vec![src];
-    let mut cur = cs;
-    while cur.y != cd.y {
-        cur.y = if cd.y > cur.y { cur.y + 1 } else { cur.y - 1 };
-        routers.push(mesh.node_at(cur));
-    }
-    while cur.x != cd.x {
-        cur.x = if cd.x > cur.x { cur.x + 1 } else { cur.x - 1 };
-        routers.push(mesh.node_at(cur));
-    }
-    SourceRoute::from_router_path(mesh, &routers)
+    let dirs: Vec<Direction> = yx_legs(mesh, mesh.coord(src), mesh.coord(dst))
+        .into_iter()
+        .flat_map(|(dir, hops)| std::iter::repeat_n(dir, usize::from(hops)))
+        .collect();
+    SourceRoute::from_directions(src, &dirs)
+}
+
+/// [`yx`] as two straight legs, `(direction, hops)` along y and then
+/// along x (a leg may have no hops): the one statement of that route's
+/// directions, narrow-torus naming included. A walk that needs only the
+/// ports the route crosses steps these legs without building the route.
+pub(crate) fn yx_legs(topo: Topology, src: Coord, dst: Coord) -> [(Direction, u16); 2] {
+    let two_ring = |size: u16| topo.is_torus() && size == 2;
+    let y = if dst.y < src.y || two_ring(topo.height()) {
+        Direction::South
+    } else {
+        Direction::North
+    };
+    let x = if dst.x > src.x || two_ring(topo.width()) {
+        Direction::East
+    } else {
+        Direction::West
+    };
+    [(y, src.y.abs_diff(dst.y)), (x, src.x.abs_diff(dst.x))]
+}
+
+/// The output ports (`node * PORTS + dir`) crossed by taking `legs` in
+/// order from `start`, stepping coordinates (a torus edge wraps).
+pub(crate) fn leg_ports(
+    topo: Topology,
+    start: Coord,
+    legs: [(Direction, u16); 2],
+) -> impl Iterator<Item = usize> {
+    let (w, h) = (topo.width(), topo.height());
+    let Coord { mut x, mut y } = start;
+    legs.into_iter()
+        .flat_map(|(dir, hops)| std::iter::repeat_n(dir, usize::from(hops)))
+        .map(move |dir| {
+            let port = (usize::from(y) * usize::from(w) + usize::from(x)) * PORTS + dir.index();
+            match dir {
+                Direction::East => x = if x + 1 == w { 0 } else { x + 1 },
+                Direction::West => x = x.checked_sub(1).unwrap_or(w - 1),
+                Direction::North => y = if y + 1 == h { 0 } else { y + 1 },
+                Direction::South => y = y.checked_sub(1).unwrap_or(h - 1),
+                Direction::Core => unreachable!("legs run along compass directions"),
+            }
+            port
+        })
+}
+
+/// The output ports (`node * PORTS + dir`) `route` crosses, in order.
+fn route_ports(topo: Topology, route: &SourceRoute) -> impl Iterator<Item = usize> + '_ {
+    route
+        .hops(topo)
+        .filter(|(_, dir)| *dir != Direction::Core)
+        .map(|(node, dir)| usize::from(node.0) * PORTS + dir.index())
 }
 
 /// Minimal route candidates between two nodes (XY, plus YX when they
@@ -134,25 +190,45 @@ impl RouteOptions {
     }
 }
 
-/// Cost of laying `route` over the current `link_load` map:
-/// bandwidth-weighted sharing dominates; hop count breaks ties.
-#[must_use]
-pub fn route_cost(
-    mesh: Topology,
-    route: &SourceRoute,
-    bandwidth: f64,
-    link_load: &HashMap<LinkId, f64>,
-) -> f64 {
-    let mut shared = 0.0;
-    for l in route.links(mesh) {
-        if let Some(other) = link_load.get(&l) {
-            // Both flows suffer: weight by the smaller of the demands
-            // plus a fixed penalty per shared link (any sharing forces
-            // stops regardless of magnitude).
-            shared += 1.0 + (other.min(bandwidth)) / 1000.0;
+/// Bandwidth committed per router output port, indexed
+/// `node * PORTS + dir`. `None` means no committed route crosses the
+/// port; any `Some` counts as sharing, whatever the load it holds.
+pub(crate) struct LinkLoad {
+    ports: Vec<Option<f64>>,
+}
+
+impl LinkLoad {
+    /// No route committed on `topo`.
+    pub(crate) fn new(topo: Topology) -> Self {
+        LinkLoad {
+            ports: vec![None; topo.len() * PORTS],
         }
     }
-    shared * 1_000.0 + route.num_hops() as f64
+
+    /// Cost of laying a route crossing `ports` (in route order) for a
+    /// flow of `bandwidth`: bandwidth-weighted sharing dominates; hop
+    /// count breaks ties.
+    pub(crate) fn cost(&self, ports: impl Iterator<Item = usize>, bandwidth: f64) -> f64 {
+        let mut shared = 0.0;
+        let mut hops = 0usize;
+        for port in ports {
+            hops += 1;
+            if let Some(other) = self.ports[port] {
+                // Both flows suffer: weight by the smaller of the demands
+                // plus a fixed penalty per shared link (any sharing forces
+                // stops regardless of magnitude).
+                shared += 1.0 + (other.min(bandwidth)) / 1000.0;
+            }
+        }
+        shared * 1_000.0 + hops as f64
+    }
+
+    /// Commit a flow of `bandwidth` across `ports`.
+    pub(crate) fn commit(&mut self, ports: impl Iterator<Item = usize>, bandwidth: f64) {
+        for port in ports {
+            *self.ports[port].get_or_insert(0.0) += bandwidth;
+        }
+    }
 }
 
 /// Greedily route `flows` (descending bandwidth), minimizing sharing.
@@ -176,7 +252,7 @@ pub fn select_routes_with(
             .expect("bandwidths are finite")
             .then(a.flow.0.cmp(&b.flow.0))
     });
-    let mut link_load: HashMap<LinkId, f64> = HashMap::new();
+    let mut load = LinkLoad::new(mesh);
     let mut picked: Vec<(FlowId, SourceRoute)> = Vec::new();
     for f in order {
         let cands = if opts.allow_detours {
@@ -186,15 +262,13 @@ pub fn select_routes_with(
         };
         let mut best: Option<(f64, SourceRoute)> = None;
         for cand in cands {
-            let cost = route_cost(mesh, &cand, f.bandwidth_mbs, &link_load);
+            let cost = load.cost(route_ports(mesh, &cand), f.bandwidth_mbs);
             if best.as_ref().is_none_or(|(c, _)| cost < *c) {
                 best = Some((cost, cand));
             }
         }
         let (_, route) = best.expect("at least one candidate");
-        for l in route.links(mesh) {
-            *link_load.entry(l).or_insert(0.0) += f.bandwidth_mbs;
-        }
+        load.commit(route_ports(mesh, &route), f.bandwidth_mbs);
         picked.push((f.flow, route));
     }
     picked.sort_by_key(|(f, _)| f.0);
@@ -237,6 +311,42 @@ mod tests {
         );
         assert_eq!(candidates(mesh(), NodeId(0), NodeId(3)).len(), 1);
         assert_eq!(candidates(mesh(), NodeId(0), NodeId(5)).len(), 2);
+    }
+
+    #[test]
+    fn leg_walks_cross_the_ports_of_the_built_routes() {
+        // Every ordered pair on meshes and tori, the narrow tori among
+        // them: there YX's x-hops are all East and its y-hops all South.
+        let port = |l: smart_sim::LinkId| usize::from(l.from.0) * PORTS + l.dir.index();
+        for topo in [
+            Topology::mesh(4, 3),
+            Topology::mesh(1, 4),
+            Topology::torus(2, 2),
+            Topology::torus(2, 5),
+            Topology::torus(5, 2),
+            Topology::torus(4, 5),
+        ] {
+            for (s, d) in topo.nodes().flat_map(|s| topo.nodes().map(move |d| (s, d))) {
+                if s == d {
+                    continue;
+                }
+                let (cs, cd) = (topo.coord(s), topo.coord(d));
+                let walk = |legs| leg_ports(topo, cs, legs).collect::<Vec<_>>();
+                let xy = SourceRoute::xy(topo, s, d).unwrap();
+                let built =
+                    |r: &SourceRoute| r.links(topo).into_iter().map(port).collect::<Vec<_>>();
+                assert_eq!(
+                    walk(SourceRoute::dimension_order_legs(topo, cs, cd)),
+                    built(&xy),
+                    "XY {s}->{d} on {topo:?}"
+                );
+                assert_eq!(
+                    walk(yx_legs(topo, cs, cd)),
+                    built(&yx(topo, s, d)),
+                    "YX {s}->{d} on {topo:?}"
+                );
+            }
+        }
     }
 
     #[test]

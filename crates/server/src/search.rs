@@ -172,8 +172,9 @@ impl SearchOutcome {
 ///
 /// # Errors
 ///
-/// Returns a description when the space is empty or a workload spec
-/// does not resolve.
+/// Returns a description when the space is empty, a workload spec
+/// does not resolve, or an application has more tasks than the fabric
+/// has cores.
 ///
 /// # Panics
 ///
@@ -190,12 +191,15 @@ pub fn run(
     if space.is_empty() {
         return Err("empty search space".to_owned());
     }
-    // Resolve every workload up front so bad specs fail before any
-    // simulation starts.
+    // Resolve every workload up front so bad specs, and applications
+    // larger than the fabric, fail before any simulation starts.
     let workloads: Vec<Workload> = space
         .workloads
         .iter()
-        .map(WorkloadSpec::to_workload)
+        .map(|spec| {
+            spec.check_fits(space.mesh).map_err(|e| e.to_string())?;
+            spec.to_workload()
+        })
         .collect::<Result<_, _>>()?;
     let evaluate = |index: usize| -> CandidateScore {
         let (wi, di, hi) = space.coords(index);

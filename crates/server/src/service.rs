@@ -136,6 +136,13 @@ impl Service {
     /// [`ResponseEvent::Error`].
     pub fn handle(&self, request: &Request, sink: &dyn EventSink) -> bool {
         let id = request.id();
+        if let Err(refused) = request.check_fits() {
+            sink.emit(&ResponseEvent::Error {
+                id: id.to_owned(),
+                message: refused.to_string(),
+            });
+            return false;
+        }
         let job = Job {
             id,
             cancel: None,

@@ -303,6 +303,121 @@ fn a_rate_above_one_is_refused_before_it_is_accepted() {
     handle.shutdown().expect("shutdown handshake");
 }
 
+/// NMAP places one task per core, so VOPD's 12 tasks do not fit a 3×3
+/// fabric's 9 cores. Every request kind that carries a workload is
+/// refused with one `error` event naming the application, its task
+/// count and the core count, before anything is placed: the cache sees
+/// no miss, and the connection goes on serving.
+#[test]
+fn an_app_larger_than_the_fabric_is_refused_before_it_is_placed() {
+    let server = Server::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let handle = server.spawn().expect("spawn accept loop");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let cache_misses = |client: &mut Client| match client
+        .submit(&Request::Stats {
+            id: "stats".to_owned(),
+        })
+        .expect("stats")
+        .first()
+    {
+        Some(ResponseEvent::Stats { cache_misses, .. }) => *cache_misses,
+        other => panic!("expected stats first: {other:?}"),
+    };
+    let before = cache_misses(&mut client);
+    let (id, vopd, plan) = (
+        "big".to_owned(),
+        WorkloadSpec::App("VOPD".to_owned()),
+        PlanSpec::from(RunPlan::smoke()),
+    );
+    let requests = [
+        Request::Experiment {
+            id: id.clone(),
+            mesh: 3,
+            topology: TopologySpec::Mesh,
+            shards: 1,
+            design: DesignKind::Smart,
+            workload: vopd.clone(),
+            plan,
+        },
+        Request::Watch {
+            id: id.clone(),
+            mesh: 3,
+            topology: TopologySpec::Torus,
+            shards: 1,
+            design: DesignKind::Smart,
+            workload: vopd.clone(),
+            plan,
+            window: 100,
+        },
+        Request::Matrix {
+            id: id.clone(),
+            mesh: 3,
+            topology: TopologySpec::Mesh,
+            shards: 1,
+            designs: DESIGNS.to_vec(),
+            // PIP (8 tasks) fits; the refusal must come before it is
+            // placed and cached.
+            workloads: vec![WorkloadSpec::App("PIP".to_owned()), vopd.clone()],
+            plan,
+        },
+        Request::Schedule {
+            id: id.clone(),
+            mesh: 3,
+            topology: TopologySpec::Mesh,
+            designs: vec![smart_harness::ScheduleDesign::Smart],
+            drain_budget: 50_000,
+            phases: vec![(WorkloadSpec::Fig7, plan), (vopd.clone(), plan)],
+        },
+        Request::Search {
+            id: id.clone(),
+            mesh: 3,
+            topology: TopologySpec::Mesh,
+            strategy: SearchStrategy::Exhaustive,
+            designs: vec![DesignKind::Smart],
+            workloads: vec![vopd.clone()],
+            hpc: vec![4],
+            plan,
+        },
+        Request::TraceDiff {
+            id,
+            mesh: 3,
+            topology: TopologySpec::Mesh,
+            baseline: DesignKind::Mesh,
+            candidate: DesignKind::Smart,
+            workload: vopd,
+            plan,
+            trace: TraceFile {
+                flits_per_packet: 8,
+                events: vec![(0, smart_sim::FlowId(0))],
+            },
+        },
+    ];
+    for request in &requests {
+        let events = client
+            .submit(request)
+            .expect("an error event, not a hang-up");
+        match events.as_slice() {
+            [ResponseEvent::Error { message, .. }] => assert_eq!(
+                message,
+                "application \"VOPD\" has 12 tasks, more than the 9 cores of the fabric",
+                "{}",
+                request.kind()
+            ),
+            other => panic!(
+                "{}: expected exactly one error event: {other:?}",
+                request.kind()
+            ),
+        }
+    }
+    assert_eq!(
+        cache_misses(&mut client),
+        before,
+        "nothing was placed or cached"
+    );
+    assert_serving_normally(handle.addr());
+    handle.shutdown().expect("shutdown handshake");
+}
+
 /// What a fresh, well-behaved connection sees after a hostile one: a
 /// served request, and a job table the hostile one left nothing in.
 fn assert_serving_normally(addr: std::net::SocketAddr) {

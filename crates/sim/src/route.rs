@@ -13,7 +13,7 @@
 //! [`SourceRoute::dimension_order`] is the generic minimal generator —
 //! classic XY on a mesh, per-axis shorter-way-around on a torus.
 
-use crate::topology::{Direction, LinkId, NodeId, Topology, Turn};
+use crate::topology::{Coord, Direction, LinkId, NodeId, Topology, Turn};
 use std::fmt;
 
 /// Why a route could not be generated.
@@ -134,10 +134,23 @@ impl SourceRoute {
         if src == dst {
             return Err(RouteError::SelfRoute(src));
         }
-        let (cs, cd) = (topo.coord(src), topo.coord(dst));
-        let mut dirs = Vec::with_capacity(topo.distance(src, dst) as usize);
-        let mut axis = |from: u16, to: u16, size: u16, pos: Direction, neg: Direction| {
-            let (dir, hops) = if topo.is_torus() {
+        let legs = SourceRoute::dimension_order_legs(topo, topo.coord(src), topo.coord(dst));
+        let mut dirs = Vec::with_capacity(usize::from(legs[0].1 + legs[1].1));
+        for (dir, hops) in legs {
+            dirs.extend(std::iter::repeat_n(dir, usize::from(hops)));
+        }
+        Ok(SourceRoute::from_directions(src, &dirs))
+    }
+
+    /// [`SourceRoute::dimension_order`] as its two straight legs,
+    /// `(direction, hops)` along x and then along y (a leg may have no
+    /// hops): the one statement of that route's directions and its
+    /// torus tie rule. A caller that needs only the ports the route
+    /// crosses can step these legs without building the route.
+    #[must_use]
+    pub fn dimension_order_legs(topo: Topology, src: Coord, dst: Coord) -> [(Direction, u16); 2] {
+        let axis = |from: u16, to: u16, size: u16, pos: Direction, neg: Direction| {
+            if topo.is_torus() {
                 // On a tie (an even ring crossed half-way) take the
                 // positive direction.
                 let fwd = (to + size - from) % size;
@@ -150,18 +163,18 @@ impl SourceRoute {
                 (pos, to - from)
             } else {
                 (neg, from - to)
-            };
-            dirs.extend(std::iter::repeat_n(dir, usize::from(hops)));
+            }
         };
-        axis(cs.x, cd.x, topo.width(), Direction::East, Direction::West);
-        axis(
-            cs.y,
-            cd.y,
-            topo.height(),
-            Direction::North,
-            Direction::South,
-        );
-        Ok(SourceRoute::from_directions(src, &dirs))
+        [
+            axis(src.x, dst.x, topo.width(), Direction::East, Direction::West),
+            axis(
+                src.y,
+                dst.y,
+                topo.height(),
+                Direction::North,
+                Direction::South,
+            ),
+        ]
     }
 
     /// The historical name for [`SourceRoute::dimension_order`] —

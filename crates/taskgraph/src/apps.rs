@@ -303,27 +303,34 @@ pub fn wlan() -> TaskGraph {
     )
 }
 
+/// Builds one application's task graph.
+type Builder = fn() -> TaskGraph;
+
+/// Each application's name and builder, in the paper's Fig 10 order.
+const APPS: [(&str, Builder); 8] = [
+    ("H264", h264),
+    ("MMS_DEC", mms_dec),
+    ("MMS_ENC", mms_enc),
+    ("MMS_MP3", mms_mp3),
+    ("MWD", mwd),
+    ("VOPD", vopd),
+    ("WLAN", wlan),
+    ("PIP", pip),
+];
+
 /// All eight applications, in the paper's Fig 10 order.
 #[must_use]
 pub fn all() -> Vec<TaskGraph> {
-    vec![
-        h264(),
-        mms_dec(),
-        mms_enc(),
-        mms_mp3(),
-        mwd(),
-        vopd(),
-        wlan(),
-        pip(),
-    ]
+    APPS.iter().map(|(_, build)| build()).collect()
 }
 
-/// Look an application up by (case-insensitive) name.
+/// Look an application up by (case-insensitive) name, building only
+/// that one.
 #[must_use]
 pub fn by_name(name: &str) -> Option<TaskGraph> {
-    all()
-        .into_iter()
-        .find(|g| g.name().eq_ignore_ascii_case(name))
+    APPS.iter()
+        .find(|(app, _)| app.eq_ignore_ascii_case(name))
+        .map(|(_, build)| build())
 }
 
 #[cfg(test)]
@@ -356,6 +363,9 @@ mod tests {
         assert_eq!(by_name("vopd").expect("found").name(), "VOPD");
         assert_eq!(by_name("MMS_mp3").expect("found").name(), "MMS_MP3");
         assert!(by_name("doom").is_none());
+        for g in all() {
+            assert_eq!(by_name(g.name()), Some(g), "the table names each graph");
+        }
     }
 
     #[test]

@@ -32,7 +32,11 @@
 //! [`reference_compile()`] does for the preset compiler what `RefNetwork`
 //! does for the engine: it states Section IV's stop rules over sets and
 //! maps, and `tests/compile_reference.rs` holds the dense product
-//! compiler equal to it.
+//! compiler equal to it. [`reference_place()`] and
+//! [`reference_select_routes()`] keep NMAP placement and route selection
+//! as first written, over route objects and a hashed link load;
+//! `tests/place_reference.rs` holds the dense placer and selector equal
+//! to them.
 //!
 //! Runs are deterministic: the same [`Conformance`] settings produce
 //! byte-identical [`CaseReport`]s, which future scale/perf PRs can diff
@@ -50,11 +54,13 @@
 pub mod harness;
 pub mod reference;
 pub mod reference_compile;
+pub mod reference_place;
 pub mod scenario;
 
 pub use harness::{CaseReport, Conformance};
 pub use reference::RefNetwork;
 pub use reference_compile::reference_compile;
+pub use reference_place::{reference_candidates, reference_place, reference_select_routes};
 pub use scenario::Scenario;
 
 // The conformance matrix's design axis is the multi-app schedule
