@@ -87,6 +87,10 @@ pub struct DedicatedNoc {
     /// Per-sink scratch: which lanes may arbitrate this cycle.
     eligible: Vec<bool>,
     cycle: u64,
+    /// Packets offered whose tail has not been delivered: zero exactly
+    /// when the model is quiescent. Kept apart from `counters`, which
+    /// `reset_counters` zeroes.
+    in_flight: u64,
     counters: ActivityCounters,
     stats: SimStats,
     stats_from: u64,
@@ -144,6 +148,7 @@ impl DedicatedNoc {
             sinks,
             eligible: Vec::new(),
             cycle: 0,
+            in_flight: 0,
             counters: ActivityCounters::new(),
             stats: SimStats::new(),
             stats_from: 0,
@@ -194,6 +199,7 @@ impl DedicatedNoc {
         assert_eq!(packet.src, wire.src, "packet src mismatch");
         assert_eq!(packet.dst, wire.dst, "packet dst mismatch");
         wire.queue.push_back(packet);
+        self.in_flight += 1;
     }
 
     /// Advance one cycle: every wire lands last cycle's flit and launches
@@ -269,13 +275,20 @@ impl DedicatedNoc {
     /// `true` when nothing is queued, on a wire or in a sink.
     #[must_use]
     pub fn is_quiescent(&self) -> bool {
-        self.wires
-            .iter()
-            .all(|w| w.queue.is_empty() && w.sending.is_none() && w.landing.is_none())
-            && self
-                .sinks
+        // The definition the in-flight count summarizes — every wire and
+        // sink lane empty — walked in debug builds only.
+        debug_assert_eq!(
+            self.in_flight == 0,
+            self.wires
                 .iter()
-                .all(|s| s.lanes.iter().all(VecDeque::is_empty))
+                .all(|w| w.queue.is_empty() && w.sending.is_none() && w.landing.is_none())
+                && self
+                    .sinks
+                    .iter()
+                    .all(|s| s.lanes.iter().all(VecDeque::is_empty)),
+            "in-flight count diverged from the wires and sinks"
+        );
+        self.in_flight == 0
     }
 
     /// Step until quiescent (up to `max_cycles`); `true` on success.
@@ -300,6 +313,7 @@ impl DedicatedNoc {
             self.stats.record_head(flit.flow, latency, queued);
         }
         if flit.is_tail {
+            self.in_flight -= 1;
             self.counters.packets_delivered += 1;
             if measured {
                 self.stats.record_tail(flit.flow, latency);

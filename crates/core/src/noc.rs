@@ -16,6 +16,7 @@ use smart_sim::traffic::TrafficSource;
 use smart_sim::{
     FlowId, FlowTable, Network, Packet, SourceRoute, TelemetryConfig, TelemetrySeries,
 };
+use std::sync::Arc;
 
 /// Which of the paper's three designs (Section VI).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -46,7 +47,7 @@ impl DesignKind {
 /// A SMART NoC instance configured for one application.
 #[derive(Debug)]
 pub struct SmartNoc {
-    app: CompiledApp,
+    app: Arc<CompiledApp>,
     net: Network,
 }
 
@@ -61,9 +62,11 @@ impl SmartNoc {
     /// `compile` is a pure function of `(mesh, hpc_max, routes)`, so
     /// reusing a cached [`CompiledApp`] produces a network bit-identical
     /// to [`SmartNoc::new`] while skipping the compilation entirely
-    /// (the `smart-server` compiled-design cache's fast path).
+    /// (the `smart-server` compiled-design cache's fast path). A shared
+    /// `Arc` is kept as it is, so a cache hit copies no presets.
     #[must_use]
-    pub fn from_compiled(cfg: &NocConfig, app: CompiledApp) -> Self {
+    pub fn from_compiled(cfg: &NocConfig, app: impl Into<Arc<CompiledApp>>) -> Self {
+        let app = app.into();
         let net = Network::banded(cfg.sim_config(), app.flows.clone(), cfg.shards);
         SmartNoc { app, net }
     }
@@ -137,6 +140,19 @@ pub enum Design {
     Dedicated(DedicatedNoc),
 }
 
+/// The one Mesh/SMART/Dedicated match: `$net` binds the cycle engine
+/// of Mesh and SMART, `$ded` the Dedicated model.
+macro_rules! dispatch {
+    ($design:expr, $net:ident => $engine:expr, $ded:pat => $dedicated:expr) => {
+        match $design {
+            Design::Mesh(MeshNoc { net: $net }) | Design::Smart(SmartNoc { net: $net, .. }) => {
+                $engine
+            }
+            Design::Dedicated($ded) => $dedicated,
+        }
+    };
+}
+
 impl Design {
     /// Build `kind` for the given routed flows. The Dedicated design
     /// ignores the route shapes and wires src→dst directly.
@@ -159,88 +175,59 @@ impl Design {
         }
     }
 
+    /// The cycle engine under Mesh and SMART; `None` for Dedicated,
+    /// which is a flow-level model.
+    #[must_use]
+    pub fn network(&self) -> Option<&Network> {
+        dispatch!(self, net => Some(net), _ => None)
+    }
+
     /// Queue a packet at its source.
     pub fn offer(&mut self, packet: Packet) {
-        match self {
-            Design::Mesh(m) => m.net.offer(packet),
-            Design::Smart(s) => s.net.offer(packet),
-            Design::Dedicated(d) => d.offer(packet),
-        }
+        dispatch!(self, net => net.offer(packet), d => d.offer(packet));
     }
 
     /// Advance one cycle.
     pub fn step(&mut self) {
-        match self {
-            Design::Mesh(m) => m.net.step(),
-            Design::Smart(s) => s.net.step(),
-            Design::Dedicated(d) => d.step(),
-        }
+        dispatch!(self, net => net.step(), d => d.step());
     }
 
     /// Run `cycles` cycles with `traffic`.
     pub fn run_with(&mut self, traffic: &mut dyn TrafficSource, cycles: u64) {
-        match self {
-            Design::Mesh(m) => m.net.run_with(traffic, cycles),
-            Design::Smart(s) => s.net.run_with(traffic, cycles),
-            Design::Dedicated(d) => d.run_with(traffic, cycles),
-        }
+        dispatch!(self, net => net.run_with(traffic, cycles), d => d.run_with(traffic, cycles));
     }
 
     /// Step until quiescent (≤ `max_cycles`); `true` on success.
     pub fn drain(&mut self, max_cycles: u64) -> bool {
-        match self {
-            Design::Mesh(m) => m.net.drain(max_cycles),
-            Design::Smart(s) => s.net.drain(max_cycles),
-            Design::Dedicated(d) => d.drain(max_cycles),
-        }
+        dispatch!(self, net => net.drain(max_cycles), d => d.drain(max_cycles))
     }
 
     /// Latency statistics.
     #[must_use]
     pub fn stats(&self) -> &SimStats {
-        match self {
-            Design::Mesh(m) => m.net.stats(),
-            Design::Smart(s) => s.net.stats(),
-            Design::Dedicated(d) => d.stats(),
-        }
+        dispatch!(self, net => net.stats(), d => d.stats())
     }
 
     /// Activity counters.
     #[must_use]
     pub fn counters(&self) -> &ActivityCounters {
-        match self {
-            Design::Mesh(m) => m.net.counters(),
-            Design::Smart(s) => s.net.counters(),
-            Design::Dedicated(d) => d.counters(),
-        }
+        dispatch!(self, net => net.counters(), d => d.counters())
     }
 
     /// Exclude warm-up packets (generated before `cycle`) from stats.
     pub fn set_stats_from(&mut self, cycle: u64) {
-        match self {
-            Design::Mesh(m) => m.net.set_stats_from(cycle),
-            Design::Smart(s) => s.net.set_stats_from(cycle),
-            Design::Dedicated(d) => d.set_stats_from(cycle),
-        }
+        dispatch!(self, net => net.set_stats_from(cycle), d => d.set_stats_from(cycle));
     }
 
     /// Zero the activity counters (end of warm-up).
     pub fn reset_counters(&mut self) {
-        match self {
-            Design::Mesh(m) => m.net.reset_counters(),
-            Design::Smart(s) => s.net.reset_counters(),
-            Design::Dedicated(d) => d.reset_counters(),
-        }
+        dispatch!(self, net => net.reset_counters(), d => d.reset_counters());
     }
 
     /// Current cycle.
     #[must_use]
     pub fn cycle(&self) -> u64 {
-        match self {
-            Design::Mesh(m) => m.net.cycle(),
-            Design::Smart(s) => s.net.cycle(),
-            Design::Dedicated(d) => d.cycle(),
-        }
+        dispatch!(self, net => net.cycle(), d => d.cycle())
     }
 
     /// Start collecting windowed telemetry on the underlying cycle
@@ -248,20 +235,12 @@ impl Design {
     /// observe, so it ignores the request (and [`Design::take_telemetry`]
     /// returns `None`).
     pub fn set_telemetry(&mut self, cfg: TelemetryConfig) {
-        match self {
-            Design::Mesh(m) => m.net.set_telemetry(cfg),
-            Design::Smart(s) => s.net.set_telemetry(cfg),
-            Design::Dedicated(_) => {}
-        }
+        dispatch!(self, net => net.set_telemetry(cfg), _ => {});
     }
 
     /// Detach the telemetry series, if telemetry was enabled.
     pub fn take_telemetry(&mut self) -> Option<TelemetrySeries> {
-        match self {
-            Design::Mesh(m) => m.net.take_telemetry(),
-            Design::Smart(s) => s.net.take_telemetry(),
-            Design::Dedicated(_) => None,
-        }
+        dispatch!(self, net => net.take_telemetry(), _ => None)
     }
 }
 

@@ -39,8 +39,9 @@ pub struct CompiledDesign {
 enum Artifact {
     /// Mesh and Dedicated: the baseline flow table.
     Baseline(FlowTable),
-    /// SMART: stops, presets and flow plans.
-    Smart(CompiledApp),
+    /// SMART: stops, presets and flow plans, shared with every network
+    /// instantiated from the handle.
+    Smart(Arc<CompiledApp>),
 }
 
 impl CompiledDesign {
@@ -61,7 +62,7 @@ impl CompiledDesign {
     pub fn from_routed(cfg: &NocConfig, kind: DesignKind, routed: Arc<RoutedWorkload>) -> Self {
         let (topo, routes) = (cfg.topology, &routed.routes);
         let artifact = match kind {
-            DesignKind::Smart => Artifact::Smart(compile(topo, cfg.hpc_max, routes)),
+            DesignKind::Smart => Artifact::Smart(Arc::new(compile(topo, cfg.hpc_max, routes))),
             DesignKind::Mesh | DesignKind::Dedicated => {
                 Artifact::Baseline(FlowTable::mesh_baseline(topo, routes))
             }
@@ -87,7 +88,7 @@ impl CompiledDesign {
         let mut cfg = self.cfg.clone();
         cfg.shards = shards;
         match &self.artifact {
-            Artifact::Smart(app) => Design::Smart(SmartNoc::from_compiled(&cfg, app.clone())),
+            Artifact::Smart(app) => Design::Smart(SmartNoc::from_compiled(&cfg, Arc::clone(app))),
             Artifact::Baseline(table) if self.kind == DesignKind::Mesh => {
                 Design::Mesh(MeshNoc::from_table(&cfg, table.clone()))
             }
@@ -126,7 +127,8 @@ impl CompiledDesign {
         }
     }
 
-    /// The compiled SMART application, for designs that have one.
+    /// The compiled SMART application, for designs that have one: the
+    /// same allocation every instantiated [`SmartNoc`] reads.
     #[must_use]
     pub fn compiled_app(&self) -> Option<&CompiledApp> {
         match &self.artifact {
@@ -224,6 +226,22 @@ mod tests {
         assert_eq!(smart.routed().name, "fig7");
         let mesh = CompiledDesign::compile(&cfg, DesignKind::Mesh, &Workload::fig7());
         assert!(mesh.compiled_app().is_none());
+    }
+
+    #[test]
+    fn instantiating_shares_the_smart_app() {
+        let handle = CompiledDesign::compile(
+            &NocConfig::paper_4x4(),
+            DesignKind::Smart,
+            &Workload::fig7(),
+        );
+        let app = handle.compiled_app().expect("SMART compiles an app");
+        for shards in [1, 2] {
+            let Design::Smart(noc) = handle.instantiate_sharded(shards) else {
+                panic!("a SMART handle instantiates SMART");
+            };
+            assert!(std::ptr::eq(noc.compiled(), app), "{shards} bands");
+        }
     }
 
     #[test]

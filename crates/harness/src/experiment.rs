@@ -4,10 +4,9 @@ use crate::compiled::CompiledDesign;
 use crate::workload::{RoutedWorkload, Workload};
 use smart_core::compile::CompiledApp;
 use smart_core::config::NocConfig;
-use smart_core::noc::DesignKind;
+use smart_core::noc::{Design, DesignKind};
 use smart_power::{breakdown, EnergyModel, GatingPolicy, PowerBreakdown};
 use smart_sim::counters::ActivityCounters;
-use smart_sim::stats::SimStats;
 use smart_sim::traffic::TrafficSource;
 use smart_sim::{
     FlowId, FlowTable, NodeId, ScriptedTraffic, TelemetryConfig, TelemetrySeries, Topology,
@@ -177,14 +176,8 @@ pub struct CompileMetrics {
 }
 
 impl CompileMetrics {
-    /// Metrics of a compiled application serving `routed` — the single
-    /// extraction path shared by [`Experiment`] and the multi-app
-    /// schedule runner.
-    pub(crate) fn from_compiled(
-        app: &CompiledApp,
-        routed: &RoutedWorkload,
-        topo: Topology,
-    ) -> Self {
+    /// Metrics of a compiled application serving `routed`.
+    fn from_compiled(app: &CompiledApp, routed: &RoutedWorkload, topo: Topology) -> Self {
         CompileMetrics {
             avg_stops: app.avg_stops(),
             bypass_fraction: app.bypass_fraction(topo),
@@ -248,71 +241,7 @@ pub struct ExperimentReport {
     pub telemetry: Option<TelemetrySeries>,
 }
 
-/// Raw measurements of one finished run, before report assembly.
-pub(crate) struct RawMeasurements<'a> {
-    /// `true` if the network went quiescent within the drain budget.
-    pub drained: bool,
-    /// Total cycles the network had advanced when measured.
-    pub total_cycles: u64,
-    /// Activity counters over the measured window.
-    pub counters: ActivityCounters,
-    /// Latency statistics over the measured window.
-    pub stats: &'a SimStats,
-}
-
 impl ExperimentReport {
-    /// Assemble a report from a finished run's raw measurements — the
-    /// single construction path shared by [`Experiment::run_routed`]
-    /// and the multi-app schedule runner, so both agree on derived
-    /// fields and the optional power breakdown.
-    pub(crate) fn assemble(
-        design: DesignKind,
-        cfg: &NocConfig,
-        workload: &str,
-        raw: &RawMeasurements<'_>,
-        compile: Option<CompileMetrics>,
-        measure_power: bool,
-    ) -> Self {
-        let RawMeasurements {
-            drained,
-            total_cycles,
-            counters,
-            stats,
-        } = *raw;
-        let power = measure_power.then(|| {
-            breakdown(
-                &EnergyModel::calibrated_45nm(cfg),
-                &counters,
-                cfg.clock_ghz,
-                GatingPolicy::for_design(design),
-            )
-        });
-        ExperimentReport {
-            design,
-            workload: workload.to_owned(),
-            mesh: (cfg.topology.width(), cfg.topology.height()),
-            topology: cfg.topology.label().to_owned(),
-            drained,
-            total_cycles,
-            packets_injected: counters.packets_injected,
-            packets_delivered: counters.packets_delivered,
-            flits_delivered: counters.flits_delivered,
-            measured_packets: stats.packets(),
-            avg_network_latency: stats.avg_network_latency(),
-            avg_packet_latency: stats.avg_packet_latency(),
-            avg_source_queue: stats.avg_source_queue(),
-            flow_latencies: stats
-                .flows()
-                .iter()
-                .map(|(f, s)| (*f, s.avg_head_latency()))
-                .collect(),
-            counters,
-            compile,
-            power,
-            telemetry: None,
-        }
-    }
-
     /// This report as a design-agnostic [`PhaseOutcome`] snapshot — the
     /// input shape of [`smart_traffic::TraceDiffReport`], so one
     /// recorded trace replayed on two designs can be diffed
@@ -566,7 +495,7 @@ impl Experiment {
     }
 
     /// This experiment's traffic source for one run on `compiled`.
-    fn traffic_for(&self, compiled: &CompiledDesign) -> Box<dyn TrafficSource> {
+    pub(crate) fn traffic_for(&self, compiled: &CompiledDesign) -> Box<dyn TrafficSource> {
         let routed = compiled.routed();
         self.drive.build(&TrafficContext {
             rates: &routed.rates,
@@ -578,17 +507,26 @@ impl Experiment {
         })
     }
 
-    /// Bring up a network from `compiled`, drive it with `traffic`
-    /// through the plan and assemble the report — the one tail of every
-    /// run flavor.
+    /// Drive then report — the one tail of every run flavor.
     fn execute(
         &self,
         compiled: &CompiledDesign,
         traffic: &mut dyn TrafficSource,
     ) -> ExperimentReport {
-        let routed = compiled.routed();
+        let (design, drained) = self.drive_plan(compiled, traffic);
+        self.report(compiled, design, drained)
+    }
+
+    /// Bring up a network from `compiled` and drive it with `traffic`
+    /// through the plan: warm-up, counter reset (and telemetry attach),
+    /// measurement, then the plan's drain. Returns the network, still
+    /// holding its measurements, and whether the drain emptied it.
+    pub(crate) fn drive_plan(
+        &self,
+        compiled: &CompiledDesign,
+        traffic: &mut dyn TrafficSource,
+    ) -> (Design, bool) {
         let mut design = compiled.instantiate_sharded(self.cfg.shards);
-        let cfg = &self.cfg;
         design.set_stats_from(self.plan.warmup);
         design.run_with(traffic, self.plan.warmup);
         design.reset_counters();
@@ -597,25 +535,56 @@ impl Experiment {
         }
         design.run_with(traffic, self.plan.measure);
         let drained = design.drain(self.plan.drain);
+        (design, drained)
+    }
 
-        let compile = compiled
-            .compiled_app()
-            .map(|app| CompileMetrics::from_compiled(app, routed, cfg.topology));
-        let mut report = ExperimentReport::assemble(
-            self.design,
-            cfg,
-            &routed.name,
-            &RawMeasurements {
-                drained,
-                total_cycles: design.cycle(),
-                counters: *design.counters(),
-                stats: design.stats(),
-            },
-            compile,
-            self.power,
-        );
-        report.telemetry = design.take_telemetry();
-        report
+    /// Assemble the report of a network [`Experiment::drive_plan`]
+    /// brought up from `compiled`, whatever ran on it since: stats,
+    /// counters and telemetry as the network holds them, plus compile
+    /// metrics and the optional power breakdown.
+    pub(crate) fn report(
+        &self,
+        compiled: &CompiledDesign,
+        mut design: Design,
+        drained: bool,
+    ) -> ExperimentReport {
+        let (cfg, routed) = (&self.cfg, compiled.routed());
+        let counters = *design.counters();
+        let stats = design.stats();
+        let power = self.power.then(|| {
+            breakdown(
+                &EnergyModel::calibrated_45nm(cfg),
+                &counters,
+                cfg.clock_ghz,
+                GatingPolicy::for_design(self.design),
+            )
+        });
+        ExperimentReport {
+            design: self.design,
+            workload: routed.name.clone(),
+            mesh: (cfg.topology.width(), cfg.topology.height()),
+            topology: cfg.topology.label().to_owned(),
+            drained,
+            total_cycles: design.cycle(),
+            packets_injected: counters.packets_injected,
+            packets_delivered: counters.packets_delivered,
+            flits_delivered: counters.flits_delivered,
+            measured_packets: stats.packets(),
+            avg_network_latency: stats.avg_network_latency(),
+            avg_packet_latency: stats.avg_packet_latency(),
+            avg_source_queue: stats.avg_source_queue(),
+            flow_latencies: stats
+                .flows()
+                .iter()
+                .map(|(f, s)| (*f, s.avg_head_latency()))
+                .collect(),
+            counters,
+            compile: compiled
+                .compiled_app()
+                .map(|app| CompileMetrics::from_compiled(app, routed, cfg.topology)),
+            power,
+            telemetry: design.take_telemetry(),
+        }
     }
 }
 

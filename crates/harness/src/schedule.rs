@@ -16,15 +16,24 @@
 //! switch, and cross-phase aggregates. [`ScheduleMatrix`] fans one
 //! schedule out across designs on the same scoped-thread cell runner as
 //! [`crate::ExperimentMatrix`], with the same per-cell determinism.
+//!
+//! All four designs share one phase loop: each phase is one
+//! [`Experiment`] on a network built for it, and a SMART phase's store
+//! count is the length of its compiled presets' store sequence. The
+//! live design differs only in its transitions: a phase's network must
+//! empty within the drain budget before the next phase may load, and
+//! that drain is counted in the phase's report. A network that does not
+//! empty stops the schedule with the [`ReconfigError`] that
+//! [`smart_core::reconfig::ReconfigurableNoc::load_app`] returns for
+//! the same refusal.
 
-use crate::experiment::{
-    CompileMetrics, Drive, Experiment, ExperimentReport, RawMeasurements, RunPlan, TrafficContext,
-};
+use crate::compiled::CompiledDesign;
+use crate::experiment::{Drive, Experiment, ExperimentReport, RunPlan};
 use crate::runner::run_cells;
 use crate::workload::{RoutedWorkload, Workload};
 use smart_core::config::NocConfig;
-use smart_core::noc::{DesignKind, SmartNoc};
-use smart_core::reconfig::{ReconfigError, ReconfigurableNoc};
+use smart_core::noc::DesignKind;
+use smart_core::reconfig::ReconfigError;
 use smart_sim::{TelemetryConfig, TelemetrySeries};
 use smart_taskgraph::apps;
 use std::fmt;
@@ -38,10 +47,6 @@ const DEFAULT_DRAIN_BUDGET: u64 = 50_000;
 fn phase_label(index: usize, app: &str) -> String {
     format!("phase{index}:{app}")
 }
-
-/// Default base address of the memory-mapped preset registers
-/// (Section V; the value itself is arbitrary).
-const DEFAULT_BASE_ADDR: u64 = 0x4000_0000;
 
 /// The design axis of a multi-app schedule: the paper's three evaluated
 /// designs plus the live-reconfigured SMART of Fig 1.
@@ -57,8 +62,8 @@ pub enum ScheduleDesign {
     /// Ideal per-flow dedicated links, rewired per phase — a yardstick
     /// that real silicon could not retarget at runtime at all.
     Dedicated,
-    /// SMART behind one live [`ReconfigurableNoc`]: every transition
-    /// drains in-flight traffic and replays the store sequence, exactly
+    /// SMART reconfigured live: every transition drains the previous
+    /// phase's in-flight traffic, then stores the next presets, exactly
     /// the Fig 1 runtime story.
     Reconfigurable,
 }
@@ -114,7 +119,6 @@ pub struct AppSchedule {
     /// The phases, in execution order.
     pub phases: Vec<AppPhase>,
     drain_budget: u64,
-    base_addr: u64,
 }
 
 impl Default for AppSchedule {
@@ -124,14 +128,12 @@ impl Default for AppSchedule {
 }
 
 impl AppSchedule {
-    /// An empty schedule with the default drain budget and preset base
-    /// address.
+    /// An empty schedule with the default drain budget.
     #[must_use]
     pub fn new() -> Self {
         AppSchedule {
             phases: Vec::new(),
             drain_budget: DEFAULT_DRAIN_BUDGET,
-            base_addr: DEFAULT_BASE_ADDR,
         }
     }
 
@@ -178,13 +180,6 @@ impl AppSchedule {
         self
     }
 
-    /// Base address of the memory-mapped preset registers.
-    #[must_use]
-    pub fn base_addr(mut self, addr: u64) -> Self {
-        self.base_addr = addr;
-        self
-    }
-
     /// Number of phases.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -195,6 +190,14 @@ impl AppSchedule {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.phases.is_empty()
+    }
+
+    /// Every phase's workload placed and routed on `cfg`, in order.
+    fn materialize(&self, cfg: &NocConfig) -> Vec<Arc<RoutedWorkload>> {
+        self.phases
+            .iter()
+            .map(|p| Arc::new(p.workload.materialize(cfg)))
+            .collect()
     }
 }
 
@@ -417,7 +420,9 @@ impl MultiAppExperiment {
     /// show exactly where one application hands the fabric to the next.
     /// On the live [`ScheduleDesign::Reconfigurable`] design a phase's
     /// series also covers the transition drain that empties its
-    /// in-flight traffic, mirroring how its counters are credited.
+    /// in-flight traffic: the drain runs on the phase's own network
+    /// before its report is taken, so the last window's cumulative
+    /// counts equal the phase's counters.
     #[must_use]
     pub fn with_telemetry(mut self, telemetry: TelemetryConfig) -> Self {
         self.telemetry = Some(telemetry);
@@ -436,106 +441,75 @@ impl MultiAppExperiment {
     ///
     /// Returns a [`ScheduleError`] if a transition's drain budget is
     /// exhausted before the previous phase's traffic empties (only the
-    /// live [`ScheduleDesign::Reconfigurable`] design drains a shared
-    /// network; the rebuilt designs cannot fail).
+    /// live [`ScheduleDesign::Reconfigurable`] design drains between
+    /// phases; the rebuilt designs cannot fail).
     pub fn run(&self) -> Result<ScheduleReport, ScheduleError> {
-        let routed: Vec<Arc<RoutedWorkload>> = self
-            .schedule
-            .phases
-            .iter()
-            .map(|p| Arc::new(p.workload.materialize(&self.cfg)))
-            .collect();
-        self.run_routed(&routed)
+        self.run_routed(&self.schedule.materialize(&self.cfg))
     }
 
     /// Run against already-routed phase workloads (lets the schedule
     /// matrix materialize each phase once across designs).
+    ///
+    /// Every design runs each phase as one [`Experiment`] on a network
+    /// freshly built for that phase. The live
+    /// [`ScheduleDesign::Reconfigurable`] design adds the Fig 1
+    /// transition: before the next application's presets are stored,
+    /// it drains the phase's in-flight traffic within the drain budget,
+    /// and only then takes the phase's report, so packets delivered
+    /// while emptying the network are credited to the phase that
+    /// injected them.
     pub(crate) fn run_routed(
         &self,
         routed: &[Arc<RoutedWorkload>],
     ) -> Result<ScheduleReport, ScheduleError> {
-        match self.design {
-            ScheduleDesign::Reconfigurable => self.run_live(routed),
-            _ => Ok(self.run_rebuilt(routed)),
+        let (cfg, kind) = (&self.cfg, self.design.kind());
+        let mut every_phase = Experiment::new(cfg.clone()).design(kind);
+        if self.power {
+            every_phase = every_phase.measure_power();
         }
-    }
-
-    /// The Fig 1 runtime story: one live [`ReconfigurableNoc`], each
-    /// transition draining in-flight traffic and replaying the store
-    /// sequence before the next phase runs. The harness performs the
-    /// transition drain itself (before `load_app`, whose own drain then
-    /// finds a quiescent network) so packets delivered while emptying
-    /// the network are credited to the phase that injected them — each
-    /// phase's report is assembled only after its transition drain.
-    fn run_live(&self, routed: &[Arc<RoutedWorkload>]) -> Result<ScheduleReport, ScheduleError> {
-        let cfg = &self.cfg;
-        let mut rnoc = ReconfigurableNoc::new(cfg.clone(), self.schedule.base_addr);
+        if let Some(tc) = self.telemetry {
+            every_phase = every_phase.with_telemetry(tc);
+        }
         let mut phases = Vec::with_capacity(routed.len());
-        let mut transitions = Vec::with_capacity(routed.len());
-        // The phase currently live on the network, its report pending
-        // until the next transition's drain completes.
-        let mut pending: Option<(&RoutedWorkload, bool)> = None;
+        let mut transitions: Vec<PhaseTransition> = Vec::with_capacity(routed.len());
+        // Cycles the previous phase spent draining before this one loads.
+        let mut drain_cycles = 0;
         for (i, (phase, r)) in self.schedule.phases.iter().zip(routed).enumerate() {
-            let from = rnoc.current_app().map(str::to_owned);
-            let mut drain_cycles = 0;
-            if let Some((prev_r, prev_drained)) = pending.take() {
-                let noc = rnoc.noc_mut().expect("previous phase loaded");
-                let before = noc.network().cycle();
-                let emptied = noc.network_mut().drain(self.schedule.drain_budget);
-                drain_cycles = noc.network().cycle() - before;
-                let idx = phases.len();
-                phases.push(self.live_phase_report(noc, prev_r, prev_drained, idx));
-                if !emptied {
-                    return Err(ScheduleError {
-                        phase: i,
-                        source: ReconfigError {
-                            current_app: from.unwrap_or_default(),
-                            next_app: r.name.clone(),
-                            max_drain_cycles: self.schedule.drain_budget,
-                        },
-                    });
+            let e = every_phase
+                .clone()
+                .plan(phase.plan)
+                .drive(phase.drive.clone());
+            let compiled = CompiledDesign::from_routed(cfg, kind, Arc::clone(r));
+            let (mut design, drained) = e.drive_plan(&compiled, e.traffic_for(&compiled).as_mut());
+            let next_drain = match routed.get(i + 1) {
+                Some(next) if self.design == ScheduleDesign::Reconfigurable => {
+                    let before = design.cycle();
+                    if !design.drain(self.schedule.drain_budget) {
+                        return Err(ScheduleError {
+                            phase: i + 1,
+                            source: ReconfigError {
+                                current_app: r.name.clone(),
+                                next_app: next.name.clone(),
+                                max_drain_cycles: self.schedule.drain_budget,
+                            },
+                        });
+                    }
+                    design.cycle() - before
                 }
+                _ => 0,
+            };
+            let mut report = e.report(&compiled, design, drained);
+            if let Some(s) = report.telemetry.as_mut() {
+                s.label = Some(phase_label(i, &r.name));
             }
-            let reconfig = rnoc
-                .load_app(&r.name, &r.routes, self.schedule.drain_budget)
-                .map_err(|source| ScheduleError { phase: i, source })?;
             transitions.push(PhaseTransition {
-                from,
+                from: transitions.last().map(|t| t.to.clone()),
                 to: r.name.clone(),
                 drain_cycles,
-                store_count: reconfig.cost_instructions,
+                store_count: report.compile.as_ref().map_or(0, |c| c.preset_stores),
             });
-
-            let noc = rnoc.noc_mut().expect("app just loaded");
-            let plan = phase.plan;
-            // Per-phase drive plumbing: every drive builds its source
-            // from the phase's rates, flow table and seed.
-            let mut traffic = phase.drive.build(&TrafficContext {
-                rates: &r.rates,
-                flows: noc.network().flows(),
-                topology: cfg.topology,
-                flits_per_packet: cfg.flits_per_packet(),
-                seed: plan.seed,
-                temporal: r.temporal,
-            });
-            let net = noc.network_mut();
-            net.set_stats_from(plan.warmup);
-            net.run_with(traffic.as_mut(), plan.warmup);
-            net.reset_counters();
-            if let Some(tc) = self.telemetry {
-                net.set_telemetry(tc);
-            }
-            net.run_with(traffic.as_mut(), plan.measure);
-            // The phase's own drain window; a zero budget deliberately
-            // leaves traffic in flight for the next transition, Fig 1
-            // style (`drained` records this phase-plan outcome).
-            let drained = net.drain(plan.drain);
-            pending = Some((r, drained));
-        }
-        if let Some((last_r, last_drained)) = pending.take() {
-            let noc = rnoc.noc_mut().expect("last phase loaded");
-            let idx = phases.len();
-            phases.push(self.live_phase_report(noc, last_r, last_drained, idx));
+            phases.push(report);
+            drain_cycles = next_drain;
         }
         Ok(ScheduleReport {
             design: self.design,
@@ -543,83 +517,6 @@ impl MultiAppExperiment {
             phases,
             transitions,
         })
-    }
-
-    /// Snapshot the live network into the phase's report (`drained`
-    /// records whether the phase's *own* plan window emptied the
-    /// network; a later transition drain still counts toward the
-    /// phase's counters and stats).
-    fn live_phase_report(
-        &self,
-        noc: &mut SmartNoc,
-        r: &RoutedWorkload,
-        drained: bool,
-        phase_index: usize,
-    ) -> ExperimentReport {
-        let cfg = &self.cfg;
-        let mut report = ExperimentReport::assemble(
-            DesignKind::Smart,
-            cfg,
-            &r.name,
-            &RawMeasurements {
-                drained,
-                total_cycles: noc.network().cycle(),
-                counters: *noc.network().counters(),
-                stats: noc.network().stats(),
-            },
-            Some(CompileMetrics::from_compiled(
-                noc.compiled(),
-                r,
-                cfg.topology,
-            )),
-            self.power,
-        );
-        report.telemetry = noc.network_mut().take_telemetry().map(|mut s| {
-            s.label = Some(phase_label(phase_index, &r.name));
-            s
-        });
-        report
-    }
-
-    /// Offline reconfiguration: every phase gets a freshly built
-    /// design, so transitions never drain; only the SMART design pays
-    /// preset stores, counted from the built design's actual store
-    /// sequence (one per router on today's hardware model).
-    fn run_rebuilt(&self, routed: &[Arc<RoutedWorkload>]) -> ScheduleReport {
-        let kind = self.design.kind();
-        let mut phases = Vec::with_capacity(routed.len());
-        let mut transitions = Vec::with_capacity(routed.len());
-        let mut prev: Option<String> = None;
-        for (i, (phase, r)) in self.schedule.phases.iter().zip(routed).enumerate() {
-            let mut e = Experiment::new(self.cfg.clone())
-                .design(kind)
-                .plan(phase.plan)
-                .drive(phase.drive.clone());
-            if self.power {
-                e = e.measure_power();
-            }
-            if let Some(tc) = self.telemetry {
-                e = e.with_telemetry(tc);
-            }
-            let mut report = e.run_routed(r);
-            if let Some(s) = report.telemetry.as_mut() {
-                s.label = Some(phase_label(i, &r.name));
-            }
-            let store_count = report.compile.as_ref().map_or(0, |c| c.preset_stores);
-            transitions.push(PhaseTransition {
-                from: prev.replace(r.name.clone()),
-                to: r.name.clone(),
-                drain_cycles: 0,
-                store_count,
-            });
-            phases.push(report);
-        }
-        ScheduleReport {
-            design: self.design,
-            mesh: (self.cfg.topology.width(), self.cfg.topology.height()),
-            phases,
-            transitions,
-        }
     }
 }
 
@@ -704,12 +601,7 @@ impl ScheduleMatrix {
     pub fn run_instrumented(&self) -> ScheduleOutcome {
         // Materialize each phase once, serially — NMAP placement is
         // deterministic, and every design cell shares the routed form.
-        let routed: Vec<Arc<RoutedWorkload>> = self
-            .schedule
-            .phases
-            .iter()
-            .map(|p| Arc::new(p.workload.materialize(&self.cfg)))
-            .collect();
+        let routed = self.schedule.materialize(&self.cfg);
         let (reports, worker_threads) = run_cells(self.designs.len(), self.threads, |i| {
             let mut e = MultiAppExperiment::new(self.cfg.clone(), self.schedule.clone())
                 .design(self.designs[i]);

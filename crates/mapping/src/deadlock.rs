@@ -58,19 +58,19 @@ pub fn check(mesh: Topology, routes: &[SourceRoute]) -> DeadlockCheck {
         v.sort_unstable();
         v
     };
+    let succs: HashMap<LinkId, Vec<LinkId>> = adj
+        .iter()
+        .map(|(k, v)| {
+            let mut s: Vec<LinkId> = v.iter().copied().collect();
+            s.sort_unstable();
+            (*k, s)
+        })
+        .collect();
     for start in nodes {
         if color[&start] != Color::White {
             continue;
         }
         // Stack of (node, iterator index over sorted successors).
-        let succs: HashMap<LinkId, Vec<LinkId>> = adj
-            .iter()
-            .map(|(k, v)| {
-                let mut s: Vec<LinkId> = v.iter().copied().collect();
-                s.sort_unstable();
-                (*k, s)
-            })
-            .collect();
         let mut stack: Vec<(LinkId, usize)> = vec![(start, 0)];
         color.insert(start, Color::Grey);
         while let Some((node, idx)) = stack.last().copied() {

@@ -16,8 +16,7 @@
 use smart_noc::arch::config::NocConfig;
 use smart_noc::arch::noc::{Design, DesignKind};
 use smart_noc::sim::{
-    ActivityCounters, BernoulliTraffic, Coord, Direction, FlowId, Network, SimStats, SourceRoute,
-    Topology,
+    ActivityCounters, BernoulliTraffic, Coord, Direction, FlowId, SimStats, SourceRoute, Topology,
 };
 
 /// What a run leaves behind, with link counts keyed by coordinates.
@@ -27,14 +26,6 @@ struct Outcome {
     counters: ActivityCounters,
     drained_at: u64,
     links: Vec<((u16, u16), Direction, u64)>,
-}
-
-fn network(design: &Design) -> &Network {
-    match design {
-        Design::Mesh(m) => m.network(),
-        Design::Smart(s) => s.network(),
-        Design::Dedicated(_) => unreachable!("the oracle runs Mesh and SMART"),
-    }
 }
 
 /// Run `pairs` (coordinates inside the 8×8 corner) on `topo`.
@@ -58,14 +49,14 @@ fn run(
     let rates: Vec<(FlowId, f64)> = routes.iter().map(|(f, _)| (*f, 0.01)).collect();
     let mut traffic = BernoulliTraffic::new(
         &rates,
-        network(&design).flows(),
+        design.network().expect("Mesh or SMART").flows(),
         topo,
         cfg.flits_per_packet(),
         seed,
     );
     design.run_with(&mut traffic, 3_000);
     assert!(design.drain(20_000), "{topo:?} {kind:?} failed to drain");
-    let net = network(&design);
+    let net = design.network().expect("Mesh or SMART");
     let mut counters = *net.counters();
     counters.gated_port_cycles = 0; // the one field that counts the idle fabric
     Outcome {

@@ -22,6 +22,15 @@ fn hot_plan(seed: u64) -> RunPlan {
     }
 }
 
+/// Two uniform phases under [`hot_plan`], so the switch between them
+/// has in-flight traffic to drain within `drain_budget` cycles.
+fn hot_schedule(drain_budget: u64) -> AppSchedule {
+    AppSchedule::new()
+        .then(Workload::uniform(8, 0.2, 11), hot_plan(7))
+        .then(Workload::uniform(8, 0.25, 12), hot_plan(8))
+        .drain_budget(drain_budget)
+}
+
 #[test]
 fn eight_apps_by_four_designs_is_deterministic() {
     let m = ScheduleMatrix::new(NocConfig::paper_4x4(), apps_schedule()).threads(4);
@@ -98,11 +107,7 @@ fn one_store_per_router_at_4x4_and_8x8() {
 
 #[test]
 fn in_flight_traffic_forces_a_transition_drain() {
-    let schedule = AppSchedule::new()
-        .then(Workload::uniform(8, 0.2, 11), hot_plan(7))
-        .then(Workload::uniform(8, 0.25, 12), hot_plan(8))
-        .drain_budget(20_000);
-    let report = MultiAppExperiment::new(NocConfig::paper_4x4(), schedule)
+    let report = MultiAppExperiment::new(NocConfig::paper_4x4(), hot_schedule(20_000))
         .run()
         .expect("generous budget drains");
     assert!(
@@ -127,12 +132,27 @@ fn in_flight_traffic_forces_a_transition_drain() {
 }
 
 #[test]
+fn live_phase_telemetry_covers_the_transition_drain() {
+    let report = MultiAppExperiment::new(NocConfig::paper_4x4(), hot_schedule(20_000))
+        .with_telemetry(TelemetryConfig::windowed(250))
+        .run()
+        .expect("generous budget drains");
+    assert!(report.transitions[1].drain_cycles > 0, "a drain to observe");
+    let phase0 = &report.phases[0];
+    let last = phase0
+        .telemetry
+        .as_ref()
+        .and_then(|s| s.windows.last())
+        .expect("requested");
+    // The last window closes where the phase's report was taken: after
+    // the transition drain, with every drained delivery counted.
+    assert_eq!(last.delivered, phase0.packets_delivered);
+    assert_eq!(last.end, phase0.total_cycles);
+}
+
+#[test]
 fn drain_failure_surfaces_as_err_not_panic() {
-    let schedule = AppSchedule::new()
-        .then(Workload::uniform(8, 0.2, 11), hot_plan(7))
-        .then(Workload::uniform(8, 0.25, 12), hot_plan(8))
-        .drain_budget(0);
-    let err = MultiAppExperiment::new(NocConfig::paper_4x4(), schedule)
+    let err = MultiAppExperiment::new(NocConfig::paper_4x4(), hot_schedule(0))
         .run()
         .unwrap_err();
     assert_eq!(err.phase, 1, "the second load hits the live traffic");
@@ -142,11 +162,7 @@ fn drain_failure_surfaces_as_err_not_panic() {
     assert!(err.to_string().contains("did not drain"));
     // Through the matrix the same failure stays per-cell: the rebuilt
     // designs still complete.
-    let schedule = AppSchedule::new()
-        .then(Workload::uniform(8, 0.2, 11), hot_plan(7))
-        .then(Workload::uniform(8, 0.25, 12), hot_plan(8))
-        .drain_budget(0);
-    let outcome = ScheduleMatrix::new(NocConfig::paper_4x4(), schedule)
+    let outcome = ScheduleMatrix::new(NocConfig::paper_4x4(), hot_schedule(0))
         .threads(2)
         .run_instrumented();
     assert_eq!(outcome.reports.len(), 4);
