@@ -7,8 +7,8 @@
 //! output for SMART. Both are pure functions of `(config, design,
 //! workload)`, so a [`CompiledDesign`] freezes them once. It is the only
 //! bring-up path: a cold [`Experiment::run`] compiles a handle and runs
-//! it, the `smart-server` cache keys handles by [`config_key`] and
-//! serves repeat requests without recompiling, and the two are
+//! it, the `smart-server` cache keys handles by their
+//! [`design_point`] and serves repeat requests without recompiling, and the two are
 //! bit-identical because they are the same code.
 //!
 //! [`Experiment`]: crate::Experiment
@@ -138,52 +138,16 @@ impl CompiledDesign {
     }
 }
 
-/// FNV-1a over `bytes` — a small, dependency-free, endian-stable hash.
-/// Collision resistance is not a goal (cache keys index a same-process
-/// `HashMap`); stability under equal input is.
+/// What a design point is, as a cache key: every [`NocConfig`] field
+/// (the derived `Debug` prints them all, floats in shortest-round-trip
+/// form) and the full workload spec. `shards` is normalized to 1:
+/// sharding is an execution strategy with bit-identical results, so
+/// serial and sharded runs of one design point share a cache entry.
+/// Two inputs encode equal iff every design-relevant field is equal.
 #[must_use]
-pub fn stable_hash64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// The canonical encoding [`config_key`] hashes: every [`NocConfig`]
-/// field (via the derived `Debug`, which prints them all, floats in
-/// shortest-round-trip form), the design kind, and the full workload
-/// spec — except `shards`, which is normalized to 1 first: sharding is
-/// an execution strategy with bit-identical results, so serial and
-/// sharded runs of one design point share a cache entry (the compiled
-/// artifact is shard-agnostic). Two inputs encode equal iff every
-/// design-relevant field is equal.
-#[must_use]
-pub fn config_encoding(cfg: &NocConfig, kind: DesignKind, workload: &Workload) -> String {
-    let mut cfg = cfg.clone();
-    cfg.shards = 1;
-    format!("{cfg:?}|{kind:?}|{workload:?}")
-}
-
-/// The stable cache key of one `(config, design, workload)` triple —
-/// the `smart-server` compiled-artifact cache's index. Equal triples
-/// key equal; perturbing any config field, the design, or the workload
-/// changes the encoding and (modulo FNV collisions) the key.
-#[must_use]
-pub fn config_key(cfg: &NocConfig, kind: DesignKind, workload: &Workload) -> u64 {
-    stable_hash64(config_encoding(cfg, kind, workload).as_bytes())
-}
-
-/// The design-independent part of [`config_key`]: keys the routed form
-/// of a workload on a design point, letting caches share one
-/// materialization across the design axis (exactly what
-/// [`crate::ExperimentMatrix`] does serially).
-#[must_use]
-pub fn workload_key(cfg: &NocConfig, workload: &Workload) -> u64 {
-    let mut cfg = cfg.clone();
-    cfg.shards = 1;
-    stable_hash64(format!("{cfg:?}|{workload:?}").as_bytes())
+pub fn design_point(cfg: &NocConfig, workload: &Workload) -> String {
+    let cfg = cfg.clone().sharded(1);
+    format!("{cfg:?}|{workload:?}")
 }
 
 #[cfg(test)]
@@ -244,13 +208,18 @@ mod tests {
         }
     }
 
+    /// The cache's key of a compiled design.
+    fn key(cfg: &NocConfig, kind: DesignKind, w: &Workload) -> (DesignKind, String) {
+        (kind, design_point(cfg, w))
+    }
+
     #[test]
     fn equal_triples_key_equal() {
         let cfg = NocConfig::paper_4x4();
         let w = Workload::uniform(8, 0.02, 42);
         assert_eq!(
-            config_key(&cfg, DesignKind::Smart, &w),
-            config_key(
+            key(&cfg, DesignKind::Smart, &w),
+            key(
                 &NocConfig::paper_4x4(),
                 DesignKind::Smart,
                 &Workload::uniform(8, 0.02, 42)
@@ -262,26 +231,23 @@ mod tests {
     fn perturbations_change_the_key() {
         let cfg = NocConfig::paper_4x4();
         let w = Workload::uniform(8, 0.02, 42);
-        let base = config_key(&cfg, DesignKind::Smart, &w);
+        let base = key(&cfg, DesignKind::Smart, &w);
         let mut hpc = cfg.clone();
         hpc.hpc_max = 4;
-        assert_ne!(base, config_key(&hpc, DesignKind::Smart, &w));
-        assert_ne!(base, config_key(&cfg, DesignKind::Mesh, &w));
+        assert_ne!(base, key(&hpc, DesignKind::Smart, &w));
+        assert_ne!(base, key(&cfg, DesignKind::Mesh, &w));
         assert_ne!(
             base,
-            config_key(&cfg, DesignKind::Smart, &Workload::uniform(8, 0.02, 43))
+            key(&cfg, DesignKind::Smart, &Workload::uniform(8, 0.02, 43))
         );
-        assert_ne!(
-            base,
-            config_key(&NocConfig::scaled(8), DesignKind::Smart, &w)
-        );
+        assert_ne!(base, key(&NocConfig::scaled(8), DesignKind::Smart, &w));
         // Same dimensions, different topology: a 4x4 torus must never
         // share a cache entry with the 4x4 mesh.
         let torus = NocConfig::scaled_torus(4);
         let mesh = NocConfig::scaled(4);
         assert_ne!(
-            config_key(&torus, DesignKind::Smart, &w),
-            config_key(&mesh, DesignKind::Smart, &w)
+            key(&torus, DesignKind::Smart, &w),
+            key(&mesh, DesignKind::Smart, &w)
         );
     }
 

@@ -187,8 +187,7 @@ impl CompileMetrics {
                 .iter()
                 .map(|(f, _)| (*f, app.flows.plan(*f).zero_load_latency()))
                 .collect(),
-            // The count is independent of the base address.
-            preset_stores: app.presets.store_sequence(0).len(),
+            preset_stores: topo.len(),
         }
     }
 }
@@ -267,13 +266,13 @@ impl ExperimentReport {
     }
 
     /// One stable line per report, full float precision — the golden
-    /// snapshot format future perf PRs diff against.
+    /// snapshot format future perf PRs diff against (see
+    /// [`snapshot_line`]).
     #[must_use]
     pub fn snapshot_line(&self) -> String {
-        format!(
-            "{}/{} injected={} delivered={} flits={} latency={} measured={}",
+        snapshot_line(
             self.design.label(),
-            self.workload,
+            &self.workload,
             self.packets_injected,
             self.packets_delivered,
             self.flits_delivered,
@@ -281,6 +280,26 @@ impl ExperimentReport {
             self.measured_packets,
         )
     }
+}
+
+/// The one spelling of a cell's snapshot line, head-flit `latency` at
+/// full float precision. [`ExperimentReport`] and the server's streamed
+/// cells both render through it, so a wire cell compares bit-for-bit
+/// against an in-process report.
+#[must_use]
+pub fn snapshot_line(
+    design: &str,
+    workload: &str,
+    injected: u64,
+    delivered: u64,
+    flits: u64,
+    latency: f64,
+    measured: u64,
+) -> String {
+    format!(
+        "{design}/{workload} injected={injected} delivered={delivered} flits={flits} \
+         latency={latency} measured={measured}"
+    )
 }
 
 impl fmt::Display for ExperimentReport {
@@ -410,16 +429,6 @@ impl Experiment {
         self
     }
 
-    /// Run the cycle engine split across `n` row bands (threads).
-    /// Purely an execution strategy: reports are bit-identical to a
-    /// 1-band run, and compiled-design cache entries are shared across
-    /// band counts of the same design point.
-    #[must_use]
-    pub fn sharded(mut self, n: usize) -> Self {
-        self.cfg.shards = n;
-        self
-    }
-
     /// Freeze this experiment's construction work (materialization,
     /// flow table, preset compilation) into a reusable handle —
     /// [`Experiment::run_compiled`] then replays runs without paying it
@@ -474,7 +483,8 @@ impl Experiment {
             self.cfg.topology,
             "compiled handle serves a different topology"
         );
-        self.execute(compiled, self.traffic_for(compiled).as_mut())
+        let (design, drained) = self.drive_plan(compiled, self.traffic_for(compiled).as_mut());
+        self.report(compiled, design, drained)
     }
 
     /// Run like [`Experiment::run`], additionally recording every
@@ -490,8 +500,11 @@ impl Experiment {
         let compiled = self.compile_design();
         let mut recorder =
             TraceRecorder::new(self.traffic_for(&compiled), self.cfg.flits_per_packet());
-        let report = self.execute(&compiled, &mut recorder);
-        (report, recorder.into_trace())
+        let (design, drained) = self.drive_plan(&compiled, &mut recorder);
+        (
+            self.report(&compiled, design, drained),
+            recorder.into_trace(),
+        )
     }
 
     /// This experiment's traffic source for one run on `compiled`.
@@ -505,16 +518,6 @@ impl Experiment {
             seed: self.plan.seed,
             temporal: routed.temporal,
         })
-    }
-
-    /// Drive then report — the one tail of every run flavor.
-    fn execute(
-        &self,
-        compiled: &CompiledDesign,
-        traffic: &mut dyn TrafficSource,
-    ) -> ExperimentReport {
-        let (design, drained) = self.drive_plan(compiled, traffic);
-        self.report(compiled, design, drained)
     }
 
     /// Bring up a network from `compiled` and drive it with `traffic`

@@ -54,9 +54,9 @@ pub mod runner;
 pub mod schedule;
 pub mod workload;
 
-pub use compiled::{config_encoding, config_key, stable_hash64, workload_key, CompiledDesign};
+pub use compiled::{design_point, CompiledDesign};
 pub use experiment::{
-    CompileMetrics, Drive, Experiment, ExperimentReport, RunPlan, TrafficContext,
+    snapshot_line, CompileMetrics, Drive, Experiment, ExperimentReport, RunPlan, TrafficContext,
 };
 pub use matrix::{ExperimentMatrix, MatrixOutcome};
 pub use runner::{run_cells, run_cells_observed};

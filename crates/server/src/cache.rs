@@ -1,7 +1,8 @@
-//! The compiled-artifact cache: [`CompiledDesign`] handles keyed by the
-//! stable [`config_key`] hash, plus routed workloads keyed by
-//! [`workload_key`] so the design axis of one request shares a single
-//! materialization (the same trick `ExperimentMatrix` plays serially).
+//! The compiled-artifact cache: [`CompiledDesign`] handles keyed by
+//! `(DesignKind, design_point)`, plus routed workloads keyed by the
+//! [`design_point`] alone so the design axis of one request shares a
+//! single materialization (the same trick `ExperimentMatrix` plays
+//! serially). Distinct design points never share an entry.
 //!
 //! Compilation happens **outside** the lock — concurrent requests for
 //! different keys compile in parallel; concurrent requests for the same
@@ -12,20 +13,19 @@
 
 use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
-use smart_harness::{config_key, workload_key, CompiledDesign, RoutedWorkload, Workload};
+use smart_harness::{design_point, CompiledDesign, RoutedWorkload, Workload};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Keyed store state behind one lock.
 struct CacheState {
-    /// Routed workloads by [`workload_key`].
-    routed: HashMap<u64, Arc<RoutedWorkload>>,
-    /// Compiled designs by [`config_key`].
-    designs: HashMap<u64, Arc<CompiledDesign>>,
-    /// `(design key, workload key)` in first-insertion order (FIFO
-    /// eviction queue).
-    order: VecDeque<(u64, u64)>,
+    /// Routed workloads by [`design_point`].
+    routed: HashMap<String, Arc<RoutedWorkload>>,
+    /// Compiled designs by design kind and [`design_point`].
+    designs: HashMap<(DesignKind, String), Arc<CompiledDesign>>,
+    /// Design keys in first-insertion order (FIFO eviction queue).
+    order: VecDeque<(DesignKind, String)>,
 }
 
 /// A bounded, thread-safe cache of compiled design handles.
@@ -69,7 +69,7 @@ impl DesignCache {
         kind: DesignKind,
         workload: &Workload,
     ) -> (Arc<CompiledDesign>, bool) {
-        let key = config_key(cfg, kind, workload);
+        let key = (kind, design_point(cfg, workload));
         if let Some(found) = self
             .state
             .lock()
@@ -82,21 +82,18 @@ impl DesignCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         // Compile outside the lock; share the routed form across kinds.
-        let wkey = workload_key(cfg, workload);
-        let routed = self.routed(wkey, cfg, workload);
+        let routed = self.routed(&key.1, cfg, workload);
         let compiled = Arc::new(CompiledDesign::from_routed(cfg, kind, routed));
         let mut state = self.state.lock().expect("unpoisoned cache");
         let state = &mut *state;
-        if let std::collections::hash_map::Entry::Vacant(slot) = state.designs.entry(key) {
+        if let std::collections::hash_map::Entry::Vacant(slot) = state.designs.entry(key.clone()) {
             slot.insert(Arc::clone(&compiled));
-            state.order.push_back((key, wkey));
-            while state.designs.len() > self.capacity {
-                let Some((evicted, wkey)) = state.order.pop_front() else {
-                    break;
-                };
+            state.order.push_back(key);
+            if state.designs.len() > self.capacity {
+                let evicted = state.order.pop_front().expect("a key per design");
                 state.designs.remove(&evicted);
-                if state.order.iter().all(|&(_, w)| w != wkey) {
-                    state.routed.remove(&wkey);
+                if state.order.iter().all(|(_, point)| *point != evicted.1) {
+                    state.routed.remove(&evicted.1);
                 }
             }
         }
@@ -104,25 +101,25 @@ impl DesignCache {
     }
 
     /// The routed (placed + routed) form of `workload` on `cfg`, under
-    /// its [`workload_key`], materializing on a miss. Shared across the
+    /// its design `point`, materializing on a miss. Shared across the
     /// design axis.
     ///
     /// # Panics
     ///
     /// Panics under the same conditions as `Workload::materialize`.
-    fn routed(&self, key: u64, cfg: &NocConfig, workload: &Workload) -> Arc<RoutedWorkload> {
+    fn routed(&self, point: &str, cfg: &NocConfig, workload: &Workload) -> Arc<RoutedWorkload> {
         if let Some(found) = self
             .state
             .lock()
             .expect("unpoisoned cache")
             .routed
-            .get(&key)
+            .get(point)
         {
             return Arc::clone(found);
         }
         let routed = Arc::new(workload.materialize(cfg));
         let mut state = self.state.lock().expect("unpoisoned cache");
-        Arc::clone(state.routed.entry(key).or_insert(routed))
+        Arc::clone(state.routed.entry(point.to_owned()).or_insert(routed))
     }
 
     /// Compiled-design lookups that hit.

@@ -974,10 +974,11 @@ impl ResponseEvent {
         )
     }
 
-    /// Render a [`ResponseEvent::Cell`] in exactly the
-    /// `ExperimentReport::snapshot_line` format, so streamed results
-    /// can be compared bit-for-bit against direct harness runs.
-    /// Returns `None` for other event kinds.
+    /// Render a [`ResponseEvent::Cell`] through
+    /// [`smart_harness::snapshot_line`], the formatter
+    /// `ExperimentReport::snapshot_line` uses, so streamed results can
+    /// be compared bit-for-bit against direct harness runs. Returns
+    /// `None` for other event kinds.
     #[must_use]
     pub fn snapshot_line(&self) -> Option<String> {
         match self {
@@ -990,9 +991,8 @@ impl ResponseEvent {
                 latency,
                 measured,
                 ..
-            } => Some(format!(
-                "{design}/{workload} injected={injected} delivered={delivered} flits={flits} \
-                 latency={latency} measured={measured}"
+            } => Some(smart_harness::snapshot_line(
+                design, workload, *injected, *delivered, *flits, *latency, *measured,
             )),
             _ => None,
         }

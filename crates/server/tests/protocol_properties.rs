@@ -1,16 +1,22 @@
 //! Property tests for the JSONL protocol and the compiled-design cache
 //! key: every structured request/response round-trips through its wire
 //! form, arbitrary and truncated input never panics the parsers, and
-//! the config hash is stable under equality / sensitive to perturbation.
+//! the design-point key is stable under equality / sensitive to
+//! perturbation.
 
 use proptest::prelude::*;
 use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
-use smart_harness::{config_key, ScheduleDesign, Workload};
+use smart_harness::{design_point, ScheduleDesign, Workload};
 use smart_server::{
     PlanSpec, Request, RequestHeader, ResponseEvent, SearchStrategy, TopologySpec, WorkloadSpec,
 };
 use smart_traffic::TraceFile;
+
+/// The cache's key of a compiled design.
+fn key(cfg: &NocConfig, kind: DesignKind, w: &Workload) -> (DesignKind, String) {
+    (kind, design_point(cfg, w))
+}
 
 const APPS: [&str; 8] = [
     "H264", "MMS_DEC", "MMS_ENC", "MMS_MP3", "MWD", "VOPD", "WLAN", "PIP",
@@ -411,42 +417,42 @@ proptest! {
         // Equality: rebuilding the identical triple keys identically.
         let mut cfg2 = NocConfig::paper_4x4();
         cfg2.hpc_max = hpc;
-        let base = config_key(&cfg, design, &w);
+        let base = key(&cfg, design, &w);
         prop_assert_eq!(
             base,
-            config_key(&cfg2, design, &Workload::uniform(flows as usize, rate, seed))
+            key(&cfg2, design, &Workload::uniform(flows as usize, rate, seed))
         );
 
         // Sensitivity: any single-field perturbation moves the key.
         let mut hpc_bump = cfg.clone();
         hpc_bump.hpc_max = hpc + 1;
-        prop_assert_ne!(base, config_key(&hpc_bump, design, &w));
+        prop_assert_ne!(base, key(&hpc_bump, design, &w));
         let other_design = DesignKind::ALL[(design_sel + 1) % 3];
-        prop_assert_ne!(base, config_key(&cfg, other_design, &w));
+        prop_assert_ne!(base, key(&cfg, other_design, &w));
         prop_assert_ne!(
             base,
-            config_key(&cfg, design, &Workload::uniform(flows as usize + 1, rate, seed))
+            key(&cfg, design, &Workload::uniform(flows as usize + 1, rate, seed))
         );
         prop_assert_ne!(
             base,
-            config_key(&cfg, design, &Workload::uniform(flows as usize, rate + 0.625, seed))
+            key(&cfg, design, &Workload::uniform(flows as usize, rate + 0.625, seed))
         );
         prop_assert_ne!(
             base,
-            config_key(&cfg, design, &Workload::uniform(flows as usize, rate, seed + 1))
+            key(&cfg, design, &Workload::uniform(flows as usize, rate, seed + 1))
         );
         // Insensitivity: the shard count is an execution strategy with
         // bit-identical results, so serial and sharded runs of one
         // design point must share a cache entry.
         prop_assert_eq!(
             base,
-            config_key(&cfg.clone().sharded(2 + seed as usize % 7), design, &w)
+            key(&cfg.clone().sharded(2 + seed as usize % 7), design, &w)
         );
         // Topology: a torus of the same dimensions must key differently
         // from the mesh (the wrap links change every compiled route).
         let mut torus = cfg.clone();
         torus.topology =
             smart_sim::Topology::torus(cfg.topology.width(), cfg.topology.height());
-        prop_assert_ne!(base, config_key(&torus, design, &w));
+        prop_assert_ne!(base, key(&torus, design, &w));
     }
 }

@@ -40,7 +40,7 @@
 //!
 //! Runs are deterministic: the same [`Conformance`] settings produce
 //! byte-identical [`CaseReport`]s, which future scale/perf PRs can diff
-//! against a golden matrix.
+//! against a golden matrix through [`golden::check`].
 //!
 //! ```
 //! use smart_testkit::{Conformance, Scenario, ScheduleDesign};
@@ -51,6 +51,7 @@
 //! assert_eq!(report.packets_delivered, report.packets_injected);
 //! ```
 
+pub mod golden;
 pub mod harness;
 pub mod reference;
 pub mod reference_compile;

@@ -7,7 +7,7 @@
 //! checked-in golden snapshot (`golden/conformance_matrix.txt`).
 
 use smart_core::config::NocConfig;
-use smart_testkit::{CaseReport, Conformance, Scenario, ScheduleDesign};
+use smart_testkit::{golden, CaseReport, Conformance, Scenario, ScheduleDesign};
 use std::sync::OnceLock;
 
 /// The 44-cell matrix is expensive; run it once and share it between
@@ -64,26 +64,8 @@ fn matrix_matches_golden_snapshot() {
     // any observable cell value must consciously regenerate the
     // fixture (SMART_UPDATE_GOLDEN=1 cargo test -p smart-testkit).
     let (_, _, reports) = battery();
-    let got: String = reports
-        .iter()
-        .map(CaseReport::golden_line)
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n";
-    let expected = include_str!("golden/conformance_matrix.txt");
-    if got != expected && std::env::var_os("SMART_UPDATE_GOLDEN").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/conformance_matrix.txt"
-        );
-        std::fs::write(path, &got).expect("rewrite golden fixture");
-        panic!("golden fixture updated at {path}; rerun without SMART_UPDATE_GOLDEN");
-    }
-    assert_eq!(
-        got, expected,
-        "conformance matrix drifted from the golden snapshot; if the \
-         change is intentional, regenerate with SMART_UPDATE_GOLDEN=1"
-    );
+    let got = golden::lines(reports.iter().map(CaseReport::golden_line));
+    golden::check("conformance_matrix.txt", &got, "conformance matrix");
 }
 
 #[test]

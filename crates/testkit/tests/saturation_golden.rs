@@ -10,7 +10,7 @@
 //! `SMART_UPDATE_GOLDEN=1 cargo test -p smart-testkit`.
 
 use smart_core::config::NocConfig;
-use smart_testkit::{CaseReport, Conformance, Scenario, ScheduleDesign};
+use smart_testkit::{golden, CaseReport, Conformance, Scenario, ScheduleDesign};
 
 #[test]
 fn saturated_8x8_matches_golden_snapshot() {
@@ -25,25 +25,10 @@ fn saturated_8x8_matches_golden_snapshot() {
         ..Conformance::default()
     };
     let scenario = Scenario::uniform(&cfg, 64, 0.05, 0x5EED);
-    let got: String = [ScheduleDesign::Mesh, ScheduleDesign::Smart]
-        .into_iter()
-        .map(|d| conf.run_case(d, &scenario))
-        .map(|r| CaseReport::golden_line(&r))
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n";
-    let expected = include_str!("golden/saturation_8x8.txt");
-    if got != expected && std::env::var_os("SMART_UPDATE_GOLDEN").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/saturation_8x8.txt"
-        );
-        std::fs::write(path, &got).expect("rewrite golden fixture");
-        panic!("golden fixture updated at {path}; rerun without SMART_UPDATE_GOLDEN");
-    }
-    assert_eq!(
-        got, expected,
-        "saturated 8x8 cell drifted from the golden snapshot; if the \
-         change is intentional, regenerate with SMART_UPDATE_GOLDEN=1"
+    let got = golden::lines(
+        [ScheduleDesign::Mesh, ScheduleDesign::Smart]
+            .into_iter()
+            .map(|d| CaseReport::golden_line(&conf.run_case(d, &scenario))),
     );
+    golden::check("saturation_8x8.txt", &got, "saturated 8x8 cell");
 }

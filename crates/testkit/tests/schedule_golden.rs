@@ -7,7 +7,7 @@
 
 use smart_core::config::NocConfig;
 use smart_harness::RunPlan;
-use smart_testkit::{AppSchedule, ScheduleDesign, ScheduleMatrix, ScheduleReport};
+use smart_testkit::{golden, AppSchedule, ScheduleDesign, ScheduleMatrix, ScheduleReport};
 use std::sync::OnceLock;
 
 /// Run the 8-app × 4-design matrix once, shared between the golden and
@@ -22,32 +22,10 @@ fn matrix() -> &'static Vec<ScheduleReport> {
     })
 }
 
-fn snapshot(reports: &[ScheduleReport]) -> String {
-    reports
-        .iter()
-        .map(ScheduleReport::snapshot)
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n"
-}
-
 #[test]
 fn schedule_matrix_matches_golden_snapshot() {
-    let got = snapshot(matrix());
-    let expected = include_str!("golden/schedule_matrix.txt");
-    if got != expected && std::env::var_os("SMART_UPDATE_GOLDEN").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/schedule_matrix.txt"
-        );
-        std::fs::write(path, &got).expect("rewrite golden fixture");
-        panic!("golden fixture updated at {path}; rerun without SMART_UPDATE_GOLDEN");
-    }
-    assert_eq!(
-        got, expected,
-        "schedule matrix drifted from the golden snapshot; if the \
-         change is intentional, regenerate with SMART_UPDATE_GOLDEN=1"
-    );
+    let got = golden::lines(matrix().iter().map(ScheduleReport::snapshot));
+    golden::check("schedule_matrix.txt", &got, "schedule matrix");
 }
 
 #[test]

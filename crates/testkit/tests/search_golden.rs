@@ -42,18 +42,7 @@ fn outcome() -> &'static SearchOutcome {
 
 #[test]
 fn search_matches_golden_snapshot() {
-    let got = outcome().render();
-    let expected = include_str!("golden/search_4x4.txt");
-    if got != expected && std::env::var_os("SMART_UPDATE_GOLDEN").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/search_4x4.txt");
-        std::fs::write(path, &got).expect("rewrite golden fixture");
-        panic!("golden fixture updated at {path}; rerun without SMART_UPDATE_GOLDEN");
-    }
-    assert_eq!(
-        got, expected,
-        "search sweep drifted from the golden snapshot; if the change \
-         is intentional, regenerate with SMART_UPDATE_GOLDEN=1"
-    );
+    smart_testkit::golden::check("search_4x4.txt", &outcome().render(), "search sweep");
 }
 
 #[test]

@@ -14,7 +14,7 @@
 use smart_core::config::NocConfig;
 use smart_harness::{SpatialPattern, Workload};
 use smart_sim::NodeId;
-use smart_testkit::{CaseReport, Conformance, Scenario, ScheduleDesign};
+use smart_testkit::{golden, CaseReport, Conformance, Scenario, ScheduleDesign};
 use std::sync::OnceLock;
 
 /// Row-band shards in the sharded battery (32 rows ⇒ 8-row bands).
@@ -59,12 +59,7 @@ fn serial_battery() -> &'static Vec<CaseReport> {
 }
 
 fn golden_lines(reports: &[CaseReport]) -> String {
-    reports
-        .iter()
-        .map(CaseReport::golden_line)
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n"
+    golden::lines(reports.iter().map(CaseReport::golden_line))
 }
 
 #[test]
@@ -104,20 +99,7 @@ fn sharded_battery_is_byte_identical_to_serial() {
 #[test]
 fn sharded_32x32_matrix_matches_golden_snapshot() {
     let got = golden_lines(serial_battery());
-    let expected = include_str!("golden/sharded_32x32.txt");
-    if got != expected && std::env::var_os("SMART_UPDATE_GOLDEN").is_some() {
-        let path = concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/tests/golden/sharded_32x32.txt"
-        );
-        std::fs::write(path, &got).expect("rewrite golden fixture");
-        panic!("golden fixture updated at {path}; rerun without SMART_UPDATE_GOLDEN");
-    }
-    assert_eq!(
-        got, expected,
-        "32x32 conformance cells drifted from the golden snapshot; if the \
-         change is intentional, regenerate with SMART_UPDATE_GOLDEN=1"
-    );
+    golden::check("sharded_32x32.txt", &got, "32x32 conformance cells");
 }
 
 #[test]

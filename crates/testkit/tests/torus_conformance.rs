@@ -7,7 +7,7 @@
 
 use smart_core::config::NocConfig;
 use smart_harness::{SpatialPattern, Workload};
-use smart_testkit::{CaseReport, Conformance, Scenario, ScheduleDesign};
+use smart_testkit::{golden, CaseReport, Conformance, Scenario, ScheduleDesign};
 use std::sync::OnceLock;
 
 fn torus_conformance() -> Conformance {
@@ -74,24 +74,8 @@ fn torus_8x8_cell_passes_all_designs() {
 
 #[test]
 fn torus_matrix_matches_golden_snapshot() {
-    let reports = battery();
-    let got: String = reports
-        .iter()
-        .map(CaseReport::golden_line)
-        .collect::<Vec<_>>()
-        .join("\n")
-        + "\n";
-    let expected = include_str!("golden/torus_8x8.txt");
-    if got != expected && std::env::var_os("SMART_UPDATE_GOLDEN").is_some() {
-        let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/torus_8x8.txt");
-        std::fs::write(path, &got).expect("rewrite golden fixture");
-        panic!("golden fixture updated at {path}; rerun without SMART_UPDATE_GOLDEN");
-    }
-    assert_eq!(
-        got, expected,
-        "torus conformance cells drifted from the golden snapshot; if the \
-         change is intentional, regenerate with SMART_UPDATE_GOLDEN=1"
-    );
+    let got = golden::lines(battery().iter().map(CaseReport::golden_line));
+    golden::check("torus_8x8.txt", &got, "torus conformance cells");
 }
 
 #[test]
