@@ -25,7 +25,7 @@
 //!   the worker pool + cache + job table, streaming [`ResponseEvent`]s
 //!   into any [`EventSink`]; per-job cancellation via `cancel`
 //!   requests.
-//! * [`server`] — the TCP front end ([`Server`], one thread per
+//! * [`server`] — the TCP front end ([`Server`], one pooled thread per
 //!   connection, no async runtime) and the blocking [`Client`].
 //!
 //! Determinism contract: cell results are bit-identical to direct

@@ -2,6 +2,19 @@
 //! `std::net` (one thread per connection, no async runtime), plus the
 //! matching blocking [`Client`].
 //!
+//! Connection threads are reused: one that finishes its connection
+//! parks and serves the next one accepted by any server in the process,
+//! the oldest idle thread first. Compiling and simulating allocate on
+//! the connection thread, and glibc serves a thread from one heap arena
+//! for its whole life, handing a new thread whichever arena a finished
+//! one released last. A fresh thread per connection would leave the
+//! freed cache of a stopped server resident in an arena the next
+//! server's connection may or may not draw, by thread-exit order (one
+//! in-process workload peaked at about 11 or about 17 MB from run to
+//! run). A server stopped by a `shutdown` request closes its open
+//! connections and waits for their threads to go idle, so the next
+//! connection starts on the same thread and heap.
+//!
 //! Wire discipline per connection: the client writes request documents
 //! (header line + declared body lines); the server streams response
 //! event lines, ending each request with exactly one terminal event.
@@ -12,10 +25,12 @@
 
 use crate::protocol::{Request, RequestHeader, ResponseEvent};
 use crate::service::{EventSink, Service, ServiceConfig};
+use std::collections::BTreeMap;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 
@@ -40,7 +55,8 @@ impl ServerHandle {
     }
 
     /// Ask the server to stop (by submitting a `shutdown` request over
-    /// a fresh connection) and wait for the accept loop to exit.
+    /// a fresh connection) and wait for the accept loop to exit, which
+    /// it does once every connection is closed and its thread idle.
     ///
     /// # Errors
     ///
@@ -98,13 +114,19 @@ impl Server {
     }
 
     /// Run the accept loop on the calling thread until a `shutdown`
-    /// request arrives. Each connection gets its own thread.
+    /// request arrives. Each connection is served on a pooled thread
+    /// (module docs). On `shutdown`, running jobs are cancelled, open
+    /// connections closed, and the loop returns once their threads are
+    /// idle.
     ///
     /// # Errors
     ///
     /// Propagates accept failures.
     pub fn run(self) -> io::Result<()> {
         let own_addr = self.local_addr()?;
+        // Each connection not known to be finished: a handle to close
+        // it by, and the receiver its thread going idle disconnects.
+        let mut open: Vec<(TcpStream, Receiver<()>)> = Vec::new();
         for stream in self.listener.incoming() {
             if self.stop.load(Ordering::Relaxed) {
                 break;
@@ -113,15 +135,36 @@ impl Server {
             // Line-at-a-time streaming: Nagle + delayed ACK would add
             // ~40 ms to every request after the first on a connection.
             let _ = stream.set_nodelay(true);
+            // `serve_connection` could not clone it either.
+            let Ok(handle) = stream.try_clone() else {
+                continue;
+            };
+            open.retain(|(_, idle)| matches!(idle.try_recv(), Err(TryRecvError::Empty)));
             let service = Arc::clone(&self.service);
             let stop = Arc::clone(&self.stop);
-            std::thread::spawn(move || {
-                if serve_connection(&stream, &service) {
+            let idle = serve_pooled(Box::new(move || {
+                let shutdown = serve_connection(&stream, &service);
+                // Hang up now: the accept loop's handle keeps the socket
+                // open past this thread's copies.
+                let _ = stream.shutdown(Shutdown::Both);
+                // Released before the flag is raised, so the service is
+                // dropped by the accept loop, before `run` returns.
+                drop(service);
+                if shutdown {
                     stop.store(true, Ordering::Relaxed);
                     // Unblock the accept loop so it observes the flag.
                     drop(TcpStream::connect(own_addr));
                 }
-            });
+            }));
+            open.push((handle, idle));
+        }
+        for (stream, _) in &open {
+            let _ = stream.shutdown(Shutdown::Both);
+        }
+        self.service.cancel_all();
+        for (_, idle) in open {
+            // Disconnected (never sent to) once the thread is idle.
+            let _ = idle.recv();
         }
         Ok(())
     }
@@ -136,6 +179,47 @@ impl Server {
         let join = std::thread::spawn(move || self.run());
         Ok(ServerHandle { addr, join })
     }
+}
+
+/// A connection to serve, and the sender whose drop reports the thread
+/// that served it idle again.
+type PooledJob = (Box<dyn FnOnce() + Send>, Sender<()>);
+
+/// Idle connection threads by spawn order, shared by every server in
+/// the process; a thread parks here between connections for good.
+static IDLE: Mutex<BTreeMap<usize, Sender<PooledJob>>> = Mutex::new(BTreeMap::new());
+
+/// Connection threads spawned so far (the next one's spawn order).
+static SPAWNED: AtomicUsize = AtomicUsize::new(0);
+
+/// Run `work` on the oldest idle connection thread, or on a new one
+/// when none is idle. The returned receiver disconnects once the thread
+/// that ran `work` is idle again (or has died of a panic).
+fn serve_pooled(work: Box<dyn FnOnce() + Send>) -> Receiver<()> {
+    let (done, idle) = mpsc::channel();
+    let mut job = (work, done);
+    let oldest = IDLE.lock().expect("unpoisoned pool").pop_first();
+    if let Some((_, thread)) = oldest {
+        match thread.send(job) {
+            Ok(()) => return idle,
+            Err(mpsc::SendError(returned)) => job = returned,
+        }
+    }
+    let order = SPAWNED.fetch_add(1, Ordering::Relaxed);
+    std::thread::spawn(move || {
+        let (thread, jobs) = mpsc::channel();
+        let mut job: PooledJob = job;
+        loop {
+            let (work, done) = job;
+            work();
+            IDLE.lock()
+                .expect("unpoisoned pool")
+                .insert(order, thread.clone());
+            drop(done);
+            job = jobs.recv().expect("the thread holds a sender");
+        }
+    });
+    idle
 }
 
 /// Longest request line the server reads, newline included. A `matrix`
@@ -314,5 +398,55 @@ impl Client {
                 return Ok(events);
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::thread::ThreadId;
+
+    /// Run `work` on the pool and wait until its thread is idle again.
+    fn on_pool(work: impl FnOnce() + Send + 'static) {
+        let _ = serve_pooled(Box::new(work)).recv();
+    }
+
+    fn thread_of(work: impl FnOnce() + Send + 'static) -> ThreadId {
+        let (tx, rx) = mpsc::channel();
+        on_pool(move || {
+            work();
+            tx.send(std::thread::current().id())
+                .expect("receiver alive");
+        });
+        rx.recv().expect("the job ran")
+    }
+
+    /// The only test in this binary that touches the process-wide pool,
+    /// so no other connection competes for its idle threads.
+    #[test]
+    fn an_idle_connection_thread_is_reused_and_a_busy_one_is_not() {
+        let first = thread_of(|| {});
+        assert_eq!(thread_of(|| {}), first, "the idle thread took the next job");
+
+        let (release, blocked) = mpsc::channel::<()>();
+        let (started, running) = mpsc::channel();
+        let busy = serve_pooled(Box::new(move || {
+            started
+                .send(std::thread::current().id())
+                .expect("test alive");
+            let _ = blocked.recv();
+        }));
+        let busy_thread = running.recv().expect("the blocking job started");
+        assert_eq!(busy_thread, first);
+        let other = thread_of(|| {});
+        assert_ne!(other, busy_thread, "a busy thread takes no job");
+        drop(release);
+        let _ = busy.recv();
+        assert_eq!(thread_of(|| {}), first, "the oldest idle thread goes first");
+
+        // A job that panics takes its thread down, still reports, and
+        // the next idle thread takes over.
+        on_pool(|| panic!("job panics"));
+        assert_eq!(thread_of(|| {}), other);
     }
 }

@@ -124,6 +124,14 @@ impl Service {
         &self.cache
     }
 
+    /// Ask every running job to stop, as a `cancel` request naming it
+    /// would.
+    pub(crate) fn cancel_all(&self) {
+        for cancel in self.jobs.lock().expect("unpoisoned job table").values() {
+            cancel.store(true, Ordering::Relaxed);
+        }
+    }
+
     /// Execute one request, streaming events into `sink`. Always emits
     /// exactly one terminal event. Returns `true` only for
     /// [`Request::Shutdown`] — the front end's signal to stop accepting.

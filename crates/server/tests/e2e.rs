@@ -502,3 +502,23 @@ fn a_header_declaring_a_million_lines_reserves_nothing() {
     assert_serving_normally(handle.addr());
     handle.shutdown().expect("shutdown handshake");
 }
+
+/// `shutdown` does not leave a connection being served after it
+/// returns: an open, idle client is hung up on, and nothing the server
+/// ran is still running.
+#[test]
+fn shutdown_hangs_up_on_open_connections() {
+    let server = Server::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let handle = server.spawn().expect("spawn accept loop");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let served = client.submit(&matrix_request("before")).expect("matrix");
+    assert_eq!(
+        cells_of(&served).len(),
+        DESIGNS.len() * workload_specs().len()
+    );
+    handle.shutdown().expect("shutdown handshake");
+    assert!(
+        client.submit(&matrix_request("after")).is_err(),
+        "the connection was closed by the shutdown"
+    );
+}
