@@ -18,7 +18,7 @@ pub(super) fn run(_quick: bool, args: &[String], out: &mut Sink<'_>) -> Result<(
     let cfg = NocConfig::paper_4x4();
     let mapped = MappedApp::from_graph(&cfg, &graph);
     let app = compile(cfg.topology, cfg.hpc_max, &mapped.routes);
-    let report = analyze(cfg.topology, &app, &mapped.rates, cfg.flits_per_packet());
+    let report = analyze(&app, &mapped.rates, cfg.flits_per_packet());
 
     writeln!(
         out,

@@ -29,7 +29,6 @@ pub(super) fn run(_quick: bool, args: &[String], out: &mut Sink<'_>) -> Result<(
     let mut traffic = BernoulliTraffic::new(
         &mapped.rates,
         noc.network().flows(),
-        cfg.topology,
         cfg.flits_per_packet(),
         31,
     );

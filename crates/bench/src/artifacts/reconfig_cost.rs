@@ -35,7 +35,6 @@ pub(super) fn run(_quick: bool, _args: &[String], out: &mut Sink<'_>) -> Result<
         let mut traffic = BernoulliTraffic::new(
             &mapped.rates,
             live.network().flows(),
-            cfg.topology,
             cfg.flits_per_packet(),
             7,
         );

@@ -32,7 +32,7 @@ pub(super) fn run(quick: bool, _args: &[String], out: &mut Sink<'_>) -> Result<(
             "ALL CHECKS PASS — the reproduction holds every headline claim."
         ),
         failed => {
-            let verdict = "SOME CHECKS FAILED — see EXPERIMENTS.md for tolerance discussion.";
+            let verdict = "SOME CHECKS FAILED — see the README's Scorecard section on tolerances.";
             writeln!(out, "{verdict}")?;
             Err(format!("{failed} of {} claims failed", rows.len()))
         }

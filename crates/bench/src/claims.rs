@@ -1,6 +1,7 @@
 //! Every headline claim of the paper, checked in one pass against the
-//! tolerance bands recorded in EXPERIMENTS.md. `repro scorecard` prints
-//! the list; `tests/repro_all.rs` asserts it row by row.
+//! tolerance bands the README's "Scorecard" section records and
+//! explains. `repro scorecard` prints the list; `tests/repro_all.rs`
+//! asserts it row by row.
 
 use crate::{by_app, run_suite, Experiment, ExperimentReport, RunPlan, Workload};
 use smart_core::config::NocConfig;

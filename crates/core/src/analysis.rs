@@ -3,7 +3,7 @@
 //! flow runs before committing presets to the configuration registers.
 
 use crate::compile::CompiledApp;
-use smart_sim::{FlowId, LinkId, Topology};
+use smart_sim::{FlowId, LinkId};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -111,18 +111,13 @@ impl fmt::Display for AnalysisReport {
 ///
 /// Panics if a rate references an unknown flow.
 #[must_use]
-pub fn analyze(
-    mesh: Topology,
-    app: &CompiledApp,
-    rates: &[(FlowId, f64)],
-    flits_per_packet: u8,
-) -> AnalysisReport {
+pub fn analyze(app: &CompiledApp, rates: &[(FlowId, f64)], flits_per_packet: u8) -> AnalysisReport {
     let mut flows = BTreeMap::new();
     let mut per_link: BTreeMap<LinkId, (Vec<FlowId>, f64)> = BTreeMap::new();
     let rate_of: BTreeMap<FlowId, f64> = rates.iter().copied().collect();
     for plan in app.flows.iter() {
-        let hops = plan.route.num_hops();
-        let stops = app.stops[&plan.flow].len();
+        let hops = plan.legs.iter().map(|l| usize::from(l.n_links)).sum();
+        let stops = plan.num_stops();
         flows.insert(
             plan.flow,
             FlowFigures {
@@ -137,7 +132,7 @@ pub fn analyze(
             .copied()
             .unwrap_or_else(|| panic!("no rate for {}", plan.flow))
             * f64::from(flits_per_packet);
-        for link in plan.route.links(mesh) {
+        for link in plan.legs.iter().flat_map(|l| plan.links(l)) {
             let e = per_link.entry(link).or_default();
             e.0.push(plan.flow);
             e.1 += flits;
@@ -164,6 +159,7 @@ pub fn analyze(
 mod tests {
     use super::*;
     use crate::compile::compile;
+    use smart_sim::Topology;
     use smart_sim::{NodeId, SourceRoute};
 
     fn mesh() -> Topology {
@@ -189,7 +185,7 @@ mod tests {
     #[test]
     fn figures_match_compiler_outputs() {
         let (app, rates) = two_flow_app();
-        let rep = analyze(mesh(), &app, &rates, 8);
+        let rep = analyze(&app, &rates, 8);
         let f0 = rep.flows[&FlowId(0)];
         assert_eq!(f0.hops, 3);
         assert_eq!(f0.stops, 0);
@@ -202,7 +198,7 @@ mod tests {
     #[test]
     fn link_loads_accumulate() {
         let (app, rates) = two_flow_app();
-        let rep = analyze(mesh(), &app, &rates, 8);
+        let rep = analyze(&app, &rates, 8);
         // Flow 1 at 0.02 packets/cycle × 8 flits = 0.16 flits/cycle on
         // each of its 3 links.
         let hot = rep.links.first().expect("links exist");
@@ -218,7 +214,7 @@ mod tests {
             SourceRoute::xy(mesh(), NodeId(0), NodeId(1)).unwrap(),
         )];
         let app = compile(mesh(), 8, &routes);
-        let rep = analyze(mesh(), &app, &[(FlowId(0), 0.2)], 8);
+        let rep = analyze(&app, &[(FlowId(0), 0.2)], 8);
         // 0.2 × 8 = 1.6 flits/cycle > link capacity.
         assert_eq!(rep.oversubscribed().len(), 1);
     }
@@ -226,7 +222,7 @@ mod tests {
     #[test]
     fn display_renders_rows() {
         let (app, rates) = two_flow_app();
-        let rep = analyze(mesh(), &app, &rates, 8).to_string();
+        let rep = analyze(&app, &rates, 8).to_string();
         assert!(rep.contains("f0"));
         assert!(rep.contains("speedup"));
         assert!(rep.contains("hottest links"));

@@ -27,7 +27,6 @@ use crate::preset::{InputMux, MeshPresets, XbarSelect};
 use smart_sim::forward::{Endpoint, FlowPlan, Segment, Sender};
 use smart_sim::topology::PORTS;
 use smart_sim::{Direction, FlowId, FlowTable, LinkId, NodeId, SourceRoute, Topology};
-use std::collections::BTreeMap;
 
 /// Result of compiling one application onto the SMART mesh.
 #[derive(Debug, Clone)]
@@ -36,30 +35,40 @@ pub struct CompiledApp {
     pub flows: FlowTable,
     /// Router presets (bypass muxes, crossbar selects, credit crossbars).
     pub presets: MeshPresets,
-    /// Stop routers per flow, in travel order.
-    pub stops: BTreeMap<FlowId, Vec<NodeId>>,
 }
 
 impl CompiledApp {
+    /// Stop routers of `flow`, in travel order: where every leg but the
+    /// last ends. Panics if the flow is unknown.
+    #[must_use]
+    pub fn stops(&self, flow: FlowId) -> Vec<NodeId> {
+        let legs = self.flows.plan(flow).legs;
+        let ends = legs[..legs.len() - 1].iter();
+        ends.map(|l| l.end.node()).collect()
+    }
+
     /// Mean number of stops per flow — the paper's latency driver
     /// (zero-load latency is `1 + 3·stops`).
     #[must_use]
     pub fn avg_stops(&self) -> f64 {
-        if self.stops.is_empty() {
+        if self.flows.is_empty() {
             return 0.0;
         }
-        let total: usize = self.stops.values().map(Vec::len).sum();
-        total as f64 / self.stops.len() as f64
+        let total: usize = self.flows.iter().map(|p| p.num_stops()).sum();
+        total as f64 / self.flows.len() as f64
     }
 
-    /// Fraction of (flow, router) visits that are bypassed.
+    /// Fraction of (flow, router) visits that are bypassed; a flow
+    /// visits one router more than it crosses links. `mesh` is not
+    /// consulted: the legs carry the links.
     #[must_use]
-    pub fn bypass_fraction(&self, mesh: Topology) -> f64 {
+    pub fn bypass_fraction(&self, _mesh: Topology) -> f64 {
         let mut visits = 0usize;
         let mut stops = 0usize;
         for plan in self.flows.iter() {
-            visits += plan.route.routers(mesh).len();
-            stops += self.stops[&plan.flow].len();
+            let links = plan.legs.iter().map(|l| usize::from(l.n_links));
+            visits += 1 + links.sum::<usize>();
+            stops += plan.num_stops();
         }
         if visits == 0 {
             return 0.0;
@@ -172,10 +181,8 @@ pub fn compile(mesh: Topology, hpc_max: usize, routes: &[(FlowId, SourceRoute)])
 
     // --- Plans. ---
     let mut flows = FlowTable::new();
-    let mut stops_by_flow = BTreeMap::new();
     for ((_, route), u) in routes.iter().zip(&uses) {
         stop_indices(u, &stop_in, &mut stops);
-        stops_by_flow.insert(u.flow, stops.iter().map(|&i| u.hops[i].from).collect());
         flows.insert(mesh, build_plan(u, route, &stops));
     }
 
@@ -235,8 +242,8 @@ pub fn compile(mesh: Topology, hpc_max: usize, routes: &[(FlowId, SourceRoute)])
     // sender. ---
     let mut link_owner: Vec<Option<Sender>> = vec![None; mesh.len() * PORTS];
     for plan in flows.iter() {
-        for leg in &plan.legs {
-            for link in &leg.links {
+        for leg in plan.legs {
+            for link in plan.links(leg) {
                 if let Some(prev) = link_owner[port(link.from, link.dir)].replace(leg.sender) {
                     assert_eq!(
                         prev, leg.sender,
@@ -247,11 +254,7 @@ pub fn compile(mesh: Topology, hpc_max: usize, routes: &[(FlowId, SourceRoute)])
         }
     }
 
-    CompiledApp {
-        flows,
-        presets,
-        stops: stops_by_flow,
-    }
+    CompiledApp { flows, presets }
 }
 
 /// Indices (into the flow's hops) where the flow stops, into `out`.
@@ -327,7 +330,7 @@ mod tests {
     #[test]
     fn lone_flow_has_no_stops() {
         let app = compile(mesh(), 8, &[(FlowId(0), route(&[0, 1, 2, 3]))]);
-        assert_eq!(app.stops[&FlowId(0)], Vec::<NodeId>::new());
+        assert_eq!(app.stops(FlowId(0)), Vec::<NodeId>::new());
         let plan = app.flows.plan(FlowId(0));
         assert_eq!(plan.legs.len(), 1);
         assert_eq!(
@@ -346,8 +349,8 @@ mod tests {
         let red = route(&[13, 9, 10]);
         let blue = route(&[8, 9, 10, 11, 7, 3]);
         let app = compile(mesh(), 8, &[(FlowId(0), red), (FlowId(1), blue)]);
-        assert_eq!(app.stops[&FlowId(0)], vec![NodeId(9), NodeId(10)]);
-        assert_eq!(app.stops[&FlowId(1)], vec![NodeId(9), NodeId(10)]);
+        assert_eq!(app.stops(FlowId(0)), vec![NodeId(9), NodeId(10)]);
+        assert_eq!(app.stops(FlowId(1)), vec![NodeId(9), NodeId(10)]);
         // Zero-load latencies: 1 + 3 stops · 2 = 7 (the figure's labels).
         assert_eq!(app.flows.plan(FlowId(0)).zero_load_latency(), 7);
         assert_eq!(app.flows.plan(FlowId(1)).zero_load_latency(), 7);
@@ -361,8 +364,8 @@ mod tests {
         let a = route(&[5, 6, 7]);
         let b = route(&[5, 9, 13]);
         let app = compile(mesh(), 8, &[(FlowId(0), a), (FlowId(1), b)]);
-        assert_eq!(app.stops[&FlowId(0)], vec![NodeId(5)]);
-        assert_eq!(app.stops[&FlowId(1)], vec![NodeId(5)]);
+        assert_eq!(app.stops(FlowId(0)), vec![NodeId(5)]);
+        assert_eq!(app.stops(FlowId(1)), vec![NodeId(5)]);
         assert_eq!(app.flows.plan(FlowId(0)).zero_load_latency(), 4);
     }
 
@@ -373,8 +376,8 @@ mod tests {
         let a = route(&[5, 6]);
         let b = route(&[10, 6]);
         let app = compile(mesh(), 8, &[(FlowId(0), a), (FlowId(1), b)]);
-        assert_eq!(app.stops[&FlowId(0)], vec![NodeId(6)]);
-        assert_eq!(app.stops[&FlowId(1)], vec![NodeId(6)]);
+        assert_eq!(app.stops(FlowId(0)), vec![NodeId(6)]);
+        assert_eq!(app.stops(FlowId(1)), vec![NodeId(6)]);
     }
 
     #[test]
@@ -383,10 +386,10 @@ mod tests {
         // 2 hops: at router index 2 and 4 (routers 2 and 8? path
         // 0,1,2,3,7,11,15).
         let app = compile(mesh(), 2, &[(FlowId(0), route(&[0, 1, 2, 3, 7, 11, 15]))]);
-        assert_eq!(app.stops[&FlowId(0)], vec![NodeId(2), NodeId(7)]);
+        assert_eq!(app.stops(FlowId(0)), vec![NodeId(2), NodeId(7)]);
         // With HPC_max = 8 the same flow flies through.
         let app8 = compile(mesh(), 8, &[(FlowId(0), route(&[0, 1, 2, 3, 7, 11, 15]))]);
-        assert!(app8.stops[&FlowId(0)].is_empty());
+        assert!(app8.stops(FlowId(0)).is_empty());
     }
 
     #[test]
@@ -394,7 +397,7 @@ mod tests {
         let app = compile(mesh(), 1, &[(FlowId(0), route(&[0, 1, 2, 3]))]);
         // Stops after every link except the last (the final link plus
         // ejection through the destination crossbar fits one cycle).
-        assert_eq!(app.stops[&FlowId(0)], vec![NodeId(1), NodeId(2)]);
+        assert_eq!(app.stops(FlowId(0)), vec![NodeId(1), NodeId(2)]);
         // 1 + 3·2 = 7 < mesh baseline's 16: ST+LT merging still wins.
         assert_eq!(app.flows.plan(FlowId(0)).zero_load_latency(), 7);
     }
@@ -461,11 +464,51 @@ mod tests {
         let a = route(&[0, 1, 2]);
         let b = route(&[0, 1, 5]);
         let app = compile(mesh(), 8, &[(FlowId(0), a), (FlowId(1), b)]);
-        assert_eq!(app.stops[&FlowId(0)], vec![NodeId(1)]);
-        assert_eq!(app.stops[&FlowId(1)], vec![NodeId(1)]);
+        assert_eq!(app.stops(FlowId(0)), vec![NodeId(1)]);
+        assert_eq!(app.stops(FlowId(1)), vec![NodeId(1)]);
         let plan_a = app.flows.plan(FlowId(0));
         assert_eq!(plan_a.legs[0].sender, Sender::Nic(NodeId(0)));
-        assert_eq!(plan_a.legs[0].links.len(), 1);
+        assert_eq!(plan_a.legs[0].n_links, 1);
+    }
+
+    /// A leg record counts links and crossbars in a `u8`. A 299-link leg
+    /// used to be stored with its count wrapped to 43: the link guard saw
+    /// 43 links, and an 8-flit packet was charged 344 link flit-hops
+    /// instead of 2 392.
+    #[test]
+    #[should_panic(expected = "f0: a leg over 299 links does not fit a leg record")]
+    fn a_leg_longer_than_a_record_counts_is_refused() {
+        let row = Topology::mesh(300, 1);
+        let route = SourceRoute::xy(row, NodeId(0), NodeId(299)).unwrap();
+        let _ = compile(row, 400, &[(FlowId(0), route)]);
+    }
+
+    /// The longest leg a record holds — 254 links, then the ejection's
+    /// crossbar — is charged in full.
+    #[test]
+    fn the_longest_recordable_leg_is_charged_in_full() {
+        use smart_sim::{Network, Packet, PacketId, SimConfig};
+        let row = Topology::mesh(255, 1);
+        let route = SourceRoute::xy(row, NodeId(0), NodeId(254)).unwrap();
+        let app = compile(row, 400, &[(FlowId(0), route)]);
+        assert_eq!(app.flows.plan(FlowId(0)).legs[0].n_links, 254);
+        let cfg = SimConfig {
+            topology: row,
+            ..SimConfig::paper_4x4()
+        };
+        let mut net = Network::new(cfg, app.flows);
+        net.offer(Packet {
+            id: PacketId(0),
+            flow: FlowId(0),
+            src: NodeId(0),
+            dst: NodeId(254),
+            gen_cycle: 0,
+            num_flits: 8,
+        });
+        assert!(net.drain(1_000));
+        let hops: u64 = net.link_flit_counts().map(|(_, n)| n).sum();
+        assert_eq!(hops, 8 * 254);
+        assert_eq!(net.counters().xbar_flit_traversals, 8 * 255);
     }
 
     #[test]

@@ -46,10 +46,10 @@ mod tests {
             );
         }
         // Red and blue stop exactly at routers 9 and 10 (paper text).
-        assert_eq!(app.stops[&FlowId(2)], vec![NodeId(9), NodeId(10)]);
-        assert_eq!(app.stops[&FlowId(3)], vec![NodeId(9), NodeId(10)]);
+        assert_eq!(app.stops(FlowId(2)), vec![NodeId(9), NodeId(10)]);
+        assert_eq!(app.stops(FlowId(3)), vec![NodeId(9), NodeId(10)]);
         // Green and purple never stop.
-        assert!(app.stops[&FlowId(0)].is_empty());
-        assert!(app.stops[&FlowId(1)].is_empty());
+        assert!(app.stops(FlowId(0)).is_empty());
+        assert!(app.stops(FlowId(1)).is_empty());
     }
 }

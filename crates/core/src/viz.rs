@@ -23,8 +23,8 @@ pub fn render_topology(mesh: Topology, app: &CompiledApp) -> String {
     // Links used by any leg (either direction renders the segment bold).
     let mut used: HashSet<LinkId> = HashSet::new();
     for plan in app.flows.iter() {
-        for leg in &plan.legs {
-            used.extend(leg.links.iter().copied());
+        for leg in plan.legs {
+            used.extend(plan.links(leg));
         }
     }
     let is_used = |from: NodeId, dir: Direction| -> bool {
@@ -35,7 +35,7 @@ pub fn render_topology(mesh: Topology, app: &CompiledApp) -> String {
         });
         used.contains(&fwd) || back.is_some_and(|b| used.contains(&b))
     };
-    let stops: HashSet<NodeId> = app.stops.values().flatten().copied().collect();
+    let stops: HashSet<NodeId> = app.flows.iter().flat_map(|p| app.stops(p.flow)).collect();
 
     let mut s = String::new();
     for y in (0..mesh.height()).rev() {
@@ -83,11 +83,11 @@ pub fn render_topology(mesh: Topology, app: &CompiledApp) -> String {
 pub fn topology_summary(mesh: Topology, app: &CompiledApp) -> String {
     let mut used: HashSet<LinkId> = HashSet::new();
     for plan in app.flows.iter() {
-        for leg in &plan.legs {
-            used.extend(leg.links.iter().copied());
+        for leg in plan.legs {
+            used.extend(plan.links(leg));
         }
     }
-    let stops: HashSet<NodeId> = app.stops.values().flatten().copied().collect();
+    let stops: HashSet<NodeId> = app.flows.iter().flat_map(|p| app.stops(p.flow)).collect();
     format!(
         "{} bold links, {} stop routers, {:.0}% of router visits bypassed",
         used.len(),
@@ -244,7 +244,6 @@ mod tests {
             vec![(0, FlowId(0)), (5, FlowId(0))],
             cfg.flits_per_packet(),
             noc.network().flows(),
-            cfg.topology,
         );
         noc.network_mut().run_with(&mut traffic, 40);
         let series = noc.network_mut().take_telemetry().expect("enabled");

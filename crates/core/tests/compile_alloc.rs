@@ -1,9 +1,11 @@
-//! The cold path allocates a few times per leg it builds: `compile` and
+//! The cold path allocates little: `compile` and
 //! `FlowTable::mesh_baseline` on a 16×16 mesh with 96 uniform random
 //! XY flows, counted under a counting allocator. A route is walked
 //! without allocating, the stop rules run over dense port masks, and a
-//! plan is validated without a hash set or a copy of its links, so what
-//! is left is the plans themselves: a leg list and a link list per leg.
+//! plan is checked without a hash set or a copy of its links. `compile`
+//! states each plan as a leg list and a link list per leg, which the
+//! table flattens and drops; `mesh_baseline` writes its legs straight
+//! into a table sized up front, so it allocates less than once per flow.
 
 use smart_core::compile::compile;
 use smart_sim::{FlowId, FlowTable, NodeId, SourceRoute, Topology};
@@ -85,13 +87,14 @@ fn compile_allocates_at_most_five_times_per_smart_leg() {
 }
 
 #[test]
-fn mesh_baseline_allocates_at_most_twice_per_mesh_leg() {
+fn mesh_baseline_allocates_less_than_once_per_flow() {
     let routes = uniform_routes();
     let (allocs, table) = counted(|| FlowTable::mesh_baseline(topo(), &routes));
-    let legs = legs(&table);
+    assert_eq!(table.len(), routes.len());
+    assert!(legs(&table) > 4 * routes.len(), "{} legs", legs(&table));
     assert!(
-        allocs <= 2 * legs,
-        "{allocs} allocations for {legs} legs ({:.1} a leg)",
-        allocs as f64 / legs as f64
+        allocs < routes.len(),
+        "{allocs} allocations for {} flows",
+        routes.len()
     );
 }

@@ -118,7 +118,8 @@ impl CompiledDesign {
 
     /// The flow table traffic sources resolve endpoints against: the
     /// compiled plans for SMART, the baseline table otherwise. Sources
-    /// read only each plan's route, which is the same route either way.
+    /// read only each plan's source and destination, which are the same
+    /// either way.
     #[must_use]
     pub fn flow_table(&self) -> &FlowTable {
         match &self.artifact {

@@ -86,7 +86,8 @@ pub struct TrafficContext<'a> {
     pub rates: &'a [(FlowId, f64)],
     /// Flow table resolving each flow's endpoints.
     pub flows: &'a FlowTable,
-    /// The topology being driven.
+    /// The topology being driven. No source reads it: endpoints come
+    /// from `flows`.
     pub topology: Topology,
     /// Flits per packet.
     pub flits_per_packet: u8,
@@ -140,7 +141,6 @@ impl Drive {
                 model,
                 ctx.rates,
                 ctx.flows,
-                ctx.topology,
                 ctx.flits_per_packet,
                 ctx.seed,
             ))
@@ -152,9 +152,8 @@ impl Drive {
                 events.clone(),
                 ctx.flits_per_packet,
                 ctx.flows,
-                ctx.topology,
             )),
-            Drive::Trace(trace) => Box::new(TraceTraffic::new(trace, ctx.flows, ctx.topology)),
+            Drive::Trace(trace) => Box::new(TraceTraffic::new(trace, ctx.flows)),
         }
     }
 }
@@ -181,7 +180,11 @@ impl CompileMetrics {
         CompileMetrics {
             avg_stops: app.avg_stops(),
             bypass_fraction: app.bypass_fraction(topo),
-            stops: app.stops.iter().map(|(f, s)| (*f, s.clone())).collect(),
+            stops: app
+                .flows
+                .iter()
+                .map(|p| (p.flow, app.stops(p.flow)))
+                .collect(),
             zero_load_latency: routed
                 .routes
                 .iter()

@@ -70,8 +70,8 @@ pub fn table1() -> Table1 {
     Table1 { rows }
 }
 
-/// The values printed in the paper, for comparison in tests and in
-/// EXPERIMENTS.md.
+/// The values printed in the paper, for comparison in tests and in the
+/// scorecard (the README's "Scorecard" section).
 #[must_use]
 pub fn paper_reference() -> Table1 {
     let cell = |rate: f64, hops: u32, e: f64| Table1Cell {

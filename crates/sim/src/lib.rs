@@ -27,6 +27,8 @@
 //! a flow's journey decomposed into single-cycle *segments* between
 //! *stop routers*. The baseline mesh is the plan where every router
 //! stops; SMART plans bypass entire multi-hop stretches in one cycle.
+//! A [`FlowTable`] stores each plan once, as the dense leg records the
+//! engine steps.
 //!
 //! ```
 //! use smart_sim::flit::{FlowId, Packet, PacketId};
@@ -73,7 +75,7 @@ pub mod traffic;
 
 pub use counters::ActivityCounters;
 pub use flit::{FlowId, Packet, PacketId, VcId};
-pub use forward::{Endpoint, FlowPlan, FlowTable, LegLut, Segment, Sender};
+pub use forward::{Endpoint, FlowPlan, FlowTable, LegRec, Segment, Sender};
 pub use network::{Network, SimConfig};
 pub use route::{RouteError, SourceRoute};
 pub use stats::SimStats;

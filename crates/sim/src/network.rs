@@ -33,7 +33,7 @@
 use crate::active::ActiveSet;
 use crate::counters::ActivityCounters;
 use crate::flit::{Flit, Packet, PacketArena, PacketId, PacketMeta, PacketSlot, VcId};
-use crate::forward::{Endpoint, FlowTable, LegLut, Sender};
+use crate::forward::{link_of, Endpoint, FlowTable, Sender};
 use crate::nic::{Nic, RxEvent};
 use crate::router::{CreditRelease, RouterBank, RouterDeparture, MAX_VCS_PER_PORT, MAX_VC_DEPTH};
 use crate::shard::Exchange;
@@ -41,7 +41,7 @@ use crate::stats::SimStats;
 use crate::telemetry::{
     CycleView, MetricsCollector, NoProbe, Probe, TelemetryConfig, TelemetrySeries,
 };
-use crate::topology::{Direction, LinkId, NodeId, Topology, PORTS};
+use crate::topology::{LinkId, NodeId, Topology, PORTS};
 use crate::trace::{TraceKind, TraceRecord, Tracer};
 use crate::traffic::TrafficSource;
 use std::borrow::Cow;
@@ -120,14 +120,6 @@ struct CreditPath {
     sender: Sender,
     crossbars: u32,
     mm: f64,
-}
-
-/// The link a dense link index (`node * 5 + dir`) names.
-fn link_of(li: usize) -> LinkId {
-    LinkId {
-        from: NodeId((li / PORTS) as u16),
-        dir: Direction::from_index(li % PORTS),
-    }
 }
 
 /// An event whose target lies in another band, handed over at the
@@ -326,15 +318,9 @@ impl Band {
     /// Queue a generated packet at its source NIC, interning its
     /// metadata into the packet arena.
     pub(crate) fn offer(&mut self, packet: Packet, flows: &FlowTable) {
-        let plan = flows.plan(packet.flow);
-        assert_eq!(packet.src, plan.route.source(), "packet src mismatch");
-        // `FlowPlan::validate` pins the last leg to the route's
-        // destination NIC; walking the route would allocate per packet.
-        assert_eq!(
-            Endpoint::Nic { node: packet.dst },
-            plan.legs.last().expect("validated plans have legs").end,
-            "packet dst mismatch"
-        );
+        let (src, dst) = flows.plan(packet.flow).endpoints();
+        assert_eq!(packet.src, src, "packet src mismatch");
+        assert_eq!(packet.dst, dst, "packet dst mismatch");
         let l = self.local(packet.src);
         let slot = self.arena.intern(&packet);
         self.nics[l].offer(slot, self.arena.get(slot));
@@ -342,23 +328,23 @@ impl Band {
     }
 
     /// Advance this band through cycle `c`.
-    pub(crate) fn step<S: Seam>(&mut self, c: u64, lut: &LegLut, seam: &mut S) {
+    pub(crate) fn step<S: Seam>(&mut self, c: u64, flows: &FlowTable, seam: &mut S) {
         // Monomorphized probe dispatch: the collector is moved out for
         // the duration of the step (a pointer move), selecting the
         // telemetry instantiation; without one the `NoProbe` step runs —
         // the exact pre-telemetry hot path after const folding.
         if let Some(mut t) = self.telemetry.take() {
-            self.step_probed(c, lut, &mut *t, seam);
+            self.step_probed(c, flows, &mut *t, seam);
             self.telemetry = Some(t);
         } else {
-            self.step_probed(c, lut, &mut NoProbe, seam);
+            self.step_probed(c, flows, &mut NoProbe, seam);
         }
     }
 
     fn step_probed<P: Probe, S: Seam>(
         &mut self,
         c: u64,
-        lut: &LegLut,
+        flows: &FlowTable,
         probe: &mut P,
         seam: &mut S,
     ) {
@@ -396,11 +382,12 @@ impl Band {
                         });
                     }
                     // The route is carried, not searched: a plan's legs
-                    // are consecutive in the lut and each ends where the
-                    // next starts (`LegLut::new` asserts it), so the leg
-                    // out of this stop is the one after the leg in.
+                    // are consecutive in the table and each ends where
+                    // the next starts (`FlowTable::insert` asserts it),
+                    // so the leg out of this stop is the one after the
+                    // leg in.
                     let route = || {
-                        let next = lut.rec(leg + 1);
+                        let next = flows.rec(leg + 1);
                         debug_assert_eq!(next.sender.node(), router);
                         (next.out_dir, leg + 1)
                     };
@@ -456,12 +443,12 @@ impl Band {
             for l in self.backlogged.word(w) {
                 if let Some(flit) = self.nics[l].try_inject(&mut self.arena, c, &mut self.counters)
                 {
-                    let leg = lut.first_leg_idx(flit.flow);
+                    let leg = flows.first_leg(flit.flow);
                     debug_assert!(matches!(
-                        lut.rec(leg).sender,
+                        flows.rec(leg).sender,
                         Sender::Nic(n) if usize::from(n.0 - self.start) == l
                     ));
-                    self.launch(lut, leg, flit, c, probe, seam);
+                    self.launch(flows, leg, flit, c, probe, seam);
                 }
                 if self.nics[l].backlog() == 0 {
                     self.backlogged.remove(l);
@@ -489,12 +476,12 @@ impl Band {
         }
         for dep in deps.drain(..) {
             assert_eq!(
-                lut.rec(dep.leg).out_dir,
+                flows.rec(dep.leg).out_dir,
                 dep.out_dir,
                 "plan/grant mismatch on leg {}",
                 dep.leg
             );
-            self.launch(lut, dep.leg, dep.flit, c + 1, probe, seam);
+            self.launch(flows, dep.leg, dep.flit, c + 1, probe, seam);
         }
         for rel in rels.drain(..) {
             // Tail departs the buffer during c+1; the credit crosses
@@ -527,17 +514,17 @@ impl Band {
     /// occurring during `st_cycle`.
     fn launch<P: Probe, S: Seam>(
         &mut self,
-        lut: &LegLut,
+        flows: &FlowTable,
         leg: u32,
         flit: Flit,
         st_cycle: u64,
         probe: &mut P,
         seam: &mut S,
     ) {
-        let rec = *lut.rec(leg);
+        let rec = *flows.rec(leg);
         // Single-cycle link exclusivity (the preset invariant), enforced
         // through the seam's guard over precomputed dense link indices.
-        for &li in lut.rec_links(&rec) {
+        for &li in flows.rec_links(&rec) {
             let li = li as usize;
             assert!(
                 seam.try_mark(li, st_cycle),
@@ -563,7 +550,7 @@ impl Band {
                 kind: TraceKind::Launch {
                     from: rec.sender.node(),
                     links: rec.n_links,
-                    crossbars: rec.crossbars as u8,
+                    crossbars: rec.crossbars,
                     mm: rec.mm,
                 },
             });
@@ -694,7 +681,7 @@ fn check_pairing(topo: Topology, flows: &FlowTable) {
     };
     let mut by_sender: Vec<Option<Endpoint>> = vec![None; nics + topo.len()];
     let mut by_endpoint: Vec<Option<Sender>> = vec![None; nics + topo.len()];
-    for leg in flows.iter().flat_map(|plan| &plan.legs) {
+    for leg in flows.iter().flat_map(|p| p.legs) {
         if let Some(prev) = by_sender[sender_slot(leg.sender)].replace(leg.end) {
             assert_eq!(
                 prev, leg.end,
@@ -730,8 +717,6 @@ enum Coupling {
 pub struct Network {
     cfg: SimConfig,
     flows: FlowTable,
-    /// Dense leg lookup compiled from `flows` at build time.
-    lut: LegLut,
     /// Ascending, contiguous, covering every node.
     bands: Vec<Band>,
     coupling: Coupling,
@@ -787,12 +772,12 @@ impl Network {
             (b, bands[b].local(n))
         };
         for plan in flows.iter() {
-            for leg in &plan.legs {
+            for leg in plan.legs {
                 if let Sender::RouterOutput(r, d) = leg.sender {
                     let (b, l) = owning(&mut bands, r);
                     bands[b].bank.enable_output(l, d);
                 }
-                for link in &leg.links {
+                for link in plan.links(leg) {
                     let (b, l) = owning(&mut bands, link.from);
                     bands[b].bank.enable_output(l, link.dir);
                     let to = topo
@@ -803,8 +788,8 @@ impl Network {
                 }
                 let path = Some(CreditPath {
                     sender: leg.sender,
-                    crossbars: leg.crossbars(),
-                    mm: leg.link_mm(),
+                    crossbars: u32::from(leg.crossbars),
+                    mm: leg.mm,
                 });
                 let (b, l) = owning(&mut bands, leg.end.node());
                 match leg.end {
@@ -828,7 +813,6 @@ impl Network {
             Coupling::Banded(Box::new(Exchange::new(&bands, topo.len())))
         };
         Network {
-            lut: LegLut::new(&flows),
             cfg,
             flows,
             bands,
@@ -1033,7 +1017,7 @@ impl Network {
             Coupling::Solo(seam) => seam,
             Coupling::Banded(x) => {
                 let (bands, cycle) = (&mut self.bands[..], &mut self.cycle);
-                return x.run_session(bands, &self.lut, &self.flows, cycle, traffic, goal);
+                return x.run_session(bands, &self.flows, cycle, traffic, goal);
             }
         };
         let band = &mut self.bands[0];
@@ -1051,7 +1035,7 @@ impl Network {
                     band.offer(p, &self.flows);
                 }
             }
-            band.step(self.cycle, &self.lut, seam);
+            band.step(self.cycle, &self.flows, seam);
             self.cycle += 1;
             ran += 1;
         }
@@ -1217,12 +1201,8 @@ mod tests {
     #[test]
     fn back_to_back_packets_share_the_network() {
         let (mut net, flow) = one_flow_net(0, 3);
-        let mut traffic = ScriptedTraffic::new(
-            vec![(0, flow), (1, flow), (2, flow)],
-            8,
-            net.flows(),
-            net.topology(),
-        );
+        let mut traffic =
+            ScriptedTraffic::new(vec![(0, flow), (1, flow), (2, flow)], 8, net.flows());
         net.run_with(&mut traffic, 300);
         assert_eq!(net.counters().packets_delivered, 3);
         assert_eq!(net.counters().packets_injected, 3);

@@ -44,7 +44,7 @@
 
 use crate::counters::ActivityCounters;
 use crate::flit::Packet;
-use crate::forward::{FlowTable, LegLut};
+use crate::forward::FlowTable;
 use crate::network::{Band, BoundaryEvent, Goal, Seam};
 use crate::stats::SimStats;
 use crate::topology::{NodeId, PORTS};
@@ -227,7 +227,6 @@ impl Exchange {
     pub(crate) fn run_session(
         &mut self,
         bands: &mut [Band],
-        lut: &LegLut,
         flows: &FlowTable,
         cycle: &mut u64,
         mut traffic: Option<&mut dyn TrafficSource>,
@@ -269,7 +268,7 @@ impl Exchange {
                                 band.offer(p, flows);
                             }
                         });
-                        band.step(c, lut, &mut seam);
+                        band.step(c, flows, &mut seam);
                         if !barrier.wait() {
                             return;
                         }
@@ -369,8 +368,7 @@ mod tests {
     }
 
     fn run(net: &mut Network, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64) {
-        let mut traffic =
-            BernoulliTraffic::new(rates, net.flows(), cfg.topology, cfg.flits_per_packet, seed);
+        let mut traffic = BernoulliTraffic::new(rates, net.flows(), cfg.flits_per_packet, seed);
         net.run_with(&mut traffic, 500);
         assert!(net.drain(20_000), "network failed to drain");
     }

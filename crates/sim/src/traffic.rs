@@ -10,7 +10,7 @@
 
 use crate::flit::{FlowId, Packet, PacketId};
 use crate::forward::FlowTable;
-use crate::topology::{NodeId, Topology};
+use crate::topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -32,7 +32,7 @@ pub struct BernoulliTraffic {
 
 impl BernoulliTraffic {
     /// Build from `(flow, packets_per_cycle)` rates; sources and
-    /// destinations are read from the flow table's routes.
+    /// destinations are read from the flow table's plans.
     ///
     /// # Panics
     ///
@@ -41,7 +41,6 @@ impl BernoulliTraffic {
     pub fn new(
         rates: &[(FlowId, f64)],
         flows: &FlowTable,
-        topo: Topology,
         flits_per_packet: u8,
         seed: u64,
     ) -> Self {
@@ -52,13 +51,8 @@ impl BernoulliTraffic {
                     (0.0..=1.0).contains(rate),
                     "{flow}: injection rate {rate} outside [0,1]"
                 );
-                let plan = flows.plan(*flow);
-                (
-                    *flow,
-                    plan.route.source(),
-                    plan.route.destination(topo),
-                    *rate,
-                )
+                let (src, dst) = flows.plan(*flow).endpoints();
+                (*flow, src, dst, *rate)
             })
             .collect();
         BernoulliTraffic {
@@ -132,19 +126,11 @@ impl ScriptedTraffic {
     ///
     /// Panics if an event references an unknown flow.
     #[must_use]
-    pub fn new(
-        mut events: Vec<(u64, FlowId)>,
-        flits_per_packet: u8,
-        flows: &FlowTable,
-        topo: Topology,
-    ) -> Self {
+    pub fn new(mut events: Vec<(u64, FlowId)>, flits_per_packet: u8, flows: &FlowTable) -> Self {
         events.sort_by_key(|(c, _)| *c);
         let endpoints = events
             .iter()
-            .map(|(_, f)| {
-                let plan = flows.plan(*f);
-                (*f, (plan.route.source(), plan.route.destination(topo)))
-            })
+            .map(|(_, f)| (*f, flows.plan(*f).endpoints()))
             .collect();
         ScriptedTraffic {
             events,
@@ -202,8 +188,9 @@ pub fn mbps_to_packet_rate(
 mod tests {
     use super::*;
     use crate::route::SourceRoute;
+    use crate::topology::Topology;
 
-    fn table() -> (FlowTable, Topology) {
+    fn table() -> FlowTable {
         let mesh = Topology::paper_4x4();
         let routes = vec![
             (
@@ -215,13 +202,13 @@ mod tests {
                 SourceRoute::xy(mesh, NodeId(12), NodeId(15)).unwrap(),
             ),
         ];
-        (FlowTable::mesh_baseline(mesh, &routes), mesh)
+        FlowTable::mesh_baseline(mesh, &routes)
     }
 
     #[test]
     fn bernoulli_rate_is_approximately_met() {
-        let (flows, mesh) = table();
-        let mut t = BernoulliTraffic::new(&[(FlowId(0), 0.1)], &flows, mesh, 8, 42);
+        let flows = table();
+        let mut t = BernoulliTraffic::new(&[(FlowId(0), 0.1)], &flows, 8, 42);
         let mut count = 0;
         for c in 0..20_000 {
             count += t.generate(c).len();
@@ -232,9 +219,9 @@ mod tests {
 
     #[test]
     fn bernoulli_is_deterministic_per_seed() {
-        let (flows, mesh) = table();
-        let mut a = BernoulliTraffic::new(&[(FlowId(0), 0.3)], &flows, mesh, 8, 7);
-        let mut b = BernoulliTraffic::new(&[(FlowId(0), 0.3)], &flows, mesh, 8, 7);
+        let flows = table();
+        let mut a = BernoulliTraffic::new(&[(FlowId(0), 0.3)], &flows, 8, 7);
+        let mut b = BernoulliTraffic::new(&[(FlowId(0), 0.3)], &flows, 8, 7);
         for c in 0..100 {
             assert_eq!(a.generate(c).len(), b.generate(c).len());
         }
@@ -242,12 +229,11 @@ mod tests {
 
     #[test]
     fn scripted_fires_in_order() {
-        let (flows, mesh) = table();
+        let flows = table();
         let mut t = ScriptedTraffic::new(
             vec![(5, FlowId(1)), (2, FlowId(0)), (5, FlowId(0))],
             8,
             &flows,
-            mesh,
         );
         assert!(t.generate(0).is_empty());
         let at2 = t.generate(2);
@@ -263,12 +249,11 @@ mod tests {
     fn same_cycle_events_keep_their_given_order() {
         // Queue order at a shared source NIC matters, so replaying a
         // recorded schedule must not reorder same-cycle events.
-        let (flows, mesh) = table();
+        let flows = table();
         let mut t = ScriptedTraffic::new(
             vec![(3, FlowId(1)), (3, FlowId(0)), (1, FlowId(0))],
             8,
             &flows,
-            mesh,
         );
         assert_eq!(t.generate(1).len(), 1);
         let at3: Vec<FlowId> = t.generate(3).iter().map(|p| p.flow).collect();
@@ -277,9 +262,8 @@ mod tests {
 
     #[test]
     fn burst_covers_every_flow() {
-        let (flows, mesh) = table();
-        let mut t =
-            BernoulliTraffic::new(&[(FlowId(0), 0.1), (FlowId(1), 0.1)], &flows, mesh, 8, 0);
+        let flows = table();
+        let mut t = BernoulliTraffic::new(&[(FlowId(0), 0.1), (FlowId(1), 0.1)], &flows, 8, 0);
         let burst = t.generate_burst(42, 3);
         assert_eq!(burst.len(), 6);
         assert!(burst.iter().all(|p| p.gen_cycle == 42));
@@ -297,7 +281,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside [0,1]")]
     fn silly_rate_rejected() {
-        let (flows, mesh) = table();
-        let _ = BernoulliTraffic::new(&[(FlowId(0), 1.5)], &flows, mesh, 8, 0);
+        let flows = table();
+        let _ = BernoulliTraffic::new(&[(FlowId(0), 1.5)], &flows, 8, 0);
     }
 }

@@ -67,7 +67,7 @@ fn round_robin_shares_a_merging_output_fairly() {
     let flows = FlowTable::mesh_baseline(mesh, &routes);
     let mut net = Network::new(cfg, flows);
     let rates = vec![(FlowId(0), 0.04), (FlowId(1), 0.04)];
-    let mut traffic = BernoulliTraffic::new(&rates, net.flows(), mesh, cfg.flits_per_packet, 23);
+    let mut traffic = BernoulliTraffic::new(&rates, net.flows(), cfg.flits_per_packet, 23);
     net.run_with(&mut traffic, 40_000);
     net.drain(5_000);
     let a = net.stats().flow(FlowId(0)).expect("f0").packets as f64;
@@ -92,7 +92,7 @@ fn transpose_pattern_conserves_packets_on_the_baseline() {
     let flows = FlowTable::mesh_baseline(mesh, &routes);
     let mut net = Network::new(cfg, flows);
     let rates: Vec<(FlowId, f64)> = routes.iter().map(|(f, _)| (*f, 0.01)).collect();
-    let mut traffic = BernoulliTraffic::new(&rates, net.flows(), mesh, cfg.flits_per_packet, 99);
+    let mut traffic = BernoulliTraffic::new(&rates, net.flows(), cfg.flits_per_packet, 99);
     net.run_with(&mut traffic, 20_000);
     assert!(net.drain(5_000));
     let c = net.counters();
@@ -123,7 +123,7 @@ fn hotspot_saturates_gracefully_not_fatally() {
     // 15 flows × 0.02 packets/cycle × 8 flits = 2.4 flits/cycle toward
     // a sink that ejects 1 flit/cycle: heavily oversubscribed.
     let rates: Vec<(FlowId, f64)> = routes.iter().map(|(f, _)| (*f, 0.02)).collect();
-    let mut traffic = BernoulliTraffic::new(&rates, net.flows(), mesh, cfg.flits_per_packet, 7);
+    let mut traffic = BernoulliTraffic::new(&rates, net.flows(), cfg.flits_per_packet, 7);
     net.run_with(&mut traffic, 10_000);
     let c = net.counters();
     assert!(c.packets_delivered > 500, "sink keeps draining");
@@ -155,7 +155,6 @@ fn single_flit_packets_work() {
         (0..10).map(|i| (i * 3, FlowId(0))).collect(),
         1,
         net.flows(),
-        mesh,
     );
     net.run_with(&mut traffic, 500);
     assert!(net.drain(500));

@@ -55,8 +55,7 @@ fn a_warm_step_does_not_allocate() {
         .collect();
     let rates: Vec<_> = routes.iter().map(|(f, _)| (*f, 0.02)).collect();
     let flows = FlowTable::mesh_baseline(cfg.topology, &routes);
-    let mut traffic =
-        BernoulliTraffic::new(&rates, &flows, cfg.topology, cfg.flits_per_packet, 0xA110C);
+    let mut traffic = BernoulliTraffic::new(&rates, &flows, cfg.flits_per_packet, 0xA110C);
     let mut net = Network::new(cfg, flows);
     let mut counted = 0;
     for cycle in 0..12_000u64 {

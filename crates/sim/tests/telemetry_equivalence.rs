@@ -35,13 +35,7 @@ fn transpose_workload(topo: Topology, rate: f64) -> (FlowTable, Vec<(FlowId, f64
 }
 
 fn run(engine: &mut Network, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64, cycles: u64) {
-    let mut traffic = BernoulliTraffic::new(
-        rates,
-        engine.flows(),
-        cfg.topology,
-        cfg.flits_per_packet,
-        seed,
-    );
+    let mut traffic = BernoulliTraffic::new(rates, engine.flows(), cfg.flits_per_packet, seed);
     engine.run_with(&mut traffic, cycles);
     assert!(engine.drain(100_000), "engine failed to drain");
 }

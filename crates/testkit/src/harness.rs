@@ -154,7 +154,6 @@ impl Conformance {
                 let mut traffic = BernoulliTraffic::new(
                     &scenario.rates,
                     &table,
-                    self.cfg.topology,
                     self.cfg.flits_per_packet(),
                     self.seed,
                 );
@@ -293,7 +292,6 @@ impl Conformance {
                         vec![(0, *flow)],
                         self.cfg.flits_per_packet(),
                         table,
-                        self.cfg.topology,
                     );
                     let mut r = ReconfigurableNoc::new(self.cfg.clone(), PRESET_BASE_ADDR);
                     r.load_app(&scenario.name, &scenario.routes, self.drain_budget)
@@ -400,7 +398,7 @@ fn check_link_exclusivity(ctx: &str, cfg: &NocConfig, scenario: &Scenario, app: 
         let converge = inputs_at_source.windows(2).any(|w| w[0] != w[1]);
         for (pi, i) in users {
             let p = &ports[*pi];
-            let stops = &app.stops[&p.flow];
+            let stops = app.stops(p.flow);
             if diverge {
                 let sink = p.routers[i + 1];
                 assert!(

@@ -56,10 +56,28 @@
 //! reference panics, like the engine, if a plan set breaks that.
 
 use smart_sim::arbiter::RoundRobin;
-use smart_sim::forward::{Endpoint, FlowTable, Segment, Sender};
+use smart_sim::forward::{Endpoint, FlowTable, Plan, Segment, Sender};
 use smart_sim::topology::{Direction, LinkId, NodeId, PORTS};
-use smart_sim::{ActivityCounters, Packet, SimConfig, SimStats, TrafficSource};
+use smart_sim::{ActivityCounters, FlowId, Packet, SimConfig, SimStats, TrafficSource};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+
+/// A stored plan's legs decoded back into [`Segment`]s, from each leg
+/// record's sender, direction, links, endpoint and cycles. The record's
+/// cached crossbar and millimetre charges are not read: the reference
+/// recomputes them through [`Segment::crossbars`] and
+/// [`Segment::link_mm`].
+#[must_use]
+pub fn segments(plan: Plan<'_>) -> Vec<Segment> {
+    (plan.legs.iter())
+        .map(|l| Segment {
+            sender: l.sender,
+            out_dir: l.out_dir,
+            links: plan.links(l).collect(),
+            end: l.end,
+            cycles: l.cycles,
+        })
+        .collect()
+}
 
 /// One flit, whole: its packet, its place in it, the VC it occupies at
 /// the end of its leg and which leg that is.
@@ -113,7 +131,8 @@ struct Interface {
 #[derive(Debug)]
 pub struct RefNetwork {
     cfg: SimConfig,
-    flows: FlowTable,
+    /// Every flow's legs, decoded once from the table.
+    flows: HashMap<FlowId, Vec<Segment>>,
     cycle: u64,
     /// Input VCs, `(router * 5 + port) * vcs + vc`: buffered flits with
     /// the cycle each was written, front first.
@@ -142,13 +161,15 @@ impl RefNetwork {
     ///
     /// Panics if `cfg` is invalid or a leg leaves the fabric.
     #[must_use]
-    pub fn new(cfg: SimConfig, flows: FlowTable) -> Self {
+    pub fn new(cfg: SimConfig, table: FlowTable) -> Self {
         cfg.validate();
+        let flows: HashMap<FlowId, Vec<Segment>> =
+            table.iter().map(|p| (p.flow, segments(p))).collect();
         let (topo, nv) = (cfg.topology, cfg.vcs_per_port);
         let mut senders = HashMap::new();
         // (router, is output, port) for every port some flow uses.
         let mut ports = BTreeSet::new();
-        for leg in flows.iter().flat_map(|plan| &plan.legs) {
+        for leg in flows.values().flatten() {
             senders.entry(leg.sender).or_insert_with(|| SenderState {
                 free: (0..nv).collect(),
                 arb: RoundRobin::new(PORTS * nv),
@@ -331,7 +352,7 @@ impl RefNetwork {
 
     /// The leg `flit` leaves its stop router on.
     fn next_leg(&self, flit: &Flit) -> &Segment {
-        &self.flows.plan(flit.packet.flow).legs[flit.leg + 1]
+        &self.flows[&flit.packet.flow][flit.leg + 1]
     }
 
     /// SA for `router` at cycle `c`, and ST of the winners at `c + 1`.
@@ -402,7 +423,7 @@ impl RefNetwork {
             if flit.is_tail() {
                 out.held = None;
                 // The freed input VC goes back along the leg that filled it.
-                let leg = self.flows.plan(flit.packet.flow).legs[flit.leg].clone();
+                let leg = self.flows[&flit.packet.flow][flit.leg].clone();
                 self.credit(&leg, pv % nv, c + 3);
             }
             flit.leg += 1;
@@ -414,7 +435,7 @@ impl RefNetwork {
     /// `flit` crosses its leg during `st`: claim and count every link,
     /// charge the crossbars, schedule the arrival at the leg's end.
     fn launch(&mut self, flit: Flit, st: u64) {
-        let leg = &self.flows.plan(flit.packet.flow).legs[flit.leg];
+        let leg = &self.flows[&flit.packet.flow][flit.leg];
         for &link in &leg.links {
             assert!(
                 self.claimed.insert((link, st)),
@@ -457,7 +478,7 @@ impl RefNetwork {
             assert!(self.rx_open.remove(&(node, flit.vc)), "{node}: rx VC idle");
             self.counters.packets_delivered += 1;
             self.stats.record_tail(flow, at - flit.inject + 1);
-            let leg = self.flows.plan(flow).legs[flit.leg].clone();
+            let leg = self.flows[&flow][flit.leg].clone();
             self.credit(&leg, flit.vc, at + 2);
         }
     }

@@ -15,7 +15,7 @@ use smart_core::compile::CompiledApp;
 use smart_core::preset::{InputMux, MeshPresets, XbarSelect};
 use smart_sim::forward::{Endpoint, FlowPlan, Segment, Sender};
 use smart_sim::{Direction, FlowId, FlowTable, LinkId, NodeId, SourceRoute, Topology};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// Per-flow port usage at each visited router.
 struct FlowUse {
@@ -125,12 +125,12 @@ pub fn reference_compile(
 
     // --- Plans. ---
     let mut flows = FlowTable::new();
-    let mut stops_by_flow = BTreeMap::new();
+    let mut plans = Vec::new();
     for ((_, route), u) in routes.iter().zip(uses.iter()) {
         let stops = stop_indices(u, &stop_inputs);
-        stops_by_flow.insert(u.flow, stops.iter().map(|&i| u.routers[i]).collect());
         let plan = build_plan(mesh, u, route, &stops);
-        flows.insert(mesh, plan);
+        flows.insert(mesh, plan.clone());
+        plans.push(plan);
     }
 
     // --- Presets. ---
@@ -186,7 +186,7 @@ pub fn reference_compile(
 
     // --- Single-cycle link exclusivity. ---
     let mut link_owner: HashMap<LinkId, Sender> = HashMap::new();
-    for plan in flows.iter() {
+    for plan in &plans {
         for leg in &plan.legs {
             for link in &leg.links {
                 if let Some(prev) = link_owner.insert(*link, leg.sender) {
@@ -199,11 +199,7 @@ pub fn reference_compile(
         }
     }
 
-    CompiledApp {
-        flows,
-        presets,
-        stops: stops_by_flow,
-    }
+    CompiledApp { flows, presets }
 }
 
 /// Indices (into the flow's router list) where the flow stops.

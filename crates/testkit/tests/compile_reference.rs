@@ -120,11 +120,16 @@ proptest! {
         let dense = compile(topo, hpc_max, &routes);
         let reference = reference_compile(topo, hpc_max, &routes);
         let at = format!("{topo:?} HPC_max {hpc_max} seed {seed}");
-        prop_assert_eq!(&dense.stops, &reference.stops, "{}", at);
         prop_assert_eq!(&dense.presets, &reference.presets, "{}", at);
         prop_assert_eq!(dense.flows.len(), reference.flows.len(), "{}", at);
+        // Leg records (stops, directions, cycles, cached charges) and
+        // links, flow by flow.
         for (flow, _) in &routes {
-            prop_assert_eq!(dense.flows.plan(*flow), reference.flows.plan(*flow), "{}", at);
+            let (d, r) = (dense.flows.plan(*flow), reference.flows.plan(*flow));
+            prop_assert_eq!(d.legs, r.legs, "{} {}", at, flow);
+            for (a, b) in d.legs.iter().zip(r.legs) {
+                prop_assert!(d.links(a).eq(r.links(b)), "{} {}", at, flow);
+            }
         }
     }
 }
@@ -144,10 +149,11 @@ fn the_drawn_route_sets_exercise_every_stop_rule() {
         .cloned()
         .expect("nonempty")];
     assert!(lone[0].1.num_hops() > 8);
-    assert!(compile(topo, 16, &lone).stops[&lone[0].0].is_empty());
+    let f = lone[0].0;
+    assert!(compile(topo, 16, &lone).stops(f).is_empty());
     assert_eq!(
-        compile(topo, 2, &lone).stops,
-        reference_compile(topo, 2, &lone).stops
+        compile(topo, 2, &lone).stops(f),
+        reference_compile(topo, 2, &lone).stops(f)
     );
-    assert!(!compile(topo, 2, &lone).stops[&lone[0].0].is_empty());
+    assert!(!compile(topo, 2, &lone).stops(f).is_empty());
 }

@@ -22,6 +22,7 @@ use smart_sim::{
     ActivityCounters, BernoulliTraffic, Coord, FlowId, FlowTable, LinkId, Network, Segment,
     SimConfig, SimStats, SourceRoute, Topology,
 };
+use smart_testkit::reference::segments;
 use smart_testkit::RefNetwork;
 use std::collections::BTreeMap;
 
@@ -79,13 +80,7 @@ struct Case<'a> {
 impl Case<'_> {
     fn traffic(&self) -> BernoulliTraffic {
         let (cfg, seed) = (self.cfg, self.seed);
-        BernoulliTraffic::new(
-            self.rates,
-            self.flows,
-            cfg.topology,
-            cfg.flits_per_packet,
-            seed,
-        )
+        BernoulliTraffic::new(self.rates, self.flows, cfg.flits_per_packet, seed)
     }
 
     fn engine(&self, bands: usize) -> Outcome {
@@ -242,8 +237,8 @@ fn smart_cells_cross_bypass_and_wrap_legs() {
                 legs.extend(
                     flows
                         .iter()
-                        .flat_map(|p| &p.legs)
-                        .map(|leg| (leg.links.len(), wraps(leg))),
+                        .flat_map(segments)
+                        .map(|leg| (leg.links.len(), wraps(&leg))),
                 );
             }
             let longest = legs.iter().map(|(n, _)| *n).max();

@@ -24,6 +24,7 @@ use smart_sim::{
     FlowId, FlowTable, Network, NodeId, ScriptedTraffic, Segment, SimConfig, SourceRoute, Topology,
     TrafficSource,
 };
+use smart_testkit::reference::segments;
 use smart_testkit::RefNetwork;
 use std::collections::HashMap;
 
@@ -63,8 +64,7 @@ fn schedules(flows: usize) -> Vec<Vec<(u64, FlowId)>> {
 
 /// Step the engine and the reference side by side through `schedule`.
 fn assert_schedule(cfg: SimConfig, flows: &FlowTable, schedule: &[(u64, FlowId)], ctx: &str) {
-    let mut traffic =
-        ScriptedTraffic::new(schedule.to_vec(), cfg.flits_per_packet, flows, cfg.topology);
+    let mut traffic = ScriptedTraffic::new(schedule.to_vec(), cfg.flits_per_packet, flows);
     let mut net = Network::new(cfg, flows.clone());
     let mut reference = RefNetwork::new(cfg, flows.clone());
     for c in 0..K + QUIET_WITHIN {
@@ -142,7 +142,7 @@ fn exhaust(name: &str, topo: Topology) {
     let smart_legs: Vec<_> = plans
         .iter()
         .filter(|((smart, _), _)| *smart)
-        .flat_map(|(_, table)| table.iter().flat_map(|plan| plan.legs.clone()))
+        .flat_map(|(_, table)| table.iter().flat_map(segments))
         .collect();
     assert!(smart_legs.iter().any(|leg| leg.links.len() > 1), "{name}");
     let wraps = |leg: &Segment| leg.links.iter().any(|l| topo.is_wrap_link(*l));

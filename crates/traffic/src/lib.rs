@@ -37,7 +37,6 @@
 //!     TemporalModel::on_off(0.01, 0.01),
 //!     &rates,
 //!     &flows,
-//!     mesh,
 //!     8,
 //!     0xC0FFEE,
 //! );

@@ -20,7 +20,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use smart_sim::forward::FlowTable;
-use smart_sim::topology::{NodeId, Topology};
+use smart_sim::topology::NodeId;
 use smart_sim::{FlowId, Packet, PacketId, TrafficSource};
 
 /// An injection-process modulator layered on per-flow Bernoulli rates.
@@ -163,7 +163,7 @@ pub struct ModulatedTraffic {
 
 impl ModulatedTraffic {
     /// Build from `(flow, packets_per_cycle)` nominal rates; sources
-    /// and destinations are read from the flow table's routes.
+    /// and destinations are read from the flow table's plans.
     ///
     /// # Panics
     ///
@@ -174,7 +174,6 @@ impl ModulatedTraffic {
         model: TemporalModel,
         rates: &[(FlowId, f64)],
         flows: &FlowTable,
-        topo: Topology,
         flits_per_packet: u8,
         seed: u64,
     ) -> Self {
@@ -186,11 +185,11 @@ impl ModulatedTraffic {
                     (0.0..=1.0).contains(rate),
                     "{flow}: injection rate {rate} outside [0,1]"
                 );
-                let plan = flows.plan(*flow);
+                let (src, dst) = flows.plan(*flow).endpoints();
                 FlowState {
                     flow: *flow,
-                    src: plan.route.source(),
-                    dst: plan.route.destination(topo),
+                    src,
+                    dst,
                     rate: *rate,
                     on: true,
                 }
@@ -292,9 +291,10 @@ impl TrafficSource for ModulatedTraffic {
 mod tests {
     use super::*;
     use smart_sim::route::SourceRoute;
+    use smart_sim::topology::Topology;
     use smart_sim::BernoulliTraffic;
 
-    fn table() -> (FlowTable, smart_sim::Topology) {
+    fn table() -> FlowTable {
         let mesh = Topology::paper_4x4();
         let routes = vec![
             (
@@ -306,15 +306,15 @@ mod tests {
                 SourceRoute::xy(mesh, NodeId(12), NodeId(15)).unwrap(),
             ),
         ];
-        (FlowTable::mesh_baseline(mesh, &routes), mesh)
+        FlowTable::mesh_baseline(mesh, &routes)
     }
 
     #[test]
     fn steady_is_bit_exact_with_bernoulli() {
-        let (flows, mesh) = table();
+        let flows = table();
         let rates = [(FlowId(0), 0.3), (FlowId(1), 0.1)];
-        let mut a = ModulatedTraffic::new(TemporalModel::Steady, &rates, &flows, mesh, 8, 7);
-        let mut b = BernoulliTraffic::new(&rates, &flows, mesh, 8, 7);
+        let mut a = ModulatedTraffic::new(TemporalModel::Steady, &rates, &flows, 8, 7);
+        let mut b = BernoulliTraffic::new(&rates, &flows, 8, 7);
         for c in 0..5_000 {
             assert_eq!(a.generate(c), b.generate(c), "cycle {c}");
         }
@@ -322,9 +322,9 @@ mod tests {
 
     #[test]
     fn on_off_meets_the_nominal_rate_in_the_long_run() {
-        let (flows, mesh) = table();
+        let flows = table();
         let model = TemporalModel::on_off(0.02, 0.05);
-        let mut t = ModulatedTraffic::new(model, &[(FlowId(0), 0.1)], &flows, mesh, 8, 42);
+        let mut t = ModulatedTraffic::new(model, &[(FlowId(0), 0.1)], &flows, 8, 42);
         let mut count = 0usize;
         let n = 200_000;
         for c in 0..n {
@@ -339,10 +339,10 @@ mod tests {
 
     #[test]
     fn on_off_actually_bursts() {
-        let (flows, mesh) = table();
+        let flows = table();
         // Long on/off periods: ~500 cycles each.
         let model = TemporalModel::on_off(0.002, 0.002);
-        let mut t = ModulatedTraffic::new(model, &[(FlowId(0), 0.2)], &flows, mesh, 8, 3);
+        let mut t = ModulatedTraffic::new(model, &[(FlowId(0), 0.2)], &flows, 8, 3);
         // Count injections per 1 000-cycle window; bursty traffic has
         // near-empty and near-double windows.
         let mut windows = Vec::new();
@@ -363,9 +363,9 @@ mod tests {
 
     #[test]
     fn ramp_sweeps_the_rate() {
-        let (flows, mesh) = table();
+        let flows = table();
         let model = TemporalModel::ramp(0.0, 1.0, 50_000);
-        let mut t = ModulatedTraffic::new(model, &[(FlowId(0), 0.2)], &flows, mesh, 8, 9);
+        let mut t = ModulatedTraffic::new(model, &[(FlowId(0), 0.2)], &flows, 8, 9);
         let mut early = 0usize;
         let mut late = 0usize;
         for c in 0..10_000 {
@@ -389,26 +389,26 @@ mod tests {
     fn offered_load_honors_the_on_rate_cap() {
         // duty 0.1: a 0.3 nominal rate clips at one packet per on-cycle,
         // so the real long-run offer is 0.1 packets = 0.8 flits/cycle.
-        let (flows, mesh) = table();
+        let flows = table();
         let model = TemporalModel::on_off(0.09, 0.01);
-        let t = ModulatedTraffic::new(model, &[(FlowId(0), 0.3)], &flows, mesh, 8, 0);
+        let t = ModulatedTraffic::new(model, &[(FlowId(0), 0.3)], &flows, 8, 0);
         assert!((t.offered_flits_per_cycle() - 0.8).abs() < 1e-12);
         // Uncapped flows still offer their nominal rate.
-        let t = ModulatedTraffic::new(model, &[(FlowId(0), 0.05)], &flows, mesh, 8, 0);
+        let t = ModulatedTraffic::new(model, &[(FlowId(0), 0.05)], &flows, 8, 0);
         assert!((t.offered_flits_per_cycle() - 0.4).abs() < 1e-12);
         // A ramp holding at 2x a 0.6 rate clips at 1 packet/cycle.
         let ramp = TemporalModel::ramp(0.0, 2.0, 100);
-        let t = ModulatedTraffic::new(ramp, &[(FlowId(0), 0.6)], &flows, mesh, 8, 0);
+        let t = ModulatedTraffic::new(ramp, &[(FlowId(0), 0.6)], &flows, 8, 0);
         assert!((t.offered_flits_per_cycle() - 8.0).abs() < 1e-12);
     }
 
     #[test]
     fn deterministic_per_seed() {
-        let (flows, mesh) = table();
+        let flows = table();
         let model = TemporalModel::on_off(0.1, 0.1);
         let rates = [(FlowId(0), 0.2), (FlowId(1), 0.05)];
-        let mut a = ModulatedTraffic::new(model, &rates, &flows, mesh, 8, 11);
-        let mut b = ModulatedTraffic::new(model, &rates, &flows, mesh, 8, 11);
+        let mut a = ModulatedTraffic::new(model, &rates, &flows, 8, 11);
+        let mut b = ModulatedTraffic::new(model, &rates, &flows, 8, 11);
         for c in 0..2_000 {
             assert_eq!(a.generate(c), b.generate(c));
         }

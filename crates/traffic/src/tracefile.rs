@@ -12,7 +12,6 @@
 
 use smart_sim::forward::FlowTable;
 use smart_sim::jsonl::{self, Line};
-use smart_sim::topology::Topology;
 use smart_sim::{FlowId, Packet, ScriptedTraffic, TrafficSource};
 use std::fmt;
 
@@ -233,15 +232,15 @@ pub struct TraceTraffic {
 }
 
 impl TraceTraffic {
-    /// Build a replay source for `trace` against `flows` on `topo`.
+    /// Build a replay source for `trace` against `flows`.
     ///
     /// # Panics
     ///
     /// Panics if the trace references a flow the table does not know.
     #[must_use]
-    pub fn new(trace: &TraceFile, flows: &FlowTable, topo: Topology) -> Self {
+    pub fn new(trace: &TraceFile, flows: &FlowTable) -> Self {
         TraceTraffic {
-            inner: ScriptedTraffic::new(trace.events.clone(), trace.flits_per_packet, flows, topo),
+            inner: ScriptedTraffic::new(trace.events.clone(), trace.flits_per_packet, flows),
         }
     }
 
@@ -264,8 +263,9 @@ mod tests {
     use crate::temporal::{ModulatedTraffic, TemporalModel};
     use smart_sim::route::SourceRoute;
     use smart_sim::topology::NodeId;
+    use smart_sim::topology::Topology;
 
-    fn table() -> (FlowTable, smart_sim::Topology) {
+    fn table() -> FlowTable {
         let mesh = Topology::paper_4x4();
         let routes = vec![
             (
@@ -277,7 +277,7 @@ mod tests {
                 SourceRoute::xy(mesh, NodeId(12), NodeId(15)).unwrap(),
             ),
         ];
-        (FlowTable::mesh_baseline(mesh, &routes), mesh)
+        FlowTable::mesh_baseline(mesh, &routes)
     }
 
     fn sample_trace() -> TraceFile {
@@ -332,11 +332,11 @@ mod tests {
 
     #[test]
     fn recorder_captures_the_generated_schedule() {
-        let (flows, mesh) = table();
+        let flows = table();
         let rates = [(FlowId(0), 0.3), (FlowId(1), 0.2)];
-        let inner = ModulatedTraffic::new(TemporalModel::Steady, &rates, &flows, mesh, 8, 5);
+        let inner = ModulatedTraffic::new(TemporalModel::Steady, &rates, &flows, 8, 5);
         let mut rec = TraceRecorder::new(Box::new(inner), 8);
-        let mut direct = ModulatedTraffic::new(TemporalModel::Steady, &rates, &flows, mesh, 8, 5);
+        let mut direct = ModulatedTraffic::new(TemporalModel::Steady, &rates, &flows, 8, 5);
         let mut expected = Vec::new();
         for c in 0..500 {
             let via = rec.generate(c);
@@ -352,17 +352,17 @@ mod tests {
 
     #[test]
     fn replay_reproduces_the_recorded_stream() {
-        let (flows, mesh) = table();
+        let flows = table();
         let rates = [(FlowId(0), 0.25), (FlowId(1), 0.1)];
         let model = TemporalModel::on_off(0.05, 0.05);
-        let inner = ModulatedTraffic::new(model, &rates, &flows, mesh, 8, 77);
+        let inner = ModulatedTraffic::new(model, &rates, &flows, 8, 77);
         let mut rec = TraceRecorder::new(Box::new(inner), 8);
         let mut live: Vec<Packet> = Vec::new();
         for c in 0..2_000 {
             live.extend(rec.generate(c));
         }
         let trace = rec.into_trace();
-        let mut replay = TraceTraffic::new(&trace, &flows, mesh);
+        let mut replay = TraceTraffic::new(&trace, &flows);
         let mut replayed: Vec<Packet> = Vec::new();
         for c in 0..2_000 {
             replayed.extend(replay.generate(c));
@@ -398,7 +398,7 @@ mod tests {
         ];
         let flows = FlowTable::mesh_baseline(mesh, &routes);
         let rates = [(FlowId(1), 0.5), (FlowId(0), 0.5)];
-        let inner = ModulatedTraffic::new(TemporalModel::Steady, &rates, &flows, mesh, 8, 21);
+        let inner = ModulatedTraffic::new(TemporalModel::Steady, &rates, &flows, 8, 21);
         let mut rec = TraceRecorder::new(Box::new(inner), 8);
         let mut live = Vec::new();
         for c in 0..200 {
@@ -412,7 +412,7 @@ mod tests {
                 .any(|w| trace.events.iter().any(|v| v.0 == w.0 && v.1 != w.1)),
             "seed must produce at least one shared cycle"
         );
-        let mut replay = TraceTraffic::new(&trace, &flows, mesh);
+        let mut replay = TraceTraffic::new(&trace, &flows);
         let mut replayed = Vec::new();
         for c in 0..200 {
             replayed.extend(replay.generate(c));

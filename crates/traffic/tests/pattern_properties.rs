@@ -150,7 +150,7 @@ proptest! {
         let mesh = Topology::paper_4x4();
         let (routes, rates) = SpatialPattern::Transpose.routed(mesh, rate);
         let flows = FlowTable::mesh_baseline(mesh, &routes);
-        let inner = ModulatedTraffic::new(burst, &rates, &flows, mesh, 8, seed);
+        let inner = ModulatedTraffic::new(burst, &rates, &flows, 8, seed);
         let mut rec = TraceRecorder::new(Box::new(inner), 8);
         let mut live = Vec::new();
         for c in 0..1_000 {
@@ -158,7 +158,7 @@ proptest! {
         }
         // Freeze through the JSONL text form, then replay.
         let trace = TraceFile::parse(&rec.into_trace().to_jsonl()).expect("round trip");
-        let mut replay = TraceTraffic::new(&trace, &flows, mesh);
+        let mut replay = TraceTraffic::new(&trace, &flows);
         let mut replayed = Vec::new();
         for c in 0..1_000 {
             replayed.extend(replay.generate(c));

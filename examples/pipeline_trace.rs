@@ -26,7 +26,6 @@ fn main() -> std::io::Result<()> {
         vec![(0, blue)],
         cfg.flits_per_packet(),
         noc.network().flows(),
-        cfg.topology,
     );
     noc.network_mut().run_with(&mut traffic, 60);
 

@@ -44,7 +44,6 @@ fn main() {
         let mut traffic = BernoulliTraffic::new(
             &mapped.rates,
             live.network().flows(),
-            cfg.topology,
             cfg.flits_per_packet(),
             99,
         );

@@ -22,13 +22,7 @@ fn legacy_run(
 ) -> (u64, u64, f64, f64) {
     let table = FlowTable::mesh_baseline(cfg.topology, routes);
     let mut design = Design::build(kind, cfg, routes);
-    let mut traffic = BernoulliTraffic::new(
-        rates,
-        &table,
-        cfg.topology,
-        cfg.flits_per_packet(),
-        plan.seed,
-    );
+    let mut traffic = BernoulliTraffic::new(rates, &table, cfg.flits_per_packet(), plan.seed);
     design.set_stats_from(plan.warmup);
     design.run_with(&mut traffic, plan.warmup);
     design.reset_counters();

@@ -19,17 +19,12 @@ fn credit_mesh_sustains_full_throughput_across_six_hops() {
     let routes = vec![(FlowId(0), route)];
     let mut noc = SmartNoc::new(&cfg, &routes);
     assert!(
-        noc.compiled().stops[&FlowId(0)].is_empty(),
+        noc.compiled().stops(FlowId(0)).is_empty(),
         "single flow flies NIC to NIC"
     );
     let n_packets = 200u64;
     let events: Vec<(u64, FlowId)> = (0..n_packets).map(|_| (0, FlowId(0))).collect();
-    let mut traffic = ScriptedTraffic::new(
-        events,
-        cfg.flits_per_packet(),
-        noc.network().flows(),
-        cfg.topology,
-    );
+    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet(), noc.network().flows());
     let horizon = n_packets * 8 + 200;
     noc.network_mut().run_with(&mut traffic, horizon);
     assert!(noc.network_mut().drain(1_000));
@@ -69,18 +64,13 @@ fn stops_cost_latency_not_bandwidth() {
     ];
     let mut noc = SmartNoc::new(&cfg, &routes);
     assert!(
-        !noc.compiled().stops[&FlowId(0)].is_empty(),
+        !noc.compiled().stops(FlowId(0)).is_empty(),
         "flow 0 must stop somewhere"
     );
     // Drive only flow 0 hard.
     let n_packets = 100u64;
     let events: Vec<(u64, FlowId)> = (0..n_packets).map(|_| (0, FlowId(0))).collect();
-    let mut traffic = ScriptedTraffic::new(
-        events,
-        cfg.flits_per_packet(),
-        noc.network().flows(),
-        cfg.topology,
-    );
+    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet(), noc.network().flows());
     noc.network_mut()
         .run_with(&mut traffic, n_packets * 8 + 300);
     assert!(noc.network_mut().drain(2_000));
@@ -105,12 +95,7 @@ fn one_vc_halves_train_throughput() {
     let mut noc = SmartNoc::new(&cfg, &routes);
     let n_packets = 50u64;
     let events: Vec<(u64, FlowId)> = (0..n_packets).map(|_| (0, FlowId(0))).collect();
-    let mut traffic = ScriptedTraffic::new(
-        events,
-        cfg.flits_per_packet(),
-        noc.network().flows(),
-        cfg.topology,
-    );
+    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet(), noc.network().flows());
     noc.network_mut().run_with(&mut traffic, 3_000);
     assert!(noc.network_mut().drain(2_000));
     let finished = noc.network().cycle();

@@ -50,7 +50,6 @@ fn run(
     let mut traffic = BernoulliTraffic::new(
         &rates,
         design.network().expect("Mesh or SMART").flows(),
-        topo,
         cfg.flits_per_packet(),
         seed,
     );

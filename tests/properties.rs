@@ -68,7 +68,6 @@ proptest! {
             events,
             cfg.flits_per_packet(),
             &flows_table,
-            cfg.topology,
         );
         design.run_with(&mut traffic, 4_000);
         prop_assert!(design.drain(4_000), "network must drain");
@@ -94,7 +93,6 @@ proptest! {
             vec![(0, FlowId(0))],
             cfg.flits_per_packet(),
             &flows_table,
-            cfg.topology,
         );
         design.run_with(&mut traffic, 200);
         prop_assert!(design.drain(200));
@@ -123,7 +121,7 @@ proptest! {
             let plan = app.flows.plan(*flow);
             prop_assert_eq!(
                 plan.zero_load_latency(),
-                1 + 3 * app.stops[flow].len() as u64
+                1 + 3 * app.stops(*flow).len() as u64
             );
         }
     }
@@ -162,8 +160,7 @@ fn mesh_and_smart_agree_on_packet_counts_under_suite_traffic() {
         let events: Vec<(u64, FlowId)> = (0..50u64)
             .map(|i| (i * 3, FlowId((i % 5) as u32)))
             .collect();
-        let mut traffic =
-            ScriptedTraffic::new(events, cfg.flits_per_packet(), &table, cfg.topology);
+        let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet(), &table);
         design.run_with(&mut traffic, 2_000);
         assert!(design.drain(2_000));
         counts.push(design.counters().packets_delivered);

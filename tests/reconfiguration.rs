@@ -40,7 +40,6 @@ fn rotating_through_all_eight_apps() {
         let mut traffic = BernoulliTraffic::new(
             &mapped.rates,
             live.network().flows(),
-            cfg.topology,
             cfg.flits_per_packet(),
             5,
         );

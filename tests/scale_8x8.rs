@@ -18,12 +18,12 @@ fn suite_runs_on_8x8_with_random_placement() {
         // > HPC_max 8, so splits may appear) and every leg obeys the
         // reach.
         for plan in compiled.flows.iter() {
-            for leg in &plan.legs {
+            for leg in plan.legs {
                 assert!(
-                    leg.links.len() <= cfg.hpc_max,
+                    usize::from(leg.n_links) <= cfg.hpc_max,
                     "{}: leg of {} links exceeds HPC_max",
                     graph.name(),
-                    leg.links.len()
+                    leg.n_links
                 );
             }
         }

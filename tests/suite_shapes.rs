@@ -2,7 +2,7 @@
 //! *shape* — who wins, by roughly what factor, and where the
 //! crossovers fall. Absolute cycle counts may drift with mapping
 //! details; the bands here are intentionally wider than the point
-//! estimates recorded in EXPERIMENTS.md.
+//! estimates recorded in the README's "Scorecard" section.
 //!
 //! The suite (8 apps × 3 designs) runs **once**, shared across all
 //! three tests, and its cells fan out across cores via

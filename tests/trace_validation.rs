@@ -29,7 +29,6 @@ fn replayed_trace_matches_live_counters() {
     let mut traffic = BernoulliTraffic::new(
         &mapped.rates,
         noc.network().flows(),
-        cfg.topology,
         cfg.flits_per_packet(),
         17,
     );
@@ -54,7 +53,6 @@ fn traced_vopd(cfg: &NocConfig) -> SmartNoc {
     let mut traffic = BernoulliTraffic::new(
         &mapped.rates,
         noc.network().flows(),
-        cfg.topology,
         cfg.flits_per_packet(),
         23,
     );
@@ -117,7 +115,6 @@ fn vcd_dump_is_wellformed_for_real_traffic() {
     let mut traffic = BernoulliTraffic::new(
         &mapped.rates,
         noc.network().flows(),
-        cfg.topology,
         cfg.flits_per_packet(),
         3,
     );
