@@ -8,7 +8,7 @@ use super::{app_arg, Sink};
 use smart_core::config::NocConfig;
 use smart_core::noc::SmartNoc;
 use smart_mapping::MappedApp;
-use smart_sim::{BernoulliTraffic, Coord, Direction, LinkId};
+use smart_sim::{Coord, Direction, LinkId, ModulatedTraffic, TemporalModel};
 
 /// Intensity glyph for a utilization in [0, 1] of the hottest link.
 fn glyph(frac: f64) -> char {
@@ -26,9 +26,9 @@ pub(super) fn run(_quick: bool, args: &[String], out: &mut Sink<'_>) -> Result<(
     let cfg = NocConfig::paper_4x4();
     let mapped = MappedApp::from_graph(&cfg, &graph);
     let mut noc = SmartNoc::new(&cfg, &mapped.routes);
-    let mut traffic = BernoulliTraffic::new(
+    let mut traffic = ModulatedTraffic::new(
+        TemporalModel::Steady,
         &mapped.rates,
-        noc.network().flows(),
         cfg.flits_per_packet(),
         31,
     );

@@ -8,7 +8,7 @@ use super::Sink;
 use smart_core::config::NocConfig;
 use smart_core::reconfig::ReconfigurableNoc;
 use smart_mapping::MappedApp;
-use smart_sim::BernoulliTraffic;
+use smart_sim::{ModulatedTraffic, TemporalModel};
 
 pub(super) fn run(_quick: bool, _args: &[String], out: &mut Sink<'_>) -> Result<(), String> {
     let cfg = NocConfig::paper_4x4();
@@ -32,9 +32,9 @@ pub(super) fn run(_quick: bool, _args: &[String], out: &mut Sink<'_>) -> Result<
         let stops = live.compiled().avg_stops();
         // Run some traffic, then leave a burst queued so the next
         // reconfiguration actually has to drain in-flight packets.
-        let mut traffic = BernoulliTraffic::new(
+        let mut traffic = ModulatedTraffic::new(
+            TemporalModel::Steady,
             &mapped.rates,
-            live.network().flows(),
             cfg.flits_per_packet(),
             7,
         );

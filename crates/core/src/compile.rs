@@ -500,8 +500,6 @@ mod tests {
         net.offer(Packet {
             id: PacketId(0),
             flow: FlowId(0),
-            src: NodeId(0),
-            dst: NodeId(254),
             gen_cycle: 0,
             num_flits: 8,
         });

@@ -52,9 +52,6 @@ struct DFlit {
 #[derive(Debug)]
 struct Wire {
     flow: FlowId,
-    /// The route's endpoints, which every offered packet must name.
-    src: NodeId,
-    dst: NodeId,
     /// Packets waiting at the source end.
     queue: VecDeque<Packet>,
     /// The packet being sent, its inject cycle and next flit's sequence.
@@ -106,15 +103,15 @@ impl DedicatedNoc {
     #[must_use]
     pub fn new(cfg: &NocConfig, routes: &[(FlowId, SourceRoute)]) -> Self {
         let topo = cfg.topology;
-        let mut wires: Vec<Wire> = routes
-            .iter()
-            .map(|(flow, r)| {
+        // Flows sharing a destination get a sink, laned in route order.
+        let mut by_dst: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
+        let mut wires: Vec<Wire> = (routes.iter().enumerate())
+            .map(|(i, (flow, r))| {
                 let (src, dst) = (r.source(), r.destination(topo));
                 assert_ne!(src, dst, "{flow}: src == dst");
+                by_dst.entry(dst).or_default().push(i);
                 Wire {
                     flow: *flow,
-                    src,
-                    dst,
                     queue: VecDeque::new(),
                     sending: None,
                     landing: None,
@@ -123,11 +120,6 @@ impl DedicatedNoc {
                 }
             })
             .collect();
-        // Flows sharing a destination get a sink, laned in route order.
-        let mut by_dst: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        for (i, w) in wires.iter().enumerate() {
-            by_dst.entry(w.dst).or_default().push(i);
-        }
         let mut sinks = Vec::new();
         for flows in by_dst.into_values().filter(|f| f.len() > 1) {
             for (lane, &i) in flows.iter().enumerate() {
@@ -187,18 +179,14 @@ impl DedicatedNoc {
     ///
     /// # Panics
     ///
-    /// Panics on an unknown flow, a packet of no flits, or one whose
-    /// source or destination differs from its flow's route.
+    /// Panics on an unknown flow or a packet of no flits.
     pub fn offer(&mut self, packet: Packet) {
         assert!(packet.num_flits > 0, "a packet needs at least one flit");
         let i = self
             .wires
             .binary_search_by_key(&packet.flow, |w| w.flow)
             .unwrap_or_else(|_| panic!("unknown flow {}", packet.flow));
-        let wire = &mut self.wires[i];
-        assert_eq!(packet.src, wire.src, "packet src mismatch");
-        assert_eq!(packet.dst, wire.dst, "packet dst mismatch");
-        wire.queue.push_back(packet);
+        self.wires[i].queue.push_back(packet);
         self.in_flight += 1;
     }
 
@@ -342,12 +330,10 @@ mod tests {
         DedicatedNoc::new(&cfg, &routes)
     }
 
-    fn packet(flow: u32, src: u16, dst: u16, gen: u64) -> Packet {
+    fn packet(flow: u32, gen: u64) -> Packet {
         Packet {
             id: PacketId(u64::from(flow) * 1000 + gen),
             flow: FlowId(flow),
-            src: NodeId(src),
-            dst: NodeId(dst),
             gen_cycle: gen,
             num_flits: 8,
         }
@@ -363,7 +349,7 @@ mod tests {
     #[test]
     fn private_sink_is_single_cycle() {
         let mut noc = noc(&[(0, 15)]);
-        noc.offer(packet(0, 0, 15, 0));
+        noc.offer(packet(0, 0));
         noc.drain(100);
         assert_eq!(head_latency(&noc, 0), 1.0, "dedicated wire = 1 cycle");
         // Tail follows 7 cycles later.
@@ -375,7 +361,7 @@ mod tests {
     fn shared_sink_costs_a_stop() {
         let mut noc = noc(&[(0, 5), (10, 5)]);
         // Only one packet in the system: still pays the sink pipeline.
-        noc.offer(packet(0, 0, 5, 0));
+        noc.offer(packet(0, 0));
         noc.drain(100);
         assert_eq!(head_latency(&noc, 0), 4.0, "sink stop adds BW+SA+ST");
     }
@@ -383,8 +369,8 @@ mod tests {
     #[test]
     fn contending_sinks_serialize() {
         let mut noc = noc(&[(0, 5), (10, 5)]);
-        noc.offer(packet(0, 0, 5, 0));
-        noc.offer(packet(1, 10, 5, 0));
+        noc.offer(packet(0, 0));
+        noc.offer(packet(1, 0));
         noc.drain(200);
         // Lane 0 wins the first grant; lane 1's head waits out its
         // 8 flits.
@@ -398,8 +384,8 @@ mod tests {
         // Two flows from the SAME source to private sinks: both heads
         // arrive in 1 cycle (parallel dedicated wires).
         let mut noc = noc(&[(0, 3), (0, 12)]);
-        noc.offer(packet(0, 0, 3, 0));
-        noc.offer(packet(1, 0, 12, 0));
+        noc.offer(packet(0, 0));
+        noc.offer(packet(1, 0));
         noc.drain(100);
         assert_eq!(head_latency(&noc, 0), 1.0);
         assert_eq!(head_latency(&noc, 1), 1.0);
@@ -408,7 +394,7 @@ mod tests {
     #[test]
     fn only_link_activity_is_counted() {
         let mut noc = noc(&[(0, 15)]);
-        noc.offer(packet(0, 0, 15, 0));
+        noc.offer(packet(0, 0));
         noc.drain(100);
         let c = noc.counters();
         // 8 flits × 6 mm Manhattan wire.
@@ -422,17 +408,11 @@ mod tests {
     fn flit_conservation() {
         let mut noc = noc(&[(1, 14), (2, 14)]);
         for g in 0..10 {
-            noc.offer(packet(0, 1, 14, g));
-            noc.offer(packet(1, 2, 14, g));
+            noc.offer(packet(0, g));
+            noc.offer(packet(1, g));
         }
         assert!(noc.drain(5000));
         assert_eq!(noc.counters().packets_delivered, 20);
         assert_eq!(noc.counters().flits_delivered, 160);
-    }
-
-    #[test]
-    #[should_panic(expected = "packet src mismatch")]
-    fn a_packet_from_the_wrong_source_is_refused() {
-        noc(&[(0, 15)]).offer(packet(0, 1, 15, 0));
     }
 }

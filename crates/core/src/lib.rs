@@ -28,8 +28,6 @@
 //! noc.network_mut().offer(Packet {
 //!     id: PacketId(0),
 //!     flow: FlowId(0),
-//!     src: NodeId(0),
-//!     dst: NodeId(3),
 //!     gen_cycle: 0,
 //!     num_flits: 8,
 //! });

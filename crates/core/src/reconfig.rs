@@ -194,8 +194,6 @@ mod tests {
         net.offer(Packet {
             id: PacketId(0),
             flow: FlowId(0),
-            src: NodeId(0),
-            dst: NodeId(3),
             gen_cycle: 0,
             num_flits: 8,
         });
@@ -212,8 +210,6 @@ mod tests {
         net.offer(Packet {
             id: PacketId(0),
             flow: FlowId(0),
-            src: NodeId(0),
-            dst: NodeId(3),
             gen_cycle: 0,
             num_flits: 8,
         });

@@ -240,11 +240,8 @@ mod tests {
         let mut noc = SmartNoc::new(&cfg, &[(FlowId(0), route)]);
         noc.network_mut()
             .set_telemetry(TelemetryConfig::windowed(16));
-        let mut traffic = ScriptedTraffic::new(
-            vec![(0, FlowId(0)), (5, FlowId(0))],
-            cfg.flits_per_packet(),
-            noc.network().flows(),
-        );
+        let mut traffic =
+            ScriptedTraffic::new(vec![(0, FlowId(0)), (5, FlowId(0))], cfg.flits_per_packet());
         noc.network_mut().run_with(&mut traffic, 40);
         let series = noc.network_mut().take_telemetry().expect("enabled");
 

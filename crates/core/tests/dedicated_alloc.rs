@@ -48,12 +48,10 @@ fn drive(noc: &mut DedicatedNoc, cycles: u64) {
     for _ in 0..cycles {
         let c = noc.cycle();
         if c.is_multiple_of(PERIOD) {
-            for (i, (src, dst)) in PAIRS.iter().enumerate() {
+            for i in 0..PAIRS.len() {
                 noc.offer(Packet {
                     id: PacketId(c * 8 + i as u64),
                     flow: FlowId(i as u32),
-                    src: NodeId(*src),
-                    dst: NodeId(*dst),
                     gen_cycle: c,
                     num_flits: 8,
                 });

@@ -42,13 +42,10 @@ fn build(cfg: &NocConfig, pairs: &[(u16, u16)]) -> DedicatedNoc {
     DedicatedNoc::new(cfg, &routes)
 }
 
-fn packet(pairs: &[(u16, u16)], flow: usize, id: u64, gen_cycle: u64) -> Packet {
-    let (src, dst) = pairs[flow];
+fn packet(flow: usize, id: u64, gen_cycle: u64) -> Packet {
     Packet {
         id: PacketId(id),
         flow: FlowId(flow as u32),
-        src: NodeId(src),
-        dst: NodeId(dst),
         gen_cycle,
         num_flits: FLITS,
     }
@@ -69,7 +66,7 @@ fn private_sinks_match_the_closed_form() {
         assert_eq!(noc.cycle(), c);
         for (f, rate) in rates.iter().enumerate() {
             if rng.uniform() < *rate {
-                noc.offer(packet(&pairs, f, c * 8 + f as u64, c));
+                noc.offer(packet(f, c * 8 + f as u64, c));
                 gens[f].push(c);
             }
         }
@@ -117,7 +114,7 @@ fn a_shared_sink_ejects_at_most_one_flit_a_cycle() {
     let mut noc = build(&cfg, &pairs);
     for f in 0..pairs.len() {
         for m in 0..P {
-            noc.offer(packet(&pairs, f, m * 3 + f as u64, 0));
+            noc.offer(packet(f, m * 3 + f as u64, 0));
         }
     }
     let mut delivered = 0;
@@ -151,7 +148,7 @@ fn a_shared_sink_ejects_at_most_one_flit_a_cycle() {
 fn a_lone_packet_at_a_shared_sink_pays_one_stop() {
     let pairs = [(0, 5), (10, 5), (15, 5)];
     let mut noc = build(&NocConfig::paper_4x4(), &pairs);
-    noc.offer(packet(&pairs, 1, 0, 0));
+    noc.offer(packet(1, 0, 0));
     assert!(noc.drain(100));
     let s = noc.stats().flow(FlowId(1)).expect("delivered");
     assert_eq!((s.head_latency_min, s.head_latency_max), (4, 4));

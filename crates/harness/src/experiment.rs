@@ -11,9 +11,7 @@ use smart_sim::traffic::TrafficSource;
 use smart_sim::{
     FlowId, FlowTable, NodeId, ScriptedTraffic, TelemetryConfig, TelemetrySeries, Topology,
 };
-use smart_traffic::{
-    ModulatedTraffic, PhaseOutcome, TemporalModel, TraceFile, TraceRecorder, TraceTraffic,
-};
+use smart_traffic::{ModulatedTraffic, PhaseOutcome, TemporalModel, TraceFile, TraceRecorder};
 use std::fmt;
 use std::sync::Arc;
 
@@ -80,14 +78,15 @@ impl RunPlan {
 
 /// Everything a [`Drive`] needs to build a concrete traffic source for
 /// one run: the routed workload's rates and temporal model, the flow
-/// table resolving endpoints, and the plan's packet sizing and seed.
+/// table that must plan every flow offered, and the plan's packet
+/// sizing and seed.
 pub struct TrafficContext<'a> {
     /// Per-flow nominal injection rates, packets per cycle.
     pub rates: &'a [(FlowId, f64)],
-    /// Flow table resolving each flow's endpoints.
+    /// The flow table: [`Drive::build`] refuses a flow it does not plan.
     pub flows: &'a FlowTable,
-    /// The topology being driven. No source reads it: endpoints come
-    /// from `flows`.
+    /// The topology being driven. No source reads it: a packet names
+    /// only its flow.
     pub topology: Topology,
     /// Flits per packet.
     pub flits_per_packet: u8,
@@ -133,27 +132,39 @@ impl fmt::Debug for Drive {
 impl Drive {
     /// Build the concrete traffic source for one run: every rate-driven
     /// drive is one [`ModulatedTraffic`], through the workload's model or
-    /// the drive's own.
+    /// the drive's own, and every event-driven one a [`ScriptedTraffic`]
+    /// (a trace's at the trace's own packet size).
+    ///
+    /// # Panics
+    ///
+    /// Panics with `no plan for f…` if a rate or event names a flow that
+    /// `ctx.flows` does not plan: the one refusal of an unknown flow,
+    /// made before any cycle runs. Panics too on a rate or model
+    /// parameter outside its domain.
     #[must_use]
     pub fn build(&self, ctx: &TrafficContext<'_>) -> Box<dyn TrafficSource> {
         let modulated = |model: TemporalModel| -> Box<dyn TrafficSource> {
+            for &(flow, _) in ctx.rates {
+                let _ = ctx.flows.plan(flow);
+            }
             Box::new(ModulatedTraffic::new(
                 model,
                 ctx.rates,
-                ctx.flows,
                 ctx.flits_per_packet,
                 ctx.seed,
             ))
         };
+        let scripted = |events: &[(u64, FlowId)], flits_per_packet| -> Box<dyn TrafficSource> {
+            for &(_, flow) in events {
+                let _ = ctx.flows.plan(flow);
+            }
+            Box::new(ScriptedTraffic::new(events.to_vec(), flits_per_packet))
+        };
         match self {
             Drive::Bernoulli => modulated(ctx.temporal),
             Drive::Temporal(model) => modulated(*model),
-            Drive::Scripted(events) => Box::new(ScriptedTraffic::new(
-                events.clone(),
-                ctx.flits_per_packet,
-                ctx.flows,
-            )),
-            Drive::Trace(trace) => Box::new(TraceTraffic::new(trace, ctx.flows)),
+            Drive::Scripted(events) => scripted(events, ctx.flits_per_packet),
+            Drive::Trace(trace) => scripted(&trace.events, trace.flits_per_packet),
         }
     }
 }
@@ -511,7 +522,23 @@ impl Experiment {
     }
 
     /// This experiment's traffic source for one run on `compiled`.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before any cycle runs, if a [`Drive::Trace`]'s packets
+    /// are empty or longer than a VC is deep, and under the conditions
+    /// of [`Drive::build`].
     pub(crate) fn traffic_for(&self, compiled: &CompiledDesign) -> Box<dyn TrafficSource> {
+        if let Drive::Trace(trace) = &self.drive {
+            // The bound `SimConfig::validate` holds the design point's
+            // own packets to; a trace brings its own packet length.
+            let (flits, depth) = (trace.flits_per_packet, self.cfg.vc_depth);
+            assert!(
+                (1..=depth).contains(&usize::from(flits)),
+                "trace flits_per_packet = {flits}: must be in 1..=vc_depth ({depth}): \
+                 virtual cut-through buffers a whole packet in one VC"
+            );
+        }
         let routed = compiled.routed();
         self.drive.build(&TrafficContext {
             rates: &routed.rates,
@@ -648,6 +675,50 @@ mod tests {
         assert_eq!(r.packets_delivered, 1);
         assert_eq!(r.avg_network_latency, 1.0);
         assert_eq!(r.flow_latency(FlowId(0)), Some(1.0));
+    }
+
+    #[test]
+    fn a_trace_whose_packets_do_not_fit_a_vc_is_refused_on_every_design() {
+        // Caught per design and length: each refusal names the trace's
+        // length and the VC depth, so none came from a buffer
+        // overflowing mid-run — and Dedicated, which has no buffer to
+        // overflow, refuses too.
+        let cfg = NocConfig::paper_4x4();
+        for kind in DesignKind::ALL {
+            for flits_per_packet in [40, 0] {
+                let exp = Experiment::new(cfg.clone())
+                    .design(kind)
+                    .plan(RunPlan::smoke())
+                    .drive(Drive::Trace(TraceFile {
+                        flits_per_packet,
+                        events: vec![(0, FlowId(0)), (400, FlowId(0))],
+                    }));
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| exp.run()));
+                let payload = caught.expect_err("refused");
+                let msg = payload
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .unwrap_or_default();
+                assert_eq!(
+                    msg,
+                    format!(
+                        "trace flits_per_packet = {flits_per_packet}: must be in \
+                         1..=vc_depth (10): virtual cut-through buffers a whole packet \
+                         in one VC"
+                    ),
+                    "{kind:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "no plan for f9")]
+    fn a_drive_naming_an_unplanned_flow_is_refused() {
+        let _ = Experiment::new(NocConfig::paper_4x4())
+            .scripted(vec![(0, FlowId(0)), (3, FlowId(9))])
+            .plan(RunPlan::smoke())
+            .run();
     }
 
     #[test]

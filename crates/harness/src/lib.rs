@@ -75,5 +75,5 @@ pub use smart_sim::{TelemetryConfig, TelemetrySeries};
 // downstream users (bench, examples) need no extra dependency.
 pub use smart_traffic::{
     FlowDelta, ModulatedTraffic, PhaseOutcome, SpatialPattern, TemporalModel, TraceDiffReport,
-    TraceFile, TraceRecorder, TraceTraffic,
+    TraceFile, TraceRecorder,
 };

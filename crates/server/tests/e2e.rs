@@ -303,6 +303,103 @@ fn a_rate_above_one_is_refused_before_it_is_accepted() {
     handle.shutdown().expect("shutdown handshake");
 }
 
+/// A Fig 7 trace diff (Mesh against SMART on the paper's 4×4) of
+/// `trace`, as a client would send it.
+fn fig7_trace_diff(id: &str, trace: TraceFile) -> Request {
+    Request::TraceDiff {
+        id: id.to_owned(),
+        mesh: 4,
+        topology: TopologySpec::Mesh,
+        baseline: DesignKind::Mesh,
+        candidate: DesignKind::Smart,
+        workload: WorkloadSpec::Fig7,
+        plan: PlanSpec::from(RunPlan::smoke()),
+        trace,
+    }
+}
+
+/// The one error event a refused trace diff ends in: no per-flow delta
+/// and no summary come before it.
+fn refusal_of(events: &[ResponseEvent]) -> &str {
+    assert!(
+        !events.iter().any(|e| matches!(
+            e,
+            ResponseEvent::FlowDiff { .. } | ResponseEvent::DiffSummary { .. }
+        )),
+        "a refused trace diff reports no delta: {events:?}"
+    );
+    let errors: Vec<&str> = events
+        .iter()
+        .filter_map(|e| match e {
+            ResponseEvent::Error { message, .. } => Some(message.as_str()),
+            _ => None,
+        })
+        .collect();
+    match (errors.as_slice(), events.last()) {
+        ([message], Some(ResponseEvent::Error { .. })) => message,
+        _ => panic!("expected one terminal error event: {events:?}"),
+    }
+}
+
+/// A trace brings its own packet length over the wire. Virtual
+/// cut-through buffers a whole packet in one VC, so a length past the
+/// VC depth (10 on the paper's 4×4) or of zero flits is refused with
+/// one `error` naming both numbers before any cycle runs, and the
+/// connection goes on serving. Run, such a packet overflows a router
+/// buffer mid-run on Mesh and SMART and passes unnoticed on Dedicated.
+#[test]
+fn a_trace_whose_packets_overflow_a_vc_is_refused() {
+    let server = Server::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let handle = server.spawn().expect("spawn accept loop");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    for flits_per_packet in [40, 0] {
+        let trace = TraceFile {
+            flits_per_packet,
+            events: vec![(0, smart_sim::FlowId(0)), (400, smart_sim::FlowId(0))],
+        };
+        let events = client
+            .submit(&fig7_trace_diff("long", trace))
+            .expect("an error event, not a hang-up");
+        assert_eq!(
+            refusal_of(&events),
+            format!(
+                "trace flits_per_packet = {flits_per_packet}: must be in 1..=vc_depth (10): \
+                 virtual cut-through buffers a whole packet in one VC"
+            )
+        );
+    }
+    assert_serving_normally(handle.addr());
+    handle.shutdown().expect("shutdown handshake");
+}
+
+/// A trace that names a flow the workload does not plan ends in one
+/// `error` naming the flow, with no delta reported, and the same
+/// connection's next request is answered.
+#[test]
+fn a_trace_naming_an_unplanned_flow_is_refused() {
+    let server = Server::bind("127.0.0.1:0", ServiceConfig::default()).expect("bind");
+    let handle = server.spawn().expect("spawn accept loop");
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let trace = TraceFile {
+        flits_per_packet: 8,
+        events: vec![(0, smart_sim::FlowId(0)), (5, smart_sim::FlowId(9))],
+    };
+    let events = client
+        .submit(&fig7_trace_diff("stray", trace))
+        .expect("an error event, not a hang-up");
+    assert_eq!(refusal_of(&events), "no plan for f9");
+    let stats = client
+        .submit(&Request::Stats {
+            id: "stats".to_owned(),
+        })
+        .expect("stats on the same connection");
+    assert!(
+        matches!(stats.first(), Some(ResponseEvent::Stats { .. })),
+        "{stats:?}"
+    );
+    handle.shutdown().expect("shutdown handshake");
+}
+
 /// NMAP places one task per core, so VOPD's 12 tasks do not fit a 3×3
 /// fabric's 9 cores. Every request kind that carries a workload is
 /// refused with one `error` event naming the application, its task

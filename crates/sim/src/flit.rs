@@ -6,10 +6,12 @@
 //!
 //! The simulation mirrors the hardware's economy at both levels:
 //!
-//! * **Per packet.** The fields that never change (source, destination,
+//! * **Per packet.** The fields that never change (flow,
 //!   generation/injection cycles, original [`PacketId`]) are interned
 //!   **once** into a packet arena when the packet enters its source NIC
-//!   and reached through an arena slot.
+//!   and reached through an arena slot. A packet carries no source or
+//!   destination: its flow's plan holds them, as the preset route does
+//!   in hardware.
 //! * **Per flit.** A flit is the small fixed-size `Copy` record that
 //!   *moves* — out of a NIC, through the arrival rings, across a band
 //!   boundary, into a NIC — and it names its packet, flow, position and
@@ -23,7 +25,7 @@
 //!   record.
 
 use crate::route::SourceRoute;
-use crate::topology::{NodeId, Topology};
+use crate::topology::Topology;
 use std::fmt;
 
 /// Globally unique packet identifier (simulation-side bookkeeping).
@@ -119,17 +121,14 @@ impl Flit {
 }
 
 /// A whole packet, as produced by a traffic source before the NIC
-/// serializes it into flits.
+/// serializes it into flits. Where it goes is its flow's business: the
+/// flow's plan names the source and destination.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Unique id.
     pub id: PacketId,
     /// The flow it belongs to.
     pub flow: FlowId,
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
     /// Cycle it was generated.
     pub gen_cycle: u64,
     /// Number of flits (Table II: 8).
@@ -144,10 +143,6 @@ pub(crate) struct PacketMeta {
     pub id: PacketId,
     /// The flow it belongs to.
     pub flow: FlowId,
-    /// Source node.
-    pub src: NodeId,
-    /// Destination node.
-    pub dst: NodeId,
     /// Cycle the packet was generated by the traffic source.
     pub gen_cycle: u64,
     /// Cycle the head entered the network (left the NIC queue); set by
@@ -186,8 +181,6 @@ impl PacketArena {
         self.intern_meta(PacketMeta {
             id: packet.id,
             flow: packet.flow,
-            src: packet.src,
-            dst: packet.dst,
             gen_cycle: packet.gen_cycle,
             inject_cycle: u64::MAX,
             num_flits: packet.num_flits,
@@ -301,8 +294,6 @@ mod tests {
         Packet {
             id: PacketId(id),
             flow: FlowId(1),
-            src: NodeId(0),
-            dst: NodeId(5),
             gen_cycle: 100,
             num_flits: n,
         }

@@ -329,6 +329,16 @@ impl FlowTable {
         self.spans[self.find(flow)].0
     }
 
+    /// The node whose NIC injects `flow`'s packets: where its first leg
+    /// starts.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the flow is unknown.
+    pub(crate) fn source(&self, flow: FlowId) -> NodeId {
+        self.rec(self.first_leg(flow)).sender.node()
+    }
+
     /// Leg `leg`: an index from [`FlowTable::first_leg`], or the
     /// successor of the leg a head arrived on.
     pub(crate) fn rec(&self, leg: u32) -> &LegRec {
@@ -526,6 +536,15 @@ mod tests {
     #[test]
     fn a_leg_record_is_24_bytes() {
         assert_eq!(std::mem::size_of::<LegRec>(), 24);
+    }
+
+    #[test]
+    fn packet_records_leave_the_endpoints_to_the_plan() {
+        // Neither record repeats its flow's endpoints, which the plan
+        // holds. Every offered packet, every live arena slot and every
+        // cross-band arrival (which carries a `PacketMeta`) costs these.
+        assert_eq!(std::mem::size_of::<crate::flit::Packet>(), 24);
+        assert_eq!(std::mem::size_of::<crate::flit::PacketMeta>(), 32);
     }
 
     #[test]

@@ -28,7 +28,8 @@
 //! *stop routers*. The baseline mesh is the plan where every router
 //! stops; SMART plans bypass entire multi-hop stretches in one cycle.
 //! A [`FlowTable`] stores each plan once, as the dense leg records the
-//! engine steps.
+//! engine steps. A [`Packet`] names its flow and no endpoint: the plan
+//! is where its source and destination are kept.
 //!
 //! ```
 //! use smart_sim::flit::{FlowId, Packet, PacketId};
@@ -45,8 +46,6 @@
 //! net.offer(Packet {
 //!     id: PacketId(0),
 //!     flow: FlowId(0),
-//!     src: NodeId(0),
-//!     dst: NodeId(3),
 //!     gen_cycle: 0,
 //!     num_flits: 8,
 //! });
@@ -85,4 +84,6 @@ pub use telemetry::{
 };
 pub use topology::{Coord, Direction, LinkId, NodeId, Topology, Turn, HOP_MM};
 pub use trace::{ReplayCounts, TraceKind, TraceRecord, Tracer};
-pub use traffic::{mbps_to_packet_rate, BernoulliTraffic, ScriptedTraffic, TrafficSource};
+pub use traffic::{
+    mbps_to_packet_rate, ModulatedTraffic, ScriptedTraffic, TemporalModel, TrafficSource,
+};

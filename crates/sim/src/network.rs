@@ -315,13 +315,11 @@ impl Band {
         }
     }
 
-    /// Queue a generated packet at its source NIC, interning its
-    /// metadata into the packet arena.
-    pub(crate) fn offer(&mut self, packet: Packet, flows: &FlowTable) {
-        let (src, dst) = flows.plan(packet.flow).endpoints();
-        assert_eq!(packet.src, src, "packet src mismatch");
-        assert_eq!(packet.dst, dst, "packet dst mismatch");
-        let l = self.local(packet.src);
+    /// Queue a generated packet at its source NIC `src`, the node its
+    /// flow's plan starts at, interning its metadata into the packet
+    /// arena.
+    pub(crate) fn offer(&mut self, packet: Packet, src: NodeId) {
+        let l = self.local(src);
         let slot = self.arena.intern(&packet);
         self.nics[l].offer(slot, self.arena.get(slot));
         self.backlogged.insert(l);
@@ -961,15 +959,15 @@ impl Network {
             .map(|(i, n)| (link_of(i), *n))
     }
 
-    /// Queue a generated packet at its source NIC.
+    /// Queue a generated packet at the source NIC of its flow's plan.
     ///
     /// # Panics
     ///
-    /// Panics if the packet's flow is unknown or its src/dst disagree
-    /// with the flow's route.
+    /// Panics if the packet's flow is unknown.
     pub fn offer(&mut self, packet: Packet) {
-        let b = self.exchange().map_or(0, |x| x.owner(packet.src));
-        self.bands[b].offer(packet, &self.flows);
+        let src = self.flows.source(packet.flow);
+        let b = self.exchange().map_or(0, |x| x.owner(src));
+        self.bands[b].offer(packet, src);
     }
 
     /// Advance one cycle. With several bands this is a one-cycle
@@ -1032,7 +1030,8 @@ impl Network {
             }
             if let Some(t) = traffic.as_deref_mut() {
                 for p in t.generate(self.cycle) {
-                    band.offer(p, &self.flows);
+                    let src = self.flows.source(p.flow);
+                    band.offer(p, src);
                 }
             }
             band.step(self.cycle, &self.flows, seam);
@@ -1058,12 +1057,10 @@ mod tests {
         (Network::new(cfg, table), flow)
     }
 
-    fn packet(flow: FlowId, src: u16, dst: u16, gen: u64, n: u8) -> Packet {
+    fn packet(flow: FlowId, gen: u64, n: u8) -> Packet {
         Packet {
             id: PacketId(gen),
             flow,
-            src: NodeId(src),
-            dst: NodeId(dst),
             gen_cycle: gen,
             num_flits: n,
         }
@@ -1167,7 +1164,7 @@ mod tests {
         // 1 hop: 8 cycles; 2 hops: 12; 6 hops: 28 (= 4H + 4).
         for (src, dst, hops) in [(9u16, 10u16, 1u64), (0, 2, 2), (0, 15, 6)] {
             let (mut net, flow) = one_flow_net(src, dst);
-            net.offer(packet(flow, src, dst, 0, 8));
+            net.offer(packet(flow, 0, 8));
             for _ in 0..200 {
                 net.step();
             }
@@ -1185,7 +1182,7 @@ mod tests {
         let (net, flow) = one_flow_net(3, 12);
         let plan = net.flows().plan(flow);
         let (mut net2, _) = one_flow_net(3, 12);
-        net2.offer(packet(flow, 3, 12, 0, 8));
+        net2.offer(packet(flow, 0, 8));
         for _ in 0..200 {
             net2.step();
         }
@@ -1201,8 +1198,7 @@ mod tests {
     #[test]
     fn back_to_back_packets_share_the_network() {
         let (mut net, flow) = one_flow_net(0, 3);
-        let mut traffic =
-            ScriptedTraffic::new(vec![(0, flow), (1, flow), (2, flow)], 8, net.flows());
+        let mut traffic = ScriptedTraffic::new(vec![(0, flow), (1, flow), (2, flow)], 8);
         net.run_with(&mut traffic, 300);
         assert_eq!(net.counters().packets_delivered, 3);
         assert_eq!(net.counters().packets_injected, 3);
@@ -1217,7 +1213,7 @@ mod tests {
     fn flit_conservation_under_load() {
         let (mut net, flow) = one_flow_net(0, 5);
         for i in 0..20 {
-            net.offer(packet(flow, 0, 5, i, 8));
+            net.offer(packet(flow, i, 8));
         }
         for _ in 0..2000 {
             net.step();
@@ -1233,7 +1229,7 @@ mod tests {
     fn drain_detects_quiescence() {
         let (mut net, flow) = one_flow_net(1, 14);
         assert!(net.is_quiescent());
-        net.offer(packet(flow, 1, 14, 0, 8));
+        net.offer(packet(flow, 0, 8));
         assert!(!net.is_quiescent());
         assert!(net.drain(500));
         assert!(net.is_quiescent());
@@ -1242,7 +1238,7 @@ mod tests {
     #[test]
     fn counters_track_buffer_and_crossbar_activity() {
         let (mut net, flow) = one_flow_net(0, 2); // 2 hops
-        net.offer(packet(flow, 0, 2, 0, 8));
+        net.offer(packet(flow, 0, 8));
         net.drain(500);
         let c = net.counters();
         // 8 flits × 3 stops (routers 0, 1, 2) buffered once each.
@@ -1262,14 +1258,14 @@ mod tests {
     fn stats_window_excludes_warmup_packets() {
         let (mut net, flow) = one_flow_net(0, 1);
         net.set_stats_from(100);
-        net.offer(packet(flow, 0, 1, 0, 8)); // warm-up packet
+        net.offer(packet(flow, 0, 8)); // warm-up packet
         net.drain(200);
         assert_eq!(net.stats().packets(), 0);
         // Advance past the measurement boundary before the late packet.
         while net.cycle() < 100 {
             net.step();
         }
-        let late = packet(flow, 0, 1, net.cycle(), 8);
+        let late = packet(flow, net.cycle(), 8);
         net.offer(late);
         net.drain(200);
         assert_eq!(net.stats().packets(), 1);

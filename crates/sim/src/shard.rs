@@ -68,8 +68,9 @@ pub(crate) struct Exchange {
     /// `k × k` outboxes, `src * k + dst`; each cell is written by one
     /// worker and drained by one worker, never concurrently.
     outbox: Vec<Mutex<Vec<BoundaryEvent>>>,
-    /// Per-band packets queued by the coordinator for the next cycle.
-    offer_box: Vec<Mutex<Vec<Packet>>>,
+    /// Per-band packets queued by the coordinator for the next cycle,
+    /// each with the source node its flow's plan starts at.
+    offer_box: Vec<Mutex<Vec<(Packet, NodeId)>>>,
     /// The merged read models (see [`Exchange::refresh_merged`]).
     pub(crate) counters: ActivityCounters,
     pub(crate) stats: SimStats,
@@ -264,8 +265,8 @@ impl Exchange {
                             return;
                         }
                         drain_box(&x.offer_box[i], |offers| {
-                            for p in offers.drain(..) {
-                                band.offer(p, flows);
+                            for (p, src) in offers.drain(..) {
+                                band.offer(p, src);
                             }
                         });
                         band.step(c, flows, &mut seam);
@@ -307,7 +308,8 @@ impl Exchange {
                     }
                     if let Some(t) = traffic.as_deref_mut() {
                         for p in t.generate(c) {
-                            lock_free_of_poison(&x.offer_box[x.owner(p.src)]).push(p);
+                            let src = flows.source(p.flow);
+                            lock_free_of_poison(&x.offer_box[x.owner(src)]).push((p, src));
                         }
                     }
                 }
@@ -341,7 +343,7 @@ mod tests {
     use crate::network::{Network, SimConfig};
     use crate::route::SourceRoute;
     use crate::topology::{NodeId, Topology};
-    use crate::traffic::BernoulliTraffic;
+    use crate::traffic::{ModulatedTraffic, TemporalModel};
 
     fn crossing_flows(h: u16) -> (SimConfig, FlowTable, Vec<(FlowId, f64)>) {
         let cfg = SimConfig {
@@ -368,7 +370,8 @@ mod tests {
     }
 
     fn run(net: &mut Network, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64) {
-        let mut traffic = BernoulliTraffic::new(rates, net.flows(), cfg.flits_per_packet, seed);
+        let mut traffic =
+            ModulatedTraffic::new(TemporalModel::Steady, rates, cfg.flits_per_packet, seed);
         net.run_with(&mut traffic, 500);
         assert!(net.drain(20_000), "network failed to drain");
     }

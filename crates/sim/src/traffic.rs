@@ -1,19 +1,23 @@
-//! Traffic generation.
+//! Traffic generation: the [`TrafficSource`] trait and its two sources.
 //!
-//! The paper's evaluation "generate\[s\] synthetic traffic from 8 SoC task
-//! graphs, modeling a uniform random injection rate to meet the
-//! specified bandwidth for each flow". [`BernoulliTraffic`] implements
-//! exactly that: per flow, a packet is generated each cycle with
-//! probability chosen so the average flit rate matches the flow's
-//! bandwidth. [`ScriptedTraffic`] injects packets at fixed cycles for
-//! deterministic tests and the Fig 7 walk-through.
+//! A generated [`Packet`] names its flow and nothing else about where it
+//! goes: the flow's plan in the [`FlowTable`](crate::forward::FlowTable)
+//! holds its source and destination, so no source here reads the table.
+//!
+//! * [`ModulatedTraffic`] is the rate-driven source. The paper's
+//!   evaluation "generate\[s\] synthetic traffic from 8 SoC task graphs,
+//!   modeling a uniform random injection rate to meet the specified
+//!   bandwidth for each flow": per flow, a packet is generated each cycle
+//!   with probability chosen so the average flit rate matches the flow's
+//!   bandwidth. That is [`TemporalModel::Steady`]; the other
+//!   [`TemporalModel`]s spread the same nominal rate over time as
+//!   on/off bursts or a rate ramp.
+//! * [`ScriptedTraffic`] injects packets at fixed cycles — deterministic
+//!   tests, the Fig 7 walk-through and the replay of recorded traces.
 
 use crate::flit::{FlowId, Packet, PacketId};
-use crate::forward::FlowTable;
-use crate::topology::NodeId;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Produces packets for each simulated cycle.
 pub trait TrafficSource {
@@ -21,87 +25,284 @@ pub trait TrafficSource {
     fn generate(&mut self, cycle: u64) -> Vec<Packet>;
 }
 
-/// Per-flow uniform-random (Bernoulli) injection.
+/// An injection-process modulator layered on per-flow Bernoulli rates:
+/// how a flow's nominal rate is spread over time.
+///
+/// Real SoC producers are bursty, where the paper's evaluation injects
+/// "uniform random" traffic; the model layers an injection process on
+/// top of any spatial pattern's per-flow rates.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TemporalModel {
+    /// Plain Bernoulli at the nominal rate: one uniform draw per flow
+    /// per cycle.
+    Steady,
+    /// Two-state Markov bursts: each flow flips on→off with probability
+    /// `on_to_off` and off→on with probability `off_to_on` per cycle;
+    /// while on it injects at `rate / P(on)` (capped at 1), while off
+    /// it is silent. Flows start on. The boost keeps the long-run
+    /// offered load at the nominal rate (up to the cap).
+    OnOff {
+        /// Per-cycle probability of leaving the on state, in `(0, 1]`.
+        on_to_off: f64,
+        /// Per-cycle probability of leaving the off state, in `(0, 1]`.
+        off_to_on: f64,
+    },
+    /// Deterministic rate sweep: the rate multiplier moves linearly
+    /// from `from` to `to` over `cycles` cycles, then holds at `to` —
+    /// latency–throughput sweeps in one run.
+    Ramp {
+        /// Multiplier at cycle 0.
+        from: f64,
+        /// Multiplier from `cycles` on.
+        to: f64,
+        /// Sweep duration in cycles (> 0).
+        cycles: u64,
+    },
+}
+
+impl TemporalModel {
+    /// The canonical burst model: mean on-period `1/on_to_off` cycles,
+    /// stationary on-probability `off_to_on / (on_to_off + off_to_on)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either probability is outside `(0, 1]`.
+    #[must_use]
+    pub fn on_off(on_to_off: f64, off_to_on: f64) -> Self {
+        let m = TemporalModel::OnOff {
+            on_to_off,
+            off_to_on,
+        };
+        m.validate();
+        m
+    }
+
+    /// A linear rate sweep from `from`× to `to`× the nominal rate over
+    /// `cycles` cycles.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a multiplier is negative or `cycles` is zero.
+    #[must_use]
+    pub fn ramp(from: f64, to: f64, cycles: u64) -> Self {
+        let m = TemporalModel::Ramp { from, to, cycles };
+        m.validate();
+        m
+    }
+
+    /// Check parameter domains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a parameter is outside its documented domain.
+    pub fn validate(&self) {
+        match self {
+            TemporalModel::Steady => {}
+            TemporalModel::OnOff {
+                on_to_off,
+                off_to_on,
+            } => {
+                assert!(
+                    *on_to_off > 0.0 && *on_to_off <= 1.0,
+                    "on_to_off {on_to_off} outside (0,1]"
+                );
+                assert!(
+                    *off_to_on > 0.0 && *off_to_on <= 1.0,
+                    "off_to_on {off_to_on} outside (0,1]"
+                );
+            }
+            TemporalModel::Ramp { from, to, cycles } => {
+                assert!(
+                    *from >= 0.0 && *to >= 0.0,
+                    "ramp multipliers must be non-negative, got {from}..{to}"
+                );
+                assert!(*cycles > 0, "ramp needs a nonzero sweep window");
+            }
+        }
+    }
+
+    /// Report-label suffix (empty for [`TemporalModel::Steady`]).
+    #[must_use]
+    pub fn suffix(&self) -> String {
+        match self {
+            TemporalModel::Steady => String::new(),
+            TemporalModel::OnOff {
+                on_to_off,
+                off_to_on,
+            } => format!("+onoff({on_to_off},{off_to_on})"),
+            TemporalModel::Ramp { from, to, cycles } => format!("+ramp({from}..{to}/{cycles})"),
+        }
+    }
+
+    /// Stationary fraction of cycles a flow spends injecting (1 for
+    /// the deterministic models).
+    #[must_use]
+    pub fn duty_cycle(&self) -> f64 {
+        match self {
+            TemporalModel::Steady | TemporalModel::Ramp { .. } => 1.0,
+            TemporalModel::OnOff {
+                on_to_off,
+                off_to_on,
+            } => off_to_on / (on_to_off + off_to_on),
+        }
+    }
+}
+
+/// Per-flow state and rate for [`ModulatedTraffic`].
 #[derive(Debug, Clone)]
-pub struct BernoulliTraffic {
-    flows: Vec<(FlowId, NodeId, NodeId, f64)>,
+struct FlowState {
+    flow: FlowId,
+    rate: f64,
+    on: bool,
+}
+
+/// A [`TrafficSource`] driving per-flow Bernoulli injection through a
+/// [`TemporalModel`]: one uniform draw per flow per cycle (after the
+/// model's own draws), flows in rate order.
+#[derive(Debug, Clone)]
+pub struct ModulatedTraffic {
+    model: TemporalModel,
+    flows: Vec<FlowState>,
     flits_per_packet: u8,
     rng: StdRng,
     next_id: u64,
 }
 
-impl BernoulliTraffic {
-    /// Build from `(flow, packets_per_cycle)` rates; sources and
-    /// destinations are read from the flow table's plans.
+impl ModulatedTraffic {
+    /// Build from `(flow, packets_per_cycle)` nominal rates.
     ///
     /// # Panics
     ///
-    /// Panics if any rate is outside `[0, 1]` or any flow is unknown.
+    /// Panics if any rate is outside `[0, 1]` or a model parameter is
+    /// outside its domain.
     #[must_use]
     pub fn new(
+        model: TemporalModel,
         rates: &[(FlowId, f64)],
-        flows: &FlowTable,
         flits_per_packet: u8,
         seed: u64,
     ) -> Self {
-        let specs = rates
+        model.validate();
+        let flows = rates
             .iter()
-            .map(|(flow, rate)| {
+            .map(|&(flow, rate)| {
                 assert!(
-                    (0.0..=1.0).contains(rate),
+                    (0.0..=1.0).contains(&rate),
                     "{flow}: injection rate {rate} outside [0,1]"
                 );
-                let (src, dst) = flows.plan(*flow).endpoints();
-                (*flow, src, dst, *rate)
+                FlowState {
+                    flow,
+                    rate,
+                    on: true,
+                }
             })
             .collect();
-        BernoulliTraffic {
-            flows: specs,
+        ModulatedTraffic {
+            model,
+            flows,
             flits_per_packet,
             rng: StdRng::seed_from_u64(seed),
             next_id: 0,
         }
     }
 
+    /// Long-run offered load in flits per cycle across all flows,
+    /// accounting for the one-packet-per-cycle cap: an on/off flow can
+    /// deliver at most its duty cycle (the boosted on-rate clips at 1),
+    /// and a ramp holds at `min(rate × to, 1)` once the sweep ends.
+    #[must_use]
+    pub fn offered_flits_per_cycle(&self) -> f64 {
+        let effective = |rate: f64| match self.model {
+            TemporalModel::Steady => rate,
+            TemporalModel::OnOff { .. } => rate.min(self.model.duty_cycle()),
+            TemporalModel::Ramp { to, .. } => (rate * to).min(1.0),
+        };
+        self.flows
+            .iter()
+            .map(|f| effective(f.rate) * f64::from(self.flits_per_packet))
+            .sum()
+    }
+
     /// Generate `per_flow` packets for every flow immediately (e.g. to
-    /// leave traffic in flight before a reconfiguration drain).
+    /// leave traffic in flight before a reconfiguration drain). The
+    /// packet ids continue the source's own count; no random number is
+    /// drawn.
     #[must_use]
     pub fn generate_burst(&mut self, cycle: u64, per_flow: usize) -> Vec<Packet> {
-        let mut out = Vec::new();
-        for (flow, src, dst, _) in &self.flows {
+        let mut out = Vec::with_capacity(self.flows.len() * per_flow);
+        for f in &self.flows {
             for _ in 0..per_flow {
-                out.push(Packet {
-                    id: PacketId(self.next_id),
-                    flow: *flow,
-                    src: *src,
-                    dst: *dst,
-                    gen_cycle: cycle,
-                    num_flits: self.flits_per_packet,
-                });
-                self.next_id += 1;
+                out.push(packet(
+                    &mut self.next_id,
+                    f.flow,
+                    cycle,
+                    self.flits_per_packet,
+                ));
+            }
+        }
+        out
+    }
+
+    /// One injection draw per flow, in rate order, at the probability
+    /// `rate` gives that flow (after whatever `rate` itself draws).
+    fn draw(
+        &mut self,
+        cycle: u64,
+        mut rate: impl FnMut(&mut FlowState, &mut StdRng) -> f64,
+    ) -> Vec<Packet> {
+        let mut out = Vec::new();
+        for f in &mut self.flows {
+            let p = rate(f, &mut self.rng);
+            if self.rng.gen::<f64>() < p {
+                out.push(packet(
+                    &mut self.next_id,
+                    f.flow,
+                    cycle,
+                    self.flits_per_packet,
+                ));
             }
         }
         out
     }
 }
 
-impl TrafficSource for BernoulliTraffic {
+impl TrafficSource for ModulatedTraffic {
     fn generate(&mut self, cycle: u64) -> Vec<Packet> {
-        let mut out = Vec::new();
-        for (flow, src, dst, rate) in &self.flows {
-            if self.rng.gen::<f64>() < *rate {
-                out.push(Packet {
-                    id: PacketId(self.next_id),
-                    flow: *flow,
-                    src: *src,
-                    dst: *dst,
-                    gen_cycle: cycle,
-                    num_flits: self.flits_per_packet,
-                });
-                self.next_id += 1;
+        // One loop per model. A loop shared by all three lets the
+        // compiler hoist the on/off and ramp divisions out of it and run
+        // them every cycle for a `Steady` model too, on whatever bytes
+        // fill its unused fields — slow when they read as subnormals.
+        match self.model {
+            TemporalModel::Steady => self.draw(cycle, |f, _| f.rate),
+            TemporalModel::OnOff {
+                on_to_off,
+                off_to_on,
+            } => {
+                let duty = off_to_on / (on_to_off + off_to_on);
+                self.draw(cycle, |f, rng| {
+                    // One transition draw per flow per cycle keeps the
+                    // stream deterministic regardless of outcomes.
+                    let u = rng.gen::<f64>();
+                    if f.on {
+                        if u < on_to_off {
+                            f.on = false;
+                        }
+                    } else if u < off_to_on {
+                        f.on = true;
+                    }
+                    if f.on {
+                        (f.rate / duty).min(1.0)
+                    } else {
+                        0.0
+                    }
+                })
+            }
+            TemporalModel::Ramp { from, to, cycles } => {
+                let t = (cycle.min(cycles)) as f64 / cycles as f64;
+                let scale = from + (to - from) * t;
+                self.draw(cycle, |f, _| (f.rate * scale).min(1.0))
             }
         }
-        out
     }
 }
 
@@ -112,7 +313,6 @@ pub struct ScriptedTraffic {
     events: Vec<(u64, FlowId)>,
     idx: usize,
     flits_per_packet: u8,
-    endpoints: HashMap<FlowId, (NodeId, NodeId)>,
     next_id: u64,
 }
 
@@ -121,22 +321,13 @@ impl ScriptedTraffic {
     /// same-cycle events keep the order they were given in (so a
     /// recorded injection schedule replays in its original per-cycle
     /// order — queue order at a shared source NIC matters).
-    ///
-    /// # Panics
-    ///
-    /// Panics if an event references an unknown flow.
     #[must_use]
-    pub fn new(mut events: Vec<(u64, FlowId)>, flits_per_packet: u8, flows: &FlowTable) -> Self {
+    pub fn new(mut events: Vec<(u64, FlowId)>, flits_per_packet: u8) -> Self {
         events.sort_by_key(|(c, _)| *c);
-        let endpoints = events
-            .iter()
-            .map(|(_, f)| (*f, flows.plan(*f).endpoints()))
-            .collect();
         ScriptedTraffic {
             events,
             idx: 0,
             flits_per_packet,
-            endpoints,
             next_id: 0,
         }
     }
@@ -151,21 +342,23 @@ impl ScriptedTraffic {
 impl TrafficSource for ScriptedTraffic {
     fn generate(&mut self, cycle: u64) -> Vec<Packet> {
         let mut out = Vec::new();
-        while self.idx < self.events.len() && self.events[self.idx].0 <= cycle {
-            let (gen, flow) = self.events[self.idx];
-            let (src, dst) = self.endpoints[&flow];
-            out.push(Packet {
-                id: PacketId(self.next_id),
-                flow,
-                src,
-                dst,
-                gen_cycle: gen,
-                num_flits: self.flits_per_packet,
-            });
-            self.next_id += 1;
+        while let Some(&(gen, flow)) = self.events.get(self.idx).filter(|e| e.0 <= cycle) {
+            out.push(packet(&mut self.next_id, flow, gen, self.flits_per_packet));
             self.idx += 1;
         }
         out
+    }
+}
+
+/// The next packet of a source whose id counter is `next_id`.
+fn packet(next_id: &mut u64, flow: FlowId, gen_cycle: u64, num_flits: u8) -> Packet {
+    let id = PacketId(*next_id);
+    *next_id += 1;
+    Packet {
+        id,
+        flow,
+        gen_cycle,
+        num_flits,
     }
 }
 
@@ -187,28 +380,10 @@ pub fn mbps_to_packet_rate(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route::SourceRoute;
-    use crate::topology::Topology;
-
-    fn table() -> FlowTable {
-        let mesh = Topology::paper_4x4();
-        let routes = vec![
-            (
-                FlowId(0),
-                SourceRoute::xy(mesh, NodeId(0), NodeId(3)).unwrap(),
-            ),
-            (
-                FlowId(1),
-                SourceRoute::xy(mesh, NodeId(12), NodeId(15)).unwrap(),
-            ),
-        ];
-        FlowTable::mesh_baseline(mesh, &routes)
-    }
 
     #[test]
-    fn bernoulli_rate_is_approximately_met() {
-        let flows = table();
-        let mut t = BernoulliTraffic::new(&[(FlowId(0), 0.1)], &flows, 8, 42);
+    fn steady_rate_is_approximately_met() {
+        let mut t = ModulatedTraffic::new(TemporalModel::Steady, &[(FlowId(0), 0.1)], 8, 42);
         let mut count = 0;
         for c in 0..20_000 {
             count += t.generate(c).len();
@@ -218,28 +393,13 @@ mod tests {
     }
 
     #[test]
-    fn bernoulli_is_deterministic_per_seed() {
-        let flows = table();
-        let mut a = BernoulliTraffic::new(&[(FlowId(0), 0.3)], &flows, 8, 7);
-        let mut b = BernoulliTraffic::new(&[(FlowId(0), 0.3)], &flows, 8, 7);
-        for c in 0..100 {
-            assert_eq!(a.generate(c).len(), b.generate(c).len());
-        }
-    }
-
-    #[test]
     fn scripted_fires_in_order() {
-        let flows = table();
-        let mut t = ScriptedTraffic::new(
-            vec![(5, FlowId(1)), (2, FlowId(0)), (5, FlowId(0))],
-            8,
-            &flows,
-        );
+        let mut t = ScriptedTraffic::new(vec![(5, FlowId(1)), (2, FlowId(0)), (5, FlowId(0))], 8);
         assert!(t.generate(0).is_empty());
         let at2 = t.generate(2);
         assert_eq!(at2.len(), 1);
         assert_eq!(at2[0].flow, FlowId(0));
-        assert_eq!(at2[0].src, NodeId(0));
+        assert_eq!(at2[0].gen_cycle, 2);
         let at5 = t.generate(5);
         assert_eq!(at5.len(), 2);
         assert!(t.exhausted());
@@ -249,25 +409,34 @@ mod tests {
     fn same_cycle_events_keep_their_given_order() {
         // Queue order at a shared source NIC matters, so replaying a
         // recorded schedule must not reorder same-cycle events.
-        let flows = table();
-        let mut t = ScriptedTraffic::new(
-            vec![(3, FlowId(1)), (3, FlowId(0)), (1, FlowId(0))],
-            8,
-            &flows,
-        );
+        let mut t = ScriptedTraffic::new(vec![(3, FlowId(1)), (3, FlowId(0)), (1, FlowId(0))], 8);
         assert_eq!(t.generate(1).len(), 1);
         let at3: Vec<FlowId> = t.generate(3).iter().map(|p| p.flow).collect();
         assert_eq!(at3, vec![FlowId(1), FlowId(0)]);
     }
 
     #[test]
-    fn burst_covers_every_flow() {
-        let flows = table();
-        let mut t = BernoulliTraffic::new(&[(FlowId(0), 0.1), (FlowId(1), 0.1)], &flows, 8, 0);
+    fn burst_covers_every_flow_and_continues_the_ids() {
+        let rates = [(FlowId(0), 0.5), (FlowId(1), 0.5)];
+        let mut t = ModulatedTraffic::new(TemporalModel::Steady, &rates, 8, 0);
+        let drawn = (0..10).map(|c| t.generate(c).len() as u64).sum::<u64>();
         let burst = t.generate_burst(42, 3);
         assert_eq!(burst.len(), 6);
         assert!(burst.iter().all(|p| p.gen_cycle == 42));
         assert_eq!(burst.iter().filter(|p| p.flow == FlowId(0)).count(), 3);
+        let ids: Vec<u64> = burst.iter().map(|p| p.id.0).collect();
+        assert_eq!(ids, (drawn..drawn + 6).collect::<Vec<_>>());
+        // The burst draws nothing: the stream after it is the stream a
+        // source that never burst produces, ids shifted by the burst.
+        let mut plain = ModulatedTraffic::new(TemporalModel::Steady, &rates, 8, 0);
+        for c in 0..10 {
+            let _ = plain.generate(c);
+        }
+        for c in 10..200 {
+            let (a, b) = (t.generate(c), plain.generate(c));
+            assert_eq!(a.len(), b.len());
+            assert!(a.iter().zip(&b).all(|(a, b)| a.id.0 == b.id.0 + 6));
+        }
     }
 
     #[test]
@@ -281,7 +450,108 @@ mod tests {
     #[test]
     #[should_panic(expected = "outside [0,1]")]
     fn silly_rate_rejected() {
-        let flows = table();
-        let _ = BernoulliTraffic::new(&[(FlowId(0), 1.5)], &flows, 8, 0);
+        let _ = ModulatedTraffic::new(TemporalModel::Steady, &[(FlowId(0), 1.5)], 8, 0);
+    }
+
+    #[test]
+    fn on_off_meets_the_nominal_rate_in_the_long_run() {
+        let model = TemporalModel::on_off(0.02, 0.05);
+        let mut t = ModulatedTraffic::new(model, &[(FlowId(0), 0.1)], 8, 42);
+        let mut count = 0usize;
+        let n = 200_000;
+        for c in 0..n {
+            count += t.generate(c).len();
+        }
+        let rate = count as f64 / n as f64;
+        assert!(
+            (rate - 0.1).abs() < 0.01,
+            "long-run rate {rate}, expected ~0.1"
+        );
+    }
+
+    #[test]
+    fn on_off_actually_bursts() {
+        // Long on/off periods: ~500 cycles each.
+        let model = TemporalModel::on_off(0.002, 0.002);
+        let mut t = ModulatedTraffic::new(model, &[(FlowId(0), 0.2)], 8, 3);
+        // Count injections per 1 000-cycle window; bursty traffic has
+        // near-empty and near-double windows.
+        let mut windows = Vec::new();
+        for w in 0..40 {
+            let mut k = 0;
+            for c in 0..1_000 {
+                k += t.generate(w * 1_000 + c).len();
+            }
+            windows.push(k);
+        }
+        let min = *windows.iter().min().expect("nonempty");
+        let max = *windows.iter().max().expect("nonempty");
+        assert!(
+            min < 100 && max > 300,
+            "windows should swing around the 200 mean: min {min}, max {max}"
+        );
+    }
+
+    #[test]
+    fn ramp_sweeps_the_rate() {
+        let model = TemporalModel::ramp(0.0, 1.0, 50_000);
+        let mut t = ModulatedTraffic::new(model, &[(FlowId(0), 0.2)], 8, 9);
+        let mut early = 0usize;
+        let mut late = 0usize;
+        for c in 0..10_000 {
+            early += t.generate(c).len();
+        }
+        for c in 40_000..50_000 {
+            late += t.generate(c).len();
+        }
+        // First tenth averages 0.1x nominal, last tenth 0.9x.
+        assert!(late > 5 * early, "ramp should grow: {early} -> {late}");
+    }
+
+    #[test]
+    fn duty_cycle_matches_stationary_distribution() {
+        assert!((TemporalModel::Steady.duty_cycle() - 1.0).abs() < 1e-12);
+        let m = TemporalModel::on_off(0.02, 0.06);
+        assert!((m.duty_cycle() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn offered_load_honors_the_on_rate_cap() {
+        // duty 0.1: a 0.3 nominal rate clips at one packet per on-cycle,
+        // so the real long-run offer is 0.1 packets = 0.8 flits/cycle.
+        let model = TemporalModel::on_off(0.09, 0.01);
+        let t = ModulatedTraffic::new(model, &[(FlowId(0), 0.3)], 8, 0);
+        assert!((t.offered_flits_per_cycle() - 0.8).abs() < 1e-12);
+        // Uncapped flows still offer their nominal rate.
+        let t = ModulatedTraffic::new(model, &[(FlowId(0), 0.05)], 8, 0);
+        assert!((t.offered_flits_per_cycle() - 0.4).abs() < 1e-12);
+        // A ramp holding at 2x a 0.6 rate clips at 1 packet/cycle.
+        let ramp = TemporalModel::ramp(0.0, 2.0, 100);
+        let t = ModulatedTraffic::new(ramp, &[(FlowId(0), 0.6)], 8, 0);
+        assert!((t.offered_flits_per_cycle() - 8.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn deterministic_per_seed() {
+        for model in [TemporalModel::Steady, TemporalModel::on_off(0.1, 0.1)] {
+            let rates = [(FlowId(0), 0.2), (FlowId(1), 0.05)];
+            let mut a = ModulatedTraffic::new(model, &rates, 8, 11);
+            let mut b = ModulatedTraffic::new(model, &rates, 8, 11);
+            for c in 0..2_000 {
+                assert_eq!(a.generate(c), b.generate(c));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside (0,1]")]
+    fn silly_transition_probability_rejected() {
+        let _ = TemporalModel::on_off(0.0, 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "nonzero sweep")]
+    fn zero_ramp_window_rejected() {
+        let _ = TemporalModel::ramp(0.0, 1.0, 0);
     }
 }

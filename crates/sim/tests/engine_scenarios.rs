@@ -7,14 +7,12 @@ use smart_sim::forward::FlowTable;
 use smart_sim::network::{Network, SimConfig};
 use smart_sim::route::SourceRoute;
 use smart_sim::topology::{Coord, NodeId, Topology};
-use smart_sim::traffic::{BernoulliTraffic, ScriptedTraffic};
+use smart_sim::traffic::{ModulatedTraffic, ScriptedTraffic, TemporalModel};
 
-fn packet(id: u64, flow: u32, src: u16, dst: u16, gen: u64) -> Packet {
+fn packet(id: u64, flow: u32, gen: u64) -> Packet {
     Packet {
         id: PacketId(id),
         flow: FlowId(flow),
-        src: NodeId(src),
-        dst: NodeId(dst),
         gen_cycle: gen,
         num_flits: 8,
     }
@@ -30,7 +28,7 @@ fn vc_backpressure_stalls_and_recovers() {
     let flows = FlowTable::mesh_baseline(cfg.topology, &[(FlowId(0), route)]);
     let mut net = Network::new(cfg, flows);
     for i in 0..6 {
-        net.offer(packet(i, 0, 0, 3, 0));
+        net.offer(packet(i, 0, 0));
     }
     assert!(net.drain(2_000), "burst must clear");
     let st = net.stats().flow(FlowId(0)).expect("delivered");
@@ -67,7 +65,8 @@ fn round_robin_shares_a_merging_output_fairly() {
     let flows = FlowTable::mesh_baseline(mesh, &routes);
     let mut net = Network::new(cfg, flows);
     let rates = vec![(FlowId(0), 0.04), (FlowId(1), 0.04)];
-    let mut traffic = BernoulliTraffic::new(&rates, net.flows(), cfg.flits_per_packet, 23);
+    let mut traffic =
+        ModulatedTraffic::new(TemporalModel::Steady, &rates, cfg.flits_per_packet, 23);
     net.run_with(&mut traffic, 40_000);
     net.drain(5_000);
     let a = net.stats().flow(FlowId(0)).expect("f0").packets as f64;
@@ -92,7 +91,8 @@ fn transpose_pattern_conserves_packets_on_the_baseline() {
     let flows = FlowTable::mesh_baseline(mesh, &routes);
     let mut net = Network::new(cfg, flows);
     let rates: Vec<(FlowId, f64)> = routes.iter().map(|(f, _)| (*f, 0.01)).collect();
-    let mut traffic = BernoulliTraffic::new(&rates, net.flows(), cfg.flits_per_packet, 99);
+    let mut traffic =
+        ModulatedTraffic::new(TemporalModel::Steady, &rates, cfg.flits_per_packet, 99);
     net.run_with(&mut traffic, 20_000);
     assert!(net.drain(5_000));
     let c = net.counters();
@@ -123,7 +123,7 @@ fn hotspot_saturates_gracefully_not_fatally() {
     // 15 flows × 0.02 packets/cycle × 8 flits = 2.4 flits/cycle toward
     // a sink that ejects 1 flit/cycle: heavily oversubscribed.
     let rates: Vec<(FlowId, f64)> = routes.iter().map(|(f, _)| (*f, 0.02)).collect();
-    let mut traffic = BernoulliTraffic::new(&rates, net.flows(), cfg.flits_per_packet, 7);
+    let mut traffic = ModulatedTraffic::new(TemporalModel::Steady, &rates, cfg.flits_per_packet, 7);
     net.run_with(&mut traffic, 10_000);
     let c = net.counters();
     assert!(c.packets_delivered > 500, "sink keeps draining");
@@ -151,11 +151,7 @@ fn single_flit_packets_work() {
     )];
     let flows = FlowTable::mesh_baseline(mesh, &routes);
     let mut net = Network::new(cfg, flows);
-    let mut traffic = ScriptedTraffic::new(
-        (0..10).map(|i| (i * 3, FlowId(0))).collect(),
-        1,
-        net.flows(),
-    );
+    let mut traffic = ScriptedTraffic::new((0..10).map(|i| (i * 3, FlowId(0))).collect(), 1);
     net.run_with(&mut traffic, 500);
     assert!(net.drain(500));
     assert_eq!(net.counters().packets_delivered, 10);
@@ -175,7 +171,7 @@ fn deep_mesh_16x16_zero_load_formula_still_holds() {
     let route = SourceRoute::xy(mesh, NodeId(0), NodeId(255)).unwrap();
     let flows = FlowTable::mesh_baseline(mesh, &[(FlowId(0), route)]);
     let mut net = Network::new(cfg, flows);
-    net.offer(packet(0, 0, 0, 255, 0));
+    net.offer(packet(0, 0, 0));
     assert!(net.drain(1_000));
     assert_eq!(
         net.stats()

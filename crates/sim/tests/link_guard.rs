@@ -65,7 +65,7 @@ fn overlapping_legs(bands: usize) {
     flows.insert(cfg.topology, bypass_plan(cfg, FlowId(0), 0, 2));
     flows.insert(cfg.topology, bypass_plan(cfg, FlowId(1), 1, 3));
     let events = vec![(0, FlowId(0)), (0, FlowId(1))];
-    let mut traffic = ScriptedTraffic::new(events, 1, &flows);
+    let mut traffic = ScriptedTraffic::new(events, 1);
     let mut net = Network::banded(cfg, flows, bands);
     net.run_with(&mut traffic, 10);
 }

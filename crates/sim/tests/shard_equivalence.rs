@@ -15,7 +15,9 @@
 use proptest::prelude::*;
 use smart_sim::route::SourceRoute;
 use smart_sim::topology::{LinkId, Topology};
-use smart_sim::{BernoulliTraffic, FlowId, FlowTable, Network, SimConfig, TrafficSource};
+use smart_sim::{
+    FlowId, FlowTable, ModulatedTraffic, Network, SimConfig, TemporalModel, TrafficSource,
+};
 use std::collections::HashMap;
 
 /// Transpose routes + a uniform per-flow rate: `(x, y) → (y, x)` flows
@@ -39,7 +41,8 @@ fn transpose_workload(topo: Topology, rate: f64) -> (FlowTable, Vec<(FlowId, f64
 
 /// Run one engine over a fresh, identically seeded Bernoulli stream.
 fn run(engine: &mut Network, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64, cycles: u64) {
-    let mut traffic = BernoulliTraffic::new(rates, engine.flows(), cfg.flits_per_packet, seed);
+    let mut traffic =
+        ModulatedTraffic::new(TemporalModel::Steady, rates, cfg.flits_per_packet, seed);
     engine.run_with(&mut traffic, cycles);
     assert!(engine.drain(100_000), "engine failed to drain");
 }
@@ -175,7 +178,8 @@ fn stepping_a_banded_run_equals_one_long_session() {
     run(&mut session, cfg, &rates, 0x57E9, 400);
 
     let mut stepped = Network::banded(cfg, flows, 3);
-    let mut traffic = BernoulliTraffic::new(&rates, stepped.flows(), cfg.flits_per_packet, 0x57E9);
+    let mut traffic =
+        ModulatedTraffic::new(TemporalModel::Steady, &rates, cfg.flits_per_packet, 0x57E9);
     for _ in 0..400 {
         for p in traffic.generate(stepped.cycle()) {
             stepped.offer(p);

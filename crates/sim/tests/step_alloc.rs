@@ -8,7 +8,7 @@ use smart_sim::forward::FlowTable;
 use smart_sim::network::{Network, SimConfig};
 use smart_sim::route::SourceRoute;
 use smart_sim::topology::{NodeId, Topology};
-use smart_sim::traffic::{BernoulliTraffic, TrafficSource};
+use smart_sim::traffic::{ModulatedTraffic, TemporalModel, TrafficSource};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -55,7 +55,8 @@ fn a_warm_step_does_not_allocate() {
         .collect();
     let rates: Vec<_> = routes.iter().map(|(f, _)| (*f, 0.02)).collect();
     let flows = FlowTable::mesh_baseline(cfg.topology, &routes);
-    let mut traffic = BernoulliTraffic::new(&rates, &flows, cfg.flits_per_packet, 0xA110C);
+    let mut traffic =
+        ModulatedTraffic::new(TemporalModel::Steady, &rates, cfg.flits_per_packet, 0xA110C);
     let mut net = Network::new(cfg, flows);
     let mut counted = 0;
     for cycle in 0..12_000u64 {

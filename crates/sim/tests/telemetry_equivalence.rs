@@ -12,8 +12,8 @@ use smart_sim::route::SourceRoute;
 use smart_sim::telemetry::BYPASS_BUCKETS;
 use smart_sim::topology::{LinkId, Topology};
 use smart_sim::{
-    BernoulliTraffic, FlowId, FlowTable, MetricsWindow, Network, SimConfig, TelemetryConfig,
-    TelemetrySeries,
+    FlowId, FlowTable, MetricsWindow, ModulatedTraffic, Network, SimConfig, TelemetryConfig,
+    TelemetrySeries, TemporalModel,
 };
 use std::collections::HashMap;
 
@@ -35,7 +35,8 @@ fn transpose_workload(topo: Topology, rate: f64) -> (FlowTable, Vec<(FlowId, f64
 }
 
 fn run(engine: &mut Network, cfg: SimConfig, rates: &[(FlowId, f64)], seed: u64, cycles: u64) {
-    let mut traffic = BernoulliTraffic::new(rates, engine.flows(), cfg.flits_per_packet, seed);
+    let mut traffic =
+        ModulatedTraffic::new(TemporalModel::Steady, rates, cfg.flits_per_packet, seed);
     engine.run_with(&mut traffic, cycles);
     assert!(engine.drain(100_000), "engine failed to drain");
 }

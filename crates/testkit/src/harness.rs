@@ -7,7 +7,7 @@ use smart_core::config::NocConfig;
 use smart_core::reconfig::ReconfigurableNoc;
 use smart_harness::{Experiment, RunPlan, ScheduleDesign};
 use smart_sim::traffic::TrafficSource;
-use smart_sim::{BernoulliTraffic, Direction, FlowId, FlowTable, LinkId, NodeId, SourceRoute};
+use smart_sim::{Direction, FlowId, LinkId, ModulatedTraffic, NodeId, SourceRoute, TemporalModel};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -127,7 +127,6 @@ impl Conformance {
         // `Experiment::run_routed` shares the routed form, not a copy.
         let scenario = &Arc::new(scenario.clone());
         let ctx = format!("{}/{}", design.label(), scenario.name);
-        let table = FlowTable::mesh_baseline(self.cfg.topology, &scenario.routes);
 
         // --- Invariant 2 (structural): Section IV stop rules. ---
         let compiled = match design {
@@ -151,9 +150,9 @@ impl Conformance {
             ScheduleDesign::Reconfigurable => {
                 // Same Bernoulli source the Experiment path seeds for
                 // the other designs, driven through the wrapper.
-                let mut traffic = BernoulliTraffic::new(
+                let mut traffic = ModulatedTraffic::new(
+                    TemporalModel::Steady,
                     &scenario.rates,
-                    &table,
                     self.cfg.flits_per_packet(),
                     self.seed,
                 );
@@ -192,7 +191,7 @@ impl Conformance {
         );
 
         // --- Invariant 3: lone-packet latency equals the prediction. ---
-        let checked = self.check_zero_load(&ctx, design, scenario, compiled.as_ref(), &table);
+        let checked = self.check_zero_load(&ctx, design, scenario, compiled.as_ref());
 
         CaseReport {
             design: design.label().to_owned(),
@@ -260,7 +259,6 @@ impl Conformance {
         design: ScheduleDesign,
         scenario: &Arc<Scenario>,
         compiled: Option<&CompiledApp>,
-        table: &FlowTable,
     ) -> usize {
         let mut checked = 0;
         for (flow, route) in scenario.routes.iter().take(self.zero_load_flow_cap) {
@@ -291,7 +289,6 @@ impl Conformance {
                     let mut traffic = smart_sim::ScriptedTraffic::new(
                         vec![(0, *flow)],
                         self.cfg.flits_per_packet(),
-                        table,
                     );
                     let mut r = ReconfigurableNoc::new(self.cfg.clone(), PRESET_BASE_ADDR);
                     r.load_app(&scenario.name, &scenario.routes, self.drain_budget)

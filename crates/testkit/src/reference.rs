@@ -231,9 +231,11 @@ impl RefNetwork {
         self.link_flits.iter().map(|(l, n)| (*l, *n))
     }
 
-    /// Queue a generated packet at its source NIC.
+    /// Queue a generated packet at its source NIC: the sender of its
+    /// flow's first leg.
     pub fn offer(&mut self, packet: Packet) {
-        self.nics[usize::from(packet.src.0)].queue.push_back(packet);
+        let src = self.flows[&packet.flow][0].sender.node();
+        self.nics[usize::from(src.0)].queue.push_back(packet);
     }
 
     /// Run `cycles` cycles, offering what `traffic` generates each cycle.

@@ -19,7 +19,7 @@ use smart_core::compile::compile;
 use smart_core::config::NocConfig;
 use smart_harness::{RoutedWorkload, SpatialPattern, TemporalModel};
 use smart_sim::{
-    ActivityCounters, BernoulliTraffic, Coord, FlowId, FlowTable, LinkId, Network, Segment,
+    ActivityCounters, Coord, FlowId, FlowTable, LinkId, ModulatedTraffic, Network, Segment,
     SimConfig, SimStats, SourceRoute, Topology,
 };
 use smart_testkit::reference::segments;
@@ -78,9 +78,14 @@ struct Case<'a> {
 }
 
 impl Case<'_> {
-    fn traffic(&self) -> BernoulliTraffic {
+    fn traffic(&self) -> ModulatedTraffic {
         let (cfg, seed) = (self.cfg, self.seed);
-        BernoulliTraffic::new(self.rates, self.flows, cfg.flits_per_packet, seed)
+        ModulatedTraffic::new(
+            TemporalModel::Steady,
+            self.rates,
+            cfg.flits_per_packet,
+            seed,
+        )
     }
 
     fn engine(&self, bands: usize) -> Outcome {

@@ -64,7 +64,7 @@ fn schedules(flows: usize) -> Vec<Vec<(u64, FlowId)>> {
 
 /// Step the engine and the reference side by side through `schedule`.
 fn assert_schedule(cfg: SimConfig, flows: &FlowTable, schedule: &[(u64, FlowId)], ctx: &str) {
-    let mut traffic = ScriptedTraffic::new(schedule.to_vec(), cfg.flits_per_packet, flows);
+    let mut traffic = ScriptedTraffic::new(schedule.to_vec(), cfg.flits_per_packet);
     let mut net = Network::new(cfg, flows.clone());
     let mut reference = RefNetwork::new(cfg, flows.clone());
     for c in 0..K + QUIET_WITHIN {

@@ -13,44 +13,40 @@
 //!   `(FlowId, SourceRoute)` routes and per-flow rates the Experiment
 //!   API consumes.
 //! * **Temporal** — [`TemporalModel`] + [`ModulatedTraffic`]: steady
-//!   Bernoulli (bit-exact with `smart_sim::BernoulliTraffic`), on/off
-//!   Markov bursts, and deterministic rate ramps, all behind the
-//!   engine's `TrafficSource` trait.
-//! * **Record/replay** — [`TraceFile`] (versioned JSONL),
+//!   Bernoulli, on/off Markov bursts, and deterministic rate ramps,
+//!   behind the engine's `TrafficSource` trait. Both types live in
+//!   `smart_sim::traffic`, beside the trait and `ScriptedTraffic` (the
+//!   engine's own tests drive them), and are re-exported here.
+//! * **Record/replay** — [`TraceFile`] (versioned JSONL) and
 //!   [`TraceRecorder`] (capture `(cycle, flow)` injections from any
-//!   live source) and [`TraceTraffic`] (deterministic replay through
-//!   `ScriptedTraffic`), so any stochastic scenario can be frozen into
-//!   a reproducible artifact — and [`TraceDiffReport`] compares one
-//!   frozen schedule replayed on two designs (delivered-packet and
+//!   live source); a trace replays as a `ScriptedTraffic` over its
+//!   events and packet size, so any stochastic scenario can be frozen
+//!   into a reproducible artifact — and [`TraceDiffReport`] compares
+//!   one frozen schedule replayed on two designs (delivered-packet and
 //!   per-flow latency deltas isolate the design change).
 //!
+//! A generated packet names only its flow: the flow's plan holds its
+//! source and destination, so no source here is built from a flow
+//! table.
+//!
 //! ```
-//! use smart_sim::forward::FlowTable;
 //! use smart_sim::{Topology, TrafficSource};
 //! use smart_traffic::{ModulatedTraffic, SpatialPattern, TemporalModel};
 //!
 //! // Transpose pattern, bursty injection, on the paper's 4x4 mesh.
 //! let mesh = Topology::paper_4x4();
 //! let (routes, rates) = SpatialPattern::Transpose.routed(mesh, 0.02);
-//! let flows = FlowTable::mesh_baseline(mesh, &routes);
-//! let mut source = ModulatedTraffic::new(
-//!     TemporalModel::on_off(0.01, 0.01),
-//!     &rates,
-//!     &flows,
-//!     8,
-//!     0xC0FFEE,
-//! );
+//! let mut source = ModulatedTraffic::new(TemporalModel::on_off(0.01, 0.01), &rates, 8, 0xC0FFEE);
 //! let packets: usize = (0..1_000).map(|c| source.generate(c).len()).sum();
 //! assert!(packets > 0);
 //! ```
 #![warn(missing_docs)]
 
 pub mod spatial;
-pub mod temporal;
 pub mod tracediff;
 pub mod tracefile;
 
+pub use smart_sim::traffic::{ModulatedTraffic, TemporalModel};
 pub use spatial::{PatternFlow, SpatialPattern};
-pub use temporal::{ModulatedTraffic, TemporalModel};
 pub use tracediff::{FlowDelta, PhaseOutcome, TraceDiffReport};
-pub use tracefile::{TraceFile, TraceParseError, TraceRecorder, TraceTraffic, TRACE_SCHEMA};
+pub use tracefile::{TraceFile, TraceParseError, TraceRecorder, TRACE_SCHEMA};

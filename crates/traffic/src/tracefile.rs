@@ -5,14 +5,16 @@
 //! in a line-oriented JSONL format (`smart-traffic/trace-v1`): a header
 //! object followed by one event object per line. [`TraceRecorder`]
 //! captures the schedule from **any** live [`TrafficSource`] as it
-//! generates; [`TraceTraffic`] replays a trace deterministically through
-//! the existing [`ScriptedTraffic`] machinery — so a bursty or random
-//! run can be re-driven bit-exactly, diffed, or shipped as a benchmark
-//! input.
+//! generates. A trace replays as a [`ScriptedTraffic`] built from its
+//! `events` and `flits_per_packet` — same cycles, same flows, same
+//! per-cycle order (queue order at a shared source NIC matters), same
+//! packet sizing — so a bursty or random run can be re-driven
+//! bit-exactly, diffed, or shipped as a benchmark input.
+//!
+//! [`ScriptedTraffic`]: smart_sim::ScriptedTraffic
 
-use smart_sim::forward::FlowTable;
 use smart_sim::jsonl::{self, Line};
-use smart_sim::{FlowId, Packet, ScriptedTraffic, TrafficSource};
+use smart_sim::{FlowId, Packet, TrafficSource};
 use std::fmt;
 
 /// The schema tag written in (and required of) every trace header.
@@ -222,62 +224,14 @@ impl TrafficSource for TraceRecorder {
     }
 }
 
-/// Deterministic replay of a [`TraceFile`] through the existing
-/// [`ScriptedTraffic`] machinery: same cycles, same flows, same
-/// per-cycle ordering (queue order at a shared source NIC matters),
-/// same packet sizing — and therefore the same simulation, bit-exactly.
-#[derive(Debug, Clone)]
-pub struct TraceTraffic {
-    inner: ScriptedTraffic,
-}
-
-impl TraceTraffic {
-    /// Build a replay source for `trace` against `flows`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the trace references a flow the table does not know.
-    #[must_use]
-    pub fn new(trace: &TraceFile, flows: &FlowTable) -> Self {
-        TraceTraffic {
-            inner: ScriptedTraffic::new(trace.events.clone(), trace.flits_per_packet, flows),
-        }
-    }
-
-    /// `true` once every traced event has been replayed.
-    #[must_use]
-    pub fn exhausted(&self) -> bool {
-        self.inner.exhausted()
-    }
-}
-
-impl TrafficSource for TraceTraffic {
-    fn generate(&mut self, cycle: u64) -> Vec<Packet> {
-        self.inner.generate(cycle)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::temporal::{ModulatedTraffic, TemporalModel};
-    use smart_sim::route::SourceRoute;
-    use smart_sim::topology::NodeId;
-    use smart_sim::topology::Topology;
+    use smart_sim::{ModulatedTraffic, ScriptedTraffic, TemporalModel};
 
-    fn table() -> FlowTable {
-        let mesh = Topology::paper_4x4();
-        let routes = vec![
-            (
-                FlowId(0),
-                SourceRoute::xy(mesh, NodeId(0), NodeId(3)).unwrap(),
-            ),
-            (
-                FlowId(1),
-                SourceRoute::xy(mesh, NodeId(12), NodeId(15)).unwrap(),
-            ),
-        ];
-        FlowTable::mesh_baseline(mesh, &routes)
+    /// The replay of `trace`: its events at its packet size.
+    fn replay_of(trace: &TraceFile) -> ScriptedTraffic {
+        ScriptedTraffic::new(trace.events.clone(), trace.flits_per_packet)
     }
 
     fn sample_trace() -> TraceFile {
@@ -332,11 +286,10 @@ mod tests {
 
     #[test]
     fn recorder_captures_the_generated_schedule() {
-        let flows = table();
         let rates = [(FlowId(0), 0.3), (FlowId(1), 0.2)];
-        let inner = ModulatedTraffic::new(TemporalModel::Steady, &rates, &flows, 8, 5);
+        let inner = ModulatedTraffic::new(TemporalModel::Steady, &rates, 8, 5);
         let mut rec = TraceRecorder::new(Box::new(inner), 8);
-        let mut direct = ModulatedTraffic::new(TemporalModel::Steady, &rates, &flows, 8, 5);
+        let mut direct = ModulatedTraffic::new(TemporalModel::Steady, &rates, 8, 5);
         let mut expected = Vec::new();
         for c in 0..500 {
             let via = rec.generate(c);
@@ -352,17 +305,16 @@ mod tests {
 
     #[test]
     fn replay_reproduces_the_recorded_stream() {
-        let flows = table();
         let rates = [(FlowId(0), 0.25), (FlowId(1), 0.1)];
         let model = TemporalModel::on_off(0.05, 0.05);
-        let inner = ModulatedTraffic::new(model, &rates, &flows, 8, 77);
+        let inner = ModulatedTraffic::new(model, &rates, 8, 77);
         let mut rec = TraceRecorder::new(Box::new(inner), 8);
         let mut live: Vec<Packet> = Vec::new();
         for c in 0..2_000 {
             live.extend(rec.generate(c));
         }
         let trace = rec.into_trace();
-        let mut replay = TraceTraffic::new(&trace, &flows);
+        let mut replay = replay_of(&trace);
         let mut replayed: Vec<Packet> = Vec::new();
         for c in 0..2_000 {
             replayed.extend(replay.generate(c));
@@ -373,32 +325,19 @@ mod tests {
             // PacketIds are re-assigned by the replayer; everything the
             // network observes is identical.
             assert_eq!(
-                (a.gen_cycle, a.flow, a.src, a.dst),
-                (b.gen_cycle, b.flow, b.src, b.dst)
+                (a.gen_cycle, a.flow, a.num_flits),
+                (b.gen_cycle, b.flow, b.num_flits)
             );
-            assert_eq!(a.num_flits, b.num_flits);
         }
     }
 
     #[test]
     fn replay_preserves_same_cycle_order_for_unsorted_rates() {
-        // Two flows sharing one source NIC, rates listed in descending
-        // flow-id order: the recorded per-cycle order (1 before 0)
-        // dictates NIC queue order, and replay must preserve it.
-        let mesh = Topology::paper_4x4();
-        let routes = vec![
-            (
-                FlowId(0),
-                SourceRoute::xy(mesh, NodeId(0), NodeId(3)).unwrap(),
-            ),
-            (
-                FlowId(1),
-                SourceRoute::xy(mesh, NodeId(0), NodeId(12)).unwrap(),
-            ),
-        ];
-        let flows = FlowTable::mesh_baseline(mesh, &routes);
+        // Rates listed in descending flow-id order: the recorded
+        // per-cycle order (1 before 0) dictates the queue order at a NIC
+        // both flows leave from, and replay must preserve it.
         let rates = [(FlowId(1), 0.5), (FlowId(0), 0.5)];
-        let inner = ModulatedTraffic::new(TemporalModel::Steady, &rates, &flows, 8, 21);
+        let inner = ModulatedTraffic::new(TemporalModel::Steady, &rates, 8, 21);
         let mut rec = TraceRecorder::new(Box::new(inner), 8);
         let mut live = Vec::new();
         for c in 0..200 {
@@ -412,7 +351,7 @@ mod tests {
                 .any(|w| trace.events.iter().any(|v| v.0 == w.0 && v.1 != w.1)),
             "seed must produce at least one shared cycle"
         );
-        let mut replay = TraceTraffic::new(&trace, &flows);
+        let mut replay = replay_of(&trace);
         let mut replayed = Vec::new();
         for c in 0..200 {
             replayed.extend(replay.generate(c));

@@ -4,13 +4,10 @@
 //! source, and a recorded traffic stream replays bit-exactly.
 
 use proptest::prelude::*;
-use smart_sim::forward::FlowTable;
 use smart_sim::route::SourceRoute;
 use smart_sim::topology::{NodeId, Topology};
-use smart_sim::{FlowId, TrafficSource};
-use smart_traffic::{
-    ModulatedTraffic, SpatialPattern, TemporalModel, TraceFile, TraceRecorder, TraceTraffic,
-};
+use smart_sim::{FlowId, ScriptedTraffic, TrafficSource};
+use smart_traffic::{ModulatedTraffic, SpatialPattern, TemporalModel, TraceFile, TraceRecorder};
 
 /// The square power-of-two meshes the bit patterns are defined on.
 fn pow2_meshes() -> Vec<Topology> {
@@ -147,10 +144,8 @@ proptest! {
             TemporalModel::Ramp { from: 0.0, to: 1.0, cycles: 500 },
         ]),
     ) {
-        let mesh = Topology::paper_4x4();
-        let (routes, rates) = SpatialPattern::Transpose.routed(mesh, rate);
-        let flows = FlowTable::mesh_baseline(mesh, &routes);
-        let inner = ModulatedTraffic::new(burst, &rates, &flows, 8, seed);
+        let (_, rates) = SpatialPattern::Transpose.routed(Topology::paper_4x4(), rate);
+        let inner = ModulatedTraffic::new(burst, &rates, 8, seed);
         let mut rec = TraceRecorder::new(Box::new(inner), 8);
         let mut live = Vec::new();
         for c in 0..1_000 {
@@ -158,7 +153,7 @@ proptest! {
         }
         // Freeze through the JSONL text form, then replay.
         let trace = TraceFile::parse(&rec.into_trace().to_jsonl()).expect("round trip");
-        let mut replay = TraceTraffic::new(&trace, &flows);
+        let mut replay = ScriptedTraffic::new(trace.events.clone(), trace.flits_per_packet);
         let mut replayed = Vec::new();
         for c in 0..1_000 {
             replayed.extend(replay.generate(c));
@@ -167,8 +162,8 @@ proptest! {
         prop_assert_eq!(live.len(), replayed.len());
         for (a, b) in live.iter().zip(&replayed) {
             prop_assert_eq!(
-                (a.gen_cycle, a.flow, a.src, a.dst, a.num_flits),
-                (b.gen_cycle, b.flow, b.src, b.dst, b.num_flits)
+                (a.gen_cycle, a.flow, a.num_flits),
+                (b.gen_cycle, b.flow, b.num_flits)
             );
         }
     }

@@ -22,11 +22,7 @@ fn main() -> std::io::Result<()> {
 
     // One blue packet (the stop-twice flow of Fig 7).
     let blue = flows[3].0;
-    let mut traffic = ScriptedTraffic::new(
-        vec![(0, blue)],
-        cfg.flits_per_packet(),
-        noc.network().flows(),
-    );
+    let mut traffic = ScriptedTraffic::new(vec![(0, blue)], cfg.flits_per_packet());
     noc.network_mut().run_with(&mut traffic, 60);
 
     let tracer = noc.network().tracer().expect("tracing enabled");

@@ -13,7 +13,7 @@
 use smart_noc::arch::config::NocConfig;
 use smart_noc::arch::reconfig::ReconfigurableNoc;
 use smart_noc::mapping::MappedApp;
-use smart_noc::sim::BernoulliTraffic;
+use smart_noc::sim::{ModulatedTraffic, TemporalModel};
 use smart_noc::taskgraph::apps;
 
 fn main() {
@@ -41,9 +41,9 @@ fn main() {
             println!("   store [{:#010x}] = {:#018x}", store.addr, store.value);
         }
 
-        let mut traffic = BernoulliTraffic::new(
+        let mut traffic = ModulatedTraffic::new(
+            TemporalModel::Steady,
             &mapped.rates,
-            live.network().flows(),
             cfg.flits_per_packet(),
             99,
         );

@@ -61,11 +61,11 @@ pub mod prelude {
     pub use smart_mapping::MappedApp;
     pub use smart_power::{breakdown, EnergyModel, GatingPolicy};
     pub use smart_sim::{
-        BernoulliTraffic, FlowId, FlowTable, NodeId, Packet, PacketId, ScriptedTraffic,
-        SourceRoute, TelemetryConfig, TelemetrySeries, Topology,
+        FlowId, FlowTable, NodeId, Packet, PacketId, ScriptedTraffic, SourceRoute, TelemetryConfig,
+        TelemetrySeries, Topology,
     };
     pub use smart_taskgraph::apps;
     pub use smart_traffic::{
-        ModulatedTraffic, SpatialPattern, TemporalModel, TraceFile, TraceRecorder, TraceTraffic,
+        ModulatedTraffic, SpatialPattern, TemporalModel, TraceFile, TraceRecorder,
     };
 }

@@ -11,8 +11,8 @@
 use smart_noc::prelude::*;
 
 /// The glue every bench bin and example used to hand-roll: build the
-/// design, wire Bernoulli traffic to a mesh-baseline flow table, warm
-/// up, measure, drain.
+/// design, wire steady Bernoulli traffic to it, warm up, measure,
+/// drain.
 fn legacy_run(
     cfg: &NocConfig,
     kind: DesignKind,
@@ -20,9 +20,13 @@ fn legacy_run(
     rates: &[(FlowId, f64)],
     plan: RunPlan,
 ) -> (u64, u64, f64, f64) {
-    let table = FlowTable::mesh_baseline(cfg.topology, routes);
     let mut design = Design::build(kind, cfg, routes);
-    let mut traffic = BernoulliTraffic::new(rates, &table, cfg.flits_per_packet(), plan.seed);
+    let mut traffic = ModulatedTraffic::new(
+        TemporalModel::Steady,
+        rates,
+        cfg.flits_per_packet(),
+        plan.seed,
+    );
     design.set_stats_from(plan.warmup);
     design.run_with(&mut traffic, plan.warmup);
     design.reset_counters();

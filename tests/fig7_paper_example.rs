@@ -25,7 +25,7 @@ fn traversal_times_match_the_figure() {
         .enumerate()
         .map(|(i, (f, _, _))| (50 * i as u64, *f))
         .collect();
-    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet(), noc.network().flows());
+    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet());
     noc.network_mut().run_with(&mut traffic, 400);
     assert!(noc.network().is_quiescent());
 
@@ -64,7 +64,7 @@ fn credit_path_returns_vcs_for_repeated_packets() {
     let mut noc = SmartNoc::new(&cfg, &routes);
     let blue = flows[3].0;
     let events: Vec<(u64, FlowId)> = (0..20).map(|i| (i, blue)).collect();
-    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet(), noc.network().flows());
+    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet());
     noc.network_mut().run_with(&mut traffic, 2_000);
     assert!(noc.network().is_quiescent(), "train must drain");
     let st = noc.network().stats().flow(blue).expect("delivered");
@@ -78,7 +78,7 @@ fn simultaneous_arrival_serializes_per_footnote_7() {
         flows.iter().map(|(f, r, _)| (*f, r.clone())).collect();
     let mut noc = SmartNoc::new(&cfg, &routes);
     let events = vec![(0, flows[2].0), (0, flows[3].0)];
-    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet(), noc.network().flows());
+    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet());
     noc.network_mut().run_with(&mut traffic, 300);
     let red = noc.network().stats().flow(flows[2].0).expect("red");
     let blue = noc.network().stats().flow(flows[3].0).expect("blue");

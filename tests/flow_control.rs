@@ -24,7 +24,7 @@ fn credit_mesh_sustains_full_throughput_across_six_hops() {
     );
     let n_packets = 200u64;
     let events: Vec<(u64, FlowId)> = (0..n_packets).map(|_| (0, FlowId(0))).collect();
-    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet(), noc.network().flows());
+    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet());
     let horizon = n_packets * 8 + 200;
     noc.network_mut().run_with(&mut traffic, horizon);
     assert!(noc.network_mut().drain(1_000));
@@ -70,7 +70,7 @@ fn stops_cost_latency_not_bandwidth() {
     // Drive only flow 0 hard.
     let n_packets = 100u64;
     let events: Vec<(u64, FlowId)> = (0..n_packets).map(|_| (0, FlowId(0))).collect();
-    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet(), noc.network().flows());
+    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet());
     noc.network_mut()
         .run_with(&mut traffic, n_packets * 8 + 300);
     assert!(noc.network_mut().drain(2_000));
@@ -95,7 +95,7 @@ fn one_vc_halves_train_throughput() {
     let mut noc = SmartNoc::new(&cfg, &routes);
     let n_packets = 50u64;
     let events: Vec<(u64, FlowId)> = (0..n_packets).map(|_| (0, FlowId(0))).collect();
-    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet(), noc.network().flows());
+    let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet());
     noc.network_mut().run_with(&mut traffic, 3_000);
     assert!(noc.network_mut().drain(2_000));
     let finished = noc.network().cycle();

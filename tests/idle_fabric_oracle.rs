@@ -16,7 +16,8 @@
 use smart_noc::arch::config::NocConfig;
 use smart_noc::arch::noc::{Design, DesignKind};
 use smart_noc::sim::{
-    ActivityCounters, BernoulliTraffic, Coord, Direction, FlowId, SimStats, SourceRoute, Topology,
+    ActivityCounters, Coord, Direction, FlowId, ModulatedTraffic, SimStats, SourceRoute,
+    TemporalModel, Topology,
 };
 
 /// What a run leaves behind, with link counts keyed by coordinates.
@@ -47,12 +48,8 @@ fn run(
         .collect();
     let mut design = Design::build(kind, &cfg, &routes);
     let rates: Vec<(FlowId, f64)> = routes.iter().map(|(f, _)| (*f, 0.01)).collect();
-    let mut traffic = BernoulliTraffic::new(
-        &rates,
-        design.network().expect("Mesh or SMART").flows(),
-        cfg.flits_per_packet(),
-        seed,
-    );
+    let mut traffic =
+        ModulatedTraffic::new(TemporalModel::Steady, &rates, cfg.flits_per_packet(), seed);
     design.run_with(&mut traffic, 3_000);
     assert!(design.drain(20_000), "{topo:?} {kind:?} failed to drain");
     let net = design.network().expect("Mesh or SMART");

@@ -63,12 +63,7 @@ proptest! {
             }
         }
         let n_packets = events.len() as u64;
-        let flows_table = design.network().expect("built as SMART").flows().clone();
-        let mut traffic = ScriptedTraffic::new(
-            events,
-            cfg.flits_per_packet(),
-            &flows_table,
-        );
+        let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet());
         design.run_with(&mut traffic, 4_000);
         prop_assert!(design.drain(4_000), "network must drain");
         prop_assert_eq!(design.counters().packets_delivered, n_packets);
@@ -88,12 +83,7 @@ proptest! {
         let cfg = NocConfig::paper_4x4();
         let routes = routed(&[(src, dst)]);
         let mut design = Design::build(kind, &cfg, &routes);
-        let flows_table = smart_noc::sim::FlowTable::mesh_baseline(cfg.topology, &routes);
-        let mut traffic = ScriptedTraffic::new(
-            vec![(0, FlowId(0))],
-            cfg.flits_per_packet(),
-            &flows_table,
-        );
+        let mut traffic = ScriptedTraffic::new(vec![(0, FlowId(0))], cfg.flits_per_packet());
         design.run_with(&mut traffic, 200);
         prop_assert!(design.drain(200));
         let got = design.stats().avg_network_latency();
@@ -156,11 +146,10 @@ fn mesh_and_smart_agree_on_packet_counts_under_suite_traffic() {
     let mut counts = Vec::new();
     for kind in [DesignKind::Mesh, DesignKind::Smart] {
         let mut design = Design::build(kind, &cfg, &routes);
-        let table = smart_noc::sim::FlowTable::mesh_baseline(cfg.topology, &routes);
         let events: Vec<(u64, FlowId)> = (0..50u64)
             .map(|i| (i * 3, FlowId((i % 5) as u32)))
             .collect();
-        let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet(), &table);
+        let mut traffic = ScriptedTraffic::new(events, cfg.flits_per_packet());
         design.run_with(&mut traffic, 2_000);
         assert!(design.drain(2_000));
         counts.push(design.counters().packets_delivered);

@@ -8,7 +8,7 @@ use smart_noc::arch::noc::SmartNoc;
 use smart_noc::arch::preset::MeshPresets;
 use smart_noc::arch::reconfig::ReconfigurableNoc;
 use smart_noc::mapping::MappedApp;
-use smart_noc::sim::BernoulliTraffic;
+use smart_noc::sim::{ModulatedTraffic, TemporalModel};
 use smart_noc::taskgraph::apps;
 
 #[test]
@@ -37,9 +37,9 @@ fn rotating_through_all_eight_apps() {
         assert_eq!(report.cost_instructions, 16);
         // Push some traffic through so the next load has to drain.
         let live = noc.noc_mut().expect("loaded");
-        let mut traffic = BernoulliTraffic::new(
+        let mut traffic = ModulatedTraffic::new(
+            TemporalModel::Steady,
             &mapped.rates,
-            live.network().flows(),
             cfg.flits_per_packet(),
             5,
         );

@@ -5,7 +5,9 @@
 use smart_noc::arch::config::NocConfig;
 use smart_noc::arch::noc::SmartNoc;
 use smart_noc::mapping::{place_random, MappedApp};
-use smart_noc::sim::{ActivityCounters, BernoulliTraffic, PacketId, ReplayCounts, Tracer};
+use smart_noc::sim::{
+    ActivityCounters, ModulatedTraffic, PacketId, ReplayCounts, TemporalModel, Tracer,
+};
 use smart_noc::taskgraph::apps;
 
 /// The counters a trace can reconstruct equal the engine's live ones.
@@ -26,9 +28,9 @@ fn replayed_trace_matches_live_counters() {
     let mapped = MappedApp::from_graph(&cfg, &apps::vopd());
     let mut noc = SmartNoc::new(&cfg, &mapped.routes);
     noc.network_mut().enable_tracing(1_000_000);
-    let mut traffic = BernoulliTraffic::new(
+    let mut traffic = ModulatedTraffic::new(
+        TemporalModel::Steady,
         &mapped.rates,
-        noc.network().flows(),
         cfg.flits_per_packet(),
         17,
     );
@@ -50,9 +52,9 @@ fn traced_vopd(cfg: &NocConfig) -> SmartNoc {
     let mapped = MappedApp::with_placement(cfg, &graph, placement);
     let mut noc = SmartNoc::new(cfg, &mapped.routes);
     noc.network_mut().enable_tracing(1_000_000);
-    let mut traffic = BernoulliTraffic::new(
+    let mut traffic = ModulatedTraffic::new(
+        TemporalModel::Steady,
         &mapped.rates,
-        noc.network().flows(),
         cfg.flits_per_packet(),
         23,
     );
@@ -112,9 +114,9 @@ fn vcd_dump_is_wellformed_for_real_traffic() {
     let mapped = MappedApp::from_graph(&cfg, &apps::pip());
     let mut noc = SmartNoc::new(&cfg, &mapped.routes);
     noc.network_mut().enable_tracing(100_000);
-    let mut traffic = BernoulliTraffic::new(
+    let mut traffic = ModulatedTraffic::new(
+        TemporalModel::Steady,
         &mapped.rates,
-        noc.network().flows(),
         cfg.flits_per_packet(),
         3,
     );
