@@ -138,14 +138,15 @@ impl Drive {
     /// # Panics
     ///
     /// Panics with `no plan for f…` if a rate or event names a flow that
-    /// `ctx.flows` does not plan: the one refusal of an unknown flow,
-    /// made before any cycle runs. Panics too on a rate or model
-    /// parameter outside its domain.
+    /// `ctx.flows` does not plan: the one refusal of an unknown flow
+    /// ([`check_trace`]'s), made before any cycle runs. Panics too on a
+    /// rate or model parameter outside its domain.
     #[must_use]
     pub fn build(&self, ctx: &TrafficContext<'_>) -> Box<dyn TrafficSource> {
         let modulated = |model: TemporalModel| -> Box<dyn TrafficSource> {
-            for &(flow, _) in ctx.rates {
-                let _ = ctx.flows.plan(flow);
+            let flows = ctx.rates.iter().map(|&(flow, _)| flow);
+            if let Err(m) = ctx.flows.check_planned(flows) {
+                panic!("{m}");
             }
             Box::new(ModulatedTraffic::new(
                 model,
@@ -155,8 +156,9 @@ impl Drive {
             ))
         };
         let scripted = |events: &[(u64, FlowId)], flits_per_packet| -> Box<dyn TrafficSource> {
-            for &(_, flow) in events {
-                let _ = ctx.flows.plan(flow);
+            let flows = events.iter().map(|&(_, flow)| flow);
+            if let Err(m) = ctx.flows.check_planned(flows) {
+                panic!("{m}");
             }
             Box::new(ScriptedTraffic::new(events.to_vec(), flits_per_packet))
         };
@@ -167,6 +169,22 @@ impl Drive {
             Drive::Trace(trace) => scripted(&trace.events, trace.flits_per_packet),
         }
     }
+}
+
+/// The one refusal of a trace the `compiled` design point cannot replay,
+/// made before any cycle runs: `Err` with the message [`Experiment`] and
+/// [`Drive::build`] panic with, for packets of no flits or longer than
+/// its VCs are deep, or for a flow its table does not plan.
+pub fn check_trace(trace: &TraceFile, compiled: &CompiledDesign) -> Result<(), String> {
+    let (flits, depth) = (trace.flits_per_packet, compiled.config().vc_depth);
+    if !(1..=depth).contains(&usize::from(flits)) {
+        return Err(format!(
+            "trace flits_per_packet = {flits}: must be in 1..=vc_depth ({depth}): \
+             virtual cut-through buffers a whole packet in one VC"
+        ));
+    }
+    let flows = trace.events.iter().map(|&(_, flow)| flow);
+    compiled.flow_table().check_planned(flows)
 }
 
 /// Preset-compilation metrics (SMART designs only).
@@ -525,19 +543,11 @@ impl Experiment {
     ///
     /// # Panics
     ///
-    /// Panics, before any cycle runs, if a [`Drive::Trace`]'s packets
-    /// are empty or longer than a VC is deep, and under the conditions
-    /// of [`Drive::build`].
+    /// Panics, before any cycle runs, if [`check_trace`] refuses a
+    /// [`Drive::Trace`], and under the conditions of [`Drive::build`].
     pub(crate) fn traffic_for(&self, compiled: &CompiledDesign) -> Box<dyn TrafficSource> {
         if let Drive::Trace(trace) = &self.drive {
-            // The bound `SimConfig::validate` holds the design point's
-            // own packets to; a trace brings its own packet length.
-            let (flits, depth) = (trace.flits_per_packet, self.cfg.vc_depth);
-            assert!(
-                (1..=depth).contains(&usize::from(flits)),
-                "trace flits_per_packet = {flits}: must be in 1..=vc_depth ({depth}): \
-                 virtual cut-through buffers a whole packet in one VC"
-            );
+            check_trace(trace, compiled).unwrap_or_else(|m| panic!("{m}"));
         }
         let routed = compiled.routed();
         self.drive.build(&TrafficContext {

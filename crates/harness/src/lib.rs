@@ -56,7 +56,8 @@ pub mod workload;
 
 pub use compiled::{design_point, CompiledDesign};
 pub use experiment::{
-    snapshot_line, CompileMetrics, Drive, Experiment, ExperimentReport, RunPlan, TrafficContext,
+    check_trace, snapshot_line, CompileMetrics, Drive, Experiment, ExperimentReport, RunPlan,
+    TrafficContext,
 };
 pub use matrix::{ExperimentMatrix, MatrixOutcome};
 pub use runner::{run_cells, run_cells_observed};

@@ -192,8 +192,15 @@ impl AppSchedule {
         self.phases.is_empty()
     }
 
-    /// Every phase's workload placed and routed on `cfg`, in order.
-    fn materialize(&self, cfg: &NocConfig) -> Vec<Arc<RoutedWorkload>> {
+    /// Every phase's workload placed and routed on `cfg`, in order —
+    /// what [`MultiAppExperiment::run_routed`] takes, so several
+    /// designs can share one placement of the schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same conditions as [`Workload::materialize`].
+    #[must_use]
+    pub fn materialize(&self, cfg: &NocConfig) -> Vec<Arc<RoutedWorkload>> {
         self.phases
             .iter()
             .map(|p| Arc::new(p.workload.materialize(cfg)))
@@ -447,8 +454,9 @@ impl MultiAppExperiment {
         self.run_routed(&self.schedule.materialize(&self.cfg))
     }
 
-    /// Run against already-routed phase workloads (lets the schedule
-    /// matrix materialize each phase once across designs).
+    /// Run against already-routed phase workloads — this schedule's
+    /// [`AppSchedule::materialize`] on this design point — so a schedule
+    /// matrix or a server places each phase once across designs.
     ///
     /// Every design runs each phase as one [`Experiment`] on a network
     /// freshly built for that phase. The live
@@ -458,7 +466,11 @@ impl MultiAppExperiment {
     /// and only then takes the phase's report, so packets delivered
     /// while emptying the network are credited to the phase that
     /// injected them.
-    pub(crate) fn run_routed(
+    ///
+    /// # Errors
+    ///
+    /// As [`MultiAppExperiment::run`].
+    pub fn run_routed(
         &self,
         routed: &[Arc<RoutedWorkload>],
     ) -> Result<ScheduleReport, ScheduleError> {

@@ -61,8 +61,8 @@ pub mod service;
 
 pub use cache::DesignCache;
 pub use protocol::{
-    parse_design, AppDoesNotFit, PlanSpec, ProtocolError, Request, RequestHeader, ResponseEvent,
-    SearchStrategy, TopologySpec, WorkloadSpec, REQUEST_SCHEMA, RESPONSE_SCHEMA,
+    parse_design, PlanSpec, ProtocolError, Request, RequestHeader, ResponseEvent, SearchStrategy,
+    TopologySpec, WorkloadSpec, REQUEST_SCHEMA, RESPONSE_SCHEMA,
 };
 pub use search::{CandidateScore, SearchOutcome, SearchSpace};
 pub use server::{Client, Server, ServerHandle};

@@ -289,54 +289,28 @@ impl WorkloadSpec {
         }
     }
 
-    /// Refuse an application with more tasks than a `mesh × mesh`
-    /// fabric has cores. Every other spec, and an unknown application
-    /// (which [`WorkloadSpec::to_workload`] reports), passes.
+    /// Resolve for a `mesh × mesh` fabric: the one check every request
+    /// makes of its workloads before it is accepted. NMAP places one
+    /// task per core, so an application with more tasks than the fabric
+    /// has cores is refused here, before anything is placed or cached.
     ///
     /// # Errors
     ///
-    /// Returns [`AppDoesNotFit`] naming the application, its task count
-    /// and the core count.
-    pub fn check_fits(&self, mesh: u16) -> Result<(), AppDoesNotFit> {
-        let WorkloadSpec::App(name) = self else {
-            return Ok(());
-        };
+    /// Returns a description for an application larger than the fabric,
+    /// or as [`WorkloadSpec::to_workload`] does.
+    pub fn resolve(&self, mesh: u16) -> Result<Workload, String> {
         let cores = usize::from(mesh) * usize::from(mesh);
-        match smart_taskgraph::apps::by_name(name) {
-            Some(graph) if graph.num_tasks() > cores => Err(AppDoesNotFit {
-                app: name.clone(),
-                tasks: graph.num_tasks(),
-                cores,
-            }),
-            _ => Ok(()),
+        if let WorkloadSpec::App(name) = self {
+            let tasks = smart_taskgraph::apps::by_name(name).map_or(0, |g| g.num_tasks());
+            if tasks > cores {
+                return Err(format!(
+                    "application {name:?} has {tasks} tasks, more than the {cores} cores of the fabric"
+                ));
+            }
         }
+        self.to_workload()
     }
 }
-
-/// An application with more tasks than the fabric has cores. NMAP
-/// places one task per core, so a request naming one is refused before
-/// anything is placed or cached.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AppDoesNotFit {
-    /// Application name.
-    pub app: String,
-    /// Tasks in its task graph.
-    pub tasks: usize,
-    /// Cores in the requested fabric.
-    pub cores: usize,
-}
-
-impl fmt::Display for AppDoesNotFit {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "application {:?} has {} tasks, more than the {} cores of the fabric",
-            self.app, self.tasks, self.cores
-        )
-    }
-}
-
-impl std::error::Error for AppDoesNotFit {}
 
 /// Fabric shape on the wire. The `"topology"` field is optional in
 /// every run request: **absent means mesh**, so every
@@ -594,31 +568,6 @@ impl Request {
             | Request::Cancel { id, .. }
             | Request::Stats { id }
             | Request::Shutdown { id } => id,
-        }
-    }
-
-    /// Refuse a request whose fabric is too small for one of its
-    /// applications ([`WorkloadSpec::check_fits`]); kinds without a
-    /// workload pass.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first application that does not fit.
-    pub fn check_fits(&self) -> Result<(), AppDoesNotFit> {
-        match self {
-            Request::Experiment { mesh, workload, .. }
-            | Request::Watch { mesh, workload, .. }
-            | Request::TraceDiff { mesh, workload, .. } => workload.check_fits(*mesh),
-            Request::Matrix {
-                mesh, workloads, ..
-            }
-            | Request::Search {
-                mesh, workloads, ..
-            } => workloads.iter().try_for_each(|w| w.check_fits(*mesh)),
-            Request::Schedule { mesh, phases, .. } => {
-                phases.iter().try_for_each(|(w, _)| w.check_fits(*mesh))
-            }
-            Request::Cancel { .. } | Request::Stats { .. } | Request::Shutdown { .. } => Ok(()),
         }
     }
 

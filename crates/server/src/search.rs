@@ -188,19 +188,35 @@ pub fn run(
     cache: &DesignCache,
     emit: &(dyn Fn(&CandidateScore) + Sync),
 ) -> Result<SearchOutcome, String> {
+    let workloads = resolve(space)?;
+    Ok(run_resolved(
+        space, &workloads, strategy, threads, cache, emit,
+    ))
+}
+
+/// Resolve every workload of `space` up front, so an empty space, a bad
+/// spec or an application larger than the fabric fails before any
+/// simulation starts.
+pub(crate) fn resolve(space: &SearchSpace) -> Result<Vec<Workload>, String> {
     if space.is_empty() {
         return Err("empty search space".to_owned());
     }
-    // Resolve every workload up front so bad specs, and applications
-    // larger than the fabric, fail before any simulation starts.
-    let workloads: Vec<Workload> = space
+    space
         .workloads
         .iter()
-        .map(|spec| {
-            spec.check_fits(space.mesh).map_err(|e| e.to_string())?;
-            spec.to_workload()
-        })
-        .collect::<Result<_, _>>()?;
+        .map(|w| w.resolve(space.mesh))
+        .collect()
+}
+
+/// [`run`] on the workloads [`resolve`] returned for `space`.
+pub(crate) fn run_resolved(
+    space: &SearchSpace,
+    workloads: &[Workload],
+    strategy: SearchStrategy,
+    threads: usize,
+    cache: &DesignCache,
+    emit: &(dyn Fn(&CandidateScore) + Sync),
+) -> SearchOutcome {
     let evaluate = |index: usize| -> CandidateScore {
         let (wi, di, hi) = space.coords(index);
         score_candidate(space, index, workloads[wi].clone(), di, hi, cache)
@@ -217,7 +233,7 @@ pub fn run(
         }
         SearchStrategy::Greedy => greedy(space, &evaluate, emit),
     };
-    Ok(finish(space, strategy, candidates))
+    finish(space, strategy, candidates)
 }
 
 /// Score one point: simulate (through the cache) for energy and

@@ -1,9 +1,16 @@
 //! Transport-independent request handling: one [`Service`] owns the
-//! worker pool sizing, the [`DesignCache`], and the table of cancellable
-//! in-flight jobs; [`Service::handle`] executes a [`Request`] and
-//! streams [`ResponseEvent`]s into any [`EventSink`]. The TCP front end
+//! worker pool sizing, the [`DesignCache`], and the table of live jobs;
+//! [`Service::handle`] executes a [`Request`] and streams
+//! [`ResponseEvent`]s into any [`EventSink`]. The TCP front end
 //! ([`crate::server`]) is one sink; tests drive the service directly
 //! with an in-memory one.
+//!
+//! Every run-type request (experiment, watch, matrix, schedule, search,
+//! trace diff) takes one path: its id enters the live job table (a
+//! duplicate live id is refused), every input is resolved and checked,
+//! and only then is the job `accepted` — from which point it counts in
+//! the stats' `jobs` and `busy_ms` — and its engine run. A request is
+//! refused before `accepted` or not at all.
 //!
 //! Determinism: every run-type request fans its cells out through
 //! `smart-harness`'s shared cell runner, whose parallel results are
@@ -17,12 +24,15 @@ use crate::search::{self, SearchSpace};
 use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
 use smart_harness::{
-    run_cells_observed, AppSchedule, CompiledDesign, Drive, Experiment, MultiAppExperiment,
-    ScheduleDesign, TelemetryConfig, TraceDiffReport, TraceFile, Workload,
+    check_trace, run_cells_observed, AppSchedule, CompiledDesign, Drive, Experiment,
+    MultiAppExperiment, RoutedWorkload, ScheduleDesign, TelemetryConfig, TraceDiffReport,
+    TraceFile, Workload,
 };
 use std::collections::HashMap;
+use std::slice;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+use std::time::Instant;
 
 /// Sizing knobs for one service instance.
 #[derive(Debug, Clone, Copy)]
@@ -61,46 +71,32 @@ pub struct Service {
     cache: DesignCache,
     jobs: Mutex<HashMap<String, Arc<AtomicBool>>>,
     jobs_run: AtomicU64,
-    /// Cumulative wall-clock milliseconds spent executing run-type
+    /// Cumulative wall-clock milliseconds spent executing accepted
     /// jobs, surfaced by [`crate::protocol::ResponseEvent::Stats`].
     busy_ms: AtomicU64,
 }
 
-/// Deregisters a job id when the handler leaves (including by panic, so
-/// a crashed job never wedges its id).
-struct JobGuard<'a> {
+/// A registered job, as every engine sees it: the id the response
+/// events carry, the cooperative-cancellation flag (engines that cannot
+/// stop early ignore it), and the event sink. Dropping it deregisters
+/// the id, on a panic too, so a crashed job never wedges its id.
+struct Job<'a> {
     service: &'a Service,
     id: &'a str,
-}
-
-impl Drop for JobGuard<'_> {
-    fn drop(&mut self) {
-        self.service
-            .jobs
-            .lock()
-            .expect("unpoisoned job table")
-            .remove(self.id);
-    }
-}
-
-/// Per-job plumbing every engine threads through: the job id the
-/// response events carry, the cooperative-cancellation flag (engines
-/// whose work is too short to cancel pass `None`), and the event sink.
-struct Job<'a> {
-    id: &'a str,
-    cancel: Option<&'a AtomicBool>,
+    cancel: &'a AtomicBool,
     sink: &'a dyn EventSink,
 }
 
-impl Job<'_> {
-    /// Announce that the job was accepted and will run `cells` cells.
-    fn accepted(&self, cells: u64) {
-        self.sink.emit(&ResponseEvent::Accepted {
-            id: self.id.to_owned(),
-            cells,
-        });
+impl Drop for Job<'_> {
+    fn drop(&mut self) {
+        let mut jobs = self.service.jobs.lock().expect("unpoisoned job table");
+        jobs.remove(self.id);
     }
 }
+
+/// One experiment cell, resolved and compiled through the cache: its
+/// design, workload, compiled handle, and whether the cache served it.
+type MatrixCell = (DesignKind, Workload, Arc<CompiledDesign>, bool);
 
 impl Service {
     /// A fresh service with an empty cache.
@@ -133,34 +129,26 @@ impl Service {
     }
 
     /// Execute one request, streaming events into `sink`. Always emits
-    /// exactly one terminal event. Returns `true` only for
-    /// [`Request::Shutdown`] — the front end's signal to stop accepting.
+    /// exactly one terminal event. A run-type request is refused — one
+    /// [`ResponseEvent::Error`] and no [`ResponseEvent::Accepted`] —
+    /// when its id names a live job or any of its inputs fails its
+    /// check (an unknown application or pattern, an application larger
+    /// than the fabric, a trace the design point cannot replay);
+    /// otherwise it is accepted, counted and run. Returns `true` only
+    /// for [`Request::Shutdown`] — the front end's signal to stop
+    /// accepting.
     ///
     /// # Panics
     ///
-    /// Panics if a workload that validated still fails to materialize
+    /// Panics if a workload that resolved still fails to materialize
     /// (e.g. a synthetic pattern on an incompatible mesh) — the TCP
     /// front end wraps handlers in `catch_unwind` and turns panics into
     /// [`ResponseEvent::Error`].
     pub fn handle(&self, request: &Request, sink: &dyn EventSink) -> bool {
         let id = request.id();
-        if let Err(refused) = request.check_fits() {
-            sink.emit(&ResponseEvent::Error {
-                id: id.to_owned(),
-                message: refused.to_string(),
-            });
-            return false;
-        }
-        let job = Job {
-            id,
-            cancel: None,
-            sink,
-        };
-        // Run-type jobs (everything that simulates) accumulate into the
-        // busy_ms wall-clock the stats event reports.
-        let started = std::time::Instant::now();
         let outcome = match request {
-            // An experiment is the 1 × 1 matrix.
+            // An experiment is the 1 × 1 matrix, and a watch the 1 × 1
+            // matrix whose cell streams its metric windows first.
             Request::Experiment {
                 mesh,
                 topology,
@@ -169,10 +157,31 @@ impl Service {
                 workload,
                 plan,
                 ..
-            } => self.run_job(job, true, |job| {
+            }
+            | Request::Watch {
+                mesh,
+                topology,
+                shards,
+                design,
+                workload,
+                plan,
+                ..
+            } => {
                 let cfg = topology.config(*mesh).sharded(*shards);
-                self.run_matrix(job, cfg, &[*design], std::slice::from_ref(workload), *plan)
-            }),
+                let window = match request {
+                    Request::Watch { window, .. } => Some(*window),
+                    _ => None,
+                };
+                let cells = || {
+                    if window == Some(0) {
+                        return Err("watch window must be at least 1 cycle".to_owned());
+                    }
+                    self.matrix_cells(&cfg, *mesh, &[*design], slice::from_ref(workload))
+                };
+                self.run_job(id, sink, cells, |job, cells| {
+                    self.run_matrix(job, &cfg, &cells, *plan, window)
+                })
+            }
             Request::Matrix {
                 mesh,
                 topology,
@@ -181,23 +190,13 @@ impl Service {
                 workloads,
                 plan,
                 ..
-            } => self.run_job(job, true, |job| {
+            } => {
                 let cfg = topology.config(*mesh).sharded(*shards);
-                self.run_matrix(job, cfg, designs, workloads, *plan)
-            }),
-            Request::Watch {
-                mesh,
-                topology,
-                shards,
-                design,
-                workload,
-                plan,
-                window,
-                ..
-            } => self.run_job(job, false, |job| {
-                let cfg = topology.config(*mesh).sharded(*shards);
-                self.run_watch(job, cfg, *design, workload, *plan, *window)
-            }),
+                let cells = || self.matrix_cells(&cfg, *mesh, designs, workloads);
+                self.run_job(id, sink, cells, |job, cells| {
+                    self.run_matrix(job, &cfg, &cells, *plan, None)
+                })
+            }
             Request::Schedule {
                 mesh,
                 topology,
@@ -205,9 +204,20 @@ impl Service {
                 drain_budget,
                 phases,
                 ..
-            } => self.run_job(job, true, |job| {
-                self.run_schedule(job, topology.config(*mesh), designs, *drain_budget, phases)
-            }),
+            } => {
+                let cfg = topology.config(*mesh);
+                let schedule = || {
+                    let mut schedule = AppSchedule::new().drain_budget(*drain_budget);
+                    for (spec, plan) in phases {
+                        schedule = schedule.then(spec.resolve(*mesh)?, plan.to_plan());
+                    }
+                    let routed = schedule.materialize(&cfg);
+                    Ok((designs.len() as u64, (schedule, routed)))
+                };
+                self.run_job(id, sink, schedule, |job, (schedule, routed)| {
+                    self.run_schedule(job, &cfg, designs, &schedule, &routed)
+                })
+            }
             Request::Search {
                 mesh,
                 topology,
@@ -218,7 +228,6 @@ impl Service {
                 plan,
                 ..
             } => {
-                self.jobs_run.fetch_add(1, Ordering::Relaxed);
                 let space = SearchSpace {
                     mesh: *mesh,
                     topology: *topology,
@@ -227,8 +236,13 @@ impl Service {
                     hpc: hpc.clone(),
                     plan: *plan,
                 };
-                self.run_search(&job, &space, *strategy)
+                let resolve = || Ok((space.len() as u64, search::resolve(&space)?));
+                self.run_job(id, sink, resolve, |job, workloads| {
+                    self.run_search(job, &space, &workloads, *strategy)
+                })
             }
+            // A trace diff's two replays are the cells of a 2 × 1
+            // matrix, each checked against the trace.
             Request::TraceDiff {
                 mesh,
                 topology,
@@ -239,16 +253,19 @@ impl Service {
                 trace,
                 ..
             } => {
-                self.jobs_run.fetch_add(1, Ordering::Relaxed);
-                let designs = (*baseline, *candidate);
-                self.run_trace_diff(
-                    &job,
-                    topology.config(*mesh),
-                    designs,
-                    workload,
-                    *plan,
-                    trace,
-                )
+                let cfg = topology.config(*mesh);
+                let cells = || {
+                    let designs = [*baseline, *candidate];
+                    let cells =
+                        self.matrix_cells(&cfg, *mesh, &designs, slice::from_ref(workload))?;
+                    for (_, _, handle, _) in &cells.1 {
+                        check_trace(trace, handle)?;
+                    }
+                    Ok(cells)
+                };
+                self.run_job(id, sink, cells, |job, cells| {
+                    self.run_trace_diff(job, &cfg, &cells, *plan, trace)
+                })
             }
             Request::Cancel { target, .. } => {
                 let jobs = self.jobs.lock().expect("unpoisoned job table");
@@ -284,45 +301,128 @@ impl Service {
                 message,
             },
         });
-        let run_type = !matches!(
-            request,
-            Request::Cancel { .. } | Request::Stats { .. } | Request::Shutdown { .. }
-        );
-        if run_type {
-            let elapsed = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
-            self.busy_ms.fetch_add(elapsed, Ordering::Relaxed);
-        }
         matches!(request, Request::Shutdown { .. })
     }
 
-    /// Run `engine` as a registered job: the id enters the live job
-    /// table (a duplicate live id is refused, and does not count as a
-    /// job handled), `engine` sees the job's cancellation flag when
-    /// `cancellable`, and the id leaves the table when `engine` returns
-    /// or panics. `engine` returns `(completed cells, cache hits)`.
-    fn run_job(
+    /// Run one run-type request as a registered job: the id enters the
+    /// live job table (a duplicate live id is refused); `resolve`
+    /// resolves and checks every input and says how many cells will
+    /// run; only then is the job accepted — announced, counted in
+    /// `jobs`, and timed into `busy_ms` — and `engine` run on the
+    /// resolved inputs. The id leaves the table when the job returns or
+    /// panics. `engine` returns `(completed cells, cache hits)`.
+    fn run_job<T>(
         &self,
-        job: Job<'_>,
-        cancellable: bool,
-        engine: impl FnOnce(&Job<'_>) -> Result<(u64, u64), String>,
+        id: &str,
+        sink: &dyn EventSink,
+        resolve: impl FnOnce() -> Result<(u64, T), String>,
+        engine: impl FnOnce(&Job<'_>, T) -> Result<(u64, u64), String>,
     ) -> Result<(u64, u64), String> {
         let cancel = Arc::new(AtomicBool::new(false));
         {
             let mut jobs = self.jobs.lock().expect("unpoisoned job table");
-            if jobs.contains_key(job.id) {
-                return Err(format!("job id {:?} is already running", job.id));
+            if jobs.contains_key(id) {
+                return Err(format!("job id {id:?} is already running"));
             }
-            jobs.insert(job.id.to_owned(), Arc::clone(&cancel));
+            jobs.insert(id.to_owned(), Arc::clone(&cancel));
         }
-        self.jobs_run.fetch_add(1, Ordering::Relaxed);
-        let _guard = JobGuard {
+        let job = Job {
             service: self,
-            id: job.id,
+            id,
+            cancel: &cancel,
+            sink,
         };
-        engine(&Job {
-            cancel: cancellable.then_some(&*cancel),
-            ..job
-        })
+        let (cells, inputs) = resolve()?;
+        sink.emit(&ResponseEvent::Accepted {
+            id: id.to_owned(),
+            cells,
+        });
+        self.jobs_run.fetch_add(1, Ordering::Relaxed);
+        let started = Instant::now();
+        let outcome = engine(&job, inputs);
+        let elapsed = u64::try_from(started.elapsed().as_millis()).unwrap_or(u64::MAX);
+        self.busy_ms.fetch_add(elapsed, Ordering::Relaxed);
+        outcome
+    }
+
+    /// Resolve every workload, then compile every cell of the designs ×
+    /// workloads matrix through the cache, workload-major, design-minor
+    /// (`ExperimentMatrix`'s cell order). Returns the cell count too.
+    fn matrix_cells(
+        &self,
+        cfg: &NocConfig,
+        mesh: u16,
+        designs: &[DesignKind],
+        specs: &[WorkloadSpec],
+    ) -> Result<(u64, Vec<MatrixCell>), String> {
+        let workloads: Vec<Workload> = specs
+            .iter()
+            .map(|spec| spec.resolve(mesh))
+            .collect::<Result<_, _>>()?;
+        let mut cells = Vec::with_capacity(designs.len() * workloads.len());
+        for workload in workloads {
+            for &design in designs {
+                let (handle, cached) = self.cache.design(cfg, design, &workload);
+                cells.push((design, workload.clone(), handle, cached));
+            }
+        }
+        Ok((cells.len() as u64, cells))
+    }
+
+    /// The experiment/matrix engine: fan the cells out on the worker
+    /// pool, streaming a [`ResponseEvent::Cell`] per finished cell — and
+    /// before it, for a watch (`window` set), one
+    /// [`ResponseEvent::Metric`] per closed telemetry window, in window
+    /// order. Returns `(completed cells, cells served from cache)`.
+    fn run_matrix(
+        &self,
+        job: &Job<'_>,
+        cfg: &NocConfig,
+        cells: &[MatrixCell],
+        plan: PlanSpec,
+        window: Option<u64>,
+    ) -> Result<(u64, u64), String> {
+        let run_one = |i: usize| {
+            let (design, workload, handle, _) = &cells[i];
+            let e = Experiment::new(cfg.clone())
+                .design(*design)
+                .workload(workload.clone())
+                .plan(plan.to_plan());
+            match window {
+                Some(w) => e.with_telemetry(TelemetryConfig::windowed(w)),
+                None => e,
+            }
+            .run_compiled(handle)
+        };
+        let observe = |i: usize, report: &smart_harness::ExperimentReport| {
+            // The Dedicated yardstick has no telemetry: zero metric events.
+            let windows = report.telemetry.iter().flat_map(|s| &s.windows);
+            for (index, w) in windows.enumerate() {
+                job.sink.emit(&ResponseEvent::Metric {
+                    index: index as u64,
+                    end: w.end,
+                    setups: w.ssr_setups,
+                    grants: w.ssr_grants,
+                    premature: w.premature_stops(),
+                    injected: w.injected,
+                    delivered: w.delivered,
+                    buffered: w.buffered,
+                    bypass: w.bypass_sparse(),
+                });
+            }
+            job.sink
+                .emit(&ResponseEvent::cell(i as u64, report, cells[i].3));
+        };
+        let (slots, _) = run_cells_observed(
+            cells.len(),
+            self.cfg.threads,
+            Some(job.cancel),
+            run_one,
+            observe,
+        );
+        let ran = || (0..cells.len()).filter(|&i| slots[i].is_some());
+        let hits = ran().filter(|&i| cells[i].3).count();
+        Ok((ran().count() as u64, hits as u64))
     }
 
     /// The search engine: score the space with `strategy`, streaming a
@@ -332,9 +432,9 @@ impl Service {
         &self,
         job: &Job<'_>,
         space: &SearchSpace,
+        workloads: &[Workload],
         strategy: SearchStrategy,
     ) -> Result<(u64, u64), String> {
-        job.accepted(space.len() as u64);
         let emit = |c: &search::CandidateScore| {
             job.sink.emit(&ResponseEvent::Candidate {
                 index: c.index as u64,
@@ -347,7 +447,8 @@ impl Service {
                 score: c.score,
             });
         };
-        let outcome = search::run(space, strategy, self.cfg.threads, &self.cache, &emit)?;
+        let threads = self.cfg.threads;
+        let outcome = search::run_resolved(space, workloads, strategy, threads, &self.cache, &emit);
         let evaluated = outcome.candidates.len() as u64;
         job.sink.emit(&ResponseEvent::Winner {
             index: outcome.winner_index as u64,
@@ -357,128 +458,29 @@ impl Service {
         Ok((evaluated, 0))
     }
 
-    /// The experiment/matrix engine: compile every cell through the
-    /// cache (workload-major, design-minor — `ExperimentMatrix`'s cell
-    /// order), then fan the runs out on the worker pool, streaming a
-    /// [`ResponseEvent::Cell`] per finished cell. Returns
-    /// `(completed cells, cells served from cache)`.
-    fn run_matrix(
-        &self,
-        job: &Job<'_>,
-        cfg: NocConfig,
-        designs: &[DesignKind],
-        workloads: &[WorkloadSpec],
-        plan: PlanSpec,
-    ) -> Result<(u64, u64), String> {
-        let mut cells: Vec<(DesignKind, Workload, Arc<CompiledDesign>, bool)> =
-            Vec::with_capacity(designs.len() * workloads.len());
-        for spec in workloads {
-            let workload = spec.to_workload()?;
-            for design in designs {
-                let (handle, cached) = self.cache.design(&cfg, *design, &workload);
-                cells.push((*design, workload.clone(), handle, cached));
-            }
-        }
-        job.accepted(cells.len() as u64);
-        let run_one = |i: usize| {
-            let (design, workload, handle, _) = &cells[i];
-            Experiment::new(cfg.clone())
-                .design(*design)
-                .workload(workload.clone())
-                .plan(plan.to_plan())
-                .run_compiled(handle)
-        };
-        let (slots, _) = run_cells_observed(
-            cells.len(),
-            self.cfg.threads,
-            job.cancel,
-            run_one,
-            |i, report| {
-                job.sink
-                    .emit(&ResponseEvent::cell(i as u64, report, cells[i].3));
-            },
-        );
-        let completed = slots.iter().filter(|s| s.is_some()).count();
-        let hits = slots
-            .iter()
-            .enumerate()
-            .filter(|(i, s)| s.is_some() && cells[*i].3)
-            .count();
-        Ok((completed as u64, hits as u64))
-    }
-
-    /// The watch engine: one telemetry-enabled experiment cell through
-    /// the compiled-design cache, streaming one [`ResponseEvent::Metric`]
-    /// per closed window (in window order) before the final
-    /// [`ResponseEvent::Cell`]. Returns `(1, cache hits)`.
-    fn run_watch(
-        &self,
-        job: &Job<'_>,
-        cfg: NocConfig,
-        design: DesignKind,
-        workload: &WorkloadSpec,
-        plan: PlanSpec,
-        window: u64,
-    ) -> Result<(u64, u64), String> {
-        if window == 0 {
-            return Err("watch window must be at least 1 cycle".to_owned());
-        }
-        let workload = workload.to_workload()?;
-        let (handle, cached) = self.cache.design(&cfg, design, &workload);
-        job.accepted(1);
-        let report = Experiment::new(cfg)
-            .design(design)
-            .workload(workload)
-            .plan(plan.to_plan())
-            .with_telemetry(TelemetryConfig::windowed(window))
-            .run_compiled(&handle);
-        // The Dedicated yardstick has no telemetry: zero metric events.
-        if let Some(series) = &report.telemetry {
-            for (i, w) in series.windows.iter().enumerate() {
-                job.sink.emit(&ResponseEvent::Metric {
-                    index: i as u64,
-                    end: w.end,
-                    setups: w.ssr_setups,
-                    grants: w.ssr_grants,
-                    premature: w.premature_stops(),
-                    injected: w.injected,
-                    delivered: w.delivered,
-                    buffered: w.buffered,
-                    bypass: w.bypass_sparse(),
-                });
-            }
-        }
-        job.sink.emit(&ResponseEvent::cell(0, &report, cached));
-        Ok((1, u64::from(cached)))
-    }
-
     /// The schedule engine: one cell per schedule design, each running
-    /// the full multi-phase schedule; streams a [`ResponseEvent::Phase`]
-    /// per finished phase (or a [`ResponseEvent::CellError`] when a
-    /// design exhausts its drain budget). Schedules rebuild their
-    /// network at every phase, so they bypass the compiled-design cache.
+    /// the full multi-phase schedule on the phases routed once for all
+    /// designs; streams a [`ResponseEvent::Phase`] per finished phase
+    /// (or a [`ResponseEvent::CellError`] when a design exhausts its
+    /// drain budget). Schedules rebuild their network at every phase,
+    /// so they bypass the compiled-design cache.
     fn run_schedule(
         &self,
         job: &Job<'_>,
-        cfg: NocConfig,
+        cfg: &NocConfig,
         designs: &[ScheduleDesign],
-        drain_budget: u64,
-        phases: &[(WorkloadSpec, PlanSpec)],
+        schedule: &AppSchedule,
+        routed: &[Arc<RoutedWorkload>],
     ) -> Result<(u64, u64), String> {
-        let mut schedule = AppSchedule::new().drain_budget(drain_budget);
-        for (spec, plan) in phases {
-            schedule = schedule.then(spec.to_workload()?, plan.to_plan());
-        }
-        job.accepted(designs.len() as u64);
         let run_one = |i: usize| {
             MultiAppExperiment::new(cfg.clone(), schedule.clone())
                 .design(designs[i])
-                .run()
+                .run_routed(routed)
         };
         let (slots, _) = run_cells_observed(
             designs.len(),
             self.cfg.threads,
-            job.cancel,
+            Some(job.cancel),
             run_one,
             |i, outcome| match outcome {
                 Ok(report) => {
@@ -504,35 +506,27 @@ impl Service {
         Ok((slots.iter().filter(|s| s.is_some()).count() as u64, 0))
     }
 
-    /// The trace-diff engine: replay one trace on both designs (through
-    /// the cache), then stream the per-flow deltas and the summary.
-    /// Returns `(2, replays served from cache)`.
+    /// The trace-diff engine: replay `trace` on both cells (baseline,
+    /// then candidate), then stream the per-flow deltas and the
+    /// summary. Returns `(2, replays served from cache)`.
     fn run_trace_diff(
         &self,
         job: &Job<'_>,
-        cfg: NocConfig,
-        (baseline, candidate): (DesignKind, DesignKind),
-        workload: &WorkloadSpec,
+        cfg: &NocConfig,
+        cells: &[MatrixCell],
         plan: PlanSpec,
         trace: &TraceFile,
     ) -> Result<(u64, u64), String> {
-        let workload = workload.to_workload()?;
-        job.accepted(2);
-        let mut hits = 0u64;
-        let mut replay = |design: DesignKind| {
-            let (handle, cached) = self.cache.design(&cfg, design, &workload);
-            hits += u64::from(cached);
+        let replay = |(design, workload, handle, _): &MatrixCell| {
             Experiment::new(cfg.clone())
-                .design(design)
+                .design(*design)
                 .workload(workload.clone())
                 .plan(plan.to_plan())
                 .drive(Drive::Trace(trace.clone()))
-                .run_compiled(&handle)
+                .run_compiled(handle)
                 .to_phase_outcome()
         };
-        let base = replay(baseline);
-        let cand = replay(candidate);
-        let report = TraceDiffReport::between(&base, &cand);
+        let report = TraceDiffReport::between(&replay(&cells[0]), &replay(&cells[1]));
         for delta in &report.flows {
             job.sink.emit(&ResponseEvent::FlowDiff {
                 flow: u64::from(delta.flow.0),
@@ -547,7 +541,7 @@ impl Service {
             flit_delta: report.flit_delta,
             latency_delta: report.latency_delta,
         });
-        Ok((2, hits))
+        Ok((2, cells.iter().filter(|c| c.3).count() as u64))
     }
 }
 
@@ -589,6 +583,42 @@ mod tests {
             designs: vec![DesignKind::Mesh, DesignKind::Smart, DesignKind::Dedicated],
             workloads: vec![WorkloadSpec::Fig7, WorkloadSpec::App("PIP".into())],
             plan: PlanSpec::from(RunPlan::smoke()),
+        }
+    }
+
+    /// A Mesh and SMART search over `workloads` at `HPC_max` 1 and 8.
+    fn search_request(id: &str, workloads: Vec<WorkloadSpec>) -> Request {
+        Request::Search {
+            id: id.into(),
+            mesh: 4,
+            topology: TopologySpec::Mesh,
+            strategy: SearchStrategy::Exhaustive,
+            designs: vec![DesignKind::Mesh, DesignKind::Smart],
+            workloads,
+            hpc: vec![1, 8],
+            plan: PlanSpec::from(RunPlan::smoke()),
+        }
+    }
+
+    /// A Fig 7 trace diff of `trace`, Mesh against SMART on the 4×4.
+    fn trace_diff_request(id: &str, trace: TraceFile) -> Request {
+        Request::TraceDiff {
+            id: id.into(),
+            mesh: 4,
+            topology: TopologySpec::Mesh,
+            baseline: DesignKind::Mesh,
+            candidate: DesignKind::Smart,
+            workload: WorkloadSpec::Fig7,
+            plan: PlanSpec::from(RunPlan::smoke()),
+            trace,
+        }
+    }
+
+    /// The `jobs` count of a stats request.
+    fn jobs_handled(service: &Service) -> u64 {
+        match collect(service, &Request::Stats { id: "st".into() }).first() {
+            Some(ResponseEvent::Stats { jobs, .. }) => *jobs,
+            other => panic!("expected stats first: {other:?}"),
         }
     }
 
@@ -700,16 +730,7 @@ mod tests {
             threads: 2,
             cache_capacity: 32,
         });
-        let request = Request::Search {
-            id: "q1".into(),
-            mesh: 4,
-            topology: TopologySpec::Mesh,
-            strategy: SearchStrategy::Exhaustive,
-            designs: vec![DesignKind::Mesh, DesignKind::Smart],
-            workloads: vec![WorkloadSpec::Fig7],
-            hpc: vec![1, 8],
-            plan: PlanSpec::from(RunPlan::smoke()),
-        };
+        let request = search_request("q1", vec![WorkloadSpec::Fig7]);
         let events = collect(&service, &request);
         let candidates = events
             .iter()
@@ -727,19 +748,11 @@ mod tests {
             threads: 1,
             cache_capacity: 16,
         });
-        let request = Request::TraceDiff {
-            id: "d1".into(),
-            mesh: 4,
-            topology: TopologySpec::Mesh,
-            baseline: DesignKind::Mesh,
-            candidate: DesignKind::Smart,
-            workload: WorkloadSpec::Fig7,
-            plan: PlanSpec::from(RunPlan::smoke()),
-            trace: TraceFile {
-                flits_per_packet: 8,
-                events: (0..8).map(|i| (i * 40, smart_sim::FlowId(0))).collect(),
-            },
+        let trace = TraceFile {
+            flits_per_packet: 8,
+            events: (0..8).map(|i| (i * 40, smart_sim::FlowId(0))).collect(),
         };
+        let request = trace_diff_request("d1", trace);
         let events = collect(&service, &request);
         let summary = events
             .iter()
@@ -766,22 +779,6 @@ mod tests {
                 target: "ghost".into(),
             },
         );
-        assert!(matches!(events.last(), Some(ResponseEvent::Error { .. })));
-    }
-
-    #[test]
-    fn bad_workload_fails_without_panicking() {
-        let service = Service::new(ServiceConfig::default());
-        let request = Request::Experiment {
-            id: "e1".into(),
-            mesh: 4,
-            topology: TopologySpec::Mesh,
-            shards: 1,
-            design: DesignKind::Mesh,
-            workload: WorkloadSpec::App("DOOM".into()),
-            plan: PlanSpec::from(RunPlan::smoke()),
-        };
-        let events = collect(&service, &request);
         assert!(matches!(events.last(), Some(ResponseEvent::Error { .. })));
     }
 
@@ -819,37 +816,145 @@ mod tests {
             threads: 1,
             cache_capacity: 16,
         });
-        let jobs_handled = || match collect(&service, &Request::Stats { id: "st".into() }).first() {
-            Some(ResponseEvent::Stats { jobs, .. }) => *jobs,
-            other => panic!("expected stats first: {other:?}"),
+        let trace = TraceFile {
+            flits_per_packet: 8,
+            events: vec![(0, smart_sim::FlowId(0))],
         };
-        // A job with this id is live (as if mid-run on another
-        // connection).
-        let live = Arc::new(AtomicBool::new(false));
-        service
-            .jobs
-            .lock()
-            .expect("unpoisoned job table")
-            .insert("m1".to_owned(), live);
-        let events = collect(&service, &matrix_request("m1"));
-        match events.as_slice() {
-            [ResponseEvent::Error { id, message }] => {
-                assert_eq!(id, "m1");
-                assert!(message.contains("already running"), "{message}");
+        let requests = [
+            matrix_request("m1"),
+            search_request("m1", vec![WorkloadSpec::Fig7]),
+            trace_diff_request("m1", trace),
+        ];
+        for (handled, request) in (0u64..).zip(&requests) {
+            let kind = request.kind();
+            // A job with this id is live (as if mid-run on another
+            // connection).
+            let live = Arc::new(AtomicBool::new(false));
+            service
+                .jobs
+                .lock()
+                .expect("unpoisoned job table")
+                .insert("m1".to_owned(), live);
+            let events = collect(&service, request);
+            match events.as_slice() {
+                [ResponseEvent::Error { id, message }] => {
+                    assert_eq!(id, "m1");
+                    assert!(message.contains("already running"), "{kind}: {message}");
+                }
+                other => panic!("{kind}: expected only an error: {other:?}"),
             }
-            other => panic!("expected only an error: {other:?}"),
+            assert_eq!(
+                jobs_handled(&service),
+                handled,
+                "a refused {kind} ran nothing"
+            );
+            // The refusal left the live job registered; once it ends,
+            // the id is free again and the accepted request counts.
+            service
+                .jobs
+                .lock()
+                .expect("unpoisoned job table")
+                .remove("m1");
+            let events = collect(&service, request);
+            assert!(
+                matches!(events.last(), Some(ResponseEvent::Done { .. })),
+                "{kind}: {events:?}"
+            );
+            assert_eq!(jobs_handled(&service), handled + 1);
         }
-        assert_eq!(jobs_handled(), 0, "a refused request ran nothing");
-        // The refusal left the live job registered; once it ends, the
-        // id is free again and the accepted request counts.
-        service
-            .jobs
-            .lock()
-            .expect("unpoisoned job table")
-            .remove("m1");
-        let events = collect(&service, &matrix_request("m1"));
-        assert!(matches!(events.last(), Some(ResponseEvent::Done { .. })));
-        assert_eq!(jobs_handled(), 1);
+    }
+
+    /// Each run kind refuses a bad input the same way, in process as on
+    /// the wire: exactly one `error` event and no `accepted`, no job
+    /// counted, and the id free again afterwards.
+    #[test]
+    fn every_run_kind_refuses_before_it_is_accepted() {
+        let service = Service::new(ServiceConfig {
+            threads: 2,
+            cache_capacity: 16,
+        });
+        let (id, doom, plan) = (
+            "r".to_owned(),
+            WorkloadSpec::App("DOOM".into()),
+            PlanSpec::from(RunPlan::smoke()),
+        );
+        let trace = |flits_per_packet, flow| TraceFile {
+            flits_per_packet,
+            events: vec![(0, smart_sim::FlowId(0)), (400, smart_sim::FlowId(flow))],
+        };
+        let unknown = "unknown application \"DOOM\"";
+        let refusals = [
+            (
+                Request::Experiment {
+                    id: id.clone(),
+                    mesh: 4,
+                    topology: TopologySpec::Mesh,
+                    shards: 1,
+                    design: DesignKind::Smart,
+                    workload: doom.clone(),
+                    plan,
+                },
+                unknown,
+            ),
+            (
+                // The parser refuses a zero window; an in-process
+                // caller meets the same refusal here.
+                Request::Watch {
+                    id: id.clone(),
+                    mesh: 4,
+                    topology: TopologySpec::Mesh,
+                    shards: 1,
+                    design: DesignKind::Smart,
+                    workload: WorkloadSpec::Fig7,
+                    plan,
+                    window: 0,
+                },
+                "watch window must be at least 1 cycle",
+            ),
+            (
+                Request::Matrix {
+                    id: id.clone(),
+                    mesh: 4,
+                    topology: TopologySpec::Mesh,
+                    shards: 1,
+                    designs: vec![DesignKind::Mesh, DesignKind::Smart],
+                    workloads: vec![WorkloadSpec::Fig7, doom.clone()],
+                    plan,
+                },
+                unknown,
+            ),
+            (
+                Request::Schedule {
+                    id: id.clone(),
+                    mesh: 4,
+                    topology: TopologySpec::Mesh,
+                    designs: vec![ScheduleDesign::Smart],
+                    drain_budget: 50_000,
+                    phases: vec![(WorkloadSpec::Fig7, plan), (doom.clone(), plan)],
+                },
+                unknown,
+            ),
+            (search_request(&id, vec![doom]), unknown),
+            (
+                trace_diff_request(&id, trace(40, 0)),
+                "trace flits_per_packet = 40: must be in 1..=vc_depth (10): \
+                 virtual cut-through buffers a whole packet in one VC",
+            ),
+            (trace_diff_request(&id, trace(8, 9)), "no plan for f9"),
+        ];
+        for (request, refusal) in &refusals {
+            let kind = request.kind();
+            match collect(&service, request).as_slice() {
+                [ResponseEvent::Error { id, message }] => {
+                    assert_eq!(id, "r", "{kind}");
+                    assert_eq!(message, refusal, "{kind}");
+                }
+                other => panic!("{kind}: expected exactly one error event: {other:?}"),
+            }
+            assert_eq!(jobs_handled(&service), 0, "a refused {kind} is no job");
+            let jobs = service.jobs.lock().expect("unpoisoned job table");
+            assert!(jobs.is_empty(), "{kind} left its id registered");
+        }
     }
 
     #[test]

@@ -318,15 +318,18 @@ fn fig7_trace_diff(id: &str, trace: TraceFile) -> Request {
     }
 }
 
-/// The one error event a refused trace diff ends in: no per-flow delta
-/// and no summary come before it.
+/// The one error event a refused trace diff ends in: it is refused
+/// before it is accepted, so no `accepted`, no per-flow delta and no
+/// summary come before it.
 fn refusal_of(events: &[ResponseEvent]) -> &str {
     assert!(
         !events.iter().any(|e| matches!(
             e,
-            ResponseEvent::FlowDiff { .. } | ResponseEvent::DiffSummary { .. }
+            ResponseEvent::Accepted { .. }
+                | ResponseEvent::FlowDiff { .. }
+                | ResponseEvent::DiffSummary { .. }
         )),
-        "a refused trace diff reports no delta: {events:?}"
+        "a refused trace diff is not accepted and reports no delta: {events:?}"
     );
     let errors: Vec<&str> = events
         .iter()

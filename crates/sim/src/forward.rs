@@ -302,6 +302,19 @@ impl FlowTable {
         self.plan_at(self.find(flow))
     }
 
+    /// Refuse the first of `flows` this table does not plan, with the
+    /// message [`FlowTable::plan`] panics with.
+    ///
+    /// # Errors
+    ///
+    /// Returns `no plan for f…` naming that flow.
+    pub fn check_planned(&self, flows: impl IntoIterator<Item = FlowId>) -> Result<(), String> {
+        let unplanned = flows
+            .into_iter()
+            .find(|f| self.ids.binary_search(f).is_err());
+        unplanned.map_or(Ok(()), |flow| Err(format!("no plan for {flow}")))
+    }
+
     /// Iterate over all plans, by ascending flow id.
     pub fn iter(&self) -> impl Iterator<Item = Plan<'_>> {
         (0..self.ids.len()).map(|d| self.plan_at(d))
