@@ -31,7 +31,8 @@ pub struct MatrixOutcome {
     /// One report per cell, workload-major then design-minor — the
     /// order `designs × workloads` would produce serially.
     pub reports: Vec<ExperimentReport>,
-    /// Distinct worker threads that executed at least one cell.
+    /// Worker threads the runner started: the thread count, capped by
+    /// the cell count.
     pub worker_threads: usize,
 }
 

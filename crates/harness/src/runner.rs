@@ -9,9 +9,9 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 /// Run cells `0..n` on up to `threads` scoped worker threads, returning
-/// results in index order plus the number of workers that executed at
-/// least one cell. With one worker the cells run serially on the
-/// caller's thread.
+/// results in index order plus the number of workers the runner
+/// started, `threads.min(n).max(1)`. With one worker the cells run
+/// serially on the caller's thread.
 ///
 /// # Panics
 ///
@@ -69,15 +69,10 @@ where
     }
     let next = AtomicUsize::new(0);
     let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..n).map(|_| None).collect());
-    let participants = AtomicUsize::new(0);
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| {
-                let mut ran_one = false;
-                loop {
-                    if cancelled() {
-                        break;
-                    }
+                while !cancelled() {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= n {
                         break;
@@ -85,16 +80,11 @@ where
                     let result = cell(i);
                     observe(i, &result);
                     slots.lock().expect("no poisoned slot")[i] = Some(result);
-                    ran_one = true;
-                }
-                if ran_one {
-                    participants.fetch_add(1, Ordering::Relaxed);
                 }
             });
         }
     });
-    let results = slots.into_inner().expect("no poisoned slot");
-    (results, participants.load(Ordering::Relaxed))
+    (slots.into_inner().expect("no poisoned slot"), workers)
 }
 
 #[cfg(test)]
@@ -106,8 +96,32 @@ mod tests {
         let (serial, w1) = run_cells(16, 1, |i| i * i);
         let (parallel, wn) = run_cells(16, 4, |i| i * i);
         assert_eq!(serial, parallel);
-        assert_eq!(w1, 1);
-        assert!(wn >= 1);
+        assert_eq!((w1, wn), (1, 4));
+    }
+
+    /// The first `k` cells each wait until `k` distinct threads have
+    /// entered a cell: they return only if `k` workers run at once.
+    #[test]
+    fn every_started_worker_runs_at_once() {
+        let k = 3;
+        let entered = Mutex::new(std::collections::HashSet::new());
+        let (out, workers) = run_cells(8, k, |i| {
+            entered
+                .lock()
+                .expect("unpoisoned")
+                .insert(std::thread::current().id());
+            let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+            while i < k && entered.lock().expect("unpoisoned").len() < k {
+                assert!(
+                    std::time::Instant::now() < deadline,
+                    "{k} workers never met"
+                );
+                std::thread::yield_now();
+            }
+            i
+        });
+        assert_eq!(out, (0..8).collect::<Vec<_>>());
+        assert_eq!(workers, k);
     }
 
     #[test]

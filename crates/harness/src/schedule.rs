@@ -551,7 +551,8 @@ pub struct ScheduleMatrix {
 pub struct ScheduleOutcome {
     /// One result per design, in the matrix's design order.
     pub reports: Vec<Result<ScheduleReport, ScheduleError>>,
-    /// Distinct worker threads that executed at least one cell.
+    /// Worker threads the runner started: the thread count, capped by
+    /// the cell count.
     pub worker_threads: usize,
 }
 

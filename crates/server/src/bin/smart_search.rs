@@ -76,12 +76,13 @@ fn main() {
     };
 
     println!(
-        "smart_search: {} points ({} workloads x {} designs x {} hpc) on a {mesh}x{mesh} mesh, \
+        "smart_search: {} points ({} workloads x {} designs x {} hpc) on a {mesh}x{mesh} {}, \
          strategy {}",
         space.len(),
         space.workloads.len(),
         space.designs.len(),
         space.hpc.len(),
+        topology.name(),
         strategy.name()
     );
     let cache = DesignCache::new(space.len().max(16));
@@ -89,7 +90,9 @@ fn main() {
     let outcome = smart_server::search::run(&space, strategy, threads, &cache, &quiet)
         .unwrap_or_else(|e| panic!("search failed: {e}"));
     print!("{}", outcome.render());
-    let w = outcome.winner();
+    let w = outcome
+        .winner()
+        .expect("an uncancelled search scores its start point");
     println!(
         "best design point: {} running {} at HPC_max={} \
          (energy {:.1} pJ, area {:.3} mm2, {:.2} cycles avg latency)",

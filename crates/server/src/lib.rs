@@ -16,8 +16,8 @@
 //!   written and read with `smart_sim::jsonl`, each line kind's fields
 //!   declared once, typed errors, never panics on arbitrary input.
 //! * [`cache`] — [`DesignCache`]: `CompiledDesign` handles keyed by the
-//!   stable config hash, routed workloads shared across the design
-//!   axis, FIFO-bounded.
+//!   design point itself (`smart_harness::design_point`), routed
+//!   workloads shared across the design axis, FIFO-bounded.
 //! * [`search`] — design-space search over mapping × design ×
 //!   segmentation, scored `-(log10(energy) + log10(area) +
 //!   log10(cycles))`, exhaustive or greedy.

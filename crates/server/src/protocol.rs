@@ -787,7 +787,8 @@ pub enum ResponseEvent {
         /// Smapper score: `-(log10(energy) + log10(area) + log10(cycles))`.
         score: f64,
     },
-    /// The search winner (follows every Candidate).
+    /// The search winner (follows every Candidate; absent when a
+    /// cancel came before the first point was scored).
     Winner {
         /// Flattened index of the winning candidate.
         index: u64,

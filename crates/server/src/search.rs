@@ -22,7 +22,7 @@ use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
 use smart_harness::{run_cells_observed, CompiledDesign, Experiment, Workload};
 use smart_sim::HOP_MM;
-use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Input buffer cell area, µm² per bit (45 nm SRAM-cell scale).
 const BUFFER_UM2_PER_BIT: f64 = 0.6;
@@ -99,6 +99,8 @@ pub struct CandidateScore {
     pub cycles: f64,
     /// The Smapper score (`-inf` when nothing was measured).
     pub score: f64,
+    /// `true` when the candidate ran from a cached compiled design.
+    pub cached: bool,
 }
 
 /// A finished search.
@@ -106,33 +108,27 @@ pub struct CandidateScore {
 pub struct SearchOutcome {
     /// Points in the space.
     pub space: usize,
-    /// The strategy that ran.
-    pub strategy: SearchStrategy,
     /// Evaluated candidates, in index order.
     pub candidates: Vec<CandidateScore>,
-    /// Flattened index of the winner.
-    pub winner_index: usize,
-    /// The winning score.
-    pub winner_score: f64,
 }
 
 impl SearchOutcome {
-    /// The winning candidate.
-    ///
-    /// # Panics
-    ///
-    /// Never — an outcome always holds its winner.
+    /// The winning candidate: the highest score, ties (and NaN) going to
+    /// the lower index. `None` only when a cancel came before the first
+    /// point was scored.
     #[must_use]
-    pub fn winner(&self) -> &CandidateScore {
-        self.candidates
-            .iter()
-            .find(|c| c.index == self.winner_index)
-            .expect("winner is always an evaluated candidate")
+    pub fn winner(&self) -> Option<&CandidateScore> {
+        self.candidates.iter().max_by(|a, b| {
+            a.score
+                .partial_cmp(&b.score)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(b.index.cmp(&a.index))
+        })
     }
 
     /// Stable full-precision text rendering (the search golden's
     /// format): one `candidate` line per evaluated point in index
-    /// order, then one `winner` line.
+    /// order, then one `winner` line (none when nothing was scored).
     #[must_use]
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -150,17 +146,18 @@ impl SearchOutcome {
                 c.score
             ));
         }
-        let w = self.winner();
-        out.push_str(&format!(
-            "winner index={} design={} workload={} hpc={} score={} evaluated={} space={}\n",
-            w.index,
-            w.design.label(),
-            w.workload,
-            w.hpc,
-            w.score,
-            self.candidates.len(),
-            self.space
-        ));
+        if let Some(w) = self.winner() {
+            out.push_str(&format!(
+                "winner index={} design={} workload={} hpc={} score={} evaluated={} space={}\n",
+                w.index,
+                w.design.label(),
+                w.workload,
+                w.hpc,
+                w.score,
+                self.candidates.len(),
+                self.space
+            ));
+        }
         out
     }
 }
@@ -189,9 +186,11 @@ pub fn run(
     emit: &(dyn Fn(&CandidateScore) + Sync),
 ) -> Result<SearchOutcome, String> {
     let workloads = resolve(space)?;
-    Ok(run_resolved(
-        space, &workloads, strategy, threads, cache, emit,
-    ))
+    let slots = score(space, &workloads, strategy, threads, None, cache, emit);
+    Ok(SearchOutcome {
+        space: space.len(),
+        candidates: slots.into_iter().flatten().collect(),
+    })
 }
 
 /// Resolve every workload of `space` up front, so an empty space, a bad
@@ -208,52 +207,44 @@ pub(crate) fn resolve(space: &SearchSpace) -> Result<Vec<Workload>, String> {
         .collect()
 }
 
-/// [`run`] on the workloads [`resolve`] returned for `space`.
-pub(crate) fn run_resolved(
+/// Score `space` (its workloads as [`resolve`] returned them) with
+/// `strategy` into the cell runner's slot vector: one slot per point in
+/// index order, `None` for a point not scored — off the greedy walk, or
+/// not started before `cancel` was raised.
+pub(crate) fn score(
     space: &SearchSpace,
     workloads: &[Workload],
     strategy: SearchStrategy,
     threads: usize,
+    cancel: Option<&AtomicBool>,
     cache: &DesignCache,
     emit: &(dyn Fn(&CandidateScore) + Sync),
-) -> SearchOutcome {
-    let evaluate = |index: usize| -> CandidateScore {
-        let (wi, di, hi) = space.coords(index);
-        score_candidate(space, index, workloads[wi].clone(), di, hi, cache)
-    };
-    let candidates = match strategy {
+) -> Vec<Option<CandidateScore>> {
+    let evaluate = |index| score_candidate(space, workloads, index, cache);
+    match strategy {
         SearchStrategy::Exhaustive => {
-            let (scored, _) = run_cells_observed(space.len(), threads, None, evaluate, |_, c| {
-                emit(c);
-            });
-            scored
-                .into_iter()
-                .map(|c| c.expect("no cancel flag, so every point scored"))
-                .collect()
+            run_cells_observed(space.len(), threads, cancel, evaluate, |_, c| emit(c)).0
         }
-        SearchStrategy::Greedy => greedy(space, &evaluate, emit),
-    };
-    finish(space, strategy, candidates)
+        SearchStrategy::Greedy => greedy(space, cancel, &evaluate, emit),
+    }
 }
 
 /// Score one point: simulate (through the cache) for energy and
 /// latency, apply the analytic area model, combine.
 fn score_candidate(
     space: &SearchSpace,
+    workloads: &[Workload],
     index: usize,
-    workload: Workload,
-    di: usize,
-    hi: usize,
     cache: &DesignCache,
 ) -> CandidateScore {
-    let design = space.designs[di];
-    let hpc = space.hpc[hi];
+    let (wi, di, hi) = space.coords(index);
+    let (design, hpc, workload) = (space.designs[di], space.hpc[hi], &workloads[wi]);
     let mut cfg = space.topology.config(space.mesh);
     cfg.hpc_max = hpc as usize;
-    let (handle, _) = cache.design(&cfg, design, &workload);
+    let (handle, cached) = cache.design(&cfg, design, workload);
     let report = Experiment::new(cfg.clone())
         .design(design)
-        .workload(workload)
+        .workload(workload.clone())
         .plan(space.plan.to_plan())
         .measure_power()
         .run_compiled(&handle);
@@ -273,97 +264,72 @@ fn score_candidate(
     CandidateScore {
         index,
         design,
-        workload: space.workloads[space.coords(index).0].render(),
+        workload: space.workloads[wi].render(),
         hpc,
         energy_pj,
         area_mm2,
         cycles,
         score,
+        cached,
     }
 }
 
 /// Serial greedy hill-climb: start at point `(0, 0, 0)`, repeatedly
-/// move to the best strictly-improving ±1 axis neighbor, memoizing
-/// evaluations.
+/// move to the best strictly-improving ±1 axis neighbor (the last of
+/// equal bests; neighbors in workload, design, `HPC_max` order, −1
+/// before +1), memoizing into the slot vector. Stops early, before
+/// scoring a new point, once `cancel` is raised.
 fn greedy(
     space: &SearchSpace,
+    cancel: Option<&AtomicBool>,
     evaluate: &dyn Fn(usize) -> CandidateScore,
     emit: &(dyn Fn(&CandidateScore) + Sync),
-) -> Vec<CandidateScore> {
-    let mut seen: HashMap<usize, CandidateScore> = HashMap::new();
-    let score_at = |pos: (usize, usize, usize), seen: &mut HashMap<usize, CandidateScore>| {
-        let index = space.index(pos.0, pos.1, pos.2);
-        if let std::collections::hash_map::Entry::Vacant(slot) = seen.entry(index) {
+) -> Vec<Option<CandidateScore>> {
+    let mut slots: Vec<Option<CandidateScore>> = vec![None; space.len()];
+    // The score at `pos`, scoring it first if no slot holds it yet;
+    // `None` when that needs a scoring after a cancel.
+    let score_at = |slots: &mut [Option<CandidateScore>], (wi, di, hi)| {
+        let index = space.index(wi, di, hi);
+        if slots[index].is_none() {
+            if cancel.is_some_and(|c| c.load(Ordering::Relaxed)) {
+                return None;
+            }
             let c = evaluate(index);
             emit(&c);
-            slot.insert(c);
+            slots[index] = Some(c);
         }
-        seen[&index].score
+        slots[index].as_ref().map(|c| c.score)
     };
-    let mut here = (0usize, 0usize, 0usize);
-    let mut best = score_at(here, &mut seen);
+    let mut here = (0, 0, 0);
+    let Some(mut best) = score_at(&mut slots, here) else {
+        return slots;
+    };
     loop {
         let (wi, di, hi) = here;
-        let mut neighbors = Vec::with_capacity(6);
-        if wi > 0 {
-            neighbors.push((wi - 1, di, hi));
-        }
-        if wi + 1 < space.workloads.len() {
-            neighbors.push((wi + 1, di, hi));
-        }
-        if di > 0 {
-            neighbors.push((wi, di - 1, hi));
-        }
-        if di + 1 < space.designs.len() {
-            neighbors.push((wi, di + 1, hi));
-        }
-        if hi > 0 {
-            neighbors.push((wi, di, hi - 1));
-        }
-        if hi + 1 < space.hpc.len() {
-            neighbors.push((wi, di, hi + 1));
-        }
-        let step = neighbors
-            .into_iter()
-            .map(|pos| (score_at(pos, &mut seen), pos))
-            .filter(|(s, _)| *s > best)
-            .max_by(|(a, _), (b, _)| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        match step {
-            Some((score, pos)) => {
-                here = pos;
-                best = score;
+        // `wrapping_sub` puts a step off the low edge out of range.
+        let neighbors = [
+            (wi.wrapping_sub(1), di, hi),
+            (wi + 1, di, hi),
+            (wi, di.wrapping_sub(1), hi),
+            (wi, di + 1, hi),
+            (wi, di, hi.wrapping_sub(1)),
+            (wi, di, hi + 1),
+        ];
+        let mut step = None;
+        for pos in neighbors.into_iter().filter(|&(w, d, h)| {
+            w < space.workloads.len() && d < space.designs.len() && h < space.hpc.len()
+        }) {
+            let Some(s) = score_at(&mut slots, pos) else {
+                return slots;
+            };
+            if s > best && step.is_none_or(|(t, _)| s >= t) {
+                step = Some((s, pos));
             }
-            None => break,
         }
-    }
-    let mut candidates: Vec<CandidateScore> = seen.into_values().collect();
-    candidates.sort_by_key(|c| c.index);
-    candidates
-}
-
-/// Pick the winner (highest score, ties to the lowest index) and
-/// assemble the outcome.
-fn finish(
-    space: &SearchSpace,
-    strategy: SearchStrategy,
-    candidates: Vec<CandidateScore>,
-) -> SearchOutcome {
-    let winner = candidates
-        .iter()
-        .max_by(|a, b| {
-            a.score
-                .partial_cmp(&b.score)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                // Ties (and NaN) resolve toward the lower index.
-                .then(b.index.cmp(&a.index))
-        })
-        .expect("non-empty space yields candidates");
-    SearchOutcome {
-        space: space.len(),
-        strategy,
-        winner_index: winner.index,
-        winner_score: winner.score,
-        candidates: candidates.clone(),
+        match step {
+            Some((s, pos)) => (best, here) = (s, pos),
+            None => return slots,
+        }
     }
 }
 
@@ -373,15 +339,13 @@ fn finish(
 #[must_use]
 pub fn area_mm2(cfg: &NocConfig, design: DesignKind, handle: &CompiledDesign) -> f64 {
     let n = cfg.topology.len() as f64;
-    let w = f64::from(cfg.topology.width());
-    let h = f64::from(cfg.topology.height());
     let flit_bits = f64::from(cfg.flit_bits);
     let ports = f64::from(cfg.router_ports);
     let buffer_um2 =
         ports * cfg.vcs_per_port as f64 * cfg.vc_depth as f64 * flit_bits * BUFFER_UM2_PER_BIT;
     let xbar_um2 = ports * ports * flit_bits * XBAR_UM2_PER_BIT;
-    // Directed inter-router channels of a w × h mesh.
-    let links = 2.0 * (w * (h - 1.0) + h * (w - 1.0));
+    // Directed inter-router channels, wrap links included on a torus.
+    let links = cfg.topology.links().len() as f64;
     let link_mm2 = links * HOP_MM * f64::from(cfg.channel_bits + cfg.credit_bits) * WIRE_PITCH_MM;
     match design {
         DesignKind::Mesh => n * (buffer_um2 + xbar_um2) * 1e-6 + link_mm2,
@@ -447,7 +411,7 @@ mod tests {
             run(&space, SearchStrategy::Exhaustive, 1, &cache, &|_| {}).expect("search runs");
         assert_eq!(first.candidates.len(), space.len());
         assert_eq!(first.render(), second.render(), "parallel == serial");
-        let w = first.winner();
+        let w = first.winner().expect("a winner");
         assert!(w.score.is_finite());
         assert!(w.energy_pj > 0.0 && w.area_mm2 > 0.0 && w.cycles > 0.0);
     }
@@ -465,7 +429,7 @@ mod tests {
             .iter()
             .find(|c| c.index == 0)
             .expect("start evaluated");
-        assert!(outcome.winner_score >= start.score);
+        assert!(outcome.winner().expect("a winner").score >= start.score);
     }
 
     #[test]
@@ -481,6 +445,32 @@ mod tests {
         // SMART always pays more silicon than the plain mesh it extends.
         let mesh = CompiledDesign::compile(&low, DesignKind::Mesh, &w);
         assert!(area_mm2(&low, DesignKind::Smart, &hl) > area_mm2(&low, DesignKind::Mesh, &mesh));
+    }
+
+    /// A 4×4 torus has 64 directed links to the mesh's 48: each of the
+    /// 16 wrap links adds a full channel's wire, and on SMART its SSR
+    /// wires too.
+    #[test]
+    fn torus_area_counts_its_wrap_links() {
+        let w = Workload::fig7();
+        let (mesh, torus) = (TopologySpec::Mesh.config(4), TopologySpec::Torus.config(4));
+        let wire = |bits: u32| 16.0 * HOP_MM * f64::from(bits) * WIRE_PITCH_MM;
+        let ssr_bits = usize::BITS - mesh.hpc_max.leading_zeros();
+        for (design, extra) in [
+            (DesignKind::Mesh, wire(mesh.channel_bits + mesh.credit_bits)),
+            (
+                DesignKind::Smart,
+                wire(mesh.channel_bits + mesh.credit_bits + ssr_bits),
+            ),
+        ] {
+            let area =
+                |cfg: &NocConfig| area_mm2(cfg, design, &CompiledDesign::compile(cfg, design, &w));
+            let (m, t) = (area(&mesh), area(&torus));
+            assert!(
+                (t - m - extra).abs() < 1e-12,
+                "{design:?}: torus {t} mm2, mesh {m} mm2, wrap wire {extra} mm2"
+            );
+        }
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::cache::DesignCache;
 use crate::protocol::{PlanSpec, Request, ResponseEvent, SearchStrategy, WorkloadSpec};
-use crate::search::{self, SearchSpace};
+use crate::search::{self, SearchOutcome, SearchSpace};
 use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
 use smart_harness::{
@@ -425,9 +425,11 @@ impl Service {
         Ok((ran().count() as u64, hits as u64))
     }
 
-    /// The search engine: score the space with `strategy`, streaming a
-    /// [`ResponseEvent::Candidate`] per scored point and the
-    /// [`ResponseEvent::Winner`] after them.
+    /// The search engine: score the space with `strategy` under the
+    /// job's cancel flag, streaming a [`ResponseEvent::Candidate`] per
+    /// scored point and then, if any point was scored, the
+    /// [`ResponseEvent::Winner`]. Returns `(scored points, points the
+    /// cache served)`.
     fn run_search(
         &self,
         job: &Job<'_>,
@@ -447,15 +449,22 @@ impl Service {
                 score: c.score,
             });
         };
-        let threads = self.cfg.threads;
-        let outcome = search::run_resolved(space, workloads, strategy, threads, &self.cache, &emit);
+        let (threads, cancel, cache) = (self.cfg.threads, Some(job.cancel), &self.cache);
+        let slots = search::score(space, workloads, strategy, threads, cancel, cache, &emit);
+        let outcome = SearchOutcome {
+            space: space.len(),
+            candidates: slots.into_iter().flatten().collect(),
+        };
         let evaluated = outcome.candidates.len() as u64;
-        job.sink.emit(&ResponseEvent::Winner {
-            index: outcome.winner_index as u64,
-            score: outcome.winner_score,
-            evaluated,
-        });
-        Ok((evaluated, 0))
+        if let Some(w) = outcome.winner() {
+            job.sink.emit(&ResponseEvent::Winner {
+                index: w.index as u64,
+                score: w.score,
+                evaluated,
+            });
+        }
+        let hits = outcome.candidates.iter().filter(|c| c.cached).count();
+        Ok((evaluated, hits as u64))
     }
 
     /// The schedule engine: one cell per schedule design, each running
@@ -567,6 +576,7 @@ mod tests {
                 ResponseEvent::Cell { index, .. } => {
                     Some((*index, e.snapshot_line().expect("cell")))
                 }
+                ResponseEvent::Candidate { index, .. } => Some((*index, e.to_line())),
                 _ => None,
             })
             .collect();
@@ -645,19 +655,28 @@ mod tests {
 
     #[test]
     fn repeat_request_is_fully_cached_and_identical() {
-        let service = Service::new(ServiceConfig {
-            threads: 2,
-            cache_capacity: 16,
-        });
-        let cold = collect(&service, &matrix_request("m1"));
-        let warm = collect(&service, &matrix_request("m2"));
-        assert_eq!(cell_lines(&cold), cell_lines(&warm));
         let hits = |events: &[ResponseEvent]| match events.last() {
             Some(ResponseEvent::Done { cache_hits, .. }) => *cache_hits,
             other => panic!("no done event: {other:?}"),
         };
-        assert_eq!(hits(&cold), 0);
-        assert_eq!(hits(&warm), 6, "every warm cell comes from cache");
+        // A matrix's six cells, then a search's four points.
+        let search = search_request("q1", vec![WorkloadSpec::Fig7]);
+        for (request, cells) in [(matrix_request("m1"), 6), (search, 4)] {
+            let service = Service::new(ServiceConfig {
+                threads: 2,
+                cache_capacity: 16,
+            });
+            let cold = collect(&service, &request);
+            let warm = collect(&service, &request);
+            let kind = request.kind();
+            assert_eq!(cell_lines(&cold), cell_lines(&warm), "{kind}");
+            assert_eq!(hits(&cold), 0, "{kind}");
+            assert_eq!(
+                hits(&warm),
+                cells,
+                "every warm {kind} cell comes from cache"
+            );
+        }
     }
 
     #[test]
@@ -740,6 +759,69 @@ mod tests {
         assert!(events
             .iter()
             .any(|e| matches!(e, ResponseEvent::Winner { .. })));
+    }
+
+    /// A sink that sends `cancel` for its own job, `target`, on every
+    /// candidate it sees, as a client on another connection would.
+    struct CancelOnCandidate<'a> {
+        service: &'a Service,
+        target: &'a str,
+        events: Mutex<Vec<ResponseEvent>>,
+    }
+
+    impl EventSink for CancelOnCandidate<'_> {
+        fn emit(&self, event: &ResponseEvent) {
+            if matches!(event, ResponseEvent::Candidate { .. }) {
+                let cancel = Request::Cancel {
+                    id: "c".into(),
+                    target: self.target.into(),
+                };
+                let answer = collect(self.service, &cancel);
+                assert!(matches!(answer[..], [ResponseEvent::Done { .. }]));
+            }
+            self.events
+                .lock()
+                .expect("unpoisoned sink")
+                .push(event.clone());
+        }
+    }
+
+    #[test]
+    fn a_cancelled_search_scores_no_further_point() {
+        let service = Service::new(ServiceConfig {
+            threads: 1,
+            cache_capacity: 32,
+        });
+        for strategy in [SearchStrategy::Exhaustive, SearchStrategy::Greedy] {
+            let workloads = vec![WorkloadSpec::Fig7, WorkloadSpec::App("PIP".into())];
+            let mut request = search_request("q", workloads);
+            if let Request::Search { strategy: s, .. } = &mut request {
+                *s = strategy;
+            }
+            let sink = CancelOnCandidate {
+                service: &service,
+                target: "q",
+                events: Mutex::new(Vec::new()),
+            };
+            service.handle(&request, &sink);
+            let events = sink.events.into_inner().expect("unpoisoned sink");
+            assert!(
+                matches!(
+                    events[..],
+                    [
+                        ResponseEvent::Accepted { cells: 8, .. },
+                        ResponseEvent::Candidate { index: 0, .. },
+                        ResponseEvent::Winner {
+                            index: 0,
+                            evaluated: 1,
+                            ..
+                        },
+                        ResponseEvent::Done { cells: 1, .. },
+                    ]
+                ),
+                "{strategy:?}: {events:?}"
+            );
+        }
     }
 
     #[test]

@@ -60,8 +60,9 @@ fn search_covers_the_full_space_and_crowns_the_argmax() {
         .iter()
         .max_by(|a, b| a.score.total_cmp(&b.score))
         .expect("candidates");
-    assert_eq!(out.winner_index, best.index);
-    assert_eq!(out.winner().score, best.score);
+    let winner = out.winner().expect("a winner");
+    assert_eq!(winner.index, best.index);
+    assert_eq!(winner.score, best.score);
 }
 
 #[test]
@@ -76,4 +77,29 @@ fn search_is_deterministic_across_thread_counts() {
     )
     .expect("serial sweep");
     assert_eq!(outcome().render(), serial.render());
+}
+
+/// The greedy hill-climb on the golden's space, pinned step for step:
+/// from (fig7, Mesh, 1) it visits exactly these points — neighbours
+/// tried workload, design, `HPC_max`, −1 before +1 on each axis — and
+/// stops at the SMART point it crowns.
+#[test]
+fn greedy_walk_is_pinned() {
+    let space = space();
+    let greedy = smart_server::search::run(
+        &space,
+        SearchStrategy::Greedy,
+        1,
+        &DesignCache::new(space.len()),
+        &|_| {},
+    )
+    .expect("greedy climb");
+    let visited: Vec<usize> = greedy.candidates.iter().map(|c| c.index).collect();
+    assert_eq!(visited, [0, 1, 4, 8, 9, 12, 13]);
+    let rendered = greedy.render();
+    let winner = rendered.lines().last().expect("a winner line");
+    assert!(
+        winner.starts_with("winner index=12 ") && winner.contains(" score=-3.93297404958516 "),
+        "{winner}"
+    );
 }

@@ -110,10 +110,9 @@ fn matrix_runs_12x12_on_multiple_threads_deterministically() {
 
     let parallel = matrix.clone().threads(3).run_instrumented();
     assert_eq!(parallel.reports.len(), 6);
-    assert!(
-        parallel.worker_threads >= 2,
-        "6 simulation cells across 3 workers must engage >1 thread, got {}",
-        parallel.worker_threads
+    assert_eq!(
+        parallel.worker_threads, 3,
+        "6 simulation cells across 3 workers start all 3"
     );
     for r in &parallel.reports {
         assert!(r.drained, "{}/{}", r.design.label(), r.workload);
