@@ -862,7 +862,8 @@ pub enum ResponseEvent {
         busy_ms: u64,
     },
     /// Terminal: the job finished. `cells` counts completed cells (less
-    /// than Accepted's count if the job was cancelled mid-run).
+    /// than Accepted's count if the job was cancelled mid-run, or for a
+    /// greedy search, which scores only the points it visits).
     Done {
         /// Job id.
         id: String,
