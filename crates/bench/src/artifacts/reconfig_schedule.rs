@@ -27,9 +27,12 @@ pub(super) fn run(quick: bool, _args: &[String], out: &mut Sink<'_>) -> Result<(
     writeln!(
         out,
         "Only the SMART designs pay the Section V reconfiguration cost — one\n\
-         store per router ({} on this mesh) per application switch; the live\n\
-         Reconfigurable design additionally drains in-flight traffic before\n\
-         each switch, as the paper requires.",
+         store per router ({} on this mesh) per application switch. The live\n\
+         Reconfigurable design must drain in-flight traffic before each\n\
+         switch, but every phase here ends with its plan's own drain window,\n\
+         so each of its drains reads 0; `reconfig_cost` ends its phases with\n\
+         no drain window, so its switches find traffic in flight, and\n\
+         measures the drains.",
         cfg.topology.len()
     )?;
     Ok(())

@@ -14,8 +14,6 @@
 //!   registers (Section V).
 //! * [`noc::Design`] — the three evaluated designs (Mesh / SMART /
 //!   Dedicated) behind one interface.
-//! * [`reconfig::ReconfigurableNoc`] — drain + store-sequence
-//!   application switching (Fig 1).
 //!
 //! ```
 //! use smart_core::config::NocConfig;
@@ -42,7 +40,6 @@ pub mod config;
 pub mod dedicated;
 pub mod noc;
 pub mod preset;
-pub mod reconfig;
 pub mod scenarios;
 pub mod viz;
 
@@ -52,5 +49,4 @@ pub use config::NocConfig;
 pub use dedicated::DedicatedNoc;
 pub use noc::{Design, DesignKind, MeshNoc, SmartNoc};
 pub use preset::{InputMux, MeshPresets, RouterPreset, StoreOp, XbarSelect};
-pub use reconfig::{ReconfigReport, ReconfigurableNoc};
 pub use viz::{render_topology, topology_summary};

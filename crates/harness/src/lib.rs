@@ -62,8 +62,8 @@ pub use experiment::{
 pub use matrix::{ExperimentMatrix, MatrixOutcome};
 pub use runner::{run_cells, run_cells_observed};
 pub use schedule::{
-    AppPhase, AppSchedule, MultiAppExperiment, PhaseTransition, ScheduleDesign, ScheduleError,
-    ScheduleMatrix, ScheduleOutcome, ScheduleReport,
+    AppPhase, AppSchedule, MultiAppExperiment, PhaseTransition, ReconfigError, ScheduleDesign,
+    ScheduleError, ScheduleMatrix, ScheduleOutcome, ScheduleReport,
 };
 pub use workload::{RoutedWorkload, Workload};
 

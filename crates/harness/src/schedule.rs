@@ -23,9 +23,9 @@
 //! live design differs only in its transitions: a phase's network must
 //! empty within the drain budget before the next phase may load, and
 //! that drain is counted in the phase's report. A network that does not
-//! empty stops the schedule with the [`ReconfigError`] that
-//! [`smart_core::reconfig::ReconfigurableNoc::load_app`] returns for
-//! the same refusal.
+//! empty stops the schedule with a [`ReconfigError`]: reconfiguring a
+//! non-empty network would corrupt in-flight packets. This is the one
+//! drain-then-store path in the workspace.
 
 use crate::compiled::CompiledDesign;
 use crate::experiment::{Drive, Experiment, ExperimentReport, RunPlan};
@@ -33,7 +33,6 @@ use crate::runner::run_cells;
 use crate::workload::{RoutedWorkload, Workload};
 use smart_core::config::NocConfig;
 use smart_core::noc::DesignKind;
-use smart_core::reconfig::ReconfigError;
 use smart_sim::{TelemetryConfig, TelemetrySeries};
 use smart_taskgraph::apps;
 use std::fmt;
@@ -222,6 +221,33 @@ pub struct PhaseTransition {
     /// without preset registers.
     pub store_count: usize,
 }
+
+/// Why a reconfiguration was refused: the previous application's
+/// in-flight traffic did not drain within the budget. Reconfiguring a
+/// non-empty network would corrupt in-flight packets, so the swap is
+/// not performed — the schedule stops at that phase — and the caller
+/// may retry with a larger budget.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ReconfigError {
+    /// Application whose traffic failed to drain.
+    pub current_app: String,
+    /// Application that was being loaded.
+    pub next_app: String,
+    /// The drain budget that was exhausted.
+    pub max_drain_cycles: u64,
+}
+
+impl fmt::Display for ReconfigError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "cannot reconfigure to {}: {} traffic did not drain within {} cycles",
+            self.next_app, self.current_app, self.max_drain_cycles
+        )
+    }
+}
+
+impl std::error::Error for ReconfigError {}
 
 /// A schedule could not advance past one of its phases.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -798,7 +798,8 @@ pub enum ResponseEvent {
         evaluated: u64,
     },
     /// One flow's latency under both designs of a trace diff (NaN on a
-    /// side that delivered nothing for the flow).
+    /// side that delivered nothing for the flow). Absent when a cancel
+    /// came before both replays ran.
     FlowDiff {
         /// Flow id.
         flow: u64,
@@ -807,7 +808,8 @@ pub enum ResponseEvent {
         /// Candidate average head latency.
         candidate: f64,
     },
-    /// Trace-diff aggregates (follows every FlowDiff).
+    /// Trace-diff aggregates (follows every FlowDiff). Absent when a
+    /// cancel came before both replays ran.
     DiffSummary {
         /// Baseline design label.
         baseline: String,

@@ -516,8 +516,9 @@ impl Service {
     }
 
     /// The trace-diff engine: replay `trace` on both cells (baseline,
-    /// then candidate), then stream the per-flow deltas and the
-    /// summary. Returns `(2, replays served from cache)`.
+    /// then candidate) under the job's cancel flag, then, if both
+    /// replays ran, stream the per-flow deltas and the summary. Returns
+    /// `(replays run, replays among them served from cache)`.
     fn run_trace_diff(
         &self,
         job: &Job<'_>,
@@ -526,7 +527,8 @@ impl Service {
         plan: PlanSpec,
         trace: &TraceFile,
     ) -> Result<(u64, u64), String> {
-        let replay = |(design, workload, handle, _): &MatrixCell| {
+        let replay = |i: usize| {
+            let (design, workload, handle, _) = &cells[i];
             Experiment::new(cfg.clone())
                 .design(*design)
                 .workload(workload.clone())
@@ -535,7 +537,18 @@ impl Service {
                 .run_compiled(handle)
                 .to_phase_outcome()
         };
-        let report = TraceDiffReport::between(&replay(&cells[0]), &replay(&cells[1]));
+        let (slots, _) =
+            run_cells_observed(2, self.cfg.threads, Some(job.cancel), replay, |_, _| {});
+        let ran = || (0..2).filter(|&i| slots[i].is_some());
+        let done = (
+            ran().count() as u64,
+            ran().filter(|&i| cells[i].3).count() as u64,
+        );
+        // A cancel before a replay started leaves nothing to compare.
+        let [Some(baseline), Some(candidate)] = &slots[..] else {
+            return Ok(done);
+        };
+        let report = TraceDiffReport::between(baseline, candidate);
         for delta in &report.flows {
             job.sink.emit(&ResponseEvent::FlowDiff {
                 flow: u64::from(delta.flow.0),
@@ -550,7 +563,7 @@ impl Service {
             flit_delta: report.flit_delta,
             latency_delta: report.latency_delta,
         });
-        Ok((2, cells.iter().filter(|c| c.3).count() as u64))
+        Ok(done)
     }
 }
 
@@ -762,16 +775,28 @@ mod tests {
     }
 
     /// A sink that sends `cancel` for its own job, `target`, on every
-    /// candidate it sees, as a client on another connection would.
-    struct CancelOnCandidate<'a> {
+    /// event `on` picks, as a client on another connection would.
+    struct CancelOn<'a> {
         service: &'a Service,
         target: &'a str,
+        on: fn(&ResponseEvent) -> bool,
         events: Mutex<Vec<ResponseEvent>>,
     }
 
-    impl EventSink for CancelOnCandidate<'_> {
+    impl<'a> CancelOn<'a> {
+        fn new(service: &'a Service, target: &'a str, on: fn(&ResponseEvent) -> bool) -> Self {
+            CancelOn {
+                service,
+                target,
+                on,
+                events: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl EventSink for CancelOn<'_> {
         fn emit(&self, event: &ResponseEvent) {
-            if matches!(event, ResponseEvent::Candidate { .. }) {
+            if (self.on)(event) {
                 let cancel = Request::Cancel {
                     id: "c".into(),
                     target: self.target.into(),
@@ -798,11 +823,9 @@ mod tests {
             if let Request::Search { strategy: s, .. } = &mut request {
                 *s = strategy;
             }
-            let sink = CancelOnCandidate {
-                service: &service,
-                target: "q",
-                events: Mutex::new(Vec::new()),
-            };
+            let sink = CancelOn::new(&service, "q", |e| {
+                matches!(e, ResponseEvent::Candidate { .. })
+            });
             service.handle(&request, &sink);
             let events = sink.events.into_inner().expect("unpoisoned sink");
             assert!(
@@ -822,6 +845,37 @@ mod tests {
                 "{strategy:?}: {events:?}"
             );
         }
+    }
+
+    #[test]
+    fn a_trace_diff_cancelled_on_accepted_replays_nothing() {
+        let service = Service::new(ServiceConfig {
+            threads: 1,
+            cache_capacity: 16,
+        });
+        let trace = TraceFile {
+            flits_per_packet: 8,
+            events: vec![(0, smart_sim::FlowId(0))],
+        };
+        let sink = CancelOn::new(&service, "d", |e| {
+            matches!(e, ResponseEvent::Accepted { .. })
+        });
+        service.handle(&trace_diff_request("d", trace), &sink);
+        let events = sink.events.into_inner().expect("unpoisoned sink");
+        assert!(
+            matches!(
+                events[..],
+                [
+                    ResponseEvent::Accepted { cells: 2, .. },
+                    ResponseEvent::Done {
+                        cells: 0,
+                        cache_hits: 0,
+                        ..
+                    },
+                ]
+            ),
+            "{events:?}"
+        );
     }
 
     #[test]

@@ -269,10 +269,14 @@ const MAX_NODES: usize = 1 << 16;
 ///
 /// Caveat: the wraparound rings reintroduce cyclic channel
 /// dependencies, so XY dimension-order on a torus is not deadlock-free
-/// under wormhole flow control in general. The evaluated cells stay
-/// live at the traffic levels this repo runs (every conformance cell
-/// asserts full delivery), but a production torus would add a dateline
-/// VC or a bubble scheme on the rings.
+/// under wormhole flow control in general. The goldened torus cells
+/// stay live (every conformance cell asserts full delivery), but other
+/// loads wedge: the Mesh design on a 4×4 torus under
+/// `uniform(240, 0.005, 7)` for 20 000 cycles delivered 658 of 724
+/// packets and never drained, where the 4×4 mesh drained all 23 896.
+/// Nothing flags such a wedge beyond the run's `drained: false` (see
+/// ROADMAP item 1). A production torus would add a dateline VC or a
+/// bubble scheme on the rings.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     width: u16,

@@ -223,26 +223,6 @@ impl ModulatedTraffic {
             .sum()
     }
 
-    /// Generate `per_flow` packets for every flow immediately (e.g. to
-    /// leave traffic in flight before a reconfiguration drain). The
-    /// packet ids continue the source's own count; no random number is
-    /// drawn.
-    #[must_use]
-    pub fn generate_burst(&mut self, cycle: u64, per_flow: usize) -> Vec<Packet> {
-        let mut out = Vec::with_capacity(self.flows.len() * per_flow);
-        for f in &self.flows {
-            for _ in 0..per_flow {
-                out.push(packet(
-                    &mut self.next_id,
-                    f.flow,
-                    cycle,
-                    self.flits_per_packet,
-                ));
-            }
-        }
-        out
-    }
-
     /// One injection draw per flow, in rate order, at the probability
     /// `rate` gives that flow (after whatever `rate` itself draws).
     fn draw(
@@ -413,30 +393,6 @@ mod tests {
         assert_eq!(t.generate(1).len(), 1);
         let at3: Vec<FlowId> = t.generate(3).iter().map(|p| p.flow).collect();
         assert_eq!(at3, vec![FlowId(1), FlowId(0)]);
-    }
-
-    #[test]
-    fn burst_covers_every_flow_and_continues_the_ids() {
-        let rates = [(FlowId(0), 0.5), (FlowId(1), 0.5)];
-        let mut t = ModulatedTraffic::new(TemporalModel::Steady, &rates, 8, 0);
-        let drawn = (0..10).map(|c| t.generate(c).len() as u64).sum::<u64>();
-        let burst = t.generate_burst(42, 3);
-        assert_eq!(burst.len(), 6);
-        assert!(burst.iter().all(|p| p.gen_cycle == 42));
-        assert_eq!(burst.iter().filter(|p| p.flow == FlowId(0)).count(), 3);
-        let ids: Vec<u64> = burst.iter().map(|p| p.id.0).collect();
-        assert_eq!(ids, (drawn..drawn + 6).collect::<Vec<_>>());
-        // The burst draws nothing: the stream after it is the stream a
-        // source that never burst produces, ids shifted by the burst.
-        let mut plain = ModulatedTraffic::new(TemporalModel::Steady, &rates, 8, 0);
-        for c in 0..10 {
-            let _ = plain.generate(c);
-        }
-        for c in 10..200 {
-            let (a, b) = (t.generate(c), plain.generate(c));
-            assert_eq!(a.len(), b.len());
-            assert!(a.iter().zip(&b).all(|(a, b)| a.id.0 == b.id.0 + 6));
-        }
     }
 
     #[test]

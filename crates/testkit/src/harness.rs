@@ -4,16 +4,10 @@
 use crate::scenario::Scenario;
 use smart_core::compile::CompiledApp;
 use smart_core::config::NocConfig;
-use smart_core::reconfig::ReconfigurableNoc;
 use smart_harness::{Experiment, RunPlan, ScheduleDesign};
-use smart_sim::traffic::TrafficSource;
-use smart_sim::{Direction, FlowId, LinkId, ModulatedTraffic, NodeId, SourceRoute, TemporalModel};
+use smart_sim::{Direction, FlowId, LinkId, NodeId, SourceRoute};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Base address for the memory-mapped preset registers in
-/// reconfiguration cases (value is arbitrary; Section V).
-const PRESET_BASE_ADDR: u64 = 0x4000_0000;
 
 /// Everything measured while checking one (design, scenario) cell.
 /// Byte-identical across runs with the same [`Conformance`] settings.
@@ -114,14 +108,16 @@ impl Conformance {
         out
     }
 
-    /// Check one (design, scenario) combination.
+    /// Check one (design, scenario) combination. Every design runs
+    /// through [`Experiment`] as its [`ScheduleDesign::kind`]: a
+    /// one-application case has no transition, so
+    /// [`ScheduleDesign::Reconfigurable`] is the SMART network it
+    /// reconfigures.
     ///
     /// # Panics
     ///
     /// Panics if any conformance invariant fails — delivery, structural
-    /// link exclusivity, zero-load latency, or (for
-    /// [`ScheduleDesign::Reconfigurable`]) the drain + store-sequence
-    /// contract.
+    /// link exclusivity or zero-load latency.
     #[must_use]
     pub fn run_case(&self, design: ScheduleDesign, scenario: &Scenario) -> CaseReport {
         // `Experiment::run_routed` shares the routed form, not a copy.
@@ -146,46 +142,26 @@ impl Conformance {
         let shared_links = count_shared_links(&self.cfg, &scenario.routes);
 
         // --- Invariant 1: loaded run must deliver everything. ---
-        let (injected, delivered, flits, avg_latency) = match design {
-            ScheduleDesign::Reconfigurable => {
-                // Same Bernoulli source the Experiment path seeds for
-                // the other designs, driven through the wrapper.
-                let mut traffic = ModulatedTraffic::new(
-                    TemporalModel::Steady,
-                    &scenario.rates,
-                    self.cfg.flits_per_packet(),
-                    self.seed,
-                );
-                self.reconfigurable_delivery(&ctx, scenario, &mut traffic)
-            }
-            _ => {
-                let report = Experiment::new(self.cfg.clone())
-                    .design(design.kind())
-                    .plan(RunPlan::measure_all(
-                        self.run_cycles,
-                        self.drain_budget,
-                        self.seed,
-                    ))
-                    .run_routed(scenario);
-                assert!(
-                    report.drained,
-                    "{ctx}: network failed to drain within {} cycles",
-                    self.drain_budget
-                );
-                (
-                    report.packets_injected,
-                    report.packets_delivered,
-                    report.flits_delivered,
-                    report.avg_network_latency,
-                )
-            }
-        };
+        let report = Experiment::new(self.cfg.clone())
+            .design(design.kind())
+            .plan(RunPlan::measure_all(
+                self.run_cycles,
+                self.drain_budget,
+                self.seed,
+            ))
+            .run_routed(scenario);
+        assert!(
+            report.drained,
+            "{ctx}: network failed to drain within {} cycles",
+            self.drain_budget
+        );
+        let (injected, delivered) = (report.packets_injected, report.packets_delivered);
         assert_eq!(
             delivered, injected,
             "{ctx}: {injected} packets in, only {delivered} out"
         );
         assert_eq!(
-            flits,
+            report.flits_delivered,
             delivered * u64::from(self.cfg.flits_per_packet()),
             "{ctx}: flit count disagrees with packet count"
         );
@@ -198,57 +174,11 @@ impl Conformance {
             scenario: scenario.name.clone(),
             packets_injected: injected,
             packets_delivered: delivered,
-            flits_delivered: flits,
-            avg_network_latency: avg_latency,
+            flits_delivered: report.flits_delivered,
+            avg_network_latency: report.avg_network_latency,
             zero_load_flows_checked: checked,
             shared_links,
         }
-    }
-
-    /// Delivery run for the reconfigurable wrapper, plus its own
-    /// contract: load, run, drain, then reload — the store sequence
-    /// must be stable across reloads (presets are a pure function of
-    /// the routes).
-    fn reconfigurable_delivery(
-        &self,
-        ctx: &str,
-        scenario: &Scenario,
-        traffic: &mut dyn TrafficSource,
-    ) -> (u64, u64, u64, f64) {
-        let mut r = ReconfigurableNoc::new(self.cfg.clone(), PRESET_BASE_ADDR);
-        let first = r
-            .load_app(&scenario.name, &scenario.routes, self.drain_budget)
-            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        assert_eq!(
-            first.drain_cycles, 0,
-            "{ctx}: first load has nothing to drain"
-        );
-        assert!(
-            !first.stores.is_empty(),
-            "{ctx}: presets must take at least one store"
-        );
-        let noc = r.noc_mut().expect("app just loaded");
-        noc.network_mut().run_with(traffic, self.run_cycles);
-        assert!(
-            noc.network_mut().drain(self.drain_budget),
-            "{ctx}: reconfigurable network failed to drain"
-        );
-        let c = *noc.network().counters();
-        let avg = noc.network().stats().avg_network_latency();
-        let second = r
-            .load_app(&scenario.name, &scenario.routes, self.drain_budget)
-            .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-        assert_eq!(r.reconfig_count(), 2, "{ctx}");
-        assert_eq!(
-            first.stores, second.stores,
-            "{ctx}: store sequence changed across reload"
-        );
-        (
-            c.packets_injected,
-            c.packets_delivered,
-            c.flits_delivered,
-            avg,
-        )
     }
 
     /// Lone-packet runs: measured latency must equal the analytical
@@ -284,30 +214,13 @@ impl Conformance {
                     app.flows.plan(*flow).zero_load_latency() as f64
                 }
             };
-            let got = match design {
-                ScheduleDesign::Reconfigurable => {
-                    let mut traffic = smart_sim::ScriptedTraffic::new(
-                        vec![(0, *flow)],
-                        self.cfg.flits_per_packet(),
-                    );
-                    let mut r = ReconfigurableNoc::new(self.cfg.clone(), PRESET_BASE_ADDR);
-                    r.load_app(&scenario.name, &scenario.routes, self.drain_budget)
-                        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
-                    let noc = r.noc_mut().expect("app just loaded");
-                    noc.network_mut().run_with(&mut traffic, 8);
-                    assert!(noc.network_mut().drain(1_000), "{ctx}: lone packet stuck");
-                    noc.network().stats().avg_network_latency()
-                }
-                _ => {
-                    let report = Experiment::new(self.cfg.clone())
-                        .design(design.kind())
-                        .scripted(vec![(0, *flow)])
-                        .plan(RunPlan::measure_all(8, 1_000, self.seed))
-                        .run_routed(scenario);
-                    assert!(report.drained, "{ctx}: lone packet stuck");
-                    report.avg_network_latency
-                }
-            };
+            let report = Experiment::new(self.cfg.clone())
+                .design(design.kind())
+                .scripted(vec![(0, *flow)])
+                .plan(RunPlan::measure_all(8, 1_000, self.seed))
+                .run_routed(scenario);
+            assert!(report.drained, "{ctx}: lone packet stuck");
+            let got = report.avg_network_latency;
             assert!(
                 (got - expected).abs() < 1e-9,
                 "{ctx}: flow {flow} zero-load latency {got}, predicted {expected}"

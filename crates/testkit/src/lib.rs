@@ -2,12 +2,13 @@
 //!
 //! Turns the seed's ad-hoc integration checks into a reusable
 //! differential battery: every [`ScheduleDesign`] (the paper's three
-//! evaluated designs plus the runtime-reconfigurable SMART) is driven
-//! through every [`Scenario`] preset (the Fig 7 walk-through, the eight
-//! Section VI task-graph applications, and uniform-random Bernoulli
-//! traffic) under a **fixed RNG seed**, and three invariant families are
-//! asserted on each combination (a fourth holds the engine itself to an
-//! independent reference):
+//! evaluated designs plus the live-reconfigured SMART, which on a
+//! one-application case is the SMART network it reconfigures) is driven
+//! through `smart_harness::Experiment` on every [`Scenario`] preset (the
+//! Fig 7 walk-through, the eight Section VI task-graph applications, and
+//! uniform-random Bernoulli traffic) under a **fixed RNG seed**, and
+//! three invariant families are asserted on each combination (a fourth
+//! holds the engine itself to an independent reference):
 //!
 //! 1. **Delivery** — every injected packet (and every flit of it) is
 //!    delivered once the network drains; the network *does* drain.

@@ -1,6 +1,6 @@
 //! Sharded-engine axis of the conformance matrix: the full invariant
-//! battery (delivery, structural link exclusivity, zero-load latency,
-//! reconfiguration contract) on a 32×32 mesh, run once on the serial
+//! battery (delivery, structural link exclusivity, zero-load latency)
+//! on a 32×32 mesh, run once on the serial
 //! engine and once with the cycle engine sharded across 4 row bands.
 //! The serial cells are locked by their own golden snapshot
 //! (`golden/sharded_32x32.txt`) and the sharded cells must reproduce
@@ -85,8 +85,8 @@ fn sharded_32x32_cells_pass_all_designs() {
 
 #[test]
 fn sharded_battery_is_byte_identical_to_serial() {
-    // The entire battery — Bernoulli load, drain, zero-load probes,
-    // the reconfiguration contract — rerun on the 4-shard engine must
+    // The entire battery — Bernoulli load, drain, zero-load probes —
+    // rerun on the 4-shard engine must
     // reproduce the serial snapshot lines byte-for-byte.
     let serial = golden_lines(serial_battery());
     let sharded = golden_lines(&battery(SHARDS));

@@ -1,6 +1,6 @@
 //! Torus axis of the conformance matrix: the same invariant battery
 //! the mesh matrix runs (delivery, structural link exclusivity,
-//! zero-load latency, reconfiguration contract), on an 8×8 torus whose
+//! zero-load latency), on an 8×8 torus whose
 //! routes cross wrap links. Cell values are locked by their own golden
 //! snapshot (`golden/torus_8x8.txt`) so wrap-link behavior cannot
 //! drift silently; the mesh matrix golden stays byte-identical.

@@ -6,8 +6,8 @@
 //!
 //! * [`link`] — VLR / full-swing link circuit models (Section III).
 //! * [`sim`] — cycle-accurate NoC simulation substrate.
-//! * [`arch`] — the SMART architecture: bypass, presets, credit mesh,
-//!   reconfiguration (Section IV).
+//! * [`arch`] — the SMART architecture: bypass, presets, credit mesh
+//!   (Section IV).
 //! * [`taskgraph`] — the eight SoC application task graphs (Section VI).
 //! * [`mapping`] — NMAP-style mapping, routing and preset compilation.
 //! * [`power`] — per-event energy model and the Fig 10b breakdown.
@@ -51,10 +51,9 @@ pub use smart_traffic as traffic;
 pub mod prelude {
     pub use smart_core::config::NocConfig;
     pub use smart_core::noc::{Design, DesignKind, MeshNoc, SmartNoc};
-    pub use smart_core::reconfig::{ReconfigError, ReconfigReport, ReconfigurableNoc};
     pub use smart_harness::{
         AppPhase, AppSchedule, Drive, Experiment, ExperimentMatrix, ExperimentReport,
-        MatrixOutcome, MultiAppExperiment, PhaseTransition, RoutedWorkload, RunPlan,
+        MatrixOutcome, MultiAppExperiment, PhaseTransition, ReconfigError, RoutedWorkload, RunPlan,
         ScheduleDesign, ScheduleError, ScheduleMatrix, ScheduleOutcome, ScheduleReport,
         TrafficContext, Workload,
     };
