@@ -14,6 +14,8 @@
 //!   held per packet (SA) and ejects one flit a cycle (ST): +3 cycles at
 //!   zero load.
 //!
+//! A cycle with no packet in the model is accounting only.
+//!
 //! A held wire costs a copy per flit, the rule the SDM circuit-switching
 //! paper (PAPERS.md) applies to held paths. Power: the paper plots only
 //! link power for Dedicated, so flits charge `link_flit_mm` over their
@@ -194,56 +196,60 @@ impl DedicatedNoc {
     /// one, then every shared sink ejects at most one flit.
     pub fn step(&mut self) {
         let c = self.cycle;
-        for i in 0..self.wires.len() {
-            if let Some(flit) = self.wires[i].landing.take() {
-                match self.wires[i].lane {
-                    Some((s, l)) => self.sinks[s].lanes[l].push_back((flit, c - 1)),
-                    None => self.deliver(flit, c - 1),
+        // An empty model moves nothing: no wire sends or lands a flit,
+        // every sink is empty and unheld, and an idle arbiter keeps its turn.
+        if !self.is_quiescent() {
+            for i in 0..self.wires.len() {
+                if let Some(flit) = self.wires[i].landing.take() {
+                    match self.wires[i].lane {
+                        Some((s, l)) => self.sinks[s].lanes[l].push_back((flit, c - 1)),
+                        None => self.deliver(flit, c - 1),
+                    }
+                }
+                let w = &mut self.wires[i];
+                if w.sending.is_none() {
+                    if let Some(p) = w.queue.pop_front() {
+                        self.counters.packets_injected += 1;
+                        w.sending = Some((p, c, 0));
+                    }
+                }
+                if let Some((p, inject_cycle, seq)) = &mut w.sending {
+                    let flit = DFlit {
+                        flow: p.flow,
+                        is_head: *seq == 0,
+                        is_tail: *seq + 1 == p.num_flits,
+                        gen_cycle: p.gen_cycle,
+                        inject_cycle: *inject_cycle,
+                    };
+                    *seq += 1;
+                    self.counters.link_flit_mm += w.mm;
+                    w.landing = Some(flit);
+                    if flit.is_tail {
+                        w.sending = None;
+                    }
                 }
             }
-            let w = &mut self.wires[i];
-            if w.sending.is_none() {
-                if let Some(p) = w.queue.pop_front() {
-                    self.counters.packets_injected += 1;
-                    w.sending = Some((p, c, 0));
-                }
-            }
-            if let Some((p, inject_cycle, seq)) = &mut w.sending {
-                let flit = DFlit {
-                    flow: p.flow,
-                    is_head: *seq == 0,
-                    is_tail: *seq + 1 == p.num_flits,
-                    gen_cycle: p.gen_cycle,
-                    inject_cycle: *inject_cycle,
-                };
-                *seq += 1;
-                self.counters.link_flit_mm += w.mm;
-                w.landing = Some(flit);
-                if flit.is_tail {
-                    w.sending = None;
-                }
-            }
-        }
 
-        // Shared sinks: BW the cycle after arrival, SA, then ST in c+1.
-        for s in 0..self.sinks.len() {
-            let sink = &mut self.sinks[s];
-            self.eligible.clear();
-            self.eligible.extend(
-                sink.lanes
-                    .iter()
-                    .map(|q| q.front().is_some_and(|&(_, arrival)| arrival + 2 <= c)),
-            );
-            let winner = match sink.held {
-                Some(h) => self.eligible[h].then_some(h),
-                None => sink.arb.grant(&self.eligible),
-            };
-            let Some(w) = winner else { continue };
-            let (flit, _) = sink.lanes[w]
-                .pop_front()
-                .expect("eligible lane has a front");
-            sink.held = (!flit.is_tail).then_some(w);
-            self.deliver(flit, c + 1);
+            // Shared sinks: BW the cycle after arrival, SA, then ST in c+1.
+            for s in 0..self.sinks.len() {
+                let sink = &mut self.sinks[s];
+                self.eligible.clear();
+                self.eligible.extend(
+                    sink.lanes
+                        .iter()
+                        .map(|q| q.front().is_some_and(|&(_, arrival)| arrival + 2 <= c)),
+                );
+                let winner = match sink.held {
+                    Some(h) => self.eligible[h].then_some(h),
+                    None => sink.arb.grant(&self.eligible),
+                };
+                let Some(w) = winner else { continue };
+                let (flit, _) = sink.lanes[w]
+                    .pop_front()
+                    .expect("eligible lane has a front");
+                sink.held = (!flit.is_tail).then_some(w);
+                self.deliver(flit, c + 1);
+            }
         }
 
         self.counters.cycles += 1;

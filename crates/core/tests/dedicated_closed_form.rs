@@ -154,3 +154,38 @@ fn a_lone_packet_at_a_shared_sink_pays_one_stop() {
     assert_eq!((s.head_latency_min, s.head_latency_max), (4, 4));
     assert_eq!(s.packet_latency_sum, 4 + 7);
 }
+
+#[test]
+fn packets_fifty_cycles_apart_each_see_the_lone_packet_latency() {
+    // Flows 0 and 1 share node 5, flow 2 has node 12 to itself. One
+    // packet every 50 cycles, flows in turn: each crosses an otherwise
+    // empty model, which is quiescent for most of the run.
+    const N: u64 = 30;
+    const RUN: u64 = 50 * N + 50;
+    let pairs = [(0, 5), (10, 5), (3, 12)];
+    let mut noc = build(&NocConfig::paper_4x4(), &pairs);
+    for c in 0..RUN {
+        let k = c / 50;
+        if c % 50 == 0 && k < N {
+            noc.offer(packet((k % 3) as usize, k, c));
+        }
+        noc.step();
+    }
+    assert!(noc.is_quiescent());
+    assert_eq!(noc.cycle(), RUN);
+    assert_eq!(noc.counters().cycles, RUN);
+    assert_eq!(noc.counters().packets_delivered, N);
+    for f in 0..3u32 {
+        // A shared sink's stop adds BW, SA and ST to the 1-cycle wire.
+        let (head, packet) = if f < 2 { (4, 4 + 7) } else { (1, 8) };
+        let s = noc.stats().flow(FlowId(f)).expect("delivered");
+        assert_eq!(s.packets, N / 3, "flow {f}");
+        assert_eq!(
+            (s.head_latency_min, s.head_latency_max),
+            (head, head),
+            "flow {f}"
+        );
+        assert_eq!(s.packet_latency_sum, packet * N / 3, "flow {f}");
+        assert_eq!(s.source_queue_sum, 0, "flow {f}");
+    }
+}

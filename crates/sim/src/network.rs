@@ -16,7 +16,8 @@
 //!
 //! Stages 1–2 drain event rings and stages 3–4 walk an active set
 //! each, so a cycle costs what it moves: a router or NIC
-//! that holds nothing is not looked at.
+//! that holds nothing is not looked at, and a stage whose ring slot or
+//! set is empty is skipped whole. An idle cycle is stage 5 alone.
 //!
 //! A [`Network`] built by [`Network::new`] is the 1-band case: the band
 //! owns every node, is stepped inline on the caller's thread, and its
@@ -350,108 +351,117 @@ impl Band {
 
         // 1. Credits landing this cycle (swapped out through the scratch
         // buffer so ring-slot capacity is reused, not reallocated).
-        let mut credits = std::mem::take(&mut self.credit_scratch);
-        std::mem::swap(&mut credits, &mut self.credit_ring[slot]);
-        for (sender, vc) in credits.drain(..) {
-            let l = self.local(sender.node());
-            match sender {
-                Sender::Nic(_) => self.nics[l].credit(vc),
-                Sender::RouterOutput(_, d) => self.bank.credit(l, d, vc),
+        if !self.credit_ring[slot].is_empty() {
+            let mut credits = std::mem::take(&mut self.credit_scratch);
+            std::mem::swap(&mut credits, &mut self.credit_ring[slot]);
+            for (sender, vc) in credits.drain(..) {
+                let l = self.local(sender.node());
+                match sender {
+                    Sender::Nic(_) => self.nics[l].credit(vc),
+                    Sender::RouterOutput(_, d) => self.bank.credit(l, d, vc),
+                }
             }
+            self.credit_scratch = credits;
         }
-        self.credit_scratch = credits;
 
         // 2. Flit arrivals (scheduled for end of cycle c-1), all buffered
         // before stage 4 allocates: the order the router's `fresh` bit
         // relies on.
-        let mut arrivals = std::mem::take(&mut self.arr_scratch);
-        std::mem::swap(&mut arrivals, &mut self.arrivals[slot]);
-        self.scheduled_arrivals -= arrivals.len();
-        for (end, flit, leg) in arrivals.drain(..) {
-            let l = self.local(end.node());
-            match end {
-                Endpoint::Stop { router, in_dir } => {
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(TraceRecord {
-                            cycle: c.saturating_sub(1),
-                            flow: flit.flow,
-                            packet: self.arena.get(flit.pkt).id,
-                            kind: TraceKind::BufferWrite { router, in_dir },
-                        });
-                    }
-                    // The route is carried, not searched: a plan's legs
-                    // are consecutive in the table and each ends where
-                    // the next starts (`FlowTable::insert` asserts it),
-                    // so the leg out of this stop is the one after the
-                    // leg in.
-                    let route = || {
-                        let next = flows.rec(leg + 1);
-                        debug_assert_eq!(next.sender.node(), router);
-                        (next.out_dir, leg + 1)
-                    };
-                    self.bank
-                        .receive(l, in_dir, flit, route, &mut self.counters);
-                }
-                Endpoint::Nic { node } => {
-                    let arrival_cycle = c - 1;
-                    let meta = *self.arena.get(flit.pkt);
-                    if let Some(t) = self.tracer.as_mut() {
-                        t.record(TraceRecord {
-                            cycle: arrival_cycle,
-                            flow: flit.flow,
-                            packet: meta.id,
-                            kind: TraceKind::Deliver {
-                                node,
-                                head: flit.is_head(),
-                                tail: flit.is_tail(),
-                            },
-                        });
-                    }
-                    let events =
-                        self.nics[l].receive(flit, &meta, arrival_cycle, &mut self.counters);
-                    self.rx_open += usize::from(flit.is_head());
-                    self.rx_open -= usize::from(flit.is_tail());
-                    if let Some(RxEvent::Head(flow, lat, srcq)) = events.head {
-                        if meta.gen_cycle >= self.stats_from {
-                            self.stats.record_head(flow, lat, srcq);
+        if !self.arrivals[slot].is_empty() {
+            let mut arrivals = std::mem::take(&mut self.arr_scratch);
+            std::mem::swap(&mut arrivals, &mut self.arrivals[slot]);
+            self.scheduled_arrivals -= arrivals.len();
+            for (end, flit, leg) in arrivals.drain(..) {
+                let l = self.local(end.node());
+                match end {
+                    Endpoint::Stop { router, in_dir } => {
+                        if let Some(t) = self.tracer.as_mut() {
+                            t.record(TraceRecord {
+                                cycle: c.saturating_sub(1),
+                                flow: flit.flow,
+                                packet: self.arena.get(flit.pkt).id,
+                                kind: TraceKind::BufferWrite { router, in_dir },
+                            });
                         }
+                        // The route is carried, not searched: a plan's legs
+                        // are consecutive in the table and each ends where
+                        // the next starts (`FlowTable::insert` asserts it),
+                        // so the leg out of this stop is the one after the
+                        // leg in.
+                        let route = || {
+                            let next = flows.rec(leg + 1);
+                            debug_assert_eq!(next.sender.node(), router);
+                            (next.out_dir, leg + 1)
+                        };
+                        self.bank
+                            .receive(l, in_dir, flit, route, &mut self.counters);
                     }
-                    if let Some(RxEvent::Tail(flow, lat, vc)) = events.tail {
-                        if meta.gen_cycle >= self.stats_from {
-                            self.stats.record_tail(flow, lat);
+                    Endpoint::Nic { node } => {
+                        let arrival_cycle = c - 1;
+                        let meta = *self.arena.get(flit.pkt);
+                        if let Some(t) = self.tracer.as_mut() {
+                            t.record(TraceRecord {
+                                cycle: arrival_cycle,
+                                flow: flit.flow,
+                                packet: meta.id,
+                                kind: TraceKind::Deliver {
+                                    node,
+                                    head: flit.is_head(),
+                                    tail: flit.is_tail(),
+                                },
+                            });
                         }
-                        // Credit for the freed NIC reception VC.
-                        let path = self.nic_credit[l]
-                            .unwrap_or_else(|| panic!("no sender tracks endpoint {end:?}"));
-                        self.emit_credit(path, vc, c + 1, seam);
-                        // Whole packet delivered: its metadata slot can
-                        // be recycled.
-                        self.arena.release(flit.pkt);
+                        let events =
+                            self.nics[l].receive(flit, &meta, arrival_cycle, &mut self.counters);
+                        self.rx_open += usize::from(flit.is_head());
+                        self.rx_open -= usize::from(flit.is_tail());
+                        if let Some(RxEvent::Head(flow, lat, srcq)) = events.head {
+                            if meta.gen_cycle >= self.stats_from {
+                                self.stats.record_head(flow, lat, srcq);
+                            }
+                        }
+                        if let Some(RxEvent::Tail(flow, lat, vc)) = events.tail {
+                            if meta.gen_cycle >= self.stats_from {
+                                self.stats.record_tail(flow, lat);
+                            }
+                            // Credit for the freed NIC reception VC.
+                            let path = self.nic_credit[l]
+                                .unwrap_or_else(|| panic!("no sender tracks endpoint {end:?}"));
+                            self.emit_credit(path, vc, c + 1, seam);
+                            // Whole packet delivered: its metadata slot can
+                            // be recycled.
+                            self.arena.release(flit.pkt);
+                        }
                     }
                 }
             }
+            self.arr_scratch = arrivals;
         }
-        self.arr_scratch = arrivals;
 
         // 3. NIC injection at the NICs with a backlog, ascending. An
         // idle NIC would have returned `None` without touching any
         // state, so the event stream is bit-identical to a full sweep. A
         // NIC whose backlog empties leaves the set as it is visited.
-        for w in 0..self.backlogged.num_words() {
-            for l in self.backlogged.word(w) {
-                if let Some(flit) = self.nics[l].try_inject(&mut self.arena, c, &mut self.counters)
-                {
-                    let leg = flows.first_leg(flit.flow);
-                    debug_assert!(matches!(
-                        flows.rec(leg).sender,
-                        Sender::Nic(n) if usize::from(n.0 - self.start) == l
-                    ));
-                    self.launch(flows, leg, flit, c, probe, seam);
-                }
-                if self.nics[l].backlog() == 0 {
-                    self.backlogged.remove(l);
+        if !self.backlogged.is_empty() {
+            for w in 0..self.backlogged.num_words() {
+                for l in self.backlogged.word(w) {
+                    if let Some(flit) =
+                        self.nics[l].try_inject(&mut self.arena, c, &mut self.counters)
+                    {
+                        let leg = flows.first_leg(flit.flow);
+                        debug_assert!(matches!(
+                            flows.rec(leg).sender,
+                            Sender::Nic(n) if usize::from(n.0 - self.start) == l
+                        ));
+                        self.launch(flows, leg, flit, c, probe, seam);
+                    }
+                    if self.nics[l].backlog() == 0 {
+                        self.backlogged.remove(l);
+                    }
                 }
             }
+        } else {
+            debug_assert!(self.nics.iter().all(|n| n.backlog() == 0));
         }
 
         // 4. Switch allocation at the routers holding flits, ascending;
@@ -461,41 +471,46 @@ impl Band {
         // departures and credit releases batch across routers into
         // reused scratch vectors and replay afterwards in the same
         // ascending-router order, so each ring receives an identical
-        // push sequence.
-        let mut deps = std::mem::take(&mut self.dep_scratch);
-        let mut rels = std::mem::take(&mut self.rel_scratch);
-        deps.clear();
-        rels.clear();
-        for w in 0..self.bank.active().num_words() {
-            for r in self.bank.active().word(w) {
-                self.bank
-                    .allocate(r, &mut self.counters, &mut deps, &mut rels, probe);
+        // push sequence. An empty set leaves no `fresh` bit to clear:
+        // `allocate` clears them before a router leaves the set.
+        if !self.bank.active().is_empty() {
+            let mut deps = std::mem::take(&mut self.dep_scratch);
+            let mut rels = std::mem::take(&mut self.rel_scratch);
+            deps.clear();
+            rels.clear();
+            for w in 0..self.bank.active().num_words() {
+                for r in self.bank.active().word(w) {
+                    self.bank
+                        .allocate(r, &mut self.counters, &mut deps, &mut rels, probe);
+                }
             }
+            for dep in deps.drain(..) {
+                assert_eq!(
+                    flows.rec(dep.leg).out_dir,
+                    dep.out_dir,
+                    "plan/grant mismatch on leg {}",
+                    dep.leg
+                );
+                self.launch(flows, dep.leg, dep.flit, c + 1, probe, seam);
+            }
+            for rel in rels.drain(..) {
+                // Tail departs the buffer during c+1; the credit crosses
+                // the reverse mesh during c+2 and is usable at c+3.
+                let r = usize::from(rel.router);
+                let path = self.stop_credit[r * PORTS + rel.in_dir.index()].unwrap_or_else(|| {
+                    panic!(
+                        "no sender tracks endpoint {}/{}",
+                        NodeId(self.start + rel.router),
+                        rel.in_dir
+                    )
+                });
+                self.emit_credit(path, rel.vc, c + 3, seam);
+            }
+            self.dep_scratch = deps;
+            self.rel_scratch = rels;
+        } else {
+            debug_assert_eq!(self.bank.total_buffered(), 0);
         }
-        for dep in deps.drain(..) {
-            assert_eq!(
-                flows.rec(dep.leg).out_dir,
-                dep.out_dir,
-                "plan/grant mismatch on leg {}",
-                dep.leg
-            );
-            self.launch(flows, dep.leg, dep.flit, c + 1, probe, seam);
-        }
-        for rel in rels.drain(..) {
-            // Tail departs the buffer during c+1; the credit crosses
-            // the reverse mesh during c+2 and is usable at c+3.
-            let r = usize::from(rel.router);
-            let path = self.stop_credit[r * PORTS + rel.in_dir.index()].unwrap_or_else(|| {
-                panic!(
-                    "no sender tracks endpoint {}/{}",
-                    NodeId(self.start + rel.router),
-                    rel.in_dir
-                )
-            });
-            self.emit_credit(path, rel.vc, c + 3, seam);
-        }
-        self.dep_scratch = deps;
-        self.rel_scratch = rels;
 
         // 5. Gating + cycle accounting (band-local port counts).
         self.counters.active_port_cycles += self.enabled_ports;

@@ -153,12 +153,22 @@ impl TemporalModel {
 struct FlowState {
     flow: FlowId,
     rate: f64,
+    /// [`threshold`] of `rate`: the Steady draw's integer bound.
+    threshold: u64,
     on: bool,
+}
+
+/// `⌈rate · 2⁵³⌉`. For a rate in `[0, 1]` and the draw `k · 2⁻⁵³`,
+/// `k · 2⁻⁵³ < rate` ⇔ `k < rate · 2⁵³` ⇔ `k < ⌈rate · 2⁵³⌉`, all exact.
+fn threshold(rate: f64) -> u64 {
+    (rate * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// A [`TrafficSource`] driving per-flow Bernoulli injection through a
 /// [`TemporalModel`]: one uniform draw per flow per cycle (after the
-/// model's own draws), flows in rate order.
+/// model's own draws), flows in rate order. A Steady draw tests its top
+/// 53 bits against an integer threshold: `gen::<f64>() < rate`'s outcome
+/// without floats.
 #[derive(Debug, Clone)]
 pub struct ModulatedTraffic {
     model: TemporalModel,
@@ -193,6 +203,7 @@ impl ModulatedTraffic {
                 FlowState {
                     flow,
                     rate,
+                    threshold: threshold(rate),
                     on: true,
                 }
             })
@@ -223,17 +234,16 @@ impl ModulatedTraffic {
             .sum()
     }
 
-    /// One injection draw per flow, in rate order, at the probability
-    /// `rate` gives that flow (after whatever `rate` itself draws).
+    /// One injection draw per flow, in rate order: `fires` makes it
+    /// (after the model's own draws) and says whether the flow injects.
     fn draw(
         &mut self,
         cycle: u64,
-        mut rate: impl FnMut(&mut FlowState, &mut StdRng) -> f64,
+        mut fires: impl FnMut(&mut FlowState, &mut StdRng) -> bool,
     ) -> Vec<Packet> {
         let mut out = Vec::new();
         for f in &mut self.flows {
-            let p = rate(f, &mut self.rng);
-            if self.rng.gen::<f64>() < p {
+            if fires(f, &mut self.rng) {
                 out.push(packet(
                     &mut self.next_id,
                     f.flow,
@@ -253,7 +263,9 @@ impl TrafficSource for ModulatedTraffic {
         // them every cycle for a `Steady` model too, on whatever bytes
         // fill its unused fields — slow when they read as subnormals.
         match self.model {
-            TemporalModel::Steady => self.draw(cycle, |f, _| f.rate),
+            TemporalModel::Steady => {
+                self.draw(cycle, |f, rng| rng.gen::<u64>() >> 11 < f.threshold)
+            }
             TemporalModel::OnOff {
                 on_to_off,
                 off_to_on,
@@ -270,17 +282,14 @@ impl TrafficSource for ModulatedTraffic {
                     } else if u < off_to_on {
                         f.on = true;
                     }
-                    if f.on {
-                        (f.rate / duty).min(1.0)
-                    } else {
-                        0.0
-                    }
+                    let p = if f.on { (f.rate / duty).min(1.0) } else { 0.0 };
+                    rng.gen::<f64>() < p
                 })
             }
             TemporalModel::Ramp { from, to, cycles } => {
                 let t = (cycle.min(cycles)) as f64 / cycles as f64;
                 let scale = from + (to - from) * t;
-                self.draw(cycle, |f, _| (f.rate * scale).min(1.0))
+                self.draw(cycle, |f, rng| rng.gen::<f64>() < (f.rate * scale).min(1.0))
             }
         }
     }
@@ -485,6 +494,62 @@ mod tests {
         let ramp = TemporalModel::ramp(0.0, 2.0, 100);
         let t = ModulatedTraffic::new(ramp, &[(FlowId(0), 0.6)], 8, 0);
         assert!((t.offered_flits_per_cycle() - 8.0).abs() < 1e-12);
+    }
+
+    /// Both ends, the smallest nonzero draw step, a tiny rate, a light
+    /// rate, both sides of one half and the largest rate below 1.
+    const EDGE_RATES: [f64; 8] = [
+        0.0,
+        1.0 / (1u64 << 53) as f64,
+        1e-9,
+        0.005,
+        0.5,
+        f64::from_bits(0.5f64.to_bits() + 1),
+        1.0 - 1.0 / (1u64 << 53) as f64,
+        1.0,
+    ];
+
+    /// The `f64` Bernoulli test the integer threshold replaces: the raw
+    /// draw's top 53 bits as a float in `[0, 1)`, compared with `p`.
+    fn float_fires(bits: u64, p: f64) -> bool {
+        (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64) < p
+    }
+
+    #[test]
+    fn threshold_agrees_with_the_float_test_at_its_boundary() {
+        for p in EDGE_RATES {
+            let t = threshold(p);
+            // The last draw that fires and the first that does not, each
+            // with the 11 discarded low bits clear and set.
+            for k in [t.checked_sub(1), Some(t)].into_iter().flatten() {
+                if k >= 1 << 53 {
+                    continue;
+                }
+                for bits in [k << 11, k << 11 | 0x7FF] {
+                    let fires = bits >> 11 < t;
+                    assert_eq!(fires, k < t, "p = {p:e}, k = {k}");
+                    assert_eq!(fires, float_fires(bits, p), "p = {p:e}, k = {k}");
+                }
+            }
+        }
+        assert_eq!(threshold(0.0), 0);
+        assert_eq!(threshold(1.0), 1 << 53);
+    }
+
+    #[test]
+    fn threshold_agrees_with_the_float_test_on_seeded_draws() {
+        for (i, p) in EDGE_RATES.into_iter().enumerate() {
+            let t = threshold(p);
+            let mut rng = StdRng::seed_from_u64(0xB17 + i as u64);
+            for _ in 0..1_000_000 {
+                let bits = rng.gen::<u64>();
+                assert_eq!(
+                    bits >> 11 < t,
+                    float_fires(bits, p),
+                    "p = {p:e}, bits = {bits:#x}"
+                );
+            }
+        }
     }
 
     #[test]

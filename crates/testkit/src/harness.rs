@@ -4,7 +4,8 @@
 use crate::scenario::Scenario;
 use smart_core::compile::CompiledApp;
 use smart_core::config::NocConfig;
-use smart_harness::{Experiment, RunPlan, ScheduleDesign};
+use smart_core::noc::DesignKind;
+use smart_harness::{CompiledDesign, Experiment, RunPlan, ScheduleDesign};
 use smart_sim::{Direction, FlowId, LinkId, NodeId, SourceRoute};
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -112,7 +113,9 @@ impl Conformance {
     /// through [`Experiment`] as its [`ScheduleDesign::kind`]: a
     /// one-application case has no transition, so
     /// [`ScheduleDesign::Reconfigurable`] is the SMART network it
-    /// reconfigures.
+    /// reconfigures. The case is compiled once: the structural check,
+    /// the loaded run and every lone-packet run share one
+    /// [`CompiledDesign`].
     ///
     /// # Panics
     ///
@@ -120,25 +123,16 @@ impl Conformance {
     /// link exclusivity or zero-load latency.
     #[must_use]
     pub fn run_case(&self, design: ScheduleDesign, scenario: &Scenario) -> CaseReport {
-        // `Experiment::run_routed` shares the routed form, not a copy.
-        let scenario = &Arc::new(scenario.clone());
         let ctx = format!("{}/{}", design.label(), scenario.name);
+        let compiled =
+            CompiledDesign::from_routed(&self.cfg, design.kind(), Arc::new(scenario.clone()));
 
-        // --- Invariant 2 (structural): Section IV stop rules. ---
-        let compiled = match design {
-            ScheduleDesign::Smart | ScheduleDesign::Reconfigurable => {
-                let app = smart_core::compile::compile(
-                    self.cfg.topology,
-                    self.cfg.hpc_max,
-                    &scenario.routes,
-                );
-                check_link_exclusivity(&ctx, &self.cfg, scenario, &app);
-                Some(app)
-            }
-            // The mesh stops at every router and the dedicated design
-            // has one private link per flow: exclusive by construction.
-            ScheduleDesign::Mesh | ScheduleDesign::Dedicated => None,
-        };
+        // --- Invariant 2 (structural): Section IV stop rules. The mesh
+        // stops at every router and the dedicated design has one private
+        // link per flow: exclusive by construction. ---
+        if let Some(app) = compiled.compiled_app() {
+            check_link_exclusivity(&ctx, &self.cfg, scenario, app);
+        }
         let shared_links = count_shared_links(&self.cfg, &scenario.routes);
 
         // --- Invariant 1: loaded run must deliver everything. ---
@@ -149,7 +143,7 @@ impl Conformance {
                 self.drain_budget,
                 self.seed,
             ))
-            .run_routed(scenario);
+            .run_compiled(&compiled);
         assert!(
             report.drained,
             "{ctx}: network failed to drain within {} cycles",
@@ -167,7 +161,7 @@ impl Conformance {
         );
 
         // --- Invariant 3: lone-packet latency equals the prediction. ---
-        let checked = self.check_zero_load(&ctx, design, scenario, compiled.as_ref());
+        let checked = self.check_zero_load(&ctx, &compiled);
 
         CaseReport {
             design: design.label().to_owned(),
@@ -183,18 +177,17 @@ impl Conformance {
 
     /// Lone-packet runs: measured latency must equal the analytical
     /// zero-load prediction for up to `zero_load_flow_cap` flows.
-    fn check_zero_load(
-        &self,
-        ctx: &str,
-        design: ScheduleDesign,
-        scenario: &Arc<Scenario>,
-        compiled: Option<&CompiledApp>,
-    ) -> usize {
+    fn check_zero_load(&self, ctx: &str, compiled: &CompiledDesign) -> usize {
+        let scenario = compiled.routed();
         let mut checked = 0;
         for (flow, route) in scenario.routes.iter().take(self.zero_load_flow_cap) {
-            let expected = match design {
-                ScheduleDesign::Mesh => 4.0 * route.num_hops() as f64 + 4.0,
-                ScheduleDesign::Dedicated => {
+            let expected = match compiled.kind() {
+                DesignKind::Mesh => 4.0 * route.num_hops() as f64 + 4.0,
+                DesignKind::Smart => {
+                    let app = compiled.compiled_app().expect("a SMART handle");
+                    app.flows.plan(*flow).zero_load_latency() as f64
+                }
+                DesignKind::Dedicated => {
                     // Private sink: NIC-to-NIC in one cycle. Shared
                     // sink: the paper serializes flows into the
                     // destination NIC through a stop router (+3).
@@ -209,16 +202,12 @@ impl Conformance {
                         1.0
                     }
                 }
-                ScheduleDesign::Smart | ScheduleDesign::Reconfigurable => {
-                    let app = compiled.expect("compiled for SMART designs");
-                    app.flows.plan(*flow).zero_load_latency() as f64
-                }
             };
             let report = Experiment::new(self.cfg.clone())
-                .design(design.kind())
+                .design(compiled.kind())
                 .scripted(vec![(0, *flow)])
                 .plan(RunPlan::measure_all(8, 1_000, self.seed))
-                .run_routed(scenario);
+                .run_compiled(compiled);
             assert!(report.drained, "{ctx}: lone packet stuck");
             let got = report.avg_network_latency;
             assert!(

@@ -13,14 +13,17 @@
 //!   wrap legs across the torus seam — on a 4×4 mesh, an 8×8 mesh and a
 //!   6×6 torus, under transpose, uniform and a mapped application, from
 //!   light load to several times saturation.
+//! * The idle-stretch net spaces scripted packets further apart than the
+//!   engine's event rings are deep, so a step finds its credit ring, its
+//!   arrival ring, its NIC backlog and its router set empty in turn.
 
 use proptest::prelude::*;
 use smart_core::compile::compile;
 use smart_core::config::NocConfig;
 use smart_harness::{RoutedWorkload, SpatialPattern, TemporalModel};
 use smart_sim::{
-    ActivityCounters, Coord, FlowId, FlowTable, LinkId, ModulatedTraffic, Network, Segment,
-    SimConfig, SimStats, SourceRoute, Topology,
+    ActivityCounters, Coord, FlowId, FlowTable, LinkId, ModulatedTraffic, Network, ScriptedTraffic,
+    Segment, SimConfig, SimStats, SourceRoute, Topology, TrafficSource,
 };
 use smart_testkit::reference::segments;
 use smart_testkit::RefNetwork;
@@ -67,30 +70,43 @@ impl Outcome {
     }
 }
 
-/// One loaded run: `flows` under per-flow Bernoulli `rates` for `cycles`
-/// cycles, then drained.
+/// What a run offers.
+enum Offer<'a> {
+    /// Per-flow Bernoulli `rates` from one seeded stream.
+    Bernoulli {
+        rates: &'a [(FlowId, f64)],
+        seed: u64,
+    },
+    /// One packet per `(cycle, flow)` event.
+    Scripted(&'a [(u64, FlowId)]),
+}
+
+/// One loaded run: `flows` under `offer` for `cycles` cycles, then
+/// drained.
 struct Case<'a> {
     cfg: SimConfig,
     flows: &'a FlowTable,
-    rates: &'a [(FlowId, f64)],
-    seed: u64,
+    offer: Offer<'a>,
     cycles: u64,
 }
 
 impl Case<'_> {
-    fn traffic(&self) -> ModulatedTraffic {
-        let (cfg, seed) = (self.cfg, self.seed);
-        ModulatedTraffic::new(
-            TemporalModel::Steady,
-            self.rates,
-            cfg.flits_per_packet,
-            seed,
-        )
+    fn traffic(&self) -> Box<dyn TrafficSource> {
+        let fpp = self.cfg.flits_per_packet;
+        match self.offer {
+            Offer::Bernoulli { rates, seed } => Box::new(ModulatedTraffic::new(
+                TemporalModel::Steady,
+                rates,
+                fpp,
+                seed,
+            )),
+            Offer::Scripted(events) => Box::new(ScriptedTraffic::new(events.to_vec(), fpp)),
+        }
     }
 
     fn engine(&self, bands: usize) -> Outcome {
         let mut net = Network::banded(self.cfg, self.flows.clone(), bands);
-        net.run_with(&mut self.traffic(), self.cycles);
+        net.run_with(&mut *self.traffic(), self.cycles);
         assert!(net.drain(DRAIN), "engine ({bands} bands) failed to drain");
         Outcome {
             drained_at: net.cycle(),
@@ -102,7 +118,7 @@ impl Case<'_> {
 
     fn reference(&self) -> Outcome {
         let mut net = RefNetwork::new(self.cfg, self.flows.clone());
-        net.run_with(&mut self.traffic(), self.cycles);
+        net.run_with(&mut *self.traffic(), self.cycles);
         assert!(net.drain(DRAIN), "reference failed to drain");
         Outcome {
             drained_at: net.cycle(),
@@ -138,8 +154,10 @@ fn both_engines_reproduce_the_pinned_legacy_replay() {
         let run = Case {
             cfg: SimConfig::paper_4x4(),
             flows: &flows,
-            rates: &rates,
-            seed: case.1,
+            offer: Offer::Bernoulli {
+                rates: &rates,
+                seed: case.1,
+            },
             cycles: case.2,
         };
         assert_eq!(run.reference().line(case), expected, "reference, {case:?}");
@@ -217,8 +235,10 @@ fn assert_cell(
     let case = Case {
         cfg: noc.sim_config(),
         flows: &flows,
-        rates: &rates,
-        seed,
+        offer: Offer::Bernoulli {
+            rates: &rates,
+            seed,
+        },
         cycles: 1_000,
     };
     assert_eq!(
@@ -254,6 +274,46 @@ fn smart_cells_cross_bypass_and_wrap_legs() {
             let seam = legs.iter().any(|&(n, wrap)| n > 1 && wrap);
             assert_eq!(seam, matches!(fabric, Fabric::Torus6), "{fabric:?} {hpc}");
         }
+    }
+}
+
+/// Packets at least 40 cycles apart, more than the 16-slot event rings
+/// span: a step finds its credit slot, its arrival slot, the NIC
+/// backlog and the router set empty in turn, and credits land in cycles
+/// that move nothing else. Mesh, SMART at 1 band and SMART at 2 bands
+/// all equal the reference, and every cycle gates or clocks every port.
+#[test]
+fn engine_equals_reference_across_idle_stretches() {
+    for (design, bands) in [
+        (Design::Mesh, 1),
+        (Design::Smart(8), 1),
+        (Design::Smart(8), 2),
+    ] {
+        let (noc, flows) = cell(Fabric::Mesh8, Load::App, design, 0);
+        // Six packets a flow, flow after flow, gaps of 40 to 62 cycles.
+        // A sender has two VCs, so from a flow's third packet on each
+        // needs a VC whose credit came back in an idle cycle.
+        let ids: Vec<FlowId> = flows.iter().map(|p| p.flow).collect();
+        let mut at = 0;
+        let script: Vec<(u64, FlowId)> = (0..48)
+            .map(|i| {
+                at += 40 + i * 7 % 23;
+                (at, ids[i as usize / 6 % ids.len()])
+            })
+            .collect();
+        let case = Case {
+            cfg: noc.sim_config(),
+            flows: &flows,
+            offer: Offer::Scripted(&script),
+            cycles: at + 1,
+        };
+        let engine = case.engine(bands);
+        assert_eq!(engine, case.reference(), "{design:?} at {bands} bands");
+        let c = &engine.counters;
+        assert_eq!(c.packets_delivered, 48, "{design:?} at {bands} bands");
+        assert_eq!(c.cycles, engine.drained_at);
+        let ports = noc.topology.len() as u64 * 10;
+        assert_eq!(c.active_port_cycles + c.gated_port_cycles, ports * c.cycles);
     }
 }
 
